@@ -15,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConeKind, ConicProgram, ConeSpec, Solution, Status
+from ..conic import ConeKind, ConicProgram, ConeSpec, Solution, Status, rsoc, soc
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import (
-    DecisionRule,
-    ProgramBuilder,
-    RuleSpace,
-    hyperrectangle_vertices,
-    vertex_sample_size,
-)
+from ..ldr import DecisionRule, IdentityQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
-
-BOX_STREAM = 0xB0C5
-OBJ_STREAM = 0x0B5E
 
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=150)
 
@@ -183,6 +174,33 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float,
                           alpha=math.inf)
 
 
+def _rule_program(inst: EllipsoidInstance) -> ConicProgram:
+    """max t over the rule coordinates (z1, z2, Y11, Y21, Y12, Y22) plus t.
+
+    Y may be asymmetric: containment is the exact |Y'a_i| <= b_i - a_i'z,
+    while the PSD row (Ys11, Ys22, sqrt2 Ys12) and the det hypograph
+    (Ys11, Ys22, sqrt2 t, sqrt2 Ys12) act on its symmetric part Ys.
+    """
+    m = inst.m
+    A = np.zeros((3 * m + 7, RULE_DIM + 1))
+    b = np.zeros(3 * m + 7)
+    # containment SOC rows: (b_i - a'z, Y'a)
+    A[0 : 3 * m : 3, 0:2] = inst.a
+    b[0 : 3 * m : 3] = inst.b
+    A[1 : 3 * m : 3, 2:4] = -inst.a
+    A[2 : 3 * m : 3, 4:6] = -inst.a
+    psd, det = 3 * m, 3 * m + 3
+    for r in (psd, det):
+        A[r, 2] = -1.0
+        A[r + 1, 5] = -1.0
+    A[psd + 2, 3:5] = -0.5 * _SQRT2
+    A[det + 2, 6] = -_SQRT2
+    A[det + 3, 3:5] = -0.5 * _SQRT2
+    c = np.zeros(RULE_DIM + 1)
+    c[-1] = -1.0
+    return ConicProgram(A, b, c, ConeSpec([soc(3)] * m + [rsoc(3), rsoc(4)]))
+
+
 @dataclass
 class EllipsoidPrivatization:
     rule: DecisionRule       # xbar = rule vector, X = I6
@@ -223,50 +241,11 @@ def privatize_ellipsoid(
     if noise.k != RULE_DIM:
         raise ValueError(f"noise dim {noise.k}, expected {RULE_DIM}")
     check_bounded(inst)
-    builder = ProgramBuilder()
-    pin = np.eye(RULE_DIM)
-    space = RuleSpace(builder, RULE_DIM, RULE_DIM,
-                      np.ones((RULE_DIM, RULE_DIM), dtype=bool), pin, name="r")
-    xb = space.xbar_idx  # (z1, z2, Y11, Y21, Y12, Y22)
-
-    S = vertex_sample_size(eta, RULE_DIM, beta)
-    box = hyperrectangle_vertices(sample_noise(noise, seed, S, BOX_STREAM))
-    for vert in box:
-        dz1, dz2, dy11, dy21, dy12, dy22 = vert
-        for i in range(inst.m):
-            a1, a2 = inst.a[i]
-            # slack rows of the SOC: (b_i - a'(z+dz), Y(v)'a) with Y(v)' rows
-            head = ({int(xb[0]): -a1, int(xb[1]): -a2},
-                    float(inst.b[i] - a1 * dz1 - a2 * dz2))
-            r1 = ({int(xb[2]): a1, int(xb[3]): a2}, float(a1 * dy11 + a2 * dy21))
-            r2 = ({int(xb[4]): a1, int(xb[5]): a2}, float(a1 * dy12 + a2 * dy22))
-            builder.add_block(ConeKind.SOC, [head, r1, r2])
-        # symmetric part PSD: (Ys11, Ys22, sqrt2 Ys12) in RSOC
-        ys12 = ({int(xb[3]): 0.5 * _SQRT2, int(xb[4]): 0.5 * _SQRT2},
-                float(0.5 * _SQRT2 * (dy21 + dy12)))
-        builder.add_block(ConeKind.RSOC, [
-            ({int(xb[2]): 1.0}, float(dy11)),
-            ({int(xb[5]): 1.0}, float(dy22)),
-            ys12,
-        ])
-
-    obj_draws = sample_noise(noise, seed, obj_samples, OBJ_STREAM)
-    for s in range(obj_samples):
-        dz1, dz2, dy11, dy21, dy12, dy22 = obj_draws[s]
-        t_s = builder.add_var(f"t[{s}]", obj=-1.0 / obj_samples)
-        ys12 = ({int(xb[3]): 0.5 * _SQRT2, int(xb[4]): 0.5 * _SQRT2},
-                float(0.5 * _SQRT2 * (dy21 + dy12)))
-        builder.add_block(ConeKind.RSOC, [
-            ({int(xb[2]): 1.0}, float(dy11)),
-            ({int(xb[5]): 1.0}, float(dy22)),
-            ({t_s: _SQRT2}, 0.0),
-            ys12,
-        ])
-
-    program = builder.build()
-    sol = solve(program, settings or DEFAULT_SETTINGS)
+    pp = privatize(_rule_program(inst), noise, IdentityQuery(),
+                   VertexChance(eta, beta), seed, epigraph_vars=1,
+                   objective_samples=obj_samples)
+    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"privatized ellipsoid returned {sol.status.value}")
-    rule = space.extract(sol.x)
-    return EllipsoidPrivatization(rule=rule, noise=noise, inst=inst,
-                                  solution=sol, program=program)
+    return EllipsoidPrivatization(rule=pp.extract_rule(sol), noise=noise, inst=inst,
+                                  solution=sol, program=pp.program)

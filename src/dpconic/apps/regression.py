@@ -4,8 +4,8 @@ The fit is h(x) = w'phi(x) with ridge regularization and monotonicity
 enforced through C w >= 0, where row i of C holds the basis derivatives at
 a probe point u_i.  Under the identity-query rule (W = I) the expected
 objective reduces to the deterministic one plus noise constants, so the
-transformed program keeps the deterministic conic structure with tightened
-monotonicity rows.
+transformed program keeps the fit and ridge epigraphs at wbar and only the
+monotonicity rows are tightened.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..conic import ConicProgram, ConeSpec, Solution, Status, nonneg, rsoc
+from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
+                     permute_columns, rsoc)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import DecisionRule, IndividualChance, safety_factor
+from ..ldr import DecisionRule, IdentityQuery, IndividualChance, privatize
 from ..solver import SolverSettings, solve
 
 # epigraph formulations with small ridge weights converge to ~1e-6 here
@@ -274,28 +275,19 @@ def privatize_regression(
     if noise.k != mb:
         raise ValueError(f"noise dim {noise.k}, expected {mb}")
     chance = IndividualChance(eta_bar=eta_bar, eta=eta, safety="gaussian")
-    C = model.C
-    levels = chance.row_levels(C.shape[0])
-    base = build_monotone_regression(model)
-
-    # tighten only the NonNeg monotonicity rows: slack = C_i w - z sigma |C_i|
-    A, b = base.A.copy(), base.b.copy()
-    p = C.shape[0]
-    start = base.m - p
-    for i in range(p):
-        z = safety_factor(float(levels[i]), "gaussian")
-        b[start + i] -= z * noise.scale * float(np.linalg.norm(C[i]))
-    program = ConicProgram(A, b, base.c, base.cones, base.variable_names)
-    sol = solve(program, settings or DEFAULT_SETTINGS)
+    # columns (w, u, v): the fit and ridge epigraph variables go last
+    program = permute_columns(build_monotone_regression(model),
+                              np.r_[2 : 2 + mb, 0, 1])
+    pp = privatize(program, noise, IdentityQuery(), chance, seed, epigraph_vars=2)
+    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"privatized regression returned {sol.status.value}")
-    wbar = sol.x[2:]
     var = noise.coordinate_variance
     Phi = model.design
     offset = var * float(np.trace(Phi.T @ Phi)) + model.ridge * var * mb
     return RegressionPrivatization(
-        rule=DecisionRule(wbar, np.eye(mb)), noise=noise, model=model,
-        solution=sol, program=program, objective_offset=offset,
+        rule=pp.extract_rule(sol), noise=noise, model=model,
+        solution=sol, program=pp.program, objective_offset=offset,
     )
 
 

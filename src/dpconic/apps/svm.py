@@ -4,7 +4,9 @@ The deterministic program is the hinge-loss QP in conic form (rotated-SOC
 epigraph for the margin norm).  The private release is the identity query
 on (w, b): the rule pins their recourse to the identity while the slack
 recourse Z stays a free decision, and each margin/slack row is tightened
-row-by-row with the Chebyshev safety factor (the noise is Laplace).
+row-by-row with the Chebyshev safety factor (the noise is Laplace).  The
+epigraph variable t of |w|^2 stays outside the rule; its block is kept at
+wbar.
 """
 
 from __future__ import annotations
@@ -14,21 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg, rsoc
+from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
+                     permute_columns, rsoc)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import (
-    DecisionRule,
-    IndividualChance,
-    ProgramBuilder,
-    RuleSpace,
-    VertexChance,
-    chance_row_blocks,
-    hyperrectangle_vertices,
-    vertex_sample_size,
-)
+from ..ldr import DecisionRule, FixedRecourseQuery, privatize
 from ..solver import SolverSettings, solve
-
-BOX_STREAM = 0xB0C5
 
 # weakly regularized margin programs hit their accuracy floor around 1e-7
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=200)
@@ -225,71 +217,17 @@ def privatize_svm(
     if noise.k != k:
         raise ValueError(f"noise dim {noise.k}, expected n+1={k}")
 
-    builder = ProgramBuilder()
-    # base decision vector (w, b, z) of length n+1+m; (w, b) recourse pinned
-    pin_mask = np.zeros((n + 1 + m, k), dtype=bool)
-    pin_mask[: n + 1, :] = True
-    pin_values = np.zeros((n + 1 + m, k))
-    pin_values[: n + 1, :] = np.eye(k)
-    space = RuleSpace(builder, n + 1 + m, k, pin_mask, pin_values, name="v")
-    w_idx = space.xbar_idx[:n]
-    z_idx = space.xbar_idx[n + 1 :]
-
-    t = builder.add_var("t", obj=data.regularizer)
-    for i in z_idx:
-        builder.add_objective(int(i), 1.0 / m)
-
-    # chance rows over the base variables
-    rows = []
-    for i in range(m):
-        a = np.zeros(n + 1 + m)
-        a[:n] = -data.labels[i] * data.features[i]
-        a[n] = data.labels[i]
-        a[n + 1 + i] = -1.0
-        rows.append((a, -1.0))
-    for i in range(m):
-        a = np.zeros(n + 1 + m)
-        a[n + 1 + i] = -1.0
-        rows.append((a, 0.0))
-
-    if isinstance(chance, IndividualChance):
-        levels = chance.row_levels(len(rows))
-        for kind, block_rows in chance_row_blocks(space, rows, noise, levels,
-                                                  chance.safety):
-            builder.add_block(kind, block_rows)
-    elif isinstance(chance, VertexChance):
-        S = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
-        box = hyperrectangle_vertices(sample_noise(noise, seed, S, BOX_STREAM))
-        for vert in box:
-            block_rows = []
-            for a, b0 in rows:
-                terms = dict(space.nominal_terms(a))
-                const = float(b0)
-                for j, (tj, cj) in enumerate(space.zeta_coef(a)):
-                    const -= cj * vert[j]
-                    for idx, coef in tj.items():
-                        terms[idx] = terms.get(idx, 0.0) - coef * vert[j]
-                block_rows.append((terms, const))
-            builder.add_block(ConeKind.NONNEG, block_rows)
-    else:
-        raise TypeError("chance must be IndividualChance or VertexChance")
-
-    # |wbar|^2 <= t epigraph
-    ridge_rows = [({t: 1.0}, 0.0), ({}, 0.5)]
-    ridge_rows += [({int(i): 1.0}, 0.0) for i in w_idx]
-    builder.add_block(ConeKind.RSOC, ridge_rows)
-
-    if recourse_ridge > 0 and space.free_entries:
-        u = builder.add_var("zridge", obj=recourse_ridge)
-        rr = [({u: 1.0}, 0.0), ({}, 0.5)]
-        rr += [({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free_entries]
-        builder.add_block(ConeKind.RSOC, rr)
-
-    program = builder.build()
-    sol = solve(program, settings or DEFAULT_SETTINGS)
+    # columns (w, b, z, t): t, the epigraph variable of |w|^2, goes last
+    program = permute_columns(build_svm(data), np.r_[1 : 2 + n + m, 0])
+    mask = np.zeros((n + 1 + m, k), dtype=bool)
+    mask[:k] = True
+    query = FixedRecourseQuery(np.eye(n + 1 + m, k), mask)
+    pp = privatize(program, noise, query, chance, seed, recourse_ridge,
+                   epigraph_vars=1)
+    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"privatized SVM returned {sol.status.value}")
-    rule = space.extract(sol.x)
+    rule = pp.extract_rule(sol)
     offset = data.regularizer * n * noise.coordinate_variance
     return SvmPrivatization(rule=rule, noise=noise, data=data, solution=sol,
-                            program=program, objective_offset=offset)
+                            program=pp.program, objective_offset=offset)

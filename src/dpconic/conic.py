@@ -160,6 +160,14 @@ def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     return program.b - program.A @ x
 
 
+def permute_columns(program: ConicProgram, order) -> ConicProgram:
+    """The same program over reordered variables: column j is old column order[j]."""
+    order = np.asarray(order, dtype=int)
+    names = program.variable_names
+    return ConicProgram(program.A[:, order], program.b, program.c[order], program.cones,
+                        variable_names=tuple(names[i] for i in order) if names else None)
+
+
 def _block_membership(v: np.ndarray, kind: ConeKind, tol: float) -> bool:
     if kind == ConeKind.ZERO:
         return bool(np.all(np.abs(v) <= tol))

@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .conic import Status
 from .dp import calibrate_gaussian, calibrate_laplace, estimate_sensitivity, sample_noise
-from .ldr import IndividualChance, VertexChance, WeightedSumQuery, privatize
+from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
+                  WeightedSumQuery, privatize)
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
 from .solver import SolverSettings, solve
 from .apps import ellipsoid as app_ellipsoid
@@ -87,7 +88,7 @@ def _is_bundled(name: str) -> bool:
     try:
         app_opf.bundled_network(name)
         return True
-    except Exception:
+    except FileNotFoundError:
         return False
 
 
@@ -168,7 +169,7 @@ def _run_opf(cfg, strategy, alpha, seed):
     try:
         pv = app_opf.privatize_opf(net, cfg.epsilon, alpha, cfg.eta,
                                    method=cfg.method, seed=seed)
-    except (app_opf.InfeasiblePrivatization, Exception) as exc:
+    except (app_opf.InfeasiblePrivatization, ConflictingConstraints) as exc:
         return PointResult(strategy, alpha, None, None, None,
                            f"infeasible:{exc}")
     m = evaluate_rule_metrics(pv.rule, program, base, pv.noise, S, seed,

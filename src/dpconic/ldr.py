@@ -2,8 +2,9 @@
 
 The randomized counterpart of min c'x s.t. b - Ax in K restricts the
 solution to the rule x = xbar + X zeta, where zeta is the privacy noise.
-This module builds the tractable deterministic program over (xbar, free
-entries of X):
+`privatize` builds the tractable deterministic program over (xbar, free
+entries of X), and it is the one place where chance rows are built: the
+OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
 
   * equality (Zero-cone) rows split into the two exact systems
     b_E - A_E xbar = 0 and A_E X = 0;
@@ -12,7 +13,10 @@ entries of X):
     second-order-cone constraints with a safety factor (individual method);
   * the query structure on X (identity, sum, weighted sum, fixed recourse)
     pinned or appended as equalities, which is what makes the released
-    query's random part data-independent.
+    query's random part data-independent;
+  * epigraph variables of the expected objective (the last columns of the
+    input program) stay outside the rule; the blocks that touch them are
+    kept at xbar or averaged over sampled noise points.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from scipy.special import ndtri
 from .conic import ConeKind, ConeSpec, ConicProgram, Solution
 from .dp import NoiseSpec, sample_noise
 
-# stream id reserved for the vertex-box draws of privatize(seed)
+# stream ids reserved for the draws of privatize(seed): the vertex box and
+# the sample-average objective
 BOX_STREAM = 0xB0C5
+OBJ_STREAM = 0x0B5E
 
 
 class ConflictingConstraints(ValueError):
@@ -294,11 +300,8 @@ def hyperrectangle_vertices(samples: np.ndarray) -> np.ndarray:
             f"k={k} implies {2**k} vertices; use the individual chance-row method"
         )
     lo, hi = samples.min(axis=0), samples.max(axis=0)
-    verts = np.empty((2**k, k))
-    for i in range(2**k):
-        for j in range(k):
-            verts[i, j] = hi[j] if (i >> (k - 1 - j)) & 1 else lo[j]
-    return verts
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return np.where(bits == 1, hi, lo)
 
 
 def safety_factor(eta_bar: float, kind: str) -> float:
@@ -401,17 +404,16 @@ class RuleSpace:
     """Index bookkeeping for (xbar, free entries of X) inside a builder."""
 
     def __init__(self, builder: ProgramBuilder, n: int, k: int,
-                 pin_mask: np.ndarray, pin_values: np.ndarray,
-                 name: str = "x"):
+                 pin_mask: np.ndarray, pin_values: np.ndarray):
         self.n, self.k = n, k
         self.pin_mask = pin_mask
         self.pin_values = pin_values
-        self.xbar_idx = builder.add_vars(f"{name}bar[{i}]" for i in range(n))
+        self.xbar_idx = builder.add_vars(f"xbar[{i}]" for i in range(n))
         self.X_idx = -np.ones((n, k), dtype=int)
         for i in range(n):
             for j in range(k):
                 if not pin_mask[i, j]:
-                    self.X_idx[i, j] = builder.add_var(f"{name.upper()}[{i}][{j}]")
+                    self.X_idx[i, j] = builder.add_var(f"X[{i}][{j}]")
 
     @property
     def free_entries(self):
@@ -487,23 +489,6 @@ def chance_row_blocks(space: RuleSpace, rows, noise: NoiseSpec,
     return blocks
 
 
-def reformulate_individual_soc(rows, noise: NoiseSpec, eta_bar, kind: str,
-                               n: int | None = None):
-    """Standalone safety-factor rewrite of linear rows over a fresh rule space.
-
-    rows are (a, b0) pairs over n base variables with the recourse left
-    fully free; mainly a convenience wrapper for tests and apps that
-    assemble programs manually.
-    """
-    if n is None:
-        n = len(rows[0][0])
-    builder = ProgramBuilder()
-    mask = np.zeros((n, noise.k), dtype=bool)
-    space = RuleSpace(builder, n, noise.k, mask, np.zeros((n, noise.k)))
-    levels = IndividualChance(eta_bar=eta_bar).row_levels(len(rows))
-    return chance_row_blocks(space, rows, noise, levels, kind)
-
-
 # --- the transformer ----------------------------------------------------------
 
 
@@ -530,6 +515,29 @@ class PrivatizedProgram:
         return self.space.extract(v)
 
 
+def _block_rows(space: RuleSpace, A: np.ndarray, A_epi: np.ndarray, b: np.ndarray,
+                epi_idx, point=None):
+    """Slack rows b - A (xbar + X point) - A_epi t of one block.
+
+    A holds the block's rule columns and A_epi its epigraph columns, whose
+    variables t sit at builder indices epi_idx.  point=None keeps the block
+    at xbar (zeta = 0).
+    """
+    rows = []
+    for a, a_epi, b0 in zip(A, A_epi, b):
+        terms = space.nominal_terms(a)
+        for e in np.flatnonzero(a_epi):
+            terms[int(epi_idx[e])] = -float(a_epi[e])
+        const = float(b0)
+        if point is not None:
+            for j, (tj, cj) in enumerate(space.zeta_coef(a)):
+                const -= cj * point[j]
+                for idx, coef in tj.items():
+                    terms[idx] = terms.get(idx, 0.0) - coef * point[j]
+        rows.append((terms, const))
+    return rows
+
+
 def privatize(
     program: ConicProgram,
     noise: NoiseSpec,
@@ -537,6 +545,8 @@ def privatize(
     chance: ChanceSpec,
     seed: int,
     recourse_ridge: float = 1e-8,
+    epigraph_vars: int = 0,
+    objective_samples: int = 0,
 ) -> PrivatizedProgram:
     """Build the chance-constrained rule counterpart of a linear-objective program.
 
@@ -546,10 +556,20 @@ def privatize(
     minimal Frobenius norm through a small ridge epigraph, disabled by
     recourse_ridge=0.
 
+    The last `epigraph_vars` columns of the program are epigraph variables
+    of the expected objective (such as t >= |w|^2); they are not part of
+    the rule.  A block that touches one of them is an objective block, not
+    a chance block.  By default an objective block is kept at xbar.  With
+    objective_samples=S > 0 it is built at S draws from OBJ_STREAM instead,
+    each draw with its own copy of the epigraph variables weighted c/S: a
+    sample average of an expected objective with no closed conic form.
+
     Raises ConflictingConstraints when the equality recourse system A_E X = 0
     cannot hold together with the query constraint.
     """
-    n = program.n
+    if not isinstance(chance, (VertexChance, IndividualChance)):
+        raise TypeError("chance must be VertexChance or IndividualChance")
+    n = program.n - epigraph_vars
     k = query.noise_dim(n)
     if noise.k != k:
         raise ValueError(f"noise dim {noise.k} inconsistent with query (k={k})")
@@ -559,16 +579,27 @@ def privatize(
     space = RuleSpace(builder, n, k, pin_mask, pin_values)
     for i in range(n):
         builder.add_objective(int(space.xbar_idx[i]), float(program.c[i]))
+    obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
+                  if objective_samples else [None])
+    epi_copies = [
+        [builder.add_var(f"t[{e}]" + (f"[{s}]" if objective_samples else ""),
+                         obj=float(program.c[n + e]) / len(obj_points))
+         for e in range(epigraph_vars)]
+        for s in range(len(obj_points))
+    ]
 
-    # split rows into equality (Zero) and chance blocks
-    eq_rows_A, eq_rows_b, chance_blocks = [], [], []
+    # split rows into equality (Zero), chance and objective blocks
+    eq_rows_A, eq_rows_b, chance_blocks, objective_blocks = [], [], [], []
     for blk, start in program.cones.offsets():
         rows = slice(start, start + blk.dim)
-        if blk.kind == ConeKind.ZERO:
-            eq_rows_A.append(program.A[rows])
-            eq_rows_b.append(program.b[rows])
+        A_rule, A_epi, b = program.A[rows, :n], program.A[rows, n:], program.b[rows]
+        if A_epi.any():
+            objective_blocks.append((blk.kind, A_rule, A_epi, b))
+        elif blk.kind == ConeKind.ZERO:
+            eq_rows_A.append(A_rule)
+            eq_rows_b.append(b)
         else:
-            chance_blocks.append((blk.kind, program.A[rows], program.b[rows]))
+            chance_blocks.append((blk.kind, A_rule, A_epi, b))
 
     A_E = np.vstack(eq_rows_A) if eq_rows_A else np.zeros((0, n))
     b_E = np.concatenate(eq_rows_b) if eq_rows_b else np.zeros(0)
@@ -617,20 +648,12 @@ def privatize(
         draws = sample_noise(noise, seed, S, stream=BOX_STREAM)
         box = hyperrectangle_vertices(draws)
         for vert in box:
-            for kind, Ablk, bblk in chance_blocks:
-                rows = []
-                for a, b0 in zip(Ablk, bblk):
-                    terms = dict(space.nominal_terms(a))
-                    const = float(b0)
-                    for j, (tj, cj) in enumerate(space.zeta_coef(a)):
-                        const -= cj * vert[j]
-                        for idx, coef in tj.items():
-                            terms[idx] = terms.get(idx, 0.0) - coef * vert[j]
-                    rows.append((terms, const))
-                builder.add_block(kind, rows)
+            for kind, Ablk, A_epi, bblk in chance_blocks:
+                builder.add_block(kind, _block_rows(space, Ablk, A_epi, bblk,
+                                                    (), vert))
     else:
         flat_rows = []
-        for kind, Ablk, bblk in chance_blocks:
+        for kind, Ablk, _, bblk in chance_blocks:
             if kind != ConeKind.NONNEG:
                 raise ValueError(
                     "individual chance rows require linear (NonNeg) blocks; "
@@ -641,6 +664,11 @@ def privatize(
         for kind, rows in chance_row_blocks(space, flat_rows, noise, levels,
                                             chance.safety):
             builder.add_block(kind, rows)
+
+    for point, epi_idx in zip(obj_points, epi_copies):
+        for kind, Ablk, A_epi, bblk in objective_blocks:
+            builder.add_block(kind, _block_rows(space, Ablk, A_epi, bblk,
+                                                epi_idx, point))
 
     if recourse_ridge > 0 and free:
         u = builder.add_var("ridge", obj=recourse_ridge)

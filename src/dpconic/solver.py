@@ -3,9 +3,10 @@
 Homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, over Zero / NonNeg / SecondOrder cones
 (RotatedSecondOrder rows are rotated to SecondOrder internally).  Zero-cone
-rows are carried as equality constraints.  The KKT system is solved by dense
-normal equations with static regularization and one step of iterative
-refinement on the full Newton system.
+rows are carried as equality constraints.  Each iteration LU-factors the
+dense, unsquared (n+p+m) scaled KKT system (see _KKT) with static
+quasi-definite regularization, and iterative refinement on the full Newton
+system (one step by default) absorbs the regularization.
 
 Everything is plain numpy, so identical inputs produce bit-identical
 iterates on a given platform.

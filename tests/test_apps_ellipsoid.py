@@ -21,21 +21,25 @@ from dpconic.apps.ellipsoid import (
 
 
 def axis_aligned_grid_oracle(inst, grid=60):
-    """Best axis-aligned ellipse (z, diag(r1, r2)) inside the polytope."""
-    best = (None, -np.inf)
+    """Best axis-aligned ellipse (z, diag(r1, r2)) inside the polytope.
+
+    Scores the whole (zx, zy, r1, r2) grid at once with the support-function
+    rule of contains_ellipsoid (tol 1e-12); ties go to the first grid point.
+    """
     span = np.linspace(-1.5, 1.5, grid)
     radii = np.linspace(0.05, 2.0, grid)
-    for zx in span:
-        for zy in span:
-            z = np.array([zx, zy])
-            for r1 in radii:
-                for r2 in radii:
-                    Y = np.diag([r1, r2])
-                    if contains_ellipsoid(inst, z, Y, tol=1e-12):
-                        det = r1 * r2
-                        if det > best[1]:
-                            best = ((z, Y), det)
-    return best
+    zx, zy, r1, r2 = np.meshgrid(span, span, radii, radii, indexing="ij",
+                                 sparse=True)
+    inside = np.ones((grid,) * 4, dtype=bool)
+    for (a1, a2), bi in zip(inst.a, inst.b):
+        support = np.sqrt((r1 * a1) ** 2 + (r2 * a2) ** 2)
+        inside &= support <= bi - (a1 * zx + a2 * zy) + 1e-12
+    if not inside.any():
+        return (None, -np.inf)
+    det = np.where(inside, r1 * r2, -np.inf)
+    i, j, p, q = np.unravel_index(np.argmax(det), det.shape)
+    return ((np.array([span[i], span[j]]), np.diag([radii[p], radii[q]])),
+            float(det[i, j, p, q]))
 
 
 class TestDeterministic:

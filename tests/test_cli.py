@@ -124,6 +124,19 @@ class TestExperiment:
         assert 0.45 <= rates["input"] <= 0.55
         assert rates["program"] <= 0.05 + 0.01
 
+    def test_unexpected_error_is_not_infeasible(self, tmp_path, monkeypatch):
+        from dpconic.apps import opf
+
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(opf, "privatize_opf", broken)
+        cfg = self._config(tmp_path, app="opf", strategies=["program"],
+                           alphas=[1.0], mc_samples=10)
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "run" / "results.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[-1].startswith("error:KeyError")
+
     def test_bad_config_rejected(self, tmp_path):
         cfg = self._config(tmp_path, app="nonsense")
         assert main(["experiment", "--config", str(cfg)]) == 2

@@ -12,11 +12,13 @@ from dpconic.conic import (
     build_simple_lp,
     cone_membership,
     nonneg,
+    rsoc,
     slack,
     zero,
 )
 from dpconic.dp import NoiseSpec, calibrate_laplace, sample_noise
 from dpconic.ldr import (
+    BOX_STREAM,
     ConflictingConstraints,
     DecisionRule,
     FixedRecourseQuery,
@@ -26,11 +28,11 @@ from dpconic.ldr import (
     VertexChance,
     WeightedSumQuery,
     apply_query_constraint,
+    OBJ_STREAM,
     hyperrectangle_vertices,
     nominal_query,
     privatize,
     reduce_quadratic_objective,
-    reformulate_individual_soc,
     release_query,
     safety_factor,
     split_equalities,
@@ -75,6 +77,24 @@ class TestHyperrectangle:
     def test_k_cap(self):
         with pytest.raises(ValueError):
             hyperrectangle_vertices(np.zeros((2, 21)))
+
+    def test_vertex_order(self):
+        # all-min first, coordinate 0 the most significant bit; the order
+        # fixes the row order of every vertex program
+        v = hyperrectangle_vertices(np.array([[-1.0, 0.0, 5.0], [1.0, 2.0, 6.0]]))
+        expected = [(lo0, lo1, lo2) for lo0 in (-1.0, 1.0) for lo1 in (0.0, 2.0)
+                    for lo2 in (5.0, 6.0)]
+        assert [tuple(row) for row in v] == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_matches_binary_counter_loop(self, k):
+        samples = np.random.default_rng(k).normal(size=(7, k))
+        lo, hi = samples.min(axis=0), samples.max(axis=0)
+        ref = np.empty((2**k, k))
+        for i in range(2**k):
+            for j in range(k):
+                ref[i, j] = hi[j] if (i >> (k - 1 - j)) & 1 else lo[j]
+        assert np.array_equal(hyperrectangle_vertices(samples), ref)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 30))
@@ -185,23 +205,30 @@ class TestQuadraticReduction:
         assert abs(vals.mean() - closed) < 3 * se
 
 
+def _free_recourse(n, k):
+    return FixedRecourseQuery(np.zeros((n, k)), mask=np.zeros((n, k), dtype=bool))
+
+
 class TestIndividualRows:
     def test_zero_coefficient_is_plain_row(self):
         noise = NoiseSpec("gaussian", 2, 1.0)
-        rows = [(np.zeros(2), 1.0)]
-        blocks = reformulate_individual_soc(rows, noise, 0.1, "gaussian", n=2)
-        assert blocks[0][0] == ConeKind.NONNEG
-        assert blocks[0][1][0][1] == 1.0  # untightened constant
+        prog = ConicProgram(np.zeros((1, 2)), np.array([1.0]), np.ones(2),
+                            ConeSpec([nonneg(1)]))
+        pp = privatize(prog, noise, _free_recourse(2, 2),
+                       IndividualChance(eta_bar=0.1, safety="gaussian"), seed=0)
+        assert pp.program.cones.blocks[0] == nonneg(1)
+        assert pp.program.b[0] == 1.0  # untightened constant
+        assert not pp.program.A[0].any()
 
     def test_constant_coefficient_tightens_linearly(self):
-        # row C(wbar + zeta) >= 0 with identity-free recourse left symbolic
-        # is exercised end to end in the regression app; here take a fixed
-        # numeric row and check scalar-noise degeneration to two rows
+        # a fixed numeric row with free recourse: scalar noise degenerates
+        # the SOC row to two NonNeg rows
         noise = NoiseSpec("laplace", 1, 2.0)
-        a = np.array([1.0, -1.0])
-        blocks = reformulate_individual_soc([(a, 3.0)], noise, 0.5, "chebyshev", n=2)
-        kind, rows = blocks[0]
-        assert kind == ConeKind.NONNEG and len(rows) == 2
+        prog = ConicProgram(np.array([[1.0, -1.0]]), np.array([3.0]), np.ones(2),
+                            ConeSpec([nonneg(1)]))
+        pp = privatize(prog, noise, _free_recourse(2, 1),
+                       IndividualChance(eta_bar=0.5), seed=0)
+        assert pp.program.cones.blocks[0] == nonneg(2)
 
     def test_gaussian_tightening_value(self):
         # regression-style row: C (wbar + zeta) >= 0 with Sigma = sigma^2 I
@@ -261,8 +288,6 @@ class TestPrivatize:
         chance = VertexChance(eta=0.1, samples=64)
         pp = privatize(prog, noise, IdentityQuery(), chance, seed=6)
         rule = pp.extract_rule(solve(pp.program))
-        from dpconic.ldr import BOX_STREAM
-
         draws = sample_noise(noise, 6, 64, stream=BOX_STREAM)
         for zeta in draws:
             assert cone_membership(slack(prog, rule.evaluate(zeta)),
@@ -320,6 +345,11 @@ class TestPrivatize:
         with pytest.raises(ValueError):
             privatize(prog, noise, SumQuery(), IndividualChance(eta=0.1), seed=0)
 
+    def test_unknown_chance_spec_rejected(self):
+        noise = calibrate_laplace(0.1, 1.0, k=1)
+        with pytest.raises(TypeError):
+            privatize(build_simple_lp(1.0, 1.0, 2.0), noise, SumQuery(), 0.05, seed=0)
+
     def test_individual_chance_row_budget(self):
         levels = IndividualChance(eta=0.04).row_levels(4)
         assert np.allclose(levels, 0.01)
@@ -365,3 +395,79 @@ class TestReleaseQuery:
         inc1 = release_query(r1, SumQuery(), noise, 9) - nominal_query(r1, SumQuery())
         inc2 = release_query(r2, SumQuery(), noise, 9) - nominal_query(r2, SumQuery())
         assert np.allclose(inc1, inc2, rtol=0, atol=1e-12)
+
+
+def _epigraph_program(c_t=1.0):
+    """min x1 + x2 + c_t t  s.t.  0 <= x <= 2 (chance block), |x|^2 <= t.
+
+    t is the last column; the rotated-SOC block touches it, so it is the
+    objective block.
+    """
+    A = np.zeros((8, 3))
+    b = np.zeros(8)
+    A[0:4, 0:2] = np.vstack([np.eye(2), -np.eye(2)])
+    b[0:2] = 2.0
+    A[4, 2] = -1.0
+    b[5] = 0.5
+    A[6:8, 0:2] = -np.eye(2)
+    return ConicProgram(A, b, np.array([1.0, 1.0, c_t]),
+                        ConeSpec([nonneg(4), rsoc(4)]))
+
+
+def _rows_of_block(program, index):
+    blk, start = list(program.cones.offsets())[index]
+    return blk, slice(start, start + blk.dim)
+
+
+class TestEpigraphVariables:
+    def test_objective_block_at_xbar_is_base_rows(self):
+        base = _epigraph_program()
+        noise = calibrate_laplace(0.1, 1.0, k=1)
+        for chance in (VertexChance(eta=0.1), IndividualChance(eta_bar=0.1)):
+            # the sum query leaves X free, so the block really ignores X zeta
+            pp = privatize(base, noise, SumQuery(), chance, seed=3, epigraph_vars=1)
+            prog = pp.program
+            t = prog.variable_names.index("t[0]")
+            blk, rows = _rows_of_block(prog, -2)  # the recourse ridge is last
+            assert blk == rsoc(4)
+            A = prog.A[rows]
+            # exact equality, not a tolerance (signed zeros aside)
+            assert np.array_equal(A[:, pp.space.xbar_idx], base.A[4:8, :2])
+            assert np.array_equal(A[:, t], base.A[4:8, 2])
+            others = np.ones(prog.n, dtype=bool)
+            others[list(pp.space.xbar_idx) + [t]] = False
+            assert not A[:, others].any()
+            assert prog.b[rows].tobytes() == base.b[4:8].tobytes()
+            assert prog.c[t] == 1.0
+            rule = pp.extract_rule(solve(prog))
+            assert rule.xbar.shape == (2,)
+
+    def test_objective_draws_from_obj_stream(self):
+        base = _epigraph_program(c_t=3.0)
+        noise = calibrate_laplace(0.1, 1.0, k=2)
+        S = 5
+        pp = privatize(base, noise, IdentityQuery(), VertexChance(eta=0.1),
+                       seed=4, epigraph_vars=1, objective_samples=S)
+        prog = pp.program
+        draws = sample_noise(noise, 4, S, stream=OBJ_STREAM)
+        xbar = pp.space.xbar_idx
+        n_chance = 2**2  # one NonNeg block per vertex
+        for s in range(S):
+            t_s = prog.variable_names.index(f"t[0][{s}]")
+            assert prog.c[t_s] == 3.0 / S
+            blk, rows = _rows_of_block(prog, n_chance + s)
+            assert blk == rsoc(4)
+            assert np.array_equal(prog.A[rows][:, xbar], base.A[4:8, :2])
+            assert np.array_equal(prog.A[rows][:, t_s], base.A[4:8, 2])
+            np.testing.assert_allclose(prog.b[rows],
+                                       base.b[4:8] - base.A[4:8, :2] @ draws[s],
+                                       rtol=0, atol=1e-15)
+        assert prog.n == 2 + S
+
+    def test_individual_chance_accepts_cone_objective_block(self):
+        noise = calibrate_laplace(0.1, 1.0, k=2)
+        pp = privatize(_epigraph_program(), noise, IdentityQuery(),
+                       IndividualChance(eta_bar=0.1), seed=0, epigraph_vars=1)
+        sol = solve(pp.program)
+        assert sol.status == Status.OPTIMAL
+        assert [blk.kind for blk in pp.program.cones.blocks][-1] == ConeKind.RSOC
