@@ -227,8 +227,11 @@ def estimate_sensitivity(
 
     Draws `samples` adjacent pairs, solves both programs of each pair and
     takes the max p-norm gap of the released queries.  Pairs whose solve
-    fails are dropped and reported, but only up to max_failure_fraction of
-    the total; beyond that a SolveFailure propagates.
+    fails (a RuntimeError or ValueError from ``released``: solver statuses,
+    numerical breakdown, infeasible privatizations, LinAlgError) are dropped
+    and reported, but only up to max_failure_fraction of the total; beyond
+    that a SolveFailure propagates.  Any other exception is a bug and
+    propagates at once.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -246,7 +249,7 @@ def estimate_sensitivity(
         try:
             q_a = adjacency.released(d_a)
             q_b = adjacency.released(d_b)
-        except Exception as exc:  # noqa: BLE001 - app solve errors vary
+        except (RuntimeError, ValueError) as exc:
             failures.append(s)
             if len(failures) > allowed:
                 raise SolveFailure(s, str(exc)) from exc

@@ -1,11 +1,13 @@
 """Batch experiment harness: three strategies, CSV + manifest reports.
 
 One experiment = an application, a list of perturbation strategies and a
-grid of adjacency values.  Every (strategy, alpha) point runs with its own
-deterministic seed stream, so a rerun with the same config file produces
-byte-identical artifacts.  Failed points (e.g. an infeasible
-chance-constrained program at high privacy) become rows with a status
-column instead of aborting the study.
+grid of adjacency values.  The points run one after another in the calling
+thread.  Every (strategy, alpha) point runs with its own deterministic seed
+stream, and every strategy at one alpha shares one noise calibration (for the
+apps whose sensitivity is a Monte Carlo estimate, one estimate per alpha), so
+a rerun with the same config file produces byte-identical artifacts.  Failed
+points (e.g. an infeasible chance-constrained program at high privacy) become
+rows with a status column instead of aborting the study.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .conic import Status
-from .dp import calibrate_gaussian, calibrate_laplace, estimate_sensitivity, sample_noise
+from .dp import (SensitivityReport, calibrate_gaussian, calibrate_laplace,
+                 estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
                   WeightedSumQuery, privatize)
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
@@ -38,9 +39,8 @@ from .apps.metrics import evaluate_rule_metrics
 APPS = ("simple-lp", "opf", "svm", "regression", "ellipsoid")
 STRATEGIES = ("input", "output", "program")
 
-# stream ids for the independent Monte Carlo stages of one point
+# stream id of a point's Monte Carlo evaluation
 _EVAL_STREAM = 11
-_SENS_SEED_OFFSET = 7
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,56 @@ def _point_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index) % (2**63)
 
 
+# --- per-alpha noise calibration -----------------------------------------------
+#
+# svm, regression and ellipsoid calibrate their noise from a Monte Carlo
+# sensitivity estimate; opf and simple-lp use analytic bounds and have none.
+
+
+def _ellipsoid_instance():
+    return app_ellipsoid.regular_polygon(5, radius=2.0)
+
+
+def _svm_sensitivity(cfg, alpha, seed) -> SensitivityReport:
+    train, _, _ = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
+    return estimate_sensitivity(app_svm.circle_law_adjacency(train), p=1,
+                                samples=99, gamma=0.1, beta=0.1, seed=seed)
+
+
+def _regression_sensitivity(cfg, alpha, seed) -> SensitivityReport:
+    model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
+    return estimate_sensitivity(app_regression.circle_law_adjacency(model), p=2,
+                                samples=199, gamma=0.5, beta=0.1, seed=seed)
+
+
+def _ellipsoid_sensitivity(cfg, alpha, seed) -> SensitivityReport:
+    gamma_frac = alpha if 0 < alpha < 1 else 0.01
+    adj = app_ellipsoid.b_range_adjacency(_ellipsoid_instance(), gamma_frac)
+    return estimate_sensitivity(adj, p=2, samples=99, gamma=0.1, beta=0.1,
+                                seed=seed)
+
+
+_SENSITIVITY = {
+    "svm": _svm_sensitivity,
+    "regression": _regression_sensitivity,
+    "ellipsoid": _ellipsoid_sensitivity,
+}
+
+
+def _calibration_seed(base: int, alpha_index: int) -> int:
+    # negative indices keep every estimate's Philox keys apart from the
+    # points' keys (index >= 0), which the evaluation streams also use
+    return _point_seed(base, -1 - alpha_index)
+
+
 # --- per-app runners ----------------------------------------------------------
+#
+# runner(cfg, strategy, alpha, seed, sensitivity): ``sensitivity()`` returns
+# the SensitivityReport shared by every point at this alpha, estimated on the
+# first call.
 
 
-def _run_simple_lp(cfg, strategy, alpha, seed):
+def _run_simple_lp(cfg, strategy, alpha, seed, sensitivity):
     study = app_simple.SimpleLpStudy()
     base = study.optimum()
     noise = calibrate_laplace(alpha, cfg.epsilon, k=1)
@@ -138,7 +184,7 @@ def _run_simple_lp(cfg, strategy, alpha, seed):
                        cvar_empirical(losses, 0.95), infeas, "ok")
 
 
-def _run_opf(cfg, strategy, alpha, seed):
+def _run_opf(cfg, strategy, alpha, seed, sensitivity):
     net = app_opf.load_network(cfg.dataset or "triangle3")
     program = app_opf.build_opf(net)
     base = solve(program)
@@ -178,17 +224,14 @@ def _run_opf(cfg, strategy, alpha, seed):
                        cvar_empirical(m.losses, 0.95), m.infeasibility_rate, "ok")
 
 
-def _run_svm(cfg, strategy, alpha, seed):
+def _run_svm(cfg, strategy, alpha, seed, sensitivity):
+    if strategy == "input":
+        return PointResult(strategy, alpha, None, None, None, "unsupported")
     train, tx, ty = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
     w, b, _ = app_svm.solve_svm(train)
     acc0 = app_svm.accuracy(w, b, tx, ty)
-    adj = app_svm.circle_law_adjacency(train)
-    rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1,
-                               seed=seed + _SENS_SEED_OFFSET)
+    rep = sensitivity()
     noise = calibrate_laplace(rep.delta_p, cfg.epsilon, k=train.n + 1)
-    hinge_slack = None
-    if strategy == "input":
-        return PointResult(strategy, alpha, None, None, None, "unsupported")
     if strategy == "output":
         center_w, center_b = w, b
         _, _, det_sol = app_svm.solve_svm(train)
@@ -216,16 +259,14 @@ def _run_svm(cfg, strategy, alpha, seed):
                        "ok", extra={"sensitivity": rep.delta_p})
 
 
-def _run_regression(cfg, strategy, alpha, seed):
-    model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
-    w_det, _ = app_regression.solve_regression(model)
-    adj = app_regression.circle_law_adjacency(model)
-    rep = estimate_sensitivity(adj, p=2, samples=199, gamma=0.5, beta=0.1,
-                               seed=seed + _SENS_SEED_OFFSET)
-    delta = cfg.delta if cfg.delta > 0 else 0.01
-    noise = calibrate_gaussian(rep.delta_p, cfg.epsilon, delta, k=model.basis.dim)
+def _run_regression(cfg, strategy, alpha, seed, sensitivity):
     if strategy == "input":
         return PointResult(strategy, alpha, None, None, None, "unsupported")
+    model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
+    w_det, _ = app_regression.solve_regression(model)
+    rep = sensitivity()
+    delta = cfg.delta if cfg.delta > 0 else 0.01
+    noise = calibrate_gaussian(rep.delta_p, cfg.epsilon, delta, k=model.basis.dim)
     if strategy == "output":
         center = w_det
     else:
@@ -247,19 +288,16 @@ def _run_regression(cfg, strategy, alpha, seed):
                        extra={"sensitivity": rep.delta_p})
 
 
-def _run_ellipsoid(cfg, strategy, alpha, seed):
-    inst = app_ellipsoid.regular_polygon(5, radius=2.0)
+def _run_ellipsoid(cfg, strategy, alpha, seed, sensitivity):
+    if strategy == "input":
+        return PointResult(strategy, alpha, None, None, None, "unsupported")
+    inst = _ellipsoid_instance()
     z_det, Y_det, _, _ = app_ellipsoid.solve_ellipsoid(inst)
     vol_det = app_ellipsoid.ellipsoid_volume(Y_det)
-    gamma_frac = alpha if 0 < alpha < 1 else 0.01
-    adj = app_ellipsoid.b_range_adjacency(inst, gamma_frac)
-    rep = estimate_sensitivity(adj, p=2, samples=99, gamma=0.1, beta=0.1,
-                               seed=seed + _SENS_SEED_OFFSET)
+    rep = sensitivity()
     delta = cfg.delta if cfg.delta > 0 else 0.1
     noise = calibrate_gaussian(rep.delta_p, cfg.epsilon, delta,
                                k=app_ellipsoid.RULE_DIM)
-    if strategy == "input":
-        return PointResult(strategy, alpha, None, None, None, "unsupported")
     if strategy == "output":
         center = app_ellipsoid.rule_vector(z_det, Y_det)
     else:
@@ -338,28 +376,40 @@ def cvar_q_sweep(
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all (strategy, alpha) points and write results.csv + manifest.json.
 
-    Points run in a thread pool capped by DP_CONIC_THREADS; each point owns
-    an independent seed derived from (config.seed, point index), so results
-    do not depend on scheduling.
+    Points run in order (strategies outer, alphas inner) in the calling
+    thread.  Point ``i`` of that order has seed
+    ``(config.seed * 1_000_003 + i) mod 2**63``.  For svm, regression and
+    ellipsoid, every strategy at ``alphas[j]`` shares one sensitivity
+    estimate with seed ``(config.seed * 1_000_003 - 1 - j) mod 2**63``: it
+    depends only on ``config.seed`` and the alpha's position, never on the
+    strategy list, and no point's seed equals it.  The estimate runs when the first point at that alpha
+    needs it, so an "input" point (unsupported there) never pays for one,
+    and it is recorded once under ``calibrations`` in the manifest.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.app]
-    points = [(s, a) for s in config.strategies for a in config.alphas]
+    reports: dict[int, SensitivityReport] = {}
 
-    workers = int(os.environ.get("DP_CONIC_THREADS", "0")) or min(8, max(1, len(points)))
+    def shared_sensitivity(j):
+        def get():
+            if j not in reports:
+                reports[j] = _SENSITIVITY[config.app](
+                    config, config.alphas[j], _calibration_seed(config.seed, j))
+            return reports[j]
+        return get
 
-    def run_point(idx_point):
-        idx, (strategy, alpha) = idx_point
-        seed = _point_seed(config.seed, idx)
+    points = [(s, j) for s in config.strategies for j in range(len(config.alphas))]
+    results = []
+    for idx, (strategy, j) in enumerate(points):
+        alpha = config.alphas[j]
         try:
-            return runner(config, strategy, alpha, seed)
+            res = runner(config, strategy, alpha, _point_seed(config.seed, idx),
+                         shared_sensitivity(j))
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            return PointResult(strategy, alpha, None, None, None,
-                               f"error:{type(exc).__name__}:{exc}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_point, enumerate(points)))
+            res = PointResult(strategy, alpha, None, None, None,
+                              f"error:{type(exc).__name__}:{exc}")
+        results.append(res)
 
     csv_path = out / "results.csv"
     buf = io.StringIO()
@@ -394,6 +444,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             {"strategy": r.strategy, "alpha": r.alpha, "seed": _point_seed(config.seed, i),
              "status": r.status, **r.extra}
             for i, r in enumerate(results)
+        ],
+        "calibrations": [
+            {"alpha": config.alphas[j], "p": rep.p, "delta_p": rep.delta_p,
+             "samples": rep.samples, "seed": _calibration_seed(config.seed, j),
+             "failures": list(rep.failures)}
+            for j, rep in sorted(reports.items())
         ],
         "mc_samples": config.mc_samples,
     }

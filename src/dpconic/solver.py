@@ -704,6 +704,9 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
     lam_g = 1.0
     dg = dgi = 1.0
     best = None
+    # lowest pinfres/dinfres so far and the iteration of the latest new low
+    pinf_low = dinf_low = math.inf
+    inf_low_iter = 0
 
     for iters in range(settings.max_iter + 1):
         hrx = -(A.T @ y) - G.T @ z
@@ -740,6 +743,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
         merit = max(pres, dres, gap_merit)
         if best is None or merit < best[0]:
             best = (merit, x / tau, y / tau, z / tau, pres, dres, gap_merit, iters)
+        if pinfres is not None and pinfres < pinf_low:
+            pinf_low, inf_low_iter = pinfres, iters
+        if dinfres is not None and dinfres < dinf_low:
+            dinf_low, inf_low_iter = dinfres, iters
 
         if merit <= tol:
             return _finish(program, lay, x / tau, y / tau, z / tau,
@@ -756,9 +763,13 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
                            np.full(mc, np.nan), Status.DUAL_INFEASIBLE,
                            dinfres, dinfres, np.nan, iters, eq_scale)
 
+        # stall exits: accept a best iterate near tol, or give up on a
+        # diverging merit unless an infeasibility certificate still improves
         stalled = iters - best[7] >= settings.stall_iters
+        certificate_stalled = iters - inf_low_iter >= settings.stall_iters
         if iters == settings.max_iter or (stalled and (
-            best[0] <= settings.stall_grace * tol or merit > 1e3 * best[0]
+            best[0] <= settings.stall_grace * tol
+            or (merit > 1e3 * best[0] and certificate_stalled)
         )):
             ok = best[0] <= settings.stall_grace * tol
             status = Status.OPTIMAL if ok else Status.MAX_ITER

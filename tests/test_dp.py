@@ -10,6 +10,7 @@ from dpconic.dp import (
     NoiseSpec,
     PrivacyParams,
     SensitivityReport,
+    SolveFailure,
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
@@ -20,7 +21,8 @@ from dpconic.dp import (
     sample_noise,
     sensitivity_sample_size,
 )
-from dpconic.solver import solve
+from dpconic.ldr import ConflictingConstraints
+from dpconic.solver import NumericalBreakdown, solve
 from dpconic.apps.simple_lp import SimpleLpStudy, lower_bound_adjacency
 
 
@@ -164,6 +166,46 @@ class TestEstimateSensitivity:
         )
         rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=0)
         assert rep.delta_p == 0.0
+
+    @staticmethod
+    def _failing_adjacency(exc, failing=(3, 7)):
+        """Pair s is (s, s + 0.5); solving dataset s raises exc for s in failing."""
+        counter = iter(range(10**6))
+
+        def sample_pair(rng):
+            s = next(counter)
+            return float(s), s + 0.5
+
+        def solve_map(d):
+            if d in failing:
+                raise exc
+            return np.array([d])
+
+        return AdjacencyModel(sample_pair, solve_map, alpha=0.5)
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("solve returned MaxIter"), ValueError("polyhedron is empty"),
+        np.linalg.LinAlgError("singular"), NumericalBreakdown("non-finite"),
+        ConflictingConstraints("x <= 0 and x >= 1")])
+    def test_solve_failures_are_dropped(self, exc):
+        adj = self._failing_adjacency(exc)
+        rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1,
+                                   seed=0, max_failure_fraction=0.05)
+        assert rep.failures == (3, 7)
+        assert rep.delta_p == 0.5
+
+    def test_too_many_failures_raise_solve_failure(self):
+        adj = self._failing_adjacency(RuntimeError("solve returned MaxIter"))
+        with pytest.raises(SolveFailure):
+            estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=0)
+
+    @pytest.mark.parametrize("exc", [KeyError("bug"), TypeError("bug"),
+                                     ZeroDivisionError("bug")])
+    def test_bugs_propagate(self, exc):
+        adj = self._failing_adjacency(exc)
+        with pytest.raises(type(exc)):
+            estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1,
+                                 seed=0, max_failure_fraction=0.05)
 
     def test_sample_size_precondition(self):
         adj = AdjacencyModel(lambda rng: (1.0, 1.0), lambda d: np.array([d]), 0.0)

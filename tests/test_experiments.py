@@ -1,0 +1,133 @@
+"""run_experiment: one shared sensitivity estimate per alpha, serial points.
+
+A counting stub stands in for ``experiments.estimate_sensitivity``, so the
+Monte Carlo estimate (hundreds of solves) is not run.  Its delta_p is small
+enough for every privatized program to stay feasible and depends on the seed,
+so points that estimated on their own would disagree.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dpconic import experiments
+from dpconic.dp import SensitivityReport
+from dpconic.experiments import ExperimentConfig, run_experiment
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """Record each estimate_sensitivity call as (alpha, seed, p)."""
+    calls = []
+
+    def stub(adjacency, p, samples, gamma, beta, seed, **_):
+        calls.append((adjacency.alpha, seed, p))
+        return SensitivityReport(p=p, alpha=adjacency.alpha, gamma=gamma, beta=beta,
+                                 samples=samples,
+                                 delta_p=0.04 * (1 + seed % 97 / 1000),
+                                 failures=(seed % 5,))
+
+    monkeypatch.setattr(experiments, "estimate_sensitivity", stub)
+    return calls
+
+
+def _config(tmp_path, app, **kw):
+    doc = dict(app=app, strategies=("output", "program"), mc_samples=20, seed=4,
+               output_dir=str(tmp_path / "run"))
+    doc.update(kw)
+    return ExperimentConfig(**doc)
+
+
+def _manifest(cfg):
+    return json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+
+
+def _outputs(cfg):
+    run_experiment(cfg)
+    return {name: (Path(cfg.output_dir) / name).read_bytes()
+            for name in ("results.csv", "manifest.json")}
+
+
+# (app, alphas): the ellipsoid reads alpha as its b-range fraction
+CASES = [("regression", (1.0, 2.0)), ("ellipsoid", (0.01, 0.02))]
+
+
+@pytest.mark.parametrize("app,alphas", CASES)
+def test_one_estimate_per_alpha(tmp_path, estimates, app, alphas):
+    cfg = _config(tmp_path, app, alphas=alphas)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"] * 4
+    assert len(estimates) == len(alphas)
+    seeds = [seed for _, seed, _ in estimates]
+    assert len(set(seeds)) == len(alphas)
+    cal = _manifest(cfg)["calibrations"]
+    assert [c["alpha"] for c in cal] == list(alphas)
+    assert [c["seed"] for c in cal] == seeds
+    for c in cal:
+        assert set(c) == {"alpha", "p", "delta_p", "samples", "seed", "failures"}
+        assert c["failures"] == [c["seed"] % 5]
+
+
+@pytest.mark.parametrize("app,alphas", CASES)
+def test_strategies_at_one_alpha_share_the_calibration(tmp_path, estimates, app,
+                                                       alphas):
+    cfg = _config(tmp_path, app, alphas=alphas)
+    run_experiment(cfg)
+    manifest = _manifest(cfg)
+    for cal in manifest["calibrations"]:
+        at_alpha = [pt for pt in manifest["points"] if pt["alpha"] == cal["alpha"]]
+        assert {pt["strategy"] for pt in at_alpha} == {"output", "program"}
+        assert all(pt["sensitivity"] == cal["delta_p"] for pt in at_alpha)
+    deltas = [cal["delta_p"] for cal in manifest["calibrations"]]
+    assert deltas[0] != deltas[1]
+
+
+def test_calibration_seed_ignores_the_strategy_list(tmp_path, estimates):
+    run_experiment(_config(tmp_path / "a", "ellipsoid", alphas=(0.01, 0.02)))
+    both = list(estimates)
+    estimates.clear()
+    run_experiment(_config(tmp_path / "b", "ellipsoid", alphas=(0.01, 0.02),
+                           strategies=("input", "program")))
+    assert estimates == both
+
+
+def test_calibration_seeds_are_not_point_seeds(tmp_path, estimates):
+    # eight points, so a seed derived as point seed + a small offset would
+    # land on a later point's seed
+    cfg = _config(tmp_path, "regression", alphas=(1.0, 2.0, 3.0, 4.0))
+    run_experiment(cfg)
+    manifest = _manifest(cfg)
+    point_seeds = {pt["seed"] for pt in manifest["points"]}
+    cal_seeds = {cal["seed"] for cal in manifest["calibrations"]}
+    assert len(point_seeds) == 8 and len(cal_seeds) == 4
+    assert not point_seeds & cal_seeds
+
+
+@pytest.mark.parametrize("app", ["svm", "regression", "ellipsoid"])
+def test_input_only_makes_no_estimate(tmp_path, estimates, app):
+    cfg = _config(tmp_path, app, strategies=("input",), alphas=(0.5, 1.0))
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["unsupported"] * 2
+    assert estimates == []
+    assert _manifest(cfg)["calibrations"] == []
+
+
+def test_analytic_apps_make_no_estimate(tmp_path, estimates):
+    cfg = _config(tmp_path, "simple-lp", alphas=(0.05, 0.1))
+    run_experiment(cfg)
+    assert estimates == []
+    assert _manifest(cfg)["calibrations"] == []
+
+
+def test_rerun_is_byte_identical(tmp_path, estimates):
+    cfg = _config(tmp_path, "regression")
+    assert _outputs(cfg) == _outputs(cfg)
+
+
+def test_thread_setting_changes_nothing(tmp_path, estimates, monkeypatch):
+    cfg = _config(tmp_path, "regression")
+    monkeypatch.setenv("DP_CONIC_THREADS", "1")
+    one = _outputs(cfg)
+    monkeypatch.setenv("DP_CONIC_THREADS", "4")
+    assert _outputs(cfg) == one

@@ -331,12 +331,7 @@ class TestHighsDifferential:
     @pytest.mark.parametrize("kind,status", [("feasible", 0), ("infeasible", 2),
                                              ("unbounded", 3)])
     @pytest.mark.parametrize("index", range(15))
-    def test_random_lps(self, kind, status, index, request):
-        if (kind, index) == ("infeasible", 3):
-            request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "known defect: the divergence stall exit returns MaxIter at "
-                "iteration 7, one iteration before the primal infeasibility "
-                "certificate reaches its threshold")))
+    def test_random_lps(self, kind, status, index):
         rng = np.random.default_rng(31)
         for _ in range(index):
             _random_lp(rng, kind)
