@@ -36,6 +36,14 @@ from .dp import NoiseSpec, sample_noise
 BOX_STREAM = 0xB0C5
 OBJ_STREAM = 0x0B5E
 
+# Most rows the vertex method may plan: 2^k copies of every chance-block row.
+# The solver factors a dense KKT matrix of at least that order each
+# iteration.  The largest program in the corpus, the privatized SVM, has KKT
+# order 1511: 18 MB, and 80 ms per LU on a 2-core Xeon with OpenBLAS.  Order
+# 8192 is 5.4 times that: a 512 MB matrix and 160 times the flops, about 11 s
+# per LU there, so a solve of 50-150 iterations would take 10-30 minutes.
+_MAX_VERTEX_ROWS = 8192
+
 
 class ConflictingConstraints(ValueError):
     """The equality recourse system contradicts the query constraint."""
@@ -574,6 +582,27 @@ def privatize(
     if noise.k != k:
         raise ValueError(f"noise dim {noise.k} inconsistent with query (k={k})")
 
+    # split rows into equality (Zero), chance and objective blocks
+    eq_rows_A, eq_rows_b, chance_blocks, objective_blocks = [], [], [], []
+    for blk, start in program.cones.offsets():
+        rows = slice(start, start + blk.dim)
+        A_rule, A_epi, b = program.A[rows, :n], program.A[rows, n:], program.b[rows]
+        if A_epi.any():
+            objective_blocks.append((blk.kind, A_rule, A_epi, b))
+        elif blk.kind == ConeKind.ZERO:
+            eq_rows_A.append(A_rule)
+            eq_rows_b.append(b)
+        else:
+            chance_blocks.append((blk.kind, A_rule, A_epi, b))
+    if isinstance(chance, VertexChance):
+        chance_rows = sum(Ablk.shape[0] for _, Ablk, _, _ in chance_blocks)
+        if 2**k * chance_rows > _MAX_VERTEX_ROWS:
+            raise ValueError(
+                f"vertex method: k={k} gives 2^k={2**k} copies of {chance_rows} "
+                f"chance rows, {2**k * chance_rows} planned rows, above the "
+                f"{_MAX_VERTEX_ROWS}-row cap of the dense KKT; use IndividualChance"
+            )
+
     builder = ProgramBuilder()
     pin_mask, pin_values = query.pins(n, k)
     space = RuleSpace(builder, n, k, pin_mask, pin_values)
@@ -587,19 +616,6 @@ def privatize(
          for e in range(epigraph_vars)]
         for s in range(len(obj_points))
     ]
-
-    # split rows into equality (Zero), chance and objective blocks
-    eq_rows_A, eq_rows_b, chance_blocks, objective_blocks = [], [], [], []
-    for blk, start in program.cones.offsets():
-        rows = slice(start, start + blk.dim)
-        A_rule, A_epi, b = program.A[rows, :n], program.A[rows, n:], program.b[rows]
-        if A_epi.any():
-            objective_blocks.append((blk.kind, A_rule, A_epi, b))
-        elif blk.kind == ConeKind.ZERO:
-            eq_rows_A.append(A_rule)
-            eq_rows_b.append(b)
-        else:
-            chance_blocks.append((blk.kind, A_rule, A_epi, b))
 
     A_E = np.vstack(eq_rows_A) if eq_rows_A else np.zeros((0, n))
     b_E = np.concatenate(eq_rows_b) if eq_rows_b else np.zeros(0)

@@ -149,7 +149,9 @@ class _Equilibration:
 
     Rows in the same SOC block share one factor (cone membership is
     invariant under a common positive row scale); Zero and NonNeg rows
-    scale individually.  Factors are powers of two.
+    scale individually.  Factors are powers of two.  A round that leaves
+    every row and column factor at exactly 1 leaves r and s unchanged, so
+    every later round would repeat it: the loop stops there.
     """
 
     def __init__(self, lay: _Layout, c: np.ndarray, rounds: int = 8):
@@ -172,7 +174,10 @@ class _Equilibration:
             Ms = (M * r[:, None]) * s[None, :]
             cmx = np.abs(Ms).max(axis=0)
             nz = cmx > 0
-            s[nz] *= _pow2(1.0 / np.sqrt(cmx[nz]))
+            g = _pow2(1.0 / np.sqrt(cmx[nz]))
+            s[nz] *= g
+            if (f == 1.0).all() and (g == 1.0).all():
+                break
         self.r_eq, self.r_cone = r[:p], r[p:]
         self.s = s
         b_all = np.concatenate([lay.beq * self.r_eq, lay.h * self.r_cone])
@@ -704,6 +709,14 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
     lam_g = 1.0
     dg = dgi = 1.0
     best = None
+
+    def give_up(iters):
+        """MaxIter with the best finite iterate."""
+        if best is None:
+            raise NumericalBreakdown("non-finite starting point")
+        return _finish(program, lay, best[1], best[2], best[3], Status.MAX_ITER,
+                       best[4], best[5], best[6], iters, eq_scale)
+
     # lowest pinfres/dinfres so far and the iteration of the latest new low
     pinf_low = dinf_low = math.inf
     inf_low_iter = 0
@@ -741,6 +754,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
 
         gap_merit = relgap if relgap is not None else gap
         merit = max(pres, dres, gap_merit)
+        # max() keeps its first argument against a NaN, so a non-finite
+        # iterate is caught here, before it could pass the tests below
+        if not all(map(math.isfinite, (resx, resy, resz, rt, gap, merit))):
+            return give_up(iters)
         if best is None or merit < best[0]:
             best = (merit, x / tau, y / tau, z / tau, pres, dres, gap_merit, iters)
         if pinfres is not None and pinfres < pinf_low:
@@ -787,11 +804,9 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
 
         try:
             f3 = kkt.factor(W)
+            x1, y1, z1 = f3(-c, beq.copy(), h.copy())
         except NumericalBreakdown:
-            return _finish(program, lay, best[1], best[2], best[3],
-                           Status.MAX_ITER, best[4], best[5], best[6], iters,
-                           eq_scale)
-        x1, y1, z1 = f3(-c, beq.copy(), h.copy())
+            return give_up(iters)
         x1, y1, z1 = dgi * x1, dgi * y1, dgi * z1
         th = W.apply(h, inverse=True)
         z1_sq = 1.0 + float(z1 @ z1)
@@ -842,7 +857,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
                 bs = bs + corr - sigma * mu * lay.e
                 bkap = bkap + corr_k - sigma * mu
             fac = 1.0 - sigma
-            u = refined_newton(fac * rx, fac * ry, fac * rz, fac * rt, bs, bkap)
+            try:
+                u = refined_newton(fac * rx, fac * ry, fac * rz, fac * rt, bs, bkap)
+            except NumericalBreakdown:
+                return give_up(iters)
             dx_, dy_, dzt, dtau, ds, dkap = u
             if phase == 0:
                 corr = W.jordan_prod(ds, dzt)
@@ -947,21 +965,25 @@ def kkt_report(program: ConicProgram, sol: Solution) -> dict[str, float]:
     dual:   max of |c + A'y| / (1 + |c|) and the dual-cone violation of y
     gap:    |c'x + b'y| / (1 + |c'x|)
     complementarity: |(b - Ax)'y| / (1 + |c'x|)
+
+    A component computed from a non-finite x, y or s reads inf.
     """
     x = np.asarray(sol.x, dtype=float).ravel()
     if x.shape[0] != program.n:
         raise ValueError("solution x has wrong length")
     y = np.asarray(sol.y, dtype=float).ravel()
     s = program.b - program.A @ x
+    x_ok, y_ok, s_ok = (bool(np.isfinite(v).all()) for v in (x, y, s))
     bn = 1.0 + float(np.linalg.norm(program.b))
     cn = 1.0 + float(np.linalg.norm(program.c))
     cx = float(program.c @ x)
+    inf = math.inf
     return {
-        "primal": _cone_violation(program, s) / bn,
+        "primal": _cone_violation(program, s) / bn if s_ok else inf,
         "dual": max(
             float(np.linalg.norm(program.c + program.A.T @ y)) / cn,
             _cone_violation(program, y, dual=True) / cn,
-        ),
-        "gap": abs(cx + float(program.b @ y)) / (1.0 + abs(cx)),
-        "complementarity": abs(float(s @ y)) / (1.0 + abs(cx)),
+        ) if y_ok else inf,
+        "gap": abs(cx + float(program.b @ y)) / (1.0 + abs(cx)) if x_ok and y_ok else inf,
+        "complementarity": abs(float(s @ y)) / (1.0 + abs(cx)) if s_ok and y_ok else inf,
     }

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dpconic.conic import Status
-from dpconic.dp import calibrate_gaussian, sample_noise
+from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status
+from dpconic.dp import calibrate_gaussian, estimate_sensitivity, sample_noise
+from dpconic.apps import ellipsoid
 from dpconic.apps.ellipsoid import (
+    DEFAULT_SETTINGS,
     EllipsoidInstance,
     b_range_adjacency,
     build_ellipsoid,
+    check_bounded,
     contains_ellipsoid,
     ellipsoid_volume,
     privatize_ellipsoid,
@@ -146,3 +149,113 @@ class TestAdjacency:
         d1, d2 = adj.sample_pair(rng)
         for d in (d1, d2):
             assert np.all(np.abs(d.b / inst.b - 1.0) <= 0.025 + 1e-12)
+
+
+def four_lp_check_bounded(inst):
+    """The LP test check_bounded replaced: min and max of each coordinate."""
+    for j in range(2):
+        for sign in (1.0, -1.0):
+            c = np.zeros(2)
+            c[j] = sign
+            prog = ConicProgram(inst.a, inst.b, c,
+                                ConeSpec([(ConeKind.NONNEG.value, inst.m)]))
+            sol = ellipsoid.solve(prog, DEFAULT_SETTINGS)
+            if sol.status == Status.DUAL_INFEASIBLE:
+                raise ValueError("polyhedron is unbounded")
+            if sol.status == Status.PRIMAL_INFEASIBLE:
+                raise ValueError("polyhedron is empty")
+
+
+def _verdict(check, inst):
+    try:
+        check(inst)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _random_polygon(rng):
+    m = int(rng.integers(3, 9))
+    ang = rng.uniform(-math.pi, math.pi, m)
+    a = np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.2, 3.0, m)[:, None]
+    b = rng.uniform(0.1, 2.0, m)
+    if rng.random() < 0.5:
+        neg = rng.random(m) < 0.4
+        b[neg] = -rng.uniform(0.05, 1.5, neg.sum())
+    return EllipsoidInstance(a, b)
+
+
+SQUARE_A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+class TestCheckBounded:
+    def test_agrees_with_four_lp_check(self):
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for _ in range(200):
+            inst = _random_polygon(rng)
+            verdict = _verdict(check_bounded, inst)
+            assert verdict == _verdict(four_lp_check_bounded, inst), (inst.a, inst.b)
+            seen.add((verdict, bool(np.any(inst.b < 0))))
+        # every verdict occurs, and the nonnegative-b and the solved paths both run
+        assert {v for v, _ in seen} == {"ok", "polyhedron is unbounded",
+                                        "polyhedron is empty"}
+        assert ("ok", True) in seen and ("ok", False) in seen
+
+    @pytest.mark.parametrize("a,b,verdict", [
+        # the slab's two normals leave two gaps of exactly pi
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], "polyhedron is unbounded"),
+        ([[0.6, 0.8]], [1.0], "polyhedron is unbounded"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], "polyhedron is unbounded"),
+        # the ray {(t, 0) : t >= 0}, no interior
+        ([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]], [0.0, 0.0, 0.0],
+         "polyhedron is unbounded"),
+        (SQUARE_A + [[0.0, 0.0]], [1.0] * 4 + [-1.0], "polyhedron is empty"),
+        (SQUARE_A + [[0.0, 0.0]], [1.0] * 4 + [0.0], "ok"),
+        # x <= 1 and x >= 2
+        (SQUARE_A, [1.0, -2.0, 1.0, 1.0], "polyhedron is empty"),
+        # the square moved off the origin: nonempty with some b_i < 0
+        (SQUARE_A, [3.0, -1.0, 1.0, 1.0], "ok"),
+        ([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0], "ok"),
+    ], ids=["slab", "half-plane", "wedge", "ray", "zero-row-negative-b",
+            "zero-row-zero-b", "empty-square", "shifted-square", "triangle"])
+    def test_explicit_cases(self, a, b, verdict):
+        inst = EllipsoidInstance(a, b)
+        assert _verdict(check_bounded, inst) == verdict
+        assert _verdict(four_lp_check_bounded, inst) == verdict
+
+    @pytest.mark.parametrize("sides", [3, 4, 5, 8])
+    @pytest.mark.parametrize("rotation", [0.0, 0.3, math.pi / 7, 2.0, -3.1])
+    def test_regular_polygons_bounded(self, sides, rotation):
+        check_bounded(regular_polygon(sides, 2.0, rotation))
+
+    @pytest.mark.parametrize("rotation", [0.0, 0.3, 2.0])
+    def test_two_gon_is_a_slab(self, rotation):
+        with pytest.raises(ValueError, match="unbounded"):
+            check_bounded(regular_polygon(2, 1.0, rotation))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            check_bounded(EllipsoidInstance(SQUARE_A, [1.0, np.nan, 1.0, 1.0]))
+
+
+class TestSolveCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(program, settings=None):
+            calls.append(program.n)
+            return real(program, settings)
+        real = ellipsoid.solve
+        monkeypatch.setattr(ellipsoid, "solve", counting)
+        return calls
+
+    def test_solve_ellipsoid_solves_once(self, calls):
+        solve_ellipsoid(regular_polygon(5, 2.0))
+        assert len(calls) == 1
+
+    def test_sensitivity_solves_two_per_pair(self, calls):
+        adj = b_range_adjacency(regular_polygon(5, 2.0), 0.025)
+        rep = estimate_sensitivity(adj, p=2, samples=19, gamma=0.2, beta=0.3, seed=4)
+        assert rep.failures == () and len(calls) == 2 * 19

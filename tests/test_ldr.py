@@ -350,6 +350,27 @@ class TestPrivatize:
         with pytest.raises(TypeError):
             privatize(build_simple_lp(1.0, 1.0, 2.0), noise, SumQuery(), 0.05, seed=0)
 
+    def test_vertex_blow_up_fails_before_sampling(self, monkeypatch):
+        import dpconic.ldr as ldr
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_noise called")
+        monkeypatch.setattr(ldr, "sample_noise", no_sampling)
+        k = 16
+        # box rows -1 <= x_i <= 1 plus the epigraph row of t >= sum(x)
+        A = np.zeros((2 * k + 1, k + 1))
+        A[:k, :k], A[k:2 * k, :k] = np.eye(k), -np.eye(k)
+        A[2 * k, :k], A[2 * k, k] = 1.0, -1.0
+        prog = ConicProgram(A, np.concatenate([np.ones(2 * k), [0.0]]),
+                            np.concatenate([np.zeros(k), [1.0]]),
+                            ConeSpec([nonneg(2 * k), nonneg(1)]))
+        noise = calibrate_laplace(0.1, 1.0, k=k)
+        with pytest.raises(ValueError) as err:
+            privatize(prog, noise, IdentityQuery(), VertexChance(eta=0.1), seed=0,
+                      epigraph_vars=1, objective_samples=4)
+        msg = str(err.value)
+        assert "k=16" in msg and "65536" in msg and str(65536 * 2 * k) in msg
+
     def test_individual_chance_row_budget(self):
         levels = IndividualChance(eta=0.04).row_levels(4)
         assert np.allclose(levels, 0.01)

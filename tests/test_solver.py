@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from dpconic.conic import (
     zero,
 )
 from dpconic import solver
-from dpconic.apps import ellipsoid, opf
+from dpconic.apps import ellipsoid, opf, regression, svm
 from dpconic.dp import calibrate_gaussian
 from dpconic.solver import SolverSettings, kkt_report, solve
 
@@ -254,6 +257,63 @@ class TestBatchedScaling:
         assert used == [solver._BATCH_MIN_BLOCKS]
 
 
+def ruiz_eight_rounds(lay, c):
+    """_Equilibration's factors from all 8 Ruiz rounds, with no early exit."""
+    M = np.vstack([lay.Aeq, lay.G])
+    sizes = np.concatenate([np.ones(lay.p + lay.l, dtype=int),
+                            np.array(lay.q_dims, dtype=int)])
+    starts = np.cumsum(sizes) - sizes
+    r, s = np.ones(M.shape[0]), np.ones(lay.n)
+    for _ in range(8):
+        Ms = (M * r[:, None]) * s[None, :]
+        gmx = np.maximum.reduceat(np.abs(Ms).max(axis=1), starts)
+        nz = gmx > 0
+        f = np.ones(sizes.size)
+        f[nz] = solver._pow2(1.0 / np.sqrt(gmx[nz]))
+        r *= np.repeat(f, sizes)
+        Ms = (M * r[:, None]) * s[None, :]
+        cmx = np.abs(Ms).max(axis=0)
+        nz = cmx > 0
+        s[nz] *= solver._pow2(1.0 / np.sqrt(cmx[nz]))
+    b_all = np.concatenate([lay.beq * r[:lay.p], lay.h * r[lay.p:]])
+    g_b = float(solver._pow2(1.0 / max(1.0, np.abs(b_all).max(initial=0.0))))
+    g_c = float(solver._pow2(1.0 / max(1.0, np.abs(c * s).max(initial=0.0))))
+    return r, s, g_b, g_c
+
+
+def _bundled_programs():
+    svm_train, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
+    noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
+    progs = [opf.build_opf(opf.bundled_network(name))
+             for name in ("triangle3", "ring5", "cvar6")]
+    progs += [build_simple_lp(1.0, 1.0, 2.0),
+              ellipsoid.build_ellipsoid(ellipsoid.regular_polygon(5, 2.0)),
+              regression.build_monotone_regression(regression.synthetic_cubic_data(n=30)),
+              svm.build_svm(svm_train),
+              ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
+                                            eta=0.1, seed=1).program]
+    return progs
+
+
+class TestEquilibration:
+    def _check(self, program):
+        lay = solver._Layout(program)
+        eq = solver._Equilibration(lay, program.c)
+        r, s, g_b, g_c = ruiz_eight_rounds(lay, program.c)
+        assert _same(np.concatenate([eq.r_eq, eq.r_cone]), r)
+        assert _same(eq.s, s)
+        assert (eq.g_b, eq.g_c) == (g_b, g_c)
+
+    def test_equals_eight_rounds_on_acceptance_corpus(self):
+        rng = np.random.default_rng(20260809)
+        for _ in range(1000):
+            self._check(random_feasible_program(rng))
+
+    def test_equals_eight_rounds_on_bundled_programs(self):
+        for program in _bundled_programs():
+            self._check(program)
+
+
 class TestNumericalBreakdown:
     @pytest.mark.parametrize("name,threshold", [("_Scaling", 10**9),
                                                 ("_BatchedScaling", 0)])
@@ -271,6 +331,61 @@ class TestNumericalBreakdown:
         sol = solve(random_feasible_program(np.random.default_rng(4)))
         assert len(calls) == 2
         assert sol.status == Status.MAX_ITER
+
+    @pytest.mark.parametrize("name,threshold", [("_Scaling", 10**9),
+                                                ("_BatchedScaling", 0)])
+    @pytest.mark.parametrize("program", ["opf-cvar6", "pentagon-ellipsoid"])
+    @pytest.mark.parametrize("poisoned_update", [1, 2, 4])
+    def test_nan_after_update_returns_max_iter(self, monkeypatch, name, threshold,
+                                               program, poisoned_update):
+        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", threshold)
+        cls = getattr(solver, name)
+        orig, calls = cls.update, []
+
+        def poisoned(self, lam, s, z):
+            orig(self, lam, s, z)
+            calls.append(1)
+            if len(calls) == poisoned_update:
+                lam[:] = np.nan
+        monkeypatch.setattr(cls, "update", poisoned)
+        prog = _NAMED_PROGRAMS[program]()
+        sol = solve(prog, SolverSettings(tol=1e-7, max_iter=150))
+        assert len(calls) == poisoned_update
+        assert sol.status == Status.MAX_ITER
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+        assert sol.iterations == poisoned_update
+
+    def test_nan_kkt_solve_returns_max_iter(self, monkeypatch):
+        orig, calls = solver.lu_solve, []
+
+        def poisoned(lu, rhs, **kw):
+            calls.append(1)
+            out = orig(lu, rhs, **kw)
+            return np.full_like(out, np.nan) if len(calls) == 10 else out
+        monkeypatch.setattr(solver, "lu_solve", poisoned)
+        sol = solve(_NAMED_PROGRAMS["opf-cvar6"]())
+        assert len(calls) == 10
+        assert sol.status == Status.MAX_ITER
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+
+    def test_kkt_report_non_finite_is_inf(self):
+        p = random_feasible_program(np.random.default_rng(5))
+        sol = solve(p)
+        assert max(kkt_report(p, sol).values()) <= 1e-6
+        bad_x = dataclasses.replace(sol, x=np.full(p.n, np.nan))
+        rep = kkt_report(p, bad_x)
+        assert rep["primal"] == rep["gap"] == rep["complementarity"] == math.inf
+        assert rep["dual"] <= 1e-6
+        bad_y = dataclasses.replace(sol, y=np.where(np.arange(p.m) == 0, np.inf, sol.y))
+        rep = kkt_report(p, bad_y)
+        assert rep["dual"] == rep["gap"] == rep["complementarity"] == math.inf
+        assert rep["primal"] <= 1e-6
+
+
+_NAMED_PROGRAMS = {
+    "opf-cvar6": lambda: opf.build_opf(opf.bundled_network("cvar6")),
+    "pentagon-ellipsoid": lambda: ellipsoid.build_ellipsoid(ellipsoid.regular_polygon(5, 2.0)),
+}
 
 
 def _highs(program):
