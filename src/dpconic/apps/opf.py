@@ -142,7 +142,6 @@ def demand_adjacency(
     net: PowerNetwork,
     alpha: float,
     settings: SolverSettings | None = None,
-    cost_query: bool = True,
 ) -> AdjacencyModel:
     """Adjacent pairs differing in one demand entry by at most alpha.
 
@@ -164,9 +163,8 @@ def demand_adjacency(
             raise InfeasiblePrivatization(f"OPF solve returned {sol.status.value}")
         return sol.x
 
-    query = (lambda x: np.array([float(c @ x)])) if cost_query else None
     return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=alpha, query=query)
+                          alpha=alpha, query=lambda x: np.array([float(c @ x)]))
 
 
 @dataclass

@@ -81,18 +81,11 @@ def sample_noise(spec: NoiseSpec, seed: int, count: int, stream: int = 0) -> np.
     return spec.scale * base
 
 
-def calibrate_laplace(delta_1: float, epsilon: float, k: int = 1,
-                      inverse_scale: bool = False) -> NoiseSpec:
-    """Laplace mechanism scale delta_1/epsilon for l1-sensitivity delta_1.
-
-    inverse_scale applies the epsilon/delta_1 reading that one of the
-    reference experiments prints; left off unless you are reproducing that
-    exact table.
-    """
+def calibrate_laplace(delta_1: float, epsilon: float, k: int = 1) -> NoiseSpec:
+    """Laplace mechanism scale delta_1/epsilon for l1-sensitivity delta_1."""
     if delta_1 <= 0 or epsilon <= 0:
         raise ValueError("delta_1 and epsilon must be positive")
-    scale = epsilon / delta_1 if inverse_scale else delta_1 / epsilon
-    return NoiseSpec("laplace", k, scale)
+    return NoiseSpec("laplace", k, delta_1 / epsilon)
 
 
 def calibrate_gaussian(delta_2: float, epsilon: float, delta: float, k: int = 1) -> NoiseSpec:
@@ -129,11 +122,11 @@ class PrivacyParams:
         if self.p == 2 and self.delta == 0:
             raise ValueError("Gaussian calibration (p=2) needs delta > 0")
 
-    def noise(self, k: int, inverse_scale: bool = False) -> NoiseSpec:
+    def noise(self, k: int) -> NoiseSpec:
         if self.delta_p is None:
             raise ValueError("sensitivity delta_p not set")
         if self.p == 1:
-            return calibrate_laplace(self.delta_p, self.epsilon, k, inverse_scale)
+            return calibrate_laplace(self.delta_p, self.epsilon, k)
         return calibrate_gaussian(self.delta_p, self.epsilon, self.delta, k)
 
 

@@ -228,13 +228,12 @@ def _run_svm(cfg, strategy, alpha, seed, sensitivity):
     if strategy == "input":
         return PointResult(strategy, alpha, None, None, None, "unsupported")
     train, tx, ty = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
-    w, b, _ = app_svm.solve_svm(train)
+    w, b, det_sol = app_svm.solve_svm(train)
     acc0 = app_svm.accuracy(w, b, tx, ty)
     rep = sensitivity()
     noise = calibrate_laplace(rep.delta_p, cfg.epsilon, k=train.n + 1)
     if strategy == "output":
         center_w, center_b = w, b
-        _, _, det_sol = app_svm.solve_svm(train)
         hinge_slack = det_sol.x[2 + train.n:]
     else:
         try:

@@ -17,13 +17,18 @@ OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
   * epigraph variables of the expected objective (the last columns of the
     input program) stay outside the rule; the blocks that touch them are
     kept at xbar or averaged over sampled noise points.
+
+Each of these rows, and the CVaR rows of `risk.augment_with_cvar`, is the
+affine map b - A(xbar + X zeta) at some noise point: the vertex copies at
+the box vertices, the objective copies at the draws, the safety-factor rows
+from its value at zeta = 0 and its zeta coefficients.  One array expansion,
+`RuleSpace.expand`, builds them all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -270,7 +275,8 @@ class IndividualChance:
 
     def row_levels(self, m_rows: int) -> np.ndarray:
         if self.eta_bar is None:
-            levels = np.full(m_rows, self.eta / m_rows)
+            # max() keeps a program without chance rows at an empty split
+            levels = np.full(m_rows, self.eta / max(m_rows, 1))
         elif isinstance(self.eta_bar, tuple):
             levels = np.asarray(self.eta_bar, dtype=float)
             if levels.shape[0] != m_rows:
@@ -355,146 +361,93 @@ def split_equalities(A_E: np.ndarray, b_E: np.ndarray, k: int) -> EqualitySplit:
     return EqualitySplit(A_E.copy(), b_E.copy(), R, np.zeros(m_e * k))
 
 
-# --- assembly helpers ---------------------------------------------------------
-
-
-class ProgramBuilder:
-    """Accumulates variables and cone blocks, then emits a ConicProgram.
-
-    Rows are given as slack expressions: slack = const + sum coef_i * v_i,
-    so the emitted standard form has b = const and A = -coefs.
-    """
-
-    def __init__(self):
-        self.names: list[str] = []
-        self.obj: list[float] = []
-        self._blocks: list[tuple[ConeKind, list[tuple[dict, float]]]] = []
-        self.offset = 0.0
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
-    def add_var(self, name: str, obj: float = 0.0) -> int:
-        self.names.append(name)
-        self.obj.append(float(obj))
-        return len(self.names) - 1
-
-    def add_vars(self, names: Iterable[str], obj: float = 0.0) -> np.ndarray:
-        return np.array([self.add_var(nm, obj) for nm in names], dtype=int)
-
-    def add_objective(self, idx: int, coef: float):
-        self.obj[idx] += float(coef)
-
-    def add_block(self, kind: ConeKind, rows: Sequence[tuple[dict, float]]):
-        if rows:
-            self._blocks.append((kind, [(dict(r), float(c)) for r, c in rows]))
-
-    def build(self) -> ConicProgram:
-        n = self.nvars
-        m = sum(len(rows) for _, rows in self._blocks)
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        blocks = []
-        r = 0
-        for kind, rows in self._blocks:
-            blocks.append((kind.value, len(rows)))
-            for coefs, const in rows:
-                b[r] = const
-                for idx, coef in coefs.items():
-                    A[r, idx] = -coef
-                r += 1
-        return ConicProgram(A, b, np.array(self.obj), ConeSpec(blocks),
-                            variable_names=tuple(self.names))
+# --- the rule's columns and the one expansion --------------------------------
 
 
 class RuleSpace:
-    """Index bookkeeping for (xbar, free entries of X) inside a builder."""
+    """Columns of the rule x = xbar + X zeta in the transformed program.
 
-    def __init__(self, builder: ProgramBuilder, n: int, k: int,
-                 pin_mask: np.ndarray, pin_values: np.ndarray):
+    xbar comes first, then the free entries of X in row-major order; pinned
+    entries of X are constants.  `expand` is the one place where a row
+    a'x is turned into rows over these columns.
+    """
+
+    def __init__(self, n: int, k: int, pin_mask: np.ndarray, pin_values: np.ndarray):
         self.n, self.k = n, k
-        self.pin_mask = pin_mask
-        self.pin_values = pin_values
-        self.xbar_idx = builder.add_vars(f"xbar[{i}]" for i in range(n))
-        self.X_idx = -np.ones((n, k), dtype=int)
-        for i in range(n):
-            for j in range(k):
-                if not pin_mask[i, j]:
-                    self.X_idx[i, j] = builder.add_var(f"X[{i}][{j}]")
+        self.pin_values = np.where(pin_mask, pin_values, 0.0)
+        self.free = np.nonzero(~pin_mask)
+        self.xbar_idx = np.arange(n)
+        self.X_idx = np.full((n, k), -1)
+        self.X_idx[self.free] = n + np.arange(self.free[0].size)
+        self.ncols = n + self.free[0].size
+        self.names = [f"xbar[{i}]" for i in range(n)] + [
+            f"X[{i}][{j}]" for i, j in zip(*self.free)]
 
-    @property
-    def free_entries(self):
-        return [(i, j) for i in range(self.n) for j in range(self.k)
-                if not self.pin_mask[i, j]]
+    def expand(self, A: np.ndarray, b: np.ndarray, points: np.ndarray):
+        """Slack rows b - A (xbar + X zeta) of the block (A, b) at each noise point.
 
-    def nominal_terms(self, a: np.ndarray) -> dict:
-        """Coefficients of -a'xbar (the variable part of slack b0 - a'x)."""
-        return {int(self.xbar_idx[i]): -float(a[i])
-                for i in range(self.n) if a[i] != 0.0}
-
-    def zeta_coef(self, a: np.ndarray):
-        """Row vector a'X as k affine expressions: (terms_j, const_j)."""
-        out = []
+        points is (P, k).  Returns (G, h) with h - G v equal to those slacks
+        over the rule columns v: P * m rows, grouped by point.  The pinned
+        part of a'X goes into h one noise coordinate at a time.
+        """
+        A = np.asarray(A, dtype=float)
+        points = np.asarray(points, dtype=float)
+        rows, cols = self.free
+        G = np.empty((points.shape[0], A.shape[0], self.ncols))
+        G[:, :, : self.n] = A
+        G[:, :, self.n:] = A[:, rows] * points[:, None, cols]
+        pinned = np.zeros((A.shape[0], self.k))  # a'X over the pinned entries
+        for i in np.flatnonzero(self.pin_values.any(axis=1)):
+            pinned += A[:, i, None] * self.pin_values[i]
+        h = np.broadcast_to(np.asarray(b, dtype=float), G.shape[:2])
         for j in range(self.k):
-            terms = {}
-            const = 0.0
-            for i in range(self.n):
-                if a[i] == 0.0:
-                    continue
-                if self.pin_mask[i, j]:
-                    const += float(a[i]) * float(self.pin_values[i, j])
-                else:
-                    terms[int(self.X_idx[i, j])] = float(a[i])
-            out.append((terms, const))
-        return out
+            h = h - pinned[:, j] * points[:, j, None]
+        return G.reshape(-1, self.ncols), h.ravel()
 
     def extract(self, v: np.ndarray) -> DecisionRule:
-        xbar = v[self.xbar_idx]
-        X = np.array(self.pin_values, dtype=float)
-        for i, j in self.free_entries:
-            X[i, j] = v[self.X_idx[i, j]]
-        return DecisionRule(xbar, X)
+        X = self.pin_values.copy()
+        X[self.free] = v[self.X_idx[self.free]]
+        return DecisionRule(v[self.xbar_idx], X)
 
 
-def chance_row_blocks(space: RuleSpace, rows, noise: NoiseSpec,
-                      levels: np.ndarray, kind: str):
-    """Per-row safety-factor reformulation of linear chance rows.
+def chance_row_blocks(space: RuleSpace, A: np.ndarray, b: np.ndarray,
+                      noise: NoiseSpec, levels: np.ndarray, kind: str):
+    """Per-row safety-factor reformulation of the linear chance rows b - A x >= 0.
 
-    rows: list of (a, b0) meaning Pr[b0 - a'(xbar + X zeta) >= 0] per row.
-    Emits NonNeg rows when the zeta part is constant or scalar, SOC blocks
-    otherwise; coefficients stay affine in (xbar, vec X).
+    Returns (G, h, blocks) over the rule columns.  A row whose zeta part has
+    no free entry of X tightens its constant (one NonNeg row); otherwise
+    it becomes two NonNeg rows when k = 1 and an SOC block when k > 1.
     """
+    m, k = A.shape[0], space.k
     f = math.sqrt(noise.coordinate_variance)  # F = f I
-    blocks = []
-    for (a, b0), lvl in zip(rows, levels):
-        z = safety_factor(float(lvl), kind)
-        nominal = (space.nominal_terms(a), float(b0))
-        coefs = space.zeta_coef(a)
-        has_free = any(t for t, _ in coefs)
-        if not has_free:
-            const = np.array([c for _, c in coefs])
-            norm = f * float(np.linalg.norm(const))
-            if norm == 0.0:
-                blocks.append((ConeKind.NONNEG, [nominal]))
-            else:
-                terms, b0n = nominal
-                blocks.append((ConeKind.NONNEG, [(terms, b0n - z * norm)]))
-        elif space.k == 1:
-            terms, c0 = coefs[0]
-            lo = dict(nominal[0])
-            hi = dict(nominal[0])
-            for idx, coef in terms.items():
-                lo[idx] = lo.get(idx, 0.0) - z * f * coef
-                hi[idx] = hi.get(idx, 0.0) + z * f * coef
-            blocks.append((ConeKind.NONNEG, [(lo, nominal[1] - z * f * c0),
-                                             (hi, nominal[1] + z * f * c0)]))
-        else:
-            soc_rows = [nominal]
-            for terms, c0 in coefs:
-                soc_rows.append(({i: z * f * t for i, t in terms.items()}, z * f * c0))
-            blocks.append((ConeKind.SOC, soc_rows))
-    return blocks
+    z = np.array([safety_factor(float(lvl), kind) for lvl in levels])
+    zf = z * f
+    G0, h0 = space.expand(A, b, np.zeros((1, k)))
+    # slack coefficient of zeta_j: the rows at the unit point e_j with b = 0,
+    # less their xbar part
+    Gz, hz = space.expand(A, np.zeros(m), np.eye(k))
+    Gz, hz = Gz.reshape(k, m, space.ncols), hz.reshape(k, m)
+    Gz[:, :, : space.n] = 0.0
+    const = ~(A[:, space.free[0]] != 0.0).any(axis=1)  # no free entry in a'X
+    dims = np.where(const, 1, 2 if k == 1 else k + 1)
+    first = np.cumsum(dims) - dims
+    G, h = np.empty((dims.sum(), space.ncols)), np.empty(dims.sum())
+    norms = f * np.array([np.linalg.norm(c) for c in hz.T[const]])
+    G[first[const]] = G0[const]
+    h[first[const]] = h0[const] - z[const] * norms
+    rows, r = ~const, first[~const]
+    if k == 1:
+        G[r] = G0[rows] + zf[rows, None] * Gz[0, rows]
+        G[r + 1] = G0[rows] - zf[rows, None] * Gz[0, rows]
+        h[r] = h0[rows] + zf[rows] * hz[0, rows]
+        h[r + 1] = h0[rows] - zf[rows] * hz[0, rows]
+    else:
+        G[r], h[r] = G0[rows], h0[rows]
+        for j in range(k):
+            G[r + 1 + j] = -zf[rows, None] * Gz[j, rows]
+            h[r + 1 + j] = -zf[rows] * hz[j, rows]
+    blocks = [(ConeKind.SOC if d > 2 else ConeKind.NONNEG, int(d)) for d in dims]
+    return G, h, blocks
 
 
 # --- the transformer ----------------------------------------------------------
@@ -523,29 +476,6 @@ class PrivatizedProgram:
         return self.space.extract(v)
 
 
-def _block_rows(space: RuleSpace, A: np.ndarray, A_epi: np.ndarray, b: np.ndarray,
-                epi_idx, point=None):
-    """Slack rows b - A (xbar + X point) - A_epi t of one block.
-
-    A holds the block's rule columns and A_epi its epigraph columns, whose
-    variables t sit at builder indices epi_idx.  point=None keeps the block
-    at xbar (zeta = 0).
-    """
-    rows = []
-    for a, a_epi, b0 in zip(A, A_epi, b):
-        terms = space.nominal_terms(a)
-        for e in np.flatnonzero(a_epi):
-            terms[int(epi_idx[e])] = -float(a_epi[e])
-        const = float(b0)
-        if point is not None:
-            for j, (tj, cj) in enumerate(space.zeta_coef(a)):
-                const -= cj * point[j]
-                for idx, coef in tj.items():
-                    terms[idx] = terms.get(idx, 0.0) - coef * point[j]
-        rows.append((terms, const))
-    return rows
-
-
 def privatize(
     program: ConicProgram,
     noise: NoiseSpec,
@@ -572,6 +502,9 @@ def privatize(
     each draw with its own copy of the epigraph variables weighted c/S: a
     sample average of an expected objective with no closed conic form.
 
+    The columns of the result are the rule's (RuleSpace), then the epigraph
+    copies, then the ridge variable.
+
     Raises ConflictingConstraints when the equality recourse system A_E X = 0
     cannot hold together with the query constraint.
     """
@@ -582,57 +515,54 @@ def privatize(
     if noise.k != k:
         raise ValueError(f"noise dim {noise.k} inconsistent with query (k={k})")
 
-    # split rows into equality (Zero), chance and objective blocks
-    eq_rows_A, eq_rows_b, chance_blocks, objective_blocks = [], [], [], []
+    # sort rows into equality (Zero), chance and objective blocks
+    eq_rows, chance_rows, obj_rows, chance_cones, obj_cones = [], [], [], [], []
     for blk, start in program.cones.offsets():
-        rows = slice(start, start + blk.dim)
-        A_rule, A_epi, b = program.A[rows, :n], program.A[rows, n:], program.b[rows]
-        if A_epi.any():
-            objective_blocks.append((blk.kind, A_rule, A_epi, b))
+        rows = list(range(start, start + blk.dim))
+        if program.A[rows, n:].any():
+            obj_rows += rows
+            obj_cones.append((blk.kind, blk.dim))
         elif blk.kind == ConeKind.ZERO:
-            eq_rows_A.append(A_rule)
-            eq_rows_b.append(b)
+            eq_rows += rows
         else:
-            chance_blocks.append((blk.kind, A_rule, A_epi, b))
-    if isinstance(chance, VertexChance):
-        chance_rows = sum(Ablk.shape[0] for _, Ablk, _, _ in chance_blocks)
-        if 2**k * chance_rows > _MAX_VERTEX_ROWS:
-            raise ValueError(
-                f"vertex method: k={k} gives 2^k={2**k} copies of {chance_rows} "
-                f"chance rows, {2**k * chance_rows} planned rows, above the "
-                f"{_MAX_VERTEX_ROWS}-row cap of the dense KKT; use IndividualChance"
-            )
+            chance_rows += rows
+            chance_cones.append((blk.kind, blk.dim))
+    if isinstance(chance, VertexChance) and 2**k * len(chance_rows) > _MAX_VERTEX_ROWS:
+        raise ValueError(
+            f"vertex method: k={k} gives 2^k={2**k} copies of {len(chance_rows)} "
+            f"chance rows, {2**k * len(chance_rows)} planned rows, above the "
+            f"{_MAX_VERTEX_ROWS}-row cap of the dense KKT; use IndividualChance"
+        )
 
-    builder = ProgramBuilder()
-    pin_mask, pin_values = query.pins(n, k)
-    space = RuleSpace(builder, n, k, pin_mask, pin_values)
-    for i in range(n):
-        builder.add_objective(int(space.xbar_idx[i]), float(program.c[i]))
+    space = RuleSpace(n, k, *query.pins(n, k))
     obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
-                  if objective_samples else [None])
-    epi_copies = [
-        [builder.add_var(f"t[{e}]" + (f"[{s}]" if objective_samples else ""),
-                         obj=float(program.c[n + e]) / len(obj_points))
-         for e in range(epigraph_vars)]
-        for s in range(len(obj_points))
-    ]
+                  if objective_samples else np.zeros((1, k)))
+    S = len(obj_points)
+    n_epi = S * epigraph_vars
+    free = space.ncols - n
+    ridge = recourse_ridge > 0 and free > 0
+    N = space.ncols + n_epi + ridge
+    names = space.names + [
+        f"t[{e}]" + (f"[{s}]" if objective_samples else "")
+        for s in range(S) for e in range(epigraph_vars)] + ["ridge"] * ridge
+    c = np.zeros(N)
+    c[:n] = program.c[:n]
+    c[space.ncols: space.ncols + n_epi] = np.tile(program.c[n:] / S, S)
+    if ridge:
+        c[-1] = recourse_ridge
 
-    A_E = np.vstack(eq_rows_A) if eq_rows_A else np.zeros((0, n))
-    b_E = np.concatenate(eq_rows_b) if eq_rows_b else np.zeros(0)
+    A_E, b_E = program.A[eq_rows, :n], program.b[eq_rows]
     split = split_equalities(A_E, b_E, k)
 
     # X-equality system over free entries: recourse split + query equalities
     E_query, r_query = query.extra_equalities(n, k)
     X_eq = np.vstack([split.recourse_matrix, E_query])
     X_rhs = np.concatenate([split.recourse_rhs, r_query])
-    free = space.free_entries
-    free_cols = [i * k + j for i, j in free]
-    pin_flat = pin_values.ravel()
-    pinned_contrib = X_eq @ np.where(pin_mask.ravel(), pin_flat, 0.0)
+    pinned_contrib = X_eq @ space.pin_values.ravel()
     rhs_eff = X_rhs - pinned_contrib
-    E_free = X_eq[:, free_cols] if free_cols else np.zeros((X_eq.shape[0], 0))
+    E_free = X_eq[:, space.free[0] * k + space.free[1]]
     if X_eq.shape[0]:
-        if free_cols:
+        if free:
             sol_ls, *_ = np.linalg.lstsq(E_free, rhs_eff, rcond=None)
             resid = float(np.linalg.norm(E_free @ sol_ls - rhs_eff))
         else:
@@ -643,65 +573,62 @@ def privatize(
                 f"query constraint (residual {resid:.3e})"
             )
 
-    # Zero block: nominal equalities, then X equalities over free entries
-    zero_rows = []
-    for r in range(A_E.shape[0]):
-        zero_rows.append((space.nominal_terms(A_E[r]), float(b_E[r])))
-    free_var_idx = np.array([space.X_idx[i, j] for i, j in free], dtype=int)
-    for r in range(X_eq.shape[0]):
-        row = X_eq[r]
-        terms = {int(free_var_idx[c]): -float(row[free_cols[c]])
-                 for c in range(len(free_cols)) if row[free_cols[c]] != 0.0}
-        const = float(rhs_eff[r])
-        if not terms and const == 0.0:
-            continue
-        zero_rows.append((terms, const))
-    builder.add_block(ConeKind.ZERO, zero_rows)
+    # pieces (G, h, cone blocks) in row order; G spans the first G.shape[1] columns
+    pieces = []
+    # Zero block: nominal equalities, then the nonzero X equalities
+    G_eq, h_eq = space.expand(A_E, b_E, np.zeros((1, k)))
+    keep = E_free.any(axis=1) | (rhs_eff != 0.0)
+    G_x = np.zeros((int(keep.sum()), space.ncols))
+    G_x[:, n:] = E_free[keep]
+    G_zero = np.vstack([G_eq, G_x])
+    m_eq = len(G_zero)
+    if m_eq:
+        pieces.append((G_zero, np.concatenate([h_eq, rhs_eff[keep]]),
+                       [(ConeKind.ZERO, m_eq)]))
 
+    A_ch, b_ch = program.A[chance_rows, :n], program.b[chance_rows]
     box = None
     if isinstance(chance, VertexChance):
-        S = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
-        draws = sample_noise(noise, seed, S, stream=BOX_STREAM)
-        box = hyperrectangle_vertices(draws)
-        for vert in box:
-            for kind, Ablk, A_epi, bblk in chance_blocks:
-                builder.add_block(kind, _block_rows(space, Ablk, A_epi, bblk,
-                                                    (), vert))
+        S_box = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
+        box = hyperrectangle_vertices(sample_noise(noise, seed, S_box, stream=BOX_STREAM))
+        pieces.append((*space.expand(A_ch, b_ch, box), chance_cones * len(box)))
     else:
-        flat_rows = []
-        for kind, Ablk, _, bblk in chance_blocks:
+        for kind, _ in chance_cones:
             if kind != ConeKind.NONNEG:
                 raise ValueError(
                     "individual chance rows require linear (NonNeg) blocks; "
                     f"found {kind.value}; use the vertex method"
                 )
-            flat_rows.extend(zip(Ablk, bblk))
-        levels = chance.row_levels(len(flat_rows))
-        for kind, rows in chance_row_blocks(space, flat_rows, noise, levels,
-                                            chance.safety):
-            builder.add_block(kind, rows)
+        levels = chance.row_levels(len(chance_rows))
+        pieces.append(chance_row_blocks(space, A_ch, b_ch, noise, levels, chance.safety))
 
-    for point, epi_idx in zip(obj_points, epi_copies):
-        for kind, Ablk, A_epi, bblk in objective_blocks:
-            builder.add_block(kind, _block_rows(space, Ablk, A_epi, bblk,
-                                                epi_idx, point))
+    # objective blocks, one copy per point, each with its own epigraph columns
+    G_rule, h_obj = space.expand(program.A[obj_rows, :n], program.b[obj_rows], obj_points)
+    G_obj = np.zeros((len(h_obj), space.ncols + n_epi))
+    G_obj[:, : space.ncols] = G_rule
+    epi = G_obj[:, space.ncols:].reshape(S, len(obj_rows), S, epigraph_vars)
+    epi[np.arange(S), :, np.arange(S), :] = program.A[obj_rows, n:]
+    pieces.append((G_obj, h_obj, obj_cones * S))
 
-    if recourse_ridge > 0 and free:
-        u = builder.add_var("ridge", obj=recourse_ridge)
-        ridge_rows = [({u: 1.0}, 0.0), ({}, 0.5)]
-        ridge_rows += [({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in free]
-        builder.add_block(ConeKind.RSOC, ridge_rows)
+    if ridge:
+        G_ridge = np.zeros((2 + free, N))
+        G_ridge[0, -1] = -1.0
+        G_ridge[2 + np.arange(free), n + np.arange(free)] = -1.0
+        h_ridge = np.zeros(2 + free)
+        h_ridge[1] = 0.5
+        pieces.append((G_ridge, h_ridge, [(ConeKind.RSOC, 2 + free)]))
 
-    transformed = builder.build()
-
-    # equality system over the transformed variables, for exact extraction
-    eq_idx = [r for blk, start in transformed.cones.offsets()
-              if blk.kind == ConeKind.ZERO
-              for r in range(start, start + blk.dim)]
-    eq_matrix = transformed.A[eq_idx] if eq_idx else np.zeros((0, transformed.n))
-    eq_rhs = transformed.b[eq_idx] if eq_idx else np.zeros(0)
-
+    A = np.zeros((sum(len(h) for _, h, _ in pieces), N))
+    b = np.zeros(A.shape[0])
+    blocks, r = [], 0
+    while pieces:  # each piece is freed once copied
+        G, h, cones = pieces.pop(0)
+        A[r: r + len(h), : G.shape[1]] = G
+        b[r: r + len(h)] = h
+        blocks += [(kind.value, dim) for kind, dim in cones]
+        r += len(h)
+    transformed = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=tuple(names))
     return PrivatizedProgram(
-        program=transformed, space=space, noise=noise, query=query,
-        box_vertices=box, eq_matrix=eq_matrix, eq_rhs=eq_rhs,
+        program=transformed, space=space, noise=noise, query=query, box_vertices=box,
+        eq_matrix=transformed.A[:m_eq], eq_rhs=transformed.b[:m_eq],
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConeKind, ConicProgram, Solution
+from .conic import ConeKind, ConeSpec, ConicProgram, Solution
 from .dp import NoiseSpec, sample_noise
 from .ldr import DecisionRule, PrivatizedProgram
 
@@ -122,39 +122,19 @@ def augment_with_cvar(
     n0 = base.n
     gamma_idx = n0
     z_idx = np.arange(n0 + 1, n0 + 1 + S)
-    n_new = n0 + 1 + S
-
-    A_parts = [np.hstack([base.A, np.zeros((base.m, 1 + S))])]
-    b_parts = [base.b]
+    A = np.zeros((base.m + 2 * S, n0 + 1 + S))
+    A[: base.m, :n0] = base.A
+    # z_s >= 0
+    A[base.m + np.arange(S), z_idx] = -1.0
+    # slack z_s + gamma - l'(xbar + X zeta_s) >= 0
+    G, h = space.expand(loss[None], np.zeros(1), zetas)
+    epi = base.m + S + np.arange(S)
+    A[epi, : space.ncols] = G
+    A[epi, gamma_idx] = -1.0
+    A[epi, z_idx] = -1.0
+    b = np.concatenate([base.b, np.zeros(S), h])
     blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
-
-    # z_s >= 0 and z_s >= l'(xbar + X zeta_s) - gamma
-    A_pos = np.zeros((S, n_new))
-    A_pos[np.arange(S), z_idx] = -1.0
-    A_parts.append(A_pos)
-    b_parts.append(np.zeros(S))
-    blocks.append((ConeKind.NONNEG.value, S))
-
-    A_epi = np.zeros((S, n_new))
-    b_epi = np.zeros(S)
-    for s in range(S):
-        # slack = z_s + gamma - l'(xbar + X zeta_s) >= 0
-        A_epi[s, z_idx[s]] = -1.0
-        A_epi[s, gamma_idx] = -1.0
-        for i in range(space.n):
-            if loss[i] == 0.0:
-                continue
-            A_epi[s, space.xbar_idx[i]] += loss[i]
-            for j in range(space.k):
-                contrib = loss[i] * zetas[s, j]
-                if space.pin_mask[i, j]:
-                    b_epi[s] += contrib * space.pin_values[i, j]
-                else:
-                    A_epi[s, space.X_idx[i, j]] += contrib
-    b_epi = -b_epi  # move pinned contribution into the constant of the slack
-    A_parts.append(A_epi)
-    b_parts.append(b_epi)
-    blocks.append((ConeKind.NONNEG.value, S))
+    blocks += [(ConeKind.NONNEG.value, S)] * 2
 
     c = np.concatenate([blend * base.c, np.zeros(1 + S)])
     c[gamma_idx] = 1.0
@@ -162,9 +142,6 @@ def augment_with_cvar(
 
     names = tuple(base.variable_names or ()) or tuple(f"v[{i}]" for i in range(n0))
     names = names + ("gamma",) + tuple(f"z[{s}]" for s in range(S))
-    from .conic import ConeSpec
-
-    augmented = ConicProgram(np.vstack(A_parts), np.concatenate(b_parts), c,
-                             ConeSpec(blocks), variable_names=names)
+    augmented = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names)
     layout = {"gamma": gamma_idx, "z": z_idx, "zetas": zetas}
     return augmented, layout

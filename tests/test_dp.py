@@ -76,9 +76,6 @@ class TestCalibration:
         assert calibrate_laplace(21.8, 1.0).scale == 21.8
         assert calibrate_laplace(2.0, 4.0).scale == 0.5
 
-    def test_laplace_inverse_scale_flag(self):
-        assert calibrate_laplace(21.8, 1.0, inverse_scale=True).scale == 1.0 / 21.8
-
     def test_gaussian_formula(self):
         # sqrt(2 ln 125) * 0.46, frozen from an extended-precision evaluation
         spec = calibrate_gaussian(0.46, 1.0, 0.01)

@@ -131,3 +131,18 @@ def test_thread_setting_changes_nothing(tmp_path, estimates, monkeypatch):
     one = _outputs(cfg)
     monkeypatch.setenv("DP_CONIC_THREADS", "4")
     assert _outputs(cfg) == one
+
+
+def test_svm_output_point_solves_the_svm_once(tmp_path, estimates, monkeypatch):
+    calls = []
+    real = experiments.app_svm.solve_svm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.app_svm, "solve_svm", counting)
+    cfg = _config(tmp_path, "svm", strategies=("output",), alphas=(0.5, 1.0))
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"] * 2
+    assert len(calls) == 2

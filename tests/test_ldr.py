@@ -14,6 +14,7 @@ from dpconic.conic import (
     nonneg,
     rsoc,
     slack,
+    soc,
     zero,
 )
 from dpconic.dp import NoiseSpec, calibrate_laplace, sample_noise
@@ -371,6 +372,21 @@ class TestPrivatize:
         msg = str(err.value)
         assert "k=16" in msg and "65536" in msg and str(65536 * 2 * k) in msg
 
+    def test_individual_chance_without_chance_rows(self):
+        # min 0.3 x + t s.t. t >= x^2: the only block touches the epigraph
+        # variable t, so no row is chance-constrained and the joint eta has
+        # nothing to split
+        A = np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]])
+        prog = ConicProgram(A, np.array([0.0, 0.5, 0.0]), np.array([0.3, 1.0]),
+                            ConeSpec([rsoc(3)]))
+        assert IndividualChance(eta=0.1).row_levels(0).shape == (0,)
+        pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), IdentityQuery(),
+                       IndividualChance(eta=0.1), seed=0, epigraph_vars=1)
+        assert pp.program.cones == ConeSpec([rsoc(3)])
+        sol = solve(pp.program)
+        assert sol.status == Status.OPTIMAL
+        assert abs(pp.extract_rule(sol).xbar[0] + 0.15) < 1e-6
+
     def test_individual_chance_row_budget(self):
         levels = IndividualChance(eta=0.04).row_levels(4)
         assert np.allclose(levels, 0.01)
@@ -492,3 +508,284 @@ class TestEpigraphVariables:
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         assert [blk.kind for blk in pp.program.cones.blocks][-1] == ConeKind.RSOC
+
+
+# --- the dict-row assembly, kept as the reference for the array expansion ------
+#
+# This is the row-at-a-time assembly that `privatize` used before it built its
+# blocks from RuleSpace.expand: a builder of dict rows, the vertex/objective
+# rows of one block at a noise point, and the per-row safety-factor blocks.
+
+
+class _RefBuilder:
+    def __init__(self):
+        self.names, self.obj, self.blocks = [], [], []
+
+    def add_var(self, name, obj=0.0):
+        self.names.append(name)
+        self.obj.append(float(obj))
+        return len(self.names) - 1
+
+    def add_block(self, kind, rows):
+        if rows:
+            self.blocks.append((kind, [(dict(r), float(c)) for r, c in rows]))
+
+    def build(self):
+        m = sum(len(rows) for _, rows in self.blocks)
+        A, b, r = np.zeros((m, len(self.names))), np.zeros(m), 0
+        for _, rows in self.blocks:
+            for coefs, const in rows:
+                b[r] = const
+                for idx, coef in coefs.items():
+                    A[r, idx] = -coef
+                r += 1
+        return ConicProgram(A, b, np.array(self.obj),
+                            ConeSpec([(kind.value, len(rows)) for kind, rows in self.blocks]),
+                            variable_names=tuple(self.names))
+
+
+class _RefSpace:
+    def __init__(self, builder, n, k, pin_mask, pin_values):
+        self.n, self.k, self.pin_mask, self.pin_values = n, k, pin_mask, pin_values
+        self.xbar_idx = [builder.add_var(f"xbar[{i}]") for i in range(n)]
+        self.X_idx = -np.ones((n, k), dtype=int)
+        self.free = [(i, j) for i in range(n) for j in range(k) if not pin_mask[i, j]]
+        for i, j in self.free:
+            self.X_idx[i, j] = builder.add_var(f"X[{i}][{j}]")
+
+    def nominal_terms(self, a):
+        return {self.xbar_idx[i]: -float(a[i]) for i in range(self.n) if a[i] != 0.0}
+
+    def zeta_coef(self, a):
+        out = []
+        for j in range(self.k):
+            terms, const = {}, 0.0
+            for i in range(self.n):
+                if a[i] == 0.0:
+                    continue
+                if self.pin_mask[i, j]:
+                    const += float(a[i]) * float(self.pin_values[i, j])
+                else:
+                    terms[int(self.X_idx[i, j])] = float(a[i])
+            out.append((terms, const))
+        return out
+
+
+def _ref_block_rows(space, A, A_epi, b, epi_idx, point=None):
+    rows = []
+    for a, a_epi, b0 in zip(A, A_epi, b):
+        terms = space.nominal_terms(a)
+        for e in np.flatnonzero(a_epi):
+            terms[int(epi_idx[e])] = -float(a_epi[e])
+        const = float(b0)
+        if point is not None:
+            for j, (tj, cj) in enumerate(space.zeta_coef(a)):
+                const -= cj * point[j]
+                for idx, coef in tj.items():
+                    terms[idx] = terms.get(idx, 0.0) - coef * point[j]
+        rows.append((terms, const))
+    return rows
+
+
+def _ref_chance_row_blocks(space, rows, noise, levels, kind):
+    f = math.sqrt(noise.coordinate_variance)
+    blocks = []
+    for (a, b0), lvl in zip(rows, levels):
+        z = safety_factor(float(lvl), kind)
+        nominal = (space.nominal_terms(a), float(b0))
+        coefs = space.zeta_coef(a)
+        if not any(t for t, _ in coefs):
+            norm = f * float(np.linalg.norm(np.array([c for _, c in coefs])))
+            if norm == 0.0:
+                blocks.append((ConeKind.NONNEG, [nominal]))
+            else:
+                blocks.append((ConeKind.NONNEG, [(nominal[0], nominal[1] - z * norm)]))
+        elif space.k == 1:
+            terms, c0 = coefs[0]
+            lo, hi = dict(nominal[0]), dict(nominal[0])
+            for idx, coef in terms.items():
+                lo[idx] = lo.get(idx, 0.0) - z * f * coef
+                hi[idx] = hi.get(idx, 0.0) + z * f * coef
+            blocks.append((ConeKind.NONNEG, [(lo, nominal[1] - z * f * c0),
+                                             (hi, nominal[1] + z * f * c0)]))
+        else:
+            soc_rows = [nominal]
+            for terms, c0 in coefs:
+                soc_rows.append(({i: z * f * t for i, t in terms.items()}, z * f * c0))
+            blocks.append((ConeKind.SOC, soc_rows))
+    return blocks
+
+
+def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
+                   epigraph_vars=0, objective_samples=0):
+    n = program.n - epigraph_vars
+    k = query.noise_dim(n)
+    eq_A, eq_b, chance_blocks, objective_blocks = [], [], [], []
+    for blk, start in program.cones.offsets():
+        rows = slice(start, start + blk.dim)
+        A_rule, A_epi, b = program.A[rows, :n], program.A[rows, n:], program.b[rows]
+        if A_epi.any():
+            objective_blocks.append((blk.kind, A_rule, A_epi, b))
+        elif blk.kind == ConeKind.ZERO:
+            eq_A.append(A_rule)
+            eq_b.append(b)
+        else:
+            chance_blocks.append((blk.kind, A_rule, A_epi, b))
+    builder = _RefBuilder()
+    pin_mask, pin_values = query.pins(n, k)
+    space = _RefSpace(builder, n, k, pin_mask, pin_values)
+    for i in range(n):
+        builder.obj[space.xbar_idx[i]] += float(program.c[i])
+    obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
+                  if objective_samples else [None])
+    epi_copies = [
+        [builder.add_var(f"t[{e}]" + (f"[{s}]" if objective_samples else ""),
+                         obj=float(program.c[n + e]) / len(obj_points))
+         for e in range(epigraph_vars)]
+        for s in range(len(obj_points))]
+    A_E = np.vstack(eq_A) if eq_A else np.zeros((0, n))
+    b_E = np.concatenate(eq_b) if eq_b else np.zeros(0)
+    split = split_equalities(A_E, b_E, k)
+    E_query, r_query = query.extra_equalities(n, k)
+    X_eq = np.vstack([split.recourse_matrix, E_query])
+    X_rhs = np.concatenate([split.recourse_rhs, r_query])
+    free_cols = [i * k + j for i, j in space.free]
+    rhs_eff = X_rhs - X_eq @ np.where(pin_mask.ravel(), pin_values.ravel(), 0.0)
+    zero_rows = [(space.nominal_terms(A_E[r]), float(b_E[r])) for r in range(len(A_E))]
+    for r in range(X_eq.shape[0]):
+        terms = {int(space.X_idx[i, j]): -float(X_eq[r, col])
+                 for (i, j), col in zip(space.free, free_cols) if X_eq[r, col] != 0.0}
+        if terms or rhs_eff[r] != 0.0:
+            zero_rows.append((terms, float(rhs_eff[r])))
+    builder.add_block(ConeKind.ZERO, zero_rows)
+    if isinstance(chance, VertexChance):
+        S = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
+        box = hyperrectangle_vertices(sample_noise(noise, seed, S, stream=BOX_STREAM))
+        for vert in box:
+            for kind, A_blk, A_epi, b_blk in chance_blocks:
+                builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk, (), vert))
+    else:
+        flat = [row for _, A_blk, _, b_blk in chance_blocks for row in zip(A_blk, b_blk)]
+        for kind, rows in _ref_chance_row_blocks(space, flat, noise,
+                                                 chance.row_levels(len(flat)),
+                                                 chance.safety):
+            builder.add_block(kind, rows)
+    for point, epi_idx in zip(obj_points, epi_copies):
+        for kind, A_blk, A_epi, b_blk in objective_blocks:
+            builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk,
+                                                    epi_idx, point))
+    if recourse_ridge > 0 and space.free:
+        u = builder.add_var("ridge", obj=recourse_ridge)
+        builder.add_block(ConeKind.RSOC, [({u: 1.0}, 0.0), ({}, 0.5)] + [
+            ({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free])
+    return builder.build()
+
+
+def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
+                 epigraph_vars=0):
+    """A random program over n rule coordinates (plus epigraph columns) and the
+    query/chance that go with it.  Coefficients are sparse so that some rows
+    miss every free entry of X."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6) if query_kind != "pinned" else rng.integers(5, 8))
+    if query_kind == "identity":
+        query, k = IdentityQuery(), n
+    elif query_kind == "sum":
+        query, k = SumQuery(), 1
+    elif query_kind == "weighted":
+        query, k = WeightedSumQuery(rng.uniform(0.5, 2.0, n)), 1
+    else:
+        # partial mask, pins other than 0/1, and a free entry in every column;
+        # most entries pinned, so a'X sums several pinned terms per column
+        k = k_pinned
+        mask = rng.random((n, k)) < 0.75
+        mask[rng.integers(n, size=k), np.arange(k)] = False
+        query = FixedRecourseQuery(rng.normal(size=(n, k)), mask)
+
+    def rows(m, dense=False):
+        A = rng.normal(size=(m, n))
+        if not dense:
+            A[rng.random((m, n)) < 0.5] = 0.0
+        return A
+
+    blocks = []  # (cone, A over the rule, A over the epigraph columns, b)
+    if equality:
+        blocks.append((zero(1), rows(1, dense=True), None, rng.normal(size=1)))
+    blocks.append((nonneg(4), rows(4), None, rng.uniform(1.0, 3.0, 4)))
+    if chance_kind == "vertex":
+        blocks.append((soc(3), rows(3), None, np.array([5.0, 0.3, -0.2])))
+        blocks.append((rsoc(3), rows(3), None, np.array([2.0, 1.5, 0.1])))
+    blocks.append((nonneg(2), rows(2), None, rng.uniform(1.0, 3.0, 2)))
+    if epigraph_vars:
+        # t_0 >= |x|^2-like rotated cone, and a linear row touching the last t
+        A_r = np.zeros((n + 2, n))
+        A_r[2:] = -np.eye(n)
+        E_r = np.zeros((n + 2, epigraph_vars))
+        E_r[0, 0] = -1.0
+        b_r = np.zeros(n + 2)
+        b_r[1] = 0.5
+        blocks.append((rsoc(n + 2), A_r, E_r, b_r))
+        E_l = np.zeros((1, epigraph_vars))
+        E_l[0, -1] = -1.0
+        blocks.append((nonneg(1), rows(1), E_l, rng.normal(size=1)))
+    order = rng.permutation(len(blocks))
+    A = np.vstack([np.hstack([blocks[i][1], blocks[i][2] if blocks[i][2] is not None
+                              else np.zeros((blocks[i][1].shape[0], epigraph_vars))])
+                   for i in order])
+    b = np.concatenate([blocks[i][3] for i in order])
+    c = rng.normal(size=n + epigraph_vars)
+    program = ConicProgram(A, b, c, ConeSpec([blocks[i][0] for i in order]))
+    if chance_kind == "vertex":
+        chance = VertexChance(eta=0.2, beta=0.1)
+    else:
+        chance = IndividualChance(eta=0.1, safety=str(rng.choice(["chebyshev", "gaussian"])))
+    noise = NoiseSpec(str(rng.choice(["laplace", "gaussian"])), k, 0.3)
+    return program, noise, query, chance
+
+
+ORACLE_CASES = [
+    # (query, chance, k of the pinned query, equality rows, epigraph vars,
+    #  objective samples, recourse ridge)
+    ("identity", "vertex", 0, False, 0, 0, 1e-8),
+    ("identity", "individual", 0, False, 0, 0, 1e-8),
+    ("sum", "vertex", 0, True, 0, 0, 1e-8),
+    ("sum", "individual", 0, True, 0, 0, 0.0),
+    ("weighted", "vertex", 0, True, 1, 0, 1e-8),
+    ("weighted", "individual", 0, True, 1, 3, 1e-8),
+    ("pinned", "vertex", 1, True, 0, 0, 1e-8),
+    ("pinned", "vertex", 3, True, 2, 4, 1e-8),
+    ("pinned", "individual", 1, True, 1, 0, 1e-8),
+    ("pinned", "individual", 2, True, 0, 0, 0.0),
+    ("pinned", "individual", 3, False, 2, 3, 1e-8),
+    ("identity", "vertex", 0, False, 1, 3, 0.0),
+    ("identity", "individual", 0, False, 2, 0, 1e-8),
+]
+
+
+class TestExpansionMatchesDictRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_same_program(self, case, seed):
+        query_kind, chance_kind, k_pinned, equality, epi, obj_samples, ridge = case
+        program, noise, query, chance = _random_case(seed, query_kind, chance_kind,
+                                                     k_pinned, equality, epi)
+        kw = dict(recourse_ridge=ridge, epigraph_vars=epi, objective_samples=obj_samples)
+        got = privatize(program, noise, query, chance, seed, **kw).program
+        ref = _ref_privatize(program, noise, query, chance, seed, **kw)
+        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(got.b, ref.b)
+        assert np.array_equal(got.c, ref.c)
+        assert got.cones == ref.cones
+        assert got.variable_names == ref.variable_names
+
+    def test_rule_columns(self):
+        program, noise, query, chance = _random_case(0, "pinned", "vertex", 3)
+        pp = privatize(program, noise, query, chance, 0)
+        names = pp.program.variable_names
+        assert [names[i] for i in pp.space.xbar_idx] == [
+            f"xbar[{i}]" for i in range(pp.space.n)]
+        mask = np.array(query.mask)
+        free = [(i, j) for i in range(pp.space.n) for j in range(3) if not mask[i, j]]
+        assert [names[pp.space.X_idx[i, j]] for i, j in free] == [
+            f"X[{i}][{j}]" for i, j in free]
+        assert list(pp.space.X_idx[mask]) == [-1] * int(mask.sum())

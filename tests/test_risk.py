@@ -4,7 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status, build_simple_lp
 from dpconic.dp import NoiseSpec, calibrate_laplace
-from dpconic.ldr import DecisionRule, SumQuery, VertexChance, privatize
+from dpconic.dp import sample_noise
+from dpconic.ldr import (
+    DecisionRule,
+    FixedRecourseQuery,
+    IdentityQuery,
+    IndividualChance,
+    SumQuery,
+    VertexChance,
+    WeightedSumQuery,
+    privatize,
+)
 from dpconic.risk import (
     CVaRSpec,
     augment_with_cvar,
@@ -175,3 +185,96 @@ class TestCvarSpecValidation:
             CVaRSpec(q=0.0, samples=5, loss=(1.0,))
         with pytest.raises(ValueError):
             CVaRSpec(q=0.5, samples=0, loss=(1.0,))
+
+
+def _ref_augment(privatized, spec, seed, stream=1, blend=0.0):
+    """The loop over samples, rule coordinates and noise coordinates that
+    built the CVaR rows before they came from RuleSpace.expand."""
+    base, space, loss = privatized.program, privatized.space, spec.loss_vector
+    zetas = sample_noise(privatized.noise, seed, spec.samples, stream)
+    S, n0 = spec.samples, base.n
+    z_idx = np.arange(n0 + 1, n0 + 1 + S)
+    A_pos = np.zeros((S, n0 + 1 + S))
+    A_pos[np.arange(S), z_idx] = -1.0
+    A_epi, b_epi = np.zeros((S, n0 + 1 + S)), np.zeros(S)
+    for s in range(S):
+        A_epi[s, z_idx[s]] = -1.0
+        A_epi[s, n0] = -1.0
+        for i in range(space.n):
+            if loss[i] == 0.0:
+                continue
+            A_epi[s, space.xbar_idx[i]] += loss[i]
+            for j in range(space.k):
+                contrib = loss[i] * zetas[s, j]
+                if space.X_idx[i, j] < 0:  # pinned
+                    b_epi[s] += contrib * space.pin_values[i, j]
+                else:
+                    A_epi[s, space.X_idx[i, j]] += contrib
+    A = np.vstack([np.hstack([base.A, np.zeros((base.m, 1 + S))]), A_pos, A_epi])
+    b = np.concatenate([base.b, np.zeros(S), -b_epi])
+    c = np.concatenate([blend * base.c, np.zeros(1 + S)])
+    c[n0] = 1.0
+    c[z_idx] = 1.0 / ((1.0 - spec.q) * S)
+    blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
+    blocks += [(ConeKind.NONNEG.value, S)] * 2
+    names = base.variable_names + ("gamma",) + tuple(f"z[{s}]" for s in range(S))
+    return ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names)
+
+
+def _privatized(query_kind, seed):
+    """A random box-like program, privatized under the named query."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    A = rng.normal(size=(6, n))
+    A[rng.random(A.shape) < 0.3] = 0.0
+    prog = ConicProgram(A, rng.uniform(1.0, 3.0, 6), rng.normal(size=n),
+                        ConeSpec([("NonNeg", 6)]))
+    if query_kind == "weighted":
+        query, k = WeightedSumQuery(rng.uniform(0.5, 2.0, n)), 1
+    elif query_kind == "identity":
+        query, k = IdentityQuery(), n
+    elif query_kind == "identity-rows":
+        # the SVM's structure: the first k rows of X pinned to I, the rest free
+        k = 2
+        mask = np.zeros((n, k), dtype=bool)
+        mask[:k] = True
+        query = FixedRecourseQuery(np.eye(n, k), mask)
+    else:
+        k = 2
+        mask = rng.random((n, k)) < 0.6
+        mask[0] = False
+        query = FixedRecourseQuery(rng.normal(size=(n, k)), mask)
+    noise = calibrate_laplace(0.2, 1.0, k=k)
+    return privatize(prog, noise, query, IndividualChance(eta=0.1), seed=seed)
+
+
+class TestAugmentMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("query_kind", ["weighted", "identity", "identity-rows"])
+    def test_same_program(self, query_kind, seed):
+        pp = _privatized(query_kind, seed)
+        loss = np.random.default_rng(seed + 10).normal(size=pp.space.n)
+        loss[1] = 0.0
+        spec = CVaRSpec(q=0.8, samples=13, loss=tuple(loss))
+        got, layout = augment_with_cvar(pp, spec, seed=seed, blend=0.5)
+        ref = _ref_augment(pp, spec, seed, blend=0.5)
+        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(got.b, ref.b)
+        assert np.array_equal(got.c, ref.c)
+        assert got.cones == ref.cones
+        assert got.variable_names == ref.variable_names
+        assert list(layout["z"]) == list(range(pp.program.n + 1, got.n))
+
+    def test_general_pins_sum_in_another_order(self):
+        # with several pinned entries per noise coordinate and pins other
+        # than 0/1, the expansion sums the constant as sum_j (l'V)_j zeta_j
+        # where the loop summed sum_i sum_j (l_i zeta_j) V_ij: equal up to
+        # rounding, while the matrix and objective stay exact
+        pp = _privatized("pinned", 3)
+        assert (np.count_nonzero(pp.space.X_idx < 0, axis=0) > 1).any()
+        spec = CVaRSpec(q=0.7, samples=11, loss=(1.0, -2.0, 0.5, 3.0))
+        got, _ = augment_with_cvar(pp, spec, seed=4)
+        ref = _ref_augment(pp, spec, 4)
+        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(got.c, ref.c)
+        np.testing.assert_allclose(got.b, ref.b, rtol=1e-14, atol=1e-14)
