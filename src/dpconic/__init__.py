@@ -29,8 +29,6 @@ from .dp import (
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
-    input_perturbation,
-    output_perturbation,
     privacy_ratio_check,
     sample_noise,
     sensitivity_sample_size,
@@ -55,7 +53,7 @@ from .ldr import (
     split_equalities,
     vertex_sample_size,
 )
-from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, optimality_loss, var_empirical
+from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
 from .solver import NumericalBreakdown, SolverSettings, kkt_report, solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

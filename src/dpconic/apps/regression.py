@@ -295,10 +295,14 @@ def monotonicity_violation_rate(model: RegressionModel, w_center: np.ndarray,
                                 noise: NoiseSpec, samples: int, seed: int,
                                 stream: int = 0, tol: float = 1e-9) -> float:
     """Fraction of released weights w_center + zeta with some C row negative."""
-    C = model.C
     draws = sample_noise(noise, seed, samples, stream)
-    vals = (w_center[None, :] + draws) @ C.T
-    return float((vals < -tol).any(axis=1).mean())
+    return float(monotonicity_violated(model, w_center[None, :] + draws, tol).mean())
+
+
+def monotonicity_violated(model: RegressionModel, ws: np.ndarray,
+                          tol: float = 1e-9) -> np.ndarray:
+    """Per row of ws, whether some derivative row C w is below -tol."""
+    return (ws @ model.C.T < -tol).any(axis=1)
 
 
 def expected_regression_loss(model: RegressionModel, w_center: np.ndarray,

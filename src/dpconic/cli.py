@@ -19,14 +19,9 @@ from .dp import (
     estimate_sensitivity,
     sensitivity_sample_size,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import APPS, ExperimentConfig, run_experiment
 from .ldr import IdentityQuery, SumQuery, VertexChance, IndividualChance, privatize
 from .solver import SolverSettings, solve
-from .apps import ellipsoid as app_ellipsoid
-from .apps import opf as app_opf
-from .apps import regression as app_regression
-from .apps import simple_lp as app_simple
-from .apps import svm as app_svm
 
 EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER = 0, 2, 3
 
@@ -73,32 +68,14 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _adjacency_for(app: str, alpha: float, dataset: str | None):
-    if app == "simple-lp":
-        study = app_simple.SimpleLpStudy()
-        return app_simple.lower_bound_adjacency(study, alpha), 1
-    if app == "opf":
-        net = app_opf.load_network(dataset or "triangle3")
-        return app_opf.demand_adjacency(net, alpha), 1
-    if app == "svm":
-        train, _, _ = app_svm.synthetic_gaussian_classes(m=100, seed=0)
-        return app_svm.circle_law_adjacency(train), 1
-    if app == "regression":
-        model = app_regression.synthetic_cubic_data(n=100, seed=0)
-        return app_regression.circle_law_adjacency(model), 2
-    if app == "ellipsoid":
-        inst = app_ellipsoid.regular_polygon(5, radius=2.0)
-        return app_ellipsoid.b_range_adjacency(inst, 0.01), 2
-    raise ValueError(f"unknown app {app!r}")
-
-
 def _cmd_sensitivity(args) -> int:
+    app = APPS[args.app]
     try:
-        adjacency, default_p = _adjacency_for(args.app, args.alpha, args.dataset)
-        p = args.p or default_p
+        # the svm and regression data are drawn on seed 0; --seed seeds the pairs
+        adjacency = app.adjacency(args.alpha, args.dataset, 0)
         samples = args.samples or sensitivity_sample_size(args.gamma, args.beta)
-        report = estimate_sensitivity(adjacency, p, samples, args.gamma,
-                                      args.beta, args.seed)
+        report = estimate_sensitivity(adjacency, args.p or app.p, samples,
+                                      args.gamma, args.beta, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -167,13 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sensitivity", help="Monte Carlo sensitivity estimate")
-    p.add_argument("--app", required=True, choices=("simple-lp", "opf", "svm",
-                                                    "regression", "ellipsoid"))
+    p.add_argument("--app", required=True, choices=tuple(APPS))
     p.add_argument("--alpha", type=float, required=True,
-                   help="adjacency radius; inf for whole-universe adjacency")
+                   help="adjacency radius; inf for whole-universe adjacency "
+                        "(ellipsoid: b-range fraction in (0, 1), else 0.01)")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--p", type=int, choices=(1, 2), default=None)
+    p.add_argument("--p", type=int, choices=(1, 2), default=None,
+                   help="sensitivity norm; default: the app's (1 Laplace, 2 Gaussian)")
     p.add_argument("--samples", type=int, default=None,
                    help="override the sample-size rule")
     p.add_argument("--seed", type=int, default=0)

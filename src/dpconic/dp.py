@@ -1,7 +1,6 @@
 """Differential-privacy primitives.
 
-Noise sampling and mechanism calibration (Laplace / Gaussian), the two
-baseline perturbation strategies (output and input perturbation), and Monte
+Noise sampling and mechanism calibration (Laplace / Gaussian) and Monte
 Carlo estimation of the worst-case query sensitivity over adjacent-dataset
 pairs.
 
@@ -253,30 +252,6 @@ def estimate_sensitivity(
         p=p, alpha=adjacency.alpha, gamma=gamma, beta=beta,
         samples=samples, delta_p=worst, failures=tuple(failures),
     )
-
-
-# --- baseline strategies ------------------------------------------------------
-
-
-def output_perturbation(query_value: np.ndarray, spec: NoiseSpec, seed: int,
-                        stream: int = 0) -> np.ndarray:
-    """query + one noise draw; the draw equals sample_noise(spec, seed, 1)."""
-    value = np.atleast_1d(np.asarray(query_value, dtype=float))
-    if value.shape[0] != spec.k:
-        raise ValueError(f"query dim {value.shape[0]} != noise dim {spec.k}")
-    return value + sample_noise(spec, seed, 1, stream)[0]
-
-
-def input_perturbation(rebuild, spec: NoiseSpec, solver, seed: int, stream: int = 0):
-    """Perturb the designated private coordinates, then solve.
-
-    rebuild(zeta) must return the ConicProgram built on the perturbed
-    dataset D + zeta; solver is a callable program -> Solution.  The
-    Solution is returned as-is (possibly with an infeasible status, which
-    callers count toward infeasibility rates).
-    """
-    zeta = sample_noise(spec, seed, 1, stream)[0]
-    return solver(rebuild(zeta))
 
 
 def laplace_ratio_sup(gap_l1: float, scale: float) -> float:

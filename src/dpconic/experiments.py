@@ -1,13 +1,20 @@
 """Batch experiment harness: three strategies, CSV + manifest reports.
 
 One experiment = an application, a list of perturbation strategies and a
-grid of adjacency values.  The points run one after another in the calling
-thread.  Every (strategy, alpha) point runs with its own deterministic seed
-stream, and every strategy at one alpha shares one noise calibration (for the
-apps whose sensitivity is a Monte Carlo estimate, one estimate per alpha), so
-a rerun with the same config file produces byte-identical artifacts.  Failed
-points (e.g. an infeasible chance-constrained program at high privacy) become
-rows with a status column instead of aborting the study.
+grid of adjacency values.  ``APPS`` is the one registry of applications:
+for each it holds the sensitivity norm, the adjacency model, the Monte
+Carlo estimate settings and the point runner, and both ``run_experiment``
+and the command line read it.  The svm, regression and ellipsoid studies
+release a vector and share one runner: it draws all of a point's released
+rows from one noise stream and hands them to the study's score.
+
+The points run one after another in the calling thread.  Every (strategy,
+alpha) point runs with its own deterministic seed stream, and every
+strategy at one alpha shares one noise calibration (for the apps whose
+sensitivity is a Monte Carlo estimate, one estimate per alpha), so a rerun
+with the same config file produces byte-identical artifacts.  Failed
+points (e.g. an infeasible chance-constrained program at high privacy)
+become rows with a status column instead of aborting the study.
 """
 
 from __future__ import annotations
@@ -17,13 +24,15 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .conic import Status
-from .dp import (SensitivityReport, calibrate_gaussian, calibrate_laplace,
+from .dp import (AdjacencyModel, NoiseSpec, SensitivityReport, calibrate_laplace,
                  estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
                   WeightedSumQuery, privatize)
@@ -36,7 +45,6 @@ from .apps import simple_lp as app_simple
 from .apps import svm as app_svm
 from .apps.metrics import evaluate_rule_metrics
 
-APPS = ("simple-lp", "opf", "svm", "regression", "ellipsoid")
 STRATEGIES = ("input", "output", "program")
 
 # stream id of a point's Monte Carlo evaluation
@@ -60,7 +68,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.app not in APPS:
-            raise ValueError(f"unknown app {self.app!r}; choose from {APPS}")
+            raise ValueError(f"unknown app {self.app!r}; choose from {tuple(APPS)}")
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad:
             raise ValueError(f"unknown strategies {bad}")
@@ -113,49 +121,20 @@ def _point_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index) % (2**63)
 
 
-# --- per-alpha noise calibration -----------------------------------------------
-#
-# svm, regression and ellipsoid calibrate their noise from a Monte Carlo
-# sensitivity estimate; opf and simple-lp use analytic bounds and have none.
-
-
-def _ellipsoid_instance():
-    return app_ellipsoid.regular_polygon(5, radius=2.0)
-
-
-def _svm_sensitivity(cfg, alpha, seed) -> SensitivityReport:
-    train, _, _ = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
-    return estimate_sensitivity(app_svm.circle_law_adjacency(train), p=1,
-                                samples=99, gamma=0.1, beta=0.1, seed=seed)
-
-
-def _regression_sensitivity(cfg, alpha, seed) -> SensitivityReport:
-    model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
-    return estimate_sensitivity(app_regression.circle_law_adjacency(model), p=2,
-                                samples=199, gamma=0.5, beta=0.1, seed=seed)
-
-
-def _ellipsoid_sensitivity(cfg, alpha, seed) -> SensitivityReport:
-    gamma_frac = alpha if 0 < alpha < 1 else 0.01
-    adj = app_ellipsoid.b_range_adjacency(_ellipsoid_instance(), gamma_frac)
-    return estimate_sensitivity(adj, p=2, samples=99, gamma=0.1, beta=0.1,
-                                seed=seed)
-
-
-_SENSITIVITY = {
-    "svm": _svm_sensitivity,
-    "regression": _regression_sensitivity,
-    "ellipsoid": _ellipsoid_sensitivity,
-}
-
-
 def _calibration_seed(base: int, alpha_index: int) -> int:
     # negative indices keep every estimate's Philox keys apart from the
     # points' keys (index >= 0), which the evaluation streams also use
     return _point_seed(base, -1 - alpha_index)
 
 
-# --- per-app runners ----------------------------------------------------------
+def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
+    """An "ok" point: mean and 0.95-CVaR of the losses, share of violated draws."""
+    return PointResult(strategy, alpha, float(np.mean(losses)),
+                       cvar_empirical(losses, 0.95), float(np.mean(violated)),
+                       "ok", extra or {})
+
+
+# --- per-app point runners ----------------------------------------------------
 #
 # runner(cfg, strategy, alpha, seed, sensitivity): ``sensitivity()`` returns
 # the SensitivityReport shared by every point at this alpha, estimated on the
@@ -169,19 +148,13 @@ def _run_simple_lp(cfg, strategy, alpha, seed, sensitivity):
     S = cfg.mc_samples
     if strategy in ("output", "input"):
         # x* = lower, so the two strategies coincide on this program
-        draws = sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
-        xs = study.lower + draws
-        losses = study.c * xs - study.c * base.x[0]
-        infeas = float(1.0 - study.in_box(xs).mean())
+        xs = study.lower + sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
     else:
         rule, noise, base = app_simple.privatize_simple_lp(
             study, cfg.epsilon, alpha, cfg.eta, seed)
-        draws = sample_noise(noise, seed, S, _EVAL_STREAM)
-        xs = rule.evaluate_many(draws).ravel()
-        losses = study.c * xs - study.c * base.x[0]
-        infeas = float(1.0 - study.in_box(xs).mean())
-    return PointResult(strategy, alpha, float(losses.mean()),
-                       cvar_empirical(losses, 0.95), infeas, "ok")
+        xs = rule.evaluate_many(sample_noise(noise, seed, S, _EVAL_STREAM)).ravel()
+    return _point(strategy, alpha, study.c * xs - study.c * base.x[0],
+                  ~study.in_box(xs))
 
 
 def _run_opf(cfg, strategy, alpha, seed, sensitivity):
@@ -198,20 +171,14 @@ def _run_opf(cfg, strategy, alpha, seed, sensitivity):
         noise = calibrate_laplace(d1, cfg.epsilon, k=1)
         draws = sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
         released = base.objective + draws
-        infeas = float(np.mean([
-            not app_opf.released_cost_feasible(v, lo, hi) for v in released]))
-        losses = draws
-        return PointResult(strategy, alpha, float(losses.mean()),
-                           cvar_empirical(losses, 0.95), infeas, "ok")
+        return _point(strategy, alpha, draws, [
+            not app_opf.released_cost_feasible(v, lo, hi) for v in released])
     if strategy == "input":
         costs, solved = app_opf.input_perturbation_costs(
             net, alpha, cfg.epsilon, S, seed)
         ok = solved & np.isfinite(costs)
         feasible = ok & (costs >= lo - 1e-7) & (costs <= hi + 1e-7)
-        infeas = float(1.0 - feasible.mean())
-        losses = costs[ok] - base.objective
-        return PointResult(strategy, alpha, float(losses.mean()),
-                           cvar_empirical(losses, 0.95), infeas, "ok")
+        return _point(strategy, alpha, costs[ok] - base.objective, ~feasible)
     try:
         pv = app_opf.privatize_opf(net, cfg.epsilon, alpha, cfg.eta,
                                    method=cfg.method, seed=seed)
@@ -220,112 +187,150 @@ def _run_opf(cfg, strategy, alpha, seed, sensitivity):
                            f"infeasible:{exc}")
     m = evaluate_rule_metrics(pv.rule, program, base, pv.noise, S, seed,
                               stream=_EVAL_STREAM)
-    return PointResult(strategy, alpha, m.mean_loss,
-                       cvar_empirical(m.losses, 0.95), m.infeasibility_rate, "ok")
+    return _point(strategy, alpha, m.losses, ~m.feasible)
 
 
-def _run_svm(cfg, strategy, alpha, seed, sensitivity):
-    if strategy == "input":
-        return PointResult(strategy, alpha, None, None, None, "unsupported")
+@dataclass(frozen=True)
+class _VectorStudy:
+    """A study that releases a vector: the first k entries of a nominal
+    solution plus noise calibrated from the shared sensitivity estimate.
+
+    ``nominal`` is the deterministic optimum ("output"); ``privatize(noise,
+    seed)`` returns the privatized rule's xbar over the same variables
+    ("program") and raises RuntimeError when that program has no optimum.
+    ``score(rows, nominal)`` maps the (S, k) released rows to per-row
+    (loss, violated).  ``delta`` is the Gaussian delta when the config
+    leaves it at 0; at most ``draws`` rows are scored.
+    """
+
+    k: int
+    delta: float
+    nominal: np.ndarray
+    privatize: Callable[[NoiseSpec, int], np.ndarray]
+    score: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    draws: int
+
+
+def _svm_study(cfg) -> _VectorStudy:
     train, tx, ty = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
     w, b, det_sol = app_svm.solve_svm(train)
     acc0 = app_svm.accuracy(w, b, tx, ty)
-    rep = sensitivity()
-    noise = calibrate_laplace(rep.delta_p, cfg.epsilon, k=train.n + 1)
-    if strategy == "output":
-        center_w, center_b = w, b
-        hinge_slack = det_sol.x[2 + train.n:]
-    else:
-        try:
-            pv = app_svm.privatize_svm(train, noise,
-                                       IndividualChance(eta_bar=cfg.eta), seed=seed)
-        except RuntimeError as exc:
-            return PointResult(strategy, alpha, None, None, None,
-                               f"infeasible:{exc}")
-        center_w, center_b = pv.w_nominal, pv.b_nominal
-        hinge_slack = pv.rule.xbar[train.n + 1:]
-    reps = min(cfg.mc_samples, 200)
-    drops, violations = [], []
-    for s in range(reps):
-        d = sample_noise(noise, seed, 1, stream=_EVAL_STREAM + s)[0]
-        wr, br = center_w + d[:-1], center_b + d[-1]
-        drops.append(acc0 - app_svm.accuracy(wr, br, tx, ty))
-        margins = train.labels * (train.features @ wr - br) - 1 + hinge_slack
-        violations.append(bool((margins < -1e-9).any()))
-    drops = np.asarray(drops)
-    return PointResult(strategy, alpha, float(drops.mean()),
-                       cvar_empirical(drops, 0.95), float(np.mean(violations)),
-                       "ok", extra={"sensitivity": rep.delta_p})
+    chance = IndividualChance(eta_bar=cfg.eta)
+
+    def score(rows, nominal):
+        # accuracy drop of each released (w, b); a margin row is violated
+        # when the nominal's hinge slack z no longer covers it
+        drops = np.array([acc0 - app_svm.accuracy(r[:-1], r[-1], tx, ty)
+                          for r in rows])
+        margins = train.labels * (rows[:, :-1] @ train.features.T - rows[:, -1:])
+        return drops, (margins - 1 + nominal[train.n + 1:] < -1e-9).any(axis=1)
+
+    return _VectorStudy(
+        k=train.n + 1, delta=0.0, nominal=det_sol.x[1:],  # (w, b, z), t dropped
+        privatize=lambda noise, seed: app_svm.privatize_svm(
+            train, noise, chance, seed=seed).rule.xbar,
+        score=score, draws=200)
 
 
-def _run_regression(cfg, strategy, alpha, seed, sensitivity):
-    if strategy == "input":
-        return PointResult(strategy, alpha, None, None, None, "unsupported")
+def _regression_study(cfg) -> _VectorStudy:
     model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
     w_det, _ = app_regression.solve_regression(model)
-    rep = sensitivity()
-    delta = cfg.delta if cfg.delta > 0 else 0.01
-    noise = calibrate_gaussian(rep.delta_p, cfg.epsilon, delta, k=model.basis.dim)
-    if strategy == "output":
-        center = w_det
-    else:
-        try:
-            pv = app_regression.privatize_regression(model, noise, eta=cfg.eta,
-                                                     seed=seed)
-        except RuntimeError as exc:
-            return PointResult(strategy, alpha, None, None, None,
-                               f"infeasible:{exc}")
-        center = pv.w_nominal
-    S = min(cfg.mc_samples, 500)
-    infeas = app_regression.monotonicity_violation_rate(model, center, noise,
-                                                        S, seed, _EVAL_STREAM)
     base_loss = model.loss(w_det)
-    draws = sample_noise(noise, seed, S, _EVAL_STREAM)
-    losses = np.array([model.loss(center + d) for d in draws]) - base_loss
-    return PointResult(strategy, alpha, float(losses.mean()),
-                       cvar_empirical(losses, 0.95), infeas, "ok",
-                       extra={"sensitivity": rep.delta_p})
+
+    def score(rows, nominal):
+        losses = np.array([model.loss(r) for r in rows]) - base_loss
+        return losses, app_regression.monotonicity_violated(model, rows)
+
+    return _VectorStudy(
+        k=model.basis.dim, delta=0.01, nominal=w_det,
+        privatize=lambda noise, seed: app_regression.privatize_regression(
+            model, noise, eta=cfg.eta, seed=seed).rule.xbar,
+        score=score, draws=500)
 
 
-def _run_ellipsoid(cfg, strategy, alpha, seed, sensitivity):
-    if strategy == "input":
-        return PointResult(strategy, alpha, None, None, None, "unsupported")
+def _ellipsoid_instance():
+    return app_ellipsoid.regular_polygon(5, radius=2.0)
+
+
+def _ellipsoid_study(cfg) -> _VectorStudy:
     inst = _ellipsoid_instance()
     z_det, Y_det, _, _ = app_ellipsoid.solve_ellipsoid(inst)
     vol_det = app_ellipsoid.ellipsoid_volume(Y_det)
+
+    def score(rows, nominal):
+        zY = [app_ellipsoid.unpack_rule_vector(r) for r in rows]
+        deficits = [vol_det - app_ellipsoid.ellipsoid_volume(Y) for _, Y in zY]
+        outside = [not app_ellipsoid.contains_ellipsoid(inst, z, Y) for z, Y in zY]
+        return np.array(deficits), np.array(outside)
+
+    return _VectorStudy(
+        k=app_ellipsoid.RULE_DIM, delta=0.1,
+        nominal=app_ellipsoid.rule_vector(z_det, Y_det),
+        privatize=lambda noise, seed: app_ellipsoid.privatize_ellipsoid(
+            inst, noise, eta=cfg.eta, seed=seed).rule.xbar,
+        score=score, draws=500)
+
+
+def _run_vector(study, cfg, strategy, alpha, seed, sensitivity):
+    """Point runner of the svm, regression and ellipsoid studies."""
+    if strategy == "input":
+        return PointResult(strategy, alpha, None, None, None, "unsupported")
+    st = study(cfg)
     rep = sensitivity()
-    delta = cfg.delta if cfg.delta > 0 else 0.1
-    noise = calibrate_gaussian(rep.delta_p, cfg.epsilon, delta,
-                               k=app_ellipsoid.RULE_DIM)
-    if strategy == "output":
-        center = app_ellipsoid.rule_vector(z_det, Y_det)
-    else:
-        try:
-            pv = app_ellipsoid.privatize_ellipsoid(inst, noise, eta=cfg.eta,
-                                                   seed=seed)
-        except RuntimeError as exc:
-            return PointResult(strategy, alpha, None, None, None,
-                               f"infeasible:{exc}")
-        center = pv.rule.xbar
-    S = min(cfg.mc_samples, 500)
-    outside, deficits = [], []
-    for s in range(S):
-        d = sample_noise(noise, seed, 1, stream=_EVAL_STREAM + s)[0]
-        zr, Yr = app_ellipsoid.unpack_rule_vector(center + d)
-        outside.append(not app_ellipsoid.contains_ellipsoid(inst, zr, Yr))
-        deficits.append(vol_det - app_ellipsoid.ellipsoid_volume(Yr))
-    deficits = np.asarray(deficits)
-    return PointResult(strategy, alpha, float(deficits.mean()),
-                       cvar_empirical(deficits, 0.95), float(np.mean(outside)),
-                       "ok", extra={"sensitivity": rep.delta_p})
+    delta = cfg.delta if cfg.delta > 0 else st.delta
+    noise = rep.privacy_params(cfg.epsilon, delta).noise(st.k)
+    try:
+        nominal = st.nominal if strategy == "output" else st.privatize(noise, seed)
+    except RuntimeError as exc:
+        return PointResult(strategy, alpha, None, None, None, f"infeasible:{exc}")
+    draws = sample_noise(noise, seed, min(cfg.mc_samples, st.draws), _EVAL_STREAM)
+    losses, violated = st.score(nominal[:st.k] + draws, nominal)
+    return _point(strategy, alpha, losses, violated, {"sensitivity": rep.delta_p})
 
 
-_RUNNERS = {
-    "simple-lp": _run_simple_lp,
-    "opf": _run_opf,
-    "svm": _run_svm,
-    "regression": _run_regression,
-    "ellipsoid": _run_ellipsoid,
+# --- the app registry ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class App:
+    """How the CLI and run_experiment estimate, calibrate and run one study.
+
+    ``p`` is the sensitivity norm (1: Laplace noise, 2: Gaussian).
+    ``adjacency(alpha, dataset, data_seed)`` builds the adjacency model the
+    sensitivity is estimated on.  ``estimate`` is the experiment's
+    (samples, gamma, beta), or None for the apps whose noise follows from
+    an analytic bound.  ``run`` is the point runner.
+    """
+
+    p: int
+    adjacency: Callable[[float, str | None, int], AdjacencyModel]
+    estimate: tuple[int, float, float] | None
+    run: Callable[..., PointResult]
+
+
+APPS: dict[str, App] = {
+    "simple-lp": App(
+        1, lambda alpha, dataset, data_seed: app_simple.lower_bound_adjacency(
+            app_simple.SimpleLpStudy(), alpha),
+        None, _run_simple_lp),
+    "opf": App(
+        1, lambda alpha, dataset, data_seed: app_opf.demand_adjacency(
+            app_opf.load_network(dataset or "triangle3"), alpha),
+        None, _run_opf),
+    "svm": App(
+        1, lambda alpha, dataset, data_seed: app_svm.circle_law_adjacency(
+            app_svm.synthetic_gaussian_classes(m=100, seed=data_seed)[0]),
+        (99, 0.1, 0.1), partial(_run_vector, _svm_study)),
+    "regression": App(
+        2, lambda alpha, dataset, data_seed: app_regression.circle_law_adjacency(
+            app_regression.synthetic_cubic_data(n=100, seed=data_seed)),
+        (199, 0.5, 0.1), partial(_run_vector, _regression_study)),
+    # alpha in (0, 1) is the fraction each b_i ranges over; any other alpha
+    # (the whole-universe inf among them) means 0.01
+    "ellipsoid": App(
+        2, lambda alpha, dataset, data_seed: app_ellipsoid.b_range_adjacency(
+            _ellipsoid_instance(), alpha if 0 < alpha < 1 else 0.01),
+        (99, 0.1, 0.1), partial(_run_vector, _ellipsoid_study)),
 }
 
 
@@ -387,14 +392,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.app]
+    app = APPS[config.app]
     reports: dict[int, SensitivityReport] = {}
 
     def shared_sensitivity(j):
         def get():
             if j not in reports:
-                reports[j] = _SENSITIVITY[config.app](
-                    config, config.alphas[j], _calibration_seed(config.seed, j))
+                samples, gamma, beta = app.estimate
+                adjacency = app.adjacency(config.alphas[j], config.dataset,
+                                          config.seed)
+                reports[j] = estimate_sensitivity(
+                    adjacency, app.p, samples, gamma, beta,
+                    seed=_calibration_seed(config.seed, j))
             return reports[j]
         return get
 
@@ -403,8 +412,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for idx, (strategy, j) in enumerate(points):
         alpha = config.alphas[j]
         try:
-            res = runner(config, strategy, alpha, _point_seed(config.seed, idx),
-                         shared_sensitivity(j))
+            res = app.run(config, strategy, alpha, _point_seed(config.seed, idx),
+                          shared_sensitivity(j))
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             res = PointResult(strategy, alpha, None, None, None,
                               f"error:{type(exc).__name__}:{exc}")

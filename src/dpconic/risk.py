@@ -1,4 +1,4 @@
-"""Optimality-loss evaluation and CVaR co-optimization.
+"""Empirical VaR/CVaR and CVaR co-optimization.
 
 The loss of a rule against the deterministic optimum is itself random; its
 tail is controlled by minimizing the empirical conditional value-at-risk
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConeKind, ConeSpec, ConicProgram, Solution
-from .dp import NoiseSpec, sample_noise
-from .ldr import DecisionRule, PrivatizedProgram
+from .conic import ConeKind, ConeSpec, ConicProgram
+from .dp import sample_noise
+from .ldr import PrivatizedProgram
 
 
 @dataclass(frozen=True)
@@ -37,27 +37,6 @@ class CVaRSpec:
     @property
     def loss_vector(self) -> np.ndarray:
         return np.asarray(self.loss, dtype=float)
-
-
-def optimality_loss(
-    rule: DecisionRule,
-    base: Solution,
-    loss: np.ndarray,
-    noise: NoiseSpec,
-    samples: int,
-    seed: int,
-    stream: int = 0,
-) -> dict:
-    """Per-sample and mean loss of the rule against the deterministic optimum.
-
-    loss_s = l'(xbar + X zeta_s) - l'(x*), for the linear functional l.
-    """
-    loss = np.asarray(loss, dtype=float).ravel()
-    zetas = sample_noise(noise, seed, samples, stream)
-    values = rule.evaluate_many(zetas) @ loss
-    base_value = float(loss @ base.x)
-    per_sample = values - base_value
-    return {"mean": float(per_sample.mean()), "samples": per_sample}
 
 
 def var_empirical(losses: np.ndarray, q: float) -> float:

@@ -51,7 +51,12 @@ _BATCH_MIN_BLOCKS = 4
 
 
 class NumericalBreakdown(RuntimeError):
-    """KKT system stayed singular after regularization escalation."""
+    """The iteration cannot go on: a singular or non-finite KKT system, or
+    an SOC block of s or z with a zero J-norm, which the NT scaling divides
+    by (an iterate on the cone's boundary, as at an apex optimum)."""
+
+
+_ON_BOUNDARY = "iterate on the boundary of a second-order cone"
 
 
 @dataclass(frozen=True)
@@ -227,6 +232,8 @@ class _Scaling:
         for k, sl in enumerate(lay.q_slices):
             sk, zk = s[sl], z[sl]
             aa, bb = _jnrm2(sk), _jnrm2(zk)
+            if aa <= 0.0 or bb <= 0.0:
+                raise NumericalBreakdown(_ON_BOUNDARY)
             self.betas[k] = math.sqrt(aa / bb)
             cc = math.sqrt((sk @ zk / (aa * bb) + 1.0) / 2.0)
             v = -zk / bb
@@ -256,6 +263,8 @@ class _Scaling:
             v = self.vs[k]
             st, zt = s_new[sl], z_new[sl]
             aa, bb = _jnrm2(st), _jnrm2(zt)
+            if aa <= 0.0 or bb <= 0.0:
+                raise NumericalBreakdown(_ON_BOUNDARY)
             sb, zb = st / aa, zt / bb
             cc = math.sqrt((1.0 + sb @ zb) / 2.0)
             vs = v @ sb
@@ -446,6 +455,8 @@ class _BatchedScaling:
         lam[:l] = np.sqrt(s[:l] * z[:l])
         sq, zq = s[l:], z[l:]
         aa, bb = self._jnrm2(sq), self._jnrm2(zq)
+        if (aa <= 0.0).any() or (bb <= 0.0).any():
+            raise NumericalBreakdown(_ON_BOUNDARY)
         self.beta = np.sqrt(aa / bb)
         cc = np.sqrt((self._dot(sq, zq) / (aa * bb) + 1.0) / 2.0)
         sa, zb = sq / aa[b], zq / bb[b]
@@ -470,6 +481,8 @@ class _BatchedScaling:
         lam[:l] = ssq * zsq
         st, zt = s_new[l:], z_new[l:]
         aa, bb = self._jnrm2(st), self._jnrm2(zt)
+        if (aa <= 0.0).any() or (bb <= 0.0).any():
+            raise NumericalBreakdown(_ON_BOUNDARY)
         sb, zb = st / aa[b], zt / bb[b]
         cc = np.sqrt((1.0 + self._dot(sb, zb)) / 2.0)
         c2 = 2.0 * cc
@@ -794,7 +807,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
                            best[4], best[5], best[6], iters, eq_scale)
 
         if iters == 0:
-            lam = W.compute(s, z)
+            try:
+                lam = W.compute(s, z)
+            except NumericalBreakdown:
+                return give_up(iters)
             dg = math.sqrt(kappa / tau)
             dgi = math.sqrt(tau / kappa)
             lam_g = math.sqrt(tau * kappa)
@@ -883,7 +899,11 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
         y = y + step * dy_
         s_new = lam + step * ds
         z_new = lam + step * dzt
-        W.update(lam, s_new, z_new)
+        try:
+            W.update(lam, s_new, z_new)
+        except NumericalBreakdown:
+            # counted like a non-finite update, which the next pass catches
+            return give_up(iters + 1)
         tau_f = 1.0 + step * dtau / lam_g
         kap_f = 1.0 + step * dkap / lam_g
         dg *= math.sqrt(kap_f) / math.sqrt(tau_f)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dpconic.cli import main
+from dpconic.cli import build_parser, main
+from dpconic.experiments import APPS, ExperimentConfig
 from dpconic.conic import build_simple_lp, program_from_json, program_to_json
 
 
@@ -57,6 +59,17 @@ class TestSensitivity:
                    "--gamma", "0.5", "--beta", "0.5", "--samples", "3",
                    "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_every_registered_app(self, tmp_path, app):
+        out = tmp_path / "rep.json"
+        rc = main(["sensitivity", "--app", app, "--alpha", "1",
+                   "--gamma", "0.5", "--beta", "0.5", "--samples", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["p"] == APPS[app].p
+        assert doc["S"] == 3
 
     def test_bad_gamma_rejected(self):
         rc = main(["sensitivity", "--app", "simple-lp", "--alpha", "1",
@@ -149,3 +162,27 @@ class TestExperiment:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["status"] == "Optimal"
+
+
+class TestAppRegistry:
+    def test_app_choices_are_the_registry(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        app = next(a for a in sub.choices["sensitivity"]._actions if a.dest == "app")
+        assert tuple(app.choices) == tuple(APPS)
+
+    def test_config_accepts_the_registry(self):
+        for app in APPS:
+            assert ExperimentConfig(app=app).app == app
+        with pytest.raises(ValueError, match="unknown app"):
+            ExperimentConfig(app="nonsense")
+
+    def test_unknown_app_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sensitivity", "--app", "nonsense", "--alpha", "1",
+                  "--gamma", "0.5", "--beta", "0.5"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"app": "nonsense",
+                                   "output_dir": str(tmp_path / "run")}))
+        assert main(["experiment", "--config", str(cfg)]) == 2

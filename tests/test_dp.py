@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpconic.conic import Status, build_simple_lp
 from dpconic.dp import (
     AdjacencyModel,
     NoiseSpec,
@@ -14,15 +13,13 @@ from dpconic.dp import (
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
-    input_perturbation,
     laplace_ratio_sup,
-    output_perturbation,
     privacy_ratio_check,
     sample_noise,
     sensitivity_sample_size,
 )
 from dpconic.ldr import ConflictingConstraints
-from dpconic.solver import NumericalBreakdown, solve
+from dpconic.solver import NumericalBreakdown
 from dpconic.apps.simple_lp import SimpleLpStudy, lower_bound_adjacency
 
 
@@ -223,21 +220,6 @@ class TestEstimateSensitivity:
 
 
 class TestBaselineStrategies:
-    def test_output_perturbation_is_raw_draw(self):
-        spec = NoiseSpec("laplace", 2, 0.8)
-        v = np.array([1.0, 2.0])
-        out = output_perturbation(v, spec, seed=5)
-        assert np.array_equal(out, v + sample_noise(spec, 5, 1)[0])
-
-    def test_output_tiny_scale_limit(self):
-        spec = NoiseSpec("gaussian", 2, 1e-14)
-        out = output_perturbation(np.array([1.0, 2.0]), spec, seed=1)
-        assert np.allclose(out, [1.0, 2.0], atol=1e-12)
-
-    def test_output_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            output_perturbation(np.array([1.0]), NoiseSpec("laplace", 2, 1.0), 0)
-
     def test_simple_lp_output_infeasibility_half(self):
         # x* = lower: any negative draw leaves the box
         study = SimpleLpStudy()
@@ -246,29 +228,6 @@ class TestBaselineStrategies:
         xs = study.lower + draws
         rate = 1.0 - study.in_box(xs).mean()
         assert abs(rate - 0.5) < 0.02
-
-    def test_input_perturbation_zero_noise(self):
-        study = SimpleLpStudy()
-        spec = NoiseSpec("laplace", 1, 1e-15)
-
-        def rebuild(zeta):
-            return build_simple_lp(study.c, study.lower + zeta[0], study.upper)
-
-        sol = input_perturbation(rebuild, spec, solve, seed=3)
-        assert sol.status == Status.OPTIMAL
-        assert abs(sol.x[0] - study.lower) < 1e-6
-
-    def test_input_equals_output_on_simple_lp(self):
-        # x*(lower) = lower, so solving on the perturbed bound returns it
-        study = SimpleLpStudy()
-        spec = NoiseSpec("laplace", 1, 0.05)
-        zeta = sample_noise(spec, 21, 1)[0]
-
-        def rebuild(z):
-            return build_simple_lp(study.c, study.lower + z[0], study.upper)
-
-        sol = input_perturbation(rebuild, spec, solve, seed=21)
-        assert abs(sol.x[0] - (study.lower + zeta[0])) < 1e-6
 
 
 class TestPrivacyRatio:

@@ -19,10 +19,10 @@ from dpconic.risk import (
     CVaRSpec,
     augment_with_cvar,
     cvar_empirical,
-    optimality_loss,
     var_empirical,
 )
 from dpconic.solver import SolverSettings, solve
+from dpconic.apps.metrics import evaluate_rule_metrics
 
 
 def cvar_bruteforce(losses, q, grid=20001):
@@ -93,30 +93,34 @@ class TestCvarEmpirical:
 
 
 class TestOptimalityLoss:
+    """The loss column of evaluate_rule_metrics against a linear functional."""
+
     def test_deterministic_rule_zero_loss(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(base.x, np.zeros((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.3)
-        out = optimality_loss(rule, base, prog.c, noise, samples=100, seed=0)
-        assert abs(out["mean"]) < 1e-9
+        out = evaluate_rule_metrics(rule, prog, base, noise, samples=100, seed=0,
+                                    loss=prog.c)
+        assert abs(out.mean_loss) < 1e-9
 
     def test_nominal_suboptimality_floor(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(np.array([1.4]), np.zeros((1, 1)))
-        out = optimality_loss(rule, base, prog.c, noise=NoiseSpec("laplace", 1, 1e-14),
-                              samples=50, seed=1)
-        assert out["mean"] == pytest.approx(0.4, abs=1e-6)
+        out = evaluate_rule_metrics(rule, prog, base, NoiseSpec("laplace", 1, 1e-14),
+                                    samples=50, seed=1, loss=prog.c)
+        assert out.mean_loss == pytest.approx(0.4, abs=1e-6)
 
     def test_linear_loss_converges_to_nominal_gap(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(np.array([1.3]), np.ones((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.1)
-        out = optimality_loss(rule, base, prog.c, noise, samples=10**6, seed=2)
-        se = out["samples"].std() / np.sqrt(out["samples"].size)
-        assert abs(out["mean"] - (1.3 - base.x[0])) < 3 * se
+        out = evaluate_rule_metrics(rule, prog, base, noise, samples=10**6, seed=2,
+                                    loss=prog.c)
+        se = out.losses.std() / np.sqrt(out.losses.size)
+        assert abs(out.mean_loss - (1.3 - base.x[0])) < 3 * se
 
 
 class TestAugmentWithCvar:

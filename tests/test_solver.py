@@ -355,6 +355,24 @@ class TestNumericalBreakdown:
         assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
         assert sol.iterations == poisoned_update
 
+    @pytest.mark.parametrize("threshold", [10**9, 0])
+    def test_apex_optimum_ends_in_a_status(self, monkeypatch, threshold):
+        # min t s.t. t >= x^2: the optimum is the RSOC apex, where the dual's
+        # J-norm reaches 0 and the NT scaling is undefined
+        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", threshold)
+
+        def program(c0):
+            return ConicProgram(np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]]),
+                                np.array([0.0, 0.5, 0.0]), np.array([c0, 1.0]),
+                                ConeSpec([rsoc(3)]))
+        with np.errstate(all="raise"):
+            sol = solve(program(0.0))
+        assert sol.status == Status.MAX_ITER
+        assert sol.iterations == 28
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+        sol = solve(program(0.3))
+        assert sol.status == Status.OPTIMAL and sol.iterations == 7
+
     def test_nan_kkt_solve_returns_max_iter(self, monkeypatch):
         orig, calls = solver.lu_solve, []
 
