@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConicProgram, Solution, cone_membership, slack
+from ..conic import ConicProgram, Solution, cone_membership_rows
 from ..dp import NoiseSpec, sample_noise
 from ..ldr import DecisionRule
 
@@ -42,11 +42,8 @@ def evaluate_rule_metrics(
     xs = rule.evaluate_many(zetas)
     base_value = float(lvec @ base.x)
     losses = xs @ lvec - base_value
-    feasible = np.fromiter(
-        (cone_membership(slack(program, x), program.cones, membership_tol) for x in xs),
-        dtype=bool,
-        count=samples,
-    )
+    feasible = cone_membership_rows(program.b - xs @ program.A.T, program.cones,
+                                    membership_tol)
     return RuleMetrics(
         mean_loss=float(losses.mean()),
         infeasibility_rate=float(1.0 - feasible.mean()),

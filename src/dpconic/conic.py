@@ -168,30 +168,42 @@ def permute_columns(program: ConicProgram, order) -> ConicProgram:
                         variable_names=tuple(names[i] for i in order) if names else None)
 
 
-def _block_membership(v: np.ndarray, kind: ConeKind, tol: float) -> bool:
+def _row_dots(X: np.ndarray) -> np.ndarray:
+    """x @ x for each row x of X, with the BLAS dot a 1-D ``x @ x`` makes."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+
+
+def _block_membership(V: np.ndarray, kind: ConeKind, tol: float) -> np.ndarray:
+    """Per row of V, whether it lies in the block's cone within tol."""
     if kind == ConeKind.ZERO:
-        return bool(np.all(np.abs(v) <= tol))
+        return (np.abs(V) <= tol).all(axis=1)
     if kind == ConeKind.NONNEG:
-        return bool(np.all(v >= -tol))
+        return (V >= -tol).all(axis=1)
     if kind == ConeKind.SOC:
-        return v[0] >= np.linalg.norm(v[1:]) - tol
+        return V[:, 0] >= np.sqrt(_row_dots(V[:, 1:])) - tol
     # RSOC: 2 v1 v2 >= ||v3..||^2 with v1, v2 >= 0
-    if v[0] < -tol or v[1] < -tol:
-        return False
-    return 2.0 * v[0] * v[1] >= float(v[2:] @ v[2:]) - tol
+    return ((V[:, 0] >= -tol) & (V[:, 1] >= -tol)
+            & (2.0 * V[:, 0] * V[:, 1] >= _row_dots(V[:, 2:]) - tol))
+
+
+def cone_membership_rows(V: np.ndarray, cones: ConeSpec, tol: float = 0.0) -> np.ndarray:
+    """For each row of the (S, m) matrix V: does every block satisfy its
+    cone condition within tol."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != cones.dim:
+        raise ValueError(f"rows of length {V.shape[-1]} != cone dim {cones.dim}")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    inside = np.ones(V.shape[0], dtype=bool)
+    for blk, start in cones.offsets():
+        inside &= _block_membership(V[:, start : start + blk.dim], blk.kind, tol)
+    return inside
 
 
 def cone_membership(v: np.ndarray, cones: ConeSpec, tol: float = 0.0) -> bool:
     """True iff every block of v satisfies its cone condition within tol."""
     v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != cones.dim:
-        raise ValueError(f"vector length {v.shape[0]} != cone dim {cones.dim}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return all(
-        _block_membership(v[start : start + blk.dim], blk.kind, tol)
-        for blk, start in cones.offsets()
-    )
+    return bool(cone_membership_rows(v[None, :], cones, tol)[0])
 
 
 def build_simple_lp(c: float, lower: float, upper: float) -> ConicProgram:

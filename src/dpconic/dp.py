@@ -87,14 +87,19 @@ def calibrate_laplace(delta_1: float, epsilon: float, k: int = 1) -> NoiseSpec:
     return NoiseSpec("laplace", k, delta_1 / epsilon)
 
 
+def _gaussian_factor(delta: float) -> float:
+    """sqrt(2 ln(1.25/delta)): the Gaussian mechanism's sigma per unit of
+    delta_2 / epsilon."""
+    return math.sqrt(2.0 * math.log(1.25 / delta))
+
+
 def calibrate_gaussian(delta_2: float, epsilon: float, delta: float, k: int = 1) -> NoiseSpec:
     """Gaussian mechanism sigma = sqrt(2 ln(1.25/delta)) * delta_2 / epsilon."""
     if delta_2 <= 0 or epsilon <= 0:
         raise ValueError("delta_2 and epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    sigma = math.sqrt(2.0 * math.log(1.25 / delta)) * delta_2 / epsilon
-    return NoiseSpec("gaussian", k, sigma)
+    return NoiseSpec("gaussian", k, _gaussian_factor(delta) * delta_2 / epsilon)
 
 
 # --- privacy parameters -------------------------------------------------------
@@ -283,5 +288,5 @@ def privacy_ratio_check(
     if not 0 < delta < 1:
         raise ValueError("gaussian check needs delta in (0, 1)")
     gap = float(np.linalg.norm(a - b, ord=2))
-    implied_delta_2 = spec.scale * epsilon / math.sqrt(2.0 * math.log(1.25 / delta))
+    implied_delta_2 = spec.scale * epsilon / _gaussian_factor(delta)
     return gap <= implied_delta_2 + 1e-12

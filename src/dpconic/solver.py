@@ -5,18 +5,17 @@ predictor-corrector step, over Zero / NonNeg / SecondOrder cones
 (RotatedSecondOrder rows are rotated to SecondOrder internally).  Zero-cone
 rows are carried as equality constraints.  Each iteration LU-factors the
 dense, unsquared (n+p+m) scaled KKT system (see _KKT) with static
-quasi-definite regularization, and iterative refinement on the full Newton
-system (one step by default) absorbs the regularization.
+quasi-definite regularization, and one step of iterative refinement on the
+full Newton system absorbs the regularization.
 
-The NT scaling and the cone algebra (scaling update, W and W^{-1}
-products, Jordan product and division, step to the boundary) come in two
-classes chosen by the number of SOC blocks.  _Scaling walks the blocks in
-Python; _BatchedScaling, used from _BATCH_MIN_BLOCKS blocks on, does the
-row-wise work once over all SOC rows and the block dot products as one
-stacked matmul per distinct block dimension.  numpy evaluates that stacked
-matmul with the same BLAS dot (or gemv) call per block as the per-block
-``u @ v``, and every other operation is the same elementwise IEEE operation
-in the same order, so both classes give the same iterates bit for bit.
+_Scaling holds the NT scaling and the cone algebra (scaling update, W and
+W^{-1} products, Jordan product and division, step to the boundary).  It
+does the row-wise work once over all SOC rows and the block dot products as
+one stacked matmul per distinct block dimension (a plain slice dot for a
+dimension that holds one block).  numpy evaluates both with the same BLAS
+dot (or gemv) call per block as a per-block ``u @ v``, and every other
+operation is the same elementwise IEEE operation in the same order as a
+per-block walk, so the iterates do not depend on how the blocks are grouped.
 
 Everything is plain numpy, so identical inputs produce bit-identical
 iterates on a given platform.
@@ -42,12 +41,15 @@ from .conic import (
 _SQRT2 = math.sqrt(2.0)
 _STEP = 0.99          # fraction of the distance to the cone boundary
 _EXPON = 3            # Mehrotra centering exponent
+_PLUS_MINUS = np.array([[-1.0], [1.0]])
 _TRACE = bool(__import__("os").environ.get("DPCONIC_TRACE"))
-# SOC block count from which solve uses _BatchedScaling.  Below it, Python
-# float math per block costs less than numpy's per-call overhead: batched /
-# per-block solve time measured 1.3-1.4 at 1-2 blocks, about 0.95 at 3 and
-# 0.8-0.85 at 4 (OpenBLAS, 2-core x86-64).
-_BATCH_MIN_BLOCKS = 4
+_REGULARIZATION = 1e-9    # static KKT diagonal perturbation
+_REFINEMENT = 1           # iterative refinement steps per Newton solve
+_INFEASIBILITY_THRESHOLD = 1e-8
+# accept the best iterate once progress has stalled for _STALL_ITERS
+# iterations within _STALL_GRACE times tol
+_STALL_GRACE = 10.0
+_STALL_ITERS = 6
 
 
 class NumericalBreakdown(RuntimeError):
@@ -63,23 +65,12 @@ _ON_BOUNDARY = "iterate on the boundary of a second-order cone"
 class SolverSettings:
     tol: float = 1e-8
     max_iter: int = 200
-    infeasibility_threshold: float = 1e-8
-    regularization: float = 1e-9
-    refinement: int = 1
-    equilibrate: bool = True
-    # accept the best iterate once progress stalls within this factor of tol
-    stall_grace: float = 10.0
-    stall_iters: int = 6
 
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise ValueError("tol must be in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.infeasibility_threshold <= 0:
-            raise ValueError("infeasibility_threshold must be positive")
-        if self.stall_grace < 1:
-            raise ValueError("stall_grace must be >= 1")
 
 
 def _rotate(x):
@@ -207,209 +198,16 @@ class _Equilibration:
         return self.r_cone * z / self.g_c
 
 
-def _jdot(u, v):
-    return u[0] * v[0] - u[1:] @ v[1:]
-
-
-def _jnrm2(u):
-    return math.sqrt(max(_jdot(u, u), 0.0))
-
-
 class _Scaling:
-    """Nesterov-Todd scaling W with W z = W^{-T} s = lambda (W symmetric)."""
+    """Nesterov-Todd scaling W with W z = W^{-T} s = lambda (W symmetric).
 
-    def __init__(self, lay: _Layout):
-        self.lay = lay
-        self.d = np.ones(lay.l)
-        self.betas = [1.0] * len(lay.q_dims)
-        self.vs = [np.eye(d, 1).ravel() for d in lay.q_dims]
-
-    def compute(self, s, z):
-        lay = self.lay
-        lam = np.zeros(lay.m_cone)
-        self.d = np.sqrt(s[: lay.l] / z[: lay.l])
-        lam[: lay.l] = np.sqrt(s[: lay.l] * z[: lay.l])
-        for k, sl in enumerate(lay.q_slices):
-            sk, zk = s[sl], z[sl]
-            aa, bb = _jnrm2(sk), _jnrm2(zk)
-            if aa <= 0.0 or bb <= 0.0:
-                raise NumericalBreakdown(_ON_BOUNDARY)
-            self.betas[k] = math.sqrt(aa / bb)
-            cc = math.sqrt((sk @ zk / (aa * bb) + 1.0) / 2.0)
-            v = -zk / bb
-            v[0] = -v[0]
-            v += sk / aa
-            v /= 2.0 * cc
-            v[0] += 1.0
-            v /= math.sqrt(2.0 * v[0])
-            self.vs[k] = v
-            dd = 2 * cc + sk[0] / aa + zk[0] / bb
-            lam_k = np.empty(len(sk))
-            lam_k[0] = cc
-            lam_k[1:] = ((cc + zk[0] / bb) / dd) * (sk[1:] / aa) + (
-                (cc + sk[0] / aa) / dd
-            ) * (zk[1:] / bb)
-            lam[sl] = lam_k * math.sqrt(aa * bb)
-        return lam
-
-    def update(self, lam, s_new, z_new):
-        """NT update from new iterates expressed in the current scaling."""
-        lay = self.lay
-        ssq = np.sqrt(s_new[: lay.l])
-        zsq = np.sqrt(z_new[: lay.l])
-        self.d *= ssq / zsq
-        lam[: lay.l] = ssq * zsq
-        for k, sl in enumerate(lay.q_slices):
-            v = self.vs[k]
-            st, zt = s_new[sl], z_new[sl]
-            aa, bb = _jnrm2(st), _jnrm2(zt)
-            if aa <= 0.0 or bb <= 0.0:
-                raise NumericalBreakdown(_ON_BOUNDARY)
-            sb, zb = st / aa, zt / bb
-            cc = math.sqrt((1.0 + sb @ zb) / 2.0)
-            vs = v @ sb
-            vz = _jdot(v, zb)
-            vq = (vs + vz) / (2.0 * cc)
-            vu = vs - vz
-            wk0 = 2.0 * v[0] * vq - (sb[0] + zb[0]) / (2.0 * cc)
-            dd = (v[0] * vu - sb[0] / 2.0 + zb[0] / 2.0) / (wk0 + 1.0)
-            lam_k = np.empty(len(st))
-            lam_k[0] = cc
-            lam_k[1:] = (
-                2.0 * (-dd * vq + 0.5 * vu) * v[1:]
-                + 0.5 * (1.0 - dd / cc) * sb[1:]
-                + 0.5 * (1.0 + dd / cc) * zb[1:]
-            )
-            lam[sl] = lam_k * math.sqrt(aa * bb)
-            vn = 2.0 * vq * v
-            vn[0] -= sb[0] / (2.0 * cc)
-            vn[1:] += sb[1:] / (2.0 * cc)
-            vn -= zb / (2.0 * cc)
-            vn[0] += 1.0
-            vn /= math.sqrt(2.0 * vn[0])
-            self.vs[k] = vn
-            self.betas[k] *= math.sqrt(aa / bb)
-
-    def apply(self, x, inverse=False):
-        """W x (or W^{-1} x); W = beta (2 v v' - J) per SOC block."""
-        lay = self.lay
-        out = np.array(x, dtype=float, copy=True)
-        if inverse:
-            out[: lay.l] = out[: lay.l] / self.d
-        else:
-            out[: lay.l] = out[: lay.l] * self.d
-        for k, sl in enumerate(lay.q_slices):
-            v, beta = self.vs[k], self.betas[k]
-            u = out[sl]
-            if inverse:
-                ju = u.copy()
-                ju[1:] = -ju[1:]
-                w = 2.0 * (v @ ju) * v - u
-                w[1:] = -w[1:]
-                out[sl] = w / beta
-            else:
-                w = 2.0 * (v @ u) * v
-                w[0] -= u[0]
-                w[1:] += u[1:]
-                out[sl] = beta * w
-        return out
-
-    def apply_matrix(self, B, inverse=False):
-        """Blockwise W (or W^{-1}) applied to the rows of a matrix."""
-        lay = self.lay
-        out = np.array(B, dtype=float, copy=True)
-        if inverse:
-            out[: lay.l] = out[: lay.l] / self.d[:, None]
-        else:
-            out[: lay.l] = out[: lay.l] * self.d[:, None]
-        for k, sl in enumerate(lay.q_slices):
-            v, beta = self.vs[k], self.betas[k]
-            blk = out[sl]
-            if inverse:
-                jb = blk.copy()
-                jb[1:] = -jb[1:]
-                w = 2.0 * np.outer(v, v @ jb) - blk
-                w[1:] = -w[1:]
-                out[sl] = w / beta
-            else:
-                w = 2.0 * np.outer(v, v @ blk)
-                w[0] -= blk[0]
-                w[1:] += blk[1:]
-                out[sl] = beta * w
-        return out
-
-    def jordan_prod(self, a, b):
-        lay = self.lay
-        out = np.zeros(lay.m_cone)
-        out[: lay.l] = a[: lay.l] * b[: lay.l]
-        for sl in lay.q_slices:
-            ak, bk = a[sl], b[sl]
-            out[sl.start] = ak @ bk
-            out[sl.start + 1 : sl.stop] = ak[0] * bk[1:] + bk[0] * ak[1:]
-        return out
-
-    def jordan_div(self, lam, x):
-        """Solve lam o u = x for u."""
-        lay = self.lay
-        out = np.zeros(lay.m_cone)
-        out[: lay.l] = x[: lay.l] / lam[: lay.l]
-        for sl in lay.q_slices:
-            lk, xk = lam[sl], x[sl]
-            det = _jdot(lk, lk)
-            u0 = (lk[0] * xk[0] - lk[1:] @ xk[1:]) / det
-            out[sl.start] = u0
-            out[sl.start + 1 : sl.stop] = (xk[1:] - u0 * lk[1:]) / lk[0]
-        return out
-
-    def max_residual_step(self, u):
-        """min t with u + t*e in the cone."""
-        lay = self.lay
-        t = -np.inf
-        if lay.l:
-            t = max(t, float(-u[: lay.l].min()))
-        for sl in lay.q_slices:
-            t = max(t, float(np.linalg.norm(u[sl.start + 1 : sl.stop]) - u[sl.start]))
-        return t
-
-    def max_step_to_boundary(self, lam, d):
-        """sup {alpha >= 0 : lam + alpha d in cone}, for interior lam."""
-        lay = self.lay
-        alpha = np.inf
-        neg = d[: lay.l] < 0
-        if np.any(neg):
-            alpha = min(alpha, float((lam[: lay.l][neg] / -d[: lay.l][neg]).min()))
-        for sl in lay.q_slices:
-            lk, dk = lam[sl], d[sl]
-            f0 = _jdot(lk, lk)
-            f1 = lk[0] * dk[0] - lk[1:] @ dk[1:]
-            f2 = _jdot(dk, dk)
-            roots = []
-            if abs(f2) < 1e-300:
-                if f1 < 0:
-                    roots.append(-f0 / (2.0 * f1))
-            else:
-                disc = f1 * f1 - f0 * f2
-                if disc >= 0:
-                    sq = math.sqrt(disc)
-                    roots.extend([(-f1 - sq) / f2, (-f1 + sq) / f2])
-            pos = [r for r in roots if r > 0]
-            if pos:
-                alpha = min(alpha, min(pos))
-            if dk[0] < 0:
-                alpha = min(alpha, lk[0] / -dk[0])
-        return alpha
-
-
-class _BatchedScaling:
-    """_Scaling over all SOC blocks at once, bit for bit the same results.
-
-    v is one flat vector over the SOC rows; beta and the per-block scalars
-    are one entry per block.  Row-wise arithmetic runs once over all SOC
-    rows, in the same order of operations as _Scaling.  Block dot products
-    run per distinct block dimension as one stacked matmul, which numpy
-    evaluates with the same BLAS dot per block as ``u @ v`` (and the same
-    gemv per block as ``v @ blk`` in apply_matrix), so every iterate equals
-    _Scaling's to the last bit; a reordered reduction would not.
+    d scales the NonNeg rows.  v is one flat vector over the SOC rows and
+    beta one entry per block, with W = beta (2 v v' - J) per SOC block.
+    lam is the scaled point, which compute sets and update moves in place.
+    Row-wise arithmetic runs once over all SOC rows; block dot products run
+    per distinct block dimension (see _dot).  The result of every method is
+    the one a walk over the blocks in Python float math and per-block
+    ``u @ v`` gives, to the last bit; a reordered reduction would not be.
     """
 
     def __init__(self, lay: _Layout):
@@ -425,19 +223,34 @@ class _BatchedScaling:
         self.v = (self.jsign > 0).astype(float)
         # (blocks, rows (nblk, dim), slice when the rows are one contiguous run)
         self.groups = []
+        # _dot's work for first = 0 and 1: (block, slice) for a dimension
+        # with one block, (blocks, row indices (nblk, dim - first)) otherwise
+        self.dot_plan = ([], [])
         for dim in sorted(set(lay.q_dims)):
             blocks = np.flatnonzero(dims == dim)
             rows = heads[blocks, None] + np.arange(dim)
             run = rows[-1, -1] - rows[0, 0] + 1 == rows.size
             span = slice(rows[0, 0], rows[-1, -1] + 1) if run else None
             self.groups.append((blocks, rows, span))
+            for first, plan in enumerate(self.dot_plan):
+                if blocks.size == 1:
+                    plan.append((int(blocks[0]), slice(span.start + first, span.stop)))
+                else:
+                    plan.append((blocks, rows[:, first:]))
 
     def _dot(self, u, w, first=0):
-        """Per-block u_k[first:] @ w_k[first:] of two SOC-row vectors."""
+        """Per-block u_k[first:] @ w_k[first:] of two SOC-row vectors.
+
+        A dimension with one block takes the plain slice dot, the others
+        one stacked matmul; numpy makes the same BLAS dot call per block
+        either way.
+        """
         out = np.empty(self.beta.size)
-        for blocks, rows, _ in self.groups:
-            r = rows[:, first:]
-            out[blocks] = np.matmul(u[r][:, None, :], w[r][:, :, None]).ravel()
+        for k, r in self.dot_plan[first]:
+            if type(r) is slice:
+                out[k] = u[r].dot(w[r])
+            else:
+                out[k] = np.matmul(u[r][:, None, :], w[r][:, :, None]).ravel()
         return out
 
     def _jdot(self, u, w):
@@ -450,9 +263,11 @@ class _BatchedScaling:
     def compute(self, s, z):
         lay, h, b = self.lay, self.heads, self.blk
         l = lay.l
-        lam = np.zeros(lay.m_cone)
+        lam = self.lam = np.zeros(lay.m_cone)
         self.d = np.sqrt(s[:l] / z[:l])
         lam[:l] = np.sqrt(s[:l] * z[:l])
+        if not self.groups:
+            return lam
         sq, zq = s[l:], z[l:]
         aa, bb = self._jnrm2(sq), self._jnrm2(zq)
         if (aa <= 0.0).any() or (bb <= 0.0).any():
@@ -469,16 +284,26 @@ class _BatchedScaling:
         lq = ((cc + zb[h]) / dd)[b] * sa + ((cc + sa[h]) / dd)[b] * zb
         lq[h] = cc
         lam[l:] = lq * np.sqrt(aa * bb)[b]
+        self._lam_blocks()
         return lam
 
-    def update(self, lam, s_new, z_new):
+    def _lam_blocks(self):
+        """The per-block head and J-norm^2 of lam, which every jordan_div
+        and max_step_to_boundary reads."""
+        lq = self.lam[self.lay.l:]
+        self.lam_head = lq[self.heads]
+        self.lam_det = self.lam_head * self.lam_head - self._dot(lq, lq, 1)
+
+    def update(self, s_new, z_new):
         """NT update from new iterates expressed in the current scaling."""
-        h, b, v = self.heads, self.blk, self.v
+        h, b, v, lam = self.heads, self.blk, self.v, self.lam
         l = self.lay.l
         ssq = np.sqrt(s_new[:l])
         zsq = np.sqrt(z_new[:l])
         self.d *= ssq / zsq
         lam[:l] = ssq * zsq
+        if not self.groups:
+            return
         st, zt = s_new[l:], z_new[l:]
         aa, bb = self._jnrm2(st), self._jnrm2(zt)
         if (aa <= 0.0).any() or (bb <= 0.0).any():
@@ -506,18 +331,20 @@ class _BatchedScaling:
         vn /= np.sqrt(2.0 * vn[h])[b]
         self.v = vn
         self.beta = self.beta * np.sqrt(aa / bb)
+        self._lam_blocks()
 
     def apply(self, x, inverse=False):
-        """W x (or W^{-1} x); W = beta (2 v v' - J) per SOC block."""
+        """W x (or W^{-1} x)."""
         l, b, v, js = self.lay.l, self.blk, self.v, self.jsign
         out = np.empty(len(x))
+        out[:l] = x[:l] / self.d if inverse else x[:l] * self.d
+        if not self.groups:
+            return out
         u = x[l:]
         if inverse:
-            out[:l] = x[:l] / self.d
             w = (2.0 * self._dot(v, u * js))[b] * v - u
             out[l:] = w * js / self.beta[b]
         else:
-            out[:l] = x[:l] * self.d
             w = (2.0 * self._dot(v, u))[b] * v
             out[l:] = self.beta[b] * (w - u * js)
         return out
@@ -564,21 +391,25 @@ class _BatchedScaling:
         l = self.lay.l
         out = np.empty(self.lay.m_cone)
         out[:l] = a[:l] * b[:l]
+        if not self.groups:
+            return out
         aq, bq = a[l:], b[l:]
         oq = aq[h][bl] * bq + bq[h][bl] * aq
         oq[h] = self._dot(aq, bq)
         out[l:] = oq
         return out
 
-    def jordan_div(self, lam, x):
+    def jordan_div(self, x):
         """Solve lam o u = x for u."""
-        h, b = self.heads, self.blk
+        h, b, lam = self.heads, self.blk, self.lam
         l = self.lay.l
         out = np.empty(self.lay.m_cone)
         out[:l] = x[:l] / lam[:l]
-        lq, xq = lam[l:], x[l:]
-        u0 = self._jdot(lq, xq) / self._jdot(lq, lq)
-        oq = (xq - u0[b] * lq) / lq[h][b]
+        if not self.groups:
+            return out
+        lq, xq, lh = lam[l:], x[l:], self.lam_head
+        u0 = (lh * xq[h] - self._dot(lq, xq, 1)) / self.lam_det
+        oq = (xq - u0[b] * lq) / lh[b]
         oq[h] = u0
         out[l:] = oq
         return out
@@ -592,29 +423,31 @@ class _BatchedScaling:
             t = max(t, float(-u[:l].min()))
         return t
 
-    def max_step_to_boundary(self, lam, d):
+    def max_step_to_boundary(self, d):
         """sup {alpha >= 0 : lam + alpha d in cone}, for interior lam."""
-        l, h = self.lay.l, self.heads
+        l, h, lam = self.lay.l, self.heads, self.lam
         alpha = np.inf
         neg = d[:l] < 0
-        if np.any(neg):
+        if neg.any():
             alpha = min(alpha, float((lam[:l][neg] / -d[:l][neg]).min()))
+        if not self.groups:
+            return alpha
         lq, dq = lam[l:], d[l:]
-        f0, f1, f2 = self._jdot(lq, lq), self._jdot(lq, dq), self._jdot(dq, dq)
+        lh, dh = self.lam_head, dq[h]
+        # the roots of f0 + 2 f1 t + f2 t^2, the J-norm^2 of lam + t d
+        f0 = self.lam_det
+        f1 = lh * dh - self._dot(lq, dq, 1)
+        f2 = dh * dh - self._dot(dq, dq, 1)
         lin = np.abs(f2) < 1e-300
         with np.errstate(all="ignore"):
-            disc = f1 * f1 - f0 * f2
-            r0 = np.where(lin & (f1 < 0), -f0 / (2.0 * f1), np.nan)
-            sq = np.sqrt(np.where(~lin & (disc >= 0), disc, np.nan))
-            roots = np.concatenate([r0, (-f1 - sq) / f2, (-f1 + sq) / f2])
-        pos = roots[roots > 0]
-        if pos.size:
-            alpha = min(alpha, float(pos.min()))
-        neg = dq[h] < 0
-        if np.any(neg):
+            # (-f1 - sq) / f2 and (-f1 + sq) / f2, NaN where the disc is < 0
+            roots = (_PLUS_MINUS * np.sqrt(f1 * f1 - f0 * f2) - f1) / f2
+            if lin.any():
+                roots[:, lin] = np.nan
+                roots = np.append(roots, np.where(lin & (f1 < 0), -f0 / (2.0 * f1), np.nan))
+            alpha = min(alpha, float(np.min(roots, where=roots > 0, initial=np.inf)))
             # fmin skips NaN like the per-block min(alpha, .)
-            alpha = min(alpha, float(np.fmin.reduce(lq[h][neg] / -dq[h][neg])))
-        return alpha
+            return min(alpha, float(np.fmin.reduce(lh / -dh, where=dh < 0, initial=np.inf)))
 
 
 class _KKT:
@@ -644,7 +477,7 @@ class _KKT:
         self.K[idx[n : n + p], idx[n : n + p]] = -reg
         self.K[idx[n + p :], idx[n + p :]] = -1.0 - reg
 
-    def factor(self, W: _Scaling | _BatchedScaling):
+    def factor(self, W: _Scaling):
         lay = self.lay
         n, p = lay.n, lay.p
         K = self.K
@@ -686,11 +519,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
     if lay.m_cone == 0:
         return _solve_equality_only(program, lay, settings)
 
-    eq_scale = None
-    c = program.c
-    if settings.equilibrate:
-        eq_scale = _Equilibration(lay, program.c)
-        c = eq_scale.scale_layout(lay, program.c)
+    eq_scale = _Equilibration(lay, program.c)
+    c = eq_scale.scale_layout(lay, program.c)
 
     tol = settings.tol
     n, p, mc = lay.n, lay.p, lay.m_cone
@@ -700,9 +530,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
     resy0 = max(1.0, float(np.linalg.norm(beq)))
     resz0 = max(1.0, float(np.linalg.norm(h)))
 
-    scaling = _BatchedScaling if len(lay.q_dims) >= _BATCH_MIN_BLOCKS else _Scaling
-    W = scaling(lay)
-    kkt = _KKT(lay, settings.regularization)
+    W = _Scaling(lay)
+    kkt = _KKT(lay, _REGULARIZATION)
 
     # least-squares initial point (identity scaling), shifted into the cone
     f0 = kkt.factor(W)
@@ -782,26 +611,25 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
             return _finish(program, lay, x / tau, y / tau, z / tau,
                            Status.OPTIMAL, pres, dres, gap_merit, iters,
                            eq_scale)
-        ithr = settings.infeasibility_threshold
-        if pinfres is not None and pinfres <= ithr:
+        if pinfres is not None and pinfres <= _INFEASIBILITY_THRESHOLD:
             scale = -hz - by
             return _finish(program, lay, np.full(n, np.nan), y / scale, z / scale,
                            Status.PRIMAL_INFEASIBLE, pinfres, pinfres, np.nan,
                            iters, eq_scale)
-        if dinfres is not None and dinfres <= ithr:
+        if dinfres is not None and dinfres <= _INFEASIBILITY_THRESHOLD:
             return _finish(program, lay, x / -cx, np.full(p, np.nan),
                            np.full(mc, np.nan), Status.DUAL_INFEASIBLE,
                            dinfres, dinfres, np.nan, iters, eq_scale)
 
         # stall exits: accept a best iterate near tol, or give up on a
         # diverging merit unless an infeasibility certificate still improves
-        stalled = iters - best[7] >= settings.stall_iters
-        certificate_stalled = iters - inf_low_iter >= settings.stall_iters
+        stalled = iters - best[7] >= _STALL_ITERS
+        certificate_stalled = iters - inf_low_iter >= _STALL_ITERS
         if iters == settings.max_iter or (stalled and (
-            best[0] <= settings.stall_grace * tol
+            best[0] <= _STALL_GRACE * tol
             or (merit > 1e3 * best[0] and certificate_stalled)
         )):
-            ok = best[0] <= settings.stall_grace * tol
+            ok = best[0] <= _STALL_GRACE * tol
             status = Status.OPTIMAL if ok else Status.MAX_ITER
             return _finish(program, lay, best[1], best[2], best[3], status,
                            best[4], best[5], best[6], iters, eq_scale)
@@ -828,7 +656,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
         z1_sq = 1.0 + float(z1 @ z1)
 
         def newton(bx, by_, bz, btau, bs, bkap):
-            s1 = -W.jordan_div(lam, bs)
+            s1 = -W.jordan_div(bs)
             bz_eff = -(bz + W.apply(s1))
             ux, uy, uzt = f3(bx, -by_, bz_eff)
             bk2 = -bkap / lam_g
@@ -855,7 +683,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
 
         def refined_newton(bx, by_, bz, btau, bs, bkap):
             u = newton(bx, by_, bz, btau, bs, bkap)
-            for _ in range(settings.refinement):
+            for _ in range(_REFINEMENT):
                 vx, vy, vz, vtau, vs, vkap = residual6(u, bx, by_, bz, btau, bs, bkap)
                 du = newton(vx, vy, vz, vtau, vs, vkap)
                 u = tuple(a + b for a, b in zip(u, du))
@@ -882,8 +710,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
                 corr = W.jordan_prod(ds, dzt)
                 corr_k = dtau * dkap
             alpha = min(
-                W.max_step_to_boundary(lam, ds),
-                W.max_step_to_boundary(lam, dzt),
+                W.max_step_to_boundary(ds),
+                W.max_step_to_boundary(dzt),
             )
             if dtau < 0:
                 alpha = min(alpha, lam_g / -dtau)
@@ -900,7 +728,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
         s_new = lam + step * ds
         z_new = lam + step * dzt
         try:
-            W.update(lam, s_new, z_new)
+            W.update(s_new, z_new)     # moves lam, which is W.lam, in place
         except NumericalBreakdown:
             # counted like a non-finite update, which the next pass catches
             return give_up(iters + 1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import null_space
 
-from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status, build_simple_lp
+from dpconic.apps import ellipsoid, opf, regression
+from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status, build_simple_lp, slack
 from dpconic.dp import NoiseSpec, calibrate_laplace
 from dpconic.dp import sample_noise
 from dpconic.ldr import (
@@ -121,6 +123,57 @@ class TestOptimalityLoss:
                                     loss=prog.c)
         se = out.losses.std() / np.sqrt(out.losses.size)
         assert abs(out.mean_loss - (1.3 - base.x[0])) < 3 * se
+
+
+def membership_loop(program, xs, tol):
+    """Per sample and per block, the cone membership of the slack b - A x."""
+    def inside(v, kind):
+        if kind == ConeKind.ZERO:
+            return bool(np.all(np.abs(v) <= tol))
+        if kind == ConeKind.NONNEG:
+            return bool(np.all(v >= -tol))
+        if kind == ConeKind.SOC:
+            return v[0] >= np.linalg.norm(v[1:]) - tol
+        if v[0] < -tol or v[1] < -tol:
+            return False
+        return 2.0 * v[0] * v[1] >= float(v[2:] @ v[2:]) - tol
+
+    return np.array([
+        all(inside(slack(program, x)[start:start + blk.dim], blk.kind)
+            for blk, start in program.cones.offsets())
+        for x in xs])
+
+
+_MEMBERSHIP_PROGRAMS = {
+    "simple-lp": lambda: build_simple_lp(1.0, 1.0, 2.0),
+    "opf-cvar6": lambda: opf.build_opf(opf.bundled_network("cvar6")),
+    "ellipsoid": lambda: ellipsoid.build_ellipsoid(ellipsoid.regular_polygon(5, 2.0)),
+    "regression": lambda: regression.build_monotone_regression(
+        regression.synthetic_cubic_data(n=30)),
+}
+
+
+class TestFeasibleColumn:
+    """evaluate_rule_metrics' feasible column against the per-sample loop."""
+
+    @pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROGRAMS))
+    def test_equals_per_sample_loop(self, name):
+        prog = _MEMBERSHIP_PROGRAMS[name]()
+        base = solve(prog)
+        # a rule that keeps the Zero rows and moves the optimum by about the
+        # tolerance, so that both outcomes occur
+        rng = np.random.default_rng(4)
+        eq = np.concatenate([np.full(blk.dim, blk.kind == ConeKind.ZERO)
+                             for blk in prog.cones.blocks])
+        basis = null_space(prog.A[eq]) if eq.any() else np.eye(prog.n)
+        rule = DecisionRule(base.x, 3e-4 * basis @ rng.normal(size=(basis.shape[1], 3)))
+        noise = NoiseSpec("gaussian", 3, 1.0)
+        out = evaluate_rule_metrics(rule, prog, base, noise, samples=2000, seed=5,
+                                    membership_tol=1e-3)
+        xs = rule.evaluate_many(sample_noise(noise, 5, 2000))
+        expected = membership_loop(prog, xs, 1e-3)
+        assert 0 < expected.sum() < expected.size
+        assert np.array_equal(out.feasible, expected)
 
 
 class TestAugmentWithCvar:

@@ -23,6 +23,7 @@ from dpconic.dp import calibrate_gaussian
 from dpconic.solver import SolverSettings, kkt_report, solve
 
 from conftest import random_feasible_program
+from per_block_scaling import PerBlockScaling
 
 
 class TestBasics:
@@ -147,8 +148,6 @@ class TestSettings:
             SolverSettings(tol=2.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverSettings(infeasibility_threshold=0.0)
 
     def test_invalid_program_rejected(self):
         p = ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
@@ -185,20 +184,21 @@ LAYOUTS = {
     "alternating-dims": [soc(3), soc(4)] * 4 + [soc(5)],
     "single-302": [soc(302)],
     "nonneg-only": [nonneg(6)],
+    # the regression base: one block per dimension, so every dot is a slice dot
+    "regression-base": [rsoc(102), rsoc(4), nonneg(2)],
 }
 
 
 class TestBatchedScaling:
-    """_BatchedScaling equals the per-block _Scaling bit for bit."""
+    """solver._Scaling equals the per-block reference bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_every_method_bit_identical(self, name):
         lay = solver._Layout(_program(LAYOUTS[name]))
         rng = np.random.default_rng(3)
-        ref, bat = solver._Scaling(lay), solver._BatchedScaling(lay)
+        ref, bat = PerBlockScaling(lay), solver._Scaling(lay)
         s, z = _interior(lay, rng), _interior(lay, rng)
-        lam_r, lam_b = ref.compute(s, z), bat.compute(s, z)
-        assert _same(lam_r, lam_b)
+        assert _same(ref.compute(s, z), bat.compute(s, z))
         for _ in range(6):
             x, y = rng.normal(size=lay.m_cone), rng.normal(size=lay.m_cone)
             B = rng.normal(size=(lay.m_cone, 7))
@@ -206,55 +206,51 @@ class TestBatchedScaling:
                 assert _same(ref.apply(x, inverse), bat.apply(x, inverse))
                 assert _same(ref.apply_matrix(B, inverse), bat.apply_matrix(B, inverse))
             assert _same(ref.jordan_prod(x, y), bat.jordan_prod(x, y))
-            assert _same(ref.jordan_prod(lam_r, lam_r), bat.jordan_prod(lam_b, lam_b))
-            assert _same(ref.jordan_div(lam_r, x), bat.jordan_div(lam_b, x))
+            assert _same(ref.jordan_prod(ref.lam, ref.lam), bat.jordan_prod(bat.lam, bat.lam))
+            assert _same(ref.jordan_div(x), bat.jordan_div(x))
             assert _same(ref.max_residual_step(x), bat.max_residual_step(x))
-            assert _same(ref.max_step_to_boundary(lam_r, x),
-                         bat.max_step_to_boundary(lam_b, x))
+            assert _same(ref.max_step_to_boundary(x), bat.max_step_to_boundary(x))
             # a chain of NT updates from fresh interior iterates
             s_new, z_new = _interior(lay, rng), _interior(lay, rng)
-            ref.update(lam_r, s_new, z_new)
-            bat.update(lam_b, s_new, z_new)
-            assert _same(lam_r, lam_b)
+            ref.update(s_new, z_new)
+            bat.update(s_new, z_new)
+            assert _same(ref.lam, bat.lam)
+
+    @staticmethod
+    def _assert_matches_reference(monkeypatch, program, settings, sol):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_Scaling", PerBlockScaling)
+            ref = solve(program, settings)
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert sol.y.tobytes() == ref.y.tobytes()
+        assert sol.iterations == ref.iterations
+        assert sol.status == ref.status
 
     def test_whole_solves_on_acceptance_corpus(self, monkeypatch):
         rng = np.random.default_rng(20260809)
         settings = SolverSettings(tol=1e-8)
         for _ in range(50):
             program = random_feasible_program(rng)
-            monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", 0)         # always
-            bat = solve(program, settings)
-            monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", 10**9)     # never
-            ref = solve(program, settings)
-            assert bat.x.tobytes() == ref.x.tobytes()
-            assert bat.y.tobytes() == ref.y.tobytes()
-            assert bat.iterations == ref.iterations
-            assert bat.status == ref.status
+            self._assert_matches_reference(monkeypatch, program, settings,
+                                           solve(program, settings))
 
     def test_whole_solve_on_privatized_ellipsoid(self, monkeypatch):
-        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", 0)
         noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
         pv = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                            eta=0.1, seed=1)
-        assert len(solver._Layout(pv.program).q_dims) > 400
-        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", 10**9)
-        ref = solve(pv.program, ellipsoid.DEFAULT_SETTINGS)
-        assert pv.solution.x.tobytes() == ref.x.tobytes()
-        assert pv.solution.y.tobytes() == ref.y.tobytes()
-        assert pv.solution.iterations == ref.iterations
+        assert len(solver._Layout(pv.program).q_dims) == 416
+        self._assert_matches_reference(monkeypatch, pv.program, ellipsoid.DEFAULT_SETTINGS,
+                                       pv.solution)
 
-    def test_class_follows_block_count(self, monkeypatch):
-        used = []
-
-        class Spy(solver._BatchedScaling):
-            def __init__(self, lay):
-                used.append(len(lay.q_dims))
-                super().__init__(lay)
-        monkeypatch.setattr(solver, "_BatchedScaling", Spy)
-        for k in (solver._BATCH_MIN_BLOCKS - 1, solver._BATCH_MIN_BLOCKS):
-            solve(ConicProgram(-np.eye(3 * k), np.zeros(3 * k), np.zeros(3 * k),
-                               ConeSpec([soc(3)] * k)))
-        assert used == [solver._BATCH_MIN_BLOCKS]
+    def test_whole_solve_on_regression_base(self, monkeypatch):
+        program = regression.build_monotone_regression(
+            regression.synthetic_cubic_data(n=100))
+        assert [(b.kind, b.dim) for b in program.cones.blocks] == [
+            (ConeKind.RSOC, 102), (ConeKind.RSOC, 4), (ConeKind.NONNEG, 2)]
+        sol = solve(program, regression.DEFAULT_SETTINGS)
+        assert sol.status == Status.OPTIMAL
+        self._assert_matches_reference(monkeypatch, program, regression.DEFAULT_SETTINGS,
+                                       sol)
 
 
 def ruiz_eight_rounds(lay, c):
@@ -315,11 +311,8 @@ class TestEquilibration:
 
 
 class TestNumericalBreakdown:
-    @pytest.mark.parametrize("name,threshold", [("_Scaling", 10**9),
-                                                ("_BatchedScaling", 0)])
-    def test_non_finite_scaling_returns_max_iter(self, monkeypatch, name, threshold):
-        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", threshold)
-        cls = getattr(solver, name)
+    def test_non_finite_scaling_returns_max_iter(self, monkeypatch):
+        cls = solver._Scaling
         orig, calls = cls.apply_matrix, []
 
         def poisoned(self, B, inverse=False):
@@ -332,21 +325,18 @@ class TestNumericalBreakdown:
         assert len(calls) == 2
         assert sol.status == Status.MAX_ITER
 
-    @pytest.mark.parametrize("name,threshold", [("_Scaling", 10**9),
-                                                ("_BatchedScaling", 0)])
     @pytest.mark.parametrize("program", ["opf-cvar6", "pentagon-ellipsoid"])
     @pytest.mark.parametrize("poisoned_update", [1, 2, 4])
-    def test_nan_after_update_returns_max_iter(self, monkeypatch, name, threshold,
-                                               program, poisoned_update):
-        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", threshold)
-        cls = getattr(solver, name)
+    def test_nan_after_update_returns_max_iter(self, monkeypatch, program,
+                                               poisoned_update):
+        cls = solver._Scaling
         orig, calls = cls.update, []
 
-        def poisoned(self, lam, s, z):
-            orig(self, lam, s, z)
+        def poisoned(self, s, z):
+            orig(self, s, z)
             calls.append(1)
             if len(calls) == poisoned_update:
-                lam[:] = np.nan
+                self.lam[:] = np.nan
         monkeypatch.setattr(cls, "update", poisoned)
         prog = _NAMED_PROGRAMS[program]()
         sol = solve(prog, SolverSettings(tol=1e-7, max_iter=150))
@@ -355,12 +345,9 @@ class TestNumericalBreakdown:
         assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
         assert sol.iterations == poisoned_update
 
-    @pytest.mark.parametrize("threshold", [10**9, 0])
-    def test_apex_optimum_ends_in_a_status(self, monkeypatch, threshold):
+    def test_apex_optimum_ends_in_a_status(self):
         # min t s.t. t >= x^2: the optimum is the RSOC apex, where the dual's
         # J-norm reaches 0 and the NT scaling is undefined
-        monkeypatch.setattr(solver, "_BATCH_MIN_BLOCKS", threshold)
-
         def program(c0):
             return ConicProgram(np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]]),
                                 np.array([0.0, 0.5, 0.0]), np.array([c0, 1.0]),
