@@ -9,6 +9,7 @@ from dpconic.conic import (
     ConicProgram,
     build_simple_lp,
     cone_membership,
+    cone_membership_rows,
     nonneg,
     program_from_json,
     program_to_json,
@@ -102,6 +103,38 @@ class TestConeMembership:
         cones = ConeSpec([soc(3)])
         if cone_membership(np.array(v), cones, lo):
             assert cone_membership(np.array(v), cones, hi)
+
+
+class TestConeMembershipRows:
+    CONES = ConeSpec([zero(1), nonneg(2), soc(3), rsoc(3)])
+
+    @staticmethod
+    def _inside(v, tol):
+        """Membership in CONES, written out block by block."""
+        return (abs(v[0]) <= tol and min(v[1:3]) >= -tol
+                and v[3] >= np.linalg.norm(v[4:6]) - tol
+                and min(v[6:8]) >= -tol and 2.0 * v[6] * v[7] >= v[8] ** 2 - tol)
+
+    def test_each_row_equals_one_row_call(self):
+        V = np.random.default_rng(0).normal(scale=0.3, size=(500, self.CONES.dim))
+        V[::2, 0] = 0.0                 # the Zero block holds on every other row
+        V[:, 1:3] += 0.5
+        V[:, 3] += 1.0
+        V[:, 6:8] += 1.0
+        for tol in (0.0, 0.05, 0.5):
+            rows = cone_membership_rows(V, self.CONES, tol)
+            assert rows.dtype == bool and rows.shape == (500,)
+            assert list(rows) == [cone_membership(v, self.CONES, tol) for v in V]
+            assert list(rows) == [self._inside(v, tol) for v in V]
+            assert 0 < rows.sum() < rows.size
+
+    def test_no_rows(self):
+        assert cone_membership_rows(np.empty((0, self.CONES.dim)), self.CONES).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 8), (4, 10), (2, 3, 9)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            cone_membership_rows(np.zeros(shape), self.CONES)
 
 
 class TestSimpleLp:

@@ -310,9 +310,18 @@ class TestEquilibration:
             self._check(program)
 
 
+@pytest.fixture(params=["solver", "per-block"])
+def scaling_class(request, monkeypatch):
+    """The solver's _Scaling, or the per-block reference patched in its place,
+    so that the breakdown paths are checked on both."""
+    if request.param == "per-block":
+        monkeypatch.setattr(solver, "_Scaling", PerBlockScaling)
+    return solver._Scaling
+
+
 class TestNumericalBreakdown:
-    def test_non_finite_scaling_returns_max_iter(self, monkeypatch):
-        cls = solver._Scaling
+    def test_non_finite_scaling_returns_max_iter(self, monkeypatch, scaling_class):
+        cls = scaling_class
         orig, calls = cls.apply_matrix, []
 
         def poisoned(self, B, inverse=False):
@@ -327,9 +336,9 @@ class TestNumericalBreakdown:
 
     @pytest.mark.parametrize("program", ["opf-cvar6", "pentagon-ellipsoid"])
     @pytest.mark.parametrize("poisoned_update", [1, 2, 4])
-    def test_nan_after_update_returns_max_iter(self, monkeypatch, program,
+    def test_nan_after_update_returns_max_iter(self, monkeypatch, scaling_class, program,
                                                poisoned_update):
-        cls = solver._Scaling
+        cls = scaling_class
         orig, calls = cls.update, []
 
         def poisoned(self, s, z):
@@ -345,6 +354,7 @@ class TestNumericalBreakdown:
         assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
         assert sol.iterations == poisoned_update
 
+    @pytest.mark.usefixtures("scaling_class")
     def test_apex_optimum_ends_in_a_status(self):
         # min t s.t. t >= x^2: the optimum is the RSOC apex, where the dual's
         # J-norm reaches 0 and the NT scaling is undefined
