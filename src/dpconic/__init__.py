@@ -54,6 +54,6 @@ from .ldr import (
     vertex_sample_size,
 )
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
-from .solver import NumericalBreakdown, SolverSettings, kkt_report, solve
+from .solver import NumericalBreakdown, SolverSettings, kkt_report, solve, solve_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

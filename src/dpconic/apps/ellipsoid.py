@@ -158,11 +158,16 @@ def solve_ellipsoid(inst: EllipsoidInstance,
                     settings: SolverSettings | None = None):
     """Returns (z, Y, t, solution) for the deterministic instance."""
     sol = solve(build_ellipsoid(inst), settings or DEFAULT_SETTINGS)
+    return (*_read_ellipsoid(inst, sol), sol)
+
+
+def _read_ellipsoid(inst: EllipsoidInstance, sol: Solution):
+    """(z, Y, t) of a deterministic solution; raises unless it is Optimal."""
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"ellipsoid solve returned {sol.status.value}")
     t, z1, z2, y11, y22, y12 = sol.x
     Y = np.array([[y11, y12], [y12, y22]])
-    return np.array([z1, z2]), Y, float(t), sol
+    return np.array([z1, z2]), Y, float(t)
 
 
 def rule_vector(z: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -202,12 +207,12 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float,
     def sample_pair(rng):
         return jitter(rng), jitter(rng)
 
-    def solve_map(ins):
-        z, Y, _, _ = solve_ellipsoid(ins, settings)
+    def read(ins, sol):
+        z, Y, _ = _read_ellipsoid(ins, sol)
         return rule_vector(z, Y)
 
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=math.inf)
+    return AdjacencyModel(sample_pair=sample_pair, program=build_ellipsoid, read=read,
+                          alpha=math.inf, settings=settings or DEFAULT_SETTINGS)
 
 
 def _rule_program(inst: EllipsoidInstance) -> ConicProgram:

@@ -24,7 +24,7 @@ from ..ldr import (
     privatize,
     release_query,
 )
-from ..solver import SolverSettings, solve
+from ..solver import SolverSettings, solve, solve_batch
 
 
 class InfeasiblePrivatization(RuntimeError):
@@ -157,14 +157,14 @@ def demand_adjacency(
         d2[node] += shift
         return net, net.with_demand(d2)
 
-    def solve_map(dataset):
-        sol = solve(build_opf(dataset), settings)
+    def read(dataset, sol):
         if sol.status != Status.OPTIMAL:
             raise InfeasiblePrivatization(f"OPF solve returned {sol.status.value}")
         return sol.x
 
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=alpha, query=lambda x: np.array([float(c @ x)]))
+    return AdjacencyModel(sample_pair=sample_pair, program=build_opf, read=read,
+                          alpha=alpha, query=lambda x: np.array([float(c @ x)]),
+                          settings=settings)
 
 
 @dataclass
@@ -246,15 +246,14 @@ def input_perturbation_costs(
     """Input-perturbation study: solve OPF on d + Lap(alpha/eps)^N per draw.
 
     Returns (costs, solved) arrays; entries with a non-optimal perturbed
-    program are marked unsolved and count as infeasible releases.
+    program are marked unsolved and count as infeasible releases.  The
+    perturbed programs are solved together (solve_batch).
     """
     spec = calibrate_laplace(alpha, epsilon, k=net.n_nodes)
-    costs = np.full(samples, np.nan)
-    solved = np.zeros(samples, dtype=bool)
-    for s in range(samples):
-        zeta = sample_noise(spec, seed, 1, stream=s)[0]
-        sol = solve(build_opf(net.with_demand(net.d + zeta)), settings)
-        if sol.status == Status.OPTIMAL:
-            costs[s] = sol.objective
-            solved[s] = True
+    programs = [build_opf(net.with_demand(net.d + sample_noise(spec, seed, 1, stream=s)[0]))
+                for s in range(samples)]
+    sols = solve_batch(programs, settings)
+    solved = np.array([sol.status == Status.OPTIMAL for sol in sols], dtype=bool)
+    costs = np.array([sol.objective if ok else np.nan for sol, ok in zip(sols, solved)],
+                     dtype=float)
     return costs, solved

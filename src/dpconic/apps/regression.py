@@ -179,11 +179,16 @@ def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     )
 
 
-def solve_regression(model: RegressionModel, settings: SolverSettings | None = None):
-    sol = solve(build_monotone_regression(model), settings or DEFAULT_SETTINGS)
+def _read_weights(model: RegressionModel, sol: Solution) -> np.ndarray:
+    """The basis weights w of a solution; raises unless it is Optimal."""
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"regression solve returned {sol.status.value}")
-    return sol.x[2:], sol
+    return sol.x[2:]
+
+
+def solve_regression(model: RegressionModel, settings: SolverSettings | None = None):
+    sol = solve(build_monotone_regression(model), settings or DEFAULT_SETTINGS)
+    return _read_weights(model, sol), sol
 
 
 def circle_law_adjacency(
@@ -205,12 +210,9 @@ def circle_law_adjacency(
     def sample_pair(rng):
         return jitter(rng), jitter(rng)
 
-    def solve_map(m):
-        w, _ = solve_regression(m, settings)
-        return w
-
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=math.inf)
+    return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
+                          read=_read_weights, alpha=math.inf,
+                          settings=settings or DEFAULT_SETTINGS)
 
 
 def value_range_adjacency(
@@ -228,12 +230,9 @@ def value_range_adjacency(
     def sample_pair(rng):
         return jitter(rng), jitter(rng)
 
-    def solve_map(m):
-        w, _ = solve_regression(m, settings)
-        return w
-
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=math.inf)
+    return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
+                          read=_read_weights, alpha=math.inf,
+                          settings=settings or DEFAULT_SETTINGS)
 
 
 @dataclass

@@ -44,13 +44,13 @@ def lower_bound_adjacency(study: SimpleLpStudy, alpha: float,
         lo2 = min(study.lower + shift, study.upper - 1e-9)
         return study, SimpleLpStudy(study.c, lo2, study.upper)
 
-    def solve_map(st):
-        sol = solve(st.program(), settings)
+    def read(st, sol):
         if sol.status != Status.OPTIMAL:
             raise RuntimeError(f"simple LP returned {sol.status.value}")
         return sol.x
 
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map, alpha=alpha)
+    return AdjacencyModel(sample_pair=sample_pair, program=SimpleLpStudy.program,
+                          read=read, alpha=alpha, settings=settings)
 
 
 def privatize_simple_lp(

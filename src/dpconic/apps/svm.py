@@ -128,13 +128,19 @@ def build_svm(data: LabeledPoints) -> ConicProgram:
     return ConicProgram(A_all, b_all, c, cones, variable_names=names)
 
 
-def solve_svm(data: LabeledPoints, settings: SolverSettings | None = None):
-    """Returns (w, b, solution) of the deterministic SVM."""
-    sol = solve(build_svm(data), settings or DEFAULT_SETTINGS)
+def _read_svm(data: LabeledPoints, sol: Solution):
+    """(w, b) of a deterministic SVM solution; raises unless it is Optimal."""
     if sol.status != Status.OPTIMAL:
         raise RuntimeError(f"SVM solve returned {sol.status.value}")
     n = data.n
-    return sol.x[1 : 1 + n], float(sol.x[1 + n]), sol
+    return sol.x[1 : 1 + n], float(sol.x[1 + n])
+
+
+def solve_svm(data: LabeledPoints, settings: SolverSettings | None = None):
+    """Returns (w, b, solution) of the deterministic SVM."""
+    sol = solve(build_svm(data), settings or DEFAULT_SETTINGS)
+    w, b = _read_svm(data, sol)
+    return w, b, sol
 
 
 def classify(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
@@ -166,12 +172,12 @@ def circle_law_adjacency(
     def sample_pair(rng):
         return jitter(rng), jitter(rng)
 
-    def solve_map(ds):
-        w, b, _ = solve_svm(ds, settings)
+    def read(ds, sol):
+        w, b = _read_svm(ds, sol)
         return np.concatenate([w, [b]])
 
-    return AdjacencyModel(sample_pair=sample_pair, solve_map=solve_map,
-                          alpha=math.inf)
+    return AdjacencyModel(sample_pair=sample_pair, program=build_svm, read=read,
+                          alpha=math.inf, settings=settings or DEFAULT_SETTINGS)
 
 
 @dataclass

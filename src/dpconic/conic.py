@@ -152,6 +152,13 @@ def validate(program: ConicProgram) -> list[str]:
     return violations
 
 
+def require_valid(program: ConicProgram) -> None:
+    """Raise ValueError naming every violation validate finds."""
+    errs = validate(program)
+    if errs:
+        raise ValueError("invalid program: " + "; ".join(errs))
+
+
 def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     """b - Ax, the vector whose cone membership decides feasibility."""
     x = np.asarray(x, dtype=float).ravel()
@@ -168,9 +175,10 @@ def permute_columns(program: ConicProgram, order) -> ConicProgram:
                         variable_names=tuple(names[i] for i in order) if names else None)
 
 
-def _row_dots(X: np.ndarray) -> np.ndarray:
-    """x @ x for each row x of X, with the BLAS dot a 1-D ``x @ x`` makes."""
-    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x @ y for each row pair of X and Y, with the BLAS dot a 1-D ``x @ y``
+    makes."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
 def _block_membership(V: np.ndarray, kind: ConeKind, tol: float) -> np.ndarray:
@@ -180,10 +188,10 @@ def _block_membership(V: np.ndarray, kind: ConeKind, tol: float) -> np.ndarray:
     if kind == ConeKind.NONNEG:
         return (V >= -tol).all(axis=1)
     if kind == ConeKind.SOC:
-        return V[:, 0] >= np.sqrt(_row_dots(V[:, 1:])) - tol
+        return V[:, 0] >= np.sqrt(_row_dots(V[:, 1:], V[:, 1:])) - tol
     # RSOC: 2 v1 v2 >= ||v3..||^2 with v1, v2 >= 0
     return ((V[:, 0] >= -tol) & (V[:, 1] >= -tol)
-            & (2.0 * V[:, 0] * V[:, 1] >= _row_dots(V[:, 2:]) - tol))
+            & (2.0 * V[:, 0] * V[:, 1] >= _row_dots(V[:, 2:], V[:, 2:]) - tol))
 
 
 def cone_membership_rows(V: np.ndarray, cones: ConeSpec, tol: float = 0.0) -> np.ndarray:

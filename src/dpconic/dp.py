@@ -21,6 +21,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .conic import ConicProgram, Solution, require_valid
+from .solver import KKT_BATCH_BYTES, SolverSettings, solve_batch, stack_bytes
+
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by the 64-bit (seed, stream) pair."""
@@ -149,18 +152,22 @@ class AdjacencyModel:
     """Seedable generator of alpha-adjacent dataset pairs plus the query map.
 
     sample_pair(rng) must construct the pair directly inside the alpha ball
-    (no rejection), solve_map maps a dataset to the solved program's variable
-    vector, and query maps that vector to the released value(s); None means
-    the identity query.
+    (no rejection).  program(dataset) builds the dataset's conic program,
+    which estimate_sensitivity solves under settings (None: the solver's
+    defaults); read(dataset, solution) maps its solution to the variable
+    vector and raises on a status it cannot use; query maps that vector to
+    the released value(s), None meaning the identity query.
     """
 
     sample_pair: Callable[[np.random.Generator], tuple[Any, Any]]
-    solve_map: Callable[[Any], np.ndarray]
+    program: Callable[[Any], ConicProgram]
+    read: Callable[[Any, Solution], np.ndarray]
     alpha: float
     query: Callable[[np.ndarray], np.ndarray] | None = None
+    settings: SolverSettings | None = None
 
-    def released(self, dataset) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(self.solve_map(dataset), dtype=float))
+    def released(self, dataset, solution: Solution) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(self.read(dataset, solution), dtype=float))
         if self.query is None:
             return x
         return np.atleast_1d(np.asarray(self.query(x), dtype=float))
@@ -211,6 +218,56 @@ class SensitivityReport:
         )
 
 
+def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
+    """Yield (s, outcome) in sample order.  The outcome is, for each dataset
+    of pair s that a serial walk would reach, (dataset, its Solution or the
+    exception building its program raised), or the exception sample_pair
+    raised.  Programs go to solve_batch in chunks whose stack_bytes sum to
+    at most KKT_BATCH_BYTES (a single larger pair goes alone).  Drawing
+    stops at an exception from sample_pair, which no walk gets past."""
+    chunk: list = []
+    used = 0
+    for s in range(samples):
+        try:
+            d_a, d_b = adjacency.sample_pair(rng_stream(seed, s))
+        except Exception as exc:     # raised again in sample order
+            chunk.append((s, exc))
+            break
+        built = []
+        for dataset in (d_a, d_b):
+            try:
+                program = adjacency.program(dataset)
+                require_valid(program)
+            except Exception as exc:     # raised again in sample order
+                built.append((dataset, exc))
+                break
+            built.append((dataset, program))
+        size = sum(stack_bytes(x) for _, x in built if isinstance(x, ConicProgram))
+        if chunk and used + size > KKT_BATCH_BYTES:
+            yield from _solve_chunk(chunk, adjacency.settings)
+            chunk, used = [], 0
+        chunk.append((s, built))
+        used += size
+    yield from _solve_chunk(chunk, adjacency.settings)
+
+
+def _solve_chunk(chunk, settings):
+    programs = [x for _, built in chunk if isinstance(built, list)
+                for _, x in built if isinstance(x, ConicProgram)]
+    solutions = iter(solve_batch(programs, settings))
+    for s, built in chunk:
+        if isinstance(built, list):
+            built = [(d, next(solutions) if isinstance(x, ConicProgram) else x)
+                     for d, x in built]
+        yield s, built
+
+
+def _unwrap(outcome):
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
 def estimate_sensitivity(
     adjacency: AdjacencyModel,
     p: int,
@@ -223,12 +280,15 @@ def estimate_sensitivity(
     """Monte Carlo lower bound on the worst-case query sensitivity.
 
     Draws `samples` adjacent pairs, solves both programs of each pair and
-    takes the max p-norm gap of the released queries.  Pairs whose solve
-    fails (a RuntimeError or ValueError from ``released``: solver statuses,
-    numerical breakdown, infeasible privatizations, LinAlgError) are dropped
-    and reported, but only up to max_failure_fraction of the total; beyond
-    that a SolveFailure propagates.  Any other exception is a bug and
-    propagates at once.
+    takes the max p-norm gap of the released queries.  The programs are
+    built in sample order and solved together with solver.solve_batch; the
+    results are then taken in sample order, so every outcome below is the
+    one a serial walk of build, solve and read per dataset gives.  Pairs
+    whose build, solve or read fails (a RuntimeError or ValueError: solver
+    statuses, numerical breakdown, infeasible privatizations, LinAlgError)
+    are dropped and reported, but only up to max_failure_fraction of the
+    total; beyond that a SolveFailure propagates.  Any other exception is a
+    bug and propagates at its sample.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -240,12 +300,11 @@ def estimate_sensitivity(
     worst = 0.0
     failures: list[int] = []
     allowed = max(1, int(max_failure_fraction * samples))
-    for s in range(samples):
-        rng = rng_stream(seed, s)
-        d_a, d_b = adjacency.sample_pair(rng)
+    for s, outcome in _solved_pairs(adjacency, samples, seed):
+        if isinstance(outcome, BaseException):
+            raise outcome
         try:
-            q_a = adjacency.released(d_a)
-            q_b = adjacency.released(d_b)
+            q_a, q_b = (adjacency.released(d, _unwrap(x)) for d, x in outcome)
         except (RuntimeError, ValueError) as exc:
             failures.append(s)
             if len(failures) > allowed:

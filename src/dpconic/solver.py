@@ -8,17 +8,31 @@ dense, unsquared (n+p+m) scaled KKT system (see _KKT) with static
 quasi-definite regularization, and one step of iterative refinement on the
 full Newton system absorbs the regularization.
 
+solve_batch runs one iteration over a stack of programs of one shape (the
+same n and cone blocks; A, b and c differ).  Every array carries a leading
+program axis, per-program scalars (tau, kappa, the step, the merit, the best
+iterate, the stall counters) are length-B arrays, and a program leaves the
+stack at its own exit.  solve is the one-program case.  Results do not
+depend on how programs are batched:
+
+* every reduction is, per program, the BLAS or LAPACK call a one-program
+  stack makes: a row dot or gemv through stacked ``np.matmul``, a norm as
+  the square root of that dot (what ``np.linalg.norm`` computes), and
+  LAPACK getrf/getrs once per program;
+* every other operation is the same elementwise IEEE operation in the same
+  order, and the scalar rules keep Python float semantics (_pymin, _pymax,
+  _pypow: how min and max treat a NaN, ``**`` through C pow).
+
 _Scaling holds the NT scaling and the cone algebra (scaling update, W and
 W^{-1} products, Jordan product and division, step to the boundary).  It
 does the row-wise work once over all SOC rows and the block dot products as
-one stacked matmul per distinct block dimension (a plain slice dot for a
-dimension that holds one block).  numpy evaluates both with the same BLAS
-dot (or gemv) call per block as a per-block ``u @ v``, and every other
-operation is the same elementwise IEEE operation in the same order as a
-per-block walk, so the iterates do not depend on how the blocks are grouped.
+one stacked matmul per distinct block dimension (a slice dot for a dimension
+that holds one block), with the same BLAS dot (or gemv) call per block as a
+per-block ``u @ v``, so the iterates do not depend on how the blocks are
+grouped either.
 
-Everything is plain numpy, so identical inputs produce bit-identical
-iterates on a given platform.
+Everything is plain numpy and LAPACK, so identical inputs produce
+bit-identical iterates on a given platform.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .conic import (
     ConeKind,
@@ -35,7 +49,8 @@ from .conic import (
     Residuals,
     Solution,
     Status,
-    validate,
+    _row_dots as _dot,
+    require_valid,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,12 +65,23 @@ _INFEASIBILITY_THRESHOLD = 1e-8
 # iterations within _STALL_GRACE times tol
 _STALL_GRACE = 10.0
 _STALL_ITERS = 6
+# the working set of one solve_batch sub-batch, the stack_bytes of its
+# programs, stays within this many bytes; estimate_sensitivity hands
+# solve_batch no more than this at a time
+KKT_BATCH_BYTES = 4 << 20
 
 
 class NumericalBreakdown(RuntimeError):
     """The iteration cannot go on: a singular or non-finite KKT system, or
     an SOC block of s or z with a zero J-norm, which the NT scaling divides
-    by (an iterate on the cone's boundary, as at an apex optimum)."""
+    by (an iterate on the cone's boundary, as at an apex optimum).
+
+    rows, when set, marks the programs of the stack that broke down; the
+    solver ends only those."""
+
+    def __init__(self, msg: str, rows: np.ndarray | None = None):
+        super().__init__(msg)
+        self.rows = rows
 
 
 _ON_BOUNDARY = "iterate on the boundary of a second-order cone"
@@ -73,21 +99,64 @@ class SolverSettings:
             raise ValueError("max_iter must be >= 1")
 
 
-def _rotate(x):
-    """Orthogonal involution mapping RSOC data to SOC data (and back)."""
-    y = np.array(x, dtype=float, copy=True)
+def stack_bytes(program: ConicProgram) -> int:
+    """The bytes a program takes in a stack: its KKT matrix, of order n + m,
+    and 4 KiB for its vectors, LAPACK handles and Solution, which is most of
+    what a small program takes (the simple LP's KKT matrix is 72 bytes)."""
+    return 8 * (program.n + program.m) ** 2 + 4096
+
+
+def _rotate(x, axis=0):
+    """Orthogonal involution mapping RSOC data to SOC data (and back): the
+    first two entries along axis."""
+    out = np.array(x, dtype=float, copy=True)
+    y = np.moveaxis(out, axis, 0)
     u, v = y[0].copy(), y[1].copy()
     y[0] = (u + v) / _SQRT2
     y[1] = (u - v) / _SQRT2
-    return y
+    return out
+
+
+def _mv(M, v):
+    """M_i @ v_i for each program i: one BLAS gemv per program."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _norm(v):
+    """np.linalg.norm of each row: the square root of its dot."""
+    return np.sqrt(_dot(v, v))
+
+
+def _pymax(a, b):
+    """Python's max(a, b) entrywise: b only where b > a, so a NaN b loses."""
+    return np.where(b > a, b, a)
+
+
+def _pymin(a, b):
+    """Python's min(a, b) entrywise: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _pypow(a, k):
+    """a ** k entrywise in Python float math, which calls C pow."""
+    return np.array([x**k for x in a.tolist()])
+
+
+def _ratio(num, den):
+    """num / -den where den < 0, inf elsewhere (and no division there); an
+    overflow gives inf silently, as Python float division does."""
+    with np.errstate(over="ignore"):
+        return np.divide(num, -den, out=np.full(den.shape, np.inf), where=den < 0)
 
 
 class _Layout:
-    """Permutes program rows into [equalities | nonneg | SOC blocks]."""
+    """Permutes the rows of same-shape programs into [equalities | nonneg |
+    SOC blocks] and stacks their data along a leading program axis."""
 
-    def __init__(self, program: ConicProgram):
+    def __init__(self, programs):
+        first = programs[0]
         eq_rows, l_rows, q_specs = [], [], []
-        for blk, start in program.cones.offsets():
+        for blk, start in first.cones.offsets():
             rows = list(range(start, start + blk.dim))
             if blk.kind == ConeKind.ZERO:
                 eq_rows.extend(rows)
@@ -96,32 +165,36 @@ class _Layout:
             else:
                 q_specs.append((rows, blk.kind == ConeKind.RSOC))
 
-        A, b = program.A, program.b
-        self.n = program.n
+        A = np.stack([p.A for p in programs])
+        b = np.stack([p.b for p in programs])
+        self.n = first.n
         self.eq_rows = np.array(eq_rows, dtype=int)
-        self.Aeq = A[self.eq_rows] if eq_rows else np.zeros((0, self.n))
-        self.beq = b[self.eq_rows] if eq_rows else np.zeros(0)
+        # np.take keeps every stacked matrix C-ordered, so each program's
+        # BLAS calls see the strides of a one-program stack (indexing
+        # A[:, rows] would put the program axis innermost)
+        self.Aeq = np.take(A, self.eq_rows, axis=1)
+        self.beq = np.take(b, self.eq_rows, axis=1)
 
         self.l = len(l_rows)
-        G_parts = [A[l_rows]] if l_rows else [np.zeros((0, self.n))]
-        h_parts = [b[l_rows]] if l_rows else [np.zeros(0)]
+        G_parts = [np.take(A, np.array(l_rows, dtype=int), axis=1)]
+        h_parts = [np.take(b, np.array(l_rows, dtype=int), axis=1)]
         cone_rows = list(l_rows)
         self.q_dims: list[int] = []
         self.q_rsoc: list[bool] = []
         for rows, is_rsoc in q_specs:
-            Ablk, bblk = A[rows], b[rows]
+            Ablk, bblk = np.take(A, rows, axis=1), np.take(b, rows, axis=1)
             if is_rsoc:
-                Ablk, bblk = _rotate(Ablk), _rotate(bblk)
+                Ablk, bblk = _rotate(Ablk, 1), _rotate(bblk, 1)
             G_parts.append(Ablk)
             h_parts.append(bblk)
             cone_rows.extend(rows)
             self.q_dims.append(len(rows))
             self.q_rsoc.append(is_rsoc)
-        self.G = np.vstack(G_parts)
-        self.h = np.concatenate(h_parts)
+        self.G = np.concatenate(G_parts, axis=1)
+        self.h = np.concatenate(h_parts, axis=1)
         self.cone_rows = np.array(cone_rows, dtype=int)
-        self.m_cone = self.G.shape[0]
-        self.p = self.Aeq.shape[0]
+        self.m_cone = self.G.shape[1]
+        self.p = self.Aeq.shape[1]
 
         self.q_slices = []
         start = self.l
@@ -133,6 +206,11 @@ class _Layout:
         self.e[: self.l] = 1.0
         for sl in self.q_slices:
             self.e[sl.start] = 1.0
+
+    def take(self, keep):
+        """Keep the programs whose stack rows are in keep (an index array)."""
+        self.Aeq, self.beq = self.Aeq[keep], self.beq[keep]
+        self.G, self.h = self.G[keep], self.h[keep]
 
 
 def _pow2(v):
@@ -146,85 +224,91 @@ class _Equilibration:
     Rows in the same SOC block share one factor (cone membership is
     invariant under a common positive row scale); Zero and NonNeg rows
     scale individually.  Factors are powers of two.  A round that leaves
-    every row and column factor at exactly 1 leaves r and s unchanged, so
-    every later round would repeat it: the loop stops there.
+    every row and column factor of a program at exactly 1 leaves its r and s
+    unchanged, so every later round repeats it: the loop stops once that
+    holds for every program.
     """
 
     def __init__(self, lay: _Layout, c: np.ndarray, rounds: int = 8):
-        n = lay.n
-        M = np.vstack([lay.Aeq, lay.G])
+        M = np.concatenate([lay.Aeq, lay.G], axis=1)
         p = lay.p
         # contiguous row groups: each eq row, each l row, each q block
         sizes = np.concatenate([np.ones(p + lay.l, dtype=int),
                                 np.array(lay.q_dims, dtype=int)])
         starts = np.cumsum(sizes) - sizes
-        r = np.ones(M.shape[0])
-        s = np.ones(n)
+        r = np.ones(M.shape[:2])
+        s = np.ones(c.shape)
         for _ in range(rounds):
-            Ms = (M * r[:, None]) * s[None, :]
-            gmx = np.maximum.reduceat(np.abs(Ms).max(axis=1), starts)
+            Ms = (M * r[:, :, None]) * s[:, None, :]
+            gmx = np.maximum.reduceat(np.abs(Ms).max(axis=2), starts, axis=1)
             nz = gmx > 0
-            f = np.ones(sizes.size)
+            f = np.ones(gmx.shape)
             f[nz] = _pow2(1.0 / np.sqrt(gmx[nz]))
-            r *= np.repeat(f, sizes)
-            Ms = (M * r[:, None]) * s[None, :]
-            cmx = np.abs(Ms).max(axis=0)
+            r *= np.repeat(f, sizes, axis=1)
+            Ms = (M * r[:, :, None]) * s[:, None, :]
+            cmx = np.abs(Ms).max(axis=1)
             nz = cmx > 0
-            g = _pow2(1.0 / np.sqrt(cmx[nz]))
-            s[nz] *= g
+            g = np.ones(cmx.shape)
+            g[nz] = _pow2(1.0 / np.sqrt(cmx[nz]))
+            s *= g
             if (f == 1.0).all() and (g == 1.0).all():
                 break
-        self.r_eq, self.r_cone = r[:p], r[p:]
+        self.r_eq, self.r_cone = r[:, :p], r[:, p:]
         self.s = s
-        b_all = np.concatenate([lay.beq * self.r_eq, lay.h * self.r_cone])
-        self.g_b = float(_pow2(1.0 / max(1.0, np.abs(b_all).max(initial=0.0))))
-        c_s = c * s
-        self.g_c = float(_pow2(1.0 / max(1.0, np.abs(c_s).max(initial=0.0))))
+        b_all = np.concatenate([lay.beq * self.r_eq, lay.h * self.r_cone], axis=1)
+        self.g_b = _pow2(1.0 / _pymax(1.0, np.abs(b_all).max(axis=1, initial=0.0)))
+        self.g_c = _pow2(1.0 / _pymax(1.0, np.abs(c * s).max(axis=1, initial=0.0)))
 
     def scale_layout(self, lay: _Layout, c: np.ndarray) -> np.ndarray:
-        lay.Aeq = lay.Aeq * self.r_eq[:, None] * self.s[None, :]
-        lay.beq = lay.beq * self.r_eq * self.g_b
-        lay.G = lay.G * self.r_cone[:, None] * self.s[None, :]
-        lay.h = lay.h * self.r_cone * self.g_b
-        return c * self.s * self.g_c
+        g_b = self.g_b[:, None]
+        lay.Aeq = lay.Aeq * self.r_eq[:, :, None] * self.s[:, None, :]
+        lay.beq = lay.beq * self.r_eq * g_b
+        lay.G = lay.G * self.r_cone[:, :, None] * self.s[:, None, :]
+        lay.h = lay.h * self.r_cone * g_b
+        return c * self.s * self.g_c[:, None]
 
-    def unscale_x(self, x):
-        return self.s * x / self.g_b
-
-    def unscale_y_eq(self, y):
-        return self.r_eq * y / self.g_c
-
-    def unscale_z(self, z):
-        return self.r_cone * z / self.g_c
+    def unscale(self, i, x, y_eq, z):
+        """Program i's (x, y_eq, z) in the units of its data."""
+        return (self.s[i] * x / self.g_b[i], self.r_eq[i] * y_eq / self.g_c[i],
+                self.r_cone[i] * z / self.g_c[i])
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W with W z = W^{-T} s = lambda (W symmetric).
+    """Nesterov-Todd scaling W with W z = W^{-T} s = lambda (W symmetric),
+    for every program of the stack.
 
-    d scales the NonNeg rows.  v is one flat vector over the SOC rows and
-    beta one entry per block, with W = beta (2 v v' - J) per SOC block.
-    lam is the scaled point, which compute sets and update moves in place.
-    Row-wise arithmetic runs once over all SOC rows; block dot products run
-    per distinct block dimension (see _dot).  The result of every method is
-    the one a walk over the blocks in Python float math and per-block
-    ``u @ v`` gives, to the last bit; a reordered reduction would not be.
+    d scales the NonNeg rows.  v holds one row per program over the SOC
+    rows and beta one entry per program and block, with W = beta (2 v v' - J)
+    per SOC block.  lam is the scaled point, which compute sets and update
+    moves in place.  Row-wise arithmetic runs once over all SOC rows; block
+    dot products run per distinct block dimension (see _blockdot).  The
+    result of every method is, per program, the one a walk over the blocks
+    in Python float math and per-block ``u @ v`` gives, to the last bit; a
+    reordered reduction would not be.  compute and update check every block before
+    they change any state, and raise NumericalBreakdown with the rows that
+    reached the cone's boundary.
     """
 
     def __init__(self, lay: _Layout):
         self.lay = lay
+        nb = lay.G.shape[0]
         dims = np.array(lay.q_dims, dtype=int)
         heads = np.cumsum(dims) - dims
         self.heads = heads                              # relative to SOC rows
         self.blk = np.repeat(np.arange(dims.size), dims)  # block of each SOC row
         self.jsign = np.full(int(dims.sum()), -1.0)     # diagonal of J per row
         self.jsign[heads] = 1.0
-        self.d = np.ones(lay.l)
-        self.beta = np.ones(dims.size)
-        self.v = (self.jsign > 0).astype(float)
+        self.d = np.ones((nb, lay.l))
+        self.beta = np.ones((nb, dims.size))
+        self.v = np.tile((self.jsign > 0).astype(float), (nb, 1))
+        self.lam = np.zeros((nb, lay.m_cone))
+        self.lam_head = np.zeros((nb, dims.size))
+        self.lam_det = np.zeros((nb, dims.size))
         # (blocks, rows (nblk, dim), slice when the rows are one contiguous run)
         self.groups = []
-        # _dot's work for first = 0 and 1: (block, slice) for a dimension
-        # with one block, (blocks, row indices (nblk, dim - first)) otherwise
+        # _blockdot's work for first = 0 and 1: (block, slice) for a
+        # dimension with one block, (blocks, row indices (nblk, dim - first))
+        # otherwise
         self.dot_plan = ([], [])
         for dim in sorted(set(lay.q_dims)):
             blocks = np.flatnonzero(dims == dim)
@@ -238,97 +322,112 @@ class _Scaling:
                 else:
                     plan.append((blocks, rows[:, first:]))
 
-    def _dot(self, u, w, first=0):
-        """Per-block u_k[first:] @ w_k[first:] of two SOC-row vectors.
+    def take(self, keep):
+        """Keep the programs whose stack rows are in keep (an index array)."""
+        self.d, self.beta, self.v = self.d[keep], self.beta[keep], self.v[keep]
+        self.lam = self.lam[keep]
+        self.lam_head, self.lam_det = self.lam_head[keep], self.lam_det[keep]
 
-        A dimension with one block takes the plain slice dot, the others
-        one stacked matmul; numpy makes the same BLAS dot call per block
-        either way.
+    def _blockdot(self, u, w, first=0):
+        """Per program and block, u_k[first:] @ w_k[first:] of two stacks of
+        SOC-row vectors.
+
+        A dimension with one block takes a slice dot, the others one stacked
+        matmul over rows gathered in C order; numpy makes the same BLAS dot
+        call, with unit strides, per block either way.
         """
-        out = np.empty(self.beta.size)
+        out = np.empty((u.shape[0], self.beta.shape[1]))
         for k, r in self.dot_plan[first]:
             if type(r) is slice:
-                out[k] = u[r].dot(w[r])
+                out[:, k] = np.matmul(u[:, None, r], w[:, r, None])[:, 0, 0]
             else:
-                out[k] = np.matmul(u[r][:, None, :], w[r][:, :, None]).ravel()
+                out[:, k] = np.matmul(np.take(u, r, axis=1)[:, :, None, :],
+                                      np.take(w, r, axis=1)[:, :, :, None])[..., 0, 0]
         return out
 
     def _jdot(self, u, w):
         h = self.heads
-        return u[h] * w[h] - self._dot(u, w, 1)
+        return u[:, h] * w[:, h] - self._blockdot(u, w, 1)
 
     def _jnrm2(self, u):
         return np.sqrt(np.maximum(self._jdot(u, u), 0.0))
 
+    def _jnorms(self, sq, zq):
+        """J-norms of the SOC blocks of s and z; raises NumericalBreakdown
+        for the programs where one of them is 0."""
+        aa, bb = self._jnrm2(sq), self._jnrm2(zq)
+        bad = ((aa <= 0.0) | (bb <= 0.0)).any(axis=1)
+        if bad.any():
+            raise NumericalBreakdown(_ON_BOUNDARY, bad)
+        return aa, bb
+
     def compute(self, s, z):
         lay, h, b = self.lay, self.heads, self.blk
         l = lay.l
-        lam = self.lam = np.zeros(lay.m_cone)
-        self.d = np.sqrt(s[:l] / z[:l])
-        lam[:l] = np.sqrt(s[:l] * z[:l])
+        if self.groups:
+            sq, zq = s[:, l:], z[:, l:]
+            aa, bb = self._jnorms(sq, zq)
+        lam = self.lam = np.zeros(s.shape)
+        self.d = np.sqrt(s[:, :l] / z[:, :l])
+        lam[:, :l] = np.sqrt(s[:, :l] * z[:, :l])
         if not self.groups:
             return lam
-        sq, zq = s[l:], z[l:]
-        aa, bb = self._jnrm2(sq), self._jnrm2(zq)
-        if (aa <= 0.0).any() or (bb <= 0.0).any():
-            raise NumericalBreakdown(_ON_BOUNDARY)
         self.beta = np.sqrt(aa / bb)
-        cc = np.sqrt((self._dot(sq, zq) / (aa * bb) + 1.0) / 2.0)
-        sa, zb = sq / aa[b], zq / bb[b]
+        cc = np.sqrt((self._blockdot(sq, zq) / (aa * bb) + 1.0) / 2.0)
+        sa, zb = sq / aa[:, b], zq / bb[:, b]
         v = zb * self.jsign + sa
-        v /= (2.0 * cc)[b]
-        v[h] += 1.0
-        v /= np.sqrt(2.0 * v[h])[b]
+        v /= (2.0 * cc)[:, b]
+        v[:, h] += 1.0
+        v /= np.sqrt(2.0 * v[:, h])[:, b]
         self.v = v
-        dd = 2.0 * cc + sa[h] + zb[h]
-        lq = ((cc + zb[h]) / dd)[b] * sa + ((cc + sa[h]) / dd)[b] * zb
-        lq[h] = cc
-        lam[l:] = lq * np.sqrt(aa * bb)[b]
+        dd = 2.0 * cc + sa[:, h] + zb[:, h]
+        lq = ((cc + zb[:, h]) / dd)[:, b] * sa + ((cc + sa[:, h]) / dd)[:, b] * zb
+        lq[:, h] = cc
+        lam[:, l:] = lq * np.sqrt(aa * bb)[:, b]
         self._lam_blocks()
         return lam
 
     def _lam_blocks(self):
         """The per-block head and J-norm^2 of lam, which every jordan_div
         and max_step_to_boundary reads."""
-        lq = self.lam[self.lay.l:]
-        self.lam_head = lq[self.heads]
-        self.lam_det = self.lam_head * self.lam_head - self._dot(lq, lq, 1)
+        lq = self.lam[:, self.lay.l:]
+        self.lam_head = lq[:, self.heads]
+        self.lam_det = self.lam_head * self.lam_head - self._blockdot(lq, lq, 1)
 
     def update(self, s_new, z_new):
         """NT update from new iterates expressed in the current scaling."""
         h, b, v, lam = self.heads, self.blk, self.v, self.lam
         l = self.lay.l
-        ssq = np.sqrt(s_new[:l])
-        zsq = np.sqrt(z_new[:l])
+        if self.groups:
+            st, zt = s_new[:, l:], z_new[:, l:]
+            aa, bb = self._jnorms(st, zt)
+        ssq = np.sqrt(s_new[:, :l])
+        zsq = np.sqrt(z_new[:, :l])
         self.d *= ssq / zsq
-        lam[:l] = ssq * zsq
+        lam[:, :l] = ssq * zsq
         if not self.groups:
             return
-        st, zt = s_new[l:], z_new[l:]
-        aa, bb = self._jnrm2(st), self._jnrm2(zt)
-        if (aa <= 0.0).any() or (bb <= 0.0).any():
-            raise NumericalBreakdown(_ON_BOUNDARY)
-        sb, zb = st / aa[b], zt / bb[b]
-        cc = np.sqrt((1.0 + self._dot(sb, zb)) / 2.0)
+        sb, zb = st / aa[:, b], zt / bb[:, b]
+        cc = np.sqrt((1.0 + self._blockdot(sb, zb)) / 2.0)
         c2 = 2.0 * cc
-        vs = self._dot(v, sb)
+        vs = self._blockdot(v, sb)
         vz = self._jdot(v, zb)
         vq = (vs + vz) / c2
         vu = vs - vz
-        wk0 = 2.0 * v[h] * vq - (sb[h] + zb[h]) / c2
-        dd = (v[h] * vu - sb[h] / 2.0 + zb[h] / 2.0) / (wk0 + 1.0)
+        wk0 = 2.0 * v[:, h] * vq - (sb[:, h] + zb[:, h]) / c2
+        dd = (v[:, h] * vu - sb[:, h] / 2.0 + zb[:, h] / 2.0) / (wk0 + 1.0)
         lq = (
-            (2.0 * (-dd * vq + 0.5 * vu))[b] * v
-            + (0.5 * (1.0 - dd / cc))[b] * sb
-            + (0.5 * (1.0 + dd / cc))[b] * zb
+            (2.0 * (-dd * vq + 0.5 * vu))[:, b] * v
+            + (0.5 * (1.0 - dd / cc))[:, b] * sb
+            + (0.5 * (1.0 + dd / cc))[:, b] * zb
         )
-        lq[h] = cc
-        lam[l:] = lq * np.sqrt(aa * bb)[b]
-        vn = (2.0 * vq)[b] * v
-        vn -= (sb / c2[b]) * self.jsign
-        vn -= zb / c2[b]
-        vn[h] += 1.0
-        vn /= np.sqrt(2.0 * vn[h])[b]
+        lq[:, h] = cc
+        lam[:, l:] = lq * np.sqrt(aa * bb)[:, b]
+        vn = (2.0 * vq)[:, b] * v
+        vn -= (sb / c2[:, b]) * self.jsign
+        vn -= zb / c2[:, b]
+        vn[:, h] += 1.0
+        vn /= np.sqrt(2.0 * vn[:, h])[:, b]
         self.v = vn
         self.beta = self.beta * np.sqrt(aa / bb)
         self._lam_blocks()
@@ -336,21 +435,21 @@ class _Scaling:
     def apply(self, x, inverse=False):
         """W x (or W^{-1} x)."""
         l, b, v, js = self.lay.l, self.blk, self.v, self.jsign
-        out = np.empty(len(x))
-        out[:l] = x[:l] / self.d if inverse else x[:l] * self.d
+        out = np.empty(x.shape)
+        out[:, :l] = x[:, :l] / self.d if inverse else x[:, :l] * self.d
         if not self.groups:
             return out
-        u = x[l:]
+        u = x[:, l:]
         if inverse:
-            w = (2.0 * self._dot(v, u * js))[b] * v - u
-            out[l:] = w * js / self.beta[b]
+            w = (2.0 * self._blockdot(v, u * js))[:, b] * v - u
+            out[:, l:] = w * js / self.beta[:, b]
         else:
-            w = (2.0 * self._dot(v, u))[b] * v
-            out[l:] = self.beta[b] * (w - u * js)
+            w = (2.0 * self._blockdot(v, u))[:, b] * v
+            out[:, l:] = self.beta[:, b] * (w - u * js)
         return out
 
     def apply_matrix(self, B, inverse=False):
-        """Blockwise W (or W^{-1}) applied to the rows of a matrix.
+        """Blockwise W (or W^{-1}) applied to the rows of a stack of matrices.
 
         A group whose rows form one run is read and written through views,
         so no temporary of B's size is made.
@@ -358,149 +457,218 @@ class _Scaling:
         l = self.lay.l
         out = np.empty(B.shape)
         if inverse:
-            out[:l] = B[:l] / self.d[:, None]
+            out[:, :l] = B[:, :l] / self.d[:, :, None]
         else:
-            out[:l] = B[:l] * self.d[:, None]
-        Bq, Oq = B[l:], out[l:]
+            out[:, :l] = B[:, :l] * self.d[:, :, None]
+        Bq, Oq = B[:, l:], out[:, l:]
         for blocks, rows, span in self.groups:
-            shape = rows.shape + B.shape[1:]
+            shape = B.shape[:1] + rows.shape + B.shape[2:]
             if span is None:
-                Bg, Og = Bq[rows], np.empty(shape)
+                Bg, Og = np.take(Bq, rows, axis=1), np.empty(shape)
             else:
-                Bg, Og = Bq[span].reshape(shape), Oq[span].reshape(shape)
-            V = self.v[rows]
-            beta = self.beta[blocks][:, None, None]
+                Bg, Og = Bq[:, span].reshape(shape), Oq[:, span].reshape(shape)
+            V = np.take(self.v, rows, axis=1)
+            beta = self.beta[:, blocks][:, :, None, None]
             # v @ (J blk) == (J v) @ blk: sign flips are exact
-            T = np.matmul((V * self.jsign[rows] if inverse else V)[:, None, :], Bg)
-            np.multiply(V[:, :, None], T, out=Og)
+            T = np.matmul((V * self.jsign[rows] if inverse else V)[:, :, None, :], Bg)
+            np.multiply(V[:, :, :, None], T, out=Og)
             Og *= 2.0
             if inverse:
                 Og -= Bg
-                Og[:, 1:] *= -1.0
+                Og[:, :, 1:] *= -1.0
                 Og /= beta
             else:
-                Og[:, 0] -= Bg[:, 0]
-                Og[:, 1:] += Bg[:, 1:]
+                Og[:, :, 0] -= Bg[:, :, 0]
+                Og[:, :, 1:] += Bg[:, :, 1:]
                 Og *= beta
             if span is None:
-                Oq[rows] = Og
+                Oq[:, rows] = Og
         return out
 
     def jordan_prod(self, a, b):
         h, bl = self.heads, self.blk
         l = self.lay.l
-        out = np.empty(self.lay.m_cone)
-        out[:l] = a[:l] * b[:l]
+        out = np.empty(a.shape)
+        out[:, :l] = a[:, :l] * b[:, :l]
         if not self.groups:
             return out
-        aq, bq = a[l:], b[l:]
-        oq = aq[h][bl] * bq + bq[h][bl] * aq
-        oq[h] = self._dot(aq, bq)
-        out[l:] = oq
+        aq, bq = a[:, l:], b[:, l:]
+        oq = aq[:, h][:, bl] * bq + bq[:, h][:, bl] * aq
+        oq[:, h] = self._blockdot(aq, bq)
+        out[:, l:] = oq
         return out
 
     def jordan_div(self, x):
         """Solve lam o u = x for u."""
         h, b, lam = self.heads, self.blk, self.lam
         l = self.lay.l
-        out = np.empty(self.lay.m_cone)
-        out[:l] = x[:l] / lam[:l]
+        out = np.empty(x.shape)
+        out[:, :l] = x[:, :l] / lam[:, :l]
         if not self.groups:
             return out
-        lq, xq, lh = lam[l:], x[l:], self.lam_head
-        u0 = (lh * xq[h] - self._dot(lq, xq, 1)) / self.lam_det
-        oq = (xq - u0[b] * lq) / lh[b]
-        oq[h] = u0
-        out[l:] = oq
+        lq, xq, lh = lam[:, l:], x[:, l:], self.lam_head
+        u0 = (lh * xq[:, h] - self._blockdot(lq, xq, 1)) / self.lam_det
+        oq = (xq - u0[:, b] * lq) / lh[:, b]
+        oq[:, h] = u0
+        out[:, l:] = oq
         return out
 
     def max_residual_step(self, u):
-        """min t with u + t*e in the cone."""
+        """Per program, min t with u + t*e in the cone."""
         l = self.lay.l
-        uq = u[l:]
-        t = float(np.max(np.sqrt(self._dot(uq, uq, 1)) - uq[self.heads], initial=-np.inf))
+        uq = u[:, l:]
+        t = np.max(np.sqrt(self._blockdot(uq, uq, 1)) - uq[:, self.heads], axis=1,
+                   initial=-np.inf)
         if l:
-            t = max(t, float(-u[:l].min()))
+            t = _pymax(t, -u[:, :l].min(axis=1))
         return t
 
     def max_step_to_boundary(self, d):
-        """sup {alpha >= 0 : lam + alpha d in cone}, for interior lam."""
+        """Per program, sup {alpha >= 0 : lam + alpha d in cone}, for interior lam."""
         l, h, lam = self.lay.l, self.heads, self.lam
-        alpha = np.inf
-        neg = d[:l] < 0
-        if neg.any():
-            alpha = min(alpha, float((lam[:l][neg] / -d[:l][neg]).min()))
+        alpha = np.full(d.shape[0], np.inf)
+        if l:
+            # an empty or NaN-holding ratio leaves alpha at inf, as min(inf, .)
+            alpha = _pymin(alpha, _ratio(lam[:, :l], d[:, :l]).min(axis=1))
         if not self.groups:
             return alpha
-        lq, dq = lam[l:], d[l:]
-        lh, dh = self.lam_head, dq[h]
+        lq, dq = lam[:, l:], d[:, l:]
+        lh, dh = self.lam_head, dq[:, h]
         # the roots of f0 + 2 f1 t + f2 t^2, the J-norm^2 of lam + t d
         f0 = self.lam_det
-        f1 = lh * dh - self._dot(lq, dq, 1)
-        f2 = dh * dh - self._dot(dq, dq, 1)
+        f1 = lh * dh - self._blockdot(lq, dq, 1)
+        f2 = dh * dh - self._blockdot(dq, dq, 1)
         lin = np.abs(f2) < 1e-300
         with np.errstate(all="ignore"):
-            # (-f1 - sq) / f2 and (-f1 + sq) / f2, NaN where the disc is < 0
-            roots = (_PLUS_MINUS * np.sqrt(f1 * f1 - f0 * f2) - f1) / f2
-            if lin.any():
-                roots[:, lin] = np.nan
-                roots = np.append(roots, np.where(lin & (f1 < 0), -f0 / (2.0 * f1), np.nan))
-            alpha = min(alpha, float(np.min(roots, where=roots > 0, initial=np.inf)))
+            # (-f1 - sq) / f2 and (-f1 + sq) / f2, NaN where the disc is < 0;
+            # where f2 is 0 the one root of the linear equation instead
+            sq = np.sqrt(f1 * f1 - f0 * f2)[:, None]
+            roots = (_PLUS_MINUS * sq - f1[:, None]) / f2[:, None]
+            linear = np.where(lin & (f1 < 0), -f0 / (2.0 * f1), np.nan)
+            roots = np.concatenate([np.where(lin[:, None], np.nan, roots),
+                                    linear[:, None]], axis=1)
+            alpha = _pymin(alpha, np.min(roots, axis=(1, 2), where=roots > 0, initial=np.inf))
             # fmin skips NaN like the per-block min(alpha, .)
-            return min(alpha, float(np.fmin.reduce(lh / -dh, where=dh < 0, initial=np.inf)))
+            return _pymin(alpha, np.fmin.reduce(lh / -dh, axis=1, where=dh < 0,
+                                                initial=np.inf))
 
 
-class _KKT:
-    """LU factorization of the scaled 3x3 KKT system in unsquared form.
+def _factor_kkt(lay: _Layout, W: _Scaling):
+    """LU factorizations of the scaled 3x3 KKT systems in unsquared form.
 
     With Gs = W^{-1} G and the scaled unknown zs = W uz, the system
 
         Aeq' uy + G' uz = bx,   Aeq ux = by,   G ux - W^2 uz = bz
 
     becomes [0 Aeq' Gs'; Aeq 0 0; Gs 0 -I] (ux, uy, zs) = (bx, by, W^{-1}bz),
-    whose conditioning grows with cond(W) rather than cond(W)^2.
-    solve(bx, by, bz) returns (ux, uy, zs = W uz).
+    whose conditioning grows with cond(W) rather than cond(W)^2.  Returns
+    solve(bx, by, bz) -> (ux, uy, zs = W uz), one row per program.
 
     Static quasi-definite regularization (+reg / -reg on the diagonal); the
-    outer iterative refinement absorbs the perturbation.
+    outer iterative refinement absorbs the perturbation.  K holds one matrix
+    per program, each in Fortran order, so that LAPACK getrf factors it in
+    place; getrs solves with it.  These are the calls, and the bytes, of
+    scipy's lu_factor/lu_solve without their wrappers.
+    """
+    n, p, mc = lay.n, lay.p, lay.m_cone
+    Gs = W.apply_matrix(lay.G, inverse=True)
+    # Gs is the only part of K that changes, so checking it stands in
+    # for a finiteness scan of all of K
+    bad = ~np.isfinite(Gs).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalBreakdown("non-finite scaled KKT block", bad)
+    N = n + p + mc
+    K = np.zeros((len(Gs), N, N)).transpose(0, 2, 1)
+    K[:, :n, n : n + p] = lay.Aeq.transpose(0, 2, 1)
+    K[:, n : n + p, :n] = lay.Aeq
+    K[:, :n, n + p :] = Gs.transpose(0, 2, 1)
+    K[:, n + p :, :n] = Gs
+    idx = np.arange(N)
+    K[:, idx[:n], idx[:n]] = _REGULARIZATION
+    K[:, idx[n : n + p], idx[n : n + p]] = -_REGULARIZATION
+    K[:, idx[n + p :], idx[n + p :]] = -1.0 - _REGULARIZATION
+    # an exactly singular factor (info > 0) gives a non-finite solve,
+    # which solve reports
+    factors = [dgetrf(Ki, overwrite_a=True)[:2] for Ki in K]
+    getrs = dgetrs
+
+    def solve(bx, by, bz):
+        rhs = np.concatenate([bx, by, W.apply(bz, inverse=True)], axis=1)
+        u = np.empty(rhs.shape)
+        for i, (lu, piv) in enumerate(factors):
+            u[i] = getrs(lu, piv, rhs[i])[0]
+        bad = ~np.isfinite(u).all(axis=1)
+        if bad.any():
+            raise NumericalBreakdown("singular KKT system", bad)
+        return u[:, :n], u[:, n : n + p], u[:, n + p :]
+
+    return solve
+
+
+class _Rows:
+    """Per-program state of the stack: every attribute is an array with one
+    row (or entry) per program."""
+
+    def take(self, keep):
+        for name, value in list(vars(self).items()):
+            setattr(self, name, value[keep])
+
+
+class _Newton:
+    """One iteration's Newton system for every program of the stack: the
+    factored KKT matrices and the solution of their tau column.
+
+    step solves the full linearized system of the embedding, in (x, y, zt,
+    tau, s, kappa), with _REFINEMENT steps of iterative refinement.
     """
 
-    def __init__(self, lay: _Layout, reg: float):
-        self.lay, self.reg = lay, reg
-        n, p, mc = lay.n, lay.p, lay.m_cone
-        N = n + p + mc
-        self.K = np.zeros((N, N))
-        self.K[:n, n : n + p] = lay.Aeq.T
-        self.K[n : n + p, :n] = lay.Aeq
-        idx = np.arange(N)
-        self.K[idx[:n], idx[:n]] = reg
-        self.K[idx[n : n + p], idx[n : n + p]] = -reg
-        self.K[idx[n + p :], idx[n + p :]] = -1.0 - reg
+    def __init__(self, lay: _Layout, W: _Scaling, st: _Rows):
+        self.lay, self.W, self.st = lay, W, st
+        self.kkt_solve = _factor_kkt(lay, W)
+        x1, y1, z1 = self.kkt_solve(-st.c, lay.beq, lay.h)
+        dgi = st.dgi[:, None]
+        self.x1, self.y1, self.z1 = dgi * x1, dgi * y1, dgi * z1
+        self.th = W.apply(lay.h, inverse=True)
+        self.z1_sq = 1.0 + _dot(self.z1, self.z1)
 
-    def factor(self, W: _Scaling):
-        lay = self.lay
-        n, p = lay.n, lay.p
-        K = self.K
-        Gs = W.apply_matrix(lay.G, inverse=True)
-        # Gs is the only part of K that changes, so checking it stands in
-        # for LAPACK's finiteness scan of all of K
-        if not np.isfinite(Gs).all():
-            raise NumericalBreakdown("non-finite scaled KKT block")
-        K[: n, n + p :] = Gs.T
-        K[n + p :, : n] = Gs
-        try:
-            lu = lu_factor(K, check_finite=False)
-        except (LinAlgError, ValueError) as exc:
-            raise NumericalBreakdown("KKT factorization failed") from exc
+    def step(self, bx, by, bz, btau, bs, bkap):
+        u = self._direction(bx, by, bz, btau, bs, bkap)
+        for _ in range(_REFINEMENT):
+            du = self._direction(*self._residual(u, bx, by, bz, btau, bs, bkap))
+            u = tuple(a + b for a, b in zip(u, du))
+        return u
 
-        def solve(bx, by, bz):
-            rhs = np.concatenate([bx, by, W.apply(bz, inverse=True)])
-            u = lu_solve(lu, rhs, check_finite=False)
-            if not np.all(np.isfinite(u)):
-                raise NumericalBreakdown("singular KKT system")
-            return u[:n], u[n : n + p], u[n + p :]
+    def _direction(self, bx, by, bz, btau, bs, bkap):
+        W, st, lay = self.W, self.st, self.lay
+        s1 = -W.jordan_div(bs)
+        bz_eff = -(bz + W.apply(s1))
+        ux, uy, uzt = self.kkt_solve(bx, -by, bz_eff)
+        bk2 = -bkap / st.lam_g
+        bt2 = btau + bk2 / st.dgi
+        dtau = st.dgi * (bt2 + _dot(st.c, ux) + _dot(lay.beq, uy)
+                         + _dot(self.th, uzt)) / self.z1_sq
+        d = dtau[:, None]
+        ux = ux + d * self.x1
+        uy = uy + d * self.y1
+        uzt = uzt + d * self.z1
+        us = s1 - uzt
+        dkap = bk2 - dtau
+        return ux, uy, uzt, dtau, us, dkap
 
-        return solve
+    def _residual(self, u, bx, by, bz, btau, bs, bkap):
+        W, st, lay = self.W, self.st, self.lay
+        A, beq, G, h, c = lay.Aeq, lay.beq, lay.G, lay.h, st.c
+        ux, uy, uzt, dtau, us, dkap = u
+        uz_true = W.apply(uzt, inverse=True)
+        dtau_true = (dtau * st.dgi)[:, None]
+        vx = bx - _mv(A.transpose(0, 2, 1), uy) - _mv(G.transpose(0, 2, 1), uz_true) \
+            - c * dtau_true
+        vy = by + _mv(A, ux) - beq * dtau_true
+        vz = bz + _mv(G, ux) - h * dtau_true + W.apply(us)
+        vtau = btau + st.dg * dkap + _dot(c, ux) + _dot(beq, uy) + _dot(h, uz_true)
+        vs = bs + W.jordan_prod(W.lam, uzt + us)
+        vkap = bkap + st.lam_g * (dtau + dkap)
+        return vx, vy, vz, vtau, vs, vkap
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solution:
@@ -509,245 +677,306 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solu
     Statuses: Optimal (all residuals within tol), PrimalInfeasible /
     DualInfeasible (tau/kappa classification of the self-dual embedding;
     the normalized certificate lives in y resp. x, its residual in
-    ``residuals``), MaxIter (non-convergence; best iterate returned).
+    ``residuals``), MaxIter (non-convergence; best iterate returned, NaN
+    when not even the starting point was finite).  This is solve_batch on
+    one program.
+    """
+    return solve_batch([program], settings)[0]
+
+
+def solve_batch(programs, settings: SolverSettings | None = None) -> list[Solution]:
+    """Solve every program, and return their Solutions in order.
+
+    Programs of one shape (n and cone blocks) are solved together, in
+    sub-batches whose stack_bytes fit in KKT_BATCH_BYTES; a list of mixed
+    shapes is grouped by shape.  Each Solution equals, bit for bit, what
+    solve gives for that program alone.  An invalid program raises
+    ValueError before anything is solved; an empty list gives [].
     """
     settings = settings or SolverSettings()
-    errs = validate(program)
-    if errs:
-        raise ValueError("invalid program: " + "; ".join(errs))
-    lay = _Layout(program)
+    programs = list(programs)
+    for program in programs:
+        require_valid(program)
+    shapes: dict = {}
+    for i, program in enumerate(programs):
+        shapes.setdefault((program.n, program.cones.blocks), []).append(i)
+    out: list = [None] * len(programs)
+    for idx in shapes.values():
+        size = max(1, KKT_BATCH_BYTES // stack_bytes(programs[idx[0]]))
+        for start in range(0, len(idx), size):
+            part = idx[start : start + size]
+            for i, sol in zip(part, _solve_stack([programs[i] for i in part], settings)):
+                out[i] = sol
+    return out
+
+
+def _solve_stack(programs, settings):
+    """The embedding's iteration over programs of one shape."""
+    lay = _Layout(programs)
     if lay.m_cone == 0:
-        return _solve_equality_only(program, lay, settings)
-
-    eq_scale = _Equilibration(lay, program.c)
-    c = eq_scale.scale_layout(lay, program.c)
-
+        return [_solve_equality_only(program, lay, lay.Aeq[i], lay.beq[i], settings)
+                for i, program in enumerate(programs)]
+    c = np.stack([program.c for program in programs])
+    eq_scale = _Equilibration(lay, c)
+    st = _Rows()
+    st.c = eq_scale.scale_layout(lay, c)
+    st.index = np.arange(len(programs))     # the program of each stack row
     tol = settings.tol
     n, p, mc = lay.n, lay.p, lay.m_cone
-    A, beq, G, h = lay.Aeq, lay.beq, lay.G, lay.h
-
-    resx0 = max(1.0, float(np.linalg.norm(c)))
-    resy0 = max(1.0, float(np.linalg.norm(beq)))
-    resz0 = max(1.0, float(np.linalg.norm(h)))
+    out: list = [None] * len(programs)
 
     W = _Scaling(lay)
-    kkt = _KKT(lay, _REGULARIZATION)
 
-    # least-squares initial point (identity scaling), shifted into the cone
-    f0 = kkt.factor(W)
-    x, _, uz = f0(np.zeros(n), beq.copy(), h.copy())
-    s = -uz
-    ts = W.max_residual_step(s)
-    if ts >= -1e-8 * max(1.0, float(np.linalg.norm(s))):
-        s[lay.e > 0] += 1.0 + ts
-    _, y, z = f0(-c, np.zeros(p), np.zeros(mc))
-    tz = W.max_residual_step(z)
-    if tz >= -1e-8 * max(1.0, float(np.linalg.norm(z))):
-        z[lay.e > 0] += 1.0 + tz
+    def finish(i, x, y_eq, z, status, pres, dres, gap, iters):
+        j = int(st.index[i])
+        out[j] = _finish(programs[j], lay, x, y_eq, z, status, pres, dres, gap, iters,
+                         eq_scale, j)
 
-    tau, kappa = 1.0, 1.0
-    gap = float(s @ z)
-    lam = np.zeros(mc)
-    lam_g = 1.0
-    dg = dgi = 1.0
-    best = None
+    def give_up(i, iters):
+        """MaxIter with the best finite iterate (NaN if there is none)."""
+        if st.best_iter[i] < 0:
+            finish(i, np.full(n, np.nan), np.full(p, np.nan), np.full(mc, np.nan),
+                   Status.MAX_ITER, np.nan, np.nan, np.nan, iters)
+        else:
+            finish(i, st.best_x[i], st.best_y[i], st.best_z[i], Status.MAX_ITER,
+                   st.best_pres[i], st.best_dres[i], st.best_gap[i], iters)
 
-    def give_up(iters):
-        """MaxIter with the best finite iterate."""
-        if best is None:
-            raise NumericalBreakdown("non-finite starting point")
-        return _finish(program, lay, best[1], best[2], best[3], Status.MAX_ITER,
-                       best[4], best[5], best[6], iters, eq_scale)
+    def drop(done):
+        """Take the finished rows (a mask) off the stack; True if none is left."""
+        if done.all():
+            return True
+        if not done.any():
+            return False
+        keep = np.flatnonzero(~done)
+        for part in (st, lay, W):
+            part.take(keep)
+        return False
 
-    # lowest pinfres/dinfres so far and the iteration of the latest new low
-    pinf_low = dinf_low = math.inf
-    inf_low_iter = 0
+    def broke_down(exc, iters):
+        for i in np.flatnonzero(exc.rows):
+            give_up(i, iters)
+        return drop(exc.rows)
+
+    st.resx0 = _pymax(1.0, _norm(st.c))
+    st.resy0 = _pymax(1.0, _norm(lay.beq))
+    st.resz0 = _pymax(1.0, _norm(lay.h))
+    nb = len(programs)
+    st.best_iter = np.full(nb, -1)
+    for name, cols in (("best_x", n), ("best_y", p), ("best_z", mc)):
+        setattr(st, name, np.zeros((nb, cols)))
+    for name in ("best_merit", "best_pres", "best_dres", "best_gap",
+                 "pinf_low", "dinf_low"):
+        setattr(st, name, np.full(nb, np.inf))
+    # iteration of the latest new low of pinfres or dinfres
+    st.inf_low_iter = np.zeros(nb, dtype=int)
+
+    while True:
+        try:
+            st.x, st.y, st.s, st.z = _starting_point(lay, W, st.c)
+            break
+        except NumericalBreakdown as exc:
+            if broke_down(exc, 0):
+                return out
+
+    nb = len(st.c)
+    st.tau, st.kappa = np.ones(nb), np.ones(nb)
+    st.gap = _dot(st.s, st.z)
+    st.lam_g, st.dg, st.dgi = np.ones(nb), np.ones(nb), np.ones(nb)
 
     for iters in range(settings.max_iter + 1):
-        hrx = -(A.T @ y) - G.T @ z
-        hresx = float(np.linalg.norm(hrx))
-        rx = hrx - c * tau
-        resx = float(np.linalg.norm(rx)) / tau
-        hry = A @ x
-        hresy = float(np.linalg.norm(hry))
-        ry = hry - beq * tau
-        resy = float(np.linalg.norm(ry)) / tau
-        hrz = G @ x + s
-        hresz = float(np.linalg.norm(hrz))
-        rz = hrz - h * tau
-        resz = float(np.linalg.norm(rz)) / tau
-        cx, by, hz = float(c @ x), float(beq @ y), float(h @ z)
-        rt = kappa + cx + by + hz
+        A, beq, G, h, c, x, y, z, tau = (lay.Aeq, lay.beq, lay.G, lay.h, st.c,
+                                         st.x, st.y, st.z, st.tau)
+        tcol = tau[:, None]
+        hrx = -_mv(A.transpose(0, 2, 1), y) - _mv(G.transpose(0, 2, 1), z)
+        hresx = _norm(hrx)
+        st.rx = hrx - c * tcol
+        resx = _norm(st.rx) / tau
+        hry = _mv(A, x)
+        hresy = _norm(hry)
+        st.ry = hry - beq * tcol
+        resy = _norm(st.ry) / tau
+        hrz = _mv(G, x) + st.s
+        hresz = _norm(hrz)
+        st.rz = hrz - h * tcol
+        resz = _norm(st.rz) / tau
+        cx, by, hz = _dot(c, x), _dot(beq, y), _dot(h, z)
+        st.rt = st.kappa + cx + by + hz
 
-        pcost, dcost = cx / tau, -(by + hz) / tau
-        if pcost < 0.0:
-            relgap = gap / -pcost
-        elif dcost > 0.0:
-            relgap = gap / dcost
-        else:
-            relgap = None
-        pres = max(resy / resy0, resz / resz0)
-        dres = resx / resx0
-        pinfres = hresx / resx0 / (-hz - by) if hz + by < 0 else None
-        dinfres = max(hresy / resy0, hresz / resz0) / (-cx) if cx < 0 else None
+        # Python float division gives inf where these overflow, silently
+        with np.errstate(over="ignore"):
+            pcost, dcost = cx / tau, -(by + hz) / tau
+            # the relative gap where pcost < 0 or else dcost > 0, the gap itself
+            # where neither holds
+            gap_merit = np.array(st.gap)
+            rel_p = pcost < 0.0
+            np.divide(st.gap, -pcost, out=gap_merit, where=rel_p)
+            np.divide(st.gap, dcost, out=gap_merit, where=~rel_p & (dcost > 0.0))
+            pres = _pymax(resy / st.resy0, resz / st.resz0)
+            dres = resx / st.resx0
+            # the certificates' residuals, where hz + by < 0 resp. cx < 0
+            has_pinf, has_dinf = hz + by < 0, cx < 0
+            pinfres = np.divide(hresx / st.resx0, -hz - by,
+                                out=np.full(len(tau), np.inf), where=has_pinf)
+            dinfres = np.divide(_pymax(hresy / st.resy0, hresz / st.resz0), -cx,
+                                out=np.full(len(tau), np.inf), where=has_dinf)
         if _TRACE:
-            print(f"it {iters:3d}: pcost {pcost: .6e} dcost {dcost: .6e} "
-                  f"gap {gap:.1e} pres {pres:.1e} dres {dres:.1e} k/t {kappa/tau:.1e}")
+            for i in range(len(tau)):
+                print(f"it {iters:3d}: pcost {pcost[i]: .6e} dcost {dcost[i]: .6e} "
+                      f"gap {st.gap[i]:.1e} pres {pres[i]:.1e} dres {dres[i]:.1e} "
+                      f"k/t {st.kappa[i] / tau[i]:.1e}")
 
-        gap_merit = relgap if relgap is not None else gap
-        merit = max(pres, dres, gap_merit)
-        # max() keeps its first argument against a NaN, so a non-finite
+        merit = _pymax(_pymax(pres, dres), gap_merit)
+        # _pymax keeps its first argument against a NaN, so a non-finite
         # iterate is caught here, before it could pass the tests below
-        if not all(map(math.isfinite, (resx, resy, resz, rt, gap, merit))):
-            return give_up(iters)
-        if best is None or merit < best[0]:
-            best = (merit, x / tau, y / tau, z / tau, pres, dres, gap_merit, iters)
-        if pinfres is not None and pinfres < pinf_low:
-            pinf_low, inf_low_iter = pinfres, iters
-        if dinfres is not None and dinfres < dinf_low:
-            dinf_low, inf_low_iter = dinfres, iters
+        bad = ~np.isfinite(np.array([resx, resy, resz, st.rt, st.gap, merit])).all(axis=0)
+        better = ~bad & (merit < st.best_merit)
+        if better.any():
+            bt = tau[better, None]
+            st.best_merit[better] = merit[better]
+            st.best_x[better] = x[better] / bt
+            st.best_y[better] = y[better] / bt
+            st.best_z[better] = z[better] / bt
+            st.best_pres[better] = pres[better]
+            st.best_dres[better] = dres[better]
+            st.best_gap[better] = gap_merit[better]
+            st.best_iter[better] = iters
+        for low, res, has in ((st.pinf_low, pinfres, has_pinf),
+                              (st.dinf_low, dinfres, has_dinf)):
+            new_low = ~bad & has & (res < low)
+            low[new_low] = res[new_low]
+            st.inf_low_iter[new_low] = iters
 
-        if merit <= tol:
-            return _finish(program, lay, x / tau, y / tau, z / tau,
-                           Status.OPTIMAL, pres, dres, gap_merit, iters,
-                           eq_scale)
-        if pinfres is not None and pinfres <= _INFEASIBILITY_THRESHOLD:
-            scale = -hz - by
-            return _finish(program, lay, np.full(n, np.nan), y / scale, z / scale,
-                           Status.PRIMAL_INFEASIBLE, pinfres, pinfres, np.nan,
-                           iters, eq_scale)
-        if dinfres is not None and dinfres <= _INFEASIBILITY_THRESHOLD:
-            return _finish(program, lay, x / -cx, np.full(p, np.nan),
-                           np.full(mc, np.nan), Status.DUAL_INFEASIBLE,
-                           dinfres, dinfres, np.nan, iters, eq_scale)
-
+        optimal = ~bad & (merit <= tol)
+        pinf = ~bad & ~optimal & has_pinf & (pinfres <= _INFEASIBILITY_THRESHOLD)
+        dinf = (~bad & ~optimal & ~pinf & has_dinf
+                & (dinfres <= _INFEASIBILITY_THRESHOLD))
         # stall exits: accept a best iterate near tol, or give up on a
         # diverging merit unless an infeasibility certificate still improves
-        stalled = iters - best[7] >= _STALL_ITERS
-        certificate_stalled = iters - inf_low_iter >= _STALL_ITERS
-        if iters == settings.max_iter or (stalled and (
-            best[0] <= _STALL_GRACE * tol
-            or (merit > 1e3 * best[0] and certificate_stalled)
-        )):
-            ok = best[0] <= _STALL_GRACE * tol
-            status = Status.OPTIMAL if ok else Status.MAX_ITER
-            return _finish(program, lay, best[1], best[2], best[3], status,
-                           best[4], best[5], best[6], iters, eq_scale)
-
-        if iters == 0:
-            try:
-                lam = W.compute(s, z)
-            except NumericalBreakdown:
-                return give_up(iters)
-            dg = math.sqrt(kappa / tau)
-            dgi = math.sqrt(tau / kappa)
-            lam_g = math.sqrt(tau * kappa)
-
-        lamsq = W.jordan_prod(lam, lam)
-        mu = (float(lam @ lam) + lam_g**2) / (lay.diag_dim + 1)
-
-        try:
-            f3 = kkt.factor(W)
-            x1, y1, z1 = f3(-c, beq.copy(), h.copy())
-        except NumericalBreakdown:
-            return give_up(iters)
-        x1, y1, z1 = dgi * x1, dgi * y1, dgi * z1
-        th = W.apply(h, inverse=True)
-        z1_sq = 1.0 + float(z1 @ z1)
-
-        def newton(bx, by_, bz, btau, bs, bkap):
-            s1 = -W.jordan_div(bs)
-            bz_eff = -(bz + W.apply(s1))
-            ux, uy, uzt = f3(bx, -by_, bz_eff)
-            bk2 = -bkap / lam_g
-            bt2 = btau + bk2 / dgi
-            dtau = dgi * (bt2 + float(c @ ux) + float(beq @ uy) + float(th @ uzt)) / z1_sq
-            ux = ux + dtau * x1
-            uy = uy + dtau * y1
-            uzt = uzt + dtau * z1
-            us = s1 - uzt
-            dkap = bk2 - dtau
-            return ux, uy, uzt, dtau, us, dkap
-
-        def residual6(u, bx, by_, bz, btau, bs, bkap):
-            ux, uy, uzt, dtau, us, dkap = u
-            uz_true = W.apply(uzt, inverse=True)
-            dtau_true = dtau * dgi
-            vx = bx - (A.T @ uy) - G.T @ uz_true - c * dtau_true
-            vy = by_ + A @ ux - beq * dtau_true
-            vz = bz + G @ ux - h * dtau_true + W.apply(us)
-            vtau = btau + dg * dkap + float(c @ ux) + float(beq @ uy) + float(h @ uz_true)
-            vs = bs + W.jordan_prod(lam, uzt + us)
-            vkap = bkap + lam_g * (dtau + dkap)
-            return vx, vy, vz, vtau, vs, vkap
-
-        def refined_newton(bx, by_, bz, btau, bs, bkap):
-            u = newton(bx, by_, bz, btau, bs, bkap)
-            for _ in range(_REFINEMENT):
-                vx, vy, vz, vtau, vs, vkap = residual6(u, bx, by_, bz, btau, bs, bkap)
-                du = newton(vx, vy, vz, vtau, vs, vkap)
-                u = tuple(a + b for a, b in zip(u, du))
-            return u
-
-        sigma = 0.0
-        corr = np.zeros(mc)
-        corr_k = 0.0
-        dx_ = dy_ = dzt = ds = None
-        dtau = dkap = step = 0.0
-        for phase in (0, 1):
-            bs = lamsq.copy()
-            bkap = lam_g**2
-            if phase == 1:
-                bs = bs + corr - sigma * mu * lay.e
-                bkap = bkap + corr_k - sigma * mu
-            fac = 1.0 - sigma
-            try:
-                u = refined_newton(fac * rx, fac * ry, fac * rz, fac * rt, bs, bkap)
-            except NumericalBreakdown:
-                return give_up(iters)
-            dx_, dy_, dzt, dtau, ds, dkap = u
-            if phase == 0:
-                corr = W.jordan_prod(ds, dzt)
-                corr_k = dtau * dkap
-            alpha = min(
-                W.max_step_to_boundary(ds),
-                W.max_step_to_boundary(dzt),
-            )
-            if dtau < 0:
-                alpha = min(alpha, lam_g / -dtau)
-            if dkap < 0:
-                alpha = min(alpha, lam_g / -dkap)
-            if phase == 0:
-                step = min(1.0, alpha)
-                sigma = min(1.0, max(0.0, 1.0 - step)) ** _EXPON
+        stalled = iters - st.best_iter >= _STALL_ITERS
+        certificate_stalled = iters - st.inf_low_iter >= _STALL_ITERS
+        near = st.best_merit <= _STALL_GRACE * tol
+        stop = ~(bad | optimal | pinf | dinf) & (
+            (iters == settings.max_iter)
+            | (stalled & (near | ((merit > 1e3 * st.best_merit) & certificate_stalled))))
+        done = bad | optimal | pinf | dinf | stop
+        for i in np.flatnonzero(done):
+            if bad[i]:
+                give_up(i, iters)
+            elif optimal[i]:
+                finish(i, x[i] / tau[i], y[i] / tau[i], z[i] / tau[i], Status.OPTIMAL,
+                       pres[i], dres[i], gap_merit[i], iters)
+            elif pinf[i]:
+                scale = -hz[i] - by[i]
+                finish(i, np.full(n, np.nan), y[i] / scale, z[i] / scale,
+                       Status.PRIMAL_INFEASIBLE, pinfres[i], pinfres[i], np.nan, iters)
+            elif dinf[i]:
+                finish(i, x[i] / -cx[i], np.full(p, np.nan), np.full(mc, np.nan),
+                       Status.DUAL_INFEASIBLE, dinfres[i], dinfres[i], np.nan, iters)
             else:
-                step = min(1.0, _STEP * alpha)
+                status = Status.OPTIMAL if near[i] else Status.MAX_ITER
+                finish(i, st.best_x[i], st.best_y[i], st.best_z[i], status,
+                       st.best_pres[i], st.best_dres[i], st.best_gap[i], iters)
+        if drop(done):
+            return out
 
-        x = x + step * dx_
-        y = y + step * dy_
-        s_new = lam + step * ds
-        z_new = lam + step * dzt
-        try:
-            W.update(s_new, z_new)     # moves lam, which is W.lam, in place
-        except NumericalBreakdown:
-            # counted like a non-finite update, which the next pass catches
-            return give_up(iters + 1)
-        tau_f = 1.0 + step * dtau / lam_g
-        kap_f = 1.0 + step * dkap / lam_g
-        dg *= math.sqrt(kap_f) / math.sqrt(tau_f)
-        dgi = 1.0 / dg
-        lam_g *= math.sqrt(tau_f) * math.sqrt(kap_f)
-        s = W.apply(lam)
-        z = W.apply(lam, inverse=True)
-        kappa, tau = lam_g * dg, lam_g * dgi
-        gap = float(lam @ lam) / tau**2
+        while True:
+            try:
+                step, dx, dy, dzt, dtau, ds, dkap = _predictor_corrector(lay, W, st, iters)
+                break
+            except NumericalBreakdown as exc:
+                if broke_down(exc, iters):
+                    return out
+        col = step[:, None]
+        st.x = st.x + col * dx
+        st.y = st.y + col * dy
+        st.s_new = W.lam + col * ds
+        st.z_new = W.lam + col * dzt
+        st.step, st.dtau, st.dkap = step, dtau, dkap
+        while True:
+            try:
+                W.update(st.s_new, st.z_new)     # moves W.lam in place
+                break
+            except NumericalBreakdown as exc:
+                # counted like a non-finite update, which the next pass catches
+                if broke_down(exc, iters + 1):
+                    return out
+        tau_f = 1.0 + st.step * st.dtau / st.lam_g
+        kap_f = 1.0 + st.step * st.dkap / st.lam_g
+        del st.s_new, st.z_new, st.step, st.dtau, st.dkap
+        st.dg = st.dg * (np.sqrt(kap_f) / np.sqrt(tau_f))
+        st.dgi = 1.0 / st.dg
+        st.lam_g = st.lam_g * (np.sqrt(tau_f) * np.sqrt(kap_f))
+        st.s = W.apply(W.lam)
+        st.z = W.apply(W.lam, inverse=True)
+        st.kappa, st.tau = st.lam_g * st.dg, st.lam_g * st.dgi
+        st.gap = _dot(W.lam, W.lam) / _pypow(st.tau, 2)
 
     raise AssertionError("unreachable")
 
 
-def _solve_equality_only(program, lay, settings):
-    # no cone rows: minimize c'x subject to Aeq x = beq
-    A, b, c = lay.Aeq, lay.beq, program.c
+def _starting_point(lay, W, c):
+    """The least-squares point (x, y, s, z) under the identity scaling, with
+    s and z shifted into the cone."""
+    nb, n, p, mc = len(c), lay.n, lay.p, lay.m_cone
+    kkt_solve = _factor_kkt(lay, W)
+    x, _, uz = kkt_solve(np.zeros((nb, n)), lay.beq, lay.h)
+    _, y, z = kkt_solve(-c, np.zeros((nb, p)), np.zeros((nb, mc)))
+    s = -uz
+    for u in (s, z):
+        t = W.max_residual_step(u)
+        shift = t >= -1e-8 * _pymax(1.0, _norm(u))
+        sub = u[shift]
+        sub[:, lay.e > 0] += (1.0 + t[shift])[:, None]
+        u[shift] = sub
+    return x, y, s, z
+
+
+def _predictor_corrector(lay, W, st, iters):
+    """The Mehrotra step of one iteration for every program of the stack:
+    (step, dx, dy, dzt, dtau, ds, dkap).  Raises NumericalBreakdown, before
+    it changes any state but the scaling computed at iteration 0, for the
+    programs whose scaling or KKT system breaks down."""
+    if iters == 0:
+        W.compute(st.s, st.z)
+        st.dg = np.sqrt(st.kappa / st.tau)
+        st.dgi = np.sqrt(st.tau / st.kappa)
+        st.lam_g = np.sqrt(st.tau * st.kappa)
+    lam = W.lam
+    lamsq = W.jordan_prod(lam, lam)
+    lam_g2 = _pypow(st.lam_g, 2)
+    mu = (_dot(lam, lam) + lam_g2) / (lay.diag_dim + 1)
+    newton = _Newton(lay, W, st)
+
+    nb = len(st.lam_g)
+    sigma = np.zeros(nb)
+    corr, corr_k = np.zeros(lam.shape), np.zeros(nb)
+    for phase in (0, 1):
+        bs, bkap = lamsq, lam_g2
+        if phase == 1:
+            sm = sigma * mu
+            bs = bs + corr - sm[:, None] * lay.e
+            bkap = bkap + corr_k - sm
+        fac = 1.0 - sigma
+        fcol = fac[:, None]
+        dx, dy, dzt, dtau, ds, dkap = newton.step(fcol * st.rx, fcol * st.ry,
+                                                  fcol * st.rz, fac * st.rt, bs, bkap)
+        if phase == 0:
+            corr = W.jordan_prod(ds, dzt)
+            corr_k = dtau * dkap
+        alpha = _pymin(W.max_step_to_boundary(ds), W.max_step_to_boundary(dzt))
+        alpha = _pymin(alpha, _ratio(st.lam_g, dtau))
+        alpha = _pymin(alpha, _ratio(st.lam_g, dkap))
+        if phase == 0:
+            step = _pymin(1.0, alpha)
+            sigma = np.array([min(1.0, max(0.0, 1.0 - a)) ** _EXPON for a in step.tolist()])
+        else:
+            step = _pymin(1.0, _STEP * alpha)
+    return step, dx, dy, dzt, dtau, ds, dkap
+
+
+def _solve_equality_only(program, lay, A, b, settings):
+    # no cone rows: minimize c'x subject to A x = b, the equality rows
+    c = program.c
     x = np.linalg.lstsq(A, b, rcond=None)[0]
     if np.linalg.norm(A @ x - b) > settings.tol * (1 + np.linalg.norm(b)):
         return _finish(program, lay, np.full(lay.n, np.nan), np.zeros(lay.p),
@@ -760,11 +989,11 @@ def _solve_equality_only(program, lay, settings):
 
 
 def _finish(program, lay, x, y_eq, z, status, pres, dres, gap, iters,
-            eq_scale=None):
+            eq_scale=None, row=0):
     if eq_scale is not None:
-        x = eq_scale.unscale_x(np.asarray(x, dtype=float))
-        y_eq = eq_scale.unscale_y_eq(np.asarray(y_eq, dtype=float))
-        z = eq_scale.unscale_z(np.asarray(z, dtype=float))
+        x, y_eq, z = eq_scale.unscale(row, np.asarray(x, dtype=float),
+                                      np.asarray(y_eq, dtype=float),
+                                      np.asarray(z, dtype=float))
     y_full = np.zeros(program.m)
     if lay.p:
         y_full[lay.eq_rows] = y_eq

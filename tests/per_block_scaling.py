@@ -1,9 +1,12 @@
 """The per-block NT scaling: the reference for the solver's _Scaling.
 
-It walks the SOC blocks one at a time in Python float math and plain
-``u @ v`` dot products.  dpconic.solver._Scaling does the same arithmetic
-over all blocks at once; tests/test_solver.py requires both to give the same
-results bit for bit, method by method and over whole solves.
+PerBlockScaling scales one program: it walks the SOC blocks one at a time
+in Python float math and plain ``u @ v`` dot products.
+dpconic.solver._Scaling does the same arithmetic over all blocks, and all
+programs of a stack, at once; tests/test_solver.py requires both to give
+the same results bit for bit, method by method and over whole solves.
+PerBlockStack runs one PerBlockScaling per program behind the solver's
+stacked interface, so that tests can patch it in for _Scaling.
 """
 
 import math
@@ -207,3 +210,65 @@ class PerBlockScaling:
             if dk[0] < 0:
                 alpha = min(alpha, lk[0] / -dk[0])
         return alpha
+
+
+class PerBlockStack:
+    """The stacked interface of solver._Scaling over one PerBlockScaling per
+    program.  lam is one array whose rows the per-program scalings share."""
+
+    def __init__(self, lay):
+        self.lay = lay
+        nb = lay.G.shape[0]
+        self.refs = [PerBlockScaling(lay) for _ in range(nb)]
+        self.lam = np.zeros((nb, lay.m_cone))
+        self._share_lam()
+
+    def _share_lam(self):
+        for ref, row in zip(self.refs, self.lam):
+            ref.lam = row
+
+    def take(self, keep):
+        self.refs = [self.refs[k] for k in keep]
+        self.lam = self.lam[keep]
+        self._share_lam()
+
+    def _check_blocks(self, s, z):
+        """NumericalBreakdown for the programs with a zero J-norm block,
+        before any state changes, as the solver's _Scaling does."""
+        bad = np.array([any(_jnrm2(si[sl]) <= 0.0 or _jnrm2(zi[sl]) <= 0.0
+                            for sl in self.lay.q_slices) for si, zi in zip(s, z)])
+        if bad.any():
+            raise NumericalBreakdown(_ON_BOUNDARY, bad)
+
+    def _rows(self, method, *stacks):
+        return np.array([getattr(ref, method)(*args)
+                         for ref, *args in zip(self.refs, *stacks)])
+
+    def compute(self, s, z):
+        self._check_blocks(s, z)
+        self.lam = self._rows("compute", s, z).reshape(s.shape)
+        self._share_lam()
+        return self.lam
+
+    def update(self, s_new, z_new):
+        self._check_blocks(s_new, z_new)
+        for ref, s, z in zip(self.refs, s_new, z_new):
+            ref.update(s, z)
+
+    def apply(self, x, inverse=False):
+        return np.array([ref.apply(u, inverse) for ref, u in zip(self.refs, x)])
+
+    def apply_matrix(self, B, inverse=False):
+        return np.array([ref.apply_matrix(M, inverse) for ref, M in zip(self.refs, B)])
+
+    def jordan_prod(self, a, b):
+        return self._rows("jordan_prod", a, b)
+
+    def jordan_div(self, x):
+        return self._rows("jordan_div", x)
+
+    def max_residual_step(self, u):
+        return self._rows("max_residual_step", u)
+
+    def max_step_to_boundary(self, d):
+        return self._rows("max_step_to_boundary", d)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpconic import dp
 from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status
 from dpconic.dp import calibrate_gaussian, estimate_sensitivity, sample_noise
 from dpconic.apps import ellipsoid
@@ -242,13 +243,20 @@ class TestCheckBounded:
 class TestSolveCount:
     @pytest.fixture
     def calls(self, monkeypatch):
+        """One entry per program solved by the ellipsoid module's solve or by
+        estimate_sensitivity's solve_batch."""
         calls = []
 
         def counting(program, settings=None):
             calls.append(program.n)
             return real(program, settings)
-        real = ellipsoid.solve
+
+        def counting_batch(programs, settings=None):
+            calls.extend(program.n for program in programs)
+            return real_batch(programs, settings)
+        real, real_batch = ellipsoid.solve, dp.solve_batch
         monkeypatch.setattr(ellipsoid, "solve", counting)
+        monkeypatch.setattr(dp, "solve_batch", counting_batch)
         return calls
 
     def test_solve_ellipsoid_solves_once(self, calls):

@@ -15,12 +15,21 @@ from dpconic.dp import (
     estimate_sensitivity,
     laplace_ratio_sup,
     privacy_ratio_check,
+    rng_stream,
     sample_noise,
     sensitivity_sample_size,
 )
+from dpconic import dp, solver
+from dpconic.apps import simple_lp
+from dpconic.conic import ConeSpec, ConicProgram, Status, build_simple_lp, nonneg
 from dpconic.ldr import ConflictingConstraints
-from dpconic.solver import NumericalBreakdown
+from dpconic.solver import NumericalBreakdown, solve, stack_bytes
 from dpconic.apps.simple_lp import SimpleLpStudy, lower_bound_adjacency
+
+
+def _stub_program(d):
+    """A small LP for dataset d (min x on [d, d + 1])."""
+    return build_simple_lp(1.0, d, d + 1.0)
 
 
 class TestNoiseSpec:
@@ -155,7 +164,8 @@ class TestEstimateSensitivity:
     def test_identical_pair_gives_zero(self):
         adj = AdjacencyModel(
             sample_pair=lambda rng: (1.0, 1.0),
-            solve_map=lambda d: np.array([d]),
+            program=_stub_program,
+            read=lambda d, sol: np.array([d]),
             alpha=0.0,
         )
         rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=0)
@@ -170,12 +180,12 @@ class TestEstimateSensitivity:
             s = next(counter)
             return float(s), s + 0.5
 
-        def solve_map(d):
+        def read(d, sol):
             if d in failing:
                 raise exc
             return np.array([d])
 
-        return AdjacencyModel(sample_pair, solve_map, alpha=0.5)
+        return AdjacencyModel(sample_pair, _stub_program, read, alpha=0.5)
 
     @pytest.mark.parametrize("exc", [
         RuntimeError("solve returned MaxIter"), ValueError("polyhedron is empty"),
@@ -202,9 +212,119 @@ class TestEstimateSensitivity:
                                  seed=0, max_failure_fraction=0.05)
 
     def test_sample_size_precondition(self):
-        adj = AdjacencyModel(lambda rng: (1.0, 1.0), lambda d: np.array([d]), 0.0)
+        adj = AdjacencyModel(lambda rng: (1.0, 1.0), _stub_program,
+                             lambda d, sol: np.array([d]), 0.0)
         with pytest.raises(ValueError):
             estimate_sensitivity(adj, p=1, samples=10, gamma=0.1, beta=0.1, seed=0)
+
+    @staticmethod
+    def _scripted_adjacency(script):
+        """Pair s is the datasets (s, s + 0.5).  script maps a dataset to what
+        goes wrong with it: ("build", exc) and ("read", exc) raise exc from
+        building its program or from reading its solution, "infeasible"
+        builds a primal infeasible LP, "invalid" a program with a NaN."""
+        counter = iter(range(10**6))
+
+        def sample_pair(rng):
+            s = next(counter)
+            return float(s), s + 0.5
+
+        def program(d):
+            what = script.get(d, (None,))
+            if what[0] == "build":
+                raise what[1]
+            if what[0] == "infeasible":       # x >= d + 1 and x <= d
+                return ConicProgram([[-1.0], [1.0]], [-(d + 1.0), d], [1.0],
+                                    ConeSpec([nonneg(2)]))
+            if what[0] == "invalid":
+                return build_simple_lp(1.0, d, math.inf)
+            return _stub_program(d)
+
+        def read(d, sol):
+            what = script.get(d, (None,))
+            if what[0] == "read":
+                raise what[1]
+            if sol.status != Status.OPTIMAL:
+                raise RuntimeError(f"stub LP returned {sol.status.value}")
+            return sol.x
+
+        return AdjacencyModel(sample_pair, program, read, alpha=0.5)
+
+    @staticmethod
+    def _serial_walk(adjacency, p, samples, seed, max_failure_fraction):
+        """estimate_sensitivity as a serial walk that builds, solves and reads
+        each dataset in turn: the reference for the batched estimate."""
+        worst, failures = 0.0, []
+        allowed = max(1, int(max_failure_fraction * samples))
+        for s in range(samples):
+            d_a, d_b = adjacency.sample_pair(rng_stream(seed, s))
+            try:
+                q_a, q_b = (adjacency.released(d, solve(adjacency.program(d),
+                                                        adjacency.settings))
+                            for d in (d_a, d_b))
+            except (RuntimeError, ValueError) as exc:
+                failures.append(s)
+                if len(failures) > allowed:
+                    raise SolveFailure(s, str(exc)) from exc
+                continue
+            worst = max(worst, float(np.linalg.norm(q_a - q_b, ord=p)))
+        return SensitivityReport(p=p, alpha=adjacency.alpha, gamma=0.1, beta=0.1,
+                                 samples=samples, delta_p=worst,
+                                 failures=tuple(failures))
+
+    SCRIPTS = {
+        "within-budget": ({3.0: ("build", RuntimeError("no program")),
+                           7.5: ("read", ValueError("bad read")),
+                           11.0: ("infeasible",), 20.5: ("invalid",)}, 0.05),
+        "budget-spent-then-bug": ({3.0: ("build", RuntimeError("no program")),
+                                   7.5: ("read", RuntimeError("bad read")),
+                                   12.5: ("build", KeyError("bug"))}, 0.02),
+        "bug-within-budget": ({3.0: ("read", ValueError("bad read")),
+                               5.0: ("read", KeyError("bug"))}, 0.05),
+        # a serial walk never builds the second dataset of pair 4
+        "bug-behind-a-failure": ({4.0: ("read", RuntimeError("bad read")),
+                                  4.5: ("build", TypeError("bug"))}, 0.05),
+        "build-bug": ({2.5: ("build", ZeroDivisionError("bug"))}, 0.05),
+        "sample-failures-over-budget": ({1.0: ("infeasible",), 2.5: ("infeasible",)},
+                                        0.01),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    def test_matches_a_serial_walk(self, name):
+        script, fraction = self.SCRIPTS[name]
+
+        def outcome(estimate):
+            try:
+                return estimate(self._scripted_adjacency(script), 1, 99, 0, fraction)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "sample_index", None)
+
+        got = outcome(lambda adj, p, samples, seed, frac: estimate_sensitivity(
+            adj, p=p, samples=samples, gamma=0.1, beta=0.1, seed=seed,
+            max_failure_fraction=frac))
+        assert got == outcome(self._serial_walk)
+        if name == "budget-spent-then-bug":
+            assert got == (SolveFailure, "sample 7: bad read", 7)
+
+    def test_solves_in_batches_within_the_working_set(self, monkeypatch):
+        adj = lower_bound_adjacency(SimpleLpStudy(), alpha=0.5)
+        ref = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=2)
+        calls, real = [], dp.solve_batch
+
+        def counting(programs, settings=None):
+            calls.append(sum(stack_bytes(program) for program in programs))
+            return real(programs, settings)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("estimate_sensitivity called solve")
+        monkeypatch.setattr(dp, "solve_batch", counting)
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(simple_lp, "solve", no_solve)
+        budget = 10 * stack_bytes(SimpleLpStudy().program())
+        monkeypatch.setattr(dp, "KKT_BATCH_BYTES", budget)
+        rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=2)
+        assert rep == ref
+        assert len(calls) == 20 and max(calls) <= budget
 
     def test_report_json_round_trip(self):
         rep = SensitivityReport(p=1, alpha=0.5, gamma=0.1, beta=0.1, samples=99,

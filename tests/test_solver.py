@@ -18,12 +18,12 @@ from dpconic.conic import (
     zero,
 )
 from dpconic import solver
-from dpconic.apps import ellipsoid, opf, regression, svm
-from dpconic.dp import calibrate_gaussian
-from dpconic.solver import SolverSettings, kkt_report, solve
+from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
+from dpconic.dp import calibrate_gaussian, rng_stream
+from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
 
 from conftest import random_feasible_program
-from per_block_scaling import PerBlockScaling
+from per_block_scaling import PerBlockScaling, PerBlockStack
 
 
 class TestBasics:
@@ -190,36 +190,50 @@ LAYOUTS = {
 
 
 class TestBatchedScaling:
-    """solver._Scaling equals the per-block reference bit for bit."""
+    """solver._Scaling equals the per-block reference bit for bit, on every
+    program of a stack."""
+
+    STACK = 3
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_every_method_bit_identical(self, name):
-        lay = solver._Layout(_program(LAYOUTS[name]))
+        lay = solver._Layout([_program(LAYOUTS[name])] * self.STACK)
         rng = np.random.default_rng(3)
-        ref, bat = PerBlockScaling(lay), solver._Scaling(lay)
-        s, z = _interior(lay, rng), _interior(lay, rng)
-        assert _same(ref.compute(s, z), bat.compute(s, z))
+        refs, bat = [PerBlockScaling(lay) for _ in range(self.STACK)], solver._Scaling(lay)
+
+        def stack(draw):
+            return np.array([draw() for _ in range(self.STACK)])
+
+        def check(method, *args, **kw):
+            got = getattr(bat, method)(*args, **kw)
+            for k, ref in enumerate(refs):
+                assert _same(getattr(ref, method)(*(a[k] for a in args), **kw), got[k])
+
+        s, z = stack(lambda: _interior(lay, rng)), stack(lambda: _interior(lay, rng))
+        check("compute", s, z)
         for _ in range(6):
-            x, y = rng.normal(size=lay.m_cone), rng.normal(size=lay.m_cone)
-            B = rng.normal(size=(lay.m_cone, 7))
+            x, y = rng.normal(size=(2, self.STACK, lay.m_cone))
+            B = rng.normal(size=(self.STACK, lay.m_cone, 7))
             for inverse in (False, True):
-                assert _same(ref.apply(x, inverse), bat.apply(x, inverse))
-                assert _same(ref.apply_matrix(B, inverse), bat.apply_matrix(B, inverse))
-            assert _same(ref.jordan_prod(x, y), bat.jordan_prod(x, y))
-            assert _same(ref.jordan_prod(ref.lam, ref.lam), bat.jordan_prod(bat.lam, bat.lam))
-            assert _same(ref.jordan_div(x), bat.jordan_div(x))
-            assert _same(ref.max_residual_step(x), bat.max_residual_step(x))
-            assert _same(ref.max_step_to_boundary(x), bat.max_step_to_boundary(x))
+                check("apply", x, inverse=inverse)
+                check("apply_matrix", B, inverse=inverse)
+            check("jordan_prod", x, y)
+            check("jordan_prod", bat.lam, bat.lam)
+            check("jordan_div", x)
+            check("max_residual_step", x)
+            check("max_step_to_boundary", x)
             # a chain of NT updates from fresh interior iterates
-            s_new, z_new = _interior(lay, rng), _interior(lay, rng)
-            ref.update(s_new, z_new)
+            s_new = stack(lambda: _interior(lay, rng))
+            z_new = stack(lambda: _interior(lay, rng))
             bat.update(s_new, z_new)
-            assert _same(ref.lam, bat.lam)
+            for k, ref in enumerate(refs):
+                ref.update(s_new[k], z_new[k])
+                assert _same(ref.lam, bat.lam[k])
 
     @staticmethod
     def _assert_matches_reference(monkeypatch, program, settings, sol):
         with monkeypatch.context() as m:
-            m.setattr(solver, "_Scaling", PerBlockScaling)
+            m.setattr(solver, "_Scaling", PerBlockStack)
             ref = solve(program, settings)
         assert sol.x.tobytes() == ref.x.tobytes()
         assert sol.y.tobytes() == ref.y.tobytes()
@@ -238,7 +252,7 @@ class TestBatchedScaling:
         noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
         pv = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                            eta=0.1, seed=1)
-        assert len(solver._Layout(pv.program).q_dims) == 416
+        assert len(solver._Layout([pv.program]).q_dims) == 416
         self._assert_matches_reference(monkeypatch, pv.program, ellipsoid.DEFAULT_SETTINGS,
                                        pv.solution)
 
@@ -253,9 +267,11 @@ class TestBatchedScaling:
                                        sol)
 
 
-def ruiz_eight_rounds(lay, c):
-    """_Equilibration's factors from all 8 Ruiz rounds, with no early exit."""
-    M = np.vstack([lay.Aeq, lay.G])
+def ruiz_eight_rounds(lay, c, i):
+    """_Equilibration's factors for program i of the stack from all 8 Ruiz
+    rounds, with no early exit."""
+    M = np.vstack([lay.Aeq[i], lay.G[i]])
+    c = c[i]
     sizes = np.concatenate([np.ones(lay.p + lay.l, dtype=int),
                             np.array(lay.q_dims, dtype=int)])
     starts = np.cumsum(sizes) - sizes
@@ -271,7 +287,7 @@ def ruiz_eight_rounds(lay, c):
         cmx = np.abs(Ms).max(axis=0)
         nz = cmx > 0
         s[nz] *= solver._pow2(1.0 / np.sqrt(cmx[nz]))
-    b_all = np.concatenate([lay.beq * r[:lay.p], lay.h * r[lay.p:]])
+    b_all = np.concatenate([lay.beq[i] * r[:lay.p], lay.h[i] * r[lay.p:]])
     g_b = float(solver._pow2(1.0 / max(1.0, np.abs(b_all).max(initial=0.0))))
     g_c = float(solver._pow2(1.0 / max(1.0, np.abs(c * s).max(initial=0.0))))
     return r, s, g_b, g_c
@@ -292,22 +308,39 @@ def _bundled_programs():
 
 
 class TestEquilibration:
-    def _check(self, program):
-        lay = solver._Layout(program)
-        eq = solver._Equilibration(lay, program.c)
-        r, s, g_b, g_c = ruiz_eight_rounds(lay, program.c)
-        assert _same(np.concatenate([eq.r_eq, eq.r_cone]), r)
-        assert _same(eq.s, s)
-        assert (eq.g_b, eq.g_c) == (g_b, g_c)
+    """Each program of a stack gets the factors of eight Ruiz rounds of its
+    own, whenever the stack stops."""
+
+    def _check(self, programs):
+        lay = solver._Layout(programs)
+        c = np.array([program.c for program in programs])
+        eq = solver._Equilibration(lay, c)
+        for i in range(len(programs)):
+            r, s, g_b, g_c = ruiz_eight_rounds(lay, c, i)
+            assert _same(np.concatenate([eq.r_eq[i], eq.r_cone[i]]), r)
+            assert _same(eq.s[i], s)
+            assert (eq.g_b[i], eq.g_c[i]) == (g_b, g_c)
 
     def test_equals_eight_rounds_on_acceptance_corpus(self):
         rng = np.random.default_rng(20260809)
-        for _ in range(1000):
-            self._check(random_feasible_program(rng))
+        for group in _by_shape(random_feasible_program(rng) for _ in range(1000)):
+            self._check(group)
 
     def test_equals_eight_rounds_on_bundled_programs(self):
+        # each with a copy whose rows are rescaled, which needs other factors
         for program in _bundled_programs():
-            self._check(program)
+            scale = np.linspace(0.3, 40.0, program.m)
+            copy = ConicProgram(program.A * scale[:, None], program.b * scale,
+                                program.c * 7.0, program.cones)
+            self._check([program, copy])
+
+
+def _by_shape(programs):
+    """The programs grouped by shape (n and cone blocks), in first-seen order."""
+    groups: dict = {}
+    for program in programs:
+        groups.setdefault((program.n, program.cones.blocks), []).append(program)
+    return list(groups.values())
 
 
 @pytest.fixture(params=["solver", "per-block"])
@@ -315,7 +348,7 @@ def scaling_class(request, monkeypatch):
     """The solver's _Scaling, or the per-block reference patched in its place,
     so that the breakdown paths are checked on both."""
     if request.param == "per-block":
-        monkeypatch.setattr(solver, "_Scaling", PerBlockScaling)
+        monkeypatch.setattr(solver, "_Scaling", PerBlockStack)
     return solver._Scaling
 
 
@@ -371,13 +404,13 @@ class TestNumericalBreakdown:
         assert sol.status == Status.OPTIMAL and sol.iterations == 7
 
     def test_nan_kkt_solve_returns_max_iter(self, monkeypatch):
-        orig, calls = solver.lu_solve, []
+        orig, calls = solver.dgetrs, []
 
-        def poisoned(lu, rhs, **kw):
+        def poisoned(lu, piv, rhs, **kw):
             calls.append(1)
-            out = orig(lu, rhs, **kw)
-            return np.full_like(out, np.nan) if len(calls) == 10 else out
-        monkeypatch.setattr(solver, "lu_solve", poisoned)
+            out, info = orig(lu, piv, rhs, **kw)
+            return (np.full_like(out, np.nan) if len(calls) == 10 else out), info
+        monkeypatch.setattr(solver, "dgetrs", poisoned)
         sol = solve(_NAMED_PROGRAMS["opf-cvar6"]())
         assert len(calls) == 10
         assert sol.status == Status.MAX_ITER
@@ -473,3 +506,158 @@ class TestHighsDifferential:
 
     def test_simple_lp(self):
         assert self._check(build_simple_lp(1.0, 1.0, 2.0)) == 0
+
+
+def _solution_bytes(sol):
+    residuals = [sol.residuals.primal, sol.residuals.dual, sol.residuals.gap]
+    return (sol.x.tobytes(), sol.y.tobytes(), sol.status, sol.iterations,
+            np.array(residuals).tobytes())
+
+
+def _apex(c0, b1=0.5):
+    """min c0 x + t s.t. t >= x^2 / (2 b1): an RSOC(3) program whose optimum
+    at c0 = 0 is the cone's apex."""
+    return ConicProgram(np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]]),
+                        np.array([0.0, b1, 0.0]), np.array([c0, 1.0]),
+                        ConeSpec([rsoc(3)]))
+
+
+def _adjacent_programs(adjacency, samples, seed):
+    """The programs of estimate_sensitivity's first `samples` pairs."""
+    out = []
+    for s in range(samples):
+        out.extend(adjacency.program(d) for d in adjacency.sample_pair(rng_stream(seed, s)))
+    return out
+
+
+def _poison(monkeypatch, name, call):
+    """Make the call-th call of solver.<name> (dgetrf or dgetrs) return NaN
+    in place of its first output; returns the list of calls made."""
+    orig, calls = getattr(solver, name), []
+
+    def poisoned(*args, **kw):
+        calls.append(1)
+        out = orig(*args, **kw)
+        if len(calls) == call:
+            out = (np.full_like(out[0], np.nan),) + tuple(out[1:])
+        return out
+    monkeypatch.setattr(solver, name, poisoned)
+    return calls
+
+
+class TestSolveBatch:
+    """solve_batch gives every program, bit for bit, what solve gives it alone."""
+
+    @staticmethod
+    def _check(programs, settings=None):
+        batch = solve_batch(programs, settings)
+        assert len(batch) == len(programs)
+        for program, got in zip(programs, batch):
+            assert _solution_bytes(got) == _solution_bytes(solve(program, settings))
+        return batch
+
+    def test_acceptance_corpus_grouped_by_shape(self):
+        rng = np.random.default_rng(20260809)
+        corpus = [random_feasible_program(rng) for _ in range(1000)]
+        # about half the corpus shares its shape with another program
+        assert sum(len(g) for g in _by_shape(corpus) if len(g) > 1) > 400
+        batch = self._check(corpus, SolverSettings(tol=1e-8))
+        assert sum(sol.iterations for sol in batch) == 5150
+        assert all(sol.status == Status.OPTIMAL for sol in batch)
+
+    @pytest.mark.parametrize("family", ["simple-lp", "opf-triangle3", "opf-ring5",
+                                        "opf-cvar6", "ellipsoid"])
+    def test_sensitivity_families(self, family):
+        if family == "simple-lp":
+            adj = simple_lp.lower_bound_adjacency(simple_lp.SimpleLpStudy(), 0.5)
+        elif family == "ellipsoid":
+            adj = ellipsoid.b_range_adjacency(ellipsoid.regular_polygon(5, 2.0), 0.01)
+        else:
+            adj = opf.demand_adjacency(opf.bundled_network(family[4:]), 1.0)
+        self._check(_adjacent_programs(adj, 49, seed=3), adj.settings)
+
+    def test_regression_base(self):
+        model = regression.synthetic_cubic_data(n=100)
+        adj = regression.circle_law_adjacency(model)
+        programs = [regression.build_monotone_regression(model)]
+        programs += _adjacent_programs(adj, 4, seed=4)
+        self._check(programs, regression.DEFAULT_SETTINGS)
+
+    def test_highs_lps_with_mixed_statuses(self):
+        rng = np.random.default_rng(31)
+        programs = [_random_lp(rng, kind) for _ in range(15)
+                    for kind in ("feasible", "infeasible", "unbounded")]
+        programs += [opf.build_opf(opf.bundled_network(name))
+                     for name in ("triangle3", "ring5", "cvar6")]
+        programs.append(build_simple_lp(1.0, 1.0, 2.0))
+        batch = self._check(programs)
+        # feasible and unbounded LPs share one shape, so one stack ends
+        # Optimal and DualInfeasible programs at their own iterations
+        assert {sol.status for sol in batch[:45]} == {
+            Status.OPTIMAL, Status.PRIMAL_INFEASIBLE, Status.DUAL_INFEASIBLE}
+        for program, sol in zip(programs, batch):
+            assert sol.status == TestHighsDifferential.EXPECTED[_highs(program)[0]]
+
+    def test_sub_batches_give_the_same_bytes(self, monkeypatch):
+        adj = opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0)
+        programs = _adjacent_programs(adj, 10, seed=5)
+        whole = solve_batch(programs)
+        # three programs per sub-batch
+        monkeypatch.setattr(solver, "KKT_BATCH_BYTES", 3 * solver.stack_bytes(programs[0]))
+        parts = solve_batch(programs)
+        assert [_solution_bytes(a) for a in whole] == [_solution_bytes(b) for b in parts]
+
+    def test_nan_factor_ends_only_its_program(self, monkeypatch):
+        programs = _adjacent_programs(
+            opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0), 3, seed=6)
+        clean = solve_batch(programs)
+        # the first factor of every program is the starting point's; the
+        # second of program 2 is its iteration-0 factor
+        calls = _poison(monkeypatch, "dgetrf", len(programs) + 3)
+        batch = solve_batch(programs)
+        assert len(calls) > len(programs) + 3
+        assert batch[2].status == Status.MAX_ITER and batch[2].iterations == 0
+        assert np.isfinite(batch[2].x).all() and np.isfinite(batch[2].y).all()
+        for i in (0, 1, 3, 4, 5):
+            assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
+        _poison(monkeypatch, "dgetrf", 2)
+        assert _solution_bytes(solve(programs[2])) == _solution_bytes(batch[2])
+
+    @pytest.mark.parametrize("poisoned_update", [1, 2, 4])
+    def test_nan_update_ends_only_its_program(self, monkeypatch, poisoned_update):
+        programs = _adjacent_programs(
+            ellipsoid.b_range_adjacency(ellipsoid.regular_polygon(5, 2.0), 0.01), 2, seed=7)
+        settings = ellipsoid.DEFAULT_SETTINGS
+        clean = solve_batch(programs, settings)
+        orig, calls = solver._Scaling.update, []
+
+        def poisoned(self, s, z):
+            orig(self, s, z)
+            calls.append(1)
+            if len(calls) == poisoned_update:
+                self.lam[0] = np.nan       # row 0 is program 0 while it runs
+        monkeypatch.setattr(solver._Scaling, "update", poisoned)
+        batch = solve_batch(programs, settings)
+        assert batch[0].status == Status.MAX_ITER
+        assert batch[0].iterations == poisoned_update
+        assert np.isfinite(batch[0].x).all() and np.isfinite(batch[0].y).all()
+        for i in range(1, len(programs)):
+            assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
+        calls.clear()
+        assert _solution_bytes(solve(programs[0], settings)) == _solution_bytes(batch[0])
+
+    def test_apex_program_in_a_batch(self):
+        programs = [_apex(0.3), _apex(0.0), _apex(0.1, 2.0), _apex(-0.5, 0.25)]
+        with np.errstate(all="raise"):
+            batch = solve_batch(programs)
+            singles = [solve(program) for program in programs]
+        assert batch[1].status == Status.MAX_ITER and batch[1].iterations == 28
+        assert np.isfinite(batch[1].x).all() and np.isfinite(batch[1].y).all()
+        assert batch[0].status == Status.OPTIMAL and batch[0].iterations == 7
+        assert [_solution_bytes(a) for a in batch] == [_solution_bytes(b) for b in singles]
+
+    def test_empty_and_invalid_input(self):
+        assert solve_batch([]) == []
+        bad = ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
+        with pytest.raises(ValueError, match="invalid program"):
+            solve_batch([build_simple_lp(1.0, 1.0, 2.0), bad])
