@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,14 +29,21 @@ DEFAULT_SETTINGS = SolverSettings(tol=1e-6, max_iter=100)
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Feature map phi: R -> R^dim with its analytic derivative."""
+    """Feature map phi: R -> R^dim with its analytic derivative.
+
+    rows, when set, maps a 1-D array of points to their stacked phi rows at
+    once, with the bytes that stacking phi per point gives.
+    """
 
     dim: int
     phi: Callable[[float], np.ndarray]
     dphi: Callable[[float], np.ndarray]
     name: str = "basis"
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def design(self, xs: np.ndarray) -> np.ndarray:
+        if self.rows is not None:
+            return self.rows(np.ravel(np.asarray(xs, dtype=float)))
         return np.vstack([self.phi(float(v)) for v in np.ravel(xs)])
 
     def derivative_rows(self, us: np.ndarray) -> np.ndarray:
@@ -49,6 +57,10 @@ def cubic_basis() -> BasisSpec:
         phi=lambda x: np.array([x, 0.5 * (x - 5.0) ** 3]),
         dphi=lambda x: np.array([1.0, 1.5 * (x - 5.0) ** 2]),
         name="linear+cubic",
+        # the cube in Python float math, as phi takes it: numpy's array
+        # power can differ from C pow in the last bit
+        rows=lambda xs: np.column_stack(
+            [xs, 0.5 * np.array([(v - 5.0) ** 3 for v in xs.tolist()], dtype=float)]),
     )
 
 
@@ -60,6 +72,7 @@ def radial_basis(centers=(3.0, 7.0, 11.0, 15.0)) -> BasisSpec:
         phi=lambda x: np.sqrt(1.0 + (mus - x) ** 2),
         dphi=lambda x: (x - mus) / np.sqrt(1.0 + (mus - x) ** 2),
         name="rbf",
+        rows=lambda xs: np.sqrt(1.0 + (mus - xs[:, None]) ** 2),
     )
 
 
@@ -82,9 +95,12 @@ class RegressionModel:
         if np.abs(C - C_fd).max() > 1e-6:
             raise ValueError("analytic derivative rows disagree with finite differences")
 
-    @property
+    @cached_property
     def design(self) -> np.ndarray:
-        return self.basis.design(self.x)
+        """The feature rows phi(x_i), built once per model (read-only)."""
+        design = self.basis.design(self.x)
+        design.flags.writeable = False
+        return design
 
     @property
     def C(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .conic import ConicProgram, Solution, require_valid
-from .solver import KKT_BATCH_BYTES, SolverSettings, solve_batch, stack_bytes
+from .solver import KKT_BATCH_BYTES, SolverSettings, _solve_grouped, stack_bytes
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -222,7 +222,7 @@ def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
     """Yield (s, outcome) in sample order.  The outcome is, for each dataset
     of pair s that a serial walk would reach, (dataset, its Solution or the
     exception building its program raised), or the exception sample_pair
-    raised.  Programs go to solve_batch in chunks whose stack_bytes sum to
+    raised.  Programs go to the solver in chunks whose stack_bytes sum to
     at most KKT_BATCH_BYTES (a single larger pair goes alone).  Drawing
     stops at an exception from sample_pair, which no walk gets past."""
     chunk: list = []
@@ -254,7 +254,8 @@ def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
 def _solve_chunk(chunk, settings):
     programs = [x for _, built in chunk if isinstance(built, list)
                 for _, x in built if isinstance(x, ConicProgram)]
-    solutions = iter(solve_batch(programs, settings))
+    # built programs passed require_valid in _solved_pairs
+    solutions = iter(_solve_grouped(programs, settings))
     for s, built in chunk:
         if isinstance(built, list):
             built = [(d, next(solutions) if isinstance(x, ConicProgram) else x)
@@ -281,7 +282,8 @@ def estimate_sensitivity(
 
     Draws `samples` adjacent pairs, solves both programs of each pair and
     takes the max p-norm gap of the released queries.  The programs are
-    built in sample order and solved together with solver.solve_batch; the
+    built and validated in sample order and solved together by
+    solver.solve_batch's batched core, which does not validate them again; the
     results are then taken in sample order, so every outcome below is the
     one a serial walk of build, solve and read per dataset gives.  Pairs
     whose build, solve or read fails (a RuntimeError or ValueError: solver

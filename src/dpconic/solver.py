@@ -4,9 +4,11 @@ Homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, over Zero / NonNeg / SecondOrder cones
 (RotatedSecondOrder rows are rotated to SecondOrder internally).  Zero-cone
 rows are carried as equality constraints.  Each iteration LU-factors the
-dense, unsquared (n+p+m) scaled KKT system (see _KKT) with static
+unsquared (n+p+m) scaled KKT system (see _factor_kkt) with static
 quasi-definite regularization, and one step of iterative refinement on the
-full Newton system absorbs the regularization.
+full Newton system absorbs the regularization.  The factor is LAPACK's dense
+getrf, or SuperLU's sparse one for a large KKT matrix with few structural
+nonzeros (_SparseKKT; the privatized ellipsoid and the CVaR-augmented OPF).
 
 solve_batch runs one iteration over a stack of programs of one shape (the
 same n and cone blocks; A, b and c differ).  Every array carries a leading
@@ -18,7 +20,9 @@ depend on how programs are batched:
 * every reduction is, per program, the BLAS or LAPACK call a one-program
   stack makes: a row dot or gemv through stacked ``np.matmul``, a norm as
   the square root of that dot (what ``np.linalg.norm`` computes), and
-  LAPACK getrf/getrs once per program;
+  LAPACK getrf/getrs (or SuperLU's factor and solve) once per program;
+* a program that may be factored sparsely is stacked only with programs of
+  its nonzero pattern, so its sparse structure is the one it has alone;
 * every other operation is the same elementwise IEEE operation in the same
   order, and the scalar rules keep Python float semantics (_pymin, _pymax,
   _pypow: how min and max treat a NaN, ``**`` through C pow).
@@ -31,7 +35,7 @@ that holds one block), with the same BLAS dot (or gemv) call per block as a
 per-block ``u @ v``, so the iterates do not depend on how the blocks are
 grouped either.
 
-Everything is plain numpy and LAPACK, so identical inputs produce
+Everything is plain numpy, LAPACK and SuperLU, so identical inputs produce
 bit-identical iterates on a given platform.
 """
 
@@ -69,6 +73,20 @@ _STALL_ITERS = 6
 # programs, stays within this many bytes; estimate_sensitivity hands
 # solve_batch no more than this at a time
 KKT_BATCH_BYTES = 4 << 20
+# a layout factors its KKT matrix K sparsely (_SparseKKT) when K has order
+# N >= _SPARSE_MIN_ORDER and at most _SPARSE_MAX_DENSITY N^2 structural
+# nonzeros, and densely (getrf) otherwise.  Measured per factor plus five
+# solves on a 2-core Xeon, dense / sparse: the privatized ellipsoid (N 1318,
+# density 0.009) 33.5 / 2.0 ms; the CVaR-augmented cvar6 OPF at 600, 300,
+# 200 and 100 samples (N 1881, 981, 681, 381; density 0.006 to 0.029)
+# 104 / 6.5, 22.8 / 6.1, 9.3 / 6.4 and 2.6 / 2.7 ms; the SVM base (N 308,
+# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1511, 0.084, one dense
+# RSOC(302) block) 58.6 / 55.5 ms.  Below N = 500 a factor costs a few ms
+# either way.  Unstructured sparse programs fill in under SuperLU's COLAMD
+# ordering and go slower: random NonNeg LPs with N 1000 and density 0.009
+# took 28.5 / 115 ms.
+_SPARSE_MIN_ORDER = 500
+_SPARSE_MAX_DENSITY = 0.04
 
 
 class NumericalBreakdown(RuntimeError):
@@ -102,7 +120,9 @@ class SolverSettings:
 def stack_bytes(program: ConicProgram) -> int:
     """The bytes a program takes in a stack: its KKT matrix, of order n + m,
     and 4 KiB for its vectors, LAPACK handles and Solution, which is most of
-    what a small program takes (the simple LP's KKT matrix is 72 bytes)."""
+    what a small program takes (the simple LP's KKT matrix is 72 bytes).
+    The matrix is counted dense even where it is factored sparsely, so a
+    program large enough for the sparse factor fills a sub-batch alone."""
     return 8 * (program.n + program.m) ** 2 + 4096
 
 
@@ -206,6 +226,7 @@ class _Layout:
         self.e[: self.l] = 1.0
         for sl in self.q_slices:
             self.e[sl.start] = 1.0
+        self.kkt = _SparseKKT.choose(self)
 
     def take(self, keep):
         """Keep the programs whose stack rows are in keep (an index array)."""
@@ -553,6 +574,77 @@ class _Scaling:
                                                 initial=np.inf))
 
 
+class _SparseKKT:
+    """The structure of a layout's scaled KKT matrix K, for SuperLU.
+
+    The structural nonzeros of K are its diagonal, Aeq and Aeq', and Gs and
+    Gs'.  A NonNeg row of Gs = W^{-1} G has the nonzeros of its row of G; W^{-1}
+    mixes the rows of an SOC block, so each of the block's rows holds the
+    columns that any row of the block touches.  The pattern is the union over
+    the stack.  indices and indptr hold it in CSC order, and perm takes the
+    values [diagonal | Aeq entries | Gs entries] into that order: each entry
+    of Aeq or Gs fills two places of K.  Built once per layout, before any
+    factor; take keeps it, since a subset of the stack fits the union.
+    """
+
+    @classmethod
+    def choose(cls, lay: _Layout):
+        """The layout's structure if its K is to be factored sparsely, else None."""
+        N = lay.n + lay.p + lay.m_cone
+        if N < _SPARSE_MIN_ORDER:
+            return None
+        eq = (lay.Aeq != 0).any(axis=0)
+        g = (lay.G != 0).any(axis=0)
+        for sl in lay.q_slices:
+            g[sl] = g[sl].any(axis=0)
+        nnz = N + 2 * (np.count_nonzero(eq) + np.count_nonzero(g))
+        if nnz > _SPARSE_MAX_DENSITY * N * N:
+            return None
+        return cls(lay, eq, g)
+
+    def __init__(self, lay: _Layout, eq: np.ndarray, g: np.ndarray):
+        n, p = lay.n, lay.p
+        N = self.order = n + p + lay.m_cone
+        self.diag = np.concatenate([np.full(n, _REGULARIZATION),
+                                    np.full(p, -_REGULARIZATION),
+                                    np.full(lay.m_cone, -1.0 - _REGULARIZATION)])
+        er, ec = np.nonzero(eq)
+        gr, gc = np.nonzero(g)
+        self.eq_at, self.g_at = er * n + ec, gr * n + gc   # into one program's Aeq, G
+        diag = np.arange(N)
+        at_eq = N + np.arange(er.size)
+        at_g = N + er.size + np.arange(gr.size)
+        rows = np.concatenate([diag, n + er, ec, n + p + gr, gc])
+        cols = np.concatenate([diag, ec, n + er, gc, n + p + gr])
+        order = np.lexsort((rows, cols))
+        self.indices = rows[order].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=N))]).astype(np.int32)
+        self.perm = np.concatenate([diag, at_eq, at_eq, at_g, at_g])[order]
+
+    def factor(self, Aeq: np.ndarray, Gs: np.ndarray) -> list:
+        """Per program, SuperLU's factor of its K, or None where SuperLU
+        finds K exactly singular."""
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        nb, N = len(Gs), self.order
+        values = np.concatenate([np.broadcast_to(self.diag, (nb, N)),
+                                 np.take(Aeq.reshape(nb, -1), self.eq_at, axis=1),
+                                 np.take(Gs.reshape(nb, -1), self.g_at, axis=1)], axis=1)
+        factors = []
+        for data in np.take(values, self.perm, axis=1):
+            K = csc_matrix((data, self.indices, self.indptr), shape=(N, N))
+            try:
+                lu = splu(K)
+            except RuntimeError as exc:     # "Factor is exactly singular"
+                if "singular" not in str(exc):
+                    raise
+                lu = None
+            factors.append(lu)
+        return factors
+
+
 def _factor_kkt(lay: _Layout, W: _Scaling):
     """LU factorizations of the scaled 3x3 KKT systems in unsquared form.
 
@@ -565,10 +657,20 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
     solve(bx, by, bz) -> (ux, uy, zs = W uz), one row per program.
 
     Static quasi-definite regularization (+reg / -reg on the diagonal); the
-    outer iterative refinement absorbs the perturbation.  K holds one matrix
-    per program, each in Fortran order, so that LAPACK getrf factors it in
-    place; getrs solves with it.  These are the calls, and the bytes, of
-    scipy's lu_factor/lu_solve without their wrappers.
+    outer iterative refinement absorbs the perturbation.  The layout picks
+    the factor once (lay.kkt, see _SparseKKT.choose):
+
+    * dense: K holds one matrix per program, each in Fortran order, so that
+      LAPACK getrf factors it in place; getrs solves with it.  These are the
+      calls, and the bytes, of scipy's lu_factor/lu_solve without their
+      wrappers.
+    * sparse: SuperLU (scipy's splu, COLAMD ordering and partial pivoting)
+      factors the same K, whose CSC values are gathered from Aeq and Gs into
+      the layout's pattern; no dense K is made.
+
+    An exactly singular factor (getrf's info > 0, splu's RuntimeError) or a
+    non-finite solve raises NumericalBreakdown for its programs at the
+    first solve.
     """
     n, p, mc = lay.n, lay.p, lay.m_cone
     Gs = W.apply_matrix(lay.G, inverse=True)
@@ -577,26 +679,34 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
     bad = ~np.isfinite(Gs).all(axis=(1, 2))
     if bad.any():
         raise NumericalBreakdown("non-finite scaled KKT block", bad)
-    N = n + p + mc
-    K = np.zeros((len(Gs), N, N)).transpose(0, 2, 1)
-    K[:, :n, n : n + p] = lay.Aeq.transpose(0, 2, 1)
-    K[:, n : n + p, :n] = lay.Aeq
-    K[:, :n, n + p :] = Gs.transpose(0, 2, 1)
-    K[:, n + p :, :n] = Gs
-    idx = np.arange(N)
-    K[:, idx[:n], idx[:n]] = _REGULARIZATION
-    K[:, idx[n : n + p], idx[n : n + p]] = -_REGULARIZATION
-    K[:, idx[n + p :], idx[n + p :]] = -1.0 - _REGULARIZATION
-    # an exactly singular factor (info > 0) gives a non-finite solve,
-    # which solve reports
-    factors = [dgetrf(Ki, overwrite_a=True)[:2] for Ki in K]
-    getrs = dgetrs
+    if lay.kkt is None:
+        N = n + p + mc
+        K = np.zeros((len(Gs), N, N)).transpose(0, 2, 1)
+        K[:, :n, n : n + p] = lay.Aeq.transpose(0, 2, 1)
+        K[:, n : n + p, :n] = lay.Aeq
+        K[:, :n, n + p :] = Gs.transpose(0, 2, 1)
+        K[:, n + p :, :n] = Gs
+        idx = np.arange(N)
+        K[:, idx[:n], idx[:n]] = _REGULARIZATION
+        K[:, idx[n : n + p], idx[n : n + p]] = -_REGULARIZATION
+        K[:, idx[n + p :], idx[n + p :]] = -1.0 - _REGULARIZATION
+        factors = [dgetrf(Ki, overwrite_a=True)[:2] for Ki in K]
+        getrs = dgetrs
+
+        def backsolve(rhs, u):
+            for i, (lu, piv) in enumerate(factors):
+                u[i] = getrs(lu, piv, rhs[i])[0]
+    else:
+        lus = lay.kkt.factor(lay.Aeq, Gs)
+
+        def backsolve(rhs, u):
+            for i, lu in enumerate(lus):
+                u[i] = np.nan if lu is None else lu.solve(rhs[i])
 
     def solve(bx, by, bz):
         rhs = np.concatenate([bx, by, W.apply(bz, inverse=True)], axis=1)
         u = np.empty(rhs.shape)
-        for i, (lu, piv) in enumerate(factors):
-            u[i] = getrs(lu, piv, rhs[i])[0]
+        backsolve(rhs, u)
         bad = ~np.isfinite(u).all(axis=1)
         if bad.any():
             raise NumericalBreakdown("singular KKT system", bad)
@@ -693,13 +803,27 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     solve gives for that program alone.  An invalid program raises
     ValueError before anything is solved; an empty list gives [].
     """
-    settings = settings or SolverSettings()
     programs = list(programs)
     for program in programs:
         require_valid(program)
+    return _solve_grouped(programs, settings)
+
+
+def _solve_grouped(programs: list, settings: SolverSettings | None = None) -> list[Solution]:
+    """solve_batch on programs already known to be valid.
+
+    A program whose KKT matrix is large enough to be factored sparsely
+    (n + m >= _SPARSE_MIN_ORDER) is stacked only with programs of the same
+    nonzero pattern of A, so the sparse structure, the union over its stack,
+    is its own, as when it is solved alone.
+    """
+    settings = settings or SolverSettings()
     shapes: dict = {}
     for i, program in enumerate(programs):
-        shapes.setdefault((program.n, program.cones.blocks), []).append(i)
+        key = (program.n, program.cones.blocks)
+        if program.n + program.m >= _SPARSE_MIN_ORDER:
+            key += ((program.A != 0).tobytes(),)
+        shapes.setdefault(key, []).append(i)
     out: list = [None] * len(programs)
     for idx in shapes.values():
         size = max(1, KKT_BATCH_BYTES // stack_bytes(programs[idx[0]]))

@@ -244,7 +244,7 @@ class TestSolveCount:
     @pytest.fixture
     def calls(self, monkeypatch):
         """One entry per program solved by the ellipsoid module's solve or by
-        estimate_sensitivity's solve_batch."""
+        estimate_sensitivity's batched solve."""
         calls = []
 
         def counting(program, settings=None):
@@ -254,9 +254,9 @@ class TestSolveCount:
         def counting_batch(programs, settings=None):
             calls.extend(program.n for program in programs)
             return real_batch(programs, settings)
-        real, real_batch = ellipsoid.solve, dp.solve_batch
+        real, real_batch = ellipsoid.solve, dp._solve_grouped
         monkeypatch.setattr(ellipsoid, "solve", counting)
-        monkeypatch.setattr(dp, "solve_batch", counting_batch)
+        monkeypatch.setattr(dp, "_solve_grouped", counting_batch)
         return calls
 
     def test_solve_ellipsoid_solves_once(self, calls):

@@ -48,6 +48,33 @@ class TestModel:
                             np.array([2.0]), 0.01)
 
 
+    @pytest.mark.parametrize("basis", [cubic_basis(), radial_basis()],
+                             ids=lambda b: b.name)
+    def test_array_design_has_the_per_point_bytes(self, basis):
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([rng.uniform(-5.0, 20.0, 2000), [5.0, 0.0, -0.0, 7.0]])
+        per_point = np.vstack([basis.phi(float(v)) for v in xs])
+        got = basis.design(xs)
+        assert got.shape == per_point.shape
+        assert got.tobytes() == per_point.tobytes()
+
+    def test_design_built_once_per_model(self, monkeypatch):
+        model = synthetic_cubic_data(n=30, seed=0)
+        calls = []
+        real = BasisSpec.design
+
+        def counting(self, xs):
+            calls.append(1)
+            return real(self, xs)
+        monkeypatch.setattr(BasisSpec, "design", counting)
+        w = np.array([1.0, 1.0])
+        losses = [model.loss(w) for _ in range(3)]
+        assert len(calls) == 1 and losses[0] == losses[2]
+        assert not model.design.flags.writeable
+        other = model.with_data(model.x[:10], model.y[:10])
+        assert other.design.shape == (10, 2) and len(calls) == 2
+
+
 class TestBuildRegression:
     def test_noiseless_line(self):
         x = np.linspace(0, 10, 20)

@@ -17,9 +17,10 @@ from dpconic.conic import (
     soc,
     zero,
 )
-from dpconic import solver
+from dpconic import experiments, solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
-from dpconic.dp import calibrate_gaussian, rng_stream
+from dpconic.dp import calibrate_gaussian, calibrate_laplace, rng_stream
+from dpconic.ldr import IndividualChance
 from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
 
 from conftest import random_feasible_program
@@ -352,6 +353,45 @@ def scaling_class(request, monkeypatch):
     return solver._Scaling
 
 
+@pytest.fixture
+def sparse_path(monkeypatch):
+    """Every layout, however small, on the sparse KKT factor."""
+    monkeypatch.setattr(solver, "_SPARSE_MIN_ORDER", 0)
+    monkeypatch.setattr(solver, "_SPARSE_MAX_DENSITY", 1.0)
+
+
+class _PoisonedLU:
+    """A SuperLU factor whose solve gives NaN at the call-th solve."""
+
+    def __init__(self, lu, calls, call):
+        self.lu, self.calls, self.call = lu, calls, call
+
+    def solve(self, rhs):
+        self.calls.append(1)
+        out = self.lu.solve(rhs)
+        return np.full_like(out, np.nan) if len(self.calls) == self.call else out
+
+
+def _poison_sparse(monkeypatch, what, call):
+    """Make the call-th sparse factor raise SuperLU's singular-factor error
+    (what="factor"), or the call-th sparse solve return NaN (what="solve");
+    returns the list of calls made."""
+    import scipy.sparse.linalg as sla
+
+    orig, calls = sla.splu, []
+
+    def poisoned(A, *args, **kw):
+        lu = orig(A, *args, **kw)
+        if what == "solve":
+            return _PoisonedLU(lu, calls, call)
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError("Factor is exactly singular")
+        return lu
+    monkeypatch.setattr(sla, "splu", poisoned)
+    return calls
+
+
 class TestNumericalBreakdown:
     def test_non_finite_scaling_returns_max_iter(self, monkeypatch, scaling_class):
         cls = scaling_class
@@ -416,6 +456,39 @@ class TestNumericalBreakdown:
         assert sol.status == Status.MAX_ITER
         assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
 
+    @pytest.mark.usefixtures("sparse_path")
+    def test_nan_sparse_kkt_solve_returns_max_iter(self, monkeypatch):
+        calls = _poison_sparse(monkeypatch, "solve", 10)
+        sol = solve(_NAMED_PROGRAMS["opf-cvar6"]())
+        assert len(calls) == 10
+        assert sol.status == Status.MAX_ITER
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+
+    @pytest.mark.usefixtures("sparse_path")
+    @pytest.mark.parametrize("program", ["opf-cvar6", "pentagon-ellipsoid"])
+    @pytest.mark.parametrize("poisoned_update", [1, 4])
+    def test_nan_after_update_on_sparse_path(self, monkeypatch, program, poisoned_update):
+        self.test_nan_after_update_returns_max_iter(monkeypatch, solver._Scaling, program,
+                                                    poisoned_update)
+
+    @pytest.mark.usefixtures("sparse_path")
+    def test_singular_sparse_factor_returns_max_iter(self, monkeypatch):
+        # the second factor is iteration 0's, after the starting point's
+        calls = _poison_sparse(monkeypatch, "factor", 2)
+        sol = solve(_NAMED_PROGRAMS["opf-cvar6"]())
+        assert len(calls) == 2
+        assert sol.status == Status.MAX_ITER and sol.iterations == 0
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+
+    def test_superlu_singular_error_is_the_one_caught(self):
+        # _SparseKKT.factor maps this RuntimeError, and only it, to a
+        # singular factor
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        with pytest.raises(RuntimeError, match="singular"):
+            splu(csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]])))
+
     def test_kkt_report_non_finite_is_inf(self):
         p = random_feasible_program(np.random.default_rng(5))
         sol = solve(p)
@@ -451,11 +524,20 @@ def _highs(program):
     return res.status, res.fun
 
 
-def _random_lp(rng, kind):
-    """Zero + NonNeg program that is feasible, infeasible or unbounded."""
-    n, m, p = 6, 12, 2
-    A = rng.normal(size=(m, n))
-    Aeq = rng.normal(size=(p, n))
+def _random_lp(rng, kind, n=6, m=12, p=2, band=None):
+    """Zero + NonNeg program that is feasible, infeasible or unbounded.  With
+    band set, row i of a k-row block (A, Aeq, the infeasible pair's a) holds
+    `band` adjacent nonzeros from column i (n - band) // k on."""
+    def rows(k):
+        if band is None:
+            return rng.normal(size=(k, n))
+        R = np.zeros((k, n))
+        for i in range(k):
+            j = (i * (n - band)) // k
+            R[i, j:j + band] = rng.normal(size=band)
+        return R
+    A = rows(m)
+    Aeq = rows(p)
     x0 = rng.normal(size=n)
     y0 = rng.uniform(0.5, 2.0, m)
     if kind == "unbounded":
@@ -470,12 +552,18 @@ def _random_lp(rng, kind):
     b = A @ x0 + rng.uniform(0.5, 2.0, m)
     if kind == "infeasible":
         # a'x <= a'x0 - 1 and a'x >= a'x0 + 1 (the dual stays feasible)
-        a = rng.normal(size=n)
+        a = rows(1)[0]
         A = np.vstack([A, a, -a])
         b = np.concatenate([b, [a @ x0 - 1.0, -(a @ x0) - 1.0]])
         c = -A.T @ np.concatenate([y0, [1.0, 1.0]]) - Aeq.T @ rng.normal(size=p)
     cones = ConeSpec([zero(p), nonneg(A.shape[0])])
     return ConicProgram(np.vstack([Aeq, A]), np.concatenate([Aeq @ x0, b]), c, cones)
+
+
+def _sparse_lp(rng, kind):
+    """A banded _random_lp, large and sparse enough for the sparse KKT
+    factor; every instance of a kind has one nonzero pattern."""
+    return _random_lp(rng, kind, n=200, m=400, p=4, band=4)
 
 
 class TestHighsDifferential:
@@ -499,6 +587,17 @@ class TestHighsDifferential:
         for _ in range(index):
             _random_lp(rng, kind)
         assert self._check(_random_lp(rng, kind)) == status
+
+    @pytest.mark.parametrize("kind,status", [("feasible", 0), ("infeasible", 2),
+                                             ("unbounded", 3)])
+    @pytest.mark.parametrize("index", range(3))
+    def test_sparse_lps(self, kind, status, index):
+        rng = np.random.default_rng(41)
+        for _ in range(index):
+            _sparse_lp(rng, kind)
+        program = _sparse_lp(rng, kind)
+        assert solver._Layout([program]).kkt is not None
+        assert self._check(program) == status
 
     @pytest.mark.parametrize("name", ["triangle3", "ring5", "cvar6"])
     def test_bundled_opf(self, name):
@@ -656,8 +755,123 @@ class TestSolveBatch:
         assert batch[0].status == Status.OPTIMAL and batch[0].iterations == 7
         assert [_solution_bytes(a) for a in batch] == [_solution_bytes(b) for b in singles]
 
+    def test_sparse_path_stack(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        programs = [_sparse_lp(rng, "feasible") for _ in range(3)]
+        # the same shape with its columns permuted: another nonzero pattern,
+        # which would change the others' sparse factors in a common stack
+        perm = rng.permutation(programs[0].n)
+        other = _sparse_lp(rng, "feasible")
+        programs.insert(1, ConicProgram(other.A[:, perm], other.b, other.c[perm],
+                                        other.cones))
+        assert solver._Layout(programs[::2]).kkt is not None
+        # room for all four in one sub-batch (the dense-matrix budget holds one)
+        monkeypatch.setattr(solver, "KKT_BATCH_BYTES", 4 * solver.stack_bytes(programs[0]))
+        orig, stacks = solver._solve_stack, []
+
+        def recording(stack, settings):
+            stacks.append(len(stack))
+            return orig(stack, settings)
+        monkeypatch.setattr(solver, "_solve_stack", recording)
+        batch = self._check(programs)
+        assert stacks[:2] == [3, 1]
+        assert all(sol.status == Status.OPTIMAL for sol in batch)
+
+    @pytest.mark.usefixtures("sparse_path")
+    def test_singular_sparse_factor_ends_only_its_program(self, monkeypatch):
+        programs = _adjacent_programs(
+            opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0), 3, seed=6)
+        assert len({(p.A != 0).tobytes() for p in programs}) == 1   # one stack
+        clean = solve_batch(programs)
+        # as in test_nan_factor_ends_only_its_program: program 2's
+        # iteration-0 factor
+        calls = _poison_sparse(monkeypatch, "factor", len(programs) + 3)
+        batch = solve_batch(programs)
+        assert len(calls) > len(programs) + 3
+        assert batch[2].status == Status.MAX_ITER and batch[2].iterations == 0
+        assert np.isfinite(batch[2].x).all() and np.isfinite(batch[2].y).all()
+        for i in (0, 1, 3, 4, 5):
+            assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
+        calls = _poison_sparse(monkeypatch, "factor", 2)
+        assert _solution_bytes(solve(programs[2])) == _solution_bytes(batch[2])
+
     def test_empty_and_invalid_input(self):
         assert solve_batch([]) == []
         bad = ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
         with pytest.raises(ValueError, match="invalid program"):
             solve_batch([build_simple_lp(1.0, 1.0, 2.0), bad])
+
+
+def _sparse_corpus():
+    """The study programs that take the sparse factor: cvar_q_sweep's three
+    CVaR-augmented OPF programs (as experiment-mix runs it on cvar6) and the
+    privatized ellipsoid, each with its settings."""
+    captured, real = [], experiments.solve
+
+    def recording(program, settings=None):
+        captured.append((program, settings))
+        return real(program, settings)
+    net = opf.bundled_network("cvar6")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiments, "solve", recording)
+        experiments.cvar_q_sweep(net, tuple(range(0, net.n_nodes, 2)), 1.0, 1.0,
+                                 (0.05, 0.1, 0.2), seed=0)
+    out = {f"cvar-{q}": case for q, case in zip((0.05, 0.1, 0.2), captured[1:])}
+    noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
+    pv = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
+                                       eta=0.1, seed=1)
+    out["ellipsoid"] = (pv.program, ellipsoid.DEFAULT_SETTINGS)
+    return out
+
+
+class TestSparseFactor:
+    """The sparse factor against the dense one on the study programs."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _sparse_corpus()
+
+    @pytest.mark.parametrize("name", ["cvar-0.05", "cvar-0.1", "cvar-0.2", "ellipsoid"])
+    def test_matches_dense_factor(self, monkeypatch, corpus, name):
+        program, settings = corpus[name]
+        lay = solver._Layout([program])
+        assert lay.kkt is not None
+        assert len(lay.kkt.indices) <= solver._SPARSE_MAX_DENSITY * lay.kkt.order ** 2
+        sol = solve(program, settings)
+        assert sol.status == Status.OPTIMAL
+        assert max(kkt_report(program, sol).values()) <= 1e-6
+        monkeypatch.setattr(solver, "_SPARSE_MIN_ORDER", 10**9)     # every layout dense
+        assert solver._Layout([program]).kkt is None
+        ref = solve(program, settings)
+        assert ref.status == sol.status
+        assert abs(sol.iterations - ref.iterations) <= 1
+        scale = max(1.0, float(np.abs(ref.x).max()))
+        assert np.abs(sol.x - ref.x).max() <= settings.tol * scale
+
+    def test_small_and_dense_layouts_stay_dense(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def stop(program, settings=None):     # the program, without its solve
+            raise Built(program)
+        monkeypatch.setattr(svm, "solve", stop)
+        data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
+        noise = calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1)
+        with pytest.raises(Built) as built:
+            svm.privatize_svm(data, noise, IndividualChance(eta_bar=0.05), seed=1)
+        lay = solver._Layout(list(built.value.args))
+        # an RSOC(302) block fills its rows of Gs: density about 0.084
+        assert lay.n + lay.p + lay.m_cone >= solver._SPARSE_MIN_ORDER
+        assert lay.kkt is None
+        model = regression.synthetic_cubic_data(n=100)
+        assert solver._Layout([regression.build_monotone_regression(model)]).kkt is None
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, dpconic; "
+                "print('scipy.sparse.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
