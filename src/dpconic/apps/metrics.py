@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConicProgram, Solution, cone_membership_rows
+from ..conic import ConicProgram, Solution, as_dense, cone_membership_rows
 from ..dp import NoiseSpec, sample_noise
 from ..ldr import DecisionRule
 
@@ -42,7 +42,7 @@ def evaluate_rule_metrics(
     xs = rule.evaluate_many(zetas)
     base_value = float(lvec @ base.x)
     losses = xs @ lvec - base_value
-    feasible = cone_membership_rows(program.b - xs @ program.A.T, program.cones,
+    feasible = cone_membership_rows(program.b - xs @ as_dense(program.A).T, program.cones,
                                     membership_tol)
     return RuleMetrics(
         mean_loss=float(losses.mean()),

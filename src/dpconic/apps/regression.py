@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     permute_columns, rsoc)
+                     permute_columns, quadratic_epigraph)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import DecisionRule, IdentityQuery, IndividualChance, privatize
 from ..solver import SolverSettings, solve
@@ -165,32 +165,35 @@ def build_wind_curve_dataset(speeds, power, noise_sigma: float = 0.1,
 def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     """Conic form of min |y - Phi w|^2 + ridge |w|^2 s.t. C w >= 0.
 
-    Variables (u, v, w) with two rotated-SOC epigraphs (fit, ridge) and one
-    NonNeg block of monotonicity rows.
+    Variables (u, v, w) with two rotated-SOC epigraphs (u, H, y - Phi w) and
+    (v, H, w), u weighted 2 H and v weighted 2 H ridge, and one NonNeg block
+    of monotonicity rows.
     """
     Phi, C = model.design, model.C
-    n_pts, mb = Phi.shape
-    p = C.shape[0]
+    mb = Phi.shape[1]
     nv = 2 + mb
     u_i, v_i, w_i = 0, 1, np.arange(2, nv)
-
-    A1 = np.zeros((n_pts + 2, nv)); b1 = np.zeros(n_pts + 2)
-    A1[0, u_i] = -1.0
-    b1[1] = 0.5
-    A1[2:, w_i] = Phi
-    b1[2:] = model.y
-    A2 = np.zeros((mb + 2, nv)); b2 = np.zeros(mb + 2)
-    A2[0, v_i] = -1.0
-    b2[1] = 0.5
-    A2[2:, w_i] = -np.eye(mb)
-    A3 = np.zeros((p, nv)); A3[:, w_i] = -C
-    c = np.zeros(nv); c[u_i] = 1.0; c[v_i] = model.ridge
+    # H = max(|y|, 1) for both epigraphs: w = 0 costs |y|^2, so the fit's
+    # u* <= |y|^2 / (2H) = H/2.  The ridge's own bound |y|/sqrt(ridge) is
+    # not used: at ridge 1e-8 it gives H near 3e5, and the solve of a
+    # noiseless line returned w = 0.990 where the fit is exactly 1.
+    # Measured working range on synthetic_cubic_data(n=100, seed=0), whose
+    # |y| is 312: the privatized regression at Delta_2 = 1, 2 and 3 returned
+    # Optimal for every H from 5 to 500 (kkt_report <= 1e-6 from H = 50),
+    # where the constant 1/2 ended two of them in MaxIter; from H = 5e3 the
+    # base fit drifted while still returning Optimal, and so did the
+    # noiseless line, whose |y| is 27.
+    H = max(float(np.linalg.norm(model.y)), 1.0)
+    A1, b1, fit = quadratic_epigraph(nv, u_i, w_i, Phi, model.y, H)
+    A2, b2, ridge = quadratic_epigraph(nv, v_i, w_i, -np.eye(mb), np.zeros(mb), H)
+    A3 = np.zeros((C.shape[0], nv)); A3[:, w_i] = -C
+    c = np.zeros(nv); c[u_i] = 2.0 * H; c[v_i] = 2.0 * H * model.ridge
     names = ("u", "v") + tuple(f"w[{j}]" for j in range(mb))
     return ConicProgram(
         np.vstack([A1, A2, A3]),
-        np.concatenate([b1, b2, np.zeros(p)]),
+        np.concatenate([b1, b2, np.zeros(C.shape[0])]),
         c,
-        ConeSpec([rsoc(n_pts + 2), rsoc(mb + 2), nonneg(p)]),
+        ConeSpec([fit, ridge, nonneg(C.shape[0])]),
         variable_names=names,
     )
 

@@ -1,12 +1,12 @@
 """Soft-margin SVM and its privately released hyperplane.
 
-The deterministic program is the hinge-loss QP in conic form (rotated-SOC
-epigraph for the margin norm).  The private release is the identity query
-on (w, b): the rule pins their recourse to the identity while the slack
-recourse Z stays a free decision, and each margin/slack row is tightened
-row-by-row with the Chebyshev safety factor (the noise is Laplace).  The
-epigraph variable t of |w|^2 stays outside the rule; its block is kept at
-wbar.
+The deterministic program is the hinge-loss QP in conic form (a rotated-SOC
+epigraph for the margin norm, scaled by the regularizer).  The private
+release is the identity query on (w, b): the rule pins their recourse to
+the identity while the slack recourse Z stays a free decision, and each
+margin/slack row is tightened row-by-row with the Chebyshev safety factor
+(the noise is Laplace).  The epigraph variable t of |w|^2 stays outside the
+rule; its block is kept at wbar.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     permute_columns, rsoc)
+                     permute_columns, quadratic_epigraph)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import DecisionRule, FixedRecourseQuery, privatize
 from ..solver import SolverSettings, solve
@@ -92,20 +92,21 @@ def synthetic_gaussian_classes(
 def build_svm(data: LabeledPoints) -> ConicProgram:
     """Conic form of min lambda |w|^2 + (1/m) 1'z s.t. hinge rows.
 
-    Variables (t, w, b, z); |w|^2 <= t via a rotated-SOC block with a
-    constant 1/2 slot, margin and slack rows in NonNeg blocks.
+    Variables (t, w, b, z); |w|^2 <= 2 H t via a rotated-SOC block (t, H, w)
+    with t weighted 2 H lambda, margin and slack rows in NonNeg blocks.
     """
     m, n = data.m, data.n
     nv = 1 + n + 1 + m
     t_i, w_i, b_i, z_i = 0, np.arange(1, 1 + n), 1 + n, np.arange(2 + n, nv)
+    # H = 1/sqrt(lambda): the point (w, b, z) = (0, 0, 1) costs 1, so
+    # lambda |w*|^2 <= 1 and t* = |w*|^2 / (2H) <= H/2.  Measured working
+    # range: the base SVM converged for every H >= 5 and the privatized SVM
+    # for every H from 50 to 5e4; the study's lambda = 1e-5 gives H = 316.
+    # The constant 1/2 left t near 1e6 against it, and the privatized solve
+    # lost its accuracy.
+    H = 1.0 / math.sqrt(data.regularizer)
 
-    rows = []
-    # RSOC block (t, 1/2, w)
-    A = np.zeros((n + 2, nv)); bvec = np.zeros(n + 2)
-    A[0, t_i] = -1.0
-    bvec[1] = 0.5
-    A[2:, w_i] = -np.eye(n)
-    rows.append((A, bvec, rsoc(n + 2)))
+    rows = [quadratic_epigraph(nv, t_i, w_i, -np.eye(n), np.zeros(n), H)]
     # margin rows: y_i (w'x_i - b) - 1 + z_i >= 0
     Am = np.zeros((m, nv)); bm = -np.ones(m)
     for i in range(m):
@@ -121,7 +122,7 @@ def build_svm(data: LabeledPoints) -> ConicProgram:
     b_all = np.concatenate([r[1] for r in rows])
     cones = ConeSpec([r[2] for r in rows])
     c = np.zeros(nv)
-    c[t_i] = data.regularizer
+    c[t_i] = 2.0 * H * data.regularizer
     c[z_i] = 1.0 / m
     names = ("t",) + tuple(f"w[{j}]" for j in range(n)) + ("b",) + tuple(
         f"z[{i}]" for i in range(m))

@@ -8,6 +8,11 @@ A program is the triple (A, b, c) with an ordered product-cone specification:
 where K is a product of Zero, NonNeg, SecondOrder and RotatedSecondOrder
 blocks, in the order listed.  Everything downstream (solver, decision-rule
 transformer, applications) speaks this data model.
+
+A is a dense array or a scipy.sparse CSR matrix.  The base builders emit
+dense A: their programs are tiny, and thousands of them are built per
+sensitivity estimate.  The transformed programs of `ldr.privatize` and
+`risk.augment_with_cvar` emit CSR, since most of their entries are zero.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class ConeKind(str, Enum):
@@ -82,21 +88,52 @@ def rsoc(dim: int) -> ConeBlock:
     return ConeBlock(ConeKind.RSOC, dim)
 
 
+def quadratic_epigraph(nv: int, t: int, cols, M: np.ndarray, y: np.ndarray, H: float):
+    """Rows (A, b, cone) of the rotated-SOC block (t, H, y - M x[cols]) over nv
+    variables: 2 H t >= |y - M x[cols]|^2.
+
+    A term weight * |y - M x[cols]|^2 of the objective becomes the weight
+    2 H * weight on t.  H changes the units of t, not the program.  With H
+    the square root of a bound on |y - M x|^2 at the optimum, t stays within
+    H/2 there and the block's entries are of one size; a constant 1/2 facing
+    a large t leaves the solve ill-conditioned.
+    """
+    k = M.shape[0]
+    A = np.zeros((k + 2, nv))
+    b = np.zeros(k + 2)
+    A[0, t] = -1.0
+    b[1] = H
+    A[2:, cols] = M
+    b[2:] = y
+    return A, b, rsoc(k + 2)
+
+
 @dataclass(frozen=True)
 class ConicProgram:
-    A: np.ndarray
+    """A is kept read-only: a dense A as a float array, a sparse one as a CSR
+    copy in canonical form (sorted indices, no duplicate or stored zero), so
+    its stored pattern is its nonzero pattern."""
+
+    A: np.ndarray | sp.csr_array
     b: np.ndarray
     c: np.ndarray
     cones: ConeSpec
     variable_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
+        if sp.issparse(self.A):
+            A = sp.csr_array(self.A, dtype=float, copy=True)
+            A.sum_duplicates()
+            A.eliminate_zeros()
+            arrays = (A.data, A.indices, A.indptr)
+        else:
+            A = np.atleast_2d(np.asarray(self.A, dtype=float))
+            arrays = (A,)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
-        self.A.setflags(write=False)
-        self.b.setflags(write=False)
-        self.c.setflags(write=False)
+        for a in arrays + (self.b, self.c):
+            a.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -141,7 +178,7 @@ def validate(program: ConicProgram) -> list[str]:
         violations.append(f"c length {program.c.shape[0]} != n={n}")
     if program.cones.dim != m:
         violations.append(f"cone dims sum to {program.cones.dim} != m={m}")
-    if not np.all(np.isfinite(program.A)):
+    if not np.all(np.isfinite(program.A.data if sp.issparse(program.A) else program.A)):
         violations.append("A has non-finite entries")
     if not np.all(np.isfinite(program.b)):
         violations.append("b has non-finite entries")
@@ -165,6 +202,11 @@ def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != program.n:
         raise ValueError(f"x has length {x.shape[0]}, expected {program.n}")
     return program.b - program.A @ x
+
+
+def as_dense(A) -> np.ndarray:
+    """A program's A as an array: A itself when dense, a new array when CSR."""
+    return A.toarray() if sp.issparse(A) else A
 
 
 def permute_columns(program: ConicProgram, order) -> ConicProgram:
@@ -227,13 +269,14 @@ def build_simple_lp(c: float, lower: float, upper: float) -> ConicProgram:
 # --- JSON serialization -----------------------------------------------------
 #
 # {m, n, A (row-major), b, c, cones: [{kind, dim}]}; floats survive the round
-# trip bit-exactly because json emits shortest-repr doubles.
+# trip bit-exactly because json emits shortest-repr doubles.  A CSR program
+# is written densely, in the same format, and reads back as a dense one.
 
 def program_to_json(program: ConicProgram) -> str:
     doc = {
         "m": program.m,
         "n": program.n,
-        "A": [float(v) for v in program.A.ravel(order="C")],
+        "A": [float(v) for v in as_dense(program.A).ravel(order="C")],
         "b": [float(v) for v in program.b],
         "c": [float(v) for v in program.c],
         "cones": [{"kind": blk.kind.value, "dim": blk.dim} for blk in program.cones.blocks],

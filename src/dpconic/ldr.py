@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import ndtri
 
 from .conic import ConeKind, ConeSpec, ConicProgram, Solution
@@ -42,11 +43,11 @@ BOX_STREAM = 0xB0C5
 OBJ_STREAM = 0x0B5E
 
 # Most rows the vertex method may plan: 2^k copies of every chance-block row.
-# The solver factors a dense KKT matrix of at least that order each
-# iteration.  The largest program in the corpus, the privatized SVM, has KKT
-# order 1511: 18 MB, and 80 ms per LU on a 2-core Xeon with OpenBLAS.  Order
-# 8192 is 5.4 times that: a 512 MB matrix and 160 times the flops, about 11 s
-# per LU there, so a solve of 50-150 iterations would take 10-30 minutes.
+# The solver holds A densely, and may factor a dense KKT matrix of at least
+# that order, each iteration.  A dense KKT matrix of order 1511 takes 18 MB,
+# and 80 ms per LU on a 2-core Xeon with OpenBLAS.  Order 8192 is 5.4 times
+# that: a 512 MB matrix and 160 times the flops, about 11 s per LU there, so
+# a solve of 50-150 iterations would take 10-30 minutes.
 _MAX_VERTEX_ROWS = 8192
 
 
@@ -491,8 +492,11 @@ def privatize(
     Zero-cone rows are split exactly; all other rows are chance-constrained
     by the chosen method.  The expected linear objective reduces to c'xbar.
     Ties in X (it never enters the expected objective) are broken toward
-    minimal Frobenius norm through a small ridge epigraph, disabled by
-    recourse_ridge=0.
+    minimal Frobenius norm through a small ridge: recourse_ridge |X_i|^2
+    for each rule row i with free entries, one ridge variable and one
+    rotated-SOC block (ridge_i, 1/2, X_i) per row, which sums to
+    recourse_ridge |X_free|_F^2 and keeps each block as narrow as its row.
+    recourse_ridge=0 drops it.
 
     The last `epigraph_vars` columns of the program are epigraph variables
     of the expected objective (such as t >= |w|^2); they are not part of
@@ -503,7 +507,7 @@ def privatize(
     sample average of an expected objective with no closed conic form.
 
     The columns of the result are the rule's (RuleSpace), then the epigraph
-    copies, then the ridge variable.
+    copies, then the ridge variables in rule-row order.  Its A is CSR.
 
     Raises ConflictingConstraints when the equality recourse system A_E X = 0
     cannot hold together with the query constraint.
@@ -540,16 +544,17 @@ def privatize(
     S = len(obj_points)
     n_epi = S * epigraph_vars
     free = space.ncols - n
-    ridge = recourse_ridge > 0 and free > 0
-    N = space.ncols + n_epi + ridge
+    # rule rows with free entries, each with its own ridge variable
+    ridge_rows = np.unique(space.free[0]) if recourse_ridge > 0 else np.zeros(0, int)
+    N = space.ncols + n_epi + len(ridge_rows)
     names = space.names + [
         f"t[{e}]" + (f"[{s}]" if objective_samples else "")
-        for s in range(S) for e in range(epigraph_vars)] + ["ridge"] * ridge
+        for s in range(S) for e in range(epigraph_vars)] + [
+        f"ridge[{i}]" for i in ridge_rows]
     c = np.zeros(N)
     c[:n] = program.c[:n]
     c[space.ncols: space.ncols + n_epi] = np.tile(program.c[n:] / S, S)
-    if ridge:
-        c[-1] = recourse_ridge
+    c[space.ncols + n_epi:] = recourse_ridge
 
     A_E, b_E = program.A[eq_rows, :n], program.b[eq_rows]
     split = split_equalities(A_E, b_E, k)
@@ -610,25 +615,39 @@ def privatize(
     epi[np.arange(S), :, np.arange(S), :] = program.A[obj_rows, n:]
     pieces.append((G_obj, h_obj, obj_cones * S))
 
-    if ridge:
-        G_ridge = np.zeros((2 + free, N))
-        G_ridge[0, -1] = -1.0
-        G_ridge[2 + np.arange(free), n + np.arange(free)] = -1.0
-        h_ridge = np.zeros(2 + free)
-        h_ridge[1] = 0.5
-        pieces.append((G_ridge, h_ridge, [(ConeKind.RSOC, 2 + free)]))
+    if len(ridge_rows):
+        pieces.append(_ridge_blocks(space, ridge_rows, N))
 
-    A = np.zeros((sum(len(h) for _, h, _ in pieces), N))
-    b = np.zeros(A.shape[0])
-    blocks, r = [], 0
-    while pieces:  # each piece is freed once copied
+    parts, b, blocks = [], [], []
+    while pieces:  # each piece is freed once stored as CSR
         G, h, cones = pieces.pop(0)
-        A[r: r + len(h), : G.shape[1]] = G
-        b[r: r + len(h)] = h
+        parts.append(sp.csr_array(G, shape=(len(h), N)))
+        b.append(h)
         blocks += [(kind.value, dim) for kind, dim in cones]
-        r += len(h)
-    transformed = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=tuple(names))
+    A = sp.vstack(parts, format="csr")
+    transformed = ConicProgram(A, np.concatenate(b), c, ConeSpec(blocks),
+                               variable_names=tuple(names))
     return PrivatizedProgram(
         program=transformed, space=space, noise=noise, query=query, box_vertices=box,
-        eq_matrix=transformed.A[:m_eq], eq_rhs=transformed.b[:m_eq],
+        eq_matrix=transformed.A[:m_eq].toarray(), eq_rhs=transformed.b[:m_eq],
     )
+
+
+def _ridge_blocks(space: RuleSpace, ridge_rows: np.ndarray, N: int):
+    """The blocks (ridge_i, 1/2, X_i) of the recourse ridge, one per rule row
+    i in ridge_rows, as a piece (G, h, cones) with G CSR over N columns, the
+    last len(ridge_rows) of them the ridge variables."""
+    r = len(ridge_rows)
+    counts = np.bincount(space.free[0], minlength=space.n)[ridge_rows]
+    dims = 2 + counts
+    first = np.cumsum(dims) - dims
+    free = int(counts.sum())
+    # the free entries are numbered row by row: entry e of block i sits
+    # below the two head rows of each of the blocks 0..i
+    entry_rows = np.arange(free) + 2 * np.repeat(np.arange(1, r + 1), counts)
+    rows = np.concatenate([first, entry_rows])
+    cols = np.concatenate([N - r + np.arange(r), space.n + np.arange(free)])
+    G = sp.csr_array((np.full(rows.size, -1.0), (rows, cols)), shape=(int(dims.sum()), N))
+    h = np.zeros(G.shape[0])
+    h[first + 1] = 0.5
+    return G, h, [(ConeKind.RSOC, int(d)) for d in dims]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .conic import ConeKind, ConeSpec, ConicProgram
 from .dp import sample_noise
@@ -87,8 +88,8 @@ def augment_with_cvar(
     expected-cost objective (blend * old + cvar).  The query constraints on
     X are untouched, which is what keeps the privacy guarantee intact.
 
-    Returns the augmented program and a layout dict with the new variable
-    indices and the drawn samples.
+    Returns the augmented program, whose A is CSR, and a layout dict with
+    the new variable indices and the drawn samples.
     """
     base = privatized.program
     space = privatized.space
@@ -101,16 +102,14 @@ def augment_with_cvar(
     n0 = base.n
     gamma_idx = n0
     z_idx = np.arange(n0 + 1, n0 + 1 + S)
-    A = np.zeros((base.m + 2 * S, n0 + 1 + S))
-    A[: base.m, :n0] = base.A
-    # z_s >= 0
-    A[base.m + np.arange(S), z_idx] = -1.0
-    # slack z_s + gamma - l'(xbar + X zeta_s) >= 0
+    # rows z_s >= 0, then the slacks z_s + gamma - l'(xbar + X zeta_s) >= 0
     G, h = space.expand(loss[None], np.zeros(1), zetas)
-    epi = base.m + S + np.arange(S)
-    A[epi, : space.ncols] = G
-    A[epi, gamma_idx] = -1.0
-    A[epi, z_idx] = -1.0
+    minus_z = -sp.eye_array(S, format="csr")
+    A = sp.bmat([
+        [base.A, None, None],
+        [None, sp.csr_array((S, 1)), minus_z],
+        [sp.csr_array(G, shape=(S, n0)), np.full((S, 1), -1.0), minus_z],
+    ], format="csr")
     b = np.concatenate([base.b, np.zeros(S), h])
     blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
     blocks += [(ConeKind.NONNEG.value, S)] * 2

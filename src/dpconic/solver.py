@@ -8,7 +8,9 @@ unsquared (n+p+m) scaled KKT system (see _factor_kkt) with static
 quasi-definite regularization, and one step of iterative refinement on the
 full Newton system absorbs the regularization.  The factor is LAPACK's dense
 getrf, or SuperLU's sparse one for a large KKT matrix with few structural
-nonzeros (_SparseKKT; the privatized ellipsoid and the CVaR-augmented OPF).
+nonzeros (_SparseKKT; the privatized SVM and ellipsoid and the
+CVaR-augmented OPF).  A program's A may be dense or CSR; a stack holds it
+densely.
 
 solve_batch runs one iteration over a stack of programs of one shape (the
 same n and cone blocks; A, b and c differ).  Every array carries a leading
@@ -45,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .conic import (
@@ -54,6 +57,7 @@ from .conic import (
     Solution,
     Status,
     _row_dots as _dot,
+    as_dense,
     require_valid,
 )
 
@@ -80,11 +84,12 @@ KKT_BATCH_BYTES = 4 << 20
 # density 0.009) 33.5 / 2.0 ms; the CVaR-augmented cvar6 OPF at 600, 300,
 # 200 and 100 samples (N 1881, 981, 681, 381; density 0.006 to 0.029)
 # 104 / 6.5, 22.8 / 6.1, 9.3 / 6.4 and 2.6 / 2.7 ms; the SVM base (N 308,
-# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1511, 0.084, one dense
-# RSOC(302) block) 58.6 / 55.5 ms.  Below N = 500 a factor costs a few ms
-# either way.  Unstructured sparse programs fill in under SuperLU's COLAMD
-# ordering and go slower: random NonNeg LPs with N 1000 and density 0.009
-# took 28.5 / 115 ms.
+# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1808, 0.0045, its ridge in one
+# RSOC(5) block per rule row) 102.5 / 10.6 ms, where its ridge as one
+# RSOC(302) block (N 1511, 0.084) took 58.6 / 55.5 ms and stayed dense.
+# Below N = 500 a factor costs a few ms either way.  Unstructured sparse
+# programs fill in under SuperLU's COLAMD ordering and go slower: random
+# NonNeg LPs with N 1000 and density 0.009 took 28.5 / 115 ms.
 _SPARSE_MIN_ORDER = 500
 _SPARSE_MAX_DENSITY = 0.04
 
@@ -185,7 +190,8 @@ class _Layout:
             else:
                 q_specs.append((rows, blk.kind == ConeKind.RSOC))
 
-        A = np.stack([p.A for p in programs])
+        # a CSR program is made dense here, for the life of its stack
+        A = np.stack([as_dense(p.A) for p in programs])
         b = np.stack([p.b for p in programs])
         self.n = first.n
         self.eq_rows = np.array(eq_rows, dtype=int)
@@ -625,7 +631,6 @@ class _SparseKKT:
     def factor(self, Aeq: np.ndarray, Gs: np.ndarray) -> list:
         """Per program, SuperLU's factor of its K, or None where SuperLU
         finds K exactly singular."""
-        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 
         nb, N = len(Gs), self.order
@@ -634,7 +639,7 @@ class _SparseKKT:
                                  np.take(Gs.reshape(nb, -1), self.g_at, axis=1)], axis=1)
         factors = []
         for data in np.take(values, self.perm, axis=1):
-            K = csc_matrix((data, self.indices, self.indptr), shape=(N, N))
+            K = sp.csc_matrix((data, self.indices, self.indptr), shape=(N, N))
             try:
                 lu = splu(K)
             except RuntimeError as exc:     # "Factor is exactly singular"
@@ -815,14 +820,17 @@ def _solve_grouped(programs: list, settings: SolverSettings | None = None) -> li
     A program whose KKT matrix is large enough to be factored sparsely
     (n + m >= _SPARSE_MIN_ORDER) is stacked only with programs of the same
     nonzero pattern of A, so the sparse structure, the union over its stack,
-    is its own, as when it is solved alone.
+    is its own, as when it is solved alone.  A CSR program's stored pattern
+    is its nonzero pattern (ConicProgram keeps it canonical).
     """
     settings = settings or SolverSettings()
     shapes: dict = {}
     for i, program in enumerate(programs):
         key = (program.n, program.cones.blocks)
         if program.n + program.m >= _SPARSE_MIN_ORDER:
-            key += ((program.A != 0).tobytes(),)
+            A = program.A
+            key += ((A.indptr.tobytes(), A.indices.tobytes()) if sp.issparse(A)
+                    else (A != 0).tobytes(),)
         shapes.setdefault(key, []).append(i)
     out: list = [None] * len(programs)
     for idx in shapes.values():

@@ -13,7 +13,8 @@ import numpy as np
 
 from conftest import random_feasible_program
 
-from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status, build_simple_lp, nonneg
+from dpconic.conic import (ConeKind, ConeSpec, ConicProgram, Status, as_dense,
+                           build_simple_lp, nonneg)
 from dpconic.dp import (
     calibrate_gaussian,
     calibrate_laplace,
@@ -203,7 +204,7 @@ def test_08_cvar_equivalence_and_sweep():
     extra[0, pp.space.xbar_idx[0]] = 1.0
     extra[1, pp.space.X_idx[0, 0]] = 1.0
     frozen = ConicProgram(
-        np.vstack([aug.A, extra]),
+        np.vstack([as_dense(aug.A), extra]),
         np.concatenate([aug.b, [rule0.xbar[0], rule0.X[0, 0]]]),
         aug.c,
         ConeSpec([(b.kind.value, b.dim) for b in aug.cones.blocks]

@@ -5,7 +5,9 @@ import pytest
 
 from dpconic.conic import Status
 from dpconic.dp import calibrate_gaussian, sample_noise
+from dpconic.solver import kkt_report
 from dpconic.apps.regression import (
+    DEFAULT_SETTINGS,
     BasisSpec,
     RegressionModel,
     build_wind_curve_dataset,
@@ -160,7 +162,24 @@ class TestPrivatizeRegression:
         z = safety_factor(0.015, "gaussian")
         lhs = model.C @ pv.w_nominal
         rhs = z * noise.scale * np.linalg.norm(model.C, axis=1)
-        assert np.all(lhs >= rhs - 1e-6)
+        # the absolute row violation the solve certifies
+        floor = kkt_report(pv.program, pv.solution)["primal"] * (
+            1.0 + np.linalg.norm(pv.program.b))
+        assert np.all(lhs >= rhs - floor)
+
+    def test_solution_passes_kkt_report(self, reg_setup):
+        _, _, pv = reg_setup
+        assert max(kkt_report(pv.program, pv.solution).values()) <= DEFAULT_SETTINGS.tol
+
+    @pytest.mark.parametrize("delta_2", [1.0, 2.0, 3.0])
+    def test_wide_noise_converges(self, delta_2):
+        # with the epigraphs against a constant 1/2, Delta_2 = 2 and 3 ended
+        # in MaxIter
+        model = synthetic_cubic_data(n=100, seed=0)
+        pv = privatize_regression(model, calibrate_gaussian(delta_2, 1.0, 0.01, k=2),
+                                  eta=0.05, seed=3)
+        assert pv.solution.status == Status.OPTIMAL
+        assert max(kkt_report(pv.program, pv.solution).values()) <= DEFAULT_SETTINGS.tol
 
     def test_violation_rate_within_budget(self, reg_setup):
         model, noise, pv = reg_setup

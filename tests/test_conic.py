@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dpconic.conic import (
     ConeSpec,
     ConicProgram,
+    as_dense,
     build_simple_lp,
     cone_membership,
     cone_membership_rows,
@@ -17,6 +19,7 @@ from dpconic.conic import (
     slack,
     soc,
     validate,
+    permute_columns,
     zero,
 )
 
@@ -50,6 +53,38 @@ class TestValidate:
         p = lp2()
         first = validate(p)
         assert validate(p) == first == []
+
+
+class TestCsrForm:
+    def test_kept_canonical_and_read_only(self):
+        # duplicates summed and stored zeros dropped, on a copy
+        A = sp.coo_array(([1.0, 2.0, 0.0, -1.0], ([0, 0, 1, 1], [1, 1, 0, 2])),
+                         shape=(2, 3))
+        p = ConicProgram(A, np.ones(2), np.zeros(3), ConeSpec([nonneg(2)]))
+        assert p.A.format == "csr" and p.A.nnz == 2
+        assert np.array_equal(p.A.toarray(), [[0.0, 3.0, 0.0], [0.0, 0.0, -1.0]])
+        assert A.nnz == 4
+        with pytest.raises(ValueError):
+            p.A.data[0] = 1.0
+        assert validate(p) == []
+
+    def test_nonfinite(self):
+        A = sp.csr_array(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        p = ConicProgram(A, np.ones(2), np.ones(2), ConeSpec([nonneg(2)]))
+        assert any("non-finite" in v for v in validate(p))
+
+    def test_permute_and_slack_match_dense(self):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(5, 4))
+        A[rng.random(A.shape) < 0.5] = 0.0
+        args = (rng.normal(size=5), rng.normal(size=4), ConeSpec([nonneg(2), soc(3)]))
+        p, d = ConicProgram(sp.csr_array(A), *args), ConicProgram(A, *args)
+        order = [2, 0, 3, 1]
+        pp, dp = permute_columns(p, order), permute_columns(d, order)
+        assert pp.A.format == "csr"
+        assert np.array_equal(pp.A.toarray(), dp.A) and np.array_equal(pp.c, dp.c)
+        x = rng.normal(size=4)
+        np.testing.assert_allclose(slack(p, x), slack(d, x), rtol=1e-15, atol=1e-15)
 
 
 class TestSlack:
@@ -164,6 +199,20 @@ class TestSerialization:
         assert np.array_equal(p.c, q.c)
         assert p.cones == q.cones
         assert p.variable_names == q.variable_names
+
+    def test_csr_program_written_as_its_dense_form(self):
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(6, 3))
+        A[rng.random(A.shape) < 0.5] = 0.0
+        args = (rng.normal(size=6), rng.normal(size=3),
+                ConeSpec([zero(1), nonneg(2), soc(3)]))
+        p = ConicProgram(sp.csr_array(A), *args, variable_names=("a", "b", "c"))
+        text = program_to_json(p)
+        assert text == program_to_json(ConicProgram(A, *args, variable_names=("a", "b", "c")))
+        q = program_from_json(text)
+        assert np.array_equal(as_dense(p.A), q.A)
+        assert np.array_equal(p.b, q.b) and np.array_equal(p.c, q.c)
+        assert p.cones == q.cones and p.variable_names == q.variable_names
 
     def test_schema_fields(self):
         doc = json.loads(program_to_json(lp2()))

@@ -9,6 +9,7 @@ from dpconic.conic import (
     ConeSpec,
     ConicProgram,
     Status,
+    as_dense,
     build_simple_lp,
     cone_membership,
     nonneg,
@@ -39,7 +40,8 @@ from dpconic.ldr import (
     split_equalities,
     vertex_sample_size,
 )
-from dpconic.solver import solve
+from dpconic.solver import SolverSettings, kkt_report, solve
+from dpconic.apps import opf, svm
 
 
 class TestVertexSampleSize:
@@ -219,7 +221,7 @@ class TestIndividualRows:
                        IndividualChance(eta_bar=0.1, safety="gaussian"), seed=0)
         assert pp.program.cones.blocks[0] == nonneg(1)
         assert pp.program.b[0] == 1.0  # untightened constant
-        assert not pp.program.A[0].any()
+        assert not as_dense(pp.program.A)[0].any()
 
     def test_constant_coefficient_tightens_linearly(self):
         # a fixed numeric row with free recourse: scalar noise degenerates
@@ -456,6 +458,55 @@ def _rows_of_block(program, index):
     return blk, slice(start, start + blk.dim)
 
 
+def _single_block_ridge(program, recourse_ridge=1e-8):
+    """The program with its recourse ridge as one block (ridge, 1/2, X_free)
+    over one ridge variable: recourse_ridge |X_free|_F^2 in a single
+    rotated-SOC block, in place of privatize's last blocks, one per ridge
+    variable."""
+    names = program.variable_names
+    ridge = np.array([name.startswith("ridge[") for name in names])
+    free = np.flatnonzero([name.startswith("X[") for name in names])
+    blocks = program.cones.blocks[: -int(ridge.sum())]
+    m = sum(blk.dim for blk in blocks)
+    A = as_dense(program.A)[:m][:, ~ridge]
+    G = np.zeros((2 + free.size, A.shape[1] + 1))
+    G[0, -1] = -1.0
+    G[2 + np.arange(free.size), free] = -1.0
+    h = np.zeros(2 + free.size)
+    h[1] = 0.5
+    return ConicProgram(np.vstack([np.hstack([A, np.zeros((m, 1))]), G]),
+                        np.concatenate([program.b[:m], h]),
+                        np.append(program.c[~ridge], recourse_ridge),
+                        ConeSpec(list(blocks) + [rsoc(2 + free.size)]))
+
+
+class TestRecourseRidge:
+    @pytest.mark.parametrize("study", ["svm", "opf"])
+    def test_per_row_blocks_keep_the_objective(self, study):
+        # sum_i |X_i|^2 = |X_free|_F^2: the same objective, in blocks as
+        # narrow as the rule's rows
+        if study == "svm":
+            data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
+            pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=3),
+                                   IndividualChance(eta_bar=0.05), seed=1)
+            program, settings = pv.program, svm.DEFAULT_SETTINGS
+        else:
+            pv = opf.privatize_opf(opf.bundled_network("cvar6"), 1.0, 1.0, 0.01, seed=2)
+            program, settings = pv.privatized.program, None
+        assert sum(blk.kind == ConeKind.RSOC for blk in program.cones.blocks) > 1
+        # an Optimal solve is trusted to 10 tol on kkt_report: the OPF's
+        # per-row solve stops at a gap of 2.9e-8 against its tol of 1e-8
+        tol = 10 * (settings or SolverSettings()).tol
+        objectives = []
+        for p in (program, _single_block_ridge(program)):
+            sol = solve(p, settings)
+            assert sol.status == Status.OPTIMAL
+            assert max(kkt_report(p, sol).values()) <= tol
+            objectives.append(sol.objective)
+        a, b = objectives
+        assert abs(a - b) <= tol * (1.0 + abs(b))
+
+
 class TestEpigraphVariables:
     def test_objective_block_at_xbar_is_base_rows(self):
         base = _epigraph_program()
@@ -465,9 +516,11 @@ class TestEpigraphVariables:
             pp = privatize(base, noise, SumQuery(), chance, seed=3, epigraph_vars=1)
             prog = pp.program
             t = prog.variable_names.index("t[0]")
-            blk, rows = _rows_of_block(prog, -2)  # the recourse ridge is last
+            # the recourse ridge blocks are last, one per ridge variable
+            n_ridge = sum(name.startswith("ridge") for name in prog.variable_names)
+            blk, rows = _rows_of_block(prog, -1 - n_ridge)
             assert blk == rsoc(4)
-            A = prog.A[rows]
+            A = as_dense(prog.A)[rows]
             # exact equality, not a tolerance (signed zeros aside)
             assert np.array_equal(A[:, pp.space.xbar_idx], base.A[4:8, :2])
             assert np.array_equal(A[:, t], base.A[4:8, 2])
@@ -494,8 +547,8 @@ class TestEpigraphVariables:
             assert prog.c[t_s] == 3.0 / S
             blk, rows = _rows_of_block(prog, n_chance + s)
             assert blk == rsoc(4)
-            assert np.array_equal(prog.A[rows][:, xbar], base.A[4:8, :2])
-            assert np.array_equal(prog.A[rows][:, t_s], base.A[4:8, 2])
+            assert np.array_equal(as_dense(prog.A)[rows][:, xbar], base.A[4:8, :2])
+            assert np.array_equal(as_dense(prog.A)[rows][:, t_s], base.A[4:8, 2])
             np.testing.assert_allclose(prog.b[rows],
                                        base.b[4:8] - base.A[4:8, :2] @ draws[s],
                                        rtol=0, atol=1e-15)
@@ -674,10 +727,11 @@ def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
         for kind, A_blk, A_epi, b_blk in objective_blocks:
             builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk,
                                                     epi_idx, point))
-    if recourse_ridge > 0 and space.free:
-        u = builder.add_var("ridge", obj=recourse_ridge)
+    # one ridge variable and block per rule row with free entries
+    for row in sorted({i for i, _ in space.free}) if recourse_ridge > 0 else ():
+        u = builder.add_var(f"ridge[{row}]", obj=recourse_ridge)
         builder.add_block(ConeKind.RSOC, [({u: 1.0}, 0.0), ({}, 0.5)] + [
-            ({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free])
+            ({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free if i == row])
     return builder.build()
 
 
@@ -772,7 +826,7 @@ class TestExpansionMatchesDictRows:
         kw = dict(recourse_ridge=ridge, epigraph_vars=epi, objective_samples=obj_samples)
         got = privatize(program, noise, query, chance, seed, **kw).program
         ref = _ref_privatize(program, noise, query, chance, seed, **kw)
-        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(as_dense(got.A), ref.A)
         assert np.array_equal(got.b, ref.b)
         assert np.array_equal(got.c, ref.c)
         assert got.cones == ref.cones

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
 
 from dpconic.apps import ellipsoid, opf, regression
-from dpconic.conic import ConeKind, ConeSpec, ConicProgram, Status, build_simple_lp, slack
+from dpconic.conic import (ConeKind, ConeSpec, ConicProgram, Status, as_dense,
+                           build_simple_lp, slack)
 from dpconic.dp import NoiseSpec, calibrate_laplace
 from dpconic.dp import sample_noise
 from dpconic.ldr import (
@@ -190,7 +191,7 @@ class TestAugmentWithCvar:
         extra = np.zeros((2, aug.n))
         extra[0, pp.space.xbar_idx[0]] = 1.0
         extra[1, pp.space.X_idx[0, 0]] = 1.0
-        A2 = np.vstack([aug.A, extra])
+        A2 = np.vstack([as_dense(aug.A), extra])
         b2 = np.concatenate([aug.b, [xb, X0]])
         blocks = [(blk.kind.value, blk.dim) for blk in aug.cones.blocks]
         blocks.append((ConeKind.ZERO.value, 2))
@@ -267,7 +268,7 @@ def _ref_augment(privatized, spec, seed, stream=1, blend=0.0):
                     b_epi[s] += contrib * space.pin_values[i, j]
                 else:
                     A_epi[s, space.X_idx[i, j]] += contrib
-    A = np.vstack([np.hstack([base.A, np.zeros((base.m, 1 + S))]), A_pos, A_epi])
+    A = np.vstack([np.hstack([as_dense(base.A), np.zeros((base.m, 1 + S))]), A_pos, A_epi])
     b = np.concatenate([base.b, np.zeros(S), -b_epi])
     c = np.concatenate([blend * base.c, np.zeros(1 + S)])
     c[n0] = 1.0
@@ -315,7 +316,7 @@ class TestAugmentMatchesLoop:
         spec = CVaRSpec(q=0.8, samples=13, loss=tuple(loss))
         got, layout = augment_with_cvar(pp, spec, seed=seed, blend=0.5)
         ref = _ref_augment(pp, spec, seed, blend=0.5)
-        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(as_dense(got.A), ref.A)
         assert np.array_equal(got.b, ref.b)
         assert np.array_equal(got.c, ref.c)
         assert got.cones == ref.cones
@@ -332,6 +333,6 @@ class TestAugmentMatchesLoop:
         spec = CVaRSpec(q=0.7, samples=11, loss=(1.0, -2.0, 0.5, 3.0))
         got, _ = augment_with_cvar(pp, spec, seed=4)
         ref = _ref_augment(pp, spec, 4)
-        assert np.array_equal(got.A, ref.A)
+        assert np.array_equal(as_dense(got.A), ref.A)
         assert np.array_equal(got.c, ref.c)
         np.testing.assert_allclose(got.b, ref.b, rtol=1e-14, atol=1e-14)

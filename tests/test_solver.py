@@ -20,7 +20,7 @@ from dpconic.conic import (
 from dpconic import experiments, solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, rng_stream
-from dpconic.ldr import IndividualChance
+from dpconic.ldr import IndividualChance, SumQuery, VertexChance, privatize
 from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
 
 from conftest import random_feasible_program
@@ -848,19 +848,11 @@ class TestSparseFactor:
         scale = max(1.0, float(np.abs(ref.x).max()))
         assert np.abs(sol.x - ref.x).max() <= settings.tol * scale
 
-    def test_small_and_dense_layouts_stay_dense(self, monkeypatch):
-        class Built(Exception):
-            pass
-
-        def stop(program, settings=None):     # the program, without its solve
-            raise Built(program)
-        monkeypatch.setattr(svm, "solve", stop)
-        data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
-        noise = calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1)
-        with pytest.raises(Built) as built:
-            svm.privatize_svm(data, noise, IndividualChance(eta_bar=0.05), seed=1)
-        lay = solver._Layout(list(built.value.args))
-        # an RSOC(302) block fills its rows of Gs: density about 0.084
+    def test_small_and_dense_layouts_stay_dense(self):
+        # 480 NonNeg rows over all of 40 columns: density about 0.14
+        A = np.random.default_rng(0).normal(size=(480, 40))
+        dense = ConicProgram(A, np.ones(480), np.zeros(40), ConeSpec([nonneg(480)]))
+        lay = solver._Layout([dense])
         assert lay.n + lay.p + lay.m_cone >= solver._SPARSE_MIN_ORDER
         assert lay.kkt is None
         model = regression.synthetic_cubic_data(n=100)
@@ -875,3 +867,49 @@ class TestSparseFactor:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestCsrPrograms:
+    """A CSR program is solved, reported and evaluated as its dense form."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
+        ell = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
+                                            eta=0.1, seed=1)
+        lp = privatize(build_simple_lp(1.0, 1.0, 2.0), calibrate_laplace(0.1, 1.0, k=1),
+                       SumQuery(), VertexChance(eta=0.1), seed=2)
+        # the sparse factor and the dense one
+        return {"ellipsoid": (ell.program, ellipsoid.DEFAULT_SETTINGS),
+                "simple-lp": (lp.program, None)}
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "simple-lp"])
+    def test_same_solution_bits(self, programs, name):
+        program, settings = programs[name]
+        assert program.A.format == "csr"
+        dense = ConicProgram(program.A.toarray(), program.b, program.c, program.cones,
+                             variable_names=program.variable_names)
+        sol = solve(program, settings)
+        assert sol.status == Status.OPTIMAL
+        assert _solution_bytes(sol) == _solution_bytes(solve(dense, settings))
+        for got in solve_batch([dense, program, dense], settings):
+            assert _solution_bytes(got) == _solution_bytes(sol)
+        assert kkt_report(program, sol) == pytest.approx(kkt_report(dense, sol),
+                                                         rel=1e-9, abs=1e-15)
+
+    def test_rule_metrics_read_the_dense_form(self, programs):
+        from dpconic.apps.metrics import evaluate_rule_metrics
+        from dpconic.dp import NoiseSpec
+        from dpconic.ldr import DecisionRule
+
+        program, settings = programs["ellipsoid"]
+        base = solve(program, settings)
+        # a rule that moves the optimum by about the tolerance: both outcomes occur
+        X = 1e-7 * np.random.default_rng(3).normal(size=(program.n, 2))
+        rule, noise = DecisionRule(base.x, X), NoiseSpec("gaussian", 2, 1.0)
+        dense = ConicProgram(program.A.toarray(), program.b, program.c, program.cones)
+        got, ref = (evaluate_rule_metrics(rule, p, base, noise, samples=200, seed=4)
+                    for p in (program, dense))
+        assert 0 < ref.feasible.sum() < ref.feasible.size
+        assert np.array_equal(got.feasible, ref.feasible)
+        assert np.array_equal(got.losses, ref.losses)
