@@ -24,14 +24,13 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .conic import Status
+from .conic import ConicProgram, Solution, Status
 from .dp import (AdjacencyModel, NoiseSpec, SensitivityReport, calibrate_laplace,
                  estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
@@ -49,6 +48,10 @@ STRATEGIES = ("input", "output", "program")
 
 # stream id of a point's Monte Carlo evaluation
 _EVAL_STREAM = 11
+
+# the network of an opf config that names no dataset: its points, its
+# adjacency and its CVaR sweep all read this one
+DEFAULT_OPF_NETWORK = "triangle3"
 
 
 @dataclass(frozen=True)
@@ -134,37 +137,70 @@ def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
                        "ok", extra or {})
 
 
-# --- per-app point runners ----------------------------------------------------
+# --- per-app studies and point runners -----------------------------------------
 #
-# runner(cfg, strategy, alpha, seed, sensitivity): ``sensitivity()`` returns
-# the SensitivityReport shared by every point at this alpha, estimated on the
-# first call.
+# An app's study(cfg) builds what every point of a run shares: the base
+# program and its solves.  runner(cfg, strategy, alpha, seed, study,
+# sensitivity): ``study()`` returns the run's study, built on the first call,
+# and ``sensitivity()`` the SensitivityReport shared by every point at this
+# alpha, estimated on the first call.
 
 
-def _run_simple_lp(cfg, strategy, alpha, seed, sensitivity):
-    study = app_simple.SimpleLpStudy()
-    base = study.optimum()
+def _opf_network(dataset: str | None) -> "app_opf.PowerNetwork":
+    return app_opf.load_network(dataset or DEFAULT_OPF_NETWORK)
+
+
+@dataclass(frozen=True)
+class _SimpleLp:
+    lp: app_simple.SimpleLpStudy
+    base: Solution
+
+
+def _simple_lp_study(cfg) -> _SimpleLp:
+    lp = app_simple.SimpleLpStudy()
+    return _SimpleLp(lp, lp.optimum())
+
+
+def _run_simple_lp(cfg, strategy, alpha, seed, study, sensitivity):
+    lp, base = study().lp, study().base
     noise = calibrate_laplace(alpha, cfg.epsilon, k=1)
     S = cfg.mc_samples
     if strategy in ("output", "input"):
         # x* = lower, so the two strategies coincide on this program
-        xs = study.lower + sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
+        xs = lp.lower + sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
     else:
         rule, noise, base = app_simple.privatize_simple_lp(
-            study, cfg.epsilon, alpha, cfg.eta, seed)
+            lp, cfg.epsilon, alpha, cfg.eta, seed)
         xs = rule.evaluate_many(sample_noise(noise, seed, S, _EVAL_STREAM)).ravel()
-    return _point(strategy, alpha, study.c * xs - study.c * base.x[0],
-                  ~study.in_box(xs))
+    return _point(strategy, alpha, lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs))
 
 
-def _run_opf(cfg, strategy, alpha, seed, sensitivity):
-    net = app_opf.load_network(cfg.dataset or "triangle3")
+@dataclass(frozen=True)
+class _OpfStudy:
+    """The config's network, its OPF program and base solve, and the cost
+    range, which is None when the base solve is not Optimal."""
+
+    net: "app_opf.PowerNetwork"
+    program: ConicProgram
+    base: Solution
+    cost_range: tuple[float, float] | None
+
+
+def _opf_study(cfg) -> _OpfStudy:
+    net = _opf_network(cfg.dataset)
     program = app_opf.build_opf(net)
     base = solve(program)
+    cost_range = app_opf.opf_cost_range(net) if base.status == Status.OPTIMAL else None
+    return _OpfStudy(net, program, base, cost_range)
+
+
+def _run_opf(cfg, strategy, alpha, seed, study, sensitivity):
+    st = study()
+    net, program, base = st.net, st.program, st.base
     if base.status != Status.OPTIMAL:
         return PointResult(strategy, alpha, None, None, None,
                            f"base:{base.status.value}")
-    lo, hi = app_opf.opf_cost_range(net)
+    lo, hi = st.cost_range
     S = cfg.mc_samples
     d1 = app_opf.opf_sensitivity_bound(net.c, alpha)
     if strategy == "output":
@@ -271,11 +307,11 @@ def _ellipsoid_study(cfg) -> _VectorStudy:
         score=score, draws=500)
 
 
-def _run_vector(study, cfg, strategy, alpha, seed, sensitivity):
+def _run_vector(cfg, strategy, alpha, seed, study, sensitivity):
     """Point runner of the svm, regression and ellipsoid studies."""
     if strategy == "input":
         return PointResult(strategy, alpha, None, None, None, "unsupported")
-    st = study(cfg)
+    st = study()
     rep = sensitivity()
     delta = cfg.delta if cfg.delta > 0 else st.delta
     noise = rep.privacy_params(cfg.epsilon, delta).noise(st.k)
@@ -299,12 +335,14 @@ class App:
     ``adjacency(alpha, dataset, data_seed)`` builds the adjacency model the
     sensitivity is estimated on.  ``estimate`` is the experiment's
     (samples, gamma, beta), or None for the apps whose noise follows from
-    an analytic bound.  ``run`` is the point runner.
+    an analytic bound.  ``study(cfg)`` builds what the points of one run
+    share, once per run; ``run`` is the point runner.
     """
 
     p: int
     adjacency: Callable[[float, str | None, int], AdjacencyModel]
     estimate: tuple[int, float, float] | None
+    study: Callable[[ExperimentConfig], object]
     run: Callable[..., PointResult]
 
 
@@ -312,25 +350,25 @@ APPS: dict[str, App] = {
     "simple-lp": App(
         1, lambda alpha, dataset, data_seed: app_simple.lower_bound_adjacency(
             app_simple.SimpleLpStudy(), alpha),
-        None, _run_simple_lp),
+        None, _simple_lp_study, _run_simple_lp),
     "opf": App(
         1, lambda alpha, dataset, data_seed: app_opf.demand_adjacency(
-            app_opf.load_network(dataset or "triangle3"), alpha),
-        None, _run_opf),
+            _opf_network(dataset), alpha),
+        None, _opf_study, _run_opf),
     "svm": App(
         1, lambda alpha, dataset, data_seed: app_svm.circle_law_adjacency(
             app_svm.synthetic_gaussian_classes(m=100, seed=data_seed)[0]),
-        (99, 0.1, 0.1), partial(_run_vector, _svm_study)),
+        (99, 0.1, 0.1), _svm_study, _run_vector),
     "regression": App(
         2, lambda alpha, dataset, data_seed: app_regression.circle_law_adjacency(
             app_regression.synthetic_cubic_data(n=100, seed=data_seed)),
-        (199, 0.5, 0.1), partial(_run_vector, _regression_study)),
+        (199, 0.5, 0.1), _regression_study, _run_vector),
     # alpha in (0, 1) is the fraction each b_i ranges over; any other alpha
     # (the whole-universe inf among them) means 0.01
     "ellipsoid": App(
         2, lambda alpha, dataset, data_seed: app_ellipsoid.b_range_adjacency(
             _ellipsoid_instance(), alpha if 0 < alpha < 1 else 0.01),
-        (99, 0.1, 0.1), partial(_run_vector, _ellipsoid_study)),
+        (99, 0.1, 0.1), _ellipsoid_study, _run_vector),
 }
 
 
@@ -394,6 +432,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     app = APPS[config.app]
     reports: dict[int, SensitivityReport] = {}
+    built: list = []
+
+    def study():
+        if not built:
+            built.append(app.study(config))
+        return built[0]
 
     def shared_sensitivity(j):
         def get():
@@ -413,7 +457,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         alpha = config.alphas[j]
         try:
             res = app.run(config, strategy, alpha, _point_seed(config.seed, idx),
-                          shared_sensitivity(j))
+                          study, shared_sensitivity(j))
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             res = PointResult(strategy, alpha, None, None, None,
                               f"error:{type(exc).__name__}:{exc}")
@@ -434,7 +478,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     sweep_rows = None
     if config.cvar_q_grid and config.app == "opf":
-        net = app_opf.load_network(config.dataset or "cvar6")
+        net = _opf_network(config.dataset)
         subset = tuple(range(0, net.n_nodes, 2))
         sweep_rows = cvar_q_sweep(net, subset, config.alphas[0], config.epsilon,
                                   config.cvar_q_grid, seed=config.seed)

@@ -9,8 +9,11 @@ quasi-definite regularization, and one step of iterative refinement on the
 full Newton system absorbs the regularization.  The factor is LAPACK's dense
 getrf, or SuperLU's sparse one for a large KKT matrix with few structural
 nonzeros (_SparseKKT; the privatized SVM and ellipsoid and the
-CVaR-augmented OPF).  A program's A may be dense or CSR; a stack holds it
-densely.
+CVaR-augmented OPF).  A program's A may be dense or CSR.  A stack factored
+densely holds its cone rows G densely; a stack factored sparsely holds G in
+pattern form (_PatternG: CSR values for the NonNeg rows, a dense sub-block
+over the touched columns for each SOC block) and never builds it densely,
+so every step of its iteration costs what its nonzeros cost.
 
 solve_batch runs one iteration over a stack of programs of one shape (the
 same n and cone blocks; A, b and c differ).  Every array carries a leading
@@ -43,6 +46,7 @@ bit-identical iterates on a given platform.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -176,7 +180,14 @@ def _ratio(num, den):
 
 class _Layout:
     """Permutes the rows of same-shape programs into [equalities | nonneg |
-    SOC blocks] and stacks their data along a leading program axis."""
+    SOC blocks] and stacks their data along a leading program axis.
+
+    Aeq is dense, (nb, p, n).  G, the cone rows, is held in one of two forms,
+    fixed here with the KKT factor (see _PatternG.of): a dense (nb, m_cone, n)
+    array when K is factored densely, and the pattern form (_PatternG) when
+    it is factored sparsely.  A layout in pattern form never builds a dense
+    G: its program's A may be CSR from end to end.
+    """
 
     def __init__(self, programs):
         first = programs[0]
@@ -190,37 +201,29 @@ class _Layout:
             else:
                 q_specs.append((rows, blk.kind == ConeKind.RSOC))
 
-        # a CSR program is made dense here, for the life of its stack
-        A = np.stack([as_dense(p.A) for p in programs])
         b = np.stack([p.b for p in programs])
         self.n = first.n
         self.eq_rows = np.array(eq_rows, dtype=int)
-        # np.take keeps every stacked matrix C-ordered, so each program's
-        # BLAS calls see the strides of a one-program stack (indexing
-        # A[:, rows] would put the program axis innermost)
-        self.Aeq = np.take(A, self.eq_rows, axis=1)
-        self.beq = np.take(b, self.eq_rows, axis=1)
-
         self.l = len(l_rows)
-        G_parts = [np.take(A, np.array(l_rows, dtype=int), axis=1)]
-        h_parts = [np.take(b, np.array(l_rows, dtype=int), axis=1)]
-        cone_rows = list(l_rows)
-        self.q_dims: list[int] = []
-        self.q_rsoc: list[bool] = []
-        for rows, is_rsoc in q_specs:
-            Ablk, bblk = np.take(A, rows, axis=1), np.take(b, rows, axis=1)
-            if is_rsoc:
-                Ablk, bblk = _rotate(Ablk, 1), _rotate(bblk, 1)
-            G_parts.append(Ablk)
-            h_parts.append(bblk)
-            cone_rows.extend(rows)
-            self.q_dims.append(len(rows))
-            self.q_rsoc.append(is_rsoc)
-        self.G = np.concatenate(G_parts, axis=1)
-        self.h = np.concatenate(h_parts, axis=1)
-        self.cone_rows = np.array(cone_rows, dtype=int)
-        self.m_cone = self.G.shape[1]
-        self.p = self.Aeq.shape[1]
+        self.q_dims = [len(rows) for rows, _ in q_specs]
+        self.q_rsoc = [is_rsoc for _, is_rsoc in q_specs]
+        self.cone_rows = np.array(l_rows + [r for rows, _ in q_specs for r in rows],
+                                  dtype=int)
+        self.m_cone = self.cone_rows.size
+        self.p = self.eq_rows.size
+
+        def cone_part(X):
+            # np.take keeps every stacked matrix C-ordered, so each program's
+            # BLAS calls see the strides of a one-program stack (indexing
+            # X[:, rows] would put the program axis innermost)
+            parts = [np.take(X, np.array(l_rows, dtype=int), axis=1)]
+            for rows, is_rsoc in q_specs:
+                blk = np.take(X, rows, axis=1)
+                parts.append(_rotate(blk, 1) if is_rsoc else blk)
+            return np.concatenate(parts, axis=1)
+
+        self.beq = np.take(b, self.eq_rows, axis=1)
+        self.h = cone_part(b)
 
         self.q_slices = []
         start = self.l
@@ -232,12 +235,196 @@ class _Layout:
         self.e[: self.l] = 1.0
         for sl in self.q_slices:
             self.e[sl.start] = 1.0
-        self.kkt = _SparseKKT.choose(self)
+
+        pattern = None
+        if self.n + first.m >= _SPARSE_MIN_ORDER:
+            pattern = _PatternG.of(programs, self)
+        if pattern is None:
+            A = np.stack([as_dense(p.A) for p in programs])
+            self.Aeq = np.take(A, self.eq_rows, axis=1)
+            self.G = cone_part(A)
+            self.kkt = None
+        else:
+            self.Aeq, self.G = pattern
+            self.kkt = _SparseKKT(self)
 
     def take(self, keep):
         """Keep the programs whose stack rows are in keep (an index array)."""
         self.Aeq, self.beq = self.Aeq[keep], self.beq[keep]
         self.G, self.h = self.G[keep], self.h[keep]
+
+    def Gx(self, x):
+        """G_i @ x_i for each program i."""
+        return _mv(self.G, x) if self.kkt is None else self.G.mv(x)
+
+    def Gtz(self, z):
+        """G_i' @ z_i for each program i."""
+        return _mv(self.G.transpose(0, 2, 1), z) if self.kkt is None else self.G.rmv(z)
+
+
+def _entries(A):
+    """(rows, cols, values) of the nonzeros of a dense or CSR A, row-major."""
+    if sp.issparse(A):
+        return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols]
+
+
+class _PatternG:
+    """The cone rows G of a sparse layout in pattern form: the stored values
+    and where they sit.
+
+    vals holds one row per program: the entries of the NonNeg rows in CSR
+    order, then one dense sub-block per SOC dimension group (the groups of
+    _Scaling, in ascending dimension), shaped (nblk, dim, kmax) over the
+    columns each block touches and padded with zero entries, whose column
+    reads 0.  erow and ecol give each stored entry's cone row and column,
+    real marks the entries that are not padding.  The pattern is the union
+    over the stack of the programs' nonzeros (an SOC block's union over its
+    rows), which is the sparse K's pattern of Gs = W^{-1} G.
+
+    Every operation runs on the stored values: row and column maxima for the
+    equilibration, the scaled G, W^{-1} G (_Scaling.apply_matrix), G x and
+    G' z.  Each derived G is a new vals over the same pattern.
+    """
+
+    @classmethod
+    def of(cls, programs, lay):
+        """(Aeq, G) of the layout's programs when their K is sparse enough
+        for SuperLU (at most _SPARSE_MAX_DENSITY N^2 structural nonzeros),
+        else None."""
+        n, m, nb = lay.n, programs[0].m, len(programs)
+        N = n + m
+        ents = [_entries(p.A) for p in programs]
+        keys = [r * n + c for r, c, _ in ents]
+        union = keys[0]
+        if any(not np.array_equal(k, union) for k in keys[1:]):
+            union = np.unique(np.concatenate(keys))
+        values = np.zeros((nb, union.size))
+        for i, (k, (_, _, v)) in enumerate(zip(keys, ents)):
+            values[i, np.searchsorted(union, k)] = v
+        rows, cols = np.divmod(union, n)
+
+        # where each entry goes: an equality row, a NonNeg row or an SOC block
+        eq_pos = np.full(m, -1)
+        eq_pos[lay.eq_rows] = np.arange(lay.p)
+        cone_pos = np.full(m, -1)
+        cone_pos[lay.cone_rows] = np.arange(lay.m_cone)
+        at_eq, cp = eq_pos[rows], cone_pos[rows]
+        is_eq, is_l, is_q = at_eq >= 0, (cp >= 0) & (cp < lay.l), cp >= lay.l
+        dims = np.array(lay.q_dims, dtype=int)
+        heads = np.cumsum(dims) - dims
+        qblk = np.repeat(np.arange(dims.size), dims)[cp[is_q] - lay.l]
+        qrow = cp[is_q] - lay.l - heads[qblk]
+
+        # the columns each SOC block touches, as sorted (block, column) keys;
+        # K holds every one of them in each row of the block
+        pair = np.unique(qblk * n + cols[is_q])
+        pblk, pcol = np.divmod(pair, n)
+        touched = np.bincount(pblk, minlength=dims.size)
+        first = np.cumsum(touched) - touched
+        pslot = np.arange(pair.size) - first[pblk]      # a pair's place in its block
+        nl = int(np.count_nonzero(is_l))
+        nnz = N + 2 * (int(np.count_nonzero(is_eq)) + nl + int(touched @ dims))
+        if nnz > _SPARSE_MAX_DENSITY * N * N:
+            return None
+
+        Aeq = np.zeros((nb, lay.p, n))
+        Aeq[:, at_eq[is_eq], cols[is_eq]] = values[:, is_eq]
+
+        # each block's offset into vals, place in its group and kmax
+        goff, gpos, gk = (np.zeros(dims.size, dtype=int) for _ in range(3))
+        erow, ecol, real = [cp[is_l]], [cols[is_l]], [np.ones(nl, dtype=bool)]
+        G = cls()
+        G.shapes, off = [], nl
+        for dim in sorted(set(lay.q_dims)):
+            blocks = np.flatnonzero(dims == dim)
+            kmax = int(touched[blocks].max())
+            goff[blocks], gpos[blocks], gk[blocks] = off, np.arange(blocks.size), kmax
+            gcols = np.zeros((blocks.size, kmax), dtype=int)
+            mine = dims[pblk] == dim
+            gcols[gpos[pblk[mine]], pslot[mine]] = pcol[mine]
+            shape = (blocks.size, dim, kmax)
+            grow = lay.l + heads[blocks, None] + np.arange(dim)
+            erow.append(np.broadcast_to(grow[:, :, None], shape).ravel())
+            ecol.append(np.broadcast_to(gcols[:, None, :], shape).ravel())
+            real.append(np.broadcast_to(
+                (np.arange(kmax) < touched[blocks, None])[:, None, :], shape).ravel())
+            G.shapes.append((off, shape, blocks))
+            off += blocks.size * dim * kmax
+        G.vals = np.zeros((nb, off))
+        G.vals[:, :nl] = values[:, is_l]
+        slot = np.searchsorted(pair, qblk * n + cols[is_q]) - first[qblk]
+        G.vals[:, goff[qblk] + (gpos[qblk] * dims[qblk] + qrow) * gk[qblk] + slot] = \
+            values[:, is_q]
+        rsoc = np.array(lay.q_rsoc, dtype=bool)
+        for (_, _, blocks), Gg in zip(G.shapes, G.groups(G.vals)):
+            rs = np.flatnonzero(rsoc[blocks])
+            if rs.size:
+                Gg[:, rs] = _rotate(Gg[:, rs], 2)
+
+        G.erow, G.ecol, G.real = (np.concatenate(x) for x in (erow, ecol, real))
+        G.m, G.n, G.l, G.nl, G.nq = lay.m_cone, n, lay.l, nl, dims.size
+        G.lrow = G.erow[:nl]
+        lcount = np.bincount(G.lrow, minlength=lay.l)
+        G.lrows_nz = np.flatnonzero(lcount)
+        G.lstart = (np.cumsum(lcount) - lcount)[G.lrows_nz]
+        G.col_order = np.argsort(G.ecol, kind="stable")
+        G.cols_nz, G.col_start = np.unique(G.ecol[G.col_order], return_index=True)
+        return Aeq, G
+
+    def like(self, vals):
+        """A G with these values over the same pattern."""
+        out = copy.copy(self)
+        out.vals = vals
+        return out
+
+    def __getitem__(self, keep):
+        return self.like(self.vals[keep])
+
+    def groups(self, vals):
+        """Views of the SOC groups of a stack of values, each (nb, nblk, dim,
+        kmax)."""
+        return [vals[:, off : off + math.prod(shape)].reshape(len(vals), *shape)
+                for off, shape, _ in self.shapes]
+
+    def scaled(self, r, s):
+        """The values of diag(r) G diag(s), per program."""
+        return (self.vals * np.take(r, self.erow, axis=1)) * np.take(s, self.ecol, axis=1)
+
+    def row_max(self, absvals):
+        """Per program, the largest of absvals in each NonNeg row and then in
+        each SOC block: (nb, l + blocks)."""
+        out = np.zeros((len(absvals), self.l + self.nq))
+        if self.lrows_nz.size:
+            out[:, self.lrows_nz] = np.maximum.reduceat(absvals[:, : self.nl],
+                                                        self.lstart, axis=1)
+        for (_, _, blocks), Ag in zip(self.shapes, self.groups(absvals)):
+            out[:, self.l + blocks] = Ag.max(axis=(2, 3), initial=0.0)
+        return out
+
+    def col_max(self, absvals):
+        """Per program, the largest of absvals in each column: (nb, n)."""
+        out = np.zeros((len(absvals), self.n))
+        if self.cols_nz.size:
+            out[:, self.cols_nz] = np.maximum.reduceat(
+                np.take(absvals, self.col_order, axis=1), self.col_start, axis=1)
+        return out
+
+    def mv(self, x):
+        """G_i @ x_i for each program i."""
+        return self._sum_into(self.erow, self.m, self.vals * np.take(x, self.ecol, axis=1))
+
+    def rmv(self, z):
+        """G_i' @ z_i for each program i."""
+        return self._sum_into(self.ecol, self.n, self.vals * np.take(z, self.erow, axis=1))
+
+    @staticmethod
+    def _sum_into(at, size, w):
+        """Per program i, the sums of w_i's entries at each index of at."""
+        nb = len(w)
+        idx = (np.arange(nb)[:, None] * size + at).ravel()
+        return np.bincount(idx, weights=w.ravel(), minlength=nb * size).reshape(nb, size)
 
 
 def _pow2(v):
@@ -257,23 +444,43 @@ class _Equilibration:
     """
 
     def __init__(self, lay: _Layout, c: np.ndarray, rounds: int = 8):
-        M = np.concatenate([lay.Aeq, lay.G], axis=1)
         p = lay.p
         # contiguous row groups: each eq row, each l row, each q block
         sizes = np.concatenate([np.ones(p + lay.l, dtype=int),
                                 np.array(lay.q_dims, dtype=int)])
         starts = np.cumsum(sizes) - sizes
-        r = np.ones(M.shape[:2])
+        if lay.kkt is None:
+            M = np.concatenate([lay.Aeq, lay.G], axis=1)
+
+            def row_max(r, s):
+                Ms = (M * r[:, :, None]) * s[:, None, :]
+                return np.maximum.reduceat(np.abs(Ms).max(axis=2), starts, axis=1)
+
+            def col_max(r, s):
+                return np.abs((M * r[:, :, None]) * s[:, None, :]).max(axis=1)
+        else:
+            # the same maxima, taken over Aeq and G's stored values apart
+            Aeq, G = lay.Aeq, lay.G
+
+            def eq_abs(r, s):
+                return np.abs((Aeq * r[:, :p, None]) * s[:, None, :])
+
+            def row_max(r, s):
+                return np.concatenate([eq_abs(r, s).max(axis=2),
+                                       G.row_max(np.abs(G.scaled(r[:, p:], s)))], axis=1)
+
+            def col_max(r, s):
+                return np.maximum(eq_abs(r, s).max(axis=1, initial=0.0),
+                                  G.col_max(np.abs(G.scaled(r[:, p:], s))))
+        r = np.ones((len(c), p + lay.m_cone))
         s = np.ones(c.shape)
         for _ in range(rounds):
-            Ms = (M * r[:, :, None]) * s[:, None, :]
-            gmx = np.maximum.reduceat(np.abs(Ms).max(axis=2), starts, axis=1)
+            gmx = row_max(r, s)
             nz = gmx > 0
             f = np.ones(gmx.shape)
             f[nz] = _pow2(1.0 / np.sqrt(gmx[nz]))
             r *= np.repeat(f, sizes, axis=1)
-            Ms = (M * r[:, :, None]) * s[:, None, :]
-            cmx = np.abs(Ms).max(axis=1)
+            cmx = col_max(r, s)
             nz = cmx > 0
             g = np.ones(cmx.shape)
             g[nz] = _pow2(1.0 / np.sqrt(cmx[nz]))
@@ -290,7 +497,10 @@ class _Equilibration:
         g_b = self.g_b[:, None]
         lay.Aeq = lay.Aeq * self.r_eq[:, :, None] * self.s[:, None, :]
         lay.beq = lay.beq * self.r_eq * g_b
-        lay.G = lay.G * self.r_cone[:, :, None] * self.s[:, None, :]
+        if lay.kkt is None:
+            lay.G = lay.G * self.r_cone[:, :, None] * self.s[:, None, :]
+        else:
+            lay.G = lay.G.like(lay.G.scaled(self.r_cone, self.s))
         lay.h = lay.h * self.r_cone * g_b
         return c * self.s * self.g_c[:, None]
 
@@ -318,7 +528,7 @@ class _Scaling:
 
     def __init__(self, lay: _Layout):
         self.lay = lay
-        nb = lay.G.shape[0]
+        nb = len(lay.h)
         dims = np.array(lay.q_dims, dtype=int)
         heads = np.cumsum(dims) - dims
         self.heads = heads                              # relative to SOC rows
@@ -476,12 +686,23 @@ class _Scaling:
         return out
 
     def apply_matrix(self, B, inverse=False):
-        """Blockwise W (or W^{-1}) applied to the rows of a stack of matrices.
+        """Blockwise W (or W^{-1}) applied to the rows of a stack of matrices,
+        or of a G in pattern form (a _PatternG, whose SOC groups hold only the
+        columns their blocks touch; the result is a _PatternG).
 
         A group whose rows form one run is read and written through views,
         so no temporary of B's size is made.
         """
         l = self.lay.l
+        if isinstance(B, _PatternG):
+            out = np.empty(B.vals.shape)
+            d = np.take(self.d, B.lrow, axis=1)
+            Bl = B.vals[:, : B.nl]
+            out[:, : B.nl] = Bl / d if inverse else Bl * d
+            for (blocks, rows, _), Bg, Og in zip(self.groups, B.groups(B.vals),
+                                                 B.groups(out)):
+                self._apply_group(blocks, rows, Bg, Og, inverse)
+            return B.like(out)
         out = np.empty(B.shape)
         if inverse:
             out[:, :l] = B[:, :l] / self.d[:, :, None]
@@ -494,23 +715,28 @@ class _Scaling:
                 Bg, Og = np.take(Bq, rows, axis=1), np.empty(shape)
             else:
                 Bg, Og = Bq[:, span].reshape(shape), Oq[:, span].reshape(shape)
-            V = np.take(self.v, rows, axis=1)
-            beta = self.beta[:, blocks][:, :, None, None]
-            # v @ (J blk) == (J v) @ blk: sign flips are exact
-            T = np.matmul((V * self.jsign[rows] if inverse else V)[:, :, None, :], Bg)
-            np.multiply(V[:, :, :, None], T, out=Og)
-            Og *= 2.0
-            if inverse:
-                Og -= Bg
-                Og[:, :, 1:] *= -1.0
-                Og /= beta
-            else:
-                Og[:, :, 0] -= Bg[:, :, 0]
-                Og[:, :, 1:] += Bg[:, :, 1:]
-                Og *= beta
+            self._apply_group(blocks, rows, Bg, Og, inverse)
             if span is None:
                 Oq[:, rows] = Og
         return out
+
+    def _apply_group(self, blocks, rows, Bg, Og, inverse):
+        """W (or W^{-1}) on one group's blocks of rows, Bg (nb, nblk, dim,
+        columns), into Og."""
+        V = np.take(self.v, rows, axis=1)
+        beta = self.beta[:, blocks][:, :, None, None]
+        # v @ (J blk) == (J v) @ blk: sign flips are exact
+        T = np.matmul((V * self.jsign[rows] if inverse else V)[:, :, None, :], Bg)
+        np.multiply(V[:, :, :, None], T, out=Og)
+        Og *= 2.0
+        if inverse:
+            Og -= Bg
+            Og[:, :, 1:] *= -1.0
+            Og /= beta
+        else:
+            Og[:, :, 0] -= Bg[:, :, 0]
+            Og[:, :, 1:] += Bg[:, :, 1:]
+            Og *= beta
 
     def jordan_prod(self, a, b):
         h, bl = self.heads, self.blk
@@ -586,40 +812,27 @@ class _SparseKKT:
     The structural nonzeros of K are its diagonal, Aeq and Aeq', and Gs and
     Gs'.  A NonNeg row of Gs = W^{-1} G has the nonzeros of its row of G; W^{-1}
     mixes the rows of an SOC block, so each of the block's rows holds the
-    columns that any row of the block touches.  The pattern is the union over
-    the stack.  indices and indptr hold it in CSC order, and perm takes the
-    values [diagonal | Aeq entries | Gs entries] into that order: each entry
-    of Aeq or Gs fills two places of K.  Built once per layout, before any
-    factor; take keeps it, since a subset of the stack fits the union.
+    columns that any row of the block touches: the real entries of the
+    layout's _PatternG.  The pattern is the union over the stack.  indices
+    and indptr hold it in CSC order, and perm takes the values [diagonal |
+    Aeq | Gs's stored values] into that order: each entry of Aeq or Gs fills
+    two places of K.  Built once per layout, before any factor; take keeps
+    it, since a subset of the stack fits the union.  _PatternG.of decides
+    whether a layout is factored this way.
     """
 
-    @classmethod
-    def choose(cls, lay: _Layout):
-        """The layout's structure if its K is to be factored sparsely, else None."""
-        N = lay.n + lay.p + lay.m_cone
-        if N < _SPARSE_MIN_ORDER:
-            return None
-        eq = (lay.Aeq != 0).any(axis=0)
-        g = (lay.G != 0).any(axis=0)
-        for sl in lay.q_slices:
-            g[sl] = g[sl].any(axis=0)
-        nnz = N + 2 * (np.count_nonzero(eq) + np.count_nonzero(g))
-        if nnz > _SPARSE_MAX_DENSITY * N * N:
-            return None
-        return cls(lay, eq, g)
-
-    def __init__(self, lay: _Layout, eq: np.ndarray, g: np.ndarray):
-        n, p = lay.n, lay.p
+    def __init__(self, lay: _Layout):
+        n, p, G = lay.n, lay.p, lay.G
         N = self.order = n + p + lay.m_cone
         self.diag = np.concatenate([np.full(n, _REGULARIZATION),
                                     np.full(p, -_REGULARIZATION),
                                     np.full(lay.m_cone, -1.0 - _REGULARIZATION)])
-        er, ec = np.nonzero(eq)
-        gr, gc = np.nonzero(g)
-        self.eq_at, self.g_at = er * n + ec, gr * n + gc   # into one program's Aeq, G
+        er, ec = np.nonzero((lay.Aeq != 0).any(axis=0))
+        g_at = np.flatnonzero(G.real)
+        gr, gc = G.erow[g_at], G.ecol[g_at]
         diag = np.arange(N)
-        at_eq = N + np.arange(er.size)
-        at_g = N + er.size + np.arange(gr.size)
+        at_eq = N + er * n + ec           # into [diagonal | Aeq | Gs]
+        at_g = N + p * n + g_at
         rows = np.concatenate([diag, n + er, ec, n + p + gr, gc])
         cols = np.concatenate([diag, ec, n + er, gc, n + p + gr])
         order = np.lexsort((rows, cols))
@@ -628,15 +841,14 @@ class _SparseKKT:
             [[0], np.cumsum(np.bincount(cols, minlength=N))]).astype(np.int32)
         self.perm = np.concatenate([diag, at_eq, at_eq, at_g, at_g])[order]
 
-    def factor(self, Aeq: np.ndarray, Gs: np.ndarray) -> list:
+    def factor(self, Aeq: np.ndarray, Gs: _PatternG) -> list:
         """Per program, SuperLU's factor of its K, or None where SuperLU
         finds K exactly singular."""
         from scipy.sparse.linalg import splu
 
-        nb, N = len(Gs), self.order
+        nb, N = len(Aeq), self.order
         values = np.concatenate([np.broadcast_to(self.diag, (nb, N)),
-                                 np.take(Aeq.reshape(nb, -1), self.eq_at, axis=1),
-                                 np.take(Gs.reshape(nb, -1), self.g_at, axis=1)], axis=1)
+                                 Aeq.reshape(nb, -1), Gs.vals], axis=1)
         factors = []
         for data in np.take(values, self.perm, axis=1):
             K = sp.csc_matrix((data, self.indices, self.indptr), shape=(N, N))
@@ -663,15 +875,16 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
 
     Static quasi-definite regularization (+reg / -reg on the diagonal); the
     outer iterative refinement absorbs the perturbation.  The layout picks
-    the factor once (lay.kkt, see _SparseKKT.choose):
+    the factor once (lay.kkt, see _PatternG.of):
 
     * dense: K holds one matrix per program, each in Fortran order, so that
       LAPACK getrf factors it in place; getrs solves with it.  These are the
       calls, and the bytes, of scipy's lu_factor/lu_solve without their
       wrappers.
     * sparse: SuperLU (scipy's splu, COLAMD ordering and partial pivoting)
-      factors the same K, whose CSC values are gathered from Aeq and Gs into
-      the layout's pattern; no dense K is made.
+      factors the same K, whose CSC values are gathered from Aeq and the
+      stored values of Gs (pattern form, see _PatternG); no dense K or G is
+      made.
 
     An exactly singular factor (getrf's info > 0, splu's RuntimeError) or a
     non-finite solve raises NumericalBreakdown for its programs at the
@@ -681,7 +894,8 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
     Gs = W.apply_matrix(lay.G, inverse=True)
     # Gs is the only part of K that changes, so checking it stands in
     # for a finiteness scan of all of K
-    bad = ~np.isfinite(Gs).all(axis=(1, 2))
+    vals = Gs if lay.kkt is None else Gs.vals
+    bad = ~np.isfinite(vals.reshape(len(vals), -1)).all(axis=1)
     if bad.any():
         raise NumericalBreakdown("non-finite scaled KKT block", bad)
     if lay.kkt is None:
@@ -772,14 +986,13 @@ class _Newton:
 
     def _residual(self, u, bx, by, bz, btau, bs, bkap):
         W, st, lay = self.W, self.st, self.lay
-        A, beq, G, h, c = lay.Aeq, lay.beq, lay.G, lay.h, st.c
+        A, beq, h, c = lay.Aeq, lay.beq, lay.h, st.c
         ux, uy, uzt, dtau, us, dkap = u
         uz_true = W.apply(uzt, inverse=True)
         dtau_true = (dtau * st.dgi)[:, None]
-        vx = bx - _mv(A.transpose(0, 2, 1), uy) - _mv(G.transpose(0, 2, 1), uz_true) \
-            - c * dtau_true
+        vx = bx - _mv(A.transpose(0, 2, 1), uy) - lay.Gtz(uz_true) - c * dtau_true
         vy = by + _mv(A, ux) - beq * dtau_true
-        vz = bz + _mv(G, ux) - h * dtau_true + W.apply(us)
+        vz = bz + lay.Gx(ux) - h * dtau_true + W.apply(us)
         vtau = btau + st.dg * dkap + _dot(c, ux) + _dot(beq, uy) + _dot(h, uz_true)
         vs = bs + W.jordan_prod(W.lam, uzt + us)
         vkap = bkap + st.lam_g * (dtau + dkap)
@@ -916,10 +1129,10 @@ def _solve_stack(programs, settings):
     st.lam_g, st.dg, st.dgi = np.ones(nb), np.ones(nb), np.ones(nb)
 
     for iters in range(settings.max_iter + 1):
-        A, beq, G, h, c, x, y, z, tau = (lay.Aeq, lay.beq, lay.G, lay.h, st.c,
-                                         st.x, st.y, st.z, st.tau)
+        A, beq, h, c, x, y, z, tau = (lay.Aeq, lay.beq, lay.h, st.c,
+                                      st.x, st.y, st.z, st.tau)
         tcol = tau[:, None]
-        hrx = -_mv(A.transpose(0, 2, 1), y) - _mv(G.transpose(0, 2, 1), z)
+        hrx = -_mv(A.transpose(0, 2, 1), y) - lay.Gtz(z)
         hresx = _norm(hrx)
         st.rx = hrx - c * tcol
         resx = _norm(st.rx) / tau
@@ -927,7 +1140,7 @@ def _solve_stack(programs, settings):
         hresy = _norm(hry)
         st.ry = hry - beq * tcol
         resy = _norm(st.ry) / tau
-        hrz = _mv(G, x) + st.s
+        hrz = lay.Gx(x) + st.s
         hresz = _norm(hrz)
         st.rz = hrz - h * tcol
         resz = _norm(st.rz) / tau

@@ -6,14 +6,23 @@ dpconic.solver._Scaling does the same arithmetic over all blocks, and all
 programs of a stack, at once; tests/test_solver.py requires both to give
 the same results bit for bit, method by method and over whole solves.
 PerBlockStack runs one PerBlockScaling per program behind the solver's
-stacked interface, so that tests can patch it in for _Scaling.
+stacked interface, so that tests can patch it in for _Scaling; it applies W
+to a G in pattern form (a sparse layout's) through pattern_to_dense.
 """
 
 import math
 
 import numpy as np
 
-from dpconic.solver import _ON_BOUNDARY, NumericalBreakdown
+from dpconic.solver import _ON_BOUNDARY, NumericalBreakdown, _PatternG
+
+
+def pattern_to_dense(G):
+    """The (nb, m_cone, n) stack of matrices that a _PatternG stores."""
+    at = np.flatnonzero(G.real)
+    dense = np.zeros((len(G.vals), G.m, G.n))
+    dense[:, G.erow[at], G.ecol[at]] = G.vals[:, at]
+    return dense
 
 
 def _jdot(u, v):
@@ -218,7 +227,7 @@ class PerBlockStack:
 
     def __init__(self, lay):
         self.lay = lay
-        nb = lay.G.shape[0]
+        nb = len(lay.h)
         self.refs = [PerBlockScaling(lay) for _ in range(nb)]
         self.lam = np.zeros((nb, lay.m_cone))
         self._share_lam()
@@ -259,6 +268,14 @@ class PerBlockStack:
         return np.array([ref.apply(u, inverse) for ref, u in zip(self.refs, x)])
 
     def apply_matrix(self, B, inverse=False):
+        if isinstance(B, _PatternG):
+            # W on the dense G, read back at the pattern's real entries
+            out = np.zeros(B.vals.shape)
+            at = np.flatnonzero(B.real)
+            dense = pattern_to_dense(B)
+            for i, (ref, M) in enumerate(zip(self.refs, dense)):
+                out[i, at] = ref.apply_matrix(M, inverse)[B.erow[at], B.ecol[at]]
+            return B.like(out)
         return np.array([ref.apply_matrix(M, inverse) for ref, M in zip(self.refs, B)])
 
     def jordan_prod(self, a, b):

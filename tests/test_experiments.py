@@ -9,6 +9,7 @@ so points that estimated on their own would disagree.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpconic import experiments
@@ -145,4 +146,26 @@ def test_svm_output_point_solves_the_svm_once(tmp_path, estimates, monkeypatch):
     cfg = _config(tmp_path, "svm", strategies=("output",), alphas=(0.5, 1.0))
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == ["ok"] * 2
-    assert len(calls) == 2
+    # the study is built once per run, not once per point
+    assert len(calls) == 1
+
+
+def test_opf_points_and_cvar_sweep_share_the_default_network(tmp_path, monkeypatch):
+    # a config that names no dataset: every program of the run, the CVaR
+    # sweep's among them, is built on the one default network
+    nets = []
+    real = experiments.app_opf.build_opf
+
+    def recording(net):
+        nets.append(net.to_json())
+        return real(net)
+
+    monkeypatch.setattr(experiments.app_opf, "build_opf", recording)
+    cfg = _config(tmp_path, "opf", strategies=("output",), cvar_q_grid=(0.1,))
+    assert cfg.dataset is None
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"]
+    default = experiments.app_opf.bundled_network(experiments.DEFAULT_OPF_NETWORK)
+    assert len(nets) >= 2 and set(nets) == {default.to_json()}
+    (q, mean, cvar, var), = out["sweep"]
+    assert q == 0.1 and np.isfinite([mean, cvar, var]).all()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpconic.conic import (
     ConeKind,
@@ -20,11 +21,13 @@ from dpconic.conic import (
 from dpconic import experiments, solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, rng_stream
-from dpconic.ldr import IndividualChance, SumQuery, VertexChance, privatize
+from dpconic.ldr import (IndividualChance, SumQuery, VertexChance, WeightedSumQuery,
+                         privatize)
+from dpconic.risk import CVaRSpec, augment_with_cvar
 from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
 
 from conftest import random_feasible_program
-from per_block_scaling import PerBlockScaling, PerBlockStack
+from per_block_scaling import PerBlockScaling, PerBlockStack, pattern_to_dense
 
 
 class TestBasics:
@@ -271,7 +274,8 @@ class TestBatchedScaling:
 def ruiz_eight_rounds(lay, c, i):
     """_Equilibration's factors for program i of the stack from all 8 Ruiz
     rounds, with no early exit."""
-    M = np.vstack([lay.Aeq[i], lay.G[i]])
+    G = lay.G if lay.kkt is None else pattern_to_dense(lay.G)
+    M = np.vstack([lay.Aeq[i], G[i]])
     c = c[i]
     sizes = np.concatenate([np.ones(lay.p + lay.l, dtype=int),
                             np.array(lay.q_dims, dtype=int)])
@@ -867,6 +871,164 @@ class TestSparseFactor:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def _pattern_corpus():
+    """The study programs on the sparse path: the study SVM, the privatized
+    ellipsoid and cvar_q_sweep's CVaR-augmented cvar6 OPF at three q.  Each
+    maps to (program, settings, solution, rule.xbar)."""
+    data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
+    pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
+                           IndividualChance(eta_bar=0.05), seed=1)
+    out = {"svm": (pv.program, svm.DEFAULT_SETTINGS, pv.solution, pv.rule.xbar)}
+    noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
+    pe = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
+                                       eta=0.1, seed=1)
+    out["ellipsoid"] = (pe.program, ellipsoid.DEFAULT_SETTINGS, pe.solution, pe.rule.xbar)
+    net = opf.bundled_network("cvar6")
+    wq = np.zeros(net.n_nodes)
+    wq[::2] = 1.0
+    pp = privatize(opf.build_opf(net), calibrate_laplace(1.0, 1.0, k=1),
+                   WeightedSumQuery(wq), VertexChance(eta=0.01), seed=0)
+    settings = SolverSettings(tol=1e-7)
+    for q in (0.05, 0.1, 0.2):
+        aug, _ = augment_with_cvar(pp, CVaRSpec(q=1.0 - q, samples=300, loss=tuple(net.c)),
+                                   seed=1)
+        sol = solve(aug, settings)
+        out[f"cvar-{q}"] = (aug, settings, sol, pp.extract_rule(sol.x[: pp.program.n]).xbar)
+    return out
+
+
+# what each program of _pattern_corpus gave when its layout held G densely:
+# the iterations, the leading entries of rule.xbar (all of them but the
+# SVM's, whose first three are the released (w, b)) and the norm of xbar
+DENSE_G_REFERENCE = {
+    "svm": (14, [-834.0790314471661, -728.1915624905052, -777.5336943520275],
+            1369.382835089846),
+    "ellipsoid": (14, [-0.018071041991376907, 0.1895131241057039, 1.0653650706304014,
+                       -0.020624039346167328, 0.007763543187772019, 1.2094177893822082],
+                  None),
+    "cvar-0.05": (16, [250.00000001666083, 200.00000001557072, 146.9049506790438,
+                       98.80393121206052, 4.29111809275891, -1.609472360482415e-08], None),
+    "cvar-0.1": (15, [250.00000002243155, 200.00000002206792, 146.9049505028519,
+                      98.80393163837229, 4.291117836332135, -2.205581274896575e-08], None),
+    "cvar-0.2": (15, [250.00000006973514, 200.00000006768286, 146.90494921880543,
+                      98.80393474670173, 4.291115965860619, -6.878569180521248e-08], None),
+}
+
+
+class TestPatternForm:
+    """A sparse layout holds G in pattern form (solver._PatternG), and the
+    solve on it is the solve on the dense G to the last bits."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _pattern_corpus()
+
+    @pytest.mark.parametrize("name", sorted(DENSE_G_REFERENCE))
+    def test_layout_holds_no_dense_matrix(self, corpus, name):
+        program = corpus[name][0]
+        mn = program.m * program.n
+        lay = solver._Layout([program])
+        c = program.c[None, :]
+        solver._Equilibration(lay, c).scale_layout(lay, c)
+        assert isinstance(lay.G, solver._PatternG) and lay.kkt is not None
+        held = [v for part in (lay, lay.G, lay.kkt) for v in vars(part).values()]
+        held += [a for v in held if isinstance(v, (list, tuple)) for a in v]
+        sizes = [np.asarray(v).size for v in held
+                 if isinstance(v, np.ndarray) or np.isscalar(v)]
+        assert max(sizes) < mn
+
+    def test_holds_the_dense_layout(self, monkeypatch):
+        # a stack of CSR and dense programs with different patterns, an
+        # empty NonNeg row and rotated blocks: the pattern form holds their
+        # union, and the equilibration and the scaled G equal the dense ones
+        rng = np.random.default_rng(0)
+        cones = ConeSpec([zero(2), nonneg(4), rsoc(4), soc(3), nonneg(2), soc(3), rsoc(5)])
+
+        def program(as_csr):
+            shape = (cones.dim, 7)
+            A = np.where(rng.random(shape) < 0.3, rng.normal(size=shape), 0.0)
+            A[3] = 0.0
+            return ConicProgram(sp.csr_array(A) if as_csr else A,
+                                rng.normal(size=cones.dim), rng.normal(size=7), cones)
+        programs = [program(True), program(False), program(True)]
+        assert len({(p.A != 0).sum() for p in programs}) == 3
+        monkeypatch.setattr(solver, "_SPARSE_MAX_DENSITY", 1.0)
+        monkeypatch.setattr(solver, "_SPARSE_MIN_ORDER", 0)
+        lay = solver._Layout(programs)
+        monkeypatch.setattr(solver, "_SPARSE_MIN_ORDER", 10**9)
+        ref = solver._Layout(programs)
+        assert lay.kkt is not None and ref.kkt is None
+        assert _same(pattern_to_dense(lay.G), ref.G) and _same(lay.Aeq, ref.Aeq)
+        c = np.stack([p.c for p in programs])
+        eq, eq_ref = solver._Equilibration(lay, c), solver._Equilibration(ref, c)
+        for name in ("r_eq", "r_cone", "s", "g_b", "g_c"):
+            assert _same(getattr(eq, name), getattr(eq_ref, name))
+        eq.scale_layout(lay, c)
+        eq_ref.scale_layout(ref, c)
+        assert _same(pattern_to_dense(lay.G), ref.G)
+        keep = np.array([2, 0])
+        lay.take(keep)
+        ref.take(keep)
+        x, z = rng.normal(size=(2, 7)), rng.normal(size=(2, lay.m_cone))
+        # G x and G' z sum in another order than gemv
+        assert np.allclose(lay.Gx(x), ref.Gx(x), rtol=0, atol=1e-14)
+        assert np.allclose(lay.Gtz(z), ref.Gtz(z), rtol=0, atol=1e-14)
+
+    # ulps of its block's largest entry by which an SOC entry of W^{-1} G may
+    # differ from the dense product.  The block product is one BLAS gemv per
+    # block over the columns it has, and OpenBLAS's order of summation for a
+    # column depends on where the column sits (its kernels take columns four
+    # at a time), so the sub-block's columns may round otherwise than the
+    # same columns of the dense G; on the cvar programs' SOC(3) blocks they
+    # do, by up to 16.25 such ulps.
+    SOC_ULPS = {"svm": 0, "ellipsoid": 0, "cvar-0.05": 32, "cvar-0.1": 32, "cvar-0.2": 32}
+
+    @pytest.mark.parametrize("name", sorted(DENSE_G_REFERENCE))
+    def test_inverse_scaling_matches_dense(self, monkeypatch, corpus, name):
+        program, settings = corpus[name][:2]
+        real, calls, seen = solver._factor_kkt, [], []
+
+        def recording(lay, W):
+            calls.append(1)
+            if len(calls) == 8:      # a mid-solve scaling: iteration 6's
+                seen.append((lay, W.apply_matrix(lay.G, inverse=True),
+                             W.apply_matrix(pattern_to_dense(lay.G), inverse=True)))
+            return real(lay, W)
+        monkeypatch.setattr(solver, "_factor_kkt", recording)
+        solve(program, settings)
+        (lay, got, dense), = seen
+        G = lay.G
+        at = np.flatnonzero(G.real)
+        rows = G.erow[at]
+        mine, ref = got.vals[:, at], dense[:, rows, G.ecol[at]]
+        nonneg = rows < lay.l
+        assert _same(mine[:, nonneg], ref[:, nonneg])
+        # each SOC entry against the largest entry of its block
+        block = np.searchsorted([sl.start for sl in lay.q_slices], rows[~nonneg],
+                                side="right") - 1
+        top = np.zeros((len(ref), len(lay.q_slices)))
+        for k, sl in enumerate(lay.q_slices):
+            top[:, k] = np.abs(dense[:, sl]).max(axis=(1, 2))
+        ulps = self.SOC_ULPS[name] * np.spacing(top[:, block])
+        assert (np.abs(mine[:, ~nonneg] - ref[:, ~nonneg]) <= ulps).all()
+        if not self.SOC_ULPS[name]:
+            assert _same(mine, ref)
+        assert not got.vals[:, ~G.real].any()
+        dense[:, rows, G.ecol[at]] = 0.0
+        assert not dense.any()          # the pattern holds every nonzero
+
+    @pytest.mark.parametrize("name", sorted(DENSE_G_REFERENCE))
+    def test_solve_keeps_the_dense_g_solve(self, corpus, name):
+        _, _, sol, xbar = corpus[name]
+        iters, lead, norm = DENSE_G_REFERENCE[name]
+        assert sol.status == Status.OPTIMAL
+        assert sol.iterations == iters
+        scale = np.abs(lead).max()
+        assert np.abs(xbar[: len(lead)] - lead).max() <= 1e-9 * scale
+        if norm is not None:
+            assert abs(np.linalg.norm(xbar) - norm) <= 1e-9 * norm
 
 
 class TestCsrPrograms:
