@@ -240,7 +240,10 @@ def value_range_adjacency(
     settings: SolverSettings | None = None,
 ) -> AdjacencyModel:
     """Universe where each response varies within +-frac of its value
-    (the wind-curve setting); all such datasets are adjacent."""
+    (the wind-curve setting); all such datasets are adjacent.  frac must
+    lie in (0, 1)."""
+    if not 0 < frac < 1:
+        raise ValueError(f"value-range fraction must lie in (0, 1), got {frac}")
 
     def jitter(rng):
         f = rng.uniform(-frac, frac, size=model.y.shape[0])

@@ -72,7 +72,7 @@ def _cmd_sensitivity(args) -> int:
     app = APPS[args.app]
     try:
         # the svm and regression data are drawn on seed 0; --seed seeds the pairs
-        adjacency = app.adjacency(args.alpha, args.dataset, 0)
+        adjacency = app.adjacency(app.data(args.dataset, 0), args.alpha)
         samples = args.samples or sensitivity_sample_size(args.gamma, args.beta)
         report = estimate_sensitivity(adjacency, args.p or app.p, samples,
                                       args.gamma, args.beta, args.seed)
@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True, choices=tuple(APPS))
     p.add_argument("--alpha", type=float, required=True,
                    help="adjacency radius; inf for whole-universe adjacency "
-                        "(ellipsoid: b-range fraction in (0, 1), else 0.01)")
+                        "(ellipsoid: b-range fraction in (0, 1), else 0.01; "
+                        "regression wind: value-range fraction in (0, 1))")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--p", type=int, choices=(1, 2), default=None,
@@ -155,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="override the sample-size rule")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dataset", default=None)
+    p.add_argument("--dataset", default=None,
+                   help="opf: bundled network or file; regression: cubic or wind")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sensitivity)
 

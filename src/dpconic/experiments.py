@@ -2,11 +2,12 @@
 
 One experiment = an application, a list of perturbation strategies and a
 grid of adjacency values.  ``APPS`` is the one registry of applications:
-for each it holds the sensitivity norm, the adjacency model, the Monte
-Carlo estimate settings and the point runner, and both ``run_experiment``
-and the command line read it.  The svm, regression and ellipsoid studies
-release a vector and share one runner: it draws all of a point's released
-rows from one noise stream and hands them to the study's score.
+for each it holds the sensitivity norm, the study's data, the adjacency
+model, the Monte Carlo estimate settings and the point runner, and both
+``run_experiment`` and the command line read it.  The svm, regression and
+ellipsoid studies release a vector and share one runner: it draws all of a
+point's released rows from one noise stream and hands them to the study's
+score.
 
 The points run one after another in the calling thread.  Every (strategy,
 alpha) point runs with its own deterministic seed stream, and every
@@ -79,8 +80,12 @@ class ExperimentConfig:
             raise ValueError("need epsilon > 0 and eta in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        if self.dataset and not _is_bundled(self.dataset) and not Path(self.dataset).exists():
-            raise ValueError(f"dataset file {self.dataset} does not exist")
+        # the app's data rejects a dataset it does not read, and its
+        # adjacency an alpha it cannot read
+        app = APPS[self.app]
+        data = app.data(self.dataset, self.seed)
+        for alpha in self.alphas:
+            app.adjacency(data, alpha)
 
     @staticmethod
     def from_json(text: str, **overrides) -> "ExperimentConfig":
@@ -93,14 +98,6 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
-
-
-def _is_bundled(name: str) -> bool:
-    try:
-        app_opf.bundled_network(name)
-        return True
-    except FileNotFoundError:
-        return False
 
 
 @dataclass
@@ -137,17 +134,57 @@ def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
                        "ok", extra or {})
 
 
-# --- per-app studies and point runners -----------------------------------------
+# --- per-app data, studies and point runners -----------------------------------
 #
-# An app's study(cfg) builds what every point of a run shares: the base
-# program and its solves.  runner(cfg, strategy, alpha, seed, study,
-# sensitivity): ``study()`` returns the run's study, built on the first call,
-# and ``sensitivity()`` the SensitivityReport shared by every point at this
-# alpha, estimated on the first call.
+# An app's data(dataset, seed) is the one reader of a config's dataset: it
+# builds the data a run's adjacency models and study share, and raises
+# ValueError on a dataset the app does not read.  study(cfg, data) builds
+# what every point of a run shares: the base program and its solves.
+# runner(cfg, strategy, alpha, seed, study, sensitivity): ``study()`` returns
+# the run's study, built on the first call, and ``sensitivity()`` the
+# SensitivityReport shared by every point at this alpha, estimated on the
+# first call.
 
 
-def _opf_network(dataset: str | None) -> "app_opf.PowerNetwork":
-    return app_opf.load_network(dataset or DEFAULT_OPF_NETWORK)
+def _no_dataset(app: str, make: Callable[[int], object]):
+    """The data entry of an app that reads no dataset: make(seed)."""
+    def data(dataset, seed):
+        if dataset is not None:
+            raise ValueError(f"app {app!r} reads no dataset, got {dataset!r}")
+        return make(seed)
+    return data
+
+
+def _opf_data(dataset, seed) -> "app_opf.PowerNetwork":
+    """A bundled network's name or a network file; triangle3 by default."""
+    name = dataset or DEFAULT_OPF_NETWORK
+    try:
+        return app_opf.load_network(name)
+    except (OSError, KeyError) as exc:
+        raise ValueError(f"dataset {name!r} is neither a bundled network nor "
+                         f"a network file: {exc}") from None
+
+
+@dataclass(frozen=True)
+class _Regression:
+    """A regression dataset and its adjacency law (model, alpha) -> AdjacencyModel."""
+
+    model: "app_regression.RegressionModel"
+    adjacency: Callable[..., AdjacencyModel]
+
+
+def _regression_data(dataset, seed) -> _Regression:
+    """``cubic`` (the default; circle-law universe, alpha unused) or ``wind``
+    (alpha is the value-range fraction in (0, 1))."""
+    if dataset in (None, "cubic"):
+        return _Regression(app_regression.synthetic_cubic_data(n=100, seed=seed),
+                           lambda model, alpha: app_regression.circle_law_adjacency(model))
+    if dataset == "wind":
+        speeds = np.linspace(0.5, 25.0, 40)
+        model = app_regression.build_wind_curve_dataset(
+            speeds, app_regression.synthetic_power_curve(speeds), 0.1, seed)
+        return _Regression(model, app_regression.value_range_adjacency)
+    raise ValueError(f"regression reads dataset 'cubic' or 'wind', got {dataset!r}")
 
 
 @dataclass(frozen=True)
@@ -156,8 +193,7 @@ class _SimpleLp:
     base: Solution
 
 
-def _simple_lp_study(cfg) -> _SimpleLp:
-    lp = app_simple.SimpleLpStudy()
+def _simple_lp_study(cfg, lp) -> _SimpleLp:
     return _SimpleLp(lp, lp.optimum())
 
 
@@ -186,8 +222,7 @@ class _OpfStudy:
     cost_range: tuple[float, float] | None
 
 
-def _opf_study(cfg) -> _OpfStudy:
-    net = _opf_network(cfg.dataset)
+def _opf_study(cfg, net) -> _OpfStudy:
     program = app_opf.build_opf(net)
     base = solve(program)
     cost_range = app_opf.opf_cost_range(net) if base.status == Status.OPTIMAL else None
@@ -247,8 +282,8 @@ class _VectorStudy:
     draws: int
 
 
-def _svm_study(cfg) -> _VectorStudy:
-    train, tx, ty = app_svm.synthetic_gaussian_classes(m=100, seed=cfg.seed)
+def _svm_study(cfg, data) -> _VectorStudy:
+    train, tx, ty = data
     w, b, det_sol = app_svm.solve_svm(train)
     acc0 = app_svm.accuracy(w, b, tx, ty)
     chance = IndividualChance(eta_bar=cfg.eta)
@@ -268,8 +303,8 @@ def _svm_study(cfg) -> _VectorStudy:
         score=score, draws=200)
 
 
-def _regression_study(cfg) -> _VectorStudy:
-    model = app_regression.synthetic_cubic_data(n=100, seed=cfg.seed)
+def _regression_study(cfg, data) -> _VectorStudy:
+    model = data.model
     w_det, _ = app_regression.solve_regression(model)
     base_loss = model.loss(w_det)
 
@@ -284,12 +319,7 @@ def _regression_study(cfg) -> _VectorStudy:
         score=score, draws=500)
 
 
-def _ellipsoid_instance():
-    return app_ellipsoid.regular_polygon(5, radius=2.0)
-
-
-def _ellipsoid_study(cfg) -> _VectorStudy:
-    inst = _ellipsoid_instance()
+def _ellipsoid_study(cfg, inst) -> _VectorStudy:
     z_det, Y_det, _, _ = app_ellipsoid.solve_ellipsoid(inst)
     vol_det = app_ellipsoid.ellipsoid_volume(Y_det)
 
@@ -332,42 +362,43 @@ class App:
     """How the CLI and run_experiment estimate, calibrate and run one study.
 
     ``p`` is the sensitivity norm (1: Laplace noise, 2: Gaussian).
-    ``adjacency(alpha, dataset, data_seed)`` builds the adjacency model the
-    sensitivity is estimated on.  ``estimate`` is the experiment's
+    ``data(dataset, seed)`` builds the study's data, and is the only reader
+    of a config's dataset.  ``adjacency(data, alpha)`` builds the adjacency
+    model the sensitivity is estimated on.  ``estimate`` is the experiment's
     (samples, gamma, beta), or None for the apps whose noise follows from
-    an analytic bound.  ``study(cfg)`` builds what the points of one run
-    share, once per run; ``run`` is the point runner.
+    an analytic bound.  ``study(cfg, data)`` builds what the points of one
+    run share, once per run; ``run`` is the point runner.
     """
 
     p: int
-    adjacency: Callable[[float, str | None, int], AdjacencyModel]
+    data: Callable[[str | None, int], object]
+    adjacency: Callable[[object, float], AdjacencyModel]
     estimate: tuple[int, float, float] | None
-    study: Callable[[ExperimentConfig], object]
+    study: Callable[[ExperimentConfig, object], object]
     run: Callable[..., PointResult]
 
 
 APPS: dict[str, App] = {
     "simple-lp": App(
-        1, lambda alpha, dataset, data_seed: app_simple.lower_bound_adjacency(
-            app_simple.SimpleLpStudy(), alpha),
-        None, _simple_lp_study, _run_simple_lp),
+        1, _no_dataset("simple-lp", lambda seed: app_simple.SimpleLpStudy()),
+        app_simple.lower_bound_adjacency, None, _simple_lp_study, _run_simple_lp),
     "opf": App(
-        1, lambda alpha, dataset, data_seed: app_opf.demand_adjacency(
-            _opf_network(dataset), alpha),
-        None, _opf_study, _run_opf),
+        1, _opf_data, app_opf.demand_adjacency, None, _opf_study, _run_opf),
     "svm": App(
-        1, lambda alpha, dataset, data_seed: app_svm.circle_law_adjacency(
-            app_svm.synthetic_gaussian_classes(m=100, seed=data_seed)[0]),
+        1, _no_dataset("svm", lambda seed: app_svm.synthetic_gaussian_classes(
+            m=100, seed=seed)),
+        lambda data, alpha: app_svm.circle_law_adjacency(data[0]),
         (99, 0.1, 0.1), _svm_study, _run_vector),
     "regression": App(
-        2, lambda alpha, dataset, data_seed: app_regression.circle_law_adjacency(
-            app_regression.synthetic_cubic_data(n=100, seed=data_seed)),
+        2, _regression_data, lambda data, alpha: data.adjacency(data.model, alpha),
         (199, 0.5, 0.1), _regression_study, _run_vector),
     # alpha in (0, 1) is the fraction each b_i ranges over; any other alpha
     # (the whole-universe inf among them) means 0.01
     "ellipsoid": App(
-        2, lambda alpha, dataset, data_seed: app_ellipsoid.b_range_adjacency(
-            _ellipsoid_instance(), alpha if 0 < alpha < 1 else 0.01),
+        2, _no_dataset("ellipsoid", lambda seed: app_ellipsoid.regular_polygon(
+            5, radius=2.0)),
+        lambda inst, alpha: app_ellipsoid.b_range_adjacency(
+            inst, alpha if 0 < alpha < 1 else 0.01),
         (99, 0.1, 0.1), _ellipsoid_study, _run_vector),
 }
 
@@ -431,20 +462,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     app = APPS[config.app]
+    data = app.data(config.dataset, config.seed)
     reports: dict[int, SensitivityReport] = {}
     built: list = []
 
     def study():
         if not built:
-            built.append(app.study(config))
+            built.append(app.study(config, data))
         return built[0]
 
     def shared_sensitivity(j):
         def get():
             if j not in reports:
                 samples, gamma, beta = app.estimate
-                adjacency = app.adjacency(config.alphas[j], config.dataset,
-                                          config.seed)
+                adjacency = app.adjacency(data, config.alphas[j])
                 reports[j] = estimate_sensitivity(
                     adjacency, app.p, samples, gamma, beta,
                     seed=_calibration_seed(config.seed, j))
@@ -478,10 +509,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     sweep_rows = None
     if config.cvar_q_grid and config.app == "opf":
-        net = _opf_network(config.dataset)
-        subset = tuple(range(0, net.n_nodes, 2))
-        sweep_rows = cvar_q_sweep(net, subset, config.alphas[0], config.epsilon,
-                                  config.cvar_q_grid, seed=config.seed)
+        subset = tuple(range(0, data.n_nodes, 2))
+        sweep_rows = cvar_q_sweep(data, subset, config.alphas[0], config.epsilon,
+                                  config.cvar_q_grid, eta=config.eta,
+                                  seed=config.seed)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["q", "mean", "cvar05", "var"])

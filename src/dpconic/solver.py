@@ -69,7 +69,6 @@ _SQRT2 = math.sqrt(2.0)
 _STEP = 0.99          # fraction of the distance to the cone boundary
 _EXPON = 3            # Mehrotra centering exponent
 _PLUS_MINUS = np.array([[-1.0], [1.0]])
-_TRACE = bool(__import__("os").environ.get("DPCONIC_TRACE"))
 _REGULARIZATION = 1e-9    # static KKT diagonal perturbation
 _REFINEMENT = 1           # iterative refinement steps per Newton solve
 _INFEASIBILITY_THRESHOLD = 1e-8
@@ -1164,11 +1163,6 @@ def _solve_stack(programs, settings):
                                 out=np.full(len(tau), np.inf), where=has_pinf)
             dinfres = np.divide(_pymax(hresy / st.resy0, hresz / st.resz0), -cx,
                                 out=np.full(len(tau), np.inf), where=has_dinf)
-        if _TRACE:
-            for i in range(len(tau)):
-                print(f"it {iters:3d}: pcost {pcost[i]: .6e} dcost {dcost[i]: .6e} "
-                      f"gap {st.gap[i]:.1e} pres {pres[i]:.1e} dres {dres[i]:.1e} "
-                      f"k/t {st.kappa[i] / tau[i]:.1e}")
 
         merit = _pymax(_pymax(pres, dres), gap_merit)
         # _pymax keeps its first argument against a NaN, so a non-finite

@@ -126,14 +126,6 @@ def test_rerun_is_byte_identical(tmp_path, estimates):
     assert _outputs(cfg) == _outputs(cfg)
 
 
-def test_thread_setting_changes_nothing(tmp_path, estimates, monkeypatch):
-    cfg = _config(tmp_path, "regression")
-    monkeypatch.setenv("DP_CONIC_THREADS", "1")
-    one = _outputs(cfg)
-    monkeypatch.setenv("DP_CONIC_THREADS", "4")
-    assert _outputs(cfg) == one
-
-
 def test_svm_output_point_solves_the_svm_once(tmp_path, estimates, monkeypatch):
     calls = []
     real = experiments.app_svm.solve_svm
@@ -169,3 +161,16 @@ def test_opf_points_and_cvar_sweep_share_the_default_network(tmp_path, monkeypat
     assert len(nets) >= 2 and set(nets) == {default.to_json()}
     (q, mean, cvar, var), = out["sweep"]
     assert q == 0.1 and np.isfinite([mean, cvar, var]).all()
+
+
+def test_cvar_sweep_reads_the_config_eta(tmp_path):
+    cfg = _config(tmp_path, "opf", strategies=("output",), dataset="triangle3",
+                  eta=0.05, cvar_q_grid=(0.1, 0.5))
+    out = run_experiment(cfg)
+    net = experiments.app_opf.bundled_network("triangle3")
+    want = experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
+                                    eta=0.05, seed=cfg.seed)
+    assert out["sweep"] == want
+    # the sweep's default eta gives other rows, so the test tells them apart
+    assert experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
+                                    seed=cfg.seed) != want
