@@ -12,6 +12,7 @@ from .conic import (
     ConeKind,
     ConeSpec,
     ConicProgram,
+    NotOptimal,
     Solution,
     Status,
     build_simple_lp,

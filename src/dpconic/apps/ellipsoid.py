@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg, rsoc, soc
+from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
+                     require_optimal, rsoc, soc)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import DecisionRule, IdentityQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
@@ -66,8 +67,7 @@ def regular_polygon(sides: int = 5, radius: float = 2.0,
     return EllipsoidInstance(a, radius * np.ones(sides))
 
 
-def check_bounded(inst: EllipsoidInstance,
-                  settings: SolverSettings | None = None) -> None:
+def check_bounded(inst: EllipsoidInstance) -> None:
     """Reject an unbounded or empty polyhedron {x : a_i'x <= b_i}.
 
     Boundedness is read off the normals, with no solve.  A nonempty
@@ -104,14 +104,13 @@ def check_bounded(inst: EllipsoidInstance,
         return
     if np.any(b[~rows] < 0.0):
         raise ValueError("polyhedron is empty")
-    settings = settings or DEFAULT_SETTINGS
     norms = np.linalg.norm(a[rows], axis=1)
     a_unit, b_unit = a[rows] / norms[:, None], b[rows] / norms
     phase_one = ConicProgram(np.column_stack([a_unit, -np.ones(norms.size)]),
                              b_unit, np.array([0.0, 0.0, 1.0]),
                              ConeSpec([nonneg(norms.size)]))
-    sol = solve(phase_one, settings)
-    margin = 10.0 * settings.tol * (1.0 + np.abs(b_unit).max())
+    sol = solve(phase_one, DEFAULT_SETTINGS)
+    margin = 10.0 * DEFAULT_SETTINGS.tol * (1.0 + np.abs(b_unit).max())
     if sol.status == Status.OPTIMAL and sol.x[2] > margin:
         raise ValueError("polyhedron is empty")
 
@@ -154,18 +153,15 @@ def build_ellipsoid(inst: EllipsoidInstance) -> ConicProgram:
                         ConeSpec(blocks), variable_names=names)
 
 
-def solve_ellipsoid(inst: EllipsoidInstance,
-                    settings: SolverSettings | None = None):
+def solve_ellipsoid(inst: EllipsoidInstance):
     """Returns (z, Y, t, solution) for the deterministic instance."""
-    sol = solve(build_ellipsoid(inst), settings or DEFAULT_SETTINGS)
+    sol = solve(build_ellipsoid(inst), DEFAULT_SETTINGS)
     return (*_read_ellipsoid(inst, sol), sol)
 
 
 def _read_ellipsoid(inst: EllipsoidInstance, sol: Solution):
     """(z, Y, t) of a deterministic solution; raises unless it is Optimal."""
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"ellipsoid solve returned {sol.status.value}")
-    t, z1, z2, y11, y22, y12 = sol.x
+    t, z1, z2, y11, y22, y12 = require_optimal(sol, "ellipsoid solve").x
     Y = np.array([[y11, y12], [y12, y22]])
     return np.array([z1, z2]), Y, float(t)
 
@@ -194,8 +190,7 @@ def ellipsoid_volume(Y: np.ndarray) -> float:
     return math.pi * abs(float(np.linalg.det(Y)))
 
 
-def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float,
-                      settings: SolverSettings | None = None) -> AdjacencyModel:
+def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyModel:
     """Universe where each b_i ranges over [b_i(1-gamma), b_i(1+gamma)];
     all such instances are adjacent (alpha = inf).  Query: the (z, Y) rule
     vector of the deterministic optimum."""
@@ -212,7 +207,7 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float,
         return rule_vector(z, Y)
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_ellipsoid, read=read,
-                          alpha=math.inf, settings=settings or DEFAULT_SETTINGS)
+                          alpha=math.inf, settings=DEFAULT_SETTINGS)
 
 
 def _rule_program(inst: EllipsoidInstance) -> ConicProgram:
@@ -268,9 +263,7 @@ def privatize_ellipsoid(
     noise: NoiseSpec,
     eta: float,
     seed: int = 0,
-    beta: float = 0.01,
     obj_samples: int = 32,
-    settings: SolverSettings | None = None,
 ) -> EllipsoidPrivatization:
     """Chance-constrained ellipse rule with the fixed identity recourse.
 
@@ -283,10 +276,8 @@ def privatize_ellipsoid(
         raise ValueError(f"noise dim {noise.k}, expected {RULE_DIM}")
     check_bounded(inst)
     pp = privatize(_rule_program(inst), noise, IdentityQuery(),
-                   VertexChance(eta, beta), seed, epigraph_vars=1,
+                   VertexChance(eta), seed, epigraph_vars=1,
                    objective_samples=obj_samples)
-    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"privatized ellipsoid returned {sol.status.value}")
-    return EllipsoidPrivatization(rule=pp.extract_rule(sol), noise=noise, inst=inst,
+    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid")
+    return EllipsoidPrivatization(rule=rule, noise=noise, inst=inst,
                                   solution=sol, program=pp.program)

@@ -13,7 +13,8 @@ from importlib import resources
 
 import numpy as np
 
-from ..conic import ConicProgram, ConeSpec, Solution, Status, nonneg, zero
+from ..conic import (ConicProgram, ConeSpec, NotOptimal, Solution, Status, nonneg,
+                     require_optimal, zero)
 from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
 from ..ldr import (
     DecisionRule,
@@ -24,11 +25,7 @@ from ..ldr import (
     privatize,
     release_query,
 )
-from ..solver import SolverSettings, solve, solve_batch
-
-
-class InfeasiblePrivatization(RuntimeError):
-    """The chance-constrained counterpart admits no solution at this privacy level."""
+from ..solver import solve, solve_batch
 
 
 @dataclass(frozen=True)
@@ -127,22 +124,18 @@ def opf_sensitivity_bound(c: np.ndarray, alpha: float) -> float:
     return float(np.max(c) * alpha)
 
 
-def opf_cost_range(net: PowerNetwork, settings: SolverSettings | None = None):
+def opf_cost_range(net: PowerNetwork):
     """(min, max) dispatch cost over the feasible set; brackets query feasibility."""
     prog = build_opf(net)
-    lo = solve(prog, settings)
+    lo = solve(prog)
     flipped = ConicProgram(prog.A, prog.b, -prog.c, prog.cones)
-    hi = solve(flipped, settings)
+    hi = solve(flipped)
     if lo.status != Status.OPTIMAL or hi.status != Status.OPTIMAL:
         raise RuntimeError(f"base OPF not solvable: {lo.status}, {hi.status}")
     return lo.objective, -hi.objective
 
 
-def demand_adjacency(
-    net: PowerNetwork,
-    alpha: float,
-    settings: SolverSettings | None = None,
-) -> AdjacencyModel:
+def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
     """Adjacent pairs differing in one demand entry by at most alpha.
 
     The shift is drawn uniformly in [-alpha, alpha] (direction and radius
@@ -158,13 +151,10 @@ def demand_adjacency(
         return net, net.with_demand(d2)
 
     def read(dataset, sol):
-        if sol.status != Status.OPTIMAL:
-            raise InfeasiblePrivatization(f"OPF solve returned {sol.status.value}")
-        return sol.x
+        return require_optimal(sol, "OPF solve").x
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_opf, read=read,
-                          alpha=alpha, query=lambda x: np.array([float(c @ x)]),
-                          settings=settings)
+                          alpha=alpha, query=lambda x: np.array([float(c @ x)]))
 
 
 @dataclass
@@ -174,7 +164,6 @@ class OpfPrivatization:
     query: WeightedSumQuery
     privatized: PrivatizedProgram
     solution: Solution
-    base: Solution
     program: ConicProgram
 
     def release(self, seed: int, stream: int = 0) -> float:
@@ -192,41 +181,31 @@ def privatize_opf(
     eta: float,
     method: str = "vertex",
     seed: int = 0,
-    beta: float = 0.01,
-    delta_1: float | None = None,
-    settings: SolverSettings | None = None,
 ) -> OpfPrivatization:
     """Solve the chance-constrained OPF counterpart for the cost query.
 
     The weighted-sum query c'X = 1 makes the cost release's random part
     data-independent; the balance equality is split exactly.  Raises
-    InfeasiblePrivatization when the program cannot absorb the noise at
-    the requested (alpha, eta); high-privacy settings can genuinely have
-    no feasible rule, and the experiment harness records that as a row.
+    NotOptimal when the program cannot absorb the noise at the requested
+    (alpha, eta); high-privacy settings can genuinely have no feasible
+    rule, and the experiment harness records that as a row.
     """
-    d1 = delta_1 if delta_1 is not None else opf_sensitivity_bound(net.c, alpha)
-    noise = calibrate_laplace(d1, epsilon, k=1)
+    noise = calibrate_laplace(opf_sensitivity_bound(net.c, alpha), epsilon, k=1)
     query = WeightedSumQuery(net.c)
     if method == "vertex":
-        chance = VertexChance(eta=eta, beta=beta)
+        chance = VertexChance(eta=eta)
     elif method == "individual":
         chance = IndividualChance(eta=eta)
     else:
         raise ValueError("method must be 'vertex' or 'individual'")
     program = build_opf(net)
-    base = solve(program, settings)
-    if base.status != Status.OPTIMAL:
-        raise InfeasiblePrivatization(f"base OPF returned {base.status.value}")
     pp = privatize(program, noise, query, chance, seed)
-    sol = solve(pp.program, settings)
-    if sol.status != Status.OPTIMAL:
-        raise InfeasiblePrivatization(
-            f"chance-constrained OPF returned {sol.status.value} "
-            f"(alpha={alpha}, eta={eta})"
-        )
-    rule = pp.extract_rule(sol)
+    try:
+        rule, sol = pp.solve(None, "chance-constrained OPF")
+    except NotOptimal as exc:
+        raise NotOptimal(f"{exc} (alpha={alpha}, eta={eta})", exc.status) from None
     return OpfPrivatization(rule=rule, noise=noise, query=query, privatized=pp,
-                            solution=sol, base=base, program=program)
+                            solution=sol, program=program)
 
 
 def released_cost_feasible(value: float, cost_lo: float, cost_hi: float,
@@ -241,7 +220,6 @@ def input_perturbation_costs(
     epsilon: float,
     samples: int,
     seed: int,
-    settings: SolverSettings | None = None,
 ):
     """Input-perturbation study: solve OPF on d + Lap(alpha/eps)^N per draw.
 
@@ -252,7 +230,7 @@ def input_perturbation_costs(
     spec = calibrate_laplace(alpha, epsilon, k=net.n_nodes)
     programs = [build_opf(net.with_demand(net.d + sample_noise(spec, seed, 1, stream=s)[0]))
                 for s in range(samples)]
-    sols = solve_batch(programs, settings)
+    sols = solve_batch(programs)
     solved = np.array([sol.status == Status.OPTIMAL for sol in sols], dtype=bool)
     costs = np.array([sol.objective if ok else np.nan for sol, ok in zip(sols, solved)],
                      dtype=float)

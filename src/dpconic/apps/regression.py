@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     permute_columns, quadratic_epigraph)
+from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
+                     quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import DecisionRule, IdentityQuery, IndividualChance, privatize
 from ..solver import SolverSettings, solve
@@ -200,13 +200,11 @@ def build_monotone_regression(model: RegressionModel) -> ConicProgram:
 
 def _read_weights(model: RegressionModel, sol: Solution) -> np.ndarray:
     """The basis weights w of a solution; raises unless it is Optimal."""
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"regression solve returned {sol.status.value}")
-    return sol.x[2:]
+    return require_optimal(sol, "regression solve").x[2:]
 
 
-def solve_regression(model: RegressionModel, settings: SolverSettings | None = None):
-    sol = solve(build_monotone_regression(model), settings or DEFAULT_SETTINGS)
+def solve_regression(model: RegressionModel):
+    sol = solve(build_monotone_regression(model), DEFAULT_SETTINGS)
     return _read_weights(model, sol), sol
 
 
@@ -214,7 +212,6 @@ def circle_law_adjacency(
     model: RegressionModel,
     x_scale: float = 0.35,
     y_scale: float = 8.0,
-    settings: SolverSettings | None = None,
 ) -> AdjacencyModel:
     """Whole-dataset universe: point i moves to (0.35 r cos t + x_i,
     8 r sin t + y_i) with r ~ U(0,1); all such datasets are adjacent."""
@@ -231,14 +228,10 @@ def circle_law_adjacency(
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
                           read=_read_weights, alpha=math.inf,
-                          settings=settings or DEFAULT_SETTINGS)
+                          settings=DEFAULT_SETTINGS)
 
 
-def value_range_adjacency(
-    model: RegressionModel,
-    frac: float,
-    settings: SolverSettings | None = None,
-) -> AdjacencyModel:
+def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel:
     """Universe where each response varies within +-frac of its value
     (the wind-curve setting); all such datasets are adjacent.  frac must
     lie in (0, 1)."""
@@ -254,7 +247,7 @@ def value_range_adjacency(
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
                           read=_read_weights, alpha=math.inf,
-                          settings=settings or DEFAULT_SETTINGS)
+                          settings=DEFAULT_SETTINGS)
 
 
 @dataclass
@@ -279,8 +272,6 @@ def privatize_regression(
     noise: NoiseSpec,
     eta: float,
     seed: int = 0,
-    eta_bar=None,
-    settings: SolverSettings | None = None,
 ) -> RegressionPrivatization:
     """Chance-constrained weights with Gaussian noise and the identity query.
 
@@ -295,19 +286,17 @@ def privatize_regression(
     mb = model.basis.dim
     if noise.k != mb:
         raise ValueError(f"noise dim {noise.k}, expected {mb}")
-    chance = IndividualChance(eta_bar=eta_bar, eta=eta, safety="gaussian")
+    chance = IndividualChance(eta=eta, safety="gaussian")
     # columns (w, u, v): the fit and ridge epigraph variables go last
     program = permute_columns(build_monotone_regression(model),
                               np.r_[2 : 2 + mb, 0, 1])
     pp = privatize(program, noise, IdentityQuery(), chance, seed, epigraph_vars=2)
-    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"privatized regression returned {sol.status.value}")
+    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized regression")
     var = noise.coordinate_variance
     Phi = model.design
     offset = var * float(np.trace(Phi.T @ Phi)) + model.ridge * var * mb
     return RegressionPrivatization(
-        rule=pp.extract_rule(sol), noise=noise, model=model,
+        rule=rule, noise=noise, model=model,
         solution=sol, program=pp.program, objective_offset=offset,
     )
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConicProgram, Solution, Status, build_simple_lp
+from ..conic import ConicProgram, Solution, build_simple_lp, require_optimal
 from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
 from ..ldr import DecisionRule, SumQuery, VertexChance, privatize
-from ..solver import SolverSettings, solve
+from ..solver import solve
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,15 @@ class SimpleLpStudy:
     def program(self) -> ConicProgram:
         return build_simple_lp(self.c, self.lower, self.upper)
 
-    def optimum(self, settings: SolverSettings | None = None) -> Solution:
-        return solve(self.program(), settings)
+    def optimum(self) -> Solution:
+        return solve(self.program())
 
     def in_box(self, x) -> np.ndarray:
         x = np.atleast_1d(x)
         return (x >= self.lower) & (x <= self.upper)
 
 
-def lower_bound_adjacency(study: SimpleLpStudy, alpha: float,
-                          settings: SolverSettings | None = None) -> AdjacencyModel:
+def lower_bound_adjacency(study: SimpleLpStudy, alpha: float) -> AdjacencyModel:
     """Pairs (lower, lower + u) with u uniform in [-alpha, alpha], identity query."""
 
     def sample_pair(rng):
@@ -45,12 +44,10 @@ def lower_bound_adjacency(study: SimpleLpStudy, alpha: float,
         return study, SimpleLpStudy(study.c, lo2, study.upper)
 
     def read(st, sol):
-        if sol.status != Status.OPTIMAL:
-            raise RuntimeError(f"simple LP returned {sol.status.value}")
-        return sol.x
+        return require_optimal(sol, "simple LP").x
 
     return AdjacencyModel(sample_pair=sample_pair, program=SimpleLpStudy.program,
-                          read=read, alpha=alpha, settings=settings)
+                          read=read, alpha=alpha)
 
 
 def privatize_simple_lp(
@@ -59,16 +56,12 @@ def privatize_simple_lp(
     alpha: float,
     eta: float,
     seed: int,
-    beta: float = 0.01,
-    settings: SolverSettings | None = None,
 ):
     """Rule counterpart with the (scalar) sum query; returns (rule, noise, base)."""
     noise = calibrate_laplace(alpha, epsilon, k=1)
-    pp = privatize(study.program(), noise, SumQuery(), VertexChance(eta, beta), seed)
-    sol = solve(pp.program, settings)
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"privatized simple LP returned {sol.status.value}")
-    return pp.extract_rule(sol), noise, study.optimum(settings)
+    pp = privatize(study.program(), noise, SumQuery(), VertexChance(eta), seed)
+    rule, _ = pp.solve(None, "privatized simple LP")
+    return rule, noise, study.optimum()
 
 
 def strategy_infeasibility(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     permute_columns, quadratic_epigraph)
+from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
+                     quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import DecisionRule, FixedRecourseQuery, privatize
 from ..solver import SolverSettings, solve
@@ -131,15 +131,14 @@ def build_svm(data: LabeledPoints) -> ConicProgram:
 
 def _read_svm(data: LabeledPoints, sol: Solution):
     """(w, b) of a deterministic SVM solution; raises unless it is Optimal."""
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"SVM solve returned {sol.status.value}")
+    x = require_optimal(sol, "SVM solve").x
     n = data.n
-    return sol.x[1 : 1 + n], float(sol.x[1 + n])
+    return x[1 : 1 + n], float(x[1 + n])
 
 
-def solve_svm(data: LabeledPoints, settings: SolverSettings | None = None):
+def solve_svm(data: LabeledPoints):
     """Returns (w, b, solution) of the deterministic SVM."""
-    sol = solve(build_svm(data), settings or DEFAULT_SETTINGS)
+    sol = solve(build_svm(data), DEFAULT_SETTINGS)
     w, b = _read_svm(data, sol)
     return w, b, sol
 
@@ -154,11 +153,7 @@ def accuracy(w, b, X, y) -> float:
     return float(np.mean(classify(w, b, X) == np.asarray(y, dtype=float)))
 
 
-def circle_law_adjacency(
-    data: LabeledPoints,
-    radius: float = 0.05,
-    settings: SolverSettings | None = None,
-) -> AdjacencyModel:
+def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> AdjacencyModel:
     """Whole-dataset universe: every point jitters inside a circle of the
     given radius (r sin t, r cos t with r ~ U(0, radius)); any two such
     datasets are adjacent (alpha = inf).  The query is the (w, b) identity.
@@ -178,7 +173,7 @@ def circle_law_adjacency(
         return np.concatenate([w, [b]])
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_svm, read=read,
-                          alpha=math.inf, settings=settings or DEFAULT_SETTINGS)
+                          alpha=math.inf, settings=DEFAULT_SETTINGS)
 
 
 @dataclass
@@ -208,8 +203,6 @@ def privatize_svm(
     noise: NoiseSpec,
     chance,
     seed: int = 0,
-    settings: SolverSettings | None = None,
-    recourse_ridge: float = 1e-8,
 ) -> SvmPrivatization:
     """Chance-constrained SVM rule with the identity query on (w, b).
 
@@ -229,12 +222,8 @@ def privatize_svm(
     mask = np.zeros((n + 1 + m, k), dtype=bool)
     mask[:k] = True
     query = FixedRecourseQuery(np.eye(n + 1 + m, k), mask)
-    pp = privatize(program, noise, query, chance, seed, recourse_ridge,
-                   epigraph_vars=1)
-    sol = solve(pp.program, settings or DEFAULT_SETTINGS)
-    if sol.status != Status.OPTIMAL:
-        raise RuntimeError(f"privatized SVM returned {sol.status.value}")
-    rule = pp.extract_rule(sol)
+    pp = privatize(program, noise, query, chance, seed, epigraph_vars=1)
+    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized SVM")
     offset = data.regularizer * n * noise.coordinate_variance
     return SvmPrivatization(rule=rule, noise=noise, data=data, solution=sol,
                             program=pp.program, objective_offset=offset)

@@ -168,6 +168,21 @@ class Solution:
     iterations: int = 0
 
 
+class NotOptimal(RuntimeError):
+    """A study's solve ended without an optimum; ``status`` says how."""
+
+    def __init__(self, message: str, status: Status):
+        super().__init__(message)
+        self.status = status
+
+
+def require_optimal(sol: Solution, what: str) -> Solution:
+    """sol when it is Optimal; else raise NotOptimal("<what> returned <status>")."""
+    if sol.status != Status.OPTIMAL:
+        raise NotOptimal(f"{what} returned {sol.status.value}", sol.status)
+    return sol
+
+
 def validate(program: ConicProgram) -> list[str]:
     """Return every dimension/finiteness violation; empty list means ok."""
     violations = []

@@ -14,8 +14,12 @@ alpha) point runs with its own deterministic seed stream, and every
 strategy at one alpha shares one noise calibration (for the apps whose
 sensitivity is a Monte Carlo estimate, one estimate per alpha), so a rerun
 with the same config file produces byte-identical artifacts.  Failed
-points (e.g. an infeasible chance-constrained program at high privacy)
-become rows with a status column instead of aborting the study.
+points become rows with a status column instead of aborting the study: a
+study solve that ends without an optimum (``conic.NotOptimal``, e.g. an
+infeasible chance-constrained program at high privacy) or a rule whose
+equality recourse conflicts with its query (``ConflictingConstraints``)
+reads ``infeasible:<message>``, and any other exception
+``error:<type>:<message>``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .conic import ConicProgram, Solution, Status
+from .conic import ConicProgram, NotOptimal, Solution, Status
 from .dp import (AdjacencyModel, NoiseSpec, SensitivityReport, calibrate_laplace,
                  estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
@@ -250,12 +254,8 @@ def _run_opf(cfg, strategy, alpha, seed, study, sensitivity):
         ok = solved & np.isfinite(costs)
         feasible = ok & (costs >= lo - 1e-7) & (costs <= hi + 1e-7)
         return _point(strategy, alpha, costs[ok] - base.objective, ~feasible)
-    try:
-        pv = app_opf.privatize_opf(net, cfg.epsilon, alpha, cfg.eta,
-                                   method=cfg.method, seed=seed)
-    except (app_opf.InfeasiblePrivatization, ConflictingConstraints) as exc:
-        return PointResult(strategy, alpha, None, None, None,
-                           f"infeasible:{exc}")
+    pv = app_opf.privatize_opf(net, cfg.epsilon, alpha, cfg.eta,
+                               method=cfg.method, seed=seed)
     m = evaluate_rule_metrics(pv.rule, program, base, pv.noise, S, seed,
                               stream=_EVAL_STREAM)
     return _point(strategy, alpha, m.losses, ~m.feasible)
@@ -268,7 +268,7 @@ class _VectorStudy:
 
     ``nominal`` is the deterministic optimum ("output"); ``privatize(noise,
     seed)`` returns the privatized rule's xbar over the same variables
-    ("program") and raises RuntimeError when that program has no optimum.
+    ("program") and raises NotOptimal when that program has no optimum.
     ``score(rows, nominal)`` maps the (S, k) released rows to per-row
     (loss, violated).  ``delta`` is the Gaussian delta when the config
     leaves it at 0; at most ``draws`` rows are scored.
@@ -345,10 +345,7 @@ def _run_vector(cfg, strategy, alpha, seed, study, sensitivity):
     rep = sensitivity()
     delta = cfg.delta if cfg.delta > 0 else st.delta
     noise = rep.privacy_params(cfg.epsilon, delta).noise(st.k)
-    try:
-        nominal = st.nominal if strategy == "output" else st.privatize(noise, seed)
-    except RuntimeError as exc:
-        return PointResult(strategy, alpha, None, None, None, f"infeasible:{exc}")
+    nominal = st.nominal if strategy == "output" else st.privatize(noise, seed)
     draws = sample_noise(noise, seed, min(cfg.mc_samples, st.draws), _EVAL_STREAM)
     losses, violated = st.score(nominal[:st.k] + draws, nominal)
     return _point(strategy, alpha, losses, violated, {"sensitivity": rep.delta_p})
@@ -410,15 +407,13 @@ def cvar_q_sweep(
     epsilon: float,
     q_grid,
     eta: float = 0.01,
-    opt_samples: int = 300,
     seed: int = 0,
-    report_level: float = 0.95,
 ):
     """Risk sweep of the private subset-generation query on one network.
 
     q_grid entries are tail fractions (the risk dial): each point
-    optimizes the mean of the worst q share of losses; rows report the mean
-    and the fixed-level CVaR of the optimization samples plus the VaR.
+    optimizes the mean of the worst q share of losses over 300 samples;
+    rows report the mean, the 0.95-level CVaR and the VaR of those samples.
     Returns rows (q, mean, cvar, var).
     """
     program = app_opf.build_opf(net)
@@ -432,7 +427,7 @@ def cvar_q_sweep(
                    seed=seed)
     rows = []
     for q_tail in q_grid:
-        spec = CVaRSpec(q=1.0 - q_tail, samples=opt_samples, loss=tuple(net.c))
+        spec = CVaRSpec(q=1.0 - q_tail, samples=300, loss=tuple(net.c))
         aug, layout = augment_with_cvar(pp, spec, seed=seed + 1)
         sol = solve(aug, SolverSettings(tol=1e-7))
         if sol.status != Status.OPTIMAL:
@@ -441,8 +436,8 @@ def cvar_q_sweep(
         rule = pp.extract_rule(sol.x[: pp.program.n])
         losses = rule.evaluate_many(layout["zetas"]) @ net.c - base.objective
         rows.append((q_tail, float(losses.mean()),
-                     cvar_empirical(losses, report_level),
-                     var_empirical(losses, report_level)))
+                     cvar_empirical(losses, 0.95),
+                     var_empirical(losses, 0.95)))
     return rows
 
 
@@ -489,6 +484,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         try:
             res = app.run(config, strategy, alpha, _point_seed(config.seed, idx),
                           study, shared_sensitivity(j))
+        except (NotOptimal, ConflictingConstraints) as exc:
+            res = PointResult(strategy, alpha, None, None, None, f"infeasible:{exc}")
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             res = PointResult(strategy, alpha, None, None, None,
                               f"error:{type(exc).__name__}:{exc}")

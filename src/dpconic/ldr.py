@@ -34,20 +34,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from .conic import ConeKind, ConeSpec, ConicProgram, Solution
+from .conic import ConeKind, ConeSpec, ConicProgram, Solution, require_optimal
 from .dp import NoiseSpec, sample_noise
+from .solver import SolverSettings, solve
 
 # stream ids reserved for the draws of privatize(seed): the vertex box and
-# the sample-average objective
+# the sample-average objective; and of risk.augment_with_cvar(seed): the
+# CVaR samples
 BOX_STREAM = 0xB0C5
 OBJ_STREAM = 0x0B5E
+CVAR_STREAM = 1
 
 # Most rows the vertex method may plan: 2^k copies of every chance-block row.
-# The solver holds A densely, and may factor a dense KKT matrix of at least
-# that order, each iteration.  A dense KKT matrix of order 1511 takes 18 MB,
-# and 80 ms per LU on a 2-core Xeon with OpenBLAS.  Order 8192 is 5.4 times
-# that: a 512 MB matrix and 160 times the flops, about 11 s per LU there, so
-# a solve of 50-150 iterations would take 10-30 minutes.
+# A plan of 8192 rows has a KKT matrix of order at least 8192, whose
+# solver.stack_bytes is at least 512 MB.  The solver factors it by SuperLU
+# only when K is sparse enough; otherwise it falls back to a dense getrf of
+# at least that order, each iteration.  A dense LU of order 1511 takes 80 ms
+# on a 2-core Xeon with OpenBLAS; order 8192 is 160 times the flops, about
+# 11 s per LU there, so a solve of 50-150 iterations would take 10-30 minutes.
 _MAX_VERTEX_ROWS = 8192
 
 
@@ -476,6 +480,12 @@ class PrivatizedProgram:
             v = v - corr
         return self.space.extract(v)
 
+    def solve(self, settings: SolverSettings | None, what: str):
+        """(rule, solution) of the transformed program; raises NotOptimal
+        ("<what> returned <status>") unless the solve is Optimal."""
+        sol = require_optimal(solve(self.program, settings), what)
+        return self.extract_rule(sol), sol
+
 
 def privatize(
     program: ConicProgram,
@@ -535,7 +545,8 @@ def privatize(
         raise ValueError(
             f"vertex method: k={k} gives 2^k={2**k} copies of {len(chance_rows)} "
             f"chance rows, {2**k * len(chance_rows)} planned rows, above the "
-            f"{_MAX_VERTEX_ROWS}-row cap of the dense KKT; use IndividualChance"
+            f"{_MAX_VERTEX_ROWS}-row cap (a KKT matrix of at least 512 MB); "
+            "use IndividualChance"
         )
 
     space = RuleSpace(n, k, *query.pins(n, k))

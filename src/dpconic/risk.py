@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .conic import ConeKind, ConeSpec, ConicProgram
 from .dp import sample_noise
-from .ldr import PrivatizedProgram
+from .ldr import CVAR_STREAM, PrivatizedProgram
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,13 @@ def augment_with_cvar(
     privatized: PrivatizedProgram,
     spec: CVaRSpec,
     seed: int,
-    stream: int = 1,
     blend: float = 0.0,
 ) -> tuple[ConicProgram, dict]:
     """Append the CVaR epigraph of the rule's loss to a transformed program.
 
     New variables gamma (free) and z_1..z_S >= 0 with
-    z_s >= l'(xbar + X zeta_s) - gamma; the objective becomes
+    z_s >= l'(xbar + X zeta_s) - gamma, the zeta_s drawn from CVAR_STREAM
+    at seed; the objective becomes
     gamma + 1/((1-q)S) sum z_s, optionally blended with the original
     expected-cost objective (blend * old + cvar).  The query constraints on
     X are untouched, which is what keeps the privacy guarantee intact.
@@ -96,7 +96,7 @@ def augment_with_cvar(
     loss = spec.loss_vector
     if loss.shape[0] != space.n:
         raise ValueError("loss functional must match the rule dimension")
-    zetas = sample_noise(privatized.noise, seed, spec.samples, stream)
+    zetas = sample_noise(privatized.noise, seed, spec.samples, CVAR_STREAM)
     S = spec.samples
 
     n0 = base.n

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dpconic.conic import Status
+from dpconic.conic import NotOptimal, Status
 from dpconic.dp import estimate_sensitivity, sample_noise
 from dpconic.ldr import ConflictingConstraints
 from dpconic.solver import solve
 from dpconic.apps.metrics import evaluate_rule_metrics
 from dpconic.apps.opf import (
-    InfeasiblePrivatization,
     PowerNetwork,
     build_opf,
     bundled_network,
@@ -132,15 +131,28 @@ class TestPrivatizeOpf:
                  for a in (1.0, 3.0, 10.0)]
         assert costs[0] <= costs[1] <= costs[2]
 
+    def test_one_solve_per_privatization(self, monkeypatch):
+        from dpconic import solver
+
+        calls = []
+
+        def counting(programs, settings=None):
+            calls.append(len(programs))
+            return real(programs, settings)
+        real = solver.solve_batch
+        monkeypatch.setattr(solver, "solve_batch", counting)
+        privatize_opf(bundled_network("triangle3"), 1.0, 3.0, 0.01, seed=2)
+        assert calls == [1]
+
     def test_constant_costs_conflict(self):
         net = two_node_net(c=(2.0, 2.0))
-        with pytest.raises((ConflictingConstraints, InfeasiblePrivatization)):
+        with pytest.raises((ConflictingConstraints, NotOptimal)):
             privatize_opf(net, epsilon=1.0, alpha=0.5, eta=0.05, seed=0)
 
     def test_infeasible_privatization_raises(self):
         # tight capacities cannot absorb a large noise box
         net = two_node_net(c=(1.0, 5.0), d=(8.0, 0.0), xmax=(10.0, 10.0))
-        with pytest.raises(InfeasiblePrivatization):
+        with pytest.raises(NotOptimal):
             privatize_opf(net, epsilon=1.0, alpha=20.0, eta=0.01, seed=0)
 
     def test_chance_level_holds(self):

@@ -12,13 +12,13 @@ from dpconic.experiments import cvar_q_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# each config's point statuses in run order (strategies outer, alphas inner);
-# a status ending in ":" pins the prefix of a failure
+# each config's point statuses in run order (strategies outer, alphas inner)
 STATUSES = {
     "opf-triangle3": ["ok"] * 9,
     "opf-ring5": ["ok"] * 9,
     # Lap(max c * 25) noise leaves the chance-constrained program no room
-    "cvar6-sweep": ["ok", "infeasible:"],
+    "cvar6-sweep": ["ok", "infeasible:chance-constrained OPF returned "
+                          "PrimalInfeasible (alpha=25.0, eta=0.01)"],
     "svm": ["ok"] * 2,
     "regression-cubic": ["ok"] * 2,
     "regression-wind": ["ok"] * 4,
@@ -49,10 +49,7 @@ def test_every_config_is_pinned():
 @pytest.mark.parametrize("name", sorted(STATUSES))
 def test_config_statuses(run, name):
     points = json.loads((run(name) / "manifest.json").read_text())["points"]
-    statuses = [pt["status"] for pt in points]
-    assert len(statuses) == len(STATUSES[name])
-    for got, want in zip(statuses, STATUSES[name]):
-        assert got.startswith(want) if want.endswith(":") else got == want
+    assert [pt["status"] for pt in points] == STATUSES[name]
 
 
 def test_cvar6_sweep_rows(run):

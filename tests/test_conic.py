@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from dpconic.conic import (
     ConeSpec,
     ConicProgram,
+    NotOptimal,
+    Residuals,
+    Solution,
+    Status,
     as_dense,
     build_simple_lp,
     cone_membership,
@@ -20,6 +24,7 @@ from dpconic.conic import (
     soc,
     validate,
     permute_columns,
+    require_optimal,
     zero,
 )
 
@@ -185,6 +190,25 @@ class TestSimpleLp:
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
             build_simple_lp(1.0, 2.0, 1.0)
+
+
+class TestRequireOptimal:
+    @staticmethod
+    def solution(status):
+        return Solution(np.zeros(1), np.zeros(2), status, 0.0, Residuals(0.0, 0.0, 0.0))
+
+    def test_optimal_passes_unchanged(self):
+        sol = self.solution(Status.OPTIMAL)
+        assert require_optimal(sol, "simple LP") is sol
+
+    @pytest.mark.parametrize("status", [Status.PRIMAL_INFEASIBLE,
+                                        Status.DUAL_INFEASIBLE, Status.MAX_ITER])
+    def test_other_statuses_raise(self, status):
+        with pytest.raises(NotOptimal) as err:
+            require_optimal(self.solution(status), "simple LP")
+        assert isinstance(err.value, RuntimeError)
+        assert err.value.status == status
+        assert str(err.value) == f"simple LP returned {status.value}"
 
 
 class TestSerialization:

@@ -174,3 +174,13 @@ def test_cvar_sweep_reads_the_config_eta(tmp_path):
     # the sweep's default eta gives other rows, so the test tells them apart
     assert experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
                                     seed=cfg.seed) != want
+
+
+def test_non_optimal_study_solve_reads_infeasible(tmp_path):
+    # the privatized simple LP at alpha 0.5 has no feasible rule: the noise
+    # box is wider than the unit box; the row says so, not "error:"
+    cfg = _config(tmp_path, "simple-lp", strategies=("program",), alphas=(0.5,),
+                  mc_samples=20, seed=1)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == [
+        "infeasible:privatized simple LP returned PrimalInfeasible"]
