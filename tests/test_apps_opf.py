@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpconic import solver
 from dpconic.conic import NotOptimal, Status
 from dpconic.dp import estimate_sensitivity, sample_noise
 from dpconic.ldr import ConflictingConstraints
@@ -132,8 +133,6 @@ class TestPrivatizeOpf:
         assert costs[0] <= costs[1] <= costs[2]
 
     def test_one_solve_per_privatization(self, monkeypatch):
-        from dpconic import solver
-
         calls = []
 
         def counting(programs, settings=None):
