@@ -20,7 +20,6 @@ from ..ldr import (
     DecisionRule,
     PrivatizedProgram,
     VertexChance,
-    IndividualChance,
     WeightedSumQuery,
     privatize,
     release_query,
@@ -164,7 +163,6 @@ class OpfPrivatization:
     query: WeightedSumQuery
     privatized: PrivatizedProgram
     solution: Solution
-    program: ConicProgram
 
     def release(self, seed: int, stream: int = 0) -> float:
         return float(release_query(self.rule, self.query, self.noise, seed, stream)[0])
@@ -179,33 +177,27 @@ def privatize_opf(
     epsilon: float,
     alpha: float,
     eta: float,
-    method: str = "vertex",
     seed: int = 0,
 ) -> OpfPrivatization:
     """Solve the chance-constrained OPF counterpart for the cost query.
 
     The weighted-sum query c'X = 1 makes the cost release's random part
-    data-independent; the balance equality is split exactly.  Raises
-    NotOptimal when the program cannot absorb the noise at the requested
-    (alpha, eta); high-privacy settings can genuinely have no feasible
-    rule, and the experiment harness records that as a row.
+    data-independent; the balance equality is split exactly, and the
+    chance constraints hold on a noise box sampled at seed (VertexChance).
+    Raises NotOptimal when the program cannot absorb the noise at the
+    requested (alpha, eta).  At high privacy that depends on the sampled
+    box: some seeds leave a feasible rule and others none.  The experiment
+    harness records either as a row.
     """
     noise = calibrate_laplace(opf_sensitivity_bound(net.c, alpha), epsilon, k=1)
     query = WeightedSumQuery(net.c)
-    if method == "vertex":
-        chance = VertexChance(eta=eta)
-    elif method == "individual":
-        chance = IndividualChance(eta=eta)
-    else:
-        raise ValueError("method must be 'vertex' or 'individual'")
-    program = build_opf(net)
-    pp = privatize(program, noise, query, chance, seed)
+    pp = privatize(build_opf(net), noise, query, VertexChance(eta=eta), seed)
     try:
         rule, sol = pp.solve(None, "chance-constrained OPF")
     except NotOptimal as exc:
         raise NotOptimal(f"{exc} (alpha={alpha}, eta={eta})", exc.status) from None
     return OpfPrivatization(rule=rule, noise=noise, query=query, privatized=pp,
-                            solution=sol, program=program)
+                            solution=sol)
 
 
 def released_cost_feasible(value: float, cost_lo: float, cost_hi: float,
@@ -224,12 +216,13 @@ def input_perturbation_costs(
     """Input-perturbation study: solve OPF on d + Lap(alpha/eps)^N per draw.
 
     Returns (costs, solved) arrays; entries with a non-optimal perturbed
-    program are marked unsolved and count as infeasible releases.  The
-    perturbed programs are solved together (solve_batch).
+    program are marked unsolved and count as infeasible releases.  Sample s
+    perturbs by row s of one draw at seed; the perturbed programs are
+    solved together (solve_batch).
     """
     spec = calibrate_laplace(alpha, epsilon, k=net.n_nodes)
-    programs = [build_opf(net.with_demand(net.d + sample_noise(spec, seed, 1, stream=s)[0]))
-                for s in range(samples)]
+    programs = [build_opf(net.with_demand(net.d + row))
+                for row in sample_noise(spec, seed, samples)]
     sols = solve_batch(programs)
     solved = np.array([sol.status == Status.OPTIMAL for sol in sols], dtype=bool)
     costs = np.array([sol.objective if ok else np.nan for sol, ok in zip(sols, solved)],

@@ -57,11 +57,11 @@ def privatize_simple_lp(
     eta: float,
     seed: int,
 ):
-    """Rule counterpart with the (scalar) sum query; returns (rule, noise, base)."""
+    """Rule counterpart with the (scalar) sum query; returns (rule, noise)."""
     noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(study.program(), noise, SumQuery(), VertexChance(eta), seed)
     rule, _ = pp.solve(None, "privatized simple LP")
-    return rule, noise, study.optimum()
+    return rule, noise
 
 
 def strategy_infeasibility(

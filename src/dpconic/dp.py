@@ -6,17 +6,22 @@ pairs.
 
 Randomness contract: every sampling routine is driven by a counter-based
 Philox generator keyed by (seed, stream), so results are reproducible and
-independent streams can run in parallel.  All noise is drawn in standardized
-form and then multiplied by the scale, which makes draws for two calibrations
-of the same family and seed exactly proportional (nested adjacency balls stay
-nested, costs stay monotone in the noise scale).
+independent streams can run in parallel.  A seed belongs to the one call it
+is handed to.  That call may draw any streams of it (``rng_stream(seed,
+stream)``), and hands randomness to any other call only as a child seed
+``derive_seed(seed, purpose, *index)``, never as its own seed or an offset
+of it, so no two uses share a Philox key.  All noise is drawn in
+standardized form and then multiplied by the scale, which makes draws for
+two calibrations of the same family and seed exactly proportional (nested
+adjacency balls stay nested, costs stay monotone in the noise scale).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from enum import IntEnum
 from typing import Any, Callable
 
 import numpy as np
@@ -32,16 +37,32 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+class Purpose(IntEnum):
+    """Every use a seed is split between: the first entry of a derive_seed path."""
+
+    POINT = 0          # an experiment point (index: its place in run order)
+    CALIBRATION = 1    # the sensitivity estimate of one alpha (index: its place)
+    SWEEP = 2          # the CVaR risk sweep
+    PRIVATIZE = 3      # the privatize call of a point or of the sweep
+    EVAL = 4           # a point's Monte Carlo draws
+    INPUT = 5          # a point's perturbed inputs
+    CVAR = 6           # the sweep's CVaR samples
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """The 64-bit child seed of seed >= 0 for one use, path = (purpose, *index):
+    a SeedSequence hash, so children of distinct (seed, path) are
+    independent draws (equal with probability about 2^-64)."""
+    ss = np.random.SeedSequence(seed, spawn_key=path)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 # --- noise specification ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Zero-mean perturbation: iid Laplace(scale) or Gaussian(sigma) coordinates.
-
-    covariance is 2*scale^2*I for Laplace and scale^2*I for Gaussian; factor
-    satisfies covariance = factor factor'.
-    """
+    """Zero-mean perturbation: iid Laplace(scale) or Gaussian(sigma) coordinates."""
 
     family: str  # "laplace" | "gaussian"
     k: int
@@ -58,17 +79,6 @@ class NoiseSpec:
     @property
     def coordinate_variance(self) -> float:
         return 2.0 * self.scale**2 if self.family == "laplace" else self.scale**2
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return self.coordinate_variance * np.eye(self.k)
-
-    @property
-    def factor(self) -> np.ndarray:
-        return math.sqrt(self.coordinate_variance) * np.eye(self.k)
-
-    def with_dim(self, k: int) -> "NoiseSpec":
-        return replace(self, k=k)
 
 
 def sample_noise(spec: NoiseSpec, seed: int, count: int, stream: int = 0) -> np.ndarray:

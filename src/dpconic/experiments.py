@@ -9,17 +9,17 @@ ellipsoid studies release a vector and share one runner: it draws all of a
 point's released rows from one noise stream and hands them to the study's
 score.
 
-The points run one after another in the calling thread.  Every (strategy,
-alpha) point runs with its own deterministic seed stream, and every
-strategy at one alpha shares one noise calibration (for the apps whose
-sensitivity is a Monte Carlo estimate, one estimate per alpha), so a rerun
-with the same config file produces byte-identical artifacts.  Failed
-points become rows with a status column instead of aborting the study: a
-study solve that ends without an optimum (``conic.NotOptimal``, e.g. an
-infeasible chance-constrained program at high privacy) or a rule whose
-equality recourse conflicts with its query (``ConflictingConstraints``)
-reads ``infeasible:<message>``, and any other exception
-``error:<type>:<message>``.
+The points run one after another in the calling thread.  Every draw of a
+run has its own seed in one ``dp.derive_seed`` tree under the config seed
+(see ``run_experiment``), and every strategy at one alpha shares one noise
+calibration (for the apps whose sensitivity is a Monte Carlo estimate, one
+estimate per alpha), so a rerun with the same config file produces
+byte-identical artifacts.  Failed points become rows with a status column
+instead of aborting the study: a study solve that ends without an optimum
+(``conic.NotOptimal``, e.g. an infeasible chance-constrained program at
+high privacy) or a rule whose equality recourse conflicts with its query
+(``ConflictingConstraints``) reads ``infeasible:<message>``, and any other
+exception ``error:<type>:<message>``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .conic import ConicProgram, NotOptimal, Solution, Status
-from .dp import (AdjacencyModel, NoiseSpec, SensitivityReport, calibrate_laplace,
-                 estimate_sensitivity, sample_noise)
+from .dp import (AdjacencyModel, NoiseSpec, Purpose, SensitivityReport,
+                 calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
                   WeightedSumQuery, privatize)
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
@@ -50,9 +50,6 @@ from .apps import svm as app_svm
 from .apps.metrics import evaluate_rule_metrics
 
 STRATEGIES = ("input", "output", "program")
-
-# stream id of a point's Monte Carlo evaluation
-_EVAL_STREAM = 11
 
 # the network of an opf config that names no dataset: its points, its
 # adjacency and its CVaR sweep all read this one
@@ -67,7 +64,6 @@ class ExperimentConfig:
     delta: float = 0.0
     alphas: tuple[float, ...] = (1.0,)
     eta: float = 0.05
-    method: str = "vertex"  # vertex | individual
     cvar_q_grid: tuple[float, ...] = ()
     mc_samples: int = 1000
     seed: int = 0
@@ -84,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("need epsilon > 0 and eta in (0, 1)")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # the app's data rejects a dataset it does not read, and its
         # adjacency an alpha it cannot read
         app = APPS[self.app]
@@ -121,16 +119,6 @@ def _fmt(v) -> str:
     return f"{v:.10g}"
 
 
-def _point_seed(base: int, index: int) -> int:
-    return (base * 1_000_003 + index) % (2**63)
-
-
-def _calibration_seed(base: int, alpha_index: int) -> int:
-    # negative indices keep every estimate's Philox keys apart from the
-    # points' keys (index >= 0), which the evaluation streams also use
-    return _point_seed(base, -1 - alpha_index)
-
-
 def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
     """An "ok" point: mean and 0.95-CVaR of the losses, share of violated draws."""
     return PointResult(strategy, alpha, float(np.mean(losses)),
@@ -144,10 +132,10 @@ def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
 # builds the data a run's adjacency models and study share, and raises
 # ValueError on a dataset the app does not read.  study(cfg, data) builds
 # what every point of a run shares: the base program and its solves.
-# runner(cfg, strategy, alpha, seed, study, sensitivity): ``study()`` returns
-# the run's study, built on the first call, and ``sensitivity()`` the
-# SensitivityReport shared by every point at this alpha, estimated on the
-# first call.
+# runner(cfg, strategy, alpha, seed, study, sensitivity): seed is the point's
+# own; ``study()`` returns the run's study, built on the first call, and
+# ``sensitivity()`` the SensitivityReport shared by every point at this
+# alpha, estimated on the first call.
 
 
 def _no_dataset(app: str, make: Callable[[int], object]):
@@ -191,27 +179,17 @@ def _regression_data(dataset, seed) -> _Regression:
     raise ValueError(f"regression reads dataset 'cubic' or 'wind', got {dataset!r}")
 
 
-@dataclass(frozen=True)
-class _SimpleLp:
-    lp: app_simple.SimpleLpStudy
-    base: Solution
-
-
-def _simple_lp_study(cfg, lp) -> _SimpleLp:
-    return _SimpleLp(lp, lp.optimum())
-
-
 def _run_simple_lp(cfg, strategy, alpha, seed, study, sensitivity):
-    lp, base = study().lp, study().base
+    lp, base = study()   # the study is (SimpleLpStudy, its base solve)
     noise = calibrate_laplace(alpha, cfg.epsilon, k=1)
-    S = cfg.mc_samples
+    draws = sample_noise(noise, derive_seed(seed, Purpose.EVAL), cfg.mc_samples)
     if strategy in ("output", "input"):
         # x* = lower, so the two strategies coincide on this program
-        xs = lp.lower + sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
+        xs = lp.lower + draws.ravel()
     else:
-        rule, noise, base = app_simple.privatize_simple_lp(
-            lp, cfg.epsilon, alpha, cfg.eta, seed)
-        xs = rule.evaluate_many(sample_noise(noise, seed, S, _EVAL_STREAM)).ravel()
+        rule, _ = app_simple.privatize_simple_lp(
+            lp, cfg.epsilon, alpha, cfg.eta, derive_seed(seed, Purpose.PRIVATIZE))
+        xs = rule.evaluate_many(draws).ravel()
     return _point(strategy, alpha, lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs))
 
 
@@ -244,20 +222,20 @@ def _run_opf(cfg, strategy, alpha, seed, study, sensitivity):
     d1 = app_opf.opf_sensitivity_bound(net.c, alpha)
     if strategy == "output":
         noise = calibrate_laplace(d1, cfg.epsilon, k=1)
-        draws = sample_noise(noise, seed, S, _EVAL_STREAM).ravel()
+        draws = sample_noise(noise, derive_seed(seed, Purpose.EVAL), S).ravel()
         released = base.objective + draws
         return _point(strategy, alpha, draws, [
             not app_opf.released_cost_feasible(v, lo, hi) for v in released])
     if strategy == "input":
         costs, solved = app_opf.input_perturbation_costs(
-            net, alpha, cfg.epsilon, S, seed)
+            net, alpha, cfg.epsilon, S, derive_seed(seed, Purpose.INPUT))
         ok = solved & np.isfinite(costs)
         feasible = ok & (costs >= lo - 1e-7) & (costs <= hi + 1e-7)
         return _point(strategy, alpha, costs[ok] - base.objective, ~feasible)
     pv = app_opf.privatize_opf(net, cfg.epsilon, alpha, cfg.eta,
-                               method=cfg.method, seed=seed)
-    m = evaluate_rule_metrics(pv.rule, program, base, pv.noise, S, seed,
-                              stream=_EVAL_STREAM)
+                               seed=derive_seed(seed, Purpose.PRIVATIZE))
+    m = evaluate_rule_metrics(pv.rule, program, base, pv.noise, S,
+                              derive_seed(seed, Purpose.EVAL))
     return _point(strategy, alpha, m.losses, ~m.feasible)
 
 
@@ -345,8 +323,10 @@ def _run_vector(cfg, strategy, alpha, seed, study, sensitivity):
     rep = sensitivity()
     delta = cfg.delta if cfg.delta > 0 else st.delta
     noise = rep.privacy_params(cfg.epsilon, delta).noise(st.k)
-    nominal = st.nominal if strategy == "output" else st.privatize(noise, seed)
-    draws = sample_noise(noise, seed, min(cfg.mc_samples, st.draws), _EVAL_STREAM)
+    nominal = (st.nominal if strategy == "output"
+               else st.privatize(noise, derive_seed(seed, Purpose.PRIVATIZE)))
+    draws = sample_noise(noise, derive_seed(seed, Purpose.EVAL),
+                         min(cfg.mc_samples, st.draws))
     losses, violated = st.score(nominal[:st.k] + draws, nominal)
     return _point(strategy, alpha, losses, violated, {"sensitivity": rep.delta_p})
 
@@ -378,7 +358,8 @@ class App:
 APPS: dict[str, App] = {
     "simple-lp": App(
         1, _no_dataset("simple-lp", lambda seed: app_simple.SimpleLpStudy()),
-        app_simple.lower_bound_adjacency, None, _simple_lp_study, _run_simple_lp),
+        app_simple.lower_bound_adjacency, None, lambda cfg, lp: (lp, lp.optimum()),
+        _run_simple_lp),
     "opf": App(
         1, _opf_data, app_opf.demand_adjacency, None, _opf_study, _run_opf),
     "svm": App(
@@ -414,6 +395,8 @@ def cvar_q_sweep(
     q_grid entries are tail fractions (the risk dial): each point
     optimizes the mean of the worst q share of losses over 300 samples;
     rows report the mean, the 0.95-level CVaR and the VaR of those samples.
+    The rule's privatization draws from derive_seed(seed, PRIVATIZE) and
+    the samples from derive_seed(seed, CVAR); every q shares both.
     Returns rows (q, mean, cvar, var).
     """
     program = app_opf.build_opf(net)
@@ -424,11 +407,12 @@ def cvar_q_sweep(
     wq[list(subset)] = 1.0
     noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(program, noise, WeightedSumQuery(wq), VertexChance(eta=eta),
-                   seed=seed)
+                   seed=derive_seed(seed, Purpose.PRIVATIZE))
+    cvar_seed = derive_seed(seed, Purpose.CVAR)
     rows = []
     for q_tail in q_grid:
         spec = CVaRSpec(q=1.0 - q_tail, samples=300, loss=tuple(net.c))
-        aug, layout = augment_with_cvar(pp, spec, seed=seed + 1)
+        aug, layout = augment_with_cvar(pp, spec, seed=cvar_seed)
         sol = solve(aug, SolverSettings(tol=1e-7))
         if sol.status != Status.OPTIMAL:
             rows.append((q_tail, math.nan, math.nan, math.nan))
@@ -446,13 +430,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Points run in order (strategies outer, alphas inner) in the calling
     thread.  Point ``i`` of that order has seed
-    ``(config.seed * 1_000_003 + i) mod 2**63``.  For svm, regression and
+    ``derive_seed(config.seed, POINT, i)``, which it splits between its
+    privatization (``PRIVATIZE``), its Monte Carlo draws (``EVAL``) and
+    its perturbed inputs (``INPUT``).  For svm, regression and
     ellipsoid, every strategy at ``alphas[j]`` shares one sensitivity
-    estimate with seed ``(config.seed * 1_000_003 - 1 - j) mod 2**63``: it
+    estimate with seed ``derive_seed(config.seed, CALIBRATION, j)``: it
     depends only on ``config.seed`` and the alpha's position, never on the
-    strategy list, and no point's seed equals it.  The estimate runs when the first point at that alpha
+    strategy list.  The estimate runs when the first point at that alpha
     needs it, so an "input" point (unsupported there) never pays for one,
-    and it is recorded once under ``calibrations`` in the manifest.
+    and it is recorded once under ``calibrations`` in the manifest.  An opf
+    config's CVaR sweep has seed ``derive_seed(config.seed, SWEEP)``.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -473,7 +460,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 adjacency = app.adjacency(data, config.alphas[j])
                 reports[j] = estimate_sensitivity(
                     adjacency, app.p, samples, gamma, beta,
-                    seed=_calibration_seed(config.seed, j))
+                    seed=derive_seed(config.seed, Purpose.CALIBRATION, j))
             return reports[j]
         return get
 
@@ -482,7 +469,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for idx, (strategy, j) in enumerate(points):
         alpha = config.alphas[j]
         try:
-            res = app.run(config, strategy, alpha, _point_seed(config.seed, idx),
+            res = app.run(config, strategy, alpha,
+                          derive_seed(config.seed, Purpose.POINT, idx),
                           study, shared_sensitivity(j))
         except (NotOptimal, ConflictingConstraints) as exc:
             res = PointResult(strategy, alpha, None, None, None, f"infeasible:{exc}")
@@ -509,7 +497,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         subset = tuple(range(0, data.n_nodes, 2))
         sweep_rows = cvar_q_sweep(data, subset, config.alphas[0], config.epsilon,
                                   config.cvar_q_grid, eta=config.eta,
-                                  seed=config.seed)
+                                  seed=derive_seed(config.seed, Purpose.SWEEP))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["q", "mean", "cvar05", "var"])
@@ -521,13 +509,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "config": json.loads(config.to_json()),
         "version": __version__,
         "points": [
-            {"strategy": r.strategy, "alpha": r.alpha, "seed": _point_seed(config.seed, i),
+            {"strategy": r.strategy, "alpha": r.alpha,
+             "seed": derive_seed(config.seed, Purpose.POINT, i),
              "status": r.status, **r.extra}
             for i, r in enumerate(results)
         ],
         "calibrations": [
             {"alpha": config.alphas[j], "p": rep.p, "delta_p": rep.delta_p,
-             "samples": rep.samples, "seed": _calibration_seed(config.seed, j),
+             "samples": rep.samples,
+             "seed": derive_seed(config.seed, Purpose.CALIBRATION, j),
              "failures": list(rep.failures)}
             for j, rep in sorted(reports.items())
         ],

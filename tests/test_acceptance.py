@@ -78,7 +78,7 @@ def test_02_simple_lp_infeasibility_pattern():
     rate_out = app_simple.strategy_infeasibility(study, noise, n, seed=11, stream=1)
     # input coincides with output here (x* = lower); separate draws anyway
     rate_in = app_simple.strategy_infeasibility(study, noise, n, seed=12, stream=2)
-    rule, noise_p, _ = app_simple.privatize_simple_lp(study, 1.0, 0.05, 0.05, seed=13)
+    rule, noise_p = app_simple.privatize_simple_lp(study, 1.0, 0.05, 0.05, seed=13)
     rate_prog = app_simple.strategy_infeasibility(study, noise_p, n, seed=14,
                                                   rule=rule, stream=3)
     bound = 0.05 + 3 * binom_se(0.05, n)
@@ -169,8 +169,6 @@ def test_07_safety_factor_calibration():
     sigma = 0.3
     prog = ConicProgram(np.array([[1.0]]), np.array([1.0]), np.array([-1.0]),
                         ConeSpec([nonneg(1)]))
-    draws = sample_noise(calibrate_gaussian(sigma, 1.0, 0.5, k=1).with_dim(1),
-                         777, 10**5, stream=1).ravel()
     results = {}
     for kind, family, scale in (("gaussian", "gaussian", sigma),
                                 ("chebyshev", "laplace", sigma)):

@@ -154,6 +154,16 @@ class TestPrivatizeOpf:
         with pytest.raises(NotOptimal):
             privatize_opf(net, epsilon=1.0, alpha=20.0, eta=0.01, seed=0)
 
+    def test_high_privacy_status_depends_on_the_draw(self):
+        # cvar6 at alpha 25: the sampled noise box at seed 0 leaves no
+        # feasible rule (most seeds do not; seed 9, for one, does)
+        with pytest.raises(NotOptimal) as info:
+            privatize_opf(bundled_network("cvar6"), 1.0, 25.0, 0.01, seed=0)
+        assert str(info.value) == ("chance-constrained OPF returned "
+                                   "PrimalInfeasible (alpha=25.0, eta=0.01)")
+        pv = privatize_opf(bundled_network("cvar6"), 1.0, 25.0, 0.01, seed=9)
+        assert pv.solution.status == Status.OPTIMAL
+
     def test_chance_level_holds(self):
         net = bundled_network("ring5")
         prog = build_opf(net)

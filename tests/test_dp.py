@@ -33,11 +33,6 @@ def _stub_program(d):
 
 
 class TestNoiseSpec:
-    def test_covariance_factorization(self):
-        for spec in (NoiseSpec("laplace", 3, 0.7), NoiseSpec("gaussian", 2, 1.3)):
-            assert np.allclose(spec.factor @ spec.factor.T, spec.covariance,
-                               atol=1e-12)
-
     def test_laplace_variance(self):
         spec = NoiseSpec("laplace", 1, 1.0)
         draws = sample_noise(spec, seed=1, count=10**6).ravel()

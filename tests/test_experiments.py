@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpconic import experiments
-from dpconic.dp import SensitivityReport
+from dpconic import experiments, solver
+from dpconic.dp import Purpose, SensitivityReport, derive_seed
 from dpconic.experiments import ExperimentConfig, run_experiment
 
 
@@ -168,12 +168,13 @@ def test_cvar_sweep_reads_the_config_eta(tmp_path):
                   eta=0.05, cvar_q_grid=(0.1, 0.5))
     out = run_experiment(cfg)
     net = experiments.app_opf.bundled_network("triangle3")
+    seed = derive_seed(cfg.seed, Purpose.SWEEP)
     want = experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    eta=0.05, seed=cfg.seed)
+                                    eta=0.05, seed=seed)
     assert out["sweep"] == want
     # the sweep's default eta gives other rows, so the test tells them apart
     assert experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    seed=cfg.seed) != want
+                                    seed=seed) != want
 
 
 def test_non_optimal_study_solve_reads_infeasible(tmp_path):
@@ -184,3 +185,21 @@ def test_non_optimal_study_solve_reads_infeasible(tmp_path):
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == [
         "infeasible:privatized simple LP returned PrimalInfeasible"]
+
+
+def test_simple_lp_base_is_solved_once_per_run(tmp_path, monkeypatch):
+    # the study solves the base LP; each program point solves only its
+    # privatized LP
+    calls = []
+    real = solver.solve_batch
+
+    def counting(programs, settings=None):
+        calls.append(len(programs))
+        return real(programs, settings)
+
+    monkeypatch.setattr(solver, "solve_batch", counting)
+    cfg = _config(tmp_path, "simple-lp", strategies=("program",),
+                  alphas=(0.05, 0.1), seed=1)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"] * 2
+    assert calls == [1] * (1 + 2)
