@@ -123,10 +123,14 @@ def opf_sensitivity_bound(c: np.ndarray, alpha: float) -> float:
     return float(np.max(c) * alpha)
 
 
-def opf_cost_range(net: PowerNetwork):
-    """(min, max) dispatch cost over the feasible set; brackets query feasibility."""
+def opf_cost_range(net: PowerNetwork, base: Solution | None = None):
+    """(min, max) dispatch cost over the feasible set; brackets query feasibility.
+
+    base, when given, is the caller's solve of build_opf(net), and only the
+    max is solved here.
+    """
     prog = build_opf(net)
-    lo = solve(prog)
+    lo = solve(prog) if base is None else base
     flipped = ConicProgram(prog.A, prog.b, -prog.c, prog.cones)
     hi = solve(flipped)
     if lo.status != Status.OPTIMAL or hi.status != Status.OPTIMAL:

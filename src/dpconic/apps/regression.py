@@ -2,10 +2,12 @@
 
 The fit is h(x) = w'phi(x) with ridge regularization and monotonicity
 enforced through C w >= 0, where row i of C holds the basis derivatives at
-a probe point u_i.  Under the identity-query rule (W = I) the expected
-objective reduces to the deterministic one plus noise constants, so the
-transformed program keeps the fit and ridge epigraphs at wbar and only the
-monotonicity rows are tightened.
+a probe point u_i.  The fit |y - Phi w|^2 is one rotated-SOC epigraph
+over the thin QR of Phi, with at most mb + 3 rows however many data points
+there are, and the ridge is a second one.  Under the identity-query rule
+(W = I) the expected objective reduces to the deterministic one plus noise
+constants, so the transformed program keeps both epigraphs at wbar and
+only the monotonicity rows are tightened.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class RegressionModel:
                            np.asarray(self.mono_points, dtype=float).ravel())
         if self.x.shape != self.y.shape:
             raise ValueError("x and y lengths differ")
+        if self.x.size == 0:
+            raise ValueError("a regression needs at least one data point")
         C, C_fd = self.C, self._finite_difference_rows()
         if np.abs(C - C_fd).max() > 1e-6:
             raise ValueError("analytic derivative rows disagree with finite differences")
@@ -101,6 +105,17 @@ class RegressionModel:
         design = self.basis.design(self.x)
         design.flags.writeable = False
         return design
+
+    @cached_property
+    def thin_qr(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(Q'y, R, rho) of the thin QR Phi = QR, with rho = |y - QQ'y|, so
+        |y - Phi w|^2 = |Q'y - Rw|^2 + rho^2 for every w (read-only)."""
+        Q, R = np.linalg.qr(self.design)
+        qty = Q.T @ self.y
+        rho = float(np.linalg.norm(self.y - Q @ qty))
+        qty.flags.writeable = False
+        R.flags.writeable = False
+        return qty, R, rho
 
     @property
     def C(self) -> np.ndarray:
@@ -165,29 +180,43 @@ def build_wind_curve_dataset(speeds, power, noise_sigma: float = 0.1,
 def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     """Conic form of min |y - Phi w|^2 + ridge |w|^2 s.t. C w >= 0.
 
-    Variables (u, v, w) with two rotated-SOC epigraphs (u, H, y - Phi w) and
-    (v, H, w), u weighted 2 H and v weighted 2 H ridge, and one NonNeg block
-    of monotonicity rows.
+    Variables (u, v, w).  The fit is one rotated-SOC block
+    (u, H', s [Q'y - R w; rho]) over the thin QR Phi = QR, with
+    rho = |y - QQ'y|: its squared norm is s^2 |y - Phi w|^2, so u weighted
+    2 H' / s^2 is the fit, and the block has mb + 3 rows for any n >= mb.
+    The ridge is the block (v, H, w) with v weighted 2 H ridge, and the
+    monotonicity rows form one NonNeg block.
     """
     Phi, C = model.design, model.C
-    mb = Phi.shape[1]
+    n, mb = Phi.shape
     nv = 2 + mb
     u_i, v_i, w_i = 0, 1, np.arange(2, nv)
-    # H = max(|y|, 1) for both epigraphs: w = 0 costs |y|^2, so the fit's
-    # u* <= |y|^2 / (2H) = H/2.  The ridge's own bound |y|/sqrt(ridge) is
-    # not used: at ridge 1e-8 it gives H near 3e5, and the solve of a
-    # noiseless line returned w = 0.990 where the fit is exactly 1.
-    # Measured working range on synthetic_cubic_data(n=100, seed=0), whose
-    # |y| is 312: the privatized regression at Delta_2 = 1, 2 and 3 returned
-    # Optimal for every H from 5 to 500 (kkt_report <= 1e-6 from H = 50),
-    # where the constant 1/2 ended two of them in MaxIter; from H = 5e3 the
-    # base fit drifted while still returning Optimal, and so did the
-    # noiseless line, whose |y| is 27.
+    qty, R, rho = model.thin_qr
+    # H = max(|y|, 1) on the ridge: w = 0 costs |y|^2, so v* <= H/2.  The
+    # ridge's own bound |y|/sqrt(ridge) is not used: at ridge 1e-8 it gives
+    # H near 3e5, and the solve of a noiseless line returned w = 0.990 where
+    # the fit is exactly 1.
     H = max(float(np.linalg.norm(model.y)), 1.0)
-    A1, b1, fit = quadratic_epigraph(nv, u_i, w_i, Phi, model.y, H)
+    # The fit block's rows are scaled by s = sqrt(mb/n) and faced by
+    # H' = max(rho, 1), the residual norm no w removes; the floor keeps an
+    # exact fit (rho = 0) off the cone's apex.  Measured working range on
+    # synthetic_cubic_data(n=100, seed=0), whose rho is 37.4: the
+    # privatized regression at Delta_2 = 1, 2 and 3 returned Optimal for
+    # every H' from 0.1 to 1e5 (kkt_report <= 1e-6 from H' = 3 to 100), and
+    # at 0.03 one ended in MaxIter; the base fit stayed within 2e-5 of the
+    # ridge oracle from 0.1 to 1e4 and drifted to 2e-2 at 1e5.  The
+    # noiseless line (rho = 0, so H' = 1) is within 2e-6 of its fit at
+    # H' = 1, 6e-4 at 39 and 0.3 at 1e4.  Two other rules were measured and
+    # dropped: H' = |y| s moved the wind config's alpha-0.025 delta_p by
+    # 1.5e-3 relative, and H' = max(rho s^2, 1) lost the base fit's
+    # accuracy (2e-4 from the oracle) once y was scaled by 30.
+    s = math.sqrt(mb / n)
+    Hf = max(rho, 1.0)
+    M = s * np.vstack([R, np.zeros((1, mb))])
+    A1, b1, fit = quadratic_epigraph(nv, u_i, w_i, M, s * np.append(qty, rho), Hf)
     A2, b2, ridge = quadratic_epigraph(nv, v_i, w_i, -np.eye(mb), np.zeros(mb), H)
     A3 = np.zeros((C.shape[0], nv)); A3[:, w_i] = -C
-    c = np.zeros(nv); c[u_i] = 2.0 * H; c[v_i] = 2.0 * H * model.ridge
+    c = np.zeros(nv); c[u_i] = 2.0 * Hf / (s * s); c[v_i] = 2.0 * H * model.ridge
     names = ("u", "v") + tuple(f"w[{j}]" for j in range(mb))
     return ConicProgram(
         np.vstack([A1, A2, A3]),

@@ -207,7 +207,8 @@ class _OpfStudy:
 def _opf_study(cfg, net) -> _OpfStudy:
     program = app_opf.build_opf(net)
     base = solve(program)
-    cost_range = app_opf.opf_cost_range(net) if base.status == Status.OPTIMAL else None
+    cost_range = (app_opf.opf_cost_range(net, base) if base.status == Status.OPTIMAL
+                  else None)
     return _OpfStudy(net, program, base, cost_range)
 
 
@@ -389,6 +390,7 @@ def cvar_q_sweep(
     q_grid,
     eta: float = 0.01,
     seed: int = 0,
+    base: Solution | None = None,
 ):
     """Risk sweep of the private subset-generation query on one network.
 
@@ -396,11 +398,13 @@ def cvar_q_sweep(
     optimizes the mean of the worst q share of losses over 300 samples;
     rows report the mean, the 0.95-level CVaR and the VaR of those samples.
     The rule's privatization draws from derive_seed(seed, PRIVATIZE) and
-    the samples from derive_seed(seed, CVAR); every q shares both.
-    Returns rows (q, mean, cvar, var).
+    the samples from derive_seed(seed, CVAR); every q shares both.  base,
+    when given, is the caller's solve of build_opf(net), which then is not
+    solved again.  Returns rows (q, mean, cvar, var).
     """
     program = app_opf.build_opf(net)
-    base = solve(program)
+    if base is None:
+        base = solve(program)
     if base.status != Status.OPTIMAL:
         raise RuntimeError("base OPF unsolvable")
     wq = np.zeros(net.n_nodes)
@@ -497,7 +501,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         subset = tuple(range(0, data.n_nodes, 2))
         sweep_rows = cvar_q_sweep(data, subset, config.alphas[0], config.epsilon,
                                   config.cvar_q_grid, eta=config.eta,
-                                  seed=derive_seed(config.seed, Purpose.SWEEP))
+                                  seed=derive_seed(config.seed, Purpose.SWEEP),
+                                  base=study().base)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["q", "mean", "cvar05", "var"])

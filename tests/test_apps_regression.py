@@ -1,15 +1,21 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpconic.conic import Status
-from dpconic.dp import calibrate_gaussian, sample_noise
-from dpconic.solver import kkt_report
+from dpconic.conic import ConeKind, Status
+from dpconic.dp import (Purpose, calibrate_gaussian, derive_seed, estimate_sensitivity,
+                        sample_noise)
+from dpconic.experiments import APPS
+from dpconic.solver import SolverSettings, kkt_report
 from dpconic.apps.regression import (
     DEFAULT_SETTINGS,
     BasisSpec,
     RegressionModel,
+    build_monotone_regression,
     build_wind_curve_dataset,
     cubic_basis,
     expected_regression_loss,
@@ -21,6 +27,8 @@ from dpconic.apps.regression import (
     synthetic_power_curve,
     circle_law_adjacency,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def linear_basis():
@@ -75,6 +83,85 @@ class TestModel:
         assert not model.design.flags.writeable
         other = model.with_data(model.x[:10], model.y[:10])
         assert other.design.shape == (10, 2) and len(calls) == 2
+
+
+def _wind(seed, n=40):
+    """The regression-wind dataset, on n speeds."""
+    speeds = np.linspace(0.5, 25.0, n)
+    return build_wind_curve_dataset(speeds, synthetic_power_curve(speeds), 0.1, seed)
+
+
+def _ridge_oracle(model):
+    Phi = model.design
+    return np.linalg.solve(Phi.T @ Phi + model.ridge * np.eye(Phi.shape[1]),
+                           Phi.T @ model.y)
+
+
+class TestThinQrFit:
+    """The fit block over the thin QR of Phi: (u, H', s [Q'y - R w; rho])."""
+
+    @pytest.mark.parametrize("model", [synthetic_cubic_data(n=100, seed=2), _wind(2)],
+                             ids=["cubic", "wind"])
+    def test_block_prices_the_fit(self, model):
+        # at the tightest u for the block, u's objective term is |y - Phi w|^2
+        program = build_monotone_regression(model)
+        k = program.cones.blocks[0].dim
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = np.concatenate([[0.0, 0.0], rng.normal(0.0, 3.0, model.basis.dim)])
+            rows = (program.b - program.A @ x)[:k]
+            u = rows[2:] @ rows[2:] / (2.0 * rows[1])
+            r = model.y - model.design @ x[2:]
+            assert program.c[0] * u == pytest.approx(r @ r, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [30, 60, 100])
+    def test_block_dims_do_not_grow_with_n(self, n):
+        for model, k in ((synthetic_cubic_data(n=n, seed=1), 2), (_wind(1, n), 10)):
+            mb = model.basis.dim
+            program = build_monotone_regression(model)
+            assert [(b.kind, b.dim) for b in program.cones.blocks] == [
+                (ConeKind.RSOC, mb + 3), (ConeKind.RSOC, mb + 2), (ConeKind.NONNEG, k)]
+
+    def test_fits_match_the_ridge_oracle(self):
+        models = [synthetic_cubic_data(n=n, seed=s) for n in (60, 100) for s in range(6)]
+        models += [_wind(s) for s in range(6)]
+        checked = 0
+        for model in models:
+            w_oracle = _ridge_oracle(model)
+            if (model.C @ w_oracle < 0).any():
+                continue   # the monotonicity rows bind: not the ridge fit
+            w, _ = solve_regression(model)
+            assert np.abs(w - w_oracle).max() <= 5e-5
+            checked += 1
+        assert checked >= 12
+
+    @pytest.mark.parametrize("name, j", [("regression-cubic", 0), ("regression-wind", 1)])
+    def test_calibration_matches_an_accurate_estimate(self, name, j):
+        # the config's delta_p at the solver's tol 1e-6 against the same
+        # pairs solved to 1e-10
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        app = APPS["regression"]
+        data = app.data(cfg.get("dataset"), cfg["seed"])
+        adj = app.adjacency(data, cfg.get("alphas", [1.0])[j])
+        args = app.estimate + (derive_seed(cfg["seed"], Purpose.CALIBRATION, j),)
+        got = estimate_sensitivity(adj, 2, *args)
+        ref = estimate_sensitivity(
+            replace(adj, settings=SolverSettings(tol=1e-10, max_iter=200)), 2, *args)
+        assert got.failures == ref.failures == ()
+        assert got.delta_p == pytest.approx(ref.delta_p, rel=2e-4)
+
+    def test_fewer_points_than_weights(self):
+        # one point and two weights: the ridge alone fixes the weights along
+        # the null space of Phi, where a tol-1e-6 solve stays about 1e-4
+        # loose; a fit block over all n rows lands 8e-5 from it here
+        model = synthetic_cubic_data(n=1, seed=0)
+        w, sol = solve_regression(model)
+        assert sol.status == Status.OPTIMAL
+        assert np.abs(w - _ridge_oracle(model)).max() <= 2e-4
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="at least one data point"):
+            synthetic_cubic_data(n=0)
 
 
 class TestBuildRegression:

@@ -203,3 +203,25 @@ def test_simple_lp_base_is_solved_once_per_run(tmp_path, monkeypatch):
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == ["ok"] * 2
     assert calls == [1] * (1 + 2)
+
+
+def test_opf_base_is_solved_once_per_run(tmp_path, monkeypatch):
+    # the study's base solve serves the cost range's lower end and the
+    # CVaR sweep
+    base = experiments.app_opf.build_opf(experiments.app_opf.bundled_network("cvar6"))
+    key = (base.A.tobytes(), base.b.tobytes(), base.c.tobytes())
+    calls = []
+    real = solver._solve_grouped
+
+    def counting(programs, settings=None):
+        calls.extend(p for p in programs if isinstance(p.A, np.ndarray)
+                     and (p.A.tobytes(), p.b.tobytes(), p.c.tobytes()) == key)
+        return real(programs, settings)
+
+    monkeypatch.setattr(solver, "_solve_grouped", counting)
+    cfg = _config(tmp_path, "opf", dataset="cvar6", strategies=("output",),
+                  cvar_q_grid=(0.1,), mc_samples=20, seed=1)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"]
+    assert np.isfinite(out["sweep"][0][1:]).all()
+    assert len(calls) == 1

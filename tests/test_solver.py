@@ -13,6 +13,7 @@ from dpconic.conic import (
     build_simple_lp,
     cone_membership,
     nonneg,
+    quadratic_epigraph,
     rsoc,
     slack,
     soc,
@@ -261,8 +262,18 @@ class TestBatchedScaling:
                                        pv.solution)
 
     def test_whole_solve_on_regression_base(self, monkeypatch):
-        program = regression.build_monotone_regression(
-            regression.synthetic_cubic_data(n=100))
+        # the regression base with its fit as one block over all 100 data
+        # points (the builder's thin-QR block has 5 rows): a large RSOC
+        # block beside small ones
+        model = regression.synthetic_cubic_data(n=100)
+        H = float(np.linalg.norm(model.y))
+        w = np.arange(2, 4)
+        A1, b1, fit = quadratic_epigraph(4, 0, w, model.design, model.y, H)
+        A2, b2, ridge = quadratic_epigraph(4, 1, w, -np.eye(2), np.zeros(2), H)
+        A3 = np.zeros((2, 4)); A3[:, w] = -model.C
+        program = ConicProgram(np.vstack([A1, A2, A3]), np.concatenate([b1, b2, [0, 0]]),
+                               np.array([2 * H, 2 * H * model.ridge, 0, 0]),
+                               ConeSpec([fit, ridge, nonneg(2)]))
         assert [(b.kind, b.dim) for b in program.cones.blocks] == [
             (ConeKind.RSOC, 102), (ConeKind.RSOC, 4), (ConeKind.NONNEG, 2)]
         sol = solve(program, regression.DEFAULT_SETTINGS)
