@@ -41,6 +41,7 @@ from .ldr import (
     FixedRecourseQuery,
     IdentityQuery,
     IndividualChance,
+    Privatization,
     SumQuery,
     VertexChance,
     WeightedSumQuery,

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
                      require_optimal, rsoc, soc)
-from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import DecisionRule, IdentityQuery, VertexChance, privatize
+from ..dp import AdjacencyModel, NoiseSpec
+from ..ldr import IdentityQuery, Privatization, VertexChance, privatize
 from ..solver import SolverSettings, solve
 
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=150)
@@ -193,7 +193,9 @@ def ellipsoid_volume(Y: np.ndarray) -> float:
 def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyModel:
     """Universe where each b_i ranges over [b_i(1-gamma), b_i(1+gamma)];
     all such instances are adjacent (alpha = inf).  Query: the (z, Y) rule
-    vector of the deterministic optimum."""
+    vector of the deterministic optimum.  gamma_frac must lie in (0, 1)."""
+    if not 0 < gamma_frac < 1:
+        raise ValueError(f"b-range fraction must lie in (0, 1), got {gamma_frac}")
 
     def jitter(rng):
         f = rng.uniform(-gamma_frac, gamma_frac, size=inst.m)
@@ -237,40 +239,19 @@ def _rule_program(inst: EllipsoidInstance) -> ConicProgram:
     return ConicProgram(A, b, c, ConeSpec([soc(3)] * m + [rsoc(3), rsoc(4)]))
 
 
-@dataclass
-class EllipsoidPrivatization:
-    rule: DecisionRule       # xbar = rule vector, X = I6
-    noise: NoiseSpec
-    inst: EllipsoidInstance
-    solution: Solution
-    program: ConicProgram
-
-    @property
-    def z_nominal(self) -> np.ndarray:
-        return unpack_rule_vector(self.rule.xbar)[0]
-
-    @property
-    def Y_nominal(self) -> np.ndarray:
-        return unpack_rule_vector(self.rule.xbar)[1]
-
-    def release(self, seed: int, stream: int = 0):
-        draw = sample_noise(self.noise, seed, 1, stream)[0]
-        return unpack_rule_vector(self.rule.xbar + draw)
-
-
 def privatize_ellipsoid(
     inst: EllipsoidInstance,
     noise: NoiseSpec,
     eta: float,
     seed: int = 0,
     obj_samples: int = 32,
-) -> EllipsoidPrivatization:
+) -> Privatization:
     """Chance-constrained ellipse rule with the fixed identity recourse.
 
     Containment rows and the PSD row of the symmetric part are enforced on
     all 2^6 vertices of the empirical noise box; the objective maximizes a
     sample average of per-draw det hypograph variables (the expectation of
-    det^(1/2) has no closed conic form).
+    det^(1/2) has no closed conic form).  The release is (z, Y).
     """
     if noise.k != RULE_DIM:
         raise ValueError(f"noise dim {noise.k}, expected {RULE_DIM}")
@@ -278,6 +259,4 @@ def privatize_ellipsoid(
     pp = privatize(_rule_program(inst), noise, IdentityQuery(),
                    VertexChance(eta), seed, epigraph_vars=1,
                    objective_samples=obj_samples)
-    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid")
-    return EllipsoidPrivatization(rule=rule, noise=noise, inst=inst,
-                                  solution=sol, program=pp.program)
+    return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)

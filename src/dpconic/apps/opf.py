@@ -15,15 +15,8 @@ import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, NotOptimal, Solution, Status, nonneg,
                      require_optimal, zero)
-from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
-from ..ldr import (
-    DecisionRule,
-    PrivatizedProgram,
-    VertexChance,
-    WeightedSumQuery,
-    privatize,
-    release_query,
-)
+from ..dp import AdjacencyModel, calibrate_laplace, sample_noise
+from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve, solve_batch
 
 
@@ -127,14 +120,12 @@ def opf_cost_range(net: PowerNetwork, base: Solution | None = None):
     """(min, max) dispatch cost over the feasible set; brackets query feasibility.
 
     base, when given, is the caller's solve of build_opf(net), and only the
-    max is solved here.
+    max is solved here.  Raises NotOptimal unless both solves are Optimal.
     """
     prog = build_opf(net)
-    lo = solve(prog) if base is None else base
+    lo = require_optimal(solve(prog) if base is None else base, "base OPF")
     flipped = ConicProgram(prog.A, prog.b, -prog.c, prog.cones)
-    hi = solve(flipped)
-    if lo.status != Status.OPTIMAL or hi.status != Status.OPTIMAL:
-        raise RuntimeError(f"base OPF not solvable: {lo.status}, {hi.status}")
+    hi = require_optimal(solve(flipped), "max-cost OPF")
     return lo.objective, -hi.objective
 
 
@@ -160,29 +151,13 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
                           alpha=alpha, query=lambda x: np.array([float(c @ x)]))
 
 
-@dataclass
-class OpfPrivatization:
-    rule: DecisionRule
-    noise: NoiseSpec
-    query: WeightedSumQuery
-    privatized: PrivatizedProgram
-    solution: Solution
-
-    def release(self, seed: int, stream: int = 0) -> float:
-        return float(release_query(self.rule, self.query, self.noise, seed, stream)[0])
-
-    @property
-    def nominal_cost(self) -> float:
-        return float(self.query.nominal_value(self.rule.xbar)[0])
-
-
 def privatize_opf(
     net: PowerNetwork,
     epsilon: float,
     alpha: float,
     eta: float,
     seed: int = 0,
-) -> OpfPrivatization:
+) -> Privatization:
     """Solve the chance-constrained OPF counterpart for the cost query.
 
     The weighted-sum query c'X = 1 makes the cost release's random part
@@ -191,17 +166,15 @@ def privatize_opf(
     Raises NotOptimal when the program cannot absorb the noise at the
     requested (alpha, eta).  At high privacy that depends on the sampled
     box: some seeds leave a feasible rule and others none.  The experiment
-    harness records either as a row.
+    harness records either as a row.  The release is the scalar cost.
     """
     noise = calibrate_laplace(opf_sensitivity_bound(net.c, alpha), epsilon, k=1)
-    query = WeightedSumQuery(net.c)
-    pp = privatize(build_opf(net), noise, query, VertexChance(eta=eta), seed)
+    pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta),
+                   seed)
     try:
-        rule, sol = pp.solve(None, "chance-constrained OPF")
+        return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
     except NotOptimal as exc:
         raise NotOptimal(f"{exc} (alpha={alpha}, eta={eta})", exc.status) from None
-    return OpfPrivatization(rule=rule, noise=noise, query=query, privatized=pp,
-                            solution=sol)
 
 
 def released_cost_feasible(value: float, cost_lo: float, cost_hi: float,

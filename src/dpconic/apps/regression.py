@@ -6,8 +6,8 @@ a probe point u_i.  The fit |y - Phi w|^2 is one rotated-SOC epigraph
 over the thin QR of Phi, with at most mb + 3 rows however many data points
 there are, and the ridge is a second one.  Under the identity-query rule
 (W = I) the expected objective reduces to the deterministic one plus noise
-constants, so the transformed program keeps both epigraphs at wbar and
-only the monotonicity rows are tightened.
+constants, which the solve leaves out, so the transformed program keeps
+both epigraphs at wbar and only the monotonicity rows are tightened.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import DecisionRule, IdentityQuery, IndividualChance, privatize
+from ..ldr import IdentityQuery, IndividualChance, Privatization, privatize
 from ..solver import SolverSettings, solve
 
 # epigraph formulations with small ridge weights converge to ~1e-6 here
@@ -279,36 +279,19 @@ def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel
                           settings=DEFAULT_SETTINGS)
 
 
-@dataclass
-class RegressionPrivatization:
-    rule: DecisionRule        # xbar = wbar, X = I
-    noise: NoiseSpec
-    model: RegressionModel
-    solution: Solution
-    program: ConicProgram
-    objective_offset: float
-
-    @property
-    def w_nominal(self) -> np.ndarray:
-        return self.rule.xbar
-
-    def release(self, seed: int, stream: int = 0) -> np.ndarray:
-        return self.w_nominal + sample_noise(self.noise, seed, 1, stream)[0]
-
-
 def privatize_regression(
     model: RegressionModel,
     noise: NoiseSpec,
     eta: float,
     seed: int = 0,
-) -> RegressionPrivatization:
+) -> Privatization:
     """Chance-constrained weights with Gaussian noise and the identity query.
 
     W = I makes the monotonicity rows' noise part constant, so each row
     tightens to C_i wbar >= z(eta_bar_i) sigma |C_i|; the Gaussian quantile
-    is exact here.  The objective keeps its deterministic shape plus the
-    constants sigma^2 (Tr Phi'Phi + ridge m_b), returned in
-    objective_offset.
+    is exact here.  The objective keeps its deterministic shape; the solve
+    leaves out the constants sigma^2 (Tr Phi'Phi + ridge m_b) the noise
+    adds.  The release is the weight vector.
     """
     if noise.family != "gaussian":
         raise ValueError("regression release is calibrated for Gaussian noise")
@@ -320,14 +303,7 @@ def privatize_regression(
     program = permute_columns(build_monotone_regression(model),
                               np.r_[2 : 2 + mb, 0, 1])
     pp = privatize(program, noise, IdentityQuery(), chance, seed, epigraph_vars=2)
-    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized regression")
-    var = noise.coordinate_variance
-    Phi = model.design
-    offset = var * float(np.trace(Phi.T @ Phi)) + model.ridge * var * mb
-    return RegressionPrivatization(
-        rule=rule, noise=noise, model=model,
-        solution=sol, program=pp.program, objective_offset=offset,
-    )
+    return pp.solve(DEFAULT_SETTINGS, "privatized regression")
 
 
 def monotonicity_violation_rate(model: RegressionModel, w_center: np.ndarray,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..conic import ConicProgram, Solution, build_simple_lp, require_optimal
 from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
-from ..ldr import DecisionRule, SumQuery, VertexChance, privatize
+from ..ldr import DecisionRule, Privatization, SumQuery, VertexChance, privatize
 from ..solver import solve
 
 
@@ -56,12 +56,11 @@ def privatize_simple_lp(
     alpha: float,
     eta: float,
     seed: int,
-):
-    """Rule counterpart with the (scalar) sum query; returns (rule, noise)."""
+) -> Privatization:
+    """Rule counterpart with the (scalar) sum query; the release is a 1-vector."""
     noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(study.program(), noise, SumQuery(), VertexChance(eta), seed)
-    rule, _ = pp.solve(None, "privatized simple LP")
-    return rule, noise
+    return pp.solve(None, "privatized simple LP")
 
 
 def strategy_infeasibility(

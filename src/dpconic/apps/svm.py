@@ -18,8 +18,8 @@ import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
-from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import DecisionRule, FixedRecourseQuery, privatize
+from ..dp import AdjacencyModel, NoiseSpec
+from ..ldr import FixedRecourseQuery, Privatization, privatize
 from ..solver import SolverSettings, solve
 
 # weakly regularized margin programs hit their accuracy floor around 1e-7
@@ -176,41 +176,19 @@ def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> Adjacency
                           alpha=math.inf, settings=DEFAULT_SETTINGS)
 
 
-@dataclass
-class SvmPrivatization:
-    rule: DecisionRule          # over the base variables (w, b, z)
-    noise: NoiseSpec
-    data: LabeledPoints
-    solution: Solution
-    program: ConicProgram
-    objective_offset: float
-
-    @property
-    def w_nominal(self) -> np.ndarray:
-        return self.rule.xbar[: self.data.n]
-
-    @property
-    def b_nominal(self) -> float:
-        return float(self.rule.xbar[self.data.n])
-
-    def release(self, seed: int, stream: int = 0):
-        draw = sample_noise(self.noise, seed, 1, stream)[0]
-        return self.w_nominal + draw[:-1], self.b_nominal + draw[-1]
-
-
 def privatize_svm(
     data: LabeledPoints,
     noise: NoiseSpec,
     chance,
     seed: int = 0,
-) -> SvmPrivatization:
+) -> Privatization:
     """Chance-constrained SVM rule with the identity query on (w, b).
 
     The recourse of (w, b) is pinned to the identity; the slack recourse Z
     is free.  The expected objective reduces to
-    lambda(|wbar|^2 + n Var[zeta_1]) + (1/m) 1'zbar; the constant appears
-    in objective_offset.  `chance` is an IndividualChance (per-point rows,
-    the default study setting) or a VertexChance.
+    lambda(|wbar|^2 + n Var[zeta_1]) + (1/m) 1'zbar, and the solve leaves
+    the constant out.  `chance` is an IndividualChance (per-point rows,
+    the default study setting) or a VertexChance.  The release is (w, b).
     """
     m, n = data.m, data.n
     k = n + 1
@@ -223,7 +201,5 @@ def privatize_svm(
     mask[:k] = True
     query = FixedRecourseQuery(np.eye(n + 1 + m, k), mask)
     pp = privatize(program, noise, query, chance, seed, epigraph_vars=1)
-    rule, sol = pp.solve(DEFAULT_SETTINGS, "privatized SVM")
-    offset = data.regularizer * n * noise.coordinate_variance
-    return SvmPrivatization(rule=rule, noise=noise, data=data, solution=sol,
-                            program=pp.program, objective_offset=offset)
+    return pp.solve(DEFAULT_SETTINGS, "privatized SVM",
+                    unpack=lambda v: (v[:n], float(v[n])))

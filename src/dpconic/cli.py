@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True, choices=tuple(APPS))
     p.add_argument("--alpha", type=float, required=True,
                    help="adjacency radius; inf for whole-universe adjacency "
-                        "(ellipsoid: b-range fraction in (0, 1), else 0.01; "
-                        "regression wind: value-range fraction in (0, 1))")
+                        "(ellipsoid: b-range fraction in (0, 1); regression "
+                        "wind: value-range fraction in (0, 1); svm and "
+                        "regression cubic: unused)")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--p", type=int, choices=(1, 2), default=None,

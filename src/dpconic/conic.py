@@ -17,6 +17,7 @@ sensitivity estimate.  The transformed programs of `ldr.privatize` and
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +45,13 @@ class ConeBlock:
             raise ValueError("RotatedSecondOrder blocks need dim >= 2")
 
 
+@functools.cache
+def _cone_block(kind, dim) -> ConeBlock:
+    """One shared ConeBlock per (kind, dim): a transformed program has
+    thousands of blocks and few distinct ones."""
+    return ConeBlock(ConeKind(kind), int(dim))
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Ordered list of cone blocks; the order fixes row indexing for good."""
@@ -54,10 +62,8 @@ class ConeSpec:
         object.__setattr__(
             self,
             "blocks",
-            tuple(
-                b if isinstance(b, ConeBlock) else ConeBlock(ConeKind(b[0]), int(b[1]))
-                for b in blocks
-            ),
+            tuple(b if isinstance(b, ConeBlock) else _cone_block(b[0], b[1])
+                  for b in blocks),
         )
 
     @property

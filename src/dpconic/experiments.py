@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .conic import ConicProgram, NotOptimal, Solution, Status
+from .conic import ConicProgram, NotOptimal, Solution, Status, require_optimal
 from .dp import (AdjacencyModel, NoiseSpec, Purpose, SensitivityReport,
                  calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, IndividualChance, VertexChance,
@@ -120,10 +120,11 @@ def _fmt(v) -> str:
 
 
 def _point(strategy, alpha, losses, violated, extra=None) -> PointResult:
-    """An "ok" point: mean and 0.95-CVaR of the losses, share of violated draws."""
+    """An "ok" point: mean and 0.95-CVaR of the losses, share of violated
+    draws; its manifest entry records how many losses it scored (``draws``)."""
     return PointResult(strategy, alpha, float(np.mean(losses)),
                        cvar_empirical(losses, 0.95), float(np.mean(violated)),
-                       "ok", extra or {})
+                       "ok", {"draws": len(losses), **(extra or {})})
 
 
 # --- per-app data, studies and point runners -----------------------------------
@@ -187,9 +188,9 @@ def _run_simple_lp(cfg, strategy, alpha, seed, study, sensitivity):
         # x* = lower, so the two strategies coincide on this program
         xs = lp.lower + draws.ravel()
     else:
-        rule, _ = app_simple.privatize_simple_lp(
+        pv = app_simple.privatize_simple_lp(
             lp, cfg.epsilon, alpha, cfg.eta, derive_seed(seed, Purpose.PRIVATIZE))
-        xs = rule.evaluate_many(draws).ravel()
+        xs = pv.rule.evaluate_many(draws).ravel()
     return _point(strategy, alpha, lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs))
 
 
@@ -371,14 +372,11 @@ APPS: dict[str, App] = {
     "regression": App(
         2, _regression_data, lambda data, alpha: data.adjacency(data.model, alpha),
         (199, 0.5, 0.1), _regression_study, _run_vector),
-    # alpha in (0, 1) is the fraction each b_i ranges over; any other alpha
-    # (the whole-universe inf among them) means 0.01
+    # alpha is the fraction in (0, 1) each b_i ranges over
     "ellipsoid": App(
         2, _no_dataset("ellipsoid", lambda seed: app_ellipsoid.regular_polygon(
             5, radius=2.0)),
-        lambda inst, alpha: app_ellipsoid.b_range_adjacency(
-            inst, alpha if 0 < alpha < 1 else 0.01),
-        (99, 0.1, 0.1), _ellipsoid_study, _run_vector),
+        app_ellipsoid.b_range_adjacency, (99, 0.1, 0.1), _ellipsoid_study, _run_vector),
 }
 
 
@@ -400,13 +398,11 @@ def cvar_q_sweep(
     The rule's privatization draws from derive_seed(seed, PRIVATIZE) and
     the samples from derive_seed(seed, CVAR); every q shares both.  base,
     when given, is the caller's solve of build_opf(net), which then is not
-    solved again.  Returns rows (q, mean, cvar, var).
+    solved again; NotOptimal is raised unless it is Optimal.  Returns rows
+    (q, mean, cvar, var).
     """
     program = app_opf.build_opf(net)
-    if base is None:
-        base = solve(program)
-    if base.status != Status.OPTIMAL:
-        raise RuntimeError("base OPF unsolvable")
+    base = require_optimal(solve(program) if base is None else base, "base OPF")
     wq = np.zeros(net.n_nodes)
     wq[list(subset)] = 1.0
     noise = calibrate_laplace(alpha, epsilon, k=1)

@@ -23,12 +23,16 @@ affine map b - A(xbar + X zeta) at some noise point: the vertex copies at
 the box vertices, the objective copies at the draws, the safety-factor rows
 from its value at zeta = 0 and its zeta coefficients.  One array expansion,
 `RuleSpace.expand`, builds them all.
+
+`PrivatizedProgram.solve` returns a `Privatization`, the record every study
+releases through: its `release` is the nominal query plus one raw noise draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -480,11 +484,49 @@ class PrivatizedProgram:
             v = v - corr
         return self.space.extract(v)
 
-    def solve(self, settings: SolverSettings | None, what: str):
-        """(rule, solution) of the transformed program; raises NotOptimal
+    def solve(self, settings: SolverSettings | None, what: str,
+              unpack: Callable[[np.ndarray], Any] = np.asarray) -> "Privatization":
+        """The Privatization of the transformed program's optimum, whose
+        release maps the query vector through ``unpack``; raises NotOptimal
         ("<what> returned <status>") unless the solve is Optimal."""
         sol = require_optimal(solve(self.program, settings), what)
-        return self.extract_rule(sol), sol
+        return Privatization(self, self.extract_rule(sol), sol, unpack)
+
+
+@dataclass(frozen=True)
+class Privatization:
+    """A solved privatized program and the one release path of every study.
+
+    ``release(seed, stream)`` is the nominal query plus one raw
+    ``sample_noise`` draw, so released minus nominal is data-independent;
+    ``unpack`` maps that query vector to the app's value (the svm's (w, b),
+    the ellipsoid's (z, Y), the opf's scalar cost).  The solve's objective
+    leaves out the constant the noise adds to the expected objective.
+    """
+
+    privatized: PrivatizedProgram
+    rule: DecisionRule
+    solution: Solution
+    unpack: Callable[[np.ndarray], Any]
+
+    @property
+    def program(self) -> ConicProgram:
+        return self.privatized.program
+
+    @property
+    def noise(self) -> NoiseSpec:
+        return self.privatized.noise
+
+    @property
+    def query(self) -> QueryConstraint:
+        return self.privatized.query
+
+    @property
+    def nominal(self):
+        return self.unpack(nominal_query(self.rule, self.query))
+
+    def release(self, seed: int, stream: int = 0):
+        return self.unpack(release_query(self.rule, self.query, self.noise, seed, stream))
 
 
 def privatize(

@@ -78,9 +78,9 @@ def test_02_simple_lp_infeasibility_pattern():
     rate_out = app_simple.strategy_infeasibility(study, noise, n, seed=11, stream=1)
     # input coincides with output here (x* = lower); separate draws anyway
     rate_in = app_simple.strategy_infeasibility(study, noise, n, seed=12, stream=2)
-    rule, noise_p = app_simple.privatize_simple_lp(study, 1.0, 0.05, 0.05, seed=13)
-    rate_prog = app_simple.strategy_infeasibility(study, noise_p, n, seed=14,
-                                                  rule=rule, stream=3)
+    pv = app_simple.privatize_simple_lp(study, 1.0, 0.05, 0.05, seed=13)
+    rate_prog = app_simple.strategy_infeasibility(study, pv.noise, n, seed=14,
+                                                  rule=pv.rule, stream=3)
     bound = 0.05 + 3 * binom_se(0.05, n)
     ok = (abs(rate_out - 0.5) <= 0.03 and abs(rate_in - 0.5) <= 0.03
           and rate_prog <= bound)
@@ -290,7 +290,7 @@ def test_10_svm_study():
         wr, br = pv.release(1000, stream=s)
         acc_prog.append(app_svm.accuracy(wr, br, tx, ty))
     mean_out, mean_prog = float(np.mean(acc_out)), float(np.mean(acc_prog))
-    ratio = float(np.linalg.norm(pv.w_nominal) / np.linalg.norm(w_det))
+    ratio = float(np.linalg.norm(pv.nominal[0]) / np.linalg.norm(w_det))
     elapsed = time.monotonic() - t0
     ok = (mean_prog >= mean_out + 0.20 and mean_prog >= acc_det - 0.05
           and ratio >= 10.0 and elapsed < 600.0)
@@ -310,11 +310,11 @@ def test_11_regression_study():
     pv = app_regression.privatize_regression(model, noise, eta=eta, seed=5)
     n_draws = 500
     v_prog = app_regression.monotonicity_violation_rate(
-        model, pv.w_nominal, noise, n_draws, seed=42)
+        model, pv.nominal, noise, n_draws, seed=42)
     v_out = app_regression.monotonicity_violation_rate(
         model, w_det, noise, n_draws, seed=42)
     l_prog = app_regression.expected_regression_loss(
-        model, pv.w_nominal, noise, n_draws, seed=43)
+        model, pv.nominal, noise, n_draws, seed=43)
     l_out = app_regression.expected_regression_loss(
         model, w_det, noise, n_draws, seed=43)
     bound = eta + 3 * binom_se(eta, n_draws)

@@ -4,6 +4,7 @@ import pytest
 from dpconic import solver
 from dpconic.conic import NotOptimal, Status
 from dpconic.dp import estimate_sensitivity, sample_noise
+from dpconic.experiments import cvar_q_sweep
 from dpconic.ldr import ConflictingConstraints
 from dpconic.solver import solve
 from dpconic.apps.metrics import evaluate_rule_metrics
@@ -119,16 +120,9 @@ class TestPrivatizeOpf:
         xs = pv.rule.evaluate_many(draws)
         assert np.abs(xs.sum(axis=1) - net.d.sum()).max() < 1e-8
 
-    def test_release_is_nominal_plus_draw(self):
-        net = bundled_network("triangle3")
-        pv = privatize_opf(net, epsilon=1.0, alpha=1.0, eta=0.01, seed=2)
-        rel = pv.release(seed=77)
-        draw = sample_noise(pv.noise, 77, 1)[0][0]
-        assert rel == pytest.approx(pv.nominal_cost + draw, abs=1e-12)
-
     def test_loss_monotone_in_alpha(self):
         net = bundled_network("triangle3")
-        costs = [privatize_opf(net, 1.0, a, 0.01, seed=4).nominal_cost
+        costs = [privatize_opf(net, 1.0, a, 0.01, seed=4).nominal
                  for a in (1.0, 3.0, 10.0)]
         assert costs[0] <= costs[1] <= costs[2]
 
@@ -181,6 +175,18 @@ class TestScalarStrategies:
         assert lo < hi
         assert released_cost_feasible(lo, lo, hi)
         assert not released_cost_feasible(lo - 1.0, lo, hi)
+
+    def test_infeasible_base_raises_not_optimal(self):
+        # every unit at its maximum: the minimum generation exceeds demand
+        net = two_node_net()
+        net = PowerNetwork("over", net.c, net.d, net.xmax, net.xmax, net.fmax, net.F)
+        status = solve(build_opf(net)).status
+        assert status != Status.OPTIMAL
+        for call in (lambda: opf_cost_range(net),
+                     lambda: cvar_q_sweep(net, (0,), 1.0, 1.0, (0.1,))):
+            with pytest.raises(NotOptimal) as info:
+                call()
+            assert info.value.status == status
 
     def test_input_perturbation_half_infeasible(self):
         net = bundled_network("triangle3")

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dpconic.conic import ConeKind, Status
-from dpconic.dp import (Purpose, calibrate_gaussian, derive_seed, estimate_sensitivity,
-                        sample_noise)
+from dpconic.dp import Purpose, calibrate_gaussian, derive_seed, estimate_sensitivity
 from dpconic.experiments import APPS
 from dpconic.solver import SolverSettings, kkt_report
 from dpconic.apps.regression import (
@@ -247,7 +246,7 @@ class TestPrivatizeRegression:
         from dpconic.ldr import safety_factor
 
         z = safety_factor(0.015, "gaussian")
-        lhs = model.C @ pv.w_nominal
+        lhs = model.C @ pv.nominal
         rhs = z * noise.scale * np.linalg.norm(model.C, axis=1)
         # the absolute row violation the solve certifies
         floor = kkt_report(pv.program, pv.solution)["primal"] * (
@@ -270,7 +269,7 @@ class TestPrivatizeRegression:
 
     def test_violation_rate_within_budget(self, reg_setup):
         model, noise, pv = reg_setup
-        rate = monotonicity_violation_rate(model, pv.w_nominal, noise, 2000,
+        rate = monotonicity_violation_rate(model, pv.nominal, noise, 2000,
                                            seed=9)
         assert rate <= 0.03 + 3 * math.sqrt(0.03 * 0.97 / 2000)
 
@@ -278,28 +277,16 @@ class TestPrivatizeRegression:
         model, noise, pv = reg_setup
         w_det, _ = solve_regression(model)
         v_out = monotonicity_violation_rate(model, w_det, noise, 500, seed=9)
-        v_prog = monotonicity_violation_rate(model, pv.w_nominal, noise, 500,
+        v_prog = monotonicity_violation_rate(model, pv.nominal, noise, 500,
                                              seed=9)
         assert v_out > v_prog
 
     def test_program_loss_at_least_output_loss(self, reg_setup):
         model, noise, pv = reg_setup
         w_det, _ = solve_regression(model)
-        l_prog = expected_regression_loss(model, pv.w_nominal, noise, 400, seed=10)
+        l_prog = expected_regression_loss(model, pv.nominal, noise, 400, seed=10)
         l_out = expected_regression_loss(model, w_det, noise, 400, seed=10)
         assert l_prog >= l_out
-
-    def test_objective_offset_formula(self, reg_setup):
-        model, noise, pv = reg_setup
-        Phi = model.design
-        var = noise.coordinate_variance
-        expect = var * np.trace(Phi.T @ Phi) + model.ridge * var * 2
-        assert pv.objective_offset == pytest.approx(expect)
-
-    def test_release_is_nominal_plus_draw(self, reg_setup):
-        _, noise, pv = reg_setup
-        rel = pv.release(seed=33)
-        assert np.array_equal(rel, pv.w_nominal + sample_noise(noise, 33, 1)[0])
 
     def test_laplace_noise_rejected(self, reg_setup):
         model, _, _ = reg_setup

@@ -93,14 +93,7 @@ class TestPrivatizeSvm:
     def test_nominal_inflated(self, svm_setup):
         train, _, _, _, pv = svm_setup
         w, b, _ = solve_svm(train)
-        assert np.linalg.norm(pv.w_nominal) > np.linalg.norm(w)
-
-    def test_release_increment_data_independent(self, svm_setup):
-        train, _, _, noise, pv = svm_setup
-        wr, br = pv.release(seed=11)
-        d = sample_noise(noise, 11, 1)[0]
-        assert np.array_equal(wr, pv.w_nominal + d[:-1])
-        assert br == pv.b_nominal + d[-1]
+        assert np.linalg.norm(pv.nominal[0]) > np.linalg.norm(w)
 
     def test_chance_rows_hold_on_draws(self, svm_setup):
         train, _, _, noise, pv = svm_setup
@@ -127,11 +120,6 @@ class TestPrivatizeSvm:
         noise = calibrate_laplace(2.0, 1.0, k=3)
         pv = privatize_svm(train, noise, VertexChance(eta=0.1, samples=50), seed=4)
         assert pv.solution.status == Status.OPTIMAL
-
-    def test_objective_offset(self, svm_setup):
-        train, _, _, noise, pv = svm_setup
-        assert pv.objective_offset == pytest.approx(
-            train.regularizer * train.n * noise.coordinate_variance)
 
     def test_noise_dim_checked(self):
         train, _, _ = synthetic_gaussian_classes(m=20, seed=2)
@@ -174,7 +162,7 @@ class TestStudyPrivatization:
         assert study.solution.status == Status.OPTIMAL
         assert study.solution.iterations <= 20
         assert max(kkt_report(study.program, study.solution).values()) <= 1e-8
-        assert np.abs(study.w_nominal - STUDY_CENTER).max() <= 1e-4
+        assert np.abs(study.nominal[0] - STUDY_CENTER).max() <= 1e-4
 
     def test_program_stored_sparse(self, study):
         # callers keep privatizations alive; the dense A took 4.2 MB
@@ -195,5 +183,6 @@ class TestStudyPrivatization:
         for H in (50.0, 5e2, 5e3, 5e4):
             monkeypatch.setattr(svm, "build_svm", lambda data, H=H: scaled(data, H))
             pv = _study_privatization()
-            assert np.abs(pv.w_nominal - study.w_nominal).max() <= 2e-5
-            assert abs(pv.b_nominal - study.b_nominal) <= 2e-5
+            (w, b), (w0, b0) = pv.nominal, study.nominal
+            assert np.abs(w - w0).max() <= 2e-5
+            assert abs(b - b0) <= 2e-5

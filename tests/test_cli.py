@@ -63,13 +63,21 @@ class TestSensitivity:
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_every_registered_app(self, tmp_path, app):
         out = tmp_path / "rep.json"
-        rc = main(["sensitivity", "--app", app, "--alpha", "1",
+        # the ellipsoid reads alpha as its b-range fraction in (0, 1)
+        alpha = "0.01" if app == "ellipsoid" else "1"
+        rc = main(["sensitivity", "--app", app, "--alpha", alpha,
                    "--gamma", "0.5", "--beta", "0.5", "--samples", "3",
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["p"] == APPS[app].p
         assert doc["S"] == 3
+
+    def test_ellipsoid_alpha_outside_unit_interval_rejected(self, capsys):
+        rc = main(["sensitivity", "--app", "ellipsoid", "--alpha", "1",
+                   "--gamma", "0.5", "--beta", "0.5", "--samples", "3"])
+        assert rc == 2
+        assert "(0, 1)" in capsys.readouterr().err
 
     def test_bad_gamma_rejected(self):
         rc = main(["sensitivity", "--app", "simple-lp", "--alpha", "1",
@@ -173,7 +181,8 @@ class TestAppRegistry:
 
     def test_config_accepts_the_registry(self):
         for app in APPS:
-            assert ExperimentConfig(app=app).app == app
+            # alpha 0.5 is inside the ellipsoid's (0, 1) b-range fractions
+            assert ExperimentConfig(app=app, alphas=(0.5,)).app == app
         with pytest.raises(ValueError, match="unknown app"):
             ExperimentConfig(app="nonsense")
 

@@ -34,6 +34,20 @@ def lp2() -> ConicProgram:
                         ConeSpec([nonneg(2)]))
 
 
+class TestConeSpec:
+    def test_equal_blocks_share_one_instance(self):
+        # a privatized program lists thousands of blocks of a few shapes
+        spec = ConeSpec([("NonNeg", 3), ("SecondOrder", np.int64(4)), ("NonNeg", 3),
+                         ("SecondOrder", 4)])
+        assert spec.blocks[0] is spec.blocks[2]
+        assert spec.blocks[1] is spec.blocks[3]
+        assert spec.blocks[1] == soc(4) and type(spec.blocks[1].dim) is int
+
+    def test_bad_block_rejected(self):
+        with pytest.raises(ValueError):
+            ConeSpec([("RotatedSecondOrder", 1)])
+
+
 class TestValidate:
     def test_ok(self):
         assert validate(lp2()) == []

@@ -107,11 +107,26 @@ def test_calibration_seeds_are_not_point_seeds(tmp_path, estimates):
 
 @pytest.mark.parametrize("app", ["svm", "regression", "ellipsoid"])
 def test_input_only_makes_no_estimate(tmp_path, estimates, app):
-    cfg = _config(tmp_path, app, strategies=("input",), alphas=(0.5, 1.0))
+    cfg = _config(tmp_path, app, strategies=("input",), alphas=(0.5, 0.75))
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == ["unsupported"] * 2
     assert estimates == []
     assert _manifest(cfg)["calibrations"] == []
+
+
+def test_ellipsoid_alpha_outside_unit_interval_rejected(tmp_path):
+    # the ellipsoid reads alpha as its b-range fraction; 1 is not one
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        _config(tmp_path, "ellipsoid", alphas=(0.01, 1.0))
+
+
+def test_manifest_records_the_draws_each_point_scored(tmp_path, estimates):
+    # the regression study scores at most 500 released rows a point
+    cfg = _config(tmp_path, "regression", mc_samples=600)
+    run_experiment(cfg)
+    points = _manifest(cfg)["points"]
+    assert [pt["draws"] for pt in points] == [500, 500]
+    assert _manifest(cfg)["mc_samples"] == 600
 
 
 def test_analytic_apps_make_no_estimate(tmp_path, estimates):

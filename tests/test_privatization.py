@@ -1,0 +1,70 @@
+"""The one release path: every study's Privatization releases its nominal
+query plus the raw sample_noise draw, bit for bit."""
+
+import numpy as np
+import pytest
+
+from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
+from dpconic.ldr import IndividualChance, Privatization, nominal_query
+from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
+
+
+def _svm():
+    train, _, _ = svm.synthetic_gaussian_classes(m=20, seed=2)
+    return svm.privatize_svm(train, calibrate_laplace(2.0, 1.0, k=3),
+                             IndividualChance(eta_bar=0.05), seed=4)
+
+
+def _regression():
+    model = regression.synthetic_cubic_data(n=100, seed=0)
+    return regression.privatize_regression(
+        model, calibrate_gaussian(1.0, 1.0, 0.01, k=2), eta=0.05, seed=3)
+
+
+def _ellipsoid():
+    return ellipsoid.privatize_ellipsoid(
+        ellipsoid.regular_polygon(4, radius=1.5),
+        calibrate_gaussian(0.05, 1.0, 0.1, k=6), eta=0.10, seed=1, obj_samples=8)
+
+
+def _opf():
+    return opf.privatize_opf(opf.bundled_network("triangle3"), 1.0, 1.0, 0.01, seed=2)
+
+
+def _simple_lp():
+    return simple_lp.privatize_simple_lp(simple_lp.SimpleLpStudy(), 1.0, 0.05, 0.05,
+                                         seed=13)
+
+
+# study -> (its privatization, the value its release takes from the query
+# vector: the shapes callers unpack)
+STUDIES = {
+    "svm": (_svm, lambda v: (v[:2], v[2])),
+    "regression": (_regression, lambda v: v),
+    "ellipsoid": (_ellipsoid, ellipsoid.unpack_rule_vector),
+    "opf": (_opf, lambda v: v[0]),
+    "simple-lp": (_simple_lp, lambda v: v),
+}
+
+
+def _bytes(value) -> bytes:
+    parts = value if isinstance(value, tuple) else (value,)
+    return np.hstack([np.ravel(np.asarray(p, dtype=float)) for p in parts]).tobytes()
+
+
+@pytest.fixture(scope="module", params=sorted(STUDIES))
+def study(request):
+    make, unpack = STUDIES[request.param]
+    return make(), unpack
+
+
+def test_release_is_nominal_plus_raw_draw(study):
+    pv, unpack = study
+    assert isinstance(pv, Privatization)
+    nominal = nominal_query(pv.rule, pv.query)
+    k = pv.noise.k
+    assert _bytes(pv.nominal) == _bytes(unpack(nominal))
+    # the svm's query vector is its whole rule; its release reads the first k
+    for stream in range(4):
+        draw = sample_noise(pv.noise, 17, 1, stream)[0]
+        assert _bytes(pv.release(17, stream)) == _bytes(unpack(nominal[:k] + draw))
