@@ -38,21 +38,17 @@ from .ldr import (
     ChanceSpec,
     ConflictingConstraints,
     DecisionRule,
-    FixedRecourseQuery,
-    IdentityQuery,
     IndividualChance,
     Privatization,
-    SumQuery,
+    SelectQuery,
     VertexChance,
     WeightedSumQuery,
-    apply_query_constraint,
     hyperrectangle_vertices,
     nominal_query,
     privatize,
     reduce_quadratic_objective,
     release_query,
     safety_factor,
-    split_equalities,
     vertex_sample_size,
 )
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical

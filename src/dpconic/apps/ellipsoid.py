@@ -18,7 +18,7 @@ import numpy as np
 from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
                      require_optimal, rsoc, soc)
 from ..dp import AdjacencyModel, NoiseSpec
-from ..ldr import IdentityQuery, Privatization, VertexChance, privatize
+from ..ldr import Privatization, SelectQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
 
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=150)
@@ -256,7 +256,7 @@ def privatize_ellipsoid(
     if noise.k != RULE_DIM:
         raise ValueError(f"noise dim {noise.k}, expected {RULE_DIM}")
     check_bounded(inst)
-    pp = privatize(_rule_program(inst), noise, IdentityQuery(),
+    pp = privatize(_rule_program(inst), noise, SelectQuery(range(RULE_DIM)),
                    VertexChance(eta), seed, epigraph_vars=1,
                    objective_samples=obj_samples)
     return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)

@@ -134,8 +134,11 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
 
     The shift is drawn uniformly in [-alpha, alpha] (direction and radius
     inside the ball, no rejection).  Nested in alpha for a fixed stream.
+    The released value is the cost c'x.  Raises ValueError unless alpha > 0.
     """
-    c = net.c.copy()
+    if not alpha > 0:
+        raise ValueError(f"opf alpha must be positive, got {alpha}")
+    cost = WeightedSumQuery(net.c)
 
     def sample_pair(rng):
         node = int(rng.integers(net.n_nodes))
@@ -145,10 +148,10 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
         return net, net.with_demand(d2)
 
     def read(dataset, sol):
-        return require_optimal(sol, "OPF solve").x
+        return cost.value(require_optimal(sol, "OPF solve").x)
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_opf, read=read,
-                          alpha=alpha, query=lambda x: np.array([float(c @ x)]))
+                          alpha=alpha)
 
 
 def privatize_opf(

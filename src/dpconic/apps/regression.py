@@ -22,7 +22,7 @@ import numpy as np
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
-from ..ldr import IdentityQuery, IndividualChance, Privatization, privatize
+from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
 
 # epigraph formulations with small ridge weights converge to ~1e-6 here
@@ -302,7 +302,7 @@ def privatize_regression(
     # columns (w, u, v): the fit and ridge epigraph variables go last
     program = permute_columns(build_monotone_regression(model),
                               np.r_[2 : 2 + mb, 0, 1])
-    pp = privatize(program, noise, IdentityQuery(), chance, seed, epigraph_vars=2)
+    pp = privatize(program, noise, SelectQuery(range(mb)), chance, seed, epigraph_vars=2)
     return pp.solve(DEFAULT_SETTINGS, "privatized regression")
 
 

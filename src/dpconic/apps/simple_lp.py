@@ -14,7 +14,7 @@ import numpy as np
 
 from ..conic import ConicProgram, Solution, build_simple_lp, require_optimal
 from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
-from ..ldr import DecisionRule, Privatization, SumQuery, VertexChance, privatize
+from ..ldr import DecisionRule, Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve
 
 
@@ -36,7 +36,9 @@ class SimpleLpStudy:
 
 
 def lower_bound_adjacency(study: SimpleLpStudy, alpha: float) -> AdjacencyModel:
-    """Pairs (lower, lower + u) with u uniform in [-alpha, alpha], identity query."""
+    """Pairs (lower, lower + u), u uniform in [-alpha, alpha], alpha > 0; identity query."""
+    if not alpha > 0:
+        raise ValueError(f"simple-lp alpha must be positive, got {alpha}")
 
     def sample_pair(rng):
         shift = alpha * rng.uniform(-1.0, 1.0)
@@ -57,9 +59,9 @@ def privatize_simple_lp(
     eta: float,
     seed: int,
 ) -> Privatization:
-    """Rule counterpart with the (scalar) sum query; the release is a 1-vector."""
+    """Rule counterpart with the query 1 * x; the release is a 1-vector."""
     noise = calibrate_laplace(alpha, epsilon, k=1)
-    pp = privatize(study.program(), noise, SumQuery(), VertexChance(eta), seed)
+    pp = privatize(study.program(), noise, WeightedSumQuery([1.0]), VertexChance(eta), seed)
     return pp.solve(None, "privatized simple LP")
 
 

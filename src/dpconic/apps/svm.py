@@ -19,7 +19,7 @@ import numpy as np
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
-from ..ldr import FixedRecourseQuery, Privatization, privatize
+from ..ldr import Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
 
 # weakly regularized margin programs hit their accuracy floor around 1e-7
@@ -197,9 +197,6 @@ def privatize_svm(
 
     # columns (w, b, z, t): t, the epigraph variable of |w|^2, goes last
     program = permute_columns(build_svm(data), np.r_[1 : 2 + n + m, 0])
-    mask = np.zeros((n + 1 + m, k), dtype=bool)
-    mask[:k] = True
-    query = FixedRecourseQuery(np.eye(n + 1 + m, k), mask)
-    pp = privatize(program, noise, query, chance, seed, epigraph_vars=1)
+    pp = privatize(program, noise, SelectQuery(range(k)), chance, seed, epigraph_vars=1)
     return pp.solve(DEFAULT_SETTINGS, "privatized SVM",
                     unpack=lambda v: (v[:n], float(v[n])))

@@ -20,7 +20,7 @@ from .dp import (
     sensitivity_sample_size,
 )
 from .experiments import APPS, ExperimentConfig, run_experiment
-from .ldr import IdentityQuery, SumQuery, VertexChance, IndividualChance, privatize
+from .ldr import IndividualChance, SelectQuery, VertexChance, WeightedSumQuery, privatize
 from .solver import SolverSettings, solve
 
 EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER = 0, 2, 3
@@ -49,16 +49,25 @@ def _write(text: str, path: str | None):
         print(text)
 
 
-def _cmd_solve(args) -> int:
+def _read_program(path: str):
+    """The valid program in the JSON file at path, or None once the reason it
+    cannot be read or is invalid is printed."""
     try:
-        with open(args.infile, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             program = program_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read program: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return None
     errs = validate(program)
     if errs:
         print("error: invalid program: " + "; ".join(errs), file=sys.stderr)
+        return None
+    return program
+
+
+def _cmd_solve(args) -> int:
+    program = _read_program(args.infile)
+    if program is None:
         return EXIT_VALIDATION
     settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
     sol = solve(program, settings)
@@ -87,15 +96,13 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_privatize(args) -> int:
+    program = _read_program(args.infile)
+    if program is None:
+        return EXIT_VALIDATION
     try:
-        with open(args.infile, encoding="utf-8") as fh:
-            program = program_from_json(fh.read())
-        errs = validate(program)
-        if errs:
-            raise ValueError("; ".join(errs))
-        query = IdentityQuery() if args.query == "identity" else SumQuery()
-        k = query.noise_dim(program.n)
-        noise = NoiseSpec(args.family, k, args.scale)
+        query = (SelectQuery(range(program.n)) if args.query == "identity"
+                 else WeightedSumQuery(np.ones(program.n)))
+        noise = NoiseSpec(args.family, query.k, args.scale)
         if args.method == "vertex":
             chance = VertexChance(eta=args.eta, beta=args.beta)
         else:

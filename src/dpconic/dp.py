@@ -159,28 +159,23 @@ def sensitivity_sample_size(gamma: float, beta: float) -> int:
 
 @dataclass(frozen=True)
 class AdjacencyModel:
-    """Seedable generator of alpha-adjacent dataset pairs plus the query map.
+    """Seedable generator of alpha-adjacent dataset pairs plus the released query.
 
     sample_pair(rng) must construct the pair directly inside the alpha ball
     (no rejection).  program(dataset) builds the dataset's conic program,
     which estimate_sensitivity solves under settings (None: the solver's
-    defaults); read(dataset, solution) maps its solution to the variable
-    vector and raises on a status it cannot use; query maps that vector to
-    the released value(s), None meaning the identity query.
+    defaults); read(dataset, solution) maps its solution to the released
+    value(s) and raises on a status it cannot use.
     """
 
     sample_pair: Callable[[np.random.Generator], tuple[Any, Any]]
     program: Callable[[Any], ConicProgram]
     read: Callable[[Any, Solution], np.ndarray]
     alpha: float
-    query: Callable[[np.ndarray], np.ndarray] | None = None
     settings: SolverSettings | None = None
 
     def released(self, dataset, solution: Solution) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(self.read(dataset, solution), dtype=float))
-        if self.query is None:
-            return x
-        return np.atleast_1d(np.asarray(self.query(x), dtype=float))
+        return np.atleast_1d(np.asarray(self.read(dataset, solution), dtype=float))
 
 
 class SolveFailure(RuntimeError):

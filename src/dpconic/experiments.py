@@ -74,10 +74,16 @@ class ExperimentConfig:
         if self.app not in APPS:
             raise ValueError(f"unknown app {self.app!r}; choose from {tuple(APPS)}")
         bad = [s for s in self.strategies if s not in STRATEGIES]
-        if bad:
-            raise ValueError(f"unknown strategies {bad}")
-        if self.epsilon <= 0 or not 0 < self.eta < 1:
-            raise ValueError("need epsilon > 0 and eta in (0, 1)")
+        if bad or not self.strategies:
+            raise ValueError(f"need strategies from {STRATEGIES}, got {self.strategies}")
+        if not self.alphas:
+            raise ValueError("alphas must not be empty")
+        if self.epsilon <= 0 or not 0 < self.eta < 1 or not 0 <= self.delta < 1:
+            raise ValueError("need epsilon > 0, eta in (0, 1) and delta in [0, 1)")
+        if self.cvar_q_grid and self.app != "opf":
+            raise ValueError("only an opf config runs a cvar_q_grid")
+        if not all(0 < q < 1 for q in self.cvar_q_grid):
+            raise ValueError(f"cvar_q_grid needs entries in (0, 1): {self.cvar_q_grid}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         if self.seed < 0:
@@ -493,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     csv_path.write_text(buf.getvalue(), encoding="utf-8", newline="")
 
     sweep_rows = None
-    if config.cvar_q_grid and config.app == "opf":
+    if config.cvar_q_grid:
         subset = tuple(range(0, data.n_nodes, 2))
         sweep_rows = cvar_q_sweep(data, subset, config.alphas[0], config.epsilon,
                                   config.cvar_q_grid, eta=config.eta,

@@ -11,9 +11,9 @@ OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
   * inequality/cone rows either replicated on the 2^k vertices of the
     empirical noise box (vertex method) or rewritten row-by-row as
     second-order-cone constraints with a safety factor (individual method);
-  * the query structure on X (identity, sum, weighted sum, fixed recourse)
-    pinned or appended as equalities, which is what makes the released
-    query's random part data-independent;
+  * the query's constraint on X: a selection xbar[rows] pins X[rows] = I, a
+    weighted sum w'xbar adds w'X = 1; either makes the release's random part
+    the raw draw, data-independent, so the release never reads X;
   * epigraph variables of the expected objective (the last columns of the
     input program) stay outside the rule; the blocks that touch them are
     kept at xbar or averaged over sampled noise points.
@@ -58,152 +58,74 @@ CVAR_STREAM = 1
 # 11 s per LU there, so a solve of 50-150 iterations would take 10-30 minutes.
 _MAX_VERTEX_ROWS = 8192
 
+# weight of the ridge |X_i|^2 that breaks ties in the free recourse (see privatize)
+RECOURSE_RIDGE = 1e-8
+
 
 class ConflictingConstraints(ValueError):
     """The equality recourse system contradicts the query constraint."""
 
 
-# --- query constraints --------------------------------------------------------
+# --- queries ------------------------------------------------------------------
+#
+# A query is a linear map of the rule's center: its release is value(xbar)
+# plus one raw noise draw, and never reads X.  recourse(n) is the constraint
+# on X that makes this exact, the query's value at X zeta being zeta: the
+# (mask, values) of the entries of X it pins, then the rows E vec(X) = r it
+# adds (vec row-major).
 
 
 @dataclass(frozen=True)
-class IdentityQuery:
-    """Release the whole solution vector; forces X = I (k = n)."""
+class SelectQuery:
+    """Release xbar[rows]; pins X[rows] = I_k (k = len(rows)), the other
+    rows of X stay free."""
 
-    def noise_dim(self, n: int) -> int:
-        return n
+    rows: tuple[int, ...]
 
-    def pins(self, n: int, k: int):
-        return np.ones((n, k), dtype=bool), np.eye(n, k)
+    def __init__(self, rows):
+        rows = tuple(int(i) for i in rows)
+        if not rows or len(set(rows)) != len(rows):
+            raise ValueError("a selection needs distinct rows")
+        object.__setattr__(self, "rows", rows)
 
-    def extra_equalities(self, n: int, k: int):
-        return np.zeros((0, n * k)), np.zeros(0)
+    @property
+    def k(self) -> int:
+        return len(self.rows)
 
-    def release_value(self, xbar, X, draw):
-        return xbar + draw
+    def value(self, xbar: np.ndarray) -> np.ndarray:
+        return xbar[list(self.rows)]
 
-    def nominal_value(self, xbar):
-        return np.array(xbar, copy=True)
-
-
-@dataclass(frozen=True)
-class SumQuery:
-    """Release 1'x; the single column of X must sum to one (k = 1)."""
-
-    def noise_dim(self, n: int) -> int:
-        return 1
-
-    def pins(self, n: int, k: int):
-        return np.zeros((n, k), dtype=bool), np.zeros((n, k))
-
-    def extra_equalities(self, n: int, k: int):
-        E = np.zeros((k, n * k))
-        for j in range(k):
-            E[j, j::k] = 1.0
-        return E, np.ones(k)
-
-    def release_value(self, xbar, X, draw):
-        return np.array([float(np.sum(xbar)) + draw[0]])
-
-    def nominal_value(self, xbar):
-        return np.array([float(np.sum(xbar))])
+    def recourse(self, n: int):
+        rows, k = list(self.rows), self.k
+        if max(rows) >= n or min(rows) < 0:
+            raise ValueError(f"selected rows {self.rows} outside a rule of {n} rows")
+        mask, values = np.zeros((n, k), dtype=bool), np.zeros((n, k))
+        mask[rows] = True
+        values[rows, np.arange(k)] = 1.0
+        return mask, values, np.zeros((0, n * k)), np.zeros(0)
 
 
 @dataclass(frozen=True)
 class WeightedSumQuery:
-    """Release w'x; requires w'X = 1 (k = 1)."""
+    """Release w'xbar; adds the equality w'X = 1 (k = 1)."""
 
     weights: tuple[float, ...]
+    k = 1
 
     def __init__(self, weights):
         object.__setattr__(self, "weights", tuple(float(w) for w in np.ravel(weights)))
 
-    def noise_dim(self, n: int) -> int:
-        return 1
-
-    def pins(self, n: int, k: int):
-        return np.zeros((n, k), dtype=bool), np.zeros((n, k))
-
-    def extra_equalities(self, n: int, k: int):
-        w = np.asarray(self.weights)
-        E = np.zeros((k, n * k))
-        for j in range(k):
-            E[j, j::k] = w
-        return E, np.ones(k)
-
-    def release_value(self, xbar, X, draw):
-        return np.array([float(np.asarray(self.weights) @ xbar) + draw[0]])
-
-    def nominal_value(self, xbar):
+    def value(self, xbar: np.ndarray) -> np.ndarray:
         return np.array([float(np.asarray(self.weights) @ xbar)])
 
-
-@dataclass(frozen=True)
-class FixedRecourseQuery:
-    """Pin listed entries of X to constants; unmasked entries stay free.
-
-    With a full mask the rule's random part is the constant map X zeta,
-    which is data-independent by construction.
-    """
-
-    values: tuple
-    mask: tuple
-
-    def __init__(self, values, mask=None):
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if mask is None:
-            mask = np.ones(values.shape, dtype=bool)
-        mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-        if mask.shape != values.shape:
-            raise ValueError("mask and values shapes differ")
-        object.__setattr__(self, "values", tuple(map(tuple, values)))
-        object.__setattr__(self, "mask", tuple(map(tuple, mask)))
-
-    def _arrays(self):
-        return np.array(self.mask, dtype=bool), np.array(self.values, dtype=float)
-
-    def noise_dim(self, n: int) -> int:
-        return len(self.values[0])
-
-    def pins(self, n: int, k: int):
-        mask, values = self._arrays()
-        if mask.shape != (n, k):
-            raise ValueError(f"recourse structure is {mask.shape}, expected {(n, k)}")
-        return mask, np.where(mask, values, 0.0)
-
-    def extra_equalities(self, n: int, k: int):
-        return np.zeros((0, n * k)), np.zeros(0)
-
-    def release_value(self, xbar, X, draw):
-        return xbar + X @ draw
-
-    def nominal_value(self, xbar):
-        return np.array(xbar, copy=True)
+    def recourse(self, n: int):
+        if len(self.weights) != n:
+            raise ValueError(f"{len(self.weights)} weights for a rule of {n} rows")
+        return (np.zeros((n, 1), dtype=bool), np.zeros((n, 1)),
+                np.array([self.weights]), np.ones(1))
 
 
-QueryConstraint = IdentityQuery | SumQuery | WeightedSumQuery | FixedRecourseQuery
-
-
-def apply_query_constraint(query: QueryConstraint, n: int, k: int):
-    """All linear equalities the query imposes on vec(X) (row-major).
-
-    Pinned entries appear as single-coefficient rows; sum-type queries as
-    one dense row per noise coordinate.
-    """
-    if query.noise_dim(n) != k:
-        raise ValueError(f"query implies k={query.noise_dim(n)}, got {k}")
-    mask, values = query.pins(n, k)
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(k):
-            if mask[i, j]:
-                e = np.zeros(n * k)
-                e[i * k + j] = 1.0
-                rows.append(e)
-                rhs.append(values[i, j])
-    E_extra, r_extra = query.extra_equalities(n, k)
-    E = np.vstack([np.array(rows).reshape(-1, n * k), E_extra])
-    return E, np.concatenate([np.array(rhs), r_extra])
+Query = SelectQuery | WeightedSumQuery
 
 
 # --- decision rule ------------------------------------------------------------
@@ -233,15 +155,15 @@ class DecisionRule:
         return self.xbar[None, :] + np.asarray(zetas, dtype=float) @ self.X.T
 
 
-def release_query(rule: DecisionRule, query: QueryConstraint, noise: NoiseSpec,
+def release_query(rule: DecisionRule, query: Query, noise: NoiseSpec,
                   seed: int, stream: int = 0) -> np.ndarray:
-    """Perturbed query answer; released minus nominal equals the raw draw."""
-    draw = sample_noise(noise, seed, 1, stream)[0]
-    return query.release_value(rule.xbar, rule.X, draw)
+    """Perturbed query answer: its value at xbar plus one raw draw, so
+    released minus nominal is that draw; X is never read."""
+    return query.value(rule.xbar) + sample_noise(noise, seed, 1, stream)[0]
 
 
-def nominal_query(rule: DecisionRule, query: QueryConstraint) -> np.ndarray:
-    return query.nominal_value(rule.xbar)
+def nominal_query(rule: DecisionRule, query: Query) -> np.ndarray:
+    return query.value(rule.xbar)
 
 
 # --- chance specifications ----------------------------------------------------
@@ -345,31 +267,6 @@ def reduce_quadratic_objective(X: np.ndarray, cov: np.ndarray) -> float:
     return float(np.trace(X @ cov @ X.T))
 
 
-@dataclass(frozen=True)
-class EqualitySplit:
-    """Case-4 split of equality rows under the rule.
-
-    nominal: b_E - A_E xbar = 0 (matrix, rhs over xbar)
-    recourse: A_E X = 0, expressed over vec(X) row-major (matrix, zero rhs)
-    """
-
-    nominal_matrix: np.ndarray
-    nominal_rhs: np.ndarray
-    recourse_matrix: np.ndarray
-    recourse_rhs: np.ndarray
-
-
-def split_equalities(A_E: np.ndarray, b_E: np.ndarray, k: int) -> EqualitySplit:
-    A_E = np.atleast_2d(np.asarray(A_E, dtype=float))
-    b_E = np.asarray(b_E, dtype=float).ravel()
-    m_e, n = A_E.shape
-    R = np.zeros((m_e * k, n * k))
-    for r in range(m_e):
-        for j in range(k):
-            R[r * k + j, j::k] = A_E[r]
-    return EqualitySplit(A_E.copy(), b_E.copy(), R, np.zeros(m_e * k))
-
-
 # --- the rule's columns and the one expansion --------------------------------
 
 
@@ -469,7 +366,7 @@ class PrivatizedProgram:
     program: ConicProgram
     space: RuleSpace
     noise: NoiseSpec
-    query: QueryConstraint
+    query: Query
     box_vertices: np.ndarray | None
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
@@ -518,7 +415,7 @@ class Privatization:
         return self.privatized.noise
 
     @property
-    def query(self) -> QueryConstraint:
+    def query(self) -> Query:
         return self.privatized.query
 
     @property
@@ -532,10 +429,9 @@ class Privatization:
 def privatize(
     program: ConicProgram,
     noise: NoiseSpec,
-    query: QueryConstraint,
+    query: Query,
     chance: ChanceSpec,
     seed: int,
-    recourse_ridge: float = 1e-8,
     epigraph_vars: int = 0,
     objective_samples: int = 0,
 ) -> PrivatizedProgram:
@@ -544,11 +440,10 @@ def privatize(
     Zero-cone rows are split exactly; all other rows are chance-constrained
     by the chosen method.  The expected linear objective reduces to c'xbar.
     Ties in X (it never enters the expected objective) are broken toward
-    minimal Frobenius norm through a small ridge: recourse_ridge |X_i|^2
+    minimal Frobenius norm through a small ridge: RECOURSE_RIDGE |X_i|^2
     for each rule row i with free entries, one ridge variable and one
     rotated-SOC block (ridge_i, 1/2, X_i) per row, which sums to
-    recourse_ridge |X_free|_F^2 and keeps each block as narrow as its row.
-    recourse_ridge=0 drops it.
+    RECOURSE_RIDGE |X_free|_F^2 and keeps each block as narrow as its row.
 
     The last `epigraph_vars` columns of the program are epigraph variables
     of the expected objective (such as t >= |w|^2); they are not part of
@@ -567,7 +462,7 @@ def privatize(
     if not isinstance(chance, (VertexChance, IndividualChance)):
         raise TypeError("chance must be VertexChance or IndividualChance")
     n = program.n - epigraph_vars
-    k = query.noise_dim(n)
+    k = query.k
     if noise.k != k:
         raise ValueError(f"noise dim {noise.k} inconsistent with query (k={k})")
 
@@ -591,14 +486,15 @@ def privatize(
             "use IndividualChance"
         )
 
-    space = RuleSpace(n, k, *query.pins(n, k))
+    pin_mask, pin_values, E_query, r_query = query.recourse(n)
+    space = RuleSpace(n, k, pin_mask, pin_values)
     obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
                   if objective_samples else np.zeros((1, k)))
     S = len(obj_points)
     n_epi = S * epigraph_vars
     free = space.ncols - n
     # rule rows with free entries, each with its own ridge variable
-    ridge_rows = np.unique(space.free[0]) if recourse_ridge > 0 else np.zeros(0, int)
+    ridge_rows = np.unique(space.free[0])
     N = space.ncols + n_epi + len(ridge_rows)
     names = space.names + [
         f"t[{e}]" + (f"[{s}]" if objective_samples else "")
@@ -607,17 +503,15 @@ def privatize(
     c = np.zeros(N)
     c[:n] = program.c[:n]
     c[space.ncols: space.ncols + n_epi] = np.tile(program.c[n:] / S, S)
-    c[space.ncols + n_epi:] = recourse_ridge
+    c[space.ncols + n_epi:] = RECOURSE_RIDGE
 
+    # the equality rows split exactly: b_E - A_E xbar = 0 over xbar, and the
+    # X-equality system over vec(X) (row-major): the recourse A_E X = 0, then
+    # the query's rows; the pinned entries of X move to the right-hand side
     A_E, b_E = program.A[eq_rows, :n], program.b[eq_rows]
-    split = split_equalities(A_E, b_E, k)
-
-    # X-equality system over free entries: recourse split + query equalities
-    E_query, r_query = query.extra_equalities(n, k)
-    X_eq = np.vstack([split.recourse_matrix, E_query])
-    X_rhs = np.concatenate([split.recourse_rhs, r_query])
-    pinned_contrib = X_eq @ space.pin_values.ravel()
-    rhs_eff = X_rhs - pinned_contrib
+    X_eq = np.vstack([np.kron(A_E, np.eye(k)), E_query])
+    X_rhs = np.concatenate([np.zeros(len(eq_rows) * k), r_query])
+    rhs_eff = X_rhs - X_eq @ space.pin_values.ravel()
     E_free = X_eq[:, space.free[0] * k + space.free[1]]
     if X_eq.shape[0]:
         if free:

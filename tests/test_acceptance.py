@@ -24,10 +24,10 @@ from dpconic.dp import (
 )
 from dpconic.ldr import (
     DecisionRule,
-    IdentityQuery,
     IndividualChance,
-    SumQuery,
+    SelectQuery,
     VertexChance,
+    WeightedSumQuery,
     nominal_query,
     privatize,
     release_query,
@@ -104,12 +104,12 @@ def test_03_data_independence_across_datasets():
                 pv = app_opf.privatize_opf(net, 1.0, 1.0, 0.05, seed=3)
                 rule, query, noise = pv.rule, pv.query, pv.noise
             elif query_name == "sum":
-                query = SumQuery()
+                query = WeightedSumQuery(np.ones(3))
                 noise = calibrate_laplace(10.0, 1.0, k=1)
                 X = np.full((3, 1), 1.0 / 3.0)  # satisfies 1'X = 1
                 rule = DecisionRule(sol.x, X)
             else:
-                query = IdentityQuery()
+                query = SelectQuery(range(3))
                 noise = calibrate_laplace(10.0, 1.0, k=3)
                 rule = DecisionRule(sol.x, np.eye(3))
             inc = release_query(rule, query, noise, seed) - nominal_query(rule, query)
@@ -175,7 +175,7 @@ def test_07_safety_factor_calibration():
         from dpconic.dp import NoiseSpec
 
         noise = NoiseSpec(family, 1, scale)
-        pp = privatize(prog, noise, IdentityQuery(),
+        pp = privatize(prog, noise, SelectQuery([0]),
                        IndividualChance(eta_bar=eta_bar, safety=kind), seed=1)
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
@@ -194,7 +194,7 @@ def test_08_cvar_equivalence_and_sweep():
     # (a) frozen rule: epigraph program value equals the sort-based CVaR
     prog = build_simple_lp(1.0, 1.0, 2.0)
     noise = calibrate_laplace(0.05, 1.0, k=1)
-    pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=1)
+    pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
     rule0 = pp.extract_rule(solve(pp.program))
     spec = CVaRSpec(q=0.8, samples=40, loss=(1.0,))
     aug, layout = augment_with_cvar(pp, spec, seed=9)

@@ -100,6 +100,30 @@ class TestPrivatize:
         assert sol.x[0] > 1.05
 
 
+class TestProgramInput:
+    """solve and privatize read --in through one reader: a file that cannot
+    be read exits 2 with the reason, not a traceback."""
+
+    @staticmethod
+    def _run(command, path):
+        extra = ["--scale", "0.05"] if command == "privatize" else []
+        return main([command, "--in", str(path)] + extra)
+
+    @pytest.mark.parametrize("command", ["solve", "privatize"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        assert self._run(command, tmp_path / "nope.json") == 2
+        assert "error: cannot read program:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "privatize"])
+    def test_malformed_file(self, tmp_path, capsys, command):
+        doc = json.loads(program_to_json(build_simple_lp(1.0, 1.0, 2.0)))
+        del doc["m"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert self._run(command, path) == 2
+        assert "error: cannot read program:" in capsys.readouterr().err
+
+
 class TestExperiment:
     def _config(self, tmp_path, **kw):
         doc = {

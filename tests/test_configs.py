@@ -124,8 +124,17 @@ def test_cvar6_sweep_rows(run):
     {"app": "regression", "dataset": "nonsense"},
     {"app": "regression", "dataset": "wind", "alphas": [2.0]},
     {"app": "opf", "seed": -1},
+    {"app": "opf", "alphas": [], "cvar_q_grid": [0.1]},
+    {"app": "opf", "cvar_q_grid": [1.5]},
+    {"app": "svm", "cvar_q_grid": [0.1]},
+    {"app": "opf", "alphas": [-1.0]},
+    {"app": "simple-lp", "alphas": [0.0]},
+    {"app": "opf", "strategies": []},
+    {"app": "ellipsoid", "alphas": [0.01], "delta": 1.0},
+    {"app": "regression", "delta": -0.1},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
-        "negative-seed"])
+        "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
+        "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))

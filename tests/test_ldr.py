@@ -23,21 +23,18 @@ from dpconic.ldr import (
     BOX_STREAM,
     ConflictingConstraints,
     DecisionRule,
-    FixedRecourseQuery,
-    IdentityQuery,
     IndividualChance,
-    SumQuery,
+    OBJ_STREAM,
+    RECOURSE_RIDGE,
+    SelectQuery,
     VertexChance,
     WeightedSumQuery,
-    apply_query_constraint,
-    OBJ_STREAM,
     hyperrectangle_vertices,
     nominal_query,
     privatize,
     reduce_quadratic_objective,
     release_query,
     safety_factor,
-    split_equalities,
     vertex_sample_size,
 )
 from dpconic.solver import SolverSettings, kkt_report, solve
@@ -111,55 +108,85 @@ class TestHyperrectangle:
 
 
 class TestQueryConstraint:
+    """recourse(n): the (mask, values) of the entries of X a query pins, and
+    the rows E vec(X) = r it adds."""
+
     def test_identity_pins(self):
-        E, r = apply_query_constraint(IdentityQuery(), 2, 2)
-        assert E.shape == (4, 4)
-        X = np.linalg.lstsq(E, r, rcond=None)[0].reshape(2, 2)
-        assert np.allclose(X, np.eye(2))
+        mask, values, E, r = SelectQuery(range(2)).recourse(2)
+        assert mask.all() and np.array_equal(values, np.eye(2))
+        assert E.shape == (0, 4) and r.shape == (0,)
 
     def test_sum_single_row(self):
-        E, r = apply_query_constraint(SumQuery(), 3, 1)
-        assert E.shape == (1, 3) and np.allclose(E, 1.0) and r[0] == 1.0
+        mask, values, E, r = WeightedSumQuery(np.ones(3)).recourse(3)
+        assert mask.shape == (3, 1) and not mask.any() and not values.any()
+        assert E.shape == (1, 3) and np.all(E == 1.0) and r[0] == 1.0
 
     def test_weighted_sum(self):
         w = np.array([2.0, 0.0, -1.0])
-        E, r = apply_query_constraint(WeightedSumQuery(w), 3, 1)
-        assert np.allclose(E.ravel(), w) and r[0] == 1.0
+        _, _, E, r = WeightedSumQuery(w).recourse(3)
+        assert np.array_equal(E.ravel(), w) and r[0] == 1.0
 
     def test_fixed_recourse_partial(self):
-        mask = np.array([[True, False], [False, True]])
-        vals = np.array([[5.0, 0.0], [0.0, 7.0]])
-        E, r = apply_query_constraint(FixedRecourseQuery(vals, mask), 2, 2)
-        assert E.shape == (2, 4)
-        assert set(r) == {5.0, 7.0}
+        # a selection of rows fixes those rows of X to I_k; the others stay free
+        mask, values, E, r = SelectQuery([2, 0]).recourse(3)
+        assert np.array_equal(mask, [[True, True], [False, False], [True, True]])
+        assert np.array_equal(values, [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        assert E.shape == (0, 6)
 
     def test_k_mismatch(self):
         with pytest.raises(ValueError):
-            apply_query_constraint(SumQuery(), 3, 2)
+            WeightedSumQuery(np.ones(2)).recourse(3)
+        with pytest.raises(ValueError):
+            SelectQuery([0, 3]).recourse(3)
+        for rows in ([], [1, 1]):
+            with pytest.raises(ValueError):
+                SelectQuery(rows)
+
+
+def _zero_block(pp):
+    """(A, b) of the transformed program's Zero block, A dense."""
+    blk, rows = _rows_of_block(pp.program, 0)
+    assert blk.kind == ConeKind.ZERO
+    return as_dense(pp.program.A)[rows], pp.program.b[rows]
 
 
 class TestSplitEqualities:
+    """privatize splits an equality row a'x = b into a'xbar = b over xbar and
+    a'X = 0 over X."""
+
     def test_balance_row(self):
-        split = split_equalities(np.ones((1, 3)), np.array([5.0]), k=1)
-        assert np.allclose(split.nominal_matrix, np.ones((1, 3)))
-        assert split.nominal_rhs[0] == 5.0
-        # recourse: sum over X column = 0
-        assert split.recourse_matrix.shape == (1, 3)
-        assert np.allclose(split.recourse_matrix, 1.0)
-        assert np.allclose(split.recourse_rhs, 0.0)
+        # 1'x = 5 under the weighted query w'X = 1: the Zero block holds
+        # 1'xbar = 5, the recourse 1'X = 0 and the query row w'X = 1
+        A = np.vstack([np.ones((1, 3)), -np.eye(3)])
+        prog = ConicProgram(A, np.array([5.0, 0.0, 0.0, 0.0]), np.ones(3),
+                            ConeSpec([zero(1), nonneg(3)]))
+        w = np.array([1.0, 2.0, 4.0])
+        pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), WeightedSumQuery(w),
+                       VertexChance(eta=0.1), seed=0)
+        G, h = _zero_block(pp)
+        X = [pp.space.X_idx[i, 0] for i in range(3)]
+        assert np.array_equal(G[:, :3], [[1.0] * 3, [0.0] * 3, [0.0] * 3])
+        assert np.array_equal(G[1:, X], [[1.0] * 3, w])
+        assert np.array_equal(h, [5.0, 0.0, 1.0])
 
     def test_empty_system(self):
-        split = split_equalities(np.zeros((0, 2)), np.zeros(0), k=3)
-        assert split.nominal_matrix.shape == (0, 2)
-        assert split.recourse_matrix.shape == (0, 6)
+        # no equality row and every entry of X pinned: no Zero block at all
+        pp = privatize(_box_program(), calibrate_laplace(0.1, 1.0, k=2),
+                       SelectQuery(range(2)), VertexChance(eta=0.1), seed=0)
+        assert ConeKind.ZERO not in [blk.kind for blk in pp.program.cones.blocks]
 
     def test_multi_k_layout(self):
-        A = np.array([[1.0, 2.0]])
-        split = split_equalities(A, np.array([0.0]), k=2)
-        # rows j of A_E X = 0 over vec(X) row-major
-        assert split.recourse_matrix.shape == (2, 4)
-        assert np.allclose(split.recourse_matrix[0], [1.0, 0.0, 2.0, 0.0])
-        assert np.allclose(split.recourse_matrix[1], [0.0, 1.0, 0.0, 2.0])
+        # x0 + 2 x1 - x2 = 0 with X[0:2] = I: the recourse row j is
+        # e_j' (1, 2) - X[2][j] = 0, its pinned part moved to the right-hand side
+        A = np.vstack([[1.0, 2.0, -1.0], -np.eye(3)])
+        prog = ConicProgram(A, np.zeros(4), np.ones(3), ConeSpec([zero(1), nonneg(3)]))
+        pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=2), SelectQuery(range(2)),
+                       VertexChance(eta=0.1), seed=0)
+        G, h = _zero_block(pp)
+        X = [pp.space.X_idx[2, j] for j in range(2)]
+        assert G.shape[0] == 3
+        assert np.array_equal(G[1:, X], -np.eye(2))
+        assert np.array_equal(h, [0.0, -1.0, -2.0])
 
 
 class TestSafetyFactor:
@@ -208,28 +235,24 @@ class TestQuadraticReduction:
         assert abs(vals.mean() - closed) < 3 * se
 
 
-def _free_recourse(n, k):
-    return FixedRecourseQuery(np.zeros((n, k)), mask=np.zeros((n, k), dtype=bool))
-
-
 class TestIndividualRows:
     def test_zero_coefficient_is_plain_row(self):
-        noise = NoiseSpec("gaussian", 2, 1.0)
+        noise = NoiseSpec("gaussian", 1, 1.0)
         prog = ConicProgram(np.zeros((1, 2)), np.array([1.0]), np.ones(2),
                             ConeSpec([nonneg(1)]))
-        pp = privatize(prog, noise, _free_recourse(2, 2),
+        pp = privatize(prog, noise, SelectQuery([0]),
                        IndividualChance(eta_bar=0.1, safety="gaussian"), seed=0)
         assert pp.program.cones.blocks[0] == nonneg(1)
         assert pp.program.b[0] == 1.0  # untightened constant
         assert not as_dense(pp.program.A)[0].any()
 
     def test_constant_coefficient_tightens_linearly(self):
-        # a fixed numeric row with free recourse: scalar noise degenerates
-        # the SOC row to two NonNeg rows
+        # a fixed numeric row over a free entry of X (X[1]): scalar noise
+        # degenerates the SOC row to two NonNeg rows
         noise = NoiseSpec("laplace", 1, 2.0)
         prog = ConicProgram(np.array([[1.0, -1.0]]), np.array([3.0]), np.ones(2),
                             ConeSpec([nonneg(1)]))
-        pp = privatize(prog, noise, _free_recourse(2, 1),
+        pp = privatize(prog, noise, SelectQuery([0]),
                        IndividualChance(eta_bar=0.5), seed=0)
         assert pp.program.cones.blocks[0] == nonneg(2)
 
@@ -254,7 +277,8 @@ class TestPrivatize:
     def test_simple_lp_box_geometry(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=42)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05),
+                       seed=42)
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         rule = pp.extract_rule(sol)
@@ -266,7 +290,8 @@ class TestPrivatize:
     def test_zero_noise_limit_recovers_deterministic(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = NoiseSpec("laplace", 1, 1e-12)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=0)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05),
+                       seed=0)
         rule = pp.extract_rule(solve(pp.program))
         det = solve(prog)
         assert abs(rule.xbar[0] - det.x[0]) < 1e-5
@@ -275,7 +300,7 @@ class TestPrivatize:
         # feasible at all box vertices implies feasible inside the box
         prog = _box_program()
         noise = calibrate_laplace(0.1, 1.0, k=2)
-        pp = privatize(prog, noise, IdentityQuery(), VertexChance(eta=0.1), seed=2)
+        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=2)
         rule = pp.extract_rule(solve(pp.program))
         lo = pp.box_vertices.min(axis=0)
         hi = pp.box_vertices.max(axis=0)
@@ -289,7 +314,7 @@ class TestPrivatize:
         prog = _box_program()
         noise = calibrate_laplace(0.08, 1.0, k=2)
         chance = VertexChance(eta=0.1, samples=64)
-        pp = privatize(prog, noise, IdentityQuery(), chance, seed=6)
+        pp = privatize(prog, noise, SelectQuery(range(2)), chance, seed=6)
         rule = pp.extract_rule(solve(pp.program))
         draws = sample_noise(noise, 6, 64, stream=BOX_STREAM)
         for zeta in draws:
@@ -303,7 +328,8 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.ones(2), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(ConflictingConstraints):
-            privatize(prog, noise, SumQuery(), VertexChance(eta=0.1), seed=0)
+            privatize(prog, noise, WeightedSumQuery(np.ones(2)), VertexChance(eta=0.1),
+                      seed=0)
 
     def test_identity_with_nonzero_equality_row_conflicts(self):
         A = np.vstack([np.array([[1.0, 0.0]]), np.eye(2), -np.eye(2)])
@@ -311,7 +337,7 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.ones(2), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.1, 1.0, k=2)
         with pytest.raises(ConflictingConstraints):
-            privatize(prog, noise, IdentityQuery(), VertexChance(eta=0.1), seed=0)
+            privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=0)
 
     def test_weighted_query_with_balance_is_consistent(self):
         # 1'X = 0 and c'X = 1 coexist when c is not constant
@@ -346,12 +372,14 @@ class TestPrivatize:
                             ConeSpec([soc(3)]))
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(ValueError):
-            privatize(prog, noise, SumQuery(), IndividualChance(eta=0.1), seed=0)
+            privatize(prog, noise, WeightedSumQuery(np.ones(2)), IndividualChance(eta=0.1),
+                      seed=0)
 
     def test_unknown_chance_spec_rejected(self):
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(TypeError):
-            privatize(build_simple_lp(1.0, 1.0, 2.0), noise, SumQuery(), 0.05, seed=0)
+            privatize(build_simple_lp(1.0, 1.0, 2.0), noise, WeightedSumQuery([1.0]), 0.05,
+                      seed=0)
 
     def test_vertex_blow_up_fails_before_sampling(self, monkeypatch):
         import dpconic.ldr as ldr
@@ -369,7 +397,7 @@ class TestPrivatize:
                             ConeSpec([nonneg(2 * k), nonneg(1)]))
         noise = calibrate_laplace(0.1, 1.0, k=k)
         with pytest.raises(ValueError) as err:
-            privatize(prog, noise, IdentityQuery(), VertexChance(eta=0.1), seed=0,
+            privatize(prog, noise, SelectQuery(range(k)), VertexChance(eta=0.1), seed=0,
                       epigraph_vars=1, objective_samples=4)
         msg = str(err.value)
         assert "k=16" in msg and "65536" in msg and str(65536 * 2 * k) in msg
@@ -382,7 +410,7 @@ class TestPrivatize:
         prog = ConicProgram(A, np.array([0.0, 0.5, 0.0]), np.array([0.3, 1.0]),
                             ConeSpec([rsoc(3)]))
         assert IndividualChance(eta=0.1).row_levels(0).shape == (0,)
-        pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), IdentityQuery(),
+        pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), SelectQuery([0]),
                        IndividualChance(eta=0.1), seed=0, epigraph_vars=1)
         assert pp.program.cones == ConeSpec([rsoc(3)])
         sol = solve(pp.program)
@@ -403,13 +431,13 @@ class TestReleaseQuery:
         draw = sample_noise(noise, 12, 1)[0]
         for xbar in ([1.0], [42.0], [-3.5]):
             rule = DecisionRule(np.array(xbar), np.ones((1, 1)))
-            rel = release_query(rule, SumQuery(), noise, seed=12)
+            rel = release_query(rule, WeightedSumQuery([1.0]), noise, seed=12)
             assert np.array_equal(rel, np.array([np.sum(xbar)]) + draw[0])
 
     def test_identity_release(self):
         noise = NoiseSpec("gaussian", 2, 0.3)
         rule = DecisionRule(np.array([1.0, 2.0]), np.eye(2))
-        rel = release_query(rule, IdentityQuery(), noise, seed=3)
+        rel = release_query(rule, SelectQuery(range(2)), noise, seed=3)
         assert np.array_equal(rel, rule.xbar + sample_noise(noise, 3, 1)[0])
 
     def test_weighted_release(self):
@@ -420,19 +448,20 @@ class TestReleaseQuery:
         assert np.array_equal(rel, np.array([5.0]) + sample_noise(noise, 4, 1)[0][0])
 
     def test_fixed_recourse_release(self):
+        # a selection releases its rows of xbar plus the draw; the recourse
+        # X is never read, so NaN there does not reach the release
         noise = NoiseSpec("gaussian", 2, 0.1)
-        X = np.array([[1.0, 0.0], [0.0, 2.0]])
-        rule = DecisionRule(np.array([1.0, 1.0]), X)
-        q = FixedRecourseQuery(X)
-        rel = release_query(rule, q, noise, seed=5)
-        assert np.array_equal(rel, rule.xbar + X @ sample_noise(noise, 5, 1)[0])
+        rule = DecisionRule(np.array([1.0, 5.0, 3.0]), np.full((3, 2), np.nan))
+        rel = release_query(rule, SelectQuery([2, 0]), noise, seed=5)
+        assert np.array_equal(rel, np.array([3.0, 1.0]) + sample_noise(noise, 5, 1)[0])
 
     def test_same_seed_same_increment_across_datasets(self):
         noise = NoiseSpec("laplace", 1, 0.4)
         r1 = DecisionRule(np.array([1.0]), np.ones((1, 1)))
         r2 = DecisionRule(np.array([7.0]), np.ones((1, 1)))
-        inc1 = release_query(r1, SumQuery(), noise, 9) - nominal_query(r1, SumQuery())
-        inc2 = release_query(r2, SumQuery(), noise, 9) - nominal_query(r2, SumQuery())
+        q = WeightedSumQuery([1.0])
+        inc1 = release_query(r1, q, noise, 9) - nominal_query(r1, q)
+        inc2 = release_query(r2, q, noise, 9) - nominal_query(r2, q)
         assert np.allclose(inc1, inc2, rtol=0, atol=1e-12)
 
 
@@ -458,9 +487,9 @@ def _rows_of_block(program, index):
     return blk, slice(start, start + blk.dim)
 
 
-def _single_block_ridge(program, recourse_ridge=1e-8):
+def _single_block_ridge(program):
     """The program with its recourse ridge as one block (ridge, 1/2, X_free)
-    over one ridge variable: recourse_ridge |X_free|_F^2 in a single
+    over one ridge variable: RECOURSE_RIDGE |X_free|_F^2 in a single
     rotated-SOC block, in place of privatize's last blocks, one per ridge
     variable."""
     names = program.variable_names
@@ -476,7 +505,7 @@ def _single_block_ridge(program, recourse_ridge=1e-8):
     h[1] = 0.5
     return ConicProgram(np.vstack([np.hstack([A, np.zeros((m, 1))]), G]),
                         np.concatenate([program.b[:m], h]),
-                        np.append(program.c[~ridge], recourse_ridge),
+                        np.append(program.c[~ridge], RECOURSE_RIDGE),
                         ConeSpec(list(blocks) + [rsoc(2 + free.size)]))
 
 
@@ -513,7 +542,8 @@ class TestEpigraphVariables:
         noise = calibrate_laplace(0.1, 1.0, k=1)
         for chance in (VertexChance(eta=0.1), IndividualChance(eta_bar=0.1)):
             # the sum query leaves X free, so the block really ignores X zeta
-            pp = privatize(base, noise, SumQuery(), chance, seed=3, epigraph_vars=1)
+            pp = privatize(base, noise, WeightedSumQuery(np.ones(2)), chance, seed=3,
+                           epigraph_vars=1)
             prog = pp.program
             t = prog.variable_names.index("t[0]")
             # the recourse ridge blocks are last, one per ridge variable
@@ -536,7 +566,7 @@ class TestEpigraphVariables:
         base = _epigraph_program(c_t=3.0)
         noise = calibrate_laplace(0.1, 1.0, k=2)
         S = 5
-        pp = privatize(base, noise, IdentityQuery(), VertexChance(eta=0.1),
+        pp = privatize(base, noise, SelectQuery(range(2)), VertexChance(eta=0.1),
                        seed=4, epigraph_vars=1, objective_samples=S)
         prog = pp.program
         draws = sample_noise(noise, 4, S, stream=OBJ_STREAM)
@@ -556,7 +586,7 @@ class TestEpigraphVariables:
 
     def test_individual_chance_accepts_cone_objective_block(self):
         noise = calibrate_laplace(0.1, 1.0, k=2)
-        pp = privatize(_epigraph_program(), noise, IdentityQuery(),
+        pp = privatize(_epigraph_program(), noise, SelectQuery(range(2)),
                        IndividualChance(eta_bar=0.1), seed=0, epigraph_vars=1)
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
@@ -669,10 +699,24 @@ def _ref_chance_row_blocks(space, rows, noise, levels, kind):
     return blocks
 
 
-def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
-                   epigraph_vars=0, objective_samples=0):
+def _ref_query_constraint(query, n):
+    """(k, pin mask, pin values, E, r) of the query, read off its fields: a
+    SelectQuery pins its rows of X to I_k, a WeightedSumQuery adds w'X = 1."""
+    if isinstance(query, SelectQuery):
+        k = len(query.rows)
+        mask, values = np.zeros((n, k), dtype=bool), np.zeros((n, k))
+        for j, i in enumerate(query.rows):
+            mask[i] = True
+            values[i, j] = 1.0
+        return k, mask, values, np.zeros((0, n * k)), np.zeros(0)
+    return (1, np.zeros((n, 1), dtype=bool), np.zeros((n, 1)),
+            np.array([query.weights]), np.ones(1))
+
+
+def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
+                   objective_samples=0):
     n = program.n - epigraph_vars
-    k = query.noise_dim(n)
+    k, pin_mask, pin_values, E_query, r_query = _ref_query_constraint(query, n)
     eq_A, eq_b, chance_blocks, objective_blocks = [], [], [], []
     for blk, start in program.cones.offsets():
         rows = slice(start, start + blk.dim)
@@ -685,7 +729,6 @@ def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
         else:
             chance_blocks.append((blk.kind, A_rule, A_epi, b))
     builder = _RefBuilder()
-    pin_mask, pin_values = query.pins(n, k)
     space = _RefSpace(builder, n, k, pin_mask, pin_values)
     for i in range(n):
         builder.obj[space.xbar_idx[i]] += float(program.c[i])
@@ -698,10 +741,13 @@ def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
         for s in range(len(obj_points))]
     A_E = np.vstack(eq_A) if eq_A else np.zeros((0, n))
     b_E = np.concatenate(eq_b) if eq_b else np.zeros(0)
-    split = split_equalities(A_E, b_E, k)
-    E_query, r_query = query.extra_equalities(n, k)
-    X_eq = np.vstack([split.recourse_matrix, E_query])
-    X_rhs = np.concatenate([split.recourse_rhs, r_query])
+    # the recourse A_E X = 0 over vec(X), row-major: row (r, j) is A_E[r] X[:, j]
+    recourse = np.zeros((len(A_E) * k, n * k))
+    for r in range(len(A_E)):
+        for j in range(k):
+            recourse[r * k + j, j::k] = A_E[r]
+    X_eq = np.vstack([recourse, E_query])
+    X_rhs = np.concatenate([np.zeros(len(A_E) * k), r_query])
     free_cols = [i * k + j for i, j in space.free]
     rhs_eff = X_rhs - X_eq @ np.where(pin_mask.ravel(), pin_values.ravel(), 0.0)
     zero_rows = [(space.nominal_terms(A_E[r]), float(b_E[r])) for r in range(len(A_E))]
@@ -728,8 +774,8 @@ def _ref_privatize(program, noise, query, chance, seed, recourse_ridge=1e-8,
             builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk,
                                                     epi_idx, point))
     # one ridge variable and block per rule row with free entries
-    for row in sorted({i for i, _ in space.free}) if recourse_ridge > 0 else ():
-        u = builder.add_var(f"ridge[{row}]", obj=recourse_ridge)
+    for row in sorted({i for i, _ in space.free}):
+        u = builder.add_var(f"ridge[{row}]", obj=RECOURSE_RIDGE)
         builder.add_block(ConeKind.RSOC, [({u: 1.0}, 0.0), ({}, 0.5)] + [
             ({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free if i == row])
     return builder.build()
@@ -743,18 +789,16 @@ def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 6) if query_kind != "pinned" else rng.integers(5, 8))
     if query_kind == "identity":
-        query, k = IdentityQuery(), n
+        query, k = SelectQuery(range(n)), n
     elif query_kind == "sum":
-        query, k = SumQuery(), 1
+        query, k = WeightedSumQuery(np.ones(n)), 1
     elif query_kind == "weighted":
         query, k = WeightedSumQuery(rng.uniform(0.5, 2.0, n)), 1
     else:
-        # partial mask, pins other than 0/1, and a free entry in every column;
-        # most entries pinned, so a'X sums several pinned terms per column
+        # k_pinned rows of X pinned to I, in no particular order; the other
+        # rows free
         k = k_pinned
-        mask = rng.random((n, k)) < 0.75
-        mask[rng.integers(n, size=k), np.arange(k)] = False
-        query = FixedRecourseQuery(rng.normal(size=(n, k)), mask)
+        query = SelectQuery(rng.permutation(n)[:k])
 
     def rows(m, dense=False):
         A = rng.normal(size=(m, n))
@@ -799,31 +843,32 @@ def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
 
 ORACLE_CASES = [
     # (query, chance, k of the pinned query, equality rows, epigraph vars,
-    #  objective samples, recourse ridge)
-    ("identity", "vertex", 0, False, 0, 0, 1e-8),
-    ("identity", "individual", 0, False, 0, 0, 1e-8),
-    ("sum", "vertex", 0, True, 0, 0, 1e-8),
-    ("sum", "individual", 0, True, 0, 0, 0.0),
-    ("weighted", "vertex", 0, True, 1, 0, 1e-8),
-    ("weighted", "individual", 0, True, 1, 3, 1e-8),
-    ("pinned", "vertex", 1, True, 0, 0, 1e-8),
-    ("pinned", "vertex", 3, True, 2, 4, 1e-8),
-    ("pinned", "individual", 1, True, 1, 0, 1e-8),
-    ("pinned", "individual", 2, True, 0, 0, 0.0),
-    ("pinned", "individual", 3, False, 2, 3, 1e-8),
-    ("identity", "vertex", 0, False, 1, 3, 0.0),
-    ("identity", "individual", 0, False, 2, 0, 1e-8),
+    #  objective samples); each id ends in the ridge weight, RECOURSE_RIDGE
+    ("identity", "vertex", 0, False, 0, 0),
+    ("identity", "individual", 0, False, 0, 0),
+    ("sum", "vertex", 0, True, 0, 0),
+    ("sum", "individual", 0, True, 0, 0),
+    ("weighted", "vertex", 0, True, 1, 0),
+    ("weighted", "individual", 0, True, 1, 3),
+    ("pinned", "vertex", 1, True, 0, 0),
+    ("pinned", "vertex", 3, True, 2, 4),
+    ("pinned", "individual", 1, True, 1, 0),
+    ("pinned", "individual", 2, True, 0, 0),
+    ("pinned", "individual", 3, False, 2, 3),
+    ("identity", "vertex", 0, False, 1, 3),
+    ("identity", "individual", 0, False, 2, 0),
 ]
 
 
 class TestExpansionMatchesDictRows:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize("case", ORACLE_CASES,
+                             ids=lambda c: "-".join(map(str, c + (RECOURSE_RIDGE,))))
     def test_same_program(self, case, seed):
-        query_kind, chance_kind, k_pinned, equality, epi, obj_samples, ridge = case
+        query_kind, chance_kind, k_pinned, equality, epi, obj_samples = case
         program, noise, query, chance = _random_case(seed, query_kind, chance_kind,
                                                      k_pinned, equality, epi)
-        kw = dict(recourse_ridge=ridge, epigraph_vars=epi, objective_samples=obj_samples)
+        kw = dict(epigraph_vars=epi, objective_samples=obj_samples)
         got = privatize(program, noise, query, chance, seed, **kw).program
         ref = _ref_privatize(program, noise, query, chance, seed, **kw)
         assert np.array_equal(as_dense(got.A), ref.A)
@@ -838,7 +883,8 @@ class TestExpansionMatchesDictRows:
         names = pp.program.variable_names
         assert [names[i] for i in pp.space.xbar_idx] == [
             f"xbar[{i}]" for i in range(pp.space.n)]
-        mask = np.array(query.mask)
+        mask = np.zeros((pp.space.n, 3), dtype=bool)
+        mask[list(query.rows)] = True
         free = [(i, j) for i in range(pp.space.n) for j in range(3) if not mask[i, j]]
         assert [names[pp.space.X_idx[i, j]] for i, j in free] == [
             f"X[{i}][{j}]" for i, j in free]

@@ -1,11 +1,13 @@
 """The one release path: every study's Privatization releases its nominal
 query plus the raw sample_noise draw, bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
-from dpconic.ldr import IndividualChance, Privatization, nominal_query
+from dpconic.ldr import DecisionRule, IndividualChance, Privatization, nominal_query
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 
 
@@ -62,9 +64,19 @@ def test_release_is_nominal_plus_raw_draw(study):
     pv, unpack = study
     assert isinstance(pv, Privatization)
     nominal = nominal_query(pv.rule, pv.query)
-    k = pv.noise.k
+    assert nominal.shape == (pv.noise.k,)
     assert _bytes(pv.nominal) == _bytes(unpack(nominal))
-    # the svm's query vector is its whole rule; its release reads the first k
     for stream in range(4):
         draw = sample_noise(pv.noise, 17, 1, stream)[0]
-        assert _bytes(pv.release(17, stream)) == _bytes(unpack(nominal[:k] + draw))
+        assert _bytes(pv.release(17, stream)) == _bytes(unpack(nominal + draw))
+
+
+def test_release_never_reads_the_recourse(study):
+    # the query's constraint on X fixes the release's random part, so the
+    # release reads only xbar: a rule whose X is all NaN releases the same bytes
+    pv, unpack = study
+    blind = replace(pv, rule=DecisionRule(pv.rule.xbar, np.full_like(pv.rule.X, np.nan)))
+    nominal = nominal_query(pv.rule, pv.query)
+    for stream in range(3):
+        draw = sample_noise(pv.noise, 12, 1, stream)[0]
+        assert _bytes(blind.release(12, stream)) == _bytes(unpack(nominal + draw))

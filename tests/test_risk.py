@@ -10,10 +10,8 @@ from dpconic.dp import NoiseSpec, calibrate_laplace
 from dpconic.dp import sample_noise
 from dpconic.ldr import (
     DecisionRule,
-    FixedRecourseQuery,
-    IdentityQuery,
     IndividualChance,
-    SumQuery,
+    SelectQuery,
     VertexChance,
     WeightedSumQuery,
     privatize,
@@ -181,7 +179,7 @@ class TestAugmentWithCvar:
     def _frozen_value(self, q, samples, seed_draws, xbar0=None):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
         sol0 = solve(pp.program)
         rule0 = pp.extract_rule(sol0)
         xb = float(rule0.xbar[0]) if xbar0 is None else xbar0
@@ -212,14 +210,14 @@ class TestAugmentWithCvar:
     def test_loss_dimension_checked(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
         with pytest.raises(ValueError):
             augment_with_cvar(pp, CVaRSpec(q=0.5, samples=3, loss=(1.0, 2.0)), seed=0)
 
     def test_query_rows_untouched(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
         aug, _ = augment_with_cvar(pp, CVaRSpec(q=0.5, samples=7, loss=(1.0,)), seed=2)
         sol = solve(aug, SolverSettings(tol=1e-9))
         assert sol.status == Status.OPTIMAL
@@ -229,7 +227,7 @@ class TestAugmentWithCvar:
     def test_blend_keeps_expected_cost_term(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, SumQuery(), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
         spec = CVaRSpec(q=0.5, samples=7, loss=(1.0,))
         aug0, _ = augment_with_cvar(pp, spec, seed=2, blend=0.0)
         aug1, _ = augment_with_cvar(pp, spec, seed=2, blend=1.0)
@@ -290,18 +288,10 @@ def _privatized(query_kind, seed):
     if query_kind == "weighted":
         query, k = WeightedSumQuery(rng.uniform(0.5, 2.0, n)), 1
     elif query_kind == "identity":
-        query, k = IdentityQuery(), n
-    elif query_kind == "identity-rows":
-        # the SVM's structure: the first k rows of X pinned to I, the rest free
-        k = 2
-        mask = np.zeros((n, k), dtype=bool)
-        mask[:k] = True
-        query = FixedRecourseQuery(np.eye(n, k), mask)
+        query, k = SelectQuery(range(n)), n
     else:
-        k = 2
-        mask = rng.random((n, k)) < 0.6
-        mask[0] = False
-        query = FixedRecourseQuery(rng.normal(size=(n, k)), mask)
+        # the SVM's structure: the first k rows of X pinned to I, the rest free
+        query, k = SelectQuery(range(2)), 2
     noise = calibrate_laplace(0.2, 1.0, k=k)
     return privatize(prog, noise, query, IndividualChance(eta=0.1), seed=seed)
 
@@ -322,17 +312,3 @@ class TestAugmentMatchesLoop:
         assert got.cones == ref.cones
         assert got.variable_names == ref.variable_names
         assert list(layout["z"]) == list(range(pp.program.n + 1, got.n))
-
-    def test_general_pins_sum_in_another_order(self):
-        # with several pinned entries per noise coordinate and pins other
-        # than 0/1, the expansion sums the constant as sum_j (l'V)_j zeta_j
-        # where the loop summed sum_i sum_j (l_i zeta_j) V_ij: equal up to
-        # rounding, while the matrix and objective stay exact
-        pp = _privatized("pinned", 3)
-        assert (np.count_nonzero(pp.space.X_idx < 0, axis=0) > 1).any()
-        spec = CVaRSpec(q=0.7, samples=11, loss=(1.0, -2.0, 0.5, 3.0))
-        got, _ = augment_with_cvar(pp, spec, seed=4)
-        ref = _ref_augment(pp, spec, 4)
-        assert np.array_equal(as_dense(got.A), ref.A)
-        assert np.array_equal(got.c, ref.c)
-        np.testing.assert_allclose(got.b, ref.b, rtol=1e-14, atol=1e-14)

@@ -22,7 +22,7 @@ from dpconic.conic import (
 from dpconic import experiments, solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, rng_stream
-from dpconic.ldr import (IndividualChance, SumQuery, VertexChance, WeightedSumQuery,
+from dpconic.ldr import (IndividualChance, VertexChance, WeightedSumQuery,
                          privatize)
 from dpconic.risk import CVaRSpec, augment_with_cvar
 from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
@@ -1051,7 +1051,7 @@ class TestCsrPrograms:
         ell = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                             eta=0.1, seed=1)
         lp = privatize(build_simple_lp(1.0, 1.0, 2.0), calibrate_laplace(0.1, 1.0, k=1),
-                       SumQuery(), VertexChance(eta=0.1), seed=2)
+                       WeightedSumQuery([1.0]), VertexChance(eta=0.1), seed=2)
         # the sparse factor and the dense one
         return {"ellipsoid": (ell.program, ellipsoid.DEFAULT_SETTINGS),
                 "simple-lp": (lp.program, None)}
