@@ -44,7 +44,6 @@ from .ldr import (
     VertexChance,
     WeightedSumQuery,
     hyperrectangle_vertices,
-    nominal_query,
     privatize,
     reduce_quadratic_objective,
     release_query,

@@ -20,6 +20,7 @@ from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import Privatization, SelectQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
+from .metrics import Study
 
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=150)
 
@@ -260,3 +261,25 @@ def privatize_ellipsoid(
                    VertexChance(eta), seed, epigraph_vars=1,
                    objective_samples=obj_samples)
     return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)
+
+
+def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
+    """The experiment study (cfg: epsilon, eta, delta, 0.1 when 0): a
+    released (z, Y) scores its volume deficit against the non-private
+    ellipse, and is violated when its ellipse leaves the polygon."""
+    z_det, Y_det, _, _ = solve_ellipsoid(inst)
+    vol_det = ellipsoid_volume(Y_det)
+
+    def score(rows, pv):
+        zY = [unpack_rule_vector(r) for r in rows]
+        deficits = [vol_det - ellipsoid_volume(Y) for _, Y in zY]
+        outside = [not contains_ellipsoid(inst, z, Y) for z, Y in zY]
+        return np.array(deficits), np.array(outside)
+
+    return Study(
+        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
+            cfg.epsilon, cfg.delta or 0.1).noise(RULE_DIM),
+        nominal=rule_vector(z_det, Y_det),
+        privatize=lambda alpha, noise, seed: privatize_ellipsoid(
+            inst, noise, eta=cfg.eta, seed=seed),
+        score=score, draws=500)

@@ -1,52 +1,61 @@
-"""Monte Carlo evaluation of decision rules against a base program."""
+"""The study record every experiment point is scored through, and the rule
+reader of the opf program score."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..conic import ConicProgram, Solution, as_dense, cone_membership_rows
-from ..dp import NoiseSpec, sample_noise
-from ..ldr import DecisionRule
+from ..dp import NoiseSpec, SensitivityReport
+from ..ldr import DecisionRule, Privatization
 
 
 @dataclass(frozen=True)
-class RuleMetrics:
-    mean_loss: float
-    infeasibility_rate: float
-    losses: np.ndarray
-    feasible: np.ndarray
+class Study:
+    """What every point of one experiment run shares, for one app.
+
+    ``calibrate(alpha, sensitivity)`` is the point's noise; ``sensitivity()``
+    returns the run's shared SensitivityReport at this alpha and estimates
+    it on its first call, so only a study that calls it pays for one.
+    ``nominal`` is the query value at the non-private optimum x*: the output
+    strategy's rows are it plus raw draws.  ``privatize(alpha, noise, seed)``
+    is the program strategy's Privatization; it raises NotOptimal when that
+    program has no optimum.  ``score(rows, pv)`` maps (S, k) released rows
+    to per-row losses and violations; ``pv`` is the Privatization the rows
+    came from, None for output and input rows.  At most ``draws`` rows are
+    scored (None: the config's ``mc_samples``).  ``input_rows(alpha, noise,
+    seed, count)`` draws the input strategy's rows from the point's seed; it
+    is None where the app has no input perturbation.
+    """
+
+    calibrate: Callable[[float, Callable[[], SensitivityReport]], NoiseSpec]
+    nominal: np.ndarray
+    privatize: Callable[[float, NoiseSpec, int], Privatization]
+    score: Callable[[np.ndarray, Privatization | None], tuple[np.ndarray, np.ndarray]]
+    draws: int | None = None
+    input_rows: Callable[[float, NoiseSpec, int, int], np.ndarray] | None = None
 
 
 def evaluate_rule_metrics(
     rule: DecisionRule,
     program: ConicProgram,
     base: Solution,
-    noise: NoiseSpec,
-    samples: int,
-    seed: int,
-    stream: int = 0,
+    zetas: np.ndarray,
     membership_tol: float = 1e-6,
     loss: np.ndarray | None = None,
-) -> RuleMetrics:
-    """Draw `samples` noise realizations and score the rule on the base program.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(losses, feasible) of the rule at the noise points ``zetas`` (one per
+    row) on the base program.
 
-    infeasibility_rate counts draws whose realized solution leaves the base
-    feasible region (cone membership of the slack at membership_tol); the
-    loss column is l'(xbar + X zeta) - l'(x*) with l defaulting to the base
-    objective.
+    A loss is l'(xbar + X zeta) - l'(x*), with l defaulting to the base
+    objective; a point is feasible when its realized solution stays in the
+    base feasible region (cone membership of the slack at membership_tol).
     """
     lvec = np.asarray(loss if loss is not None else program.c, dtype=float).ravel()
-    zetas = sample_noise(noise, seed, samples, stream)
     xs = rule.evaluate_many(zetas)
-    base_value = float(lvec @ base.x)
-    losses = xs @ lvec - base_value
-    feasible = cone_membership_rows(program.b - xs @ as_dense(program.A).T, program.cones,
-                                    membership_tol)
-    return RuleMetrics(
-        mean_loss=float(losses.mean()),
-        infeasibility_rate=float(1.0 - feasible.mean()),
-        losses=losses,
-        feasible=feasible,
-    )
+    losses = xs @ lvec - float(lvec @ base.x)
+    return losses, cone_membership_rows(program.b - xs @ as_dense(program.A).T,
+                                        program.cones, membership_tol)

@@ -15,9 +15,10 @@ import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, NotOptimal, Solution, Status, nonneg,
                      require_optimal, zero)
-from ..dp import AdjacencyModel, calibrate_laplace, sample_noise
+from ..dp import AdjacencyModel, Purpose, calibrate_laplace, derive_seed, sample_noise
 from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve, solve_batch
+from .metrics import Study, evaluate_rule_metrics
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,10 @@ def privatize_opf(
         raise NotOptimal(f"{exc} (alpha={alpha}, eta={eta})", exc.status) from None
 
 
-def released_cost_feasible(value: float, cost_lo: float, cost_hi: float,
-                           tol: float = 1e-7) -> bool:
-    """A scalar cost release is feasible iff some feasible dispatch attains it."""
-    return cost_lo - tol <= value <= cost_hi + tol
+def released_cost_feasible(value, cost_lo: float, cost_hi: float, tol: float = 1e-7):
+    """Whether some feasible dispatch attains each released cost (elementwise
+    on an array; a NaN cost is infeasible)."""
+    return (cost_lo - tol <= value) & (value <= cost_hi + tol)
 
 
 def input_perturbation_costs(
@@ -192,19 +193,45 @@ def input_perturbation_costs(
     epsilon: float,
     samples: int,
     seed: int,
-):
+) -> np.ndarray:
     """Input-perturbation study: solve OPF on d + Lap(alpha/eps)^N per draw.
 
-    Returns (costs, solved) arrays; entries with a non-optimal perturbed
-    program are marked unsolved and count as infeasible releases.  Sample s
-    perturbs by row s of one draw at seed; the perturbed programs are
-    solved together (solve_batch).
+    Returns the costs, NaN where the perturbed program is not Optimal (an
+    infeasible release).  Sample s perturbs by row s of one draw at seed;
+    the perturbed programs are solved together (solve_batch).
     """
     spec = calibrate_laplace(alpha, epsilon, k=net.n_nodes)
     programs = [build_opf(net.with_demand(net.d + row))
                 for row in sample_noise(spec, seed, samples)]
-    sols = solve_batch(programs)
-    solved = np.array([sol.status == Status.OPTIMAL for sol in sols], dtype=bool)
-    costs = np.array([sol.objective if ok else np.nan for sol, ok in zip(sols, solved)],
-                     dtype=float)
-    return costs, solved
+    return np.array([sol.objective if sol.status == Status.OPTIMAL else np.nan
+                     for sol in solve_batch(programs)])
+
+
+def experiment_study(cfg, net: PowerNetwork) -> Study:
+    """The experiment study (cfg: epsilon, eta); raises NotOptimal when the
+    base OPF or its cost range has no optimum.  An output or input cost
+    scores its gap to the base cost (over the finite rows) and is violated
+    unless some feasible dispatch attains it; a program row is scored by
+    the dispatch its rule assigns to that cost."""
+    program = build_opf(net)
+    base = require_optimal(solve(program), "base OPF")
+    lo, hi = opf_cost_range(net, base)
+
+    def score(rows, pv):
+        if pv is not None:
+            losses, feasible = evaluate_rule_metrics(pv.rule, program, base,
+                                                     rows - pv.nominal)
+            return losses, ~feasible
+        costs = rows[:, 0]
+        return (costs[np.isfinite(costs)] - base.objective,
+                ~released_cost_feasible(costs, lo, hi))
+
+    return Study(
+        calibrate=lambda alpha, sensitivity: calibrate_laplace(
+            opf_sensitivity_bound(net.c, alpha), cfg.epsilon, k=1),
+        nominal=np.array([base.objective]),
+        privatize=lambda alpha, noise, seed: privatize_opf(
+            net, cfg.epsilon, alpha, cfg.eta, seed),
+        score=score,
+        input_rows=lambda alpha, noise, seed, count: input_perturbation_costs(
+            net, alpha, cfg.epsilon, count, derive_seed(seed, Purpose.INPUT))[:, None])

@@ -21,9 +21,10 @@ import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
-from ..dp import AdjacencyModel, NoiseSpec, sample_noise
+from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
+from .metrics import Study
 
 # epigraph formulations with small ridge weights converge to ~1e-6 here
 DEFAULT_SETTINGS = SolverSettings(tol=1e-6, max_iter=100)
@@ -306,23 +307,21 @@ def privatize_regression(
     return pp.solve(DEFAULT_SETTINGS, "privatized regression")
 
 
-def monotonicity_violation_rate(model: RegressionModel, w_center: np.ndarray,
-                                noise: NoiseSpec, samples: int, seed: int,
-                                stream: int = 0, tol: float = 1e-9) -> float:
-    """Fraction of released weights w_center + zeta with some C row negative."""
-    draws = sample_noise(noise, seed, samples, stream)
-    return float(monotonicity_violated(model, w_center[None, :] + draws, tol).mean())
+def experiment_study(cfg, model: RegressionModel) -> Study:
+    """The experiment study (cfg: epsilon, eta, delta, 0.01 when 0): a
+    released weight row scores its loss minus the non-private loss, and is
+    violated when some derivative row C w is below -1e-9."""
+    w_det, _ = solve_regression(model)
+    base_loss = model.loss(w_det)
 
+    def score(rows, pv):
+        losses = np.array([model.loss(r) for r in rows]) - base_loss
+        return losses, (rows @ model.C.T < -1e-9).any(axis=1)
 
-def monotonicity_violated(model: RegressionModel, ws: np.ndarray,
-                          tol: float = 1e-9) -> np.ndarray:
-    """Per row of ws, whether some derivative row C w is below -tol."""
-    return (ws @ model.C.T < -tol).any(axis=1)
-
-
-def expected_regression_loss(model: RegressionModel, w_center: np.ndarray,
-                             noise: NoiseSpec, samples: int, seed: int,
-                             stream: int = 0) -> float:
-    """Monte Carlo E[loss(w_center + zeta)] on the model's own data."""
-    draws = sample_noise(noise, seed, samples, stream)
-    return float(np.mean([model.loss(w_center + d) for d in draws]))
+    return Study(
+        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
+            cfg.epsilon, cfg.delta or 0.01).noise(model.basis.dim),
+        nominal=w_det,
+        privatize=lambda alpha, noise, seed: privatize_regression(
+            model, noise, eta=cfg.eta, seed=seed),
+        score=score, draws=500)

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import ConicProgram, Solution, build_simple_lp, require_optimal
-from ..dp import AdjacencyModel, NoiseSpec, calibrate_laplace, sample_noise
-from ..ldr import DecisionRule, Privatization, VertexChance, WeightedSumQuery, privatize
+from ..conic import ConicProgram, build_simple_lp, require_optimal
+from ..dp import AdjacencyModel, Purpose, calibrate_laplace, derive_seed
+from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize, release_rows
 from ..solver import solve
+from .metrics import Study
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,6 @@ class SimpleLpStudy:
 
     def program(self) -> ConicProgram:
         return build_simple_lp(self.c, self.lower, self.upper)
-
-    def optimum(self) -> Solution:
-        return solve(self.program())
 
     def in_box(self, x) -> np.ndarray:
         x = np.atleast_1d(x)
@@ -65,22 +63,22 @@ def privatize_simple_lp(
     return pp.solve(None, "privatized simple LP")
 
 
-def strategy_infeasibility(
-    study: SimpleLpStudy,
-    noise: NoiseSpec,
-    samples: int,
-    seed: int,
-    rule: DecisionRule | None = None,
-    stream: int = 0,
-) -> float:
-    """Fraction of draws leaving [lower, upper].
+def experiment_study(cfg, lp: SimpleLpStudy) -> Study:
+    """The experiment study (cfg: epsilon, eta): a released x scores
+    c x - c x* and is violated outside [lower, upper].  x* = lower, so an
+    input row is an output row: both are drawn around lower."""
+    base = solve(lp.program())
+    nominal = np.array([lp.lower])
 
-    With rule=None this scores output/input perturbation of x* = lower
-    (the two coincide here); otherwise the realized rule values.
-    """
-    draws = sample_noise(noise, seed, samples, stream).ravel()
-    if rule is None:
-        xs = study.lower + draws
-    else:
-        xs = rule.evaluate_many(draws[:, None]).ravel()
-    return float(1.0 - study.in_box(xs).mean())
+    def score(rows, pv):
+        xs = rows[:, 0]
+        return lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs)
+
+    return Study(
+        calibrate=lambda alpha, sensitivity: calibrate_laplace(alpha, cfg.epsilon, k=1),
+        nominal=nominal,
+        privatize=lambda alpha, noise, seed: privatize_simple_lp(
+            lp, cfg.epsilon, alpha, cfg.eta, seed),
+        score=score,
+        input_rows=lambda alpha, noise, seed, count: release_rows(
+            nominal, noise, derive_seed(seed, Purpose.EVAL), count))

@@ -19,8 +19,9 @@ import numpy as np
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
                      quadratic_epigraph, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
-from ..ldr import Privatization, SelectQuery, privatize
+from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
+from .metrics import Study
 
 # weakly regularized margin programs hit their accuracy floor around 1e-7
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=200)
@@ -200,3 +201,29 @@ def privatize_svm(
     pp = privatize(program, noise, SelectQuery(range(k)), chance, seed, epigraph_vars=1)
     return pp.solve(DEFAULT_SETTINGS, "privatized SVM",
                     unpack=lambda v: (v[:n], float(v[n])))
+
+
+def experiment_study(cfg, data) -> Study:
+    """The experiment study of (train, test x, test y) (cfg: epsilon, delta,
+    eta): a released (w, b) scores its test-accuracy drop, and is violated
+    when the hinge slack z of its center (the rule's, or x*'s) no longer
+    covers some margin row."""
+    train, tx, ty = data
+    w, b, det_sol = solve_svm(train)
+    acc0 = accuracy(w, b, tx, ty)
+    k = train.n + 1
+    x_det = det_sol.x[1:]   # (w, b, z), the epigraph t dropped
+    chance = IndividualChance(eta_bar=cfg.eta)
+
+    def score(rows, pv):
+        z = (x_det if pv is None else pv.rule.xbar)[k:]
+        drops = np.array([acc0 - accuracy(r[:-1], r[-1], tx, ty) for r in rows])
+        margins = train.labels * (rows[:, :-1] @ train.features.T - rows[:, -1:])
+        return drops, (margins - 1 + z < -1e-9).any(axis=1)
+
+    return Study(
+        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
+            cfg.epsilon, cfg.delta).noise(k),
+        nominal=x_det[:k],
+        privatize=lambda alpha, noise, seed: privatize_svm(train, noise, chance, seed=seed),
+        score=score, draws=200)

@@ -25,7 +25,8 @@ from its value at zeta = 0 and its zeta coefficients.  One array expansion,
 `RuleSpace.expand`, builds them all.
 
 `PrivatizedProgram.solve` returns a `Privatization`, the record every study
-releases through: its `release` is the nominal query plus one raw noise draw.
+releases through: its `releases` are the nominal query plus raw noise draws,
+and its `release` is the first of them.
 """
 
 from __future__ import annotations
@@ -155,15 +156,19 @@ class DecisionRule:
         return self.xbar[None, :] + np.asarray(zetas, dtype=float) @ self.X.T
 
 
+def release_rows(center: np.ndarray, noise: NoiseSpec, seed: int, count: int,
+                 stream: int = 0) -> np.ndarray:
+    """(count, k) released rows: the query value ``center`` plus ``count``
+    raw draws of one stream.  Row 0 is the count-1 draw's, for both noise
+    families, so one release and a Monte Carlo batch share their first row."""
+    return center + sample_noise(noise, seed, count, stream)
+
+
 def release_query(rule: DecisionRule, query: Query, noise: NoiseSpec,
                   seed: int, stream: int = 0) -> np.ndarray:
     """Perturbed query answer: its value at xbar plus one raw draw, so
     released minus nominal is that draw; X is never read."""
-    return query.value(rule.xbar) + sample_noise(noise, seed, 1, stream)[0]
-
-
-def nominal_query(rule: DecisionRule, query: Query) -> np.ndarray:
-    return query.value(rule.xbar)
+    return release_rows(query.value(rule.xbar), noise, seed, 1, stream)[0]
 
 
 # --- chance specifications ----------------------------------------------------
@@ -394,10 +399,11 @@ class PrivatizedProgram:
 class Privatization:
     """A solved privatized program and the one release path of every study.
 
-    ``release(seed, stream)`` is the nominal query plus one raw
-    ``sample_noise`` draw, so released minus nominal is data-independent;
-    ``unpack`` maps that query vector to the app's value (the svm's (w, b),
-    the ellipsoid's (z, Y), the opf's scalar cost).  The solve's objective
+    ``releases(seed, count, stream)`` are the nominal query plus ``count``
+    raw ``sample_noise`` draws, so released minus nominal is
+    data-independent; ``release(seed, stream)`` is its first row mapped
+    through ``unpack`` to the app's value (the svm's (w, b), the
+    ellipsoid's (z, Y), the opf's scalar cost).  The solve's objective
     leaves out the constant the noise adds to the expected objective.
     """
 
@@ -420,10 +426,14 @@ class Privatization:
 
     @property
     def nominal(self):
-        return self.unpack(nominal_query(self.rule, self.query))
+        return self.unpack(self.query.value(self.rule.xbar))
+
+    def releases(self, seed: int, count: int, stream: int = 0) -> np.ndarray:
+        return release_rows(self.query.value(self.rule.xbar), self.noise, seed, count,
+                            stream)
 
     def release(self, seed: int, stream: int = 0):
-        return self.unpack(release_query(self.rule, self.query, self.noise, seed, stream))
+        return self.unpack(self.releases(seed, 1, stream)[0])
 
 
 def privatize(

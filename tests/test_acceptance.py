@@ -28,9 +28,9 @@ from dpconic.ldr import (
     SelectQuery,
     VertexChance,
     WeightedSumQuery,
-    nominal_query,
     privatize,
     release_query,
+    release_rows,
     vertex_sample_size,
 )
 from dpconic.risk import CVaRSpec, augment_with_cvar, cvar_empirical
@@ -41,6 +41,7 @@ from dpconic.apps import regression as app_regression
 from dpconic.apps import simple_lp as app_simple
 from dpconic.apps import svm as app_svm
 from dpconic.apps.metrics import evaluate_rule_metrics
+from dpconic.experiments import ExperimentConfig
 
 
 def report(num: int, ok: bool, detail: str):
@@ -72,15 +73,19 @@ def test_01_solver_correctness():
 
 
 def test_02_simple_lp_infeasibility_pattern():
-    study = app_simple.SimpleLpStudy()
+    lp = app_simple.SimpleLpStudy()
+    study = app_simple.experiment_study(ExperimentConfig(app="simple-lp", eta=0.05), lp)
     noise = calibrate_laplace(0.05, 1.0, k=1)
     n = 10**4
-    rate_out = app_simple.strategy_infeasibility(study, noise, n, seed=11, stream=1)
+
+    def rate(rows, pv=None):
+        return float(study.score(rows, pv)[1].mean())
+
+    rate_out = rate(release_rows(study.nominal, noise, 11, n, stream=1))
     # input coincides with output here (x* = lower); separate draws anyway
-    rate_in = app_simple.strategy_infeasibility(study, noise, n, seed=12, stream=2)
-    pv = app_simple.privatize_simple_lp(study, 1.0, 0.05, 0.05, seed=13)
-    rate_prog = app_simple.strategy_infeasibility(study, pv.noise, n, seed=14,
-                                                  rule=pv.rule, stream=3)
+    rate_in = rate(release_rows(study.nominal, noise, 12, n, stream=2))
+    pv = app_simple.privatize_simple_lp(lp, 1.0, 0.05, 0.05, seed=13)
+    rate_prog = rate(pv.releases(14, n, stream=3), pv)
     bound = 0.05 + 3 * binom_se(0.05, n)
     ok = (abs(rate_out - 0.5) <= 0.03 and abs(rate_in - 0.5) <= 0.03
           and rate_prog <= bound)
@@ -112,7 +117,7 @@ def test_03_data_independence_across_datasets():
                 query = SelectQuery(range(3))
                 noise = calibrate_laplace(10.0, 1.0, k=3)
                 rule = DecisionRule(sol.x, np.eye(3))
-            inc = release_query(rule, query, noise, seed) - nominal_query(rule, query)
+            inc = release_query(rule, query, noise, seed) - query.value(rule.xbar)
             increments.append(inc)
         spread = max(
             float(np.abs(a - b).max()) for a in increments for b in increments)
@@ -244,13 +249,14 @@ def test_09_opf_desk_scale():
         losses = []
         for alpha in (1.0, 3.0, 10.0):
             pv = app_opf.privatize_opf(net, 1.0, alpha, 0.01, seed=33)
-            m = evaluate_rule_metrics(pv.rule, prog, base, pv.noise, n_draws,
-                                      seed=44, stream=6)
-            losses.append(m.mean_loss)
-            if m.infeasibility_rate > bound:
+            rule_losses, feasible = evaluate_rule_metrics(
+                pv.rule, prog, base, sample_noise(pv.noise, 44, n_draws, stream=6))
+            losses.append(float(rule_losses.mean()))
+            infeasibility = float(1.0 - feasible.mean())
+            if infeasibility > bound:
                 ok = False
                 details.append(f"{name} alpha={alpha}: prog infeas "
-                               f"{m.infeasibility_rate:.4f} > {bound:.4f}")
+                               f"{infeasibility:.4f} > {bound:.4f}")
         if not (losses[0] <= losses[1] <= losses[2]):
             ok = False
             details.append(f"{name}: losses not monotone {losses}")
@@ -258,12 +264,9 @@ def test_09_opf_desk_scale():
         d1 = app_opf.opf_sensitivity_bound(net.c, 3.0)
         out_draws = base.objective + sample_noise(
             calibrate_laplace(d1, 1.0, k=1), 55, n_draws, stream=7).ravel()
-        rate_out = float(np.mean([
-            not app_opf.released_cost_feasible(v, lo, hi) for v in out_draws]))
-        costs, solved = app_opf.input_perturbation_costs(net, 3.0, 1.0,
-                                                         n_draws, seed=66)
-        feas = solved & (costs >= lo - 1e-7) & (costs <= hi + 1e-7)
-        rate_in = float(1.0 - feas.mean())
+        rate_out = float(1.0 - app_opf.released_cost_feasible(out_draws, lo, hi).mean())
+        costs = app_opf.input_perturbation_costs(net, 3.0, 1.0, n_draws, seed=66)
+        rate_in = float(1.0 - app_opf.released_cost_feasible(costs, lo, hi).mean())
         if not (0.40 <= rate_out <= 0.60 and 0.40 <= rate_in <= 0.60):
             ok = False
             details.append(f"{name}: out {rate_out:.3f} / in {rate_in:.3f} "
@@ -309,19 +312,23 @@ def test_11_regression_study():
     eta = 0.03
     pv = app_regression.privatize_regression(model, noise, eta=eta, seed=5)
     n_draws = 500
-    v_prog = app_regression.monotonicity_violation_rate(
-        model, pv.nominal, noise, n_draws, seed=42)
-    v_out = app_regression.monotonicity_violation_rate(
-        model, w_det, noise, n_draws, seed=42)
-    l_prog = app_regression.expected_regression_loss(
-        model, pv.nominal, noise, n_draws, seed=43)
-    l_out = app_regression.expected_regression_loss(
-        model, w_det, noise, n_draws, seed=43)
+    study = app_regression.experiment_study(
+        ExperimentConfig(app="regression", delta=0.01, eta=eta), model)
+    assert np.array_equal(study.nominal, w_det)
+
+    def mean_score(seed):
+        # (mean loss gap, violation rate) of the program's and the output's rows
+        prog = study.score(pv.releases(seed, n_draws), pv)
+        out = study.score(release_rows(w_det, noise, seed, n_draws), None)
+        return [(float(loss.mean()), float(bad.mean())) for loss, bad in (prog, out)]
+
+    (_, v_prog), (_, v_out) = mean_score(42)
+    (l_prog, _), (l_out, _) = mean_score(43)
     bound = eta + 3 * binom_se(eta, n_draws)
     ok = v_prog <= bound and v_out > v_prog and l_prog >= l_out
     report(11, ok, f"program violation {v_prog:.4f} <= {bound:.4f}; "
                    f"output violation {v_out:.4f} strictly larger; "
-                   f"loss program {l_prog:.0f} >= output {l_out:.0f}")
+                   f"loss gap program {l_prog:.0f} >= output {l_out:.0f}")
 
 
 def test_12_ellipsoid_study():

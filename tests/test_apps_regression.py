@@ -8,7 +8,8 @@ import pytest
 
 from dpconic.conic import ConeKind, Status
 from dpconic.dp import Purpose, calibrate_gaussian, derive_seed, estimate_sensitivity
-from dpconic.experiments import APPS
+from dpconic.experiments import APPS, ExperimentConfig
+from dpconic.ldr import release_rows
 from dpconic.solver import SolverSettings, kkt_report
 from dpconic.apps.regression import (
     DEFAULT_SETTINGS,
@@ -17,8 +18,7 @@ from dpconic.apps.regression import (
     build_monotone_regression,
     build_wind_curve_dataset,
     cubic_basis,
-    expected_regression_loss,
-    monotonicity_violation_rate,
+    experiment_study,
     privatize_regression,
     radial_basis,
     solve_regression,
@@ -267,26 +267,26 @@ class TestPrivatizeRegression:
         assert pv.solution.status == Status.OPTIMAL
         assert max(kkt_report(pv.program, pv.solution).values()) <= DEFAULT_SETTINGS.tol
 
-    def test_violation_rate_within_budget(self, reg_setup):
+    @staticmethod
+    def _scores(reg_setup, samples, seed):
+        """The study's (losses, violated) of the program's and the output's
+        rows, both drawn from one (seed, stream 0)."""
         model, noise, pv = reg_setup
-        rate = monotonicity_violation_rate(model, pv.nominal, noise, 2000,
-                                           seed=9)
-        assert rate <= 0.03 + 3 * math.sqrt(0.03 * 0.97 / 2000)
+        study = experiment_study(ExperimentConfig(app="regression", eta=0.03), model)
+        return (study.score(pv.releases(seed, samples), pv),
+                study.score(release_rows(study.nominal, noise, seed, samples), None))
+
+    def test_violation_rate_within_budget(self, reg_setup):
+        (_, violated), _ = self._scores(reg_setup, 2000, 9)
+        assert violated.mean() <= 0.03 + 3 * math.sqrt(0.03 * 0.97 / 2000)
 
     def test_output_violation_larger_on_matched_seeds(self, reg_setup):
-        model, noise, pv = reg_setup
-        w_det, _ = solve_regression(model)
-        v_out = monotonicity_violation_rate(model, w_det, noise, 500, seed=9)
-        v_prog = monotonicity_violation_rate(model, pv.nominal, noise, 500,
-                                             seed=9)
-        assert v_out > v_prog
+        (_, v_prog), (_, v_out) = self._scores(reg_setup, 500, 9)
+        assert v_out.mean() > v_prog.mean()
 
     def test_program_loss_at_least_output_loss(self, reg_setup):
-        model, noise, pv = reg_setup
-        w_det, _ = solve_regression(model)
-        l_prog = expected_regression_loss(model, pv.nominal, noise, 400, seed=10)
-        l_out = expected_regression_loss(model, w_det, noise, 400, seed=10)
-        assert l_prog >= l_out
+        (l_prog, _), (l_out, _) = self._scores(reg_setup, 400, 10)
+        assert l_prog.mean() >= l_out.mean()
 
     def test_laplace_noise_rejected(self, reg_setup):
         model, _, _ = reg_setup

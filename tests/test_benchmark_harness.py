@@ -32,8 +32,9 @@ def test_every_traced_target_resolves(harness):
     assert len(names) == len(set(names))
     assert all(callable(t.fn) for t in targets)
     assert {"apps.privatize:privatize_svm", "apps.privatize:privatize_ellipsoid",
-            "apps.privatize:privatize_opf", "ldr.privatize",
-            "experiments.run_experiment"} <= set(names)
+            "apps.privatize:privatize_opf", "apps.privatize:privatize_regression",
+            "apps.metrics.evaluate_rule_metrics", "ldr.privatize",
+            "experiments.run_experiment", "experiments.cvar_q_sweep"} <= set(names)
 
 
 @pytest.mark.parametrize("name", ["privatize-large", "sensitivity-small",

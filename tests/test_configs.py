@@ -132,9 +132,14 @@ def test_cvar6_sweep_rows(run):
     {"app": "opf", "strategies": []},
     {"app": "ellipsoid", "alphas": [0.01], "delta": 1.0},
     {"app": "regression", "delta": -0.1},
+    {"app": "opf", "seed": 1.5},
+    {"app": "opf", "mc_samples": 20.5},
+    {"app": "simple-lp", "seed": True},
+    {"app": "svm", "delta": 0.5},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
         "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
-        "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta"])
+        "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta",
+        "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))

@@ -240,3 +240,18 @@ def test_opf_base_is_solved_once_per_run(tmp_path, monkeypatch):
     assert [r.status for r in out["results"]] == ["ok"]
     assert np.isfinite(out["sweep"][0][1:]).all()
     assert len(calls) == 1
+
+
+def test_infeasible_opf_base_reads_infeasible(tmp_path):
+    # every unit at its minimum of 10 exceeds the demand of 1: the base OPF
+    # has no optimum, and every point says so, input ones included
+    net = experiments.app_opf.PowerNetwork(
+        "over", (1.0, 2.0), (1.0, 0.0), (10.0, 10.0), (10.0, 10.0), (5.0,),
+        np.array([[0.0, -1.0]]), lines=((0, 1),))
+    path = tmp_path / "over.json"
+    path.write_text(net.to_json())
+    cfg = _config(tmp_path, "opf", dataset=str(path),
+                  strategies=("input", "output", "program"))
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == [
+        "infeasible:base OPF returned PrimalInfeasible"] * 3

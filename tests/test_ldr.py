@@ -30,7 +30,6 @@ from dpconic.ldr import (
     VertexChance,
     WeightedSumQuery,
     hyperrectangle_vertices,
-    nominal_query,
     privatize,
     reduce_quadratic_objective,
     release_query,
@@ -460,8 +459,8 @@ class TestReleaseQuery:
         r1 = DecisionRule(np.array([1.0]), np.ones((1, 1)))
         r2 = DecisionRule(np.array([7.0]), np.ones((1, 1)))
         q = WeightedSumQuery([1.0])
-        inc1 = release_query(r1, q, noise, 9) - nominal_query(r1, q)
-        inc2 = release_query(r2, q, noise, 9) - nominal_query(r2, q)
+        inc1 = release_query(r1, q, noise, 9) - q.value(r1.xbar)
+        inc2 = release_query(r2, q, noise, 9) - q.value(r2.xbar)
         assert np.allclose(inc1, inc2, rtol=0, atol=1e-12)
 
 

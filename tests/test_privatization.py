@@ -1,5 +1,5 @@
 """The one release path: every study's Privatization releases its nominal
-query plus the raw sample_noise draw, bit for bit."""
+query plus the raw sample_noise draws, bit for bit, one release or many."""
 
 from dataclasses import replace
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
-from dpconic.ldr import DecisionRule, IndividualChance, Privatization, nominal_query
+from dpconic.ldr import DecisionRule, IndividualChance, Privatization
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 
 
@@ -63,7 +63,7 @@ def study(request):
 def test_release_is_nominal_plus_raw_draw(study):
     pv, unpack = study
     assert isinstance(pv, Privatization)
-    nominal = nominal_query(pv.rule, pv.query)
+    nominal = pv.query.value(pv.rule.xbar)
     assert nominal.shape == (pv.noise.k,)
     assert _bytes(pv.nominal) == _bytes(unpack(nominal))
     for stream in range(4):
@@ -71,12 +71,27 @@ def test_release_is_nominal_plus_raw_draw(study):
         assert _bytes(pv.release(17, stream)) == _bytes(unpack(nominal + draw))
 
 
+def test_first_of_many_releases_is_the_release(study):
+    # a Monte Carlo batch and a single release share their first row, for
+    # the Laplace (svm, opf, simple-lp) and Gaussian (regression, ellipsoid)
+    # draws alike
+    pv, unpack = study
+    nominal = pv.query.value(pv.rule.xbar)
+    for stream in range(3):
+        rows = pv.releases(12, 500, stream)
+        assert rows.shape == (500, pv.noise.k)
+        single = nominal + sample_noise(pv.noise, 12, 1, stream)[0]
+        assert rows[0].tobytes() == single.tobytes()
+        assert _bytes(pv.release(12, stream)) == _bytes(unpack(rows[0]))
+
+
 def test_release_never_reads_the_recourse(study):
     # the query's constraint on X fixes the release's random part, so the
     # release reads only xbar: a rule whose X is all NaN releases the same bytes
     pv, unpack = study
     blind = replace(pv, rule=DecisionRule(pv.rule.xbar, np.full_like(pv.rule.X, np.nan)))
-    nominal = nominal_query(pv.rule, pv.query)
+    nominal = pv.query.value(pv.rule.xbar)
     for stream in range(3):
         draw = sample_noise(pv.noise, 12, 1, stream)[0]
         assert _bytes(blind.release(12, stream)) == _bytes(unpack(nominal + draw))
+        assert blind.releases(12, 50, stream).tobytes() == pv.releases(12, 50, stream).tobytes()

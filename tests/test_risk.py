@@ -101,27 +101,28 @@ class TestOptimalityLoss:
         base = solve(prog)
         rule = DecisionRule(base.x, np.zeros((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.3)
-        out = evaluate_rule_metrics(rule, prog, base, noise, samples=100, seed=0,
-                                    loss=prog.c)
-        assert abs(out.mean_loss) < 1e-9
+        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 0, 100),
+                                          loss=prog.c)
+        assert abs(losses.mean()) < 1e-9
 
     def test_nominal_suboptimality_floor(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(np.array([1.4]), np.zeros((1, 1)))
-        out = evaluate_rule_metrics(rule, prog, base, NoiseSpec("laplace", 1, 1e-14),
-                                    samples=50, seed=1, loss=prog.c)
-        assert out.mean_loss == pytest.approx(0.4, abs=1e-6)
+        losses, _ = evaluate_rule_metrics(
+            rule, prog, base, sample_noise(NoiseSpec("laplace", 1, 1e-14), 1, 50),
+            loss=prog.c)
+        assert losses.mean() == pytest.approx(0.4, abs=1e-6)
 
     def test_linear_loss_converges_to_nominal_gap(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(np.array([1.3]), np.ones((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.1)
-        out = evaluate_rule_metrics(rule, prog, base, noise, samples=10**6, seed=2,
-                                    loss=prog.c)
-        se = out.losses.std() / np.sqrt(out.losses.size)
-        assert abs(out.mean_loss - (1.3 - base.x[0])) < 3 * se
+        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 2, 10**6),
+                                          loss=prog.c)
+        se = losses.std() / np.sqrt(losses.size)
+        assert abs(losses.mean() - (1.3 - base.x[0])) < 3 * se
 
 
 def membership_loop(program, xs, tol):
@@ -167,12 +168,12 @@ class TestFeasibleColumn:
         basis = null_space(prog.A[eq]) if eq.any() else np.eye(prog.n)
         rule = DecisionRule(base.x, 3e-4 * basis @ rng.normal(size=(basis.shape[1], 3)))
         noise = NoiseSpec("gaussian", 3, 1.0)
-        out = evaluate_rule_metrics(rule, prog, base, noise, samples=2000, seed=5,
-                                    membership_tol=1e-3)
-        xs = rule.evaluate_many(sample_noise(noise, 5, 2000))
+        zetas = sample_noise(noise, 5, 2000)
+        _, feasible = evaluate_rule_metrics(rule, prog, base, zetas, membership_tol=1e-3)
+        xs = rule.evaluate_many(zetas)
         expected = membership_loop(prog, xs, 1e-3)
         assert 0 < expected.sum() < expected.size
-        assert np.array_equal(out.feasible, expected)
+        assert np.array_equal(feasible, expected)
 
 
 class TestAugmentWithCvar:
