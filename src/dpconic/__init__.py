@@ -25,7 +25,6 @@ from .conic import (
 from .dp import (
     AdjacencyModel,
     NoiseSpec,
-    PrivacyParams,
     SensitivityReport,
     calibrate_gaussian,
     calibrate_laplace,

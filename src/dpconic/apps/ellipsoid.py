@@ -264,9 +264,9 @@ def privatize_ellipsoid(
 
 
 def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
-    """The experiment study (cfg: epsilon, eta, delta, 0.1 when 0): a
-    released (z, Y) scores its volume deficit against the non-private
-    ellipse, and is violated when its ellipse leaves the polygon."""
+    """The experiment study (cfg: eta): a released (z, Y) scores its volume
+    deficit against the non-private ellipse, and is violated when its
+    ellipse leaves the polygon."""
     z_det, Y_det, _, _ = solve_ellipsoid(inst)
     vol_det = ellipsoid_volume(Y_det)
 
@@ -277,9 +277,7 @@ def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
         return np.array(deficits), np.array(outside)
 
     return Study(
-        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
-            cfg.epsilon, cfg.delta or 0.1).noise(RULE_DIM),
         nominal=rule_vector(z_det, Y_det),
-        privatize=lambda alpha, noise, seed: privatize_ellipsoid(
+        privatize=lambda noise, seed: privatize_ellipsoid(
             inst, noise, eta=cfg.eta, seed=seed),
         score=score, draws=500)

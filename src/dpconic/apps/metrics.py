@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from ..conic import ConicProgram, Solution, as_dense, cone_membership_rows
-from ..dp import NoiseSpec, SensitivityReport
+from ..dp import NoiseSpec
 from ..ldr import DecisionRule, Privatization
 
 
@@ -17,23 +17,20 @@ from ..ldr import DecisionRule, Privatization
 class Study:
     """What every point of one experiment run shares, for one app.
 
-    ``calibrate(alpha, sensitivity)`` is the point's noise; ``sensitivity()``
-    returns the run's shared SensitivityReport at this alpha and estimates
-    it on its first call, so only a study that calls it pays for one.
     ``nominal`` is the query value at the non-private optimum x*: the output
-    strategy's rows are it plus raw draws.  ``privatize(alpha, noise, seed)``
-    is the program strategy's Privatization; it raises NotOptimal when that
-    program has no optimum.  ``score(rows, pv)`` maps (S, k) released rows
-    to per-row losses and violations; ``pv`` is the Privatization the rows
-    came from, None for output and input rows.  At most ``draws`` rows are
-    scored (None: the config's ``mc_samples``).  ``input_rows(alpha, noise,
-    seed, count)`` draws the input strategy's rows from the point's seed; it
-    is None where the app has no input perturbation.
+    strategy's rows are it plus raw draws, and its length is the noise
+    dimension k.  ``privatize(noise, seed)`` is the program strategy's
+    Privatization; it raises NotOptimal when that program has no optimum.
+    ``score(rows, pv)`` maps (S, k) released rows to per-row losses and
+    violations; ``pv`` is the Privatization the rows came from, None for
+    output and input rows.  At most ``draws`` rows are scored (None: the
+    config's ``mc_samples``).  ``input_rows(alpha, noise, seed, count)``
+    draws the input strategy's rows from the point's seed; it is None where
+    the app has no input perturbation.
     """
 
-    calibrate: Callable[[float, Callable[[], SensitivityReport]], NoiseSpec]
     nominal: np.ndarray
-    privatize: Callable[[float, NoiseSpec, int], Privatization]
+    privatize: Callable[[NoiseSpec, int], Privatization]
     score: Callable[[np.ndarray, Privatization | None], tuple[np.ndarray, np.ndarray]]
     draws: int | None = None
     input_rows: Callable[[float, NoiseSpec, int, int], np.ndarray] | None = None

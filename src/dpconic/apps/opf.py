@@ -13,9 +13,10 @@ from importlib import resources
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, NotOptimal, Solution, Status, nonneg,
-                     require_optimal, zero)
-from ..dp import AdjacencyModel, Purpose, calibrate_laplace, derive_seed, sample_noise
+from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg, require_optimal,
+                     zero)
+from ..dp import (AdjacencyModel, NoiseSpec, Purpose, calibrate_laplace, derive_seed,
+                  sample_noise)
 from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve, solve_batch
 from .metrics import Study, evaluate_rule_metrics
@@ -157,8 +158,7 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
 
 def privatize_opf(
     net: PowerNetwork,
-    epsilon: float,
-    alpha: float,
+    noise: NoiseSpec,
     eta: float,
     seed: int = 0,
 ) -> Privatization:
@@ -167,18 +167,14 @@ def privatize_opf(
     The weighted-sum query c'X = 1 makes the cost release's random part
     data-independent; the balance equality is split exactly, and the
     chance constraints hold on a noise box sampled at seed (VertexChance).
-    Raises NotOptimal when the program cannot absorb the noise at the
-    requested (alpha, eta).  At high privacy that depends on the sampled
-    box: some seeds leave a feasible rule and others none.  The experiment
-    harness records either as a row.  The release is the scalar cost.
+    Raises NotOptimal when the program cannot absorb the noise (k = 1) at
+    eta.  At high privacy that depends on the sampled box: some seeds leave
+    a feasible rule and others none.  The experiment harness records either
+    as a row.  The release is the scalar cost.
     """
-    noise = calibrate_laplace(opf_sensitivity_bound(net.c, alpha), epsilon, k=1)
     pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta),
                    seed)
-    try:
-        return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
-    except NotOptimal as exc:
-        raise NotOptimal(f"{exc} (alpha={alpha}, eta={eta})", exc.status) from None
+    return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
 
 
 def released_cost_feasible(value, cost_lo: float, cost_hi: float, tol: float = 1e-7):
@@ -227,11 +223,8 @@ def experiment_study(cfg, net: PowerNetwork) -> Study:
                 ~released_cost_feasible(costs, lo, hi))
 
     return Study(
-        calibrate=lambda alpha, sensitivity: calibrate_laplace(
-            opf_sensitivity_bound(net.c, alpha), cfg.epsilon, k=1),
         nominal=np.array([base.objective]),
-        privatize=lambda alpha, noise, seed: privatize_opf(
-            net, cfg.epsilon, alpha, cfg.eta, seed),
+        privatize=lambda noise, seed: privatize_opf(net, noise, cfg.eta, seed),
         score=score,
         input_rows=lambda alpha, noise, seed, count: input_perturbation_costs(
             net, alpha, cfg.epsilon, count, derive_seed(seed, Purpose.INPUT))[:, None])

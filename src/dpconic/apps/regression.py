@@ -308,9 +308,9 @@ def privatize_regression(
 
 
 def experiment_study(cfg, model: RegressionModel) -> Study:
-    """The experiment study (cfg: epsilon, eta, delta, 0.01 when 0): a
-    released weight row scores its loss minus the non-private loss, and is
-    violated when some derivative row C w is below -1e-9."""
+    """The experiment study (cfg: eta): a released weight row scores its
+    loss minus the non-private loss, and is violated when some derivative
+    row C w is below -1e-9."""
     w_det, _ = solve_regression(model)
     base_loss = model.loss(w_det)
 
@@ -319,9 +319,7 @@ def experiment_study(cfg, model: RegressionModel) -> Study:
         return losses, (rows @ model.C.T < -1e-9).any(axis=1)
 
     return Study(
-        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
-            cfg.epsilon, cfg.delta or 0.01).noise(model.basis.dim),
         nominal=w_det,
-        privatize=lambda alpha, noise, seed: privatize_regression(
+        privatize=lambda noise, seed: privatize_regression(
             model, noise, eta=cfg.eta, seed=seed),
         score=score, draws=500)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..conic import ConicProgram, build_simple_lp, require_optimal
-from ..dp import AdjacencyModel, Purpose, calibrate_laplace, derive_seed
+from ..dp import AdjacencyModel, NoiseSpec, Purpose, derive_seed
 from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize, release_rows
 from ..solver import solve
 from .metrics import Study
@@ -52,21 +52,19 @@ def lower_bound_adjacency(study: SimpleLpStudy, alpha: float) -> AdjacencyModel:
 
 def privatize_simple_lp(
     study: SimpleLpStudy,
-    epsilon: float,
-    alpha: float,
+    noise: NoiseSpec,
     eta: float,
     seed: int,
 ) -> Privatization:
     """Rule counterpart with the query 1 * x; the release is a 1-vector."""
-    noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(study.program(), noise, WeightedSumQuery([1.0]), VertexChance(eta), seed)
     return pp.solve(None, "privatized simple LP")
 
 
 def experiment_study(cfg, lp: SimpleLpStudy) -> Study:
-    """The experiment study (cfg: epsilon, eta): a released x scores
-    c x - c x* and is violated outside [lower, upper].  x* = lower, so an
-    input row is an output row: both are drawn around lower."""
+    """The experiment study (cfg: eta): a released x scores c x - c x* and
+    is violated outside [lower, upper].  x* = lower, so an input row is an
+    output row: both are drawn around lower."""
     base = solve(lp.program())
     nominal = np.array([lp.lower])
 
@@ -75,10 +73,8 @@ def experiment_study(cfg, lp: SimpleLpStudy) -> Study:
         return lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs)
 
     return Study(
-        calibrate=lambda alpha, sensitivity: calibrate_laplace(alpha, cfg.epsilon, k=1),
         nominal=nominal,
-        privatize=lambda alpha, noise, seed: privatize_simple_lp(
-            lp, cfg.epsilon, alpha, cfg.eta, seed),
+        privatize=lambda noise, seed: privatize_simple_lp(lp, noise, cfg.eta, seed),
         score=score,
         input_rows=lambda alpha, noise, seed, count: release_rows(
             nominal, noise, derive_seed(seed, Purpose.EVAL), count))

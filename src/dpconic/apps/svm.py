@@ -204,10 +204,10 @@ def privatize_svm(
 
 
 def experiment_study(cfg, data) -> Study:
-    """The experiment study of (train, test x, test y) (cfg: epsilon, delta,
-    eta): a released (w, b) scores its test-accuracy drop, and is violated
-    when the hinge slack z of its center (the rule's, or x*'s) no longer
-    covers some margin row."""
+    """The experiment study of (train, test x, test y) (cfg: eta): a
+    released (w, b) scores its test-accuracy drop, and is violated when the
+    hinge slack z of its center (the rule's, or x*'s) no longer covers some
+    margin row."""
     train, tx, ty = data
     w, b, det_sol = solve_svm(train)
     acc0 = accuracy(w, b, tx, ty)
@@ -222,8 +222,6 @@ def experiment_study(cfg, data) -> Study:
         return drops, (margins - 1 + z < -1e-9).any(axis=1)
 
     return Study(
-        calibrate=lambda alpha, sensitivity: sensitivity().privacy_params(
-            cfg.epsilon, cfg.delta).noise(k),
         nominal=x_det[:k],
-        privatize=lambda alpha, noise, seed: privatize_svm(train, noise, chance, seed=seed),
+        privatize=lambda noise, seed: privatize_svm(train, noise, chance, seed=seed),
         score=score, draws=200)

@@ -115,38 +115,6 @@ def calibrate_gaussian(delta_2: float, epsilon: float, delta: float, k: int = 1)
     return NoiseSpec("gaussian", k, _gaussian_factor(delta) * delta_2 / epsilon)
 
 
-# --- privacy parameters -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    epsilon: float
-    delta: float = 0.0
-    alpha: float = math.inf
-    p: int = 1
-    delta_p: float | None = None
-    gamma: float | None = None
-    beta: float | None = None
-    samples: int | None = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 <= self.delta < 1:
-            raise ValueError("delta must be in [0, 1)")
-        if self.p not in (1, 2):
-            raise ValueError("norm order p must be 1 or 2")
-        if self.p == 2 and self.delta == 0:
-            raise ValueError("Gaussian calibration (p=2) needs delta > 0")
-
-    def noise(self, k: int) -> NoiseSpec:
-        if self.delta_p is None:
-            raise ValueError("sensitivity delta_p not set")
-        if self.p == 1:
-            return calibrate_laplace(self.delta_p, self.epsilon, k)
-        return calibrate_gaussian(self.delta_p, self.epsilon, self.delta, k)
-
-
 def sensitivity_sample_size(gamma: float, beta: float) -> int:
     """Minimum sample count ceil(1/(gamma*beta) - 1) for the (gamma, beta) bound."""
     if not (0 < gamma < 1 and 0 < beta < 1):
@@ -213,13 +181,6 @@ class SensitivityReport:
         return SensitivityReport(
             p=doc["p"], alpha=doc["alpha"], gamma=doc["gamma"], beta=doc["beta"],
             samples=doc["S"], delta_p=doc["delta_p"], failures=tuple(doc["failures"]),
-        )
-
-    def privacy_params(self, epsilon: float, delta: float = 0.0) -> PrivacyParams:
-        return PrivacyParams(
-            epsilon=epsilon, delta=delta, alpha=self.alpha, p=self.p,
-            delta_p=self.delta_p, gamma=self.gamma, beta=self.beta,
-            samples=self.samples,
         )
 
 

@@ -3,23 +3,24 @@
 One experiment = an application, a list of perturbation strategies and a
 grid of adjacency values.  ``APPS`` is the one registry of applications:
 for each it holds the sensitivity norm, the study's data, the adjacency
-model, the Monte Carlo estimate settings and the study builder, and both
-``run_experiment`` and the command line read it.  Every app's study is one
-``apps.metrics.Study`` (built by its module's ``experiment_study``), and
-every point runs through one runner: it draws the point's released rows,
-output, input or program, and hands them to the study's ``score``.
+model, its one sensitivity source (estimate settings or an analytic bound)
+and the study builder, and ``run_experiment`` and the command line read it.
+Every app's study is one ``apps.metrics.Study`` (built by its module's
+``experiment_study``), and every point runs through one runner: it
+calibrates the point's noise, draws its released rows, output, input or
+program, and hands them to the study's ``score``.
 
 The points run one after another in the calling thread.  Every draw of a
 run has its own seed in one ``dp.derive_seed`` tree under the config seed
-(see ``run_experiment``), and every strategy at one alpha shares one noise
-calibration (for the apps whose sensitivity is a Monte Carlo estimate, one
-estimate per alpha), so a rerun with the same config file produces
-byte-identical artifacts.  Failed points become rows with a status column
-instead of aborting the study: a study solve that ends without an optimum
-(``conic.NotOptimal``, e.g. an infeasible chance-constrained program at
-high privacy) or a rule whose equality recourse conflicts with its query
-(``ConflictingConstraints``) reads ``infeasible:<message>``, and any other
-exception ``error:<type>:<message>``.
+(see ``run_experiment``), and every strategy at one alpha shares the
+runner's one noise calibration (for the apps whose sensitivity is a Monte
+Carlo estimate, one estimate per alpha), so a rerun with the same config
+file produces byte-identical artifacts.  Failed points become rows with a
+status column instead of aborting the study: a study solve that ends
+without an optimum (``conic.NotOptimal``, e.g. an infeasible
+chance-constrained program at high privacy) or a rule whose equality
+recourse conflicts with its query (``ConflictingConstraints``) reads
+``infeasible:<message>``, and any other exception ``error:<type>:<message>``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .conic import NotOptimal, Status, require_optimal
-from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_laplace,
-                 derive_seed, estimate_sensitivity)
+from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_gaussian,
+                 calibrate_laplace, derive_seed, estimate_sensitivity)
 from .ldr import (ConflictingConstraints, VertexChance, WeightedSumQuery, privatize,
                   release_rows)
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
@@ -85,6 +86,8 @@ class ExperimentConfig:
         if app.p == 1 and self.delta != 0:
             raise ValueError(f"app {self.app!r} calibrates Laplace noise, which has "
                              f"no delta; got delta {self.delta}")
+        if app.p == 2 and self.delta == 0:   # the delta the noise uses is recorded
+            object.__setattr__(self, "delta", app.delta)
         if self.cvar_q_grid and self.app != "opf":
             raise ValueError("only an opf config runs a cvar_q_grid")
         if not all(0 < q < 1 for q in self.cvar_q_grid):
@@ -189,19 +192,24 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResu
     """One point: calibrate, draw the strategy's released rows from the
     point's seed and score them through the run's study.  ``study()``
     returns the run's Study, built on the first call, and ``sensitivity()``
-    the SensitivityReport every point at this alpha shares.
+    the Delta_p every point at this alpha shares.
 
+    Every strategy gets the one noise: Laplace(Delta_1 / epsilon) for p = 1,
+    the Gaussian mechanism at the config's delta for p = 2, k = len(nominal).
     Output rows are the study's nominal plus raw draws from
     ``derive_seed(seed, EVAL)``, program rows the privatization's releases
     from the same key (its rule from ``derive_seed(seed, PRIVATIZE)``), and
     input rows the study's own.  An "ok" point reads the mean and 0.95-CVaR
     of the losses and the share of violated rows; its manifest entry
-    records how many losses it scored (``draws``).
+    records how many losses it scored (``draws``) and, for output and
+    program points, the noise (``[family, scale]``).
     """
     st = study()
     if strategy == "input" and st.input_rows is None:
         return PointResult(strategy, alpha, None, None, None, "unsupported")
-    noise = st.calibrate(alpha, sensitivity)
+    delta_p, k = sensitivity(), len(st.nominal)
+    noise = (calibrate_laplace(delta_p, cfg.epsilon, k) if app.p == 1
+             else calibrate_gaussian(delta_p, cfg.epsilon, cfg.delta, k))
     count = min(cfg.mc_samples, st.draws or cfg.mc_samples)
     pv = None
     if strategy == "output":
@@ -209,12 +217,16 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResu
     elif strategy == "input":
         rows = st.input_rows(alpha, noise, seed, count)
     else:
-        pv = st.privatize(alpha, noise, derive_seed(seed, Purpose.PRIVATIZE))
+        pv = st.privatize(noise, derive_seed(seed, Purpose.PRIVATIZE))
         rows = pv.releases(derive_seed(seed, Purpose.EVAL), count)
     losses, violated = st.score(rows, pv)
-    extra = {"sensitivity": sensitivity().delta_p} if app.estimate else {}
+    extra = {"draws": len(losses)}
+    if app.estimate:
+        extra["sensitivity"] = delta_p
+    if strategy != "input":
+        extra["noise"] = [noise.family, noise.scale]
     return PointResult(strategy, alpha, float(np.mean(losses)), cvar_empirical(losses, 0.95),
-                       float(np.mean(violated)), "ok", {"draws": len(losses), **extra})
+                       float(np.mean(violated)), "ok", extra)
 
 
 # --- the app registry ---------------------------------------------------------
@@ -224,40 +236,48 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResu
 class App:
     """How the CLI and run_experiment estimate, calibrate and run one study.
 
-    ``p`` is the sensitivity norm (1: Laplace noise, 2: Gaussian).
+    ``p`` is the sensitivity norm (1: Laplace noise, 2: Gaussian), and
+    ``delta`` the Gaussian delta a p = 2 config that gives none runs at.
     ``data(dataset, seed)`` builds the study's data, and is the only reader
     of a config's dataset.  ``adjacency(data, alpha)`` builds the adjacency
-    model the sensitivity is estimated on.  ``estimate`` is the experiment's
-    (samples, gamma, beta), or None for the apps whose noise follows from
-    an analytic bound.  ``study(cfg, data)`` builds the Study the points of
-    one run share, once per run.
+    model the sensitivity is estimated on.  An app has exactly one source
+    of its sensitivity: ``estimate``, the experiment's (samples, gamma,
+    beta) of a Monte Carlo estimate, or ``bound(data, alpha)``, an analytic
+    Delta_p.  ``study(cfg, data)`` builds the Study the points of one run
+    share, once per run.
     """
 
     p: int
     data: Callable[[str | None, int], object]
     adjacency: Callable[[object, float], AdjacencyModel]
-    estimate: tuple[int, float, float] | None
     study: Callable[[ExperimentConfig, object], Study]
+    estimate: tuple[int, float, float] | None = None
+    bound: Callable[[object, float], float] | None = None
+    delta: float = 0.0
 
 
 APPS: dict[str, App] = {
     "simple-lp": App(
         1, _no_dataset("simple-lp", lambda seed: app_simple.SimpleLpStudy()),
-        app_simple.lower_bound_adjacency, None, app_simple.experiment_study),
-    "opf": App(1, _opf_data, app_opf.demand_adjacency, None, app_opf.experiment_study),
+        app_simple.lower_bound_adjacency, app_simple.experiment_study,
+        bound=lambda data, alpha: alpha),
+    "opf": App(1, _opf_data, app_opf.demand_adjacency, app_opf.experiment_study,
+               bound=lambda data, alpha: app_opf.opf_sensitivity_bound(data.c, alpha)),
     "svm": App(
         1, _no_dataset("svm", lambda seed: app_svm.synthetic_gaussian_classes(
             m=100, seed=seed)),
         lambda data, alpha: app_svm.circle_law_adjacency(data[0]),
-        (99, 0.1, 0.1), app_svm.experiment_study),
+        app_svm.experiment_study, estimate=(99, 0.1, 0.1)),
     "regression": App(
         2, _regression_data, lambda data, alpha: data.adjacency(data.model, alpha),
-        (199, 0.5, 0.1), lambda cfg, data: app_regression.experiment_study(cfg, data.model)),
+        lambda cfg, data: app_regression.experiment_study(cfg, data.model),
+        estimate=(199, 0.5, 0.1), delta=0.01),
     # alpha is the fraction in (0, 1) each b_i ranges over
     "ellipsoid": App(
         2, _no_dataset("ellipsoid", lambda seed: app_ellipsoid.regular_polygon(
             5, radius=2.0)),
-        app_ellipsoid.b_range_adjacency, (99, 0.1, 0.1), app_ellipsoid.experiment_study),
+        app_ellipsoid.b_range_adjacency, app_ellipsoid.experiment_study,
+        estimate=(99, 0.1, 0.1), delta=0.1),
 }
 
 
@@ -331,19 +351,27 @@ def run_experiment(config: ExperimentConfig) -> dict:
     built: list = []
 
     def study():
+        # a build that raised is kept too: every point reads its exception
         if not built:
-            built.append(app.study(config, data))
+            try:
+                built.append(app.study(config, data))
+            except Exception as exc:  # noqa: BLE001 - raised again below
+                built.append(exc)
+        if isinstance(built[0], Exception):
+            raise built[0]
         return built[0]
 
     def shared_sensitivity(j):
         def get():
+            if app.bound:
+                return app.bound(data, config.alphas[j])
             if j not in reports:
                 samples, gamma, beta = app.estimate
                 adjacency = app.adjacency(data, config.alphas[j])
                 reports[j] = estimate_sensitivity(
                     adjacency, app.p, samples, gamma, beta,
                     seed=derive_seed(config.seed, Purpose.CALIBRATION, j))
-            return reports[j]
+            return reports[j].delta_p
         return get
 
     points = [(s, j) for s in config.strategies for j in range(len(config.alphas))]

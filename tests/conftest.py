@@ -1,6 +1,13 @@
 import numpy as np
 
+from dpconic.apps.opf import opf_sensitivity_bound
 from dpconic.conic import ConeKind, ConeSpec, ConicProgram, nonneg, rsoc, soc, zero
+from dpconic.dp import calibrate_laplace
+
+
+def opf_noise(net, alpha, epsilon=1.0):
+    """An opf experiment point's noise: Laplace(max(c) alpha / epsilon), k = 1."""
+    return calibrate_laplace(opf_sensitivity_bound(net.c, alpha), epsilon, k=1)
 
 
 def random_feasible_program(rng, max_rows=30, max_n=30):

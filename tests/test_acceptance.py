@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import random_feasible_program
+from conftest import opf_noise, random_feasible_program
 
 from dpconic.conic import (ConeKind, ConeSpec, ConicProgram, Status, as_dense,
                            build_simple_lp, nonneg)
@@ -84,7 +84,7 @@ def test_02_simple_lp_infeasibility_pattern():
     rate_out = rate(release_rows(study.nominal, noise, 11, n, stream=1))
     # input coincides with output here (x* = lower); separate draws anyway
     rate_in = rate(release_rows(study.nominal, noise, 12, n, stream=2))
-    pv = app_simple.privatize_simple_lp(lp, 1.0, 0.05, 0.05, seed=13)
+    pv = app_simple.privatize_simple_lp(lp, noise, 0.05, seed=13)
     rate_prog = rate(pv.releases(14, n, stream=3), pv)
     bound = 0.05 + 3 * binom_se(0.05, n)
     ok = (abs(rate_out - 0.5) <= 0.03 and abs(rate_in - 0.5) <= 0.03
@@ -106,7 +106,7 @@ def test_03_data_independence_across_datasets():
             assert sol.status == Status.OPTIMAL
             if query_name == "weighted":
                 # the full pipeline: rule from the chance-constrained program
-                pv = app_opf.privatize_opf(net, 1.0, 1.0, 0.05, seed=3)
+                pv = app_opf.privatize_opf(net, opf_noise(net, 1.0), 0.05, seed=3)
                 rule, query, noise = pv.rule, pv.query, pv.noise
             elif query_name == "sum":
                 query = WeightedSumQuery(np.ones(3))
@@ -135,7 +135,7 @@ def test_04_sample_size_formulas():
 
 def test_05_equality_split_balance():
     net = app_opf.bundled_network("triangle3")
-    pv = app_opf.privatize_opf(net, 1.0, 3.0, 0.01, seed=21)
+    pv = app_opf.privatize_opf(net, opf_noise(net, 3.0), 0.01, seed=21)
     draws = sample_noise(pv.noise, 314, 10**4, stream=4)
     xs = pv.rule.evaluate_many(draws)
     worst = float(np.abs(xs.sum(axis=1) - net.d.sum()).max())
@@ -248,7 +248,7 @@ def test_09_opf_desk_scale():
         lo, hi = app_opf.opf_cost_range(net)
         losses = []
         for alpha in (1.0, 3.0, 10.0):
-            pv = app_opf.privatize_opf(net, 1.0, alpha, 0.01, seed=33)
+            pv = app_opf.privatize_opf(net, opf_noise(net, alpha), 0.01, seed=33)
             rule_losses, feasible = evaluate_rule_metrics(
                 pv.rule, prog, base, sample_noise(pv.noise, 44, n_draws, stream=6))
             losses.append(float(rule_losses.mean()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import opf_noise
 from dpconic import solver
 from dpconic.conic import NotOptimal, Status
 from dpconic.dp import estimate_sensitivity, sample_noise
@@ -115,14 +116,14 @@ class TestSensitivityBound:
 class TestPrivatizeOpf:
     def test_balance_preserved(self):
         net = bundled_network("triangle3")
-        pv = privatize_opf(net, epsilon=1.0, alpha=3.0, eta=0.01, seed=2)
+        pv = privatize_opf(net, opf_noise(net, 3.0), eta=0.01, seed=2)
         draws = sample_noise(pv.noise, 31, 10**4, stream=5)
         xs = pv.rule.evaluate_many(draws)
         assert np.abs(xs.sum(axis=1) - net.d.sum()).max() < 1e-8
 
     def test_loss_monotone_in_alpha(self):
         net = bundled_network("triangle3")
-        costs = [privatize_opf(net, 1.0, a, 0.01, seed=4).nominal
+        costs = [privatize_opf(net, opf_noise(net, a), 0.01, seed=4).nominal
                  for a in (1.0, 3.0, 10.0)]
         assert costs[0] <= costs[1] <= costs[2]
 
@@ -134,35 +135,36 @@ class TestPrivatizeOpf:
             return real(programs, settings)
         real = solver.solve_batch
         monkeypatch.setattr(solver, "solve_batch", counting)
-        privatize_opf(bundled_network("triangle3"), 1.0, 3.0, 0.01, seed=2)
+        net = bundled_network("triangle3")
+        privatize_opf(net, opf_noise(net, 3.0), 0.01, seed=2)
         assert calls == [1]
 
     def test_constant_costs_conflict(self):
         net = two_node_net(c=(2.0, 2.0))
         with pytest.raises((ConflictingConstraints, NotOptimal)):
-            privatize_opf(net, epsilon=1.0, alpha=0.5, eta=0.05, seed=0)
+            privatize_opf(net, opf_noise(net, 0.5), eta=0.05, seed=0)
 
     def test_infeasible_privatization_raises(self):
         # tight capacities cannot absorb a large noise box
         net = two_node_net(c=(1.0, 5.0), d=(8.0, 0.0), xmax=(10.0, 10.0))
         with pytest.raises(NotOptimal):
-            privatize_opf(net, epsilon=1.0, alpha=20.0, eta=0.01, seed=0)
+            privatize_opf(net, opf_noise(net, 20.0), eta=0.01, seed=0)
 
     def test_high_privacy_status_depends_on_the_draw(self):
         # cvar6 at alpha 25: the sampled noise box at seed 0 leaves no
         # feasible rule (most seeds do not; seed 9, for one, does)
+        net = bundled_network("cvar6")
         with pytest.raises(NotOptimal) as info:
-            privatize_opf(bundled_network("cvar6"), 1.0, 25.0, 0.01, seed=0)
-        assert str(info.value) == ("chance-constrained OPF returned "
-                                   "PrimalInfeasible (alpha=25.0, eta=0.01)")
-        pv = privatize_opf(bundled_network("cvar6"), 1.0, 25.0, 0.01, seed=9)
+            privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=0)
+        assert str(info.value) == "chance-constrained OPF returned PrimalInfeasible"
+        pv = privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=9)
         assert pv.solution.status == Status.OPTIMAL
 
     def test_chance_level_holds(self):
         net = bundled_network("ring5")
         prog = build_opf(net)
         base = solve(prog)
-        pv = privatize_opf(net, epsilon=1.0, alpha=3.0, eta=0.01, seed=6)
+        pv = privatize_opf(net, opf_noise(net, 3.0), eta=0.01, seed=6)
         _, feasible = evaluate_rule_metrics(pv.rule, prog, base,
                                             sample_noise(pv.noise, 42, 2000, stream=9))
         assert 1.0 - feasible.mean() <= 0.01 + 3 * np.sqrt(0.01 * 0.99 / 2000)

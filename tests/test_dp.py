@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dpconic.dp import (
     AdjacencyModel,
     NoiseSpec,
-    PrivacyParams,
     SensitivityReport,
     SolveFailure,
     calibrate_gaussian,
@@ -117,18 +116,6 @@ class TestSampleSize:
     def test_at_least_formula(self, g, b):
         s = sensitivity_sample_size(g, b)
         assert s >= 1.0 / (g * b) - 1.0 - 1e-9
-
-
-class TestPrivacyParams:
-    def test_gaussian_needs_delta(self):
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, p=2, delta=0.0)
-
-    def test_noise_factory(self):
-        pp = PrivacyParams(epsilon=2.0, p=1, delta_p=4.0)
-        assert pp.noise(3).scale == 2.0
-        pp2 = PrivacyParams(epsilon=1.0, delta=0.01, p=2, delta_p=0.46)
-        assert abs(pp2.noise(1).scale - 1.4294552716424302) < 1e-12
 
 
 class TestEstimateSensitivity:
@@ -343,12 +330,6 @@ class TestEstimateSensitivity:
                                 delta_p=0.43, failures=(3,))
         back = SensitivityReport.from_json(rep.to_json())
         assert back == rep
-
-    def test_report_to_privacy_params(self):
-        rep = SensitivityReport(p=1, alpha=0.5, gamma=0.1, beta=0.1, samples=99,
-                                delta_p=0.43)
-        pp = rep.privacy_params(epsilon=2.0)
-        assert pp.delta_p == 0.43 and pp.samples == 99
 
 
 class TestBaselineStrategies:

@@ -1,4 +1,5 @@
-"""run_experiment: one shared sensitivity estimate per alpha, serial points.
+"""run_experiment: one shared sensitivity estimate per alpha, one noise
+calibration per point, serial points.
 
 A counting stub stands in for ``experiments.estimate_sensitivity``, so the
 Monte Carlo estimate (hundreds of solves) is not run.  Its delta_p is small
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from dpconic import experiments, solver
-from dpconic.dp import Purpose, SensitivityReport, derive_seed
-from dpconic.experiments import ExperimentConfig, run_experiment
+from dpconic.apps.metrics import Study
+from dpconic.dp import (NoiseSpec, Purpose, SensitivityReport, calibrate_gaussian,
+                        derive_seed)
+from dpconic.experiments import APPS, ExperimentConfig, run_experiment
 
 
 @pytest.fixture
@@ -242,7 +245,7 @@ def test_opf_base_is_solved_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_infeasible_opf_base_reads_infeasible(tmp_path):
+def test_infeasible_opf_base_reads_infeasible(tmp_path, monkeypatch):
     # every unit at its minimum of 10 exceeds the demand of 1: the base OPF
     # has no optimum, and every point says so, input ones included
     net = experiments.app_opf.PowerNetwork(
@@ -252,6 +255,108 @@ def test_infeasible_opf_base_reads_infeasible(tmp_path):
     path.write_text(net.to_json())
     cfg = _config(tmp_path, "opf", dataset=str(path),
                   strategies=("input", "output", "program"))
+    calls = []
+    real = solver._solve_grouped
+
+    def counting(programs, settings=None):
+        calls.extend(programs)
+        return real(programs, settings)
+
+    monkeypatch.setattr(solver, "_solve_grouped", counting)
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == [
         "infeasible:base OPF returned PrimalInfeasible"] * 3
+    # the failed study build is kept: its one base solve serves every point
+    assert len(calls) == 1
+
+
+def _run_output_point(app, cfg, delta_p, k):
+    """The noise the runner calibrates for an output point of app at
+    sensitivity delta_p, on a stub study whose nominal has k entries."""
+    widths = []
+
+    def score(rows, pv):
+        widths.append(rows.shape[1])
+        return rows[:, 0], np.zeros(len(rows), dtype=bool)
+
+    study = Study(nominal=np.zeros(k), privatize=None, score=score)
+    res = experiments._run_point(APPS[app], cfg, "output", 1.0, 0, lambda: study,
+                                 lambda: delta_p)
+    assert res.status == "ok" and widths == [k]
+    return res.extra["noise"]
+
+
+def test_the_runner_calibrates_the_noise():
+    # Laplace: Delta_1 / epsilon; Gaussian: sqrt(2 ln(1.25/delta)) Delta_2 / epsilon
+    cfg = ExperimentConfig(app="svm", epsilon=2.0, mc_samples=10)
+    assert _run_output_point("svm", cfg, 4.0, 3) == ["laplace", 2.0]
+    cfg = ExperimentConfig(app="regression", delta=0.01, mc_samples=10)
+    family, scale = _run_output_point("regression", cfg, 0.46, 1)
+    assert family == "gaussian" and abs(scale - 1.4294552716424302) < 1e-12
+
+
+def test_the_runner_calibrates_from_the_estimate(tmp_path, monkeypatch):
+    def stub(adjacency, p, samples, gamma, beta, seed, **_):
+        return SensitivityReport(p=p, alpha=adjacency.alpha, gamma=gamma, beta=beta,
+                                 samples=samples, delta_p=0.43)
+
+    monkeypatch.setattr(experiments, "estimate_sensitivity", stub)
+    cfg = _config(tmp_path, "svm", strategies=("output",), epsilon=2.0)
+    run_experiment(cfg)
+    manifest = _manifest(cfg)
+    (cal,) = manifest["calibrations"]
+    assert cal["delta_p"] == 0.43 and cal["samples"] == 99
+    (point,) = manifest["points"]
+    assert point["sensitivity"] == 0.43 and point["noise"] == ["laplace", 0.215]
+
+
+def test_a_gaussian_config_without_delta_runs_at_the_app_delta(tmp_path, estimates):
+    # the Gaussian mechanism has no delta 0; a p = 2 config resolves it once
+    with pytest.raises(ValueError):
+        calibrate_gaussian(0.46, 1.0, 0.0)
+    # the ellipsoid reads alpha as its b-range fraction
+    assert ExperimentConfig(app="ellipsoid", alphas=(0.5,)).delta == 0.1
+    cfg = _config(tmp_path, "regression", strategies=("output",))
+    assert cfg.delta == 0.01
+    run_experiment(cfg)
+    manifest = _manifest(cfg)
+    assert manifest["config"]["delta"] == 0.01
+    (point,) = manifest["points"]
+    want = calibrate_gaussian(point["sensitivity"], 1.0, 0.01, k=2)
+    assert point["noise"] == ["gaussian", want.scale]
+
+
+# (app, alphas) whose output and program points all read "ok"
+SHARED = [("opf", (1.0, 3.0)), ("regression", (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("app,alphas", SHARED)
+def test_output_and_program_points_record_one_noise(tmp_path, estimates, app, alphas):
+    cfg = _config(tmp_path, app, alphas=alphas)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"] * 4
+    points = _manifest(cfg)["points"]
+    for alpha in alphas:
+        output, program = (pt["noise"] for pt in points if pt["alpha"] == alpha)
+        assert output == program
+    assert points[0]["noise"] != points[1]["noise"]
+
+
+# per app a noise scale no config calibrates, small enough for a feasible rule
+ODD_SCALES = {"simple-lp": 0.0123, "opf": 7.77, "svm": 1.234, "regression": 0.777,
+              "ellipsoid": 0.0123}
+
+
+@pytest.mark.parametrize("app", sorted(ODD_SCALES))
+def test_study_privatize_takes_the_noise_it_is_handed(app):
+    cfg = ExperimentConfig(app=app, alphas=(0.5,))
+    study = APPS[app].study(cfg, APPS[app].data(None, 0))
+    family = "laplace" if APPS[app].p == 1 else "gaussian"
+    noise = NoiseSpec(family, len(study.nominal), ODD_SCALES[app])
+    pv = study.privatize(noise, 5)
+    assert pv.noise is noise
+
+
+def test_every_app_has_one_sensitivity_source():
+    for app in APPS.values():
+        assert (app.estimate is None) != (app.bound is None)

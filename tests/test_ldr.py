@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import opf_noise
+
 from dpconic.conic import (
     ConeKind,
     ConeSpec,
@@ -519,7 +521,8 @@ class TestRecourseRidge:
                                    IndividualChance(eta_bar=0.05), seed=1)
             program, settings = pv.program, svm.DEFAULT_SETTINGS
         else:
-            pv = opf.privatize_opf(opf.bundled_network("cvar6"), 1.0, 1.0, 0.01, seed=2)
+            net = opf.bundled_network("cvar6")
+            pv = opf.privatize_opf(net, opf_noise(net, 1.0), 0.01, seed=2)
             program, settings = pv.privatized.program, None
         assert sum(blk.kind == ConeKind.RSOC for blk in program.cones.blocks) > 1
         # an Optimal solve is trusted to 10 tol on kkt_report: the OPF's

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import opf_noise
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
 from dpconic.ldr import DecisionRule, IndividualChance, Privatization
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
@@ -30,12 +31,13 @@ def _ellipsoid():
 
 
 def _opf():
-    return opf.privatize_opf(opf.bundled_network("triangle3"), 1.0, 1.0, 0.01, seed=2)
+    net = opf.bundled_network("triangle3")
+    return opf.privatize_opf(net, opf_noise(net, 1.0), 0.01, seed=2)
 
 
 def _simple_lp():
-    return simple_lp.privatize_simple_lp(simple_lp.SimpleLpStudy(), 1.0, 0.05, 0.05,
-                                         seed=13)
+    return simple_lp.privatize_simple_lp(simple_lp.SimpleLpStudy(),
+                                         calibrate_laplace(0.05, 1.0, k=1), 0.05, seed=13)
 
 
 # study -> (its privatization, the value its release takes from the query
