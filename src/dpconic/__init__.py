@@ -29,7 +29,6 @@ from .dp import (
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
-    privacy_ratio_check,
     sample_noise,
     sensitivity_sample_size,
 )

@@ -254,8 +254,6 @@ def privatize_ellipsoid(
     sample average of per-draw det hypograph variables (the expectation of
     det^(1/2) has no closed conic form).  The release is (z, Y).
     """
-    if noise.k != RULE_DIM:
-        raise ValueError(f"noise dim {noise.k}, expected {RULE_DIM}")
     check_bounded(inst)
     pp = privatize(_rule_program(inst), noise, SelectQuery(range(RULE_DIM)),
                    VertexChance(eta), seed, epigraph_vars=1,

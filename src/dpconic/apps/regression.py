@@ -297,8 +297,6 @@ def privatize_regression(
     if noise.family != "gaussian":
         raise ValueError("regression release is calibrated for Gaussian noise")
     mb = model.basis.dim
-    if noise.k != mb:
-        raise ValueError(f"noise dim {noise.k}, expected {mb}")
     chance = IndividualChance(eta=eta, safety="gaussian")
     # columns (w, u, v): the fit and ridge epigraph variables go last
     program = permute_columns(build_monotone_regression(model),

@@ -25,6 +25,12 @@ from .metrics import Study
 
 # weakly regularized margin programs hit their accuracy floor around 1e-7
 DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=200)
+# the privatized program leaves the slack recourse Z free, and no term of its
+# objective fixes Z, so its center is fixed only to the solve's accuracy: on
+# the study data, at 1e-7 the center moved 8.9e-5 across epigraph scales H
+# 50 to 5e4, at 1e-8 at most 1e-6; either tol takes 14 iterations there
+# (privatize seeds 1-12)
+PRIVATIZED_SETTINGS = SolverSettings(tol=1e-8, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -192,14 +198,11 @@ def privatize_svm(
     the default study setting) or a VertexChance.  The release is (w, b).
     """
     m, n = data.m, data.n
-    k = n + 1
-    if noise.k != k:
-        raise ValueError(f"noise dim {noise.k}, expected n+1={k}")
-
     # columns (w, b, z, t): t, the epigraph variable of |w|^2, goes last
     program = permute_columns(build_svm(data), np.r_[1 : 2 + n + m, 0])
-    pp = privatize(program, noise, SelectQuery(range(k)), chance, seed, epigraph_vars=1)
-    return pp.solve(DEFAULT_SETTINGS, "privatized SVM",
+    pp = privatize(program, noise, SelectQuery(range(n + 1)), chance, seed,
+                   epigraph_vars=1)
+    return pp.solve(PRIVATIZED_SETTINGS, "privatized SVM",
                     unpack=lambda v: (v[:n], float(v[n])))
 
 

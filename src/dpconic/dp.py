@@ -284,36 +284,3 @@ def estimate_sensitivity(
         p=p, alpha=adjacency.alpha, gamma=gamma, beta=beta,
         samples=samples, delta_p=worst, failures=tuple(failures),
     )
-
-
-def laplace_ratio_sup(gap_l1: float, scale: float) -> float:
-    """sup over outputs of the Laplace density ratio for centers gap_l1 apart."""
-    return math.exp(gap_l1 / scale)
-
-
-def privacy_ratio_check(
-    query_a: np.ndarray,
-    query_b: np.ndarray,
-    spec: NoiseSpec,
-    epsilon: float,
-    delta: float = 0.0,
-) -> bool:
-    """Analytic check that the mechanism masks this particular query pair.
-
-    Laplace: the density-ratio sup is exp(gap_1/scale), so the epsilon bound
-    holds everywhere iff gap_1 <= epsilon * scale.  Gaussian: the pair is
-    covered iff gap_2 does not exceed the sensitivity the sigma was
-    calibrated for.
-    """
-    a = np.atleast_1d(np.asarray(query_a, dtype=float))
-    b = np.atleast_1d(np.asarray(query_b, dtype=float))
-    if a.shape != b.shape or a.shape[0] != spec.k:
-        raise ValueError("query values must match the noise dimension")
-    if spec.family == "laplace":
-        gap = float(np.linalg.norm(a - b, ord=1))
-        return gap <= epsilon * spec.scale + 1e-12
-    if not 0 < delta < 1:
-        raise ValueError("gaussian check needs delta in (0, 1)")
-    gap = float(np.linalg.norm(a - b, ord=2))
-    implied_delta_2 = spec.scale * epsilon / _gaussian_factor(delta)
-    return gap <= implied_delta_2 + 1e-12

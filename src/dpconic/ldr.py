@@ -59,9 +59,6 @@ CVAR_STREAM = 1
 # 11 s per LU there, so a solve of 50-150 iterations would take 10-30 minutes.
 _MAX_VERTEX_ROWS = 8192
 
-# weight of the ridge |X_i|^2 that breaks ties in the free recourse (see privatize)
-RECOURSE_RIDGE = 1e-8
-
 
 class ConflictingConstraints(ValueError):
     """The equality recourse system contradicts the query constraint."""
@@ -449,11 +446,6 @@ def privatize(
 
     Zero-cone rows are split exactly; all other rows are chance-constrained
     by the chosen method.  The expected linear objective reduces to c'xbar.
-    Ties in X (it never enters the expected objective) are broken toward
-    minimal Frobenius norm through a small ridge: RECOURSE_RIDGE |X_i|^2
-    for each rule row i with free entries, one ridge variable and one
-    rotated-SOC block (ridge_i, 1/2, X_i) per row, which sums to
-    RECOURSE_RIDGE |X_free|_F^2 and keeps each block as narrow as its row.
 
     The last `epigraph_vars` columns of the program are epigraph variables
     of the expected objective (such as t >= |w|^2); they are not part of
@@ -464,7 +456,7 @@ def privatize(
     sample average of an expected objective with no closed conic form.
 
     The columns of the result are the rule's (RuleSpace), then the epigraph
-    copies, then the ridge variables in rule-row order.  Its A is CSR.
+    copies.  Its A is CSR.
 
     Raises ConflictingConstraints when the equality recourse system A_E X = 0
     cannot hold together with the query constraint.
@@ -503,17 +495,13 @@ def privatize(
     S = len(obj_points)
     n_epi = S * epigraph_vars
     free = space.ncols - n
-    # rule rows with free entries, each with its own ridge variable
-    ridge_rows = np.unique(space.free[0])
-    N = space.ncols + n_epi + len(ridge_rows)
+    N = space.ncols + n_epi
     names = space.names + [
         f"t[{e}]" + (f"[{s}]" if objective_samples else "")
-        for s in range(S) for e in range(epigraph_vars)] + [
-        f"ridge[{i}]" for i in ridge_rows]
+        for s in range(S) for e in range(epigraph_vars)]
     c = np.zeros(N)
     c[:n] = program.c[:n]
-    c[space.ncols: space.ncols + n_epi] = np.tile(program.c[n:] / S, S)
-    c[space.ncols + n_epi:] = RECOURSE_RIDGE
+    c[space.ncols:] = np.tile(program.c[n:] / S, S)
 
     # the equality rows split exactly: b_E - A_E xbar = 0 over xbar, and the
     # X-equality system over vec(X) (row-major): the recourse A_E X = 0, then
@@ -566,14 +554,11 @@ def privatize(
 
     # objective blocks, one copy per point, each with its own epigraph columns
     G_rule, h_obj = space.expand(program.A[obj_rows, :n], program.b[obj_rows], obj_points)
-    G_obj = np.zeros((len(h_obj), space.ncols + n_epi))
+    G_obj = np.zeros((len(h_obj), N))
     G_obj[:, : space.ncols] = G_rule
     epi = G_obj[:, space.ncols:].reshape(S, len(obj_rows), S, epigraph_vars)
     epi[np.arange(S), :, np.arange(S), :] = program.A[obj_rows, n:]
     pieces.append((G_obj, h_obj, obj_cones * S))
-
-    if len(ridge_rows):
-        pieces.append(_ridge_blocks(space, ridge_rows, N))
 
     parts, b, blocks = [], [], []
     while pieces:  # each piece is freed once stored as CSR
@@ -588,23 +573,3 @@ def privatize(
         program=transformed, space=space, noise=noise, query=query, box_vertices=box,
         eq_matrix=transformed.A[:m_eq].toarray(), eq_rhs=transformed.b[:m_eq],
     )
-
-
-def _ridge_blocks(space: RuleSpace, ridge_rows: np.ndarray, N: int):
-    """The blocks (ridge_i, 1/2, X_i) of the recourse ridge, one per rule row
-    i in ridge_rows, as a piece (G, h, cones) with G CSR over N columns, the
-    last len(ridge_rows) of them the ridge variables."""
-    r = len(ridge_rows)
-    counts = np.bincount(space.free[0], minlength=space.n)[ridge_rows]
-    dims = 2 + counts
-    first = np.cumsum(dims) - dims
-    free = int(counts.sum())
-    # the free entries are numbered row by row: entry e of block i sits
-    # below the two head rows of each of the blocks 0..i
-    entry_rows = np.arange(free) + 2 * np.repeat(np.arange(1, r + 1), counts)
-    rows = np.concatenate([first, entry_rows])
-    cols = np.concatenate([N - r + np.arange(r), space.n + np.arange(free)])
-    G = sp.csr_array((np.full(rows.size, -1.0), (rows, cols)), shape=(int(dims.sum()), N))
-    h = np.zeros(G.shape[0])
-    h[first + 1] = 0.5
-    return G, h, [(ConeKind.RSOC, int(d)) for d in dims]

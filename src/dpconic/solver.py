@@ -87,9 +87,7 @@ KKT_BATCH_BYTES = 4 << 20
 # density 0.009) 33.5 / 2.0 ms; the CVaR-augmented cvar6 OPF at 600, 300,
 # 200 and 100 samples (N 1881, 981, 681, 381; density 0.006 to 0.029)
 # 104 / 6.5, 22.8 / 6.1, 9.3 / 6.4 and 2.6 / 2.7 ms; the SVM base (N 308,
-# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1808, 0.0045, its ridge in one
-# RSOC(5) block per rule row) 102.5 / 10.6 ms, where its ridge as one
-# RSOC(302) block (N 1511, 0.084) took 58.6 / 55.5 ms and stayed dense.
+# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1208, 0.0069) 33.7 / 3.1 ms.
 # Below N = 500 a factor costs a few ms either way.  Unstructured sparse
 # programs fill in under SuperLU's COLAMD ordering and go slower: random
 # NonNeg LPs with N 1000 and density 0.009 took 28.5 / 115 ms.

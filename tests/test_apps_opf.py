@@ -3,11 +3,11 @@ import pytest
 
 from conftest import opf_noise
 from dpconic import solver
-from dpconic.conic import NotOptimal, Status
+from dpconic.conic import ConeKind, NotOptimal, Status
 from dpconic.dp import estimate_sensitivity, sample_noise
 from dpconic.experiments import cvar_q_sweep
 from dpconic.ldr import ConflictingConstraints
-from dpconic.solver import solve
+from dpconic.solver import kkt_report, solve
 from dpconic.apps.metrics import evaluate_rule_metrics
 from dpconic.apps.opf import (
     PowerNetwork,
@@ -159,6 +159,28 @@ class TestPrivatizeOpf:
         assert str(info.value) == "chance-constrained OPF returned PrimalInfeasible"
         pv = privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=9)
         assert pv.solution.status == Status.OPTIMAL
+
+    @pytest.mark.parametrize("name", ["triangle3", "ring5", "cvar6"])
+    def test_privatized_opf_is_an_lp(self, name):
+        # the rule's columns and nothing else, Zero and NonNeg blocks only,
+        # and every Optimal certified by kkt_report to 10 tol
+        net = bundled_network(name)
+        tol = solver.SolverSettings().tol
+        for alpha in (1.0, 3.0, 10.0):
+            for seed in range(6):
+                pv = privatize_opf(net, opf_noise(net, alpha), 0.01, seed=seed)
+                program = pv.program
+                assert {blk.kind for blk in program.cones.blocks} <= {
+                    ConeKind.ZERO, ConeKind.NONNEG}
+                assert program.n == pv.privatized.space.ncols
+                assert max(kkt_report(program, pv.solution).values()) <= 10 * tol
+
+    def test_cvar6_gap_within_tol(self):
+        # an Optimal whose gap read 2.9e-8 against tol 1e-8 while the program
+        # carried a recourse ridge
+        net = bundled_network("cvar6")
+        pv = privatize_opf(net, opf_noise(net, 1.0), 0.01, seed=2)
+        assert kkt_report(pv.program, pv.solution)["gap"] <= solver.SolverSettings().tol
 
     def test_chance_level_holds(self):
         net = bundled_network("ring5")

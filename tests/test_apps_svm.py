@@ -7,7 +7,7 @@ from dpconic.conic import ConicProgram, Status
 from dpconic.dp import calibrate_laplace, estimate_sensitivity, sample_noise
 from dpconic.ldr import IndividualChance, VertexChance
 from dpconic.apps.svm import (
-    DEFAULT_SETTINGS,
+    PRIVATIZED_SETTINGS,
     LabeledPoints,
     accuracy,
     classify,
@@ -113,7 +113,7 @@ class TestPrivatizeSvm:
 
     def test_solution_passes_kkt_report(self, svm_setup):
         _, _, _, _, pv = svm_setup
-        assert max(kkt_report(pv.program, pv.solution).values()) <= DEFAULT_SETTINGS.tol
+        assert max(kkt_report(pv.program, pv.solution).values()) <= PRIVATIZED_SETTINGS.tol
 
     def test_vertex_variant_solves(self):
         train, _, _ = synthetic_gaussian_classes(m=20, seed=2)

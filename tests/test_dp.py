@@ -12,8 +12,6 @@ from dpconic.dp import (
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
-    laplace_ratio_sup,
-    privacy_ratio_check,
     rng_stream,
     sample_noise,
     sensitivity_sample_size,
@@ -341,30 +339,3 @@ class TestBaselineStrategies:
         xs = study.lower + draws
         rate = 1.0 - study.in_box(xs).mean()
         assert abs(rate - 0.5) < 0.02
-
-
-class TestPrivacyRatio:
-    def test_equal_queries_pass(self):
-        spec = NoiseSpec("laplace", 2, 1.0)
-        assert privacy_ratio_check(np.ones(2), np.ones(2), spec, epsilon=0.01)
-
-    def test_gap_exceeding_budget_fails(self):
-        spec = NoiseSpec("laplace", 1, 1.0)
-        assert not privacy_ratio_check(np.array([2.0]), np.array([0.0]), spec, 1.0)
-
-    def test_boundary_gap_passes(self):
-        delta1, eps = 3.0, 1.5
-        spec = calibrate_laplace(delta1, eps)
-        assert privacy_ratio_check(np.array([delta1]), np.array([0.0]), spec, eps)
-
-    def test_gaussian_check(self):
-        spec = calibrate_gaussian(0.5, 1.0, 0.05, k=2)
-        assert privacy_ratio_check(np.array([0.5, 0.0]), np.zeros(2), spec, 1.0,
-                                   delta=0.05)
-        assert not privacy_ratio_check(np.array([0.9, 0.0]), np.zeros(2), spec, 1.0,
-                                       delta=0.05)
-
-    def test_laplace_ratio_sup_at_calibration(self):
-        # gap Delta_1 and scale Delta_1/eps give exactly exp(eps)
-        for eps in (0.5, 1.0, 3.0):
-            assert abs(laplace_ratio_sup(2.0, 2.0 / eps) - math.exp(eps)) < 1e-12

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import opf_noise
-
 from dpconic.conic import (
     ConeKind,
     ConeSpec,
@@ -27,7 +25,6 @@ from dpconic.ldr import (
     DecisionRule,
     IndividualChance,
     OBJ_STREAM,
-    RECOURSE_RIDGE,
     SelectQuery,
     VertexChance,
     WeightedSumQuery,
@@ -38,8 +35,7 @@ from dpconic.ldr import (
     safety_factor,
     vertex_sample_size,
 )
-from dpconic.solver import SolverSettings, kkt_report, solve
-from dpconic.apps import opf, svm
+from dpconic.solver import solve
 
 
 class TestVertexSampleSize:
@@ -488,56 +484,6 @@ def _rows_of_block(program, index):
     return blk, slice(start, start + blk.dim)
 
 
-def _single_block_ridge(program):
-    """The program with its recourse ridge as one block (ridge, 1/2, X_free)
-    over one ridge variable: RECOURSE_RIDGE |X_free|_F^2 in a single
-    rotated-SOC block, in place of privatize's last blocks, one per ridge
-    variable."""
-    names = program.variable_names
-    ridge = np.array([name.startswith("ridge[") for name in names])
-    free = np.flatnonzero([name.startswith("X[") for name in names])
-    blocks = program.cones.blocks[: -int(ridge.sum())]
-    m = sum(blk.dim for blk in blocks)
-    A = as_dense(program.A)[:m][:, ~ridge]
-    G = np.zeros((2 + free.size, A.shape[1] + 1))
-    G[0, -1] = -1.0
-    G[2 + np.arange(free.size), free] = -1.0
-    h = np.zeros(2 + free.size)
-    h[1] = 0.5
-    return ConicProgram(np.vstack([np.hstack([A, np.zeros((m, 1))]), G]),
-                        np.concatenate([program.b[:m], h]),
-                        np.append(program.c[~ridge], RECOURSE_RIDGE),
-                        ConeSpec(list(blocks) + [rsoc(2 + free.size)]))
-
-
-class TestRecourseRidge:
-    @pytest.mark.parametrize("study", ["svm", "opf"])
-    def test_per_row_blocks_keep_the_objective(self, study):
-        # sum_i |X_i|^2 = |X_free|_F^2: the same objective, in blocks as
-        # narrow as the rule's rows
-        if study == "svm":
-            data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
-            pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=3),
-                                   IndividualChance(eta_bar=0.05), seed=1)
-            program, settings = pv.program, svm.DEFAULT_SETTINGS
-        else:
-            net = opf.bundled_network("cvar6")
-            pv = opf.privatize_opf(net, opf_noise(net, 1.0), 0.01, seed=2)
-            program, settings = pv.privatized.program, None
-        assert sum(blk.kind == ConeKind.RSOC for blk in program.cones.blocks) > 1
-        # an Optimal solve is trusted to 10 tol on kkt_report: the OPF's
-        # per-row solve stops at a gap of 2.9e-8 against its tol of 1e-8
-        tol = 10 * (settings or SolverSettings()).tol
-        objectives = []
-        for p in (program, _single_block_ridge(program)):
-            sol = solve(p, settings)
-            assert sol.status == Status.OPTIMAL
-            assert max(kkt_report(p, sol).values()) <= tol
-            objectives.append(sol.objective)
-        a, b = objectives
-        assert abs(a - b) <= tol * (1.0 + abs(b))
-
-
 class TestEpigraphVariables:
     def test_objective_block_at_xbar_is_base_rows(self):
         base = _epigraph_program()
@@ -548,9 +494,8 @@ class TestEpigraphVariables:
                            epigraph_vars=1)
             prog = pp.program
             t = prog.variable_names.index("t[0]")
-            # the recourse ridge blocks are last, one per ridge variable
-            n_ridge = sum(name.startswith("ridge") for name in prog.variable_names)
-            blk, rows = _rows_of_block(prog, -1 - n_ridge)
+            # the objective block is last
+            blk, rows = _rows_of_block(prog, -1)
             assert blk == rsoc(4)
             A = as_dense(prog.A)[rows]
             # exact equality, not a tolerance (signed zeros aside)
@@ -775,11 +720,6 @@ def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
         for kind, A_blk, A_epi, b_blk in objective_blocks:
             builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk,
                                                     epi_idx, point))
-    # one ridge variable and block per rule row with free entries
-    for row in sorted({i for i, _ in space.free}):
-        u = builder.add_var(f"ridge[{row}]", obj=RECOURSE_RIDGE)
-        builder.add_block(ConeKind.RSOC, [({u: 1.0}, 0.0), ({}, 0.5)] + [
-            ({int(space.X_idx[i, j]): 1.0}, 0.0) for i, j in space.free if i == row])
     return builder.build()
 
 
@@ -845,7 +785,8 @@ def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
 
 ORACLE_CASES = [
     # (query, chance, k of the pinned query, equality rows, epigraph vars,
-    #  objective samples); each id ends in the ridge weight, RECOURSE_RIDGE
+    #  objective samples); each id ends in 1e-08, the weight of the recourse
+    #  ridge privatize built before it was deleted, so the ids stay as recorded
     ("identity", "vertex", 0, False, 0, 0),
     ("identity", "individual", 0, False, 0, 0),
     ("sum", "vertex", 0, True, 0, 0),
@@ -865,7 +806,7 @@ ORACLE_CASES = [
 class TestExpansionMatchesDictRows:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("case", ORACLE_CASES,
-                             ids=lambda c: "-".join(map(str, c + (RECOURSE_RIDGE,))))
+                             ids=lambda c: "-".join(map(str, c + (1e-08,))))
     def test_same_program(self, case, seed):
         query_kind, chance_kind, k_pinned, equality, epi, obj_samples = case
         program, noise, query, chance = _random_case(seed, query_kind, chance_kind,

@@ -891,7 +891,7 @@ def _pattern_corpus():
     data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
     pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
                            IndividualChance(eta_bar=0.05), seed=1)
-    out = {"svm": (pv.program, svm.DEFAULT_SETTINGS, pv.solution, pv.rule.xbar)}
+    out = {"svm": (pv.program, svm.PRIVATIZED_SETTINGS, pv.solution, pv.rule.xbar)}
     noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
     pe = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                        eta=0.1, seed=1)
@@ -914,17 +914,18 @@ def _pattern_corpus():
 # the iterations, the leading entries of rule.xbar (all of them but the
 # SVM's, whose first three are the released (w, b)) and the norm of xbar
 DENSE_G_REFERENCE = {
-    "svm": (14, [-834.0790314471661, -728.1915624905052, -777.5336943520275],
-            1369.382835089846),
+    "svm": (14, [-834.0790318206431, -728.1915617164296, -777.5336941913745],
+            1369.3828348386266),
     "ellipsoid": (14, [-0.018071041991376907, 0.1895131241057039, 1.0653650706304014,
                        -0.020624039346167328, 0.007763543187772019, 1.2094177893822082],
                   None),
-    "cvar-0.05": (16, [250.00000001666083, 200.00000001557072, 146.9049506790438,
-                       98.80393121206052, 4.29111809275891, -1.609472360482415e-08], None),
-    "cvar-0.1": (15, [250.00000002243155, 200.00000002206792, 146.9049505028519,
-                      98.80393163837229, 4.291117836332135, -2.205581274896575e-08], None),
-    "cvar-0.2": (15, [250.00000006973514, 200.00000006768286, 146.90494921880543,
-                      98.80393474670173, 4.291115965860619, -6.878569180521248e-08], None),
+    "cvar-0.05": (16, [250.00000001057225, 200.00000001002866, 146.90495074854454,
+                       98.80393104061608, 4.2911182004182695, -1.0210954378162607e-08],
+                  None),
+    "cvar-0.1": (14, [250.00000029353836, 200.00000028132584, 146.9049481131456,
+                      98.8039375940303, 4.291114006105662, -2.881983644011648e-07], None),
+    "cvar-0.2": (15, [250.00000015039055, 200.00000014604453, 146.90494585577662,
+                      98.80394284783702, 4.291111148252106, -1.48313245167396e-07], None),
 }
 
 
