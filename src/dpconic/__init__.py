@@ -20,7 +20,6 @@ from .conic import (
     program_from_json,
     program_to_json,
     slack,
-    validate,
 )
 from .dp import (
     AdjacencyModel,

@@ -42,17 +42,15 @@ def evaluate_rule_metrics(
     base: Solution,
     zetas: np.ndarray,
     membership_tol: float = 1e-6,
-    loss: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(losses, feasible) of the rule at the noise points ``zetas`` (one per
     row) on the base program.
 
-    A loss is l'(xbar + X zeta) - l'(x*), with l defaulting to the base
-    objective; a point is feasible when its realized solution stays in the
-    base feasible region (cone membership of the slack at membership_tol).
+    A loss is c'(xbar + X zeta) - c'x*, with c the base objective; a point
+    is feasible when its realized solution stays in the base feasible
+    region (cone membership of the slack at membership_tol).
     """
-    lvec = np.asarray(loss if loss is not None else program.c, dtype=float).ravel()
     xs = rule.evaluate_many(zetas)
-    losses = xs @ lvec - float(lvec @ base.x)
+    losses = xs @ program.c - float(program.c @ base.x)
     return losses, cone_membership_rows(program.b - xs @ as_dense(program.A).T,
                                         program.cones, membership_tol)

@@ -297,7 +297,7 @@ def privatize_regression(
     if noise.family != "gaussian":
         raise ValueError("regression release is calibrated for Gaussian noise")
     mb = model.basis.dim
-    chance = IndividualChance(eta=eta, safety="gaussian")
+    chance = IndividualChance(eta=eta)
     # columns (w, u, v): the fit and ridge epigraph variables go last
     program = permute_columns(build_monotone_regression(model),
                               np.r_[2 : 2 + mb, 0, 1])

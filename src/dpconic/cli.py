@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .conic import Status, program_from_json, program_to_json, validate
+from .conic import Status, program_from_json, program_to_json
 from .dp import (
     NoiseSpec,
     estimate_sensitivity,
@@ -50,17 +50,13 @@ def _write(text: str, path: str | None):
 
 
 def _read_program(path: str):
-    """The valid program in the JSON file at path, or None once the reason it
-    cannot be read or is invalid is printed."""
+    """The program in the JSON file at path, or None once the reason it
+    cannot be read (an invalid program among them) is printed."""
     try:
         with open(path, encoding="utf-8") as fh:
             program = program_from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read program: {exc}", file=sys.stderr)
-        return None
-    errs = validate(program)
-    if errs:
-        print("error: invalid program: " + "; ".join(errs), file=sys.stderr)
         return None
     return program
 

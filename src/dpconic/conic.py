@@ -118,7 +118,8 @@ def quadratic_epigraph(nv: int, t: int, cols, M: np.ndarray, y: np.ndarray, H: f
 class ConicProgram:
     """A is kept read-only: a dense A as a float array, a sparse one as a CSR
     copy in canonical form (sorted indices, no duplicate or stored zero), so
-    its stored pattern is its nonzero pattern."""
+    its stored pattern is its nonzero pattern.  A program is valid by
+    construction: ValueError("invalid program: ...") names every violation."""
 
     A: np.ndarray | sp.csr_array
     b: np.ndarray
@@ -138,6 +139,19 @@ class ConicProgram:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
+        m, n = A.shape
+        violations = [msg for bad, msg in (
+            (self.b.shape != (m,), f"b length {self.b.shape[0]} != m={m}"),
+            (self.c.shape != (n,), f"c length {self.c.shape[0]} != n={n}"),
+            (self.cones.dim != m, f"cone dims sum to {self.cones.dim} != m={m}"),
+            (not np.isfinite(arrays[0]).all(), "A has non-finite entries"),
+            (not np.isfinite(self.b).all(), "b has non-finite entries"),
+            (not np.isfinite(self.c).all(), "c has non-finite entries"),
+            (self.variable_names is not None and len(self.variable_names) != n,
+             "variable_names length != n"),
+        ) if bad]
+        if violations:
+            raise ValueError("invalid program: " + "; ".join(violations))
         for a in arrays + (self.b, self.c):
             a.setflags(write=False)
 
@@ -187,34 +201,6 @@ def require_optimal(sol: Solution, what: str) -> Solution:
     if sol.status != Status.OPTIMAL:
         raise NotOptimal(f"{what} returned {sol.status.value}", sol.status)
     return sol
-
-
-def validate(program: ConicProgram) -> list[str]:
-    """Return every dimension/finiteness violation; empty list means ok."""
-    violations = []
-    m, n = program.A.shape
-    if program.b.shape != (m,):
-        violations.append(f"b length {program.b.shape[0]} != m={m}")
-    if program.c.shape != (n,):
-        violations.append(f"c length {program.c.shape[0]} != n={n}")
-    if program.cones.dim != m:
-        violations.append(f"cone dims sum to {program.cones.dim} != m={m}")
-    if not np.all(np.isfinite(program.A.data if sp.issparse(program.A) else program.A)):
-        violations.append("A has non-finite entries")
-    if not np.all(np.isfinite(program.b)):
-        violations.append("b has non-finite entries")
-    if not np.all(np.isfinite(program.c)):
-        violations.append("c has non-finite entries")
-    if program.variable_names is not None and len(program.variable_names) != n:
-        violations.append("variable_names length != n")
-    return violations
-
-
-def require_valid(program: ConicProgram) -> None:
-    """Raise ValueError naming every violation validate finds."""
-    errs = validate(program)
-    if errs:
-        raise ValueError("invalid program: " + "; ".join(errs))
 
 
 def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .conic import ConicProgram, Solution, require_valid
-from .solver import KKT_BATCH_BYTES, SolverSettings, _solve_grouped, stack_bytes
+from .conic import ConicProgram, Solution
+from .solver import KKT_BATCH_BYTES, SolverSettings, solve_batch, stack_bytes
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -175,14 +175,6 @@ class SensitivityReport:
             }
         )
 
-    @staticmethod
-    def from_json(text: str) -> "SensitivityReport":
-        doc = json.loads(text)
-        return SensitivityReport(
-            p=doc["p"], alpha=doc["alpha"], gamma=doc["gamma"], beta=doc["beta"],
-            samples=doc["S"], delta_p=doc["delta_p"], failures=tuple(doc["failures"]),
-        )
-
 
 def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
     """Yield (s, outcome) in sample order.  The outcome is, for each dataset
@@ -203,7 +195,6 @@ def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
         for dataset in (d_a, d_b):
             try:
                 program = adjacency.program(dataset)
-                require_valid(program)
             except Exception as exc:     # raised again in sample order
                 built.append((dataset, exc))
                 break
@@ -220,8 +211,7 @@ def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
 def _solve_chunk(chunk, settings):
     programs = [x for _, built in chunk if isinstance(built, list)
                 for _, x in built if isinstance(x, ConicProgram)]
-    # built programs passed require_valid in _solved_pairs
-    solutions = iter(_solve_grouped(programs, settings))
+    solutions = iter(solve_batch(programs, settings))
     for s, built in chunk:
         if isinstance(built, list):
             built = [(d, next(solutions) if isinstance(x, ConicProgram) else x)
@@ -248,8 +238,7 @@ def estimate_sensitivity(
 
     Draws `samples` adjacent pairs, solves both programs of each pair and
     takes the max p-norm gap of the released queries.  The programs are
-    built and validated in sample order and solved together by
-    solver.solve_batch's batched core, which does not validate them again; the
+    built in sample order and solved together by solver.solve_batch; the
     results are then taken in sample order, so every outcome below is the
     one a serial walk of build, solve and read per dataset gives.  Pairs
     whose build, solve or read fails (a RuntimeError or ValueError: solver

@@ -177,7 +177,6 @@ class VertexChance:
 
     eta: float
     beta: float = 0.01
-    samples: int | None = None  # override of the sample-size rule
 
     def __post_init__(self):
         if not 0 < self.eta < 1:
@@ -190,30 +189,23 @@ class VertexChance:
 class IndividualChance:
     """Per-row guarantees via safety-factor tightening (linear rows only).
 
-    eta_bar may be a scalar, a per-row vector, or None, in which case a
-    joint eta is split uniformly over the chance rows so 1'eta_bar <= eta.
+    Every chance row gets the tolerance eta_bar, or, when eta_bar is None,
+    a joint eta split uniformly over the chance rows so 1'eta_bar <= eta.
+    The safety factor follows the noise: the exact quantile for Gaussian
+    noise, the distribution-free Chebyshev (Cantelli) factor for Laplace.
     """
 
-    eta_bar: float | tuple[float, ...] | None = None
+    eta_bar: float | None = None
     eta: float | None = None
-    safety: str = "chebyshev"  # "chebyshev" | "gaussian"
 
     def __post_init__(self):
-        if self.safety not in ("chebyshev", "gaussian"):
-            raise ValueError("safety must be 'chebyshev' or 'gaussian'")
         if self.eta_bar is None and self.eta is None:
             raise ValueError("need eta_bar or a joint eta to split")
-        if isinstance(self.eta_bar, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "eta_bar", tuple(float(v) for v in self.eta_bar))
 
     def row_levels(self, m_rows: int) -> np.ndarray:
         if self.eta_bar is None:
             # max() keeps a program without chance rows at an empty split
             levels = np.full(m_rows, self.eta / max(m_rows, 1))
-        elif isinstance(self.eta_bar, tuple):
-            levels = np.asarray(self.eta_bar, dtype=float)
-            if levels.shape[0] != m_rows:
-                raise ValueError(f"eta_bar has {levels.shape[0]} entries for {m_rows} rows")
         else:
             levels = np.full(m_rows, float(self.eta_bar))
         if np.any(levels <= 0) or np.any(levels > 0.5):
@@ -319,7 +311,7 @@ class RuleSpace:
 
 
 def chance_row_blocks(space: RuleSpace, A: np.ndarray, b: np.ndarray,
-                      noise: NoiseSpec, levels: np.ndarray, kind: str):
+                      noise: NoiseSpec, levels: np.ndarray):
     """Per-row safety-factor reformulation of the linear chance rows b - A x >= 0.
 
     Returns (G, h, blocks) over the rule columns.  A row whose zeta part has
@@ -328,6 +320,7 @@ def chance_row_blocks(space: RuleSpace, A: np.ndarray, b: np.ndarray,
     """
     m, k = A.shape[0], space.k
     f = math.sqrt(noise.coordinate_variance)  # F = f I
+    kind = "gaussian" if noise.family == "gaussian" else "chebyshev"
     z = np.array([safety_factor(float(lvl), kind) for lvl in levels])
     zf = z * f
     G0, h0 = space.expand(A, b, np.zeros((1, k)))
@@ -539,7 +532,7 @@ def privatize(
     A_ch, b_ch = program.A[chance_rows, :n], program.b[chance_rows]
     box = None
     if isinstance(chance, VertexChance):
-        S_box = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
+        S_box = vertex_sample_size(chance.eta, k, chance.beta)
         box = hyperrectangle_vertices(sample_noise(noise, seed, S_box, stream=BOX_STREAM))
         pieces.append((*space.expand(A_ch, b_ch, box), chance_cones * len(box)))
     else:
@@ -550,7 +543,7 @@ def privatize(
                     f"found {kind.value}; use the vertex method"
                 )
         levels = chance.row_levels(len(chance_rows))
-        pieces.append(chance_row_blocks(space, A_ch, b_ch, noise, levels, chance.safety))
+        pieces.append(chance_row_blocks(space, A_ch, b_ch, noise, levels))
 
     # objective blocks, one copy per point, each with its own epigraph columns
     G_rule, h_obj = space.expand(program.A[obj_rows, :n], program.b[obj_rows], obj_points)

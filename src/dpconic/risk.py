@@ -77,16 +77,14 @@ def augment_with_cvar(
     privatized: PrivatizedProgram,
     spec: CVaRSpec,
     seed: int,
-    blend: float = 0.0,
 ) -> tuple[ConicProgram, dict]:
     """Append the CVaR epigraph of the rule's loss to a transformed program.
 
     New variables gamma (free) and z_1..z_S >= 0 with
     z_s >= l'(xbar + X zeta_s) - gamma, the zeta_s drawn from CVAR_STREAM
-    at seed; the objective becomes
-    gamma + 1/((1-q)S) sum z_s, optionally blended with the original
-    expected-cost objective (blend * old + cvar).  The query constraints on
-    X are untouched, which is what keeps the privacy guarantee intact.
+    at seed; the objective becomes gamma + 1/((1-q)S) sum z_s.  The query
+    constraints on X are untouched, which is what keeps the privacy
+    guarantee intact.
 
     Returns the augmented program, whose A is CSR, and a layout dict with
     the new variable indices and the drawn samples.
@@ -114,7 +112,7 @@ def augment_with_cvar(
     blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
     blocks += [(ConeKind.NONNEG.value, S)] * 2
 
-    c = np.concatenate([blend * base.c, np.zeros(1 + S)])
+    c = np.zeros(n0 + 1 + S)
     c[gamma_idx] = 1.0
     c[z_idx] = 1.0 / ((1.0 - spec.q) * S)
 

@@ -62,7 +62,6 @@ from .conic import (
     Status,
     _row_dots as _dot,
     as_dense,
-    require_valid,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -1015,17 +1014,7 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
     Programs of one shape (n and cone blocks) are solved together, in
     sub-batches whose stack_bytes fit in KKT_BATCH_BYTES; a list of mixed
     shapes is grouped by shape.  Each Solution equals, bit for bit, what
-    solve gives for that program alone.  An invalid program raises
-    ValueError before anything is solved; an empty list gives [].
-    """
-    programs = list(programs)
-    for program in programs:
-        require_valid(program)
-    return _solve_grouped(programs, settings)
-
-
-def _solve_grouped(programs: list, settings: SolverSettings | None = None) -> list[Solution]:
-    """solve_batch on programs already known to be valid.
+    solve gives for that program alone; an empty list gives [].
 
     A program whose KKT matrix is large enough to be factored sparsely
     (n + m >= _SPARSE_MIN_ORDER) is stacked only with programs of the same
@@ -1033,6 +1022,7 @@ def _solve_grouped(programs: list, settings: SolverSettings | None = None) -> li
     is its own, as when it is solved alone.  A CSR program's stored pattern
     is its nonzero pattern (ConicProgram keeps it canonical).
     """
+    programs = list(programs)
     settings = settings or SolverSettings()
     shapes: dict = {}
     for i, program in enumerate(programs):

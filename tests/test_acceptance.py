@@ -181,7 +181,7 @@ def test_07_safety_factor_calibration():
 
         noise = NoiseSpec(family, 1, scale)
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=eta_bar, safety=kind), seed=1)
+                       IndividualChance(eta_bar=eta_bar), seed=1)
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         xbar = pp.extract_rule(sol).xbar[0]

@@ -249,9 +249,9 @@ class TestSolveCount:
         def counting_batch(programs, settings=None):
             calls.extend(program.n for program in programs)
             return real_batch(programs, settings)
-        real, real_batch = ellipsoid.solve, dp._solve_grouped
+        real, real_batch = ellipsoid.solve, dp.solve_batch
         monkeypatch.setattr(ellipsoid, "solve", counting)
-        monkeypatch.setattr(dp, "_solve_grouped", counting_batch)
+        monkeypatch.setattr(dp, "solve_batch", counting_batch)
         return calls
 
     def test_solve_ellipsoid_solves_once(self, calls):

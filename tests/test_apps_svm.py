@@ -118,7 +118,7 @@ class TestPrivatizeSvm:
     def test_vertex_variant_solves(self):
         train, _, _ = synthetic_gaussian_classes(m=20, seed=2)
         noise = calibrate_laplace(2.0, 1.0, k=3)
-        pv = privatize_svm(train, noise, VertexChance(eta=0.1, samples=50), seed=4)
+        pv = privatize_svm(train, noise, VertexChance(eta=0.1), seed=4)
         assert pv.solution.status == Status.OPTIMAL
 
     def test_noise_dim_checked(self):

@@ -116,12 +116,15 @@ class TestProgramInput:
 
     @pytest.mark.parametrize("command", ["solve", "privatize"])
     def test_malformed_file(self, tmp_path, capsys, command):
+        # a field missing, and a readable program whose b is one entry short
         doc = json.loads(program_to_json(build_simple_lp(1.0, 1.0, 2.0)))
-        del doc["m"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert self._run(command, path) == 2
-        assert "error: cannot read program:" in capsys.readouterr().err
+        no_m = {key: v for key, v in doc.items() if key != "m"}
+        short_b = dict(doc, b=doc["b"][:-1])
+        for bad, reason in ((no_m, "'m'"), (short_b, "invalid program: b length 1 != m=2")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            assert self._run(command, path) == 2
+            assert f"error: cannot read program: {reason}" in capsys.readouterr().err
 
 
 class TestExperiment:

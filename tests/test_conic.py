@@ -22,7 +22,6 @@ from dpconic.conic import (
     rsoc,
     slack,
     soc,
-    validate,
     permute_columns,
     require_optimal,
     zero,
@@ -49,29 +48,61 @@ class TestConeSpec:
 
 
 class TestValidate:
+    """A program checks itself on construction; ValueError names every
+    violation."""
+
+    @staticmethod
+    def _rejected(match, A=None, b=(1.0, 1.0), c=(1.0, 1.0), cones=(nonneg(2),),
+                  names=None):
+        with pytest.raises(ValueError, match=match):
+            ConicProgram(np.eye(2) if A is None else A, np.array(b), np.array(c),
+                         ConeSpec(cones), variable_names=names)
+
     def test_ok(self):
-        assert validate(lp2()) == []
+        p = lp2()
+        assert (p.m, p.n) == (2, 2)
+        ConicProgram(np.eye(2), np.ones(2), np.ones(2), ConeSpec([nonneg(2)]),
+                     variable_names=("x", "y"))
 
     def test_bad_b_length(self):
-        p = ConicProgram(np.eye(2), np.array([1.0, 1.0, 1.0]), np.ones(2),
-                         ConeSpec([nonneg(3)]))
-        assert any("b length" in v for v in validate(p))
+        self._rejected(r"^invalid program: b length 3 != m=2$", b=(1.0, 1.0, 1.0),
+                       cones=(nonneg(2),))
+
+    def test_bad_c_length(self):
+        self._rejected(r"^invalid program: c length 3 != n=2$", c=(1.0, 1.0, 1.0))
 
     def test_cone_dim_mismatch(self):
-        p = ConicProgram(np.eye(2), np.ones(2), np.ones(2), ConeSpec([nonneg(1)]))
-        assert any("cone dims" in v for v in validate(p))
+        self._rejected(r"^invalid program: cone dims sum to 1 != m=2$", cones=(nonneg(1),))
 
     def test_nonfinite(self):
         A = np.eye(2)
-        A = A.copy()
         A[0, 0] = np.inf
-        p = ConicProgram(A, np.ones(2), np.ones(2), ConeSpec([nonneg(2)]))
-        assert any("non-finite" in v for v in validate(p))
+        self._rejected(r"^invalid program: A has non-finite entries$", A=A)
+
+    def test_nonfinite_b(self):
+        self._rejected(r"^invalid program: b has non-finite entries$", b=(1.0, np.nan))
+
+    def test_nonfinite_c(self):
+        self._rejected(r"^invalid program: c has non-finite entries$", c=(-np.inf, 1.0))
+
+    def test_variable_names_length(self):
+        self._rejected(r"^invalid program: variable_names length != n$", names=("x",))
+
+    def test_every_violation_named(self):
+        self._rejected(r"^invalid program: b length 3 != m=2; c has non-finite entries$",
+                       b=(1.0, 1.0, 1.0), c=(1.0, np.nan))
 
     def test_idempotent_and_pure(self):
+        # a program rebuilt from its own fields is the same program, and a
+        # rejected build leaves its inputs as they were
         p = lp2()
-        first = validate(p)
-        assert validate(p) == first == []
+        q = ConicProgram(p.A, p.b, p.c, p.cones)
+        assert np.array_equal(q.A, p.A) and np.array_equal(q.b, p.b)
+        assert np.array_equal(q.c, p.c) and q.cones == p.cones
+        A, b = np.eye(2), np.array([1.0, np.nan])
+        with pytest.raises(ValueError):
+            ConicProgram(A, b, np.ones(2), ConeSpec([nonneg(2)]))
+        assert A.flags.writeable and b.flags.writeable and np.isnan(b[1])
 
 
 class TestCsrForm:
@@ -85,12 +116,11 @@ class TestCsrForm:
         assert A.nnz == 4
         with pytest.raises(ValueError):
             p.A.data[0] = 1.0
-        assert validate(p) == []
 
     def test_nonfinite(self):
         A = sp.csr_array(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        p = ConicProgram(A, np.ones(2), np.ones(2), ConeSpec([nonneg(2)]))
-        assert any("non-finite" in v for v in validate(p))
+        with pytest.raises(ValueError, match="^invalid program: A has non-finite entries$"):
+            ConicProgram(A, np.ones(2), np.ones(2), ConeSpec([nonneg(2)]))
 
     def test_permute_and_slack_match_dense(self):
         rng = np.random.default_rng(2)
@@ -195,7 +225,6 @@ class TestSimpleLp:
     def test_standard_form(self):
         p = build_simple_lp(1.0, 1.0, 2.0)
         assert p.m == 2 and p.n == 1
-        assert validate(p) == []
         # feasibility of the two endpoints, infeasibility outside
         assert cone_membership(slack(p, [1.0]), p.cones, 1e-12)
         assert cone_membership(slack(p, [2.0]), p.cones, 1e-12)

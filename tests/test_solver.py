@@ -155,9 +155,9 @@ class TestSettings:
             SolverSettings(max_iter=0)
 
     def test_invalid_program_rejected(self):
-        p = ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
-        with pytest.raises(ValueError):
-            solve(p)
+        # an invalid program never reaches solve: its construction raises
+        with pytest.raises(ValueError, match="^invalid program: b length 3 != m=2$"):
+            ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
 
 
 def _program(blocks, n=5, seed=0):
@@ -812,9 +812,9 @@ class TestSolveBatch:
 
     def test_empty_and_invalid_input(self):
         assert solve_batch([]) == []
-        bad = ConicProgram(np.eye(2), np.ones(3), np.ones(2), ConeSpec([nonneg(2)]))
-        with pytest.raises(ValueError, match="invalid program"):
-            solve_batch([build_simple_lp(1.0, 1.0, 2.0), bad])
+        # no invalid program can be put in a batch: its construction raises
+        with pytest.raises(ValueError, match="^invalid program: cone dims sum to 3 != m=2$"):
+            ConicProgram(np.eye(2), np.ones(2), np.ones(2), ConeSpec([nonneg(3)]))
 
 
 def _sparse_corpus():
