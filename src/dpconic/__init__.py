@@ -45,7 +45,6 @@ from .ldr import (
     reduce_quadratic_objective,
     release_query,
     safety_factor,
-    vertex_sample_size,
 )
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
 from .solver import NumericalBreakdown, SolverSettings, kkt_report, solve, solve_batch

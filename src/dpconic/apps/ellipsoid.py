@@ -250,9 +250,9 @@ def privatize_ellipsoid(
     """Chance-constrained ellipse rule with the fixed identity recourse.
 
     Containment rows and the PSD row of the symmetric part are enforced on
-    all 2^6 vertices of the empirical noise box; the objective maximizes a
-    sample average of per-draw det hypograph variables (the expectation of
-    det^(1/2) has no closed conic form).  The release is (z, Y).
+    all 2^6 vertices of the noise box of mass 1 - eta; the objective
+    maximizes a sample average of per-draw det hypograph variables (the
+    expectation of det^(1/2) has no closed conic form).  Releases (z, Y).
     """
     check_bounded(inst)
     pp = privatize(_rule_program(inst), noise, SelectQuery(range(RULE_DIM)),

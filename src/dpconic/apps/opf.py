@@ -166,11 +166,9 @@ def privatize_opf(
 
     The weighted-sum query c'X = 1 makes the cost release's random part
     data-independent; the balance equality is split exactly, and the
-    chance constraints hold on a noise box sampled at seed (VertexChance).
-    Raises NotOptimal when the program cannot absorb the noise (k = 1) at
-    eta.  At high privacy that depends on the sampled box: some seeds leave
-    a feasible rule and others none.  The experiment harness records either
-    as a row.  The release is the scalar cost.
+    chance constraints hold on the noise interval of mass 1 - eta
+    (VertexChance).  Raises NotOptimal when the program cannot absorb it;
+    the experiment harness records that as a row.  The release is the cost.
     """
     pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta),
                    seed)

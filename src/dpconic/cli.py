@@ -100,7 +100,7 @@ def _cmd_privatize(args) -> int:
                  else WeightedSumQuery(np.ones(program.n)))
         noise = NoiseSpec(args.family, query.k, args.scale)
         if args.method == "vertex":
-            chance = VertexChance(eta=args.eta, beta=args.beta)
+            chance = VertexChance(eta=args.eta)
         else:
             chance = IndividualChance(eta=args.eta)
         pp = privatize(program, noise, query, chance, args.seed)
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("laplace", "gaussian"), default="laplace")
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--method", choices=("vertex", "individual"), default="vertex")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_privatize)

@@ -116,9 +116,9 @@ def quadratic_epigraph(nv: int, t: int, cols, M: np.ndarray, y: np.ndarray, H: f
 
 @dataclass(frozen=True)
 class ConicProgram:
-    """A is kept read-only: a dense A as a float array, a sparse one as a CSR
-    copy in canonical form (sorted indices, no duplicate or stored zero), so
-    its stored pattern is its nonzero pattern.  A program is valid by
+    """A, b and c are read-only copies: a dense A as a float array, a sparse
+    one in canonical CSR form (sorted indices, no duplicate or stored zero),
+    so its stored pattern is its nonzero pattern.  A program is valid by
     construction: ValueError("invalid program: ...") names every violation."""
 
     A: np.ndarray | sp.csr_array
@@ -134,11 +134,11 @@ class ConicProgram:
             A.eliminate_zeros()
             arrays = (A.data, A.indices, A.indptr)
         else:
-            A = np.atleast_2d(np.asarray(self.A, dtype=float))
+            A = np.array(self.A, dtype=float, ndmin=2)
             arrays = (A,)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
+        object.__setattr__(self, "b", np.array(self.b, dtype=float).ravel())
+        object.__setattr__(self, "c", np.array(self.c, dtype=float).ravel())
         m, n = A.shape
         violations = [msg for bad, msg in (
             (self.b.shape != (m,), f"b length {self.b.shape[0]} != m={m}"),

@@ -25,6 +25,7 @@ from enum import IntEnum
 from typing import Any, Callable
 
 import numpy as np
+from scipy.special import ndtri
 
 from .conic import ConicProgram, Solution
 from .solver import KKT_BATCH_BYTES, SolverSettings, solve_batch, stack_bytes
@@ -79,6 +80,14 @@ class NoiseSpec:
     @property
     def coordinate_variance(self) -> float:
         return 2.0 * self.scale**2 if self.family == "laplace" else self.scale**2
+
+    def half_width(self, p: float) -> float:
+        """t with P[|zeta_j| <= t] = p: b ln(1/(1 - p)) for Laplace(b), sigma
+        Phi^-1((1 + p)/2) for Gaussian(sigma), both read off the tail 1 - p."""
+        tail = 1.0 - p
+        if self.family == "laplace":
+            return self.scale * -float(np.log(tail))
+        return self.scale * -float(ndtri(tail / 2.0))
 
 
 def sample_noise(spec: NoiseSpec, seed: int, count: int, stream: int = 0) -> np.ndarray:

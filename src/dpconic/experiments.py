@@ -296,8 +296,8 @@ def cvar_q_sweep(
     q_grid entries are tail fractions (the risk dial): each point
     optimizes the mean of the worst q share of losses over 300 samples;
     rows report the mean, the 0.95-level CVaR and the VaR of those samples.
-    The rule's privatization draws from derive_seed(seed, PRIVATIZE) and
-    the samples from derive_seed(seed, CVAR); every q shares both.
+    The samples draw from derive_seed(seed, CVAR); every q shares them and
+    the one rule program, whose vertex box draws nothing.
     base_cost, when given, is the caller's optimal cost of build_opf(net),
     which then is not solved again; otherwise NotOptimal is raised unless
     that solve is Optimal.  Returns rows (q, mean, cvar, var).

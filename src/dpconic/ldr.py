@@ -9,8 +9,9 @@ OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
   * equality (Zero-cone) rows split into the two exact systems
     b_E - A_E xbar = 0 and A_E X = 0;
   * inequality/cone rows either replicated on the 2^k vertices of the
-    empirical noise box (vertex method) or rewritten row-by-row as
-    second-order-cone constraints with a safety factor (individual method);
+    centred noise box that holds mass 1 - eta under the noise law (vertex
+    method) or rewritten row-by-row as second-order-cone constraints with a
+    safety factor (individual method);
   * the query's constraint on X: a selection xbar[rows] pins X[rows] = I, a
     weighted sum w'xbar adds w'X = 1; either makes the release's random part
     the raw draw, data-independent, so the release never reads X;
@@ -43,10 +44,8 @@ from .conic import ConeKind, ConeSpec, ConicProgram, Solution, require_optimal
 from .dp import NoiseSpec, sample_noise
 from .solver import SolverSettings, solve
 
-# stream ids reserved for the draws of privatize(seed): the vertex box and
-# the sample-average objective; and of risk.augment_with_cvar(seed): the
-# CVaR samples
-BOX_STREAM = 0xB0C5
+# stream ids reserved for the draws of privatize(seed): the sample-average
+# objective; and of risk.augment_with_cvar(seed): the CVaR samples
 OBJ_STREAM = 0x0B5E
 CVAR_STREAM = 1
 
@@ -173,16 +172,16 @@ def release_query(rule: DecisionRule, query: Query, noise: NoiseSpec,
 
 @dataclass(frozen=True)
 class VertexChance:
-    """Joint guarantee via the 2^k vertices of the empirical noise box."""
+    """Joint guarantee via the 2^k vertices of the box [-t, t]^k whose
+    coordinates each hold mass (1 - eta)^(1/k) of the noise law, so the box
+    holds exactly 1 - eta.  Chance rows are affine in zeta: a rule feasible
+    at the vertices is feasible on the box and violates with prob <= eta."""
 
     eta: float
-    beta: float = 0.01
 
     def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ValueError("eta must be in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -216,29 +215,18 @@ class IndividualChance:
 ChanceSpec = VertexChance | IndividualChance
 
 
-def vertex_sample_size(eta: float, k: int, beta: float) -> int:
-    """ceil((1/eta) e/(e-1) (2k - 1 + ln(1/beta)))."""
-    if not (0 < eta < 1 and 0 < beta < 1):
-        raise ValueError("eta and beta must be in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    e = math.e
-    return int(math.ceil((1.0 / eta) * (e / (e - 1.0)) * (2 * k - 1 + math.log(1.0 / beta))))
-
-
-def hyperrectangle_vertices(samples: np.ndarray) -> np.ndarray:
-    """2^k vertices of the per-coordinate min/max box of the samples.
+def hyperrectangle_vertices(lo, hi) -> np.ndarray:
+    """2^k vertices of the box [lo, hi], lo and hi k-vectors.
 
     Vertex order is a binary counter with coordinate 0 as the most
-    significant bit (all-min first, all-max last).
+    significant bit (all-lo first, all-hi last).
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    k = samples.shape[1]
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    k = lo.size
     if k > 20:
         raise ValueError(
             f"k={k} implies {2**k} vertices; use the individual chance-row method"
         )
-    lo, hi = samples.min(axis=0), samples.max(axis=0)
     bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     return np.where(bits == 1, hi, lo)
 
@@ -447,6 +435,8 @@ def privatize(
     objective_samples=S > 0 it is built at S draws from OBJ_STREAM instead,
     each draw with its own copy of the epigraph variables weighted c/S: a
     sample average of an expected objective with no closed conic form.
+    They are the only reader of `seed`: the vertex box comes from the noise
+    law, so with objective_samples=0 no two seeds give different programs.
 
     The columns of the result are the rule's (RuleSpace), then the epigraph
     copies.  Its A is CSR.
@@ -532,8 +522,8 @@ def privatize(
     A_ch, b_ch = program.A[chance_rows, :n], program.b[chance_rows]
     box = None
     if isinstance(chance, VertexChance):
-        S_box = vertex_sample_size(chance.eta, k, chance.beta)
-        box = hyperrectangle_vertices(sample_noise(noise, seed, S_box, stream=BOX_STREAM))
+        t = noise.half_width((1.0 - chance.eta) ** (1.0 / k))
+        box = hyperrectangle_vertices(np.full(k, -t), np.full(k, t))
         pieces.append((*space.expand(A_ch, b_ch, box), chance_cones * len(box)))
     else:
         for kind, _ in chance_cones:

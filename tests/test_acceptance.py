@@ -10,12 +10,14 @@ import math
 import time
 
 import numpy as np
+import scipy.stats
 
 from conftest import opf_noise, random_feasible_program
 
 from dpconic.conic import (ConeKind, ConeSpec, ConicProgram, Status, as_dense,
                            build_simple_lp, nonneg)
 from dpconic.dp import (
+    NoiseSpec,
     calibrate_gaussian,
     calibrate_laplace,
     estimate_sensitivity,
@@ -31,7 +33,6 @@ from dpconic.ldr import (
     privatize,
     release_query,
     release_rows,
-    vertex_sample_size,
 )
 from dpconic.risk import CVaRSpec, augment_with_cvar, cvar_empirical
 from dpconic.solver import SolverSettings, kkt_report, solve
@@ -127,10 +128,22 @@ def test_03_data_independence_across_datasets():
 
 
 def test_04_sample_size_formulas():
+    # the sensitivity sample size, and the joint mass of the vertex method's
+    # box under the noise law's own CDF: exactly 1 - eta
     s_sens = sensitivity_sample_size(0.1, 0.1)
-    s_vert = vertex_sample_size(0.05, 1, 0.01)
-    ok = s_sens == 99 and s_vert == 178
-    report(4, ok, f"sensitivity S = {s_sens} (99), vertex S = {s_vert} (178)")
+    errors = []
+    for family, k, eta, law in (("laplace", 1, 0.05, scipy.stats.laplace),
+                                ("gaussian", 6, 0.1, scipy.stats.norm)):
+        A = np.vstack([np.eye(k), -np.eye(k)])
+        prog = ConicProgram(A, np.full(2 * k, 2.0), np.ones(k), ConeSpec([nonneg(2 * k)]))
+        pp = privatize(prog, NoiseSpec(family, k, 0.3), SelectQuery(range(k)),
+                       VertexChance(eta=eta), seed=0)
+        lo, hi = pp.box_vertices.min(axis=0), pp.box_vertices.max(axis=0)
+        mass = np.prod(law.cdf(hi, scale=0.3) - law.cdf(lo, scale=0.3))
+        errors.append(abs(mass - (1.0 - eta)))
+    ok = s_sens == 99 and max(errors) <= 1e-12
+    report(4, ok, f"sensitivity S = {s_sens} (99), box mass - (1 - eta) = "
+                  f"{errors[0]:.1e} (laplace, k=1), {errors[1]:.1e} (gaussian, k=6)")
 
 
 def test_05_equality_split_balance():
@@ -177,8 +190,6 @@ def test_07_safety_factor_calibration():
     results = {}
     for kind, family, scale in (("gaussian", "gaussian", sigma),
                                 ("chebyshev", "laplace", sigma)):
-        from dpconic.dp import NoiseSpec
-
         noise = NoiseSpec(family, 1, scale)
         pp = privatize(prog, noise, SelectQuery([0]),
                        IndividualChance(eta_bar=eta_bar), seed=1)

@@ -150,15 +150,14 @@ class TestPrivatizeOpf:
         with pytest.raises(NotOptimal):
             privatize_opf(net, opf_noise(net, 20.0), eta=0.01, seed=0)
 
-    def test_high_privacy_status_depends_on_the_draw(self):
-        # cvar6 at alpha 25: the sampled noise box at seed 0 leaves no
-        # feasible rule (most seeds do not; seed 9, for one, does)
+    def test_high_privacy_rule_is_the_same_for_every_seed(self):
+        # cvar6 at alpha 25: the noise interval of mass 1 - eta does not
+        # depend on the seed, so every seed gives the one feasible rule
         net = bundled_network("cvar6")
-        with pytest.raises(NotOptimal) as info:
-            privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=0)
-        assert str(info.value) == "chance-constrained OPF returned PrimalInfeasible"
-        pv = privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=9)
-        assert pv.solution.status == Status.OPTIMAL
+        rules = [privatize_opf(net, opf_noise(net, 25.0), 0.01, seed=seed)
+                 for seed in range(10)]
+        assert {pv.solution.status for pv in rules} == {Status.OPTIMAL}
+        assert len({pv.rule.xbar.tobytes() for pv in rules}) == 1
 
     @pytest.mark.parametrize("name", ["triangle3", "ring5", "cvar6"])
     def test_privatized_opf_is_an_lp(self, name):

@@ -99,6 +99,21 @@ class TestPrivatize:
         # nominal solution backed off the private lower bound
         assert sol.x[0] > 1.05
 
+    def test_vertex_program_does_not_read_the_seed(self, prog_file, tmp_path):
+        outs = [tmp_path / f"priv{seed}.json" for seed in (0, 5)]
+        for seed, out in zip((0, 5), outs):
+            assert main(["privatize", "--in", str(prog_file), "--scale", "0.05",
+                         "--method", "vertex", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_beta_rejected(self, prog_file):
+        # the vertex box has no confidence level: --beta is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["privatize", "--in", str(prog_file), "--scale", "0.05",
+                  "--beta", "0.01"])
+        assert exc.value.code == 2
+
 
 class TestProgramInput:
     """solve and privatize read --in through one reader: a file that cannot

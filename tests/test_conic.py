@@ -104,6 +104,17 @@ class TestValidate:
             ConicProgram(A, b, np.ones(2), ConeSpec([nonneg(2)]))
         assert A.flags.writeable and b.flags.writeable and np.isnan(b[1])
 
+    def test_owns_its_arrays(self):
+        # a builder may write into its arrays after building a program from
+        # them: the program holds read-only copies
+        A, b, c = np.eye(2), np.ones(2), np.ones(2)
+        p = ConicProgram(A, b, c, ConeSpec([nonneg(2)]))
+        A[0, 0], b[0], c[0] = 3.0, 4.0, 5.0
+        assert np.array_equal(p.A, np.eye(2))
+        assert np.array_equal(p.b, np.ones(2)) and np.array_equal(p.c, np.ones(2))
+        for array in (p.A, p.b, p.c):
+            assert not array.flags.writeable
+
 
 class TestCsrForm:
     def test_kept_canonical_and_read_only(self):

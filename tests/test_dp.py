@@ -67,6 +67,16 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec("laplace", 1, 0.0)
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_half_width_holds_its_mass(self, family):
+        # the closed forms, and the empirical mass of 10^6 draws in [-t, t]
+        spec = NoiseSpec(family, 1, 0.4)
+        closed = {"laplace": 0.4 * math.log(1 / 0.05), "gaussian": 0.4 * 1.959963984540054}
+        t = spec.half_width(0.95)
+        assert t == pytest.approx(closed[family], rel=1e-14)
+        inside = float(np.mean(np.abs(sample_noise(spec, 5, 10**6)) <= t))
+        assert abs(inside - 0.95) < 3 * math.sqrt(0.95 * 0.05 / 10**6)
+
 
 class TestCalibration:
     def test_laplace_scale(self):

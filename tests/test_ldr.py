@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from dpconic.conic import (
@@ -20,7 +22,6 @@ from dpconic.conic import (
 )
 from dpconic.dp import NoiseSpec, calibrate_laplace, sample_noise
 from dpconic.ldr import (
-    BOX_STREAM,
     ConflictingConstraints,
     DecisionRule,
     IndividualChance,
@@ -33,75 +34,58 @@ from dpconic.ldr import (
     reduce_quadratic_objective,
     release_query,
     safety_factor,
-    vertex_sample_size,
 )
 from dpconic.solver import solve
 
 
-class TestVertexSampleSize:
-    def test_frozen_values(self):
-        # ceil((1/eta) e/(e-1) (2k-1+ln(1/beta))), extended-precision oracle
-        assert vertex_sample_size(0.05, 1, 0.01) == 178
-        assert vertex_sample_size(0.5, 1, math.exp(-1.0)) == 7
-
-    def test_strictly_increasing_in_k(self):
-        s = [vertex_sample_size(0.1, k, 0.05) for k in (1, 2, 4, 8)]
-        assert all(b > a for a, b in zip(s, s[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            vertex_sample_size(0.0, 1, 0.1)
-        with pytest.raises(ValueError):
-            vertex_sample_size(0.1, 0, 0.1)
-
-
 class TestHyperrectangle:
     def test_scalar(self):
-        v = hyperrectangle_vertices(np.array([[-2.0], [0.5], [3.0]]))
-        assert np.allclose(sorted(v.ravel()), [-2.0, 3.0])
+        v = hyperrectangle_vertices([-2.0], [3.0])
+        assert np.array_equal(v, [[-2.0], [3.0]])
 
     def test_two_dims(self):
-        samples = np.array([[-1.0, 0.0], [1.0, 2.0], [0.0, 1.0]])
-        v = hyperrectangle_vertices(samples)
+        v = hyperrectangle_vertices([-1.0, 0.0], [1.0, 2.0])
         expected = {(-1.0, 0.0), (-1.0, 2.0), (1.0, 0.0), (1.0, 2.0)}
         assert {tuple(row) for row in v} == expected
 
     def test_single_sample_collapses(self):
-        v = hyperrectangle_vertices(np.array([[0.3, -0.7, 1.1]]))
+        # a box of one point: lo = hi
+        point = np.array([0.3, -0.7, 1.1])
+        v = hyperrectangle_vertices(point, point)
         assert v.shape == (8, 3)
         assert np.allclose(v, v[0])
 
     def test_k_cap(self):
         with pytest.raises(ValueError):
-            hyperrectangle_vertices(np.zeros((2, 21)))
+            hyperrectangle_vertices(np.zeros(21), np.ones(21))
 
     def test_vertex_order(self):
-        # all-min first, coordinate 0 the most significant bit; the order
+        # all-lo first, coordinate 0 the most significant bit; the order
         # fixes the row order of every vertex program
-        v = hyperrectangle_vertices(np.array([[-1.0, 0.0, 5.0], [1.0, 2.0, 6.0]]))
+        v = hyperrectangle_vertices([-1.0, 0.0, 5.0], [1.0, 2.0, 6.0])
         expected = [(lo0, lo1, lo2) for lo0 in (-1.0, 1.0) for lo1 in (0.0, 2.0)
                     for lo2 in (5.0, 6.0)]
         assert [tuple(row) for row in v] == expected
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8])
     def test_matches_binary_counter_loop(self, k):
-        samples = np.random.default_rng(k).normal(size=(7, k))
-        lo, hi = samples.min(axis=0), samples.max(axis=0)
+        lo, hi = np.sort(np.random.default_rng(k).normal(size=(2, k)), axis=0)
         ref = np.empty((2**k, k))
         for i in range(2**k):
             for j in range(k):
                 ref[i, j] = hi[j] if (i >> (k - 1 - j)) & 1 else lo[j]
-        assert np.array_equal(hyperrectangle_vertices(samples), ref)
+        assert np.array_equal(hyperrectangle_vertices(lo, hi), ref)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 30))
     def test_vertices_bound_samples(self, k, n):
+        # the vertices span the box of any samples whose min and max they take
         rng = np.random.default_rng(k * 100 + n)
         samples = rng.normal(size=(n, k))
-        v = hyperrectangle_vertices(samples)
+        v = hyperrectangle_vertices(samples.min(0), samples.max(0))
         assert v.shape == (2**k, k)
-        assert np.all(samples.min(0) <= v.min(0) + 1e-12)
-        assert np.all(v.max(0) <= samples.max(0) + 1e-12)
+        assert np.array_equal(v.min(0), samples.min(0))
+        assert np.array_equal(v.max(0), samples.max(0))
 
 
 class TestQueryConstraint:
@@ -322,17 +306,27 @@ class TestPrivatize:
             assert cone_membership(slack(prog, rule.evaluate(zeta)),
                                    prog.cones, 1e-8)
 
-    def test_feasible_at_every_underlying_sample(self):
+    def test_feasible_at_every_draw_in_the_box(self):
         prog = _box_program()
         noise = calibrate_laplace(0.08, 1.0, k=2)
-        chance = VertexChance(eta=0.1)
-        pp = privatize(prog, noise, SelectQuery(range(2)), chance, seed=6)
+        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=6)
         rule = pp.extract_rule(solve(pp.program))
-        draws = sample_noise(noise, 6, vertex_sample_size(0.1, 2, chance.beta),
-                             stream=BOX_STREAM)
-        for zeta in draws:
+        draws = sample_noise(noise, 6, 10**4, stream=7)
+        t = pp.box_vertices.max()
+        inside = draws[(np.abs(draws) <= t).all(axis=1)]
+        assert len(inside) > 8000   # the box holds 0.9 of the draws
+        for zeta in inside:
             assert cone_membership(slack(prog, rule.evaluate(zeta)),
                                    prog.cones, 1e-8)
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_vertex_program_does_not_read_the_seed(self, family):
+        # the box comes from the noise law, so only objective_samples read seed
+        noise = NoiseSpec(family, 2, 0.1)
+        p, q = (privatize(_box_program(), noise, SelectQuery(range(2)),
+                          VertexChance(eta=0.05), seed=seed).program for seed in (0, 12345))
+        assert as_dense(p.A).tobytes() == as_dense(q.A).tobytes()
+        assert p.b.tobytes() == q.b.tobytes() and p.c.tobytes() == q.c.tobytes()
 
     def test_conflicting_constraints_detected(self):
         # equality requires 1'X = 0 while the sum query demands 1'X = 1
@@ -722,9 +716,13 @@ def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
             zero_rows.append((terms, float(rhs_eff[r])))
     builder.add_block(ConeKind.ZERO, zero_rows)
     if isinstance(chance, VertexChance):
-        S = vertex_sample_size(chance.eta, k, chance.beta)
-        box = hyperrectangle_vertices(sample_noise(noise, seed, S, stream=BOX_STREAM))
-        for vert in box:
+        # the box [-t, t]^k, each coordinate of mass (1 - eta)^(1/k): its
+        # lower end is the law's quantile at the tail (1 - p)/2
+        p = (1 - chance.eta) ** (1 / k)
+        law = scipy.stats.laplace if noise.family == "laplace" else scipy.stats.norm
+        lo = float(law.ppf((1 - p) / 2, scale=noise.scale))
+        for bits in itertools.product((0, 1), repeat=k):
+            vert = [-lo if bit else lo for bit in bits]
             for kind, A_blk, A_epi, b_blk in chance_blocks:
                 builder.add_block(kind, _ref_block_rows(space, A_blk, A_epi, b_blk, (), vert))
     else:
@@ -792,7 +790,7 @@ def _random_case(seed, query_kind, chance_kind, k_pinned=2, equality=False,
     c = rng.normal(size=n + epigraph_vars)
     program = ConicProgram(A, b, c, ConeSpec([blocks[i][0] for i in order]))
     if chance_kind == "vertex":
-        chance = VertexChance(eta=0.2, beta=0.1)
+        chance = VertexChance(eta=0.2)
     else:
         chance = IndividualChance(eta=0.1)
     noise = NoiseSpec(str(rng.choice(["laplace", "gaussian"])), k, 0.3)

@@ -1,7 +1,10 @@
 """The one release path: every study's Privatization releases its nominal
-query plus the raw sample_noise draws, bit for bit, one release or many."""
+query plus the raw sample_noise draws, bit for bit, one release or many;
+and every vertex-method study's program point keeps its chance level."""
 
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,3 +100,35 @@ def test_release_never_reads_the_recourse(study):
         draw = sample_noise(pv.noise, 12, 1, stream)[0]
         assert _bytes(blind.release(12, stream)) == _bytes(unpack(nominal + draw))
         assert blind.releases(12, 50, stream).tobytes() == pv.releases(12, 50, stream).tobytes()
+
+
+# program point -> (its study, its noise, its eta): each opf network at the
+# largest alpha of its config, the simple LP and the ellipsoid
+def _opf_point(name, alpha):
+    net = opf.bundled_network(name)
+    cfg = SimpleNamespace(epsilon=1.0, eta=0.01)
+    return lambda: (opf.experiment_study(cfg, net), opf_noise(net, alpha), cfg.eta)
+
+
+CHANCE_POINTS = {
+    "opf-triangle3": _opf_point("triangle3", 10.0),
+    "opf-ring5": _opf_point("ring5", 10.0),
+    "opf-cvar6": _opf_point("cvar6", 25.0),
+    "simple-lp": lambda: (simple_lp.experiment_study(SimpleNamespace(eta=0.05),
+                                                     simple_lp.SimpleLpStudy()),
+                          calibrate_laplace(0.1, 1.0, k=1), 0.05),
+    "ellipsoid": lambda: (ellipsoid.experiment_study(SimpleNamespace(eta=0.1),
+                                                     ellipsoid.regular_polygon(5, 2.0)),
+                          calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANCE_POINTS))
+def test_program_point_violates_at_most_eta(name):
+    # the vertex box holds mass 1 - eta, so a program point's released rows
+    # violate at most eta of the time, up to 3 binomial standard errors
+    study, noise, eta = CHANCE_POINTS[name]()
+    pv = study.privatize(noise, 5)
+    draws = 20_000
+    _, violated = study.score(pv.releases(11, draws), pv)
+    assert violated.mean() <= eta + 3 * math.sqrt(eta * (1 - eta) / draws)

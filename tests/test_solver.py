@@ -916,16 +916,16 @@ def _pattern_corpus():
 DENSE_G_REFERENCE = {
     "svm": (14, [-834.0790318206431, -728.1915617164296, -777.5336941913745],
             1369.3828348386266),
-    "ellipsoid": (14, [-0.018071041991376907, 0.1895131241057039, 1.0653650706304014,
-                       -0.020624039346167328, 0.007763543187772019, 1.2094177893822082],
+    "ellipsoid": (14, [0.0073234192155106, 0.1598671094362178, 1.1589749227633963,
+                       -0.016411328272406225, 0.020097287856044026, 1.2743299884436945],
                   None),
-    "cvar-0.05": (16, [250.00000001057225, 200.00000001002866, 146.90495074854454,
-                       98.80393104061608, 4.2911182004182695, -1.0210954378162607e-08],
+    "cvar-0.05": (10, [250.00000019485296, 200.00000018894843, 147.69741549609017,
+                       99.9999990308199, 2.3025852816706545, -1.9238220548765247e-07],
                   None),
-    "cvar-0.1": (14, [250.00000029353836, 200.00000028132584, 146.9049481131456,
-                      98.8039375940303, 4.291114006105662, -2.881983644011648e-07], None),
-    "cvar-0.2": (15, [250.00000015039055, 200.00000014604453, 146.90494585577662,
-                      98.80394284783702, 4.291111148252106, -1.48313245167396e-07], None),
+    "cvar-0.1": (10, [250.00000001521406, 200.00000001343622, 147.69741480681927,
+                      100.0000002331434, 2.30258494811592, -1.672886649534102e-08], None),
+    "cvar-0.2": (10, [250.00000004269043, 200.00000003911077, 147.69741488607755,
+                      100.00000011261864, 2.3025849688599385, -4.935726533710931e-08], None),
 }
 
 
