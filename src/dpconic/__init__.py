@@ -43,7 +43,6 @@ from .ldr import (
     hyperrectangle_vertices,
     privatize,
     reduce_quadratic_objective,
-    release_query,
     safety_factor,
 )
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
                      require_optimal, rsoc, soc)
-from ..dp import AdjacencyModel, NoiseSpec
+from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import Privatization, SelectQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
 from .metrics import Study
@@ -33,6 +33,8 @@ RULE_DIM = 6
 
 # an angular gap this close to pi counts as pi (see check_bounded)
 _GAP_TOL = 1e-12
+
+OBJ_STREAM = 0x0B5E  # the stream of privatize_ellipsoid's objective points
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,9 @@ def ellipsoid_volume(Y: np.ndarray) -> float:
 
 def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyModel:
     """Universe where each b_i ranges over [b_i(1-gamma), b_i(1+gamma)];
-    all such instances are adjacent (alpha = inf).  Query: the (z, Y) rule
-    vector of the deterministic optimum.  gamma_frac must lie in (0, 1)."""
+    all such instances are adjacent, and the model's alpha is gamma_frac.
+    Query: the (z, Y) rule vector of the deterministic optimum.  gamma_frac
+    must lie in (0, 1)."""
     if not 0 < gamma_frac < 1:
         raise ValueError(f"b-range fraction must lie in (0, 1), got {gamma_frac}")
 
@@ -210,7 +213,7 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyMo
         return rule_vector(z, Y)
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_ellipsoid, read=read,
-                          alpha=math.inf, settings=DEFAULT_SETTINGS)
+                          alpha=gamma_frac, settings=DEFAULT_SETTINGS)
 
 
 def _rule_program(inst: EllipsoidInstance) -> ConicProgram:
@@ -252,12 +255,14 @@ def privatize_ellipsoid(
     Containment rows and the PSD row of the symmetric part are enforced on
     all 2^6 vertices of the noise box of mass 1 - eta; the objective
     maximizes a sample average of per-draw det hypograph variables (the
-    expectation of det^(1/2) has no closed conic form).  Releases (z, Y).
+    expectation of det^(1/2) has no closed conic form) over obj_samples
+    draws from OBJ_STREAM at seed, the one draw of any privatization.
+    Releases (z, Y).
     """
     check_bounded(inst)
     pp = privatize(_rule_program(inst), noise, SelectQuery(range(RULE_DIM)),
-                   VertexChance(eta), seed, epigraph_vars=1,
-                   objective_samples=obj_samples)
+                   VertexChance(eta), epigraph_vars=1,
+                   objective_points=sample_noise(noise, seed, obj_samples, OBJ_STREAM))
     return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)
 
 
@@ -278,4 +283,4 @@ def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
         nominal=rule_vector(z_det, Y_det),
         privatize=lambda noise, seed: privatize_ellipsoid(
             inst, noise, eta=cfg.eta, seed=seed),
-        score=score, draws=500)
+        score=score)

@@ -160,7 +160,6 @@ def privatize_opf(
     net: PowerNetwork,
     noise: NoiseSpec,
     eta: float,
-    seed: int = 0,
 ) -> Privatization:
     """Solve the chance-constrained OPF counterpart for the cost query.
 
@@ -170,8 +169,7 @@ def privatize_opf(
     (VertexChance).  Raises NotOptimal when the program cannot absorb it;
     the experiment harness records that as a row.  The release is the cost.
     """
-    pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta),
-                   seed)
+    pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta))
     return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
 
 
@@ -222,7 +220,7 @@ def experiment_study(cfg, net: PowerNetwork) -> Study:
 
     return Study(
         nominal=np.array([base.objective]),
-        privatize=lambda noise, seed: privatize_opf(net, noise, cfg.eta, seed),
+        privatize=lambda noise, seed: privatize_opf(net, noise, cfg.eta),
         score=score,
         input_rows=lambda alpha, noise, seed, count: input_perturbation_costs(
             net, alpha, cfg.epsilon, count, derive_seed(seed, Purpose.INPUT))[:, None])

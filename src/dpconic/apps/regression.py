@@ -263,8 +263,8 @@ def circle_law_adjacency(
 
 def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel:
     """Universe where each response varies within +-frac of its value
-    (the wind-curve setting); all such datasets are adjacent.  frac must
-    lie in (0, 1)."""
+    (the wind-curve setting); all such datasets are adjacent, and the
+    model's alpha is frac.  frac must lie in (0, 1)."""
     if not 0 < frac < 1:
         raise ValueError(f"value-range fraction must lie in (0, 1), got {frac}")
 
@@ -276,15 +276,13 @@ def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel
         return jitter(rng), jitter(rng)
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
-                          read=_read_weights, alpha=math.inf,
-                          settings=DEFAULT_SETTINGS)
+                          read=_read_weights, alpha=frac, settings=DEFAULT_SETTINGS)
 
 
 def privatize_regression(
     model: RegressionModel,
     noise: NoiseSpec,
     eta: float,
-    seed: int = 0,
 ) -> Privatization:
     """Chance-constrained weights with Gaussian noise and the identity query.
 
@@ -301,7 +299,7 @@ def privatize_regression(
     # columns (w, u, v): the fit and ridge epigraph variables go last
     program = permute_columns(build_monotone_regression(model),
                               np.r_[2 : 2 + mb, 0, 1])
-    pp = privatize(program, noise, SelectQuery(range(mb)), chance, seed, epigraph_vars=2)
+    pp = privatize(program, noise, SelectQuery(range(mb)), chance, epigraph_vars=2)
     return pp.solve(DEFAULT_SETTINGS, "privatized regression")
 
 
@@ -318,6 +316,5 @@ def experiment_study(cfg, model: RegressionModel) -> Study:
 
     return Study(
         nominal=w_det,
-        privatize=lambda noise, seed: privatize_regression(
-            model, noise, eta=cfg.eta, seed=seed),
-        score=score, draws=500)
+        privatize=lambda noise, seed: privatize_regression(model, noise, eta=cfg.eta),
+        score=score)

@@ -54,10 +54,9 @@ def privatize_simple_lp(
     study: SimpleLpStudy,
     noise: NoiseSpec,
     eta: float,
-    seed: int,
 ) -> Privatization:
     """Rule counterpart with the query 1 * x; the release is a 1-vector."""
-    pp = privatize(study.program(), noise, WeightedSumQuery([1.0]), VertexChance(eta), seed)
+    pp = privatize(study.program(), noise, WeightedSumQuery([1.0]), VertexChance(eta))
     return pp.solve(None, "privatized simple LP")
 
 
@@ -74,7 +73,7 @@ def experiment_study(cfg, lp: SimpleLpStudy) -> Study:
 
     return Study(
         nominal=nominal,
-        privatize=lambda noise, seed: privatize_simple_lp(lp, noise, cfg.eta, seed),
+        privatize=lambda noise, seed: privatize_simple_lp(lp, noise, cfg.eta),
         score=score,
         input_rows=lambda alpha, noise, seed, count: release_rows(
             nominal, noise, derive_seed(seed, Purpose.EVAL), count))

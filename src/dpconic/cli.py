@@ -103,7 +103,7 @@ def _cmd_privatize(args) -> int:
             chance = VertexChance(eta=args.eta)
         else:
             chance = IndividualChance(eta=args.eta)
-        pp = privatize(program, noise, query, chance, args.seed)
+        pp = privatize(program, noise, query, chance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--method", choices=("vertex", "individual"), default="vertex")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_privatize)
 
     p = sub.add_parser("experiment", help="run a full study from a config file")

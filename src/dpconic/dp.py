@@ -44,7 +44,7 @@ class Purpose(IntEnum):
     POINT = 0          # an experiment point (index: its place in run order)
     CALIBRATION = 1    # the sensitivity estimate of one alpha (index: its place)
     SWEEP = 2          # the CVaR risk sweep
-    PRIVATIZE = 3      # the privatize call of a point or of the sweep
+    PRIVATIZE = 3      # a point's Study.privatize (read by the ellipsoid's objective)
     EVAL = 4           # a point's Monte Carlo draws
     INPUT = 5          # a point's perturbed inputs
     CVAR = 6           # the sweep's CVaR samples
@@ -142,7 +142,9 @@ class AdjacencyModel:
     (no rejection).  program(dataset) builds the dataset's conic program,
     which estimate_sensitivity solves under settings (None: the solver's
     defaults); read(dataset, solution) maps its solution to the released
-    value(s) and raises on a status it cannot use.
+    value(s) and raises on a status it cannot use.  alpha is the value the
+    model was built at, inf for a model that reads none (a fixed universe
+    whose datasets are all adjacent).
     """
 
     sample_pair: Callable[[np.random.Generator], tuple[Any, Any]]

@@ -98,10 +98,13 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         # the app's data rejects a dataset it does not read, and its
-        # adjacency an alpha it cannot read
+        # adjacency an alpha it cannot read; an adjacency that reads no
+        # alpha (alpha inf) would estimate one sensitivity per alpha alike
         data = app.data(self.dataset, self.seed)
         for alpha in self.alphas:
-            app.adjacency(data, alpha)
+            if app.adjacency(data, alpha).alpha == math.inf and len(self.alphas) > 1:
+                raise ValueError(f"app {self.app!r} ignores alpha here; give one "
+                                 f"alpha, got {self.alphas}")
 
     @staticmethod
     def from_json(text: str, **overrides) -> "ExperimentConfig":
@@ -198,8 +201,9 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResu
     the Gaussian mechanism at the config's delta for p = 2, k = len(nominal).
     Output rows are the study's nominal plus raw draws from
     ``derive_seed(seed, EVAL)``, program rows the privatization's releases
-    from the same key (its rule from ``derive_seed(seed, PRIVATIZE)``), and
-    input rows the study's own.  An "ok" point reads the mean and 0.95-CVaR
+    from the same key (the study's privatize gets ``derive_seed(seed,
+    PRIVATIZE)``, which only the ellipsoid reads), and input rows the
+    study's own.  An "ok" point reads the mean and 0.95-CVaR
     of the losses and the share of violated rows; its manifest entry
     records how many losses it scored (``draws``) and, for output and
     program points, the noise (``[family, scale]``).
@@ -210,8 +214,7 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResu
     delta_p, k = sensitivity(), len(st.nominal)
     noise = (calibrate_laplace(delta_p, cfg.epsilon, k) if app.p == 1
              else calibrate_gaussian(delta_p, cfg.epsilon, cfg.delta, k))
-    count = min(cfg.mc_samples, st.draws or cfg.mc_samples)
-    pv = None
+    count, pv = cfg.mc_samples, None
     if strategy == "output":
         rows = release_rows(st.nominal, noise, derive_seed(seed, Purpose.EVAL), count)
     elif strategy == "input":
@@ -297,7 +300,7 @@ def cvar_q_sweep(
     optimizes the mean of the worst q share of losses over 300 samples;
     rows report the mean, the 0.95-level CVaR and the VaR of those samples.
     The samples draw from derive_seed(seed, CVAR); every q shares them and
-    the one rule program, whose vertex box draws nothing.
+    the one rule program, which draws nothing.
     base_cost, when given, is the caller's optimal cost of build_opf(net),
     which then is not solved again; otherwise NotOptimal is raised unless
     that solve is Optimal.  Returns rows (q, mean, cvar, var).
@@ -308,8 +311,7 @@ def cvar_q_sweep(
     wq = np.zeros(net.n_nodes)
     wq[list(subset)] = 1.0
     noise = calibrate_laplace(alpha, epsilon, k=1)
-    pp = privatize(program, noise, WeightedSumQuery(wq), VertexChance(eta=eta),
-                   seed=derive_seed(seed, Purpose.PRIVATIZE))
+    pp = privatize(program, noise, WeightedSumQuery(wq), VertexChance(eta=eta))
     cvar_seed = derive_seed(seed, Purpose.CVAR)
     rows = []
     for q_tail in q_grid:

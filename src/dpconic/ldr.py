@@ -17,11 +17,13 @@ OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
     the raw draw, data-independent, so the release never reads X;
   * epigraph variables of the expected objective (the last columns of the
     input program) stay outside the rule; the blocks that touch them are
-    kept at xbar or averaged over sampled noise points.
+    kept at xbar or averaged over the caller's noise points.
 
-Each of these rows, and the CVaR rows of `risk.augment_with_cvar`, is the
-affine map b - A(xbar + X zeta) at some noise point: the vertex copies at
-the box vertices, the objective copies at the draws, the safety-factor rows
+`privatize` draws nothing: its program is a function of the noise law, and
+randomness enters only when a query is released.  Each of these rows, and
+the CVaR rows of `risk.augment_with_cvar`, is the affine map
+b - A(xbar + X zeta) at some noise point: the vertex copies at the box
+vertices, the objective copies at the given points, the safety-factor rows
 from its value at zeta = 0 and its zeta coefficients.  One array expansion,
 `RuleSpace.expand`, builds them all.
 
@@ -43,11 +45,6 @@ from scipy.special import ndtri
 from .conic import ConeKind, ConeSpec, ConicProgram, Solution, require_optimal
 from .dp import NoiseSpec, sample_noise
 from .solver import SolverSettings, solve
-
-# stream ids reserved for the draws of privatize(seed): the sample-average
-# objective; and of risk.augment_with_cvar(seed): the CVaR samples
-OBJ_STREAM = 0x0B5E
-CVAR_STREAM = 1
 
 # Most rows the vertex method may plan: 2^k copies of every chance-block row.
 # A plan of 8192 rows has a KKT matrix of order at least 8192, whose
@@ -158,13 +155,6 @@ def release_rows(center: np.ndarray, noise: NoiseSpec, seed: int, count: int,
     raw draws of one stream.  Row 0 is the count-1 draw's, for both noise
     families, so one release and a Monte Carlo batch share their first row."""
     return center + sample_noise(noise, seed, count, stream)
-
-
-def release_query(rule: DecisionRule, query: Query, noise: NoiseSpec,
-                  seed: int, stream: int = 0) -> np.ndarray:
-    """Perturbed query answer: its value at xbar plus one raw draw, so
-    released minus nominal is that draw; X is never read."""
-    return release_rows(query.value(rule.xbar), noise, seed, 1, stream)[0]
 
 
 # --- chance specifications ----------------------------------------------------
@@ -419,9 +409,9 @@ def privatize(
     noise: NoiseSpec,
     query: Query,
     chance: ChanceSpec,
-    seed: int,
+    *,
     epigraph_vars: int = 0,
-    objective_samples: int = 0,
+    objective_points: np.ndarray | None = None,
 ) -> PrivatizedProgram:
     """Build the chance-constrained rule counterpart of a linear-objective program.
 
@@ -431,12 +421,12 @@ def privatize(
     The last `epigraph_vars` columns of the program are epigraph variables
     of the expected objective (such as t >= |w|^2); they are not part of
     the rule.  A block that touches one of them is an objective block, not
-    a chance block.  By default an objective block is kept at xbar.  With
-    objective_samples=S > 0 it is built at S draws from OBJ_STREAM instead,
-    each draw with its own copy of the epigraph variables weighted c/S: a
-    sample average of an expected objective with no closed conic form.
-    They are the only reader of `seed`: the vertex box comes from the noise
-    law, so with objective_samples=0 no two seeds give different programs.
+    a chance block.  By default an objective block is kept at xbar.  Given
+    objective_points, an (S, k) array of noise points, it is built at each
+    point instead, each with its own copy of the epigraph variables t[e][s]
+    weighted c/S: a sample average of an expected objective with no closed
+    conic form, at points the caller draws.  Nothing here is random: the
+    vertex box comes from the noise law, so equal inputs give equal programs.
 
     The columns of the result are the rule's (RuleSpace), then the epigraph
     copies.  Its A is CSR.
@@ -473,14 +463,16 @@ def privatize(
 
     pin_mask, pin_values, E_query, r_query = query.recourse(n)
     space = RuleSpace(n, k, pin_mask, pin_values)
-    obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
-                  if objective_samples else np.zeros((1, k)))
+    obj_points = (np.zeros((1, k)) if objective_points is None
+                  else np.asarray(objective_points, dtype=float))
+    if obj_points.ndim != 2 or obj_points.shape[1] != k or not len(obj_points):
+        raise ValueError(f"objective_points must be (S >= 1, {k}), not {obj_points.shape}")
     S = len(obj_points)
     n_epi = S * epigraph_vars
     free = space.ncols - n
     N = space.ncols + n_epi
     names = space.names + [
-        f"t[{e}]" + (f"[{s}]" if objective_samples else "")
+        f"t[{e}]" + ("" if objective_points is None else f"[{s}]")
         for s in range(S) for e in range(epigraph_vars)]
     c = np.zeros(N)
     c[:n] = program.c[:n]

@@ -18,7 +18,9 @@ import scipy.sparse as sp
 
 from .conic import ConeKind, ConeSpec, ConicProgram
 from .dp import sample_noise
-from .ldr import CVAR_STREAM, PrivatizedProgram
+from .ldr import PrivatizedProgram
+
+CVAR_STREAM = 1  # the stream of augment_with_cvar's samples
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from dpconic.ldr import (
     VertexChance,
     WeightedSumQuery,
     privatize,
-    release_query,
     release_rows,
 )
 from dpconic.risk import CVaRSpec, augment_with_cvar, cvar_empirical
@@ -85,7 +84,7 @@ def test_02_simple_lp_infeasibility_pattern():
     rate_out = rate(release_rows(study.nominal, noise, 11, n, stream=1))
     # input coincides with output here (x* = lower); separate draws anyway
     rate_in = rate(release_rows(study.nominal, noise, 12, n, stream=2))
-    pv = app_simple.privatize_simple_lp(lp, noise, 0.05, seed=13)
+    pv = app_simple.privatize_simple_lp(lp, noise, 0.05)
     rate_prog = rate(pv.releases(14, n, stream=3), pv)
     bound = 0.05 + 3 * binom_se(0.05, n)
     ok = (abs(rate_out - 0.5) <= 0.03 and abs(rate_in - 0.5) <= 0.03
@@ -107,7 +106,7 @@ def test_03_data_independence_across_datasets():
             assert sol.status == Status.OPTIMAL
             if query_name == "weighted":
                 # the full pipeline: rule from the chance-constrained program
-                pv = app_opf.privatize_opf(net, opf_noise(net, 1.0), 0.05, seed=3)
+                pv = app_opf.privatize_opf(net, opf_noise(net, 1.0), 0.05)
                 rule, query, noise = pv.rule, pv.query, pv.noise
             elif query_name == "sum":
                 query = WeightedSumQuery(np.ones(3))
@@ -118,7 +117,8 @@ def test_03_data_independence_across_datasets():
                 query = SelectQuery(range(3))
                 noise = calibrate_laplace(10.0, 1.0, k=3)
                 rule = DecisionRule(sol.x, np.eye(3))
-            inc = release_query(rule, query, noise, seed) - query.value(rule.xbar)
+            nominal = query.value(rule.xbar)
+            inc = release_rows(nominal, noise, seed, 1)[0] - nominal
             increments.append(inc)
         spread = max(
             float(np.abs(a - b).max()) for a in increments for b in increments)
@@ -137,7 +137,7 @@ def test_04_sample_size_formulas():
         A = np.vstack([np.eye(k), -np.eye(k)])
         prog = ConicProgram(A, np.full(2 * k, 2.0), np.ones(k), ConeSpec([nonneg(2 * k)]))
         pp = privatize(prog, NoiseSpec(family, k, 0.3), SelectQuery(range(k)),
-                       VertexChance(eta=eta), seed=0)
+                       VertexChance(eta=eta))
         lo, hi = pp.box_vertices.min(axis=0), pp.box_vertices.max(axis=0)
         mass = np.prod(law.cdf(hi, scale=0.3) - law.cdf(lo, scale=0.3))
         errors.append(abs(mass - (1.0 - eta)))
@@ -148,7 +148,7 @@ def test_04_sample_size_formulas():
 
 def test_05_equality_split_balance():
     net = app_opf.bundled_network("triangle3")
-    pv = app_opf.privatize_opf(net, opf_noise(net, 3.0), 0.01, seed=21)
+    pv = app_opf.privatize_opf(net, opf_noise(net, 3.0), 0.01)
     draws = sample_noise(pv.noise, 314, 10**4, stream=4)
     xs = pv.rule.evaluate_many(draws)
     worst = float(np.abs(xs.sum(axis=1) - net.d.sum()).max())
@@ -192,7 +192,7 @@ def test_07_safety_factor_calibration():
                                 ("chebyshev", "laplace", sigma)):
         noise = NoiseSpec(family, 1, scale)
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=eta_bar), seed=1)
+                       IndividualChance(eta_bar=eta_bar))
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         xbar = pp.extract_rule(sol).xbar[0]
@@ -210,7 +210,7 @@ def test_08_cvar_equivalence_and_sweep():
     # (a) frozen rule: epigraph program value equals the sort-based CVaR
     prog = build_simple_lp(1.0, 1.0, 2.0)
     noise = calibrate_laplace(0.05, 1.0, k=1)
-    pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
+    pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
     rule0 = pp.extract_rule(solve(pp.program))
     spec = CVaRSpec(q=0.8, samples=40, loss=(1.0,))
     aug, layout = augment_with_cvar(pp, spec, seed=9)
@@ -259,7 +259,7 @@ def test_09_opf_desk_scale():
         lo, hi = app_opf.opf_cost_range(net)
         losses = []
         for alpha in (1.0, 3.0, 10.0):
-            pv = app_opf.privatize_opf(net, opf_noise(net, alpha), 0.01, seed=33)
+            pv = app_opf.privatize_opf(net, opf_noise(net, alpha), 0.01)
             rule_losses, feasible = evaluate_rule_metrics(
                 pv.rule, prog, base, sample_noise(pv.noise, 44, n_draws, stream=6))
             losses.append(float(rule_losses.mean()))
@@ -295,8 +295,7 @@ def test_10_svm_study():
     adj = app_svm.circle_law_adjacency(train)
     rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=3)
     noise = calibrate_laplace(rep.delta_p, 1.0, k=3)
-    pv = app_svm.privatize_svm(train, noise, IndividualChance(eta_bar=0.05),
-                               seed=21)
+    pv = app_svm.privatize_svm(train, noise, IndividualChance(eta_bar=0.05))
     acc_out, acc_prog = [], []
     for s in range(100):
         d = sample_noise(noise, 1000, 1, stream=s)[0]
@@ -321,7 +320,7 @@ def test_11_regression_study():
     rep = estimate_sensitivity(adj, p=2, samples=199, gamma=0.5, beta=0.1, seed=8)
     noise = calibrate_gaussian(rep.delta_p, 1.0, 0.01, k=2)
     eta = 0.03
-    pv = app_regression.privatize_regression(model, noise, eta=eta, seed=5)
+    pv = app_regression.privatize_regression(model, noise, eta=eta)
     n_draws = 500
     study = app_regression.experiment_study(
         ExperimentConfig(app="regression", delta=0.01, eta=eta), model)

@@ -235,7 +235,7 @@ class TestWindCurve:
 def reg_setup():
     model = synthetic_cubic_data(n=60, seed=4)
     noise = calibrate_gaussian(0.4, 1.0, 0.01, k=2)
-    pv = privatize_regression(model, noise, eta=0.03, seed=5)
+    pv = privatize_regression(model, noise, eta=0.03)
     return model, noise, pv
 
 
@@ -263,7 +263,7 @@ class TestPrivatizeRegression:
         # in MaxIter
         model = synthetic_cubic_data(n=100, seed=0)
         pv = privatize_regression(model, calibrate_gaussian(delta_2, 1.0, 0.01, k=2),
-                                  eta=0.05, seed=3)
+                                  eta=0.05)
         assert pv.solution.status == Status.OPTIMAL
         assert max(kkt_report(pv.program, pv.solution).values()) <= DEFAULT_SETTINGS.tol
 

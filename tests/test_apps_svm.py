@@ -84,7 +84,7 @@ class TestClassify:
 def svm_setup():
     train, tx, ty = synthetic_gaussian_classes(m=40, seed=1)
     noise = calibrate_laplace(5.0, 1.0, k=3)
-    pv = privatize_svm(train, noise, IndividualChance(eta_bar=0.05), seed=3)
+    pv = privatize_svm(train, noise, IndividualChance(eta_bar=0.05))
     return train, tx, ty, noise, pv
 
 
@@ -118,7 +118,7 @@ class TestPrivatizeSvm:
     def test_vertex_variant_solves(self):
         train, _, _ = synthetic_gaussian_classes(m=20, seed=2)
         noise = calibrate_laplace(2.0, 1.0, k=3)
-        pv = privatize_svm(train, noise, VertexChance(eta=0.1), seed=4)
+        pv = privatize_svm(train, noise, VertexChance(eta=0.1))
         assert pv.solution.status == Status.OPTIMAL
 
     def test_noise_dim_checked(self):
@@ -148,7 +148,7 @@ STUDY_CENTER = np.array([-834.0790, -728.1916])
 def _study_privatization():
     data, _, _ = synthetic_gaussian_classes(m=100, seed=7)
     noise = calibrate_laplace(STUDY_DELTA_1, 1.0, k=data.n + 1)
-    return privatize_svm(data, noise, IndividualChance(eta_bar=0.05), seed=1)
+    return privatize_svm(data, noise, IndividualChance(eta_bar=0.05))
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,9 @@ class TestSensitivity:
         doc = json.loads(out.read_text())
         assert doc["p"] == APPS[app].p
         assert doc["S"] == 3
+        # the alpha the adjacency read; the svm and cubic regression read none
+        assert doc["alpha"] == (float("inf") if app in ("svm", "regression")
+                                else float(alpha))
 
     def test_ellipsoid_alpha_outside_unit_interval_rejected(self, capsys):
         rc = main(["sensitivity", "--app", "ellipsoid", "--alpha", "1",
@@ -99,13 +102,12 @@ class TestPrivatize:
         # nominal solution backed off the private lower bound
         assert sol.x[0] > 1.05
 
-    def test_vertex_program_does_not_read_the_seed(self, prog_file, tmp_path):
-        outs = [tmp_path / f"priv{seed}.json" for seed in (0, 5)]
-        for seed, out in zip((0, 5), outs):
-            assert main(["privatize", "--in", str(prog_file), "--scale", "0.05",
-                         "--method", "vertex", "--seed", str(seed),
-                         "--out", str(out)]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+    def test_seed_rejected(self, prog_file):
+        # the rule program draws nothing: --seed is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["privatize", "--in", str(prog_file), "--scale", "0.05",
+                  "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_beta_rejected(self, prog_file):
         # the vertex box has no confidence level: --beta is not an option

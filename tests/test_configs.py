@@ -30,8 +30,8 @@ EXTRA = {
 STATUSES = {
     "opf-triangle3": ["ok"] * 9,
     "opf-ring5": ["ok"] * 9,
-    # whether the alpha-25 program point has a feasible rule depends on its
-    # sampled noise box; this config's seed leaves one
+    # the alpha-25 program point's box holds mass 1 - eta under the noise
+    # law, and the rule program absorbs it
     "cvar6-sweep": ["ok", "ok"],
     "svm": ["ok"] * 2,
     "regression-cubic": ["ok"] * 2,
@@ -136,10 +136,13 @@ def test_cvar6_sweep_rows(run):
     {"app": "opf", "mc_samples": 20.5},
     {"app": "simple-lp", "seed": True},
     {"app": "svm", "delta": 0.5},
+    {"app": "svm", "alphas": [1.0, 2.0]},
+    {"app": "regression", "dataset": "cubic", "alphas": [1.0, 2.0]},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
         "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
         "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta",
-        "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app"])
+        "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app",
+        "svm-second-alpha", "cubic-second-alpha"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))

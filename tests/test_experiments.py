@@ -43,6 +43,15 @@ def _config(tmp_path, app, **kw):
     return ExperimentConfig(**doc)
 
 
+def _alphas_config(tmp_path, app, alphas, **kw):
+    """A config at several alphas: the regression runs on its wind data,
+    which reads alpha as its value-range fraction; its default cubic data
+    reads none and takes one alpha."""
+    if app == "regression":
+        kw["dataset"] = "wind"
+    return _config(tmp_path, app, alphas=alphas, **kw)
+
+
 def _manifest(cfg):
     return json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
 
@@ -53,16 +62,17 @@ def _outputs(cfg):
             for name in ("results.csv", "manifest.json")}
 
 
-# (app, alphas): the ellipsoid reads alpha as its b-range fraction
-CASES = [("regression", (1.0, 2.0)), ("ellipsoid", (0.01, 0.02))]
+# (app, alphas): the regression (wind) and the ellipsoid read alpha as a
+# fraction in (0, 1)
+CASES = [("regression", (0.01, 0.025)), ("ellipsoid", (0.01, 0.02))]
 
 
 @pytest.mark.parametrize("app,alphas", CASES)
 def test_one_estimate_per_alpha(tmp_path, estimates, app, alphas):
-    cfg = _config(tmp_path, app, alphas=alphas)
+    cfg = _alphas_config(tmp_path, app, alphas)
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == ["ok"] * 4
-    assert len(estimates) == len(alphas)
+    assert [alpha for alpha, _, _ in estimates] == list(alphas)
     seeds = [seed for _, seed, _ in estimates]
     assert len(set(seeds)) == len(alphas)
     cal = _manifest(cfg)["calibrations"]
@@ -76,7 +86,7 @@ def test_one_estimate_per_alpha(tmp_path, estimates, app, alphas):
 @pytest.mark.parametrize("app,alphas", CASES)
 def test_strategies_at_one_alpha_share_the_calibration(tmp_path, estimates, app,
                                                        alphas):
-    cfg = _config(tmp_path, app, alphas=alphas)
+    cfg = _alphas_config(tmp_path, app, alphas)
     run_experiment(cfg)
     manifest = _manifest(cfg)
     for cal in manifest["calibrations"]:
@@ -99,7 +109,7 @@ def test_calibration_seed_ignores_the_strategy_list(tmp_path, estimates):
 def test_calibration_seeds_are_not_point_seeds(tmp_path, estimates):
     # eight points, so a seed derived as point seed + a small offset would
     # land on a later point's seed
-    cfg = _config(tmp_path, "regression", alphas=(1.0, 2.0, 3.0, 4.0))
+    cfg = _alphas_config(tmp_path, "regression", (0.01, 0.02, 0.03, 0.04))
     run_experiment(cfg)
     manifest = _manifest(cfg)
     point_seeds = {pt["seed"] for pt in manifest["points"]}
@@ -110,9 +120,11 @@ def test_calibration_seeds_are_not_point_seeds(tmp_path, estimates):
 
 @pytest.mark.parametrize("app", ["svm", "regression", "ellipsoid"])
 def test_input_only_makes_no_estimate(tmp_path, estimates, app):
-    cfg = _config(tmp_path, app, strategies=("input",), alphas=(0.5, 0.75))
+    # the svm reads no alpha, so it runs one
+    alphas = (0.5,) if app == "svm" else (0.5, 0.75)
+    cfg = _alphas_config(tmp_path, app, alphas, strategies=("input",))
     out = run_experiment(cfg)
-    assert [r.status for r in out["results"]] == ["unsupported"] * 2
+    assert [r.status for r in out["results"]] == ["unsupported"] * len(alphas)
     assert estimates == []
     assert _manifest(cfg)["calibrations"] == []
 
@@ -124,11 +136,12 @@ def test_ellipsoid_alpha_outside_unit_interval_rejected(tmp_path):
 
 
 def test_manifest_records_the_draws_each_point_scored(tmp_path, estimates):
-    # the regression study scores at most 500 released rows a point
+    # every point scores mc_samples released rows, the 500 a regression
+    # point once was capped at among them
     cfg = _config(tmp_path, "regression", mc_samples=600)
     run_experiment(cfg)
     points = _manifest(cfg)["points"]
-    assert [pt["draws"] for pt in points] == [500, 500]
+    assert [pt["draws"] for pt in points] == [600, 600]
     assert _manifest(cfg)["mc_samples"] == 600
 
 
@@ -153,9 +166,9 @@ def test_svm_output_point_solves_the_svm_once(tmp_path, estimates, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments.app_svm, "solve_svm", counting)
-    cfg = _config(tmp_path, "svm", strategies=("output",), alphas=(0.5, 1.0))
+    cfg = _config(tmp_path, "svm", strategies=("input", "output"))
     out = run_experiment(cfg)
-    assert [r.status for r in out["results"]] == ["ok"] * 2
+    assert [r.status for r in out["results"]] == ["unsupported", "ok"]
     # the study is built once per run, not once per point
     assert len(calls) == 1
 
@@ -329,12 +342,12 @@ def test_a_gaussian_config_without_delta_runs_at_the_app_delta(tmp_path, estimat
 
 
 # (app, alphas) whose output and program points all read "ok"
-SHARED = [("opf", (1.0, 3.0)), ("regression", (1.0, 2.0))]
+SHARED = [("opf", (1.0, 3.0)), ("regression", (0.01, 0.025))]
 
 
 @pytest.mark.parametrize("app,alphas", SHARED)
 def test_output_and_program_points_record_one_noise(tmp_path, estimates, app, alphas):
-    cfg = _config(tmp_path, app, alphas=alphas)
+    cfg = _alphas_config(tmp_path, app, alphas)
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == ["ok"] * 4
     points = _manifest(cfg)["points"]

@@ -25,16 +25,16 @@ from dpconic.ldr import (
     ConflictingConstraints,
     DecisionRule,
     IndividualChance,
-    OBJ_STREAM,
     SelectQuery,
     VertexChance,
     WeightedSumQuery,
     hyperrectangle_vertices,
     privatize,
     reduce_quadratic_objective,
-    release_query,
+    release_rows,
     safety_factor,
 )
+from dpconic.apps.ellipsoid import OBJ_STREAM
 from dpconic.solver import solve
 
 
@@ -143,7 +143,7 @@ class TestSplitEqualities:
                             ConeSpec([zero(1), nonneg(3)]))
         w = np.array([1.0, 2.0, 4.0])
         pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), WeightedSumQuery(w),
-                       VertexChance(eta=0.1), seed=0)
+                       VertexChance(eta=0.1))
         G, h = _zero_block(pp)
         X = [pp.space.X_idx[i, 0] for i in range(3)]
         assert np.array_equal(G[:, :3], [[1.0] * 3, [0.0] * 3, [0.0] * 3])
@@ -153,7 +153,7 @@ class TestSplitEqualities:
     def test_empty_system(self):
         # no equality row and every entry of X pinned: no Zero block at all
         pp = privatize(_box_program(), calibrate_laplace(0.1, 1.0, k=2),
-                       SelectQuery(range(2)), VertexChance(eta=0.1), seed=0)
+                       SelectQuery(range(2)), VertexChance(eta=0.1))
         assert ConeKind.ZERO not in [blk.kind for blk in pp.program.cones.blocks]
 
     def test_multi_k_layout(self):
@@ -162,7 +162,7 @@ class TestSplitEqualities:
         A = np.vstack([[1.0, 2.0, -1.0], -np.eye(3)])
         prog = ConicProgram(A, np.zeros(4), np.ones(3), ConeSpec([zero(1), nonneg(3)]))
         pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=2), SelectQuery(range(2)),
-                       VertexChance(eta=0.1), seed=0)
+                       VertexChance(eta=0.1))
         G, h = _zero_block(pp)
         X = [pp.space.X_idx[2, j] for j in range(2)]
         assert G.shape[0] == 3
@@ -222,7 +222,7 @@ class TestIndividualRows:
         prog = ConicProgram(np.zeros((1, 2)), np.array([1.0]), np.ones(2),
                             ConeSpec([nonneg(1)]))
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=0.1), seed=0)
+                       IndividualChance(eta_bar=0.1))
         assert pp.program.cones.blocks[0] == nonneg(1)
         assert pp.program.b[0] == 1.0  # untightened constant
         assert not as_dense(pp.program.A)[0].any()
@@ -237,7 +237,7 @@ class TestIndividualRows:
         prog = ConicProgram(np.array([[1.0]]), np.array([1.0]), np.array([-1.0]),
                             ConeSpec([nonneg(1)]))
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=0.05), seed=0)
+                       IndividualChance(eta_bar=0.05))
         std = math.sqrt(noise.coordinate_variance)
         assert pp.program.b[0] == pytest.approx(1.0 - safety_factor(0.05, kind) * std,
                                                 rel=1e-12)
@@ -249,7 +249,7 @@ class TestIndividualRows:
         prog = ConicProgram(np.array([[1.0, -1.0]]), np.array([3.0]), np.ones(2),
                             ConeSpec([nonneg(1)]))
         pp = privatize(prog, noise, SelectQuery([0]),
-                       IndividualChance(eta_bar=0.5), seed=0)
+                       IndividualChance(eta_bar=0.5))
         assert pp.program.cones.blocks[0] == nonneg(2)
 
     def test_gaussian_tightening_value(self):
@@ -273,8 +273,7 @@ class TestPrivatize:
     def test_simple_lp_box_geometry(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05),
-                       seed=42)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         rule = pp.extract_rule(sol)
@@ -286,8 +285,7 @@ class TestPrivatize:
     def test_zero_noise_limit_recovers_deterministic(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = NoiseSpec("laplace", 1, 1e-12)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05),
-                       seed=0)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
         rule = pp.extract_rule(solve(pp.program))
         det = solve(prog)
         assert abs(rule.xbar[0] - det.x[0]) < 1e-5
@@ -296,7 +294,7 @@ class TestPrivatize:
         # feasible at all box vertices implies feasible inside the box
         prog = _box_program()
         noise = calibrate_laplace(0.1, 1.0, k=2)
-        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=2)
+        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1))
         rule = pp.extract_rule(solve(pp.program))
         lo = pp.box_vertices.min(axis=0)
         hi = pp.box_vertices.max(axis=0)
@@ -309,7 +307,7 @@ class TestPrivatize:
     def test_feasible_at_every_draw_in_the_box(self):
         prog = _box_program()
         noise = calibrate_laplace(0.08, 1.0, k=2)
-        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=6)
+        pp = privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1))
         rule = pp.extract_rule(solve(pp.program))
         draws = sample_noise(noise, 6, 10**4, stream=7)
         t = pp.box_vertices.max()
@@ -319,15 +317,6 @@ class TestPrivatize:
             assert cone_membership(slack(prog, rule.evaluate(zeta)),
                                    prog.cones, 1e-8)
 
-    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
-    def test_vertex_program_does_not_read_the_seed(self, family):
-        # the box comes from the noise law, so only objective_samples read seed
-        noise = NoiseSpec(family, 2, 0.1)
-        p, q = (privatize(_box_program(), noise, SelectQuery(range(2)),
-                          VertexChance(eta=0.05), seed=seed).program for seed in (0, 12345))
-        assert as_dense(p.A).tobytes() == as_dense(q.A).tobytes()
-        assert p.b.tobytes() == q.b.tobytes() and p.c.tobytes() == q.c.tobytes()
-
     def test_conflicting_constraints_detected(self):
         # equality requires 1'X = 0 while the sum query demands 1'X = 1
         A = np.vstack([np.ones((1, 2)), np.eye(2), -np.eye(2)])
@@ -335,8 +324,7 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.ones(2), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(ConflictingConstraints):
-            privatize(prog, noise, WeightedSumQuery(np.ones(2)), VertexChance(eta=0.1),
-                      seed=0)
+            privatize(prog, noise, WeightedSumQuery(np.ones(2)), VertexChance(eta=0.1))
 
     def test_identity_with_nonzero_equality_row_conflicts(self):
         A = np.vstack([np.array([[1.0, 0.0]]), np.eye(2), -np.eye(2)])
@@ -344,7 +332,7 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.ones(2), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.1, 1.0, k=2)
         with pytest.raises(ConflictingConstraints):
-            privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1), seed=0)
+            privatize(prog, noise, SelectQuery(range(2)), VertexChance(eta=0.1))
 
     def test_weighted_query_with_balance_is_consistent(self):
         # 1'X = 0 and c'X = 1 coexist when c is not constant
@@ -353,7 +341,7 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.array([1.0, 3.0]), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.1, 1.0, k=1)
         pp = privatize(prog, noise, WeightedSumQuery(prog.c),
-                       VertexChance(eta=0.1), seed=0)
+                       VertexChance(eta=0.1))
         rule = pp.extract_rule(solve(pp.program))
         assert abs(prog.c @ rule.X[:, 0] - 1.0) < 1e-9
         assert abs(rule.X[:, 0].sum()) < 1e-9
@@ -364,7 +352,7 @@ class TestPrivatize:
         prog = ConicProgram(A, b, np.array([1.0, 3.0]), ConeSpec([zero(1), nonneg(4)]))
         noise = calibrate_laplace(0.05, 1.0, k=1)
         pp = privatize(prog, noise, WeightedSumQuery(prog.c),
-                       VertexChance(eta=0.1), seed=1)
+                       VertexChance(eta=0.1))
         rule = pp.extract_rule(solve(pp.program))
         draws = sample_noise(noise, 99, 10**4, stream=3)
         xs = rule.evaluate_many(draws)
@@ -379,14 +367,12 @@ class TestPrivatize:
                             ConeSpec([soc(3)]))
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(ValueError):
-            privatize(prog, noise, WeightedSumQuery(np.ones(2)), IndividualChance(eta=0.1),
-                      seed=0)
+            privatize(prog, noise, WeightedSumQuery(np.ones(2)), IndividualChance(eta=0.1))
 
     def test_unknown_chance_spec_rejected(self):
         noise = calibrate_laplace(0.1, 1.0, k=1)
         with pytest.raises(TypeError):
-            privatize(build_simple_lp(1.0, 1.0, 2.0), noise, WeightedSumQuery([1.0]), 0.05,
-                      seed=0)
+            privatize(build_simple_lp(1.0, 1.0, 2.0), noise, WeightedSumQuery([1.0]), 0.05)
 
     def test_vertex_blow_up_fails_before_sampling(self, monkeypatch):
         import dpconic.ldr as ldr
@@ -404,8 +390,8 @@ class TestPrivatize:
                             ConeSpec([nonneg(2 * k), nonneg(1)]))
         noise = calibrate_laplace(0.1, 1.0, k=k)
         with pytest.raises(ValueError) as err:
-            privatize(prog, noise, SelectQuery(range(k)), VertexChance(eta=0.1), seed=0,
-                      epigraph_vars=1, objective_samples=4)
+            privatize(prog, noise, SelectQuery(range(k)), VertexChance(eta=0.1),
+                      epigraph_vars=1, objective_points=np.zeros((4, k)))
         msg = str(err.value)
         assert "k=16" in msg and "65536" in msg and str(65536 * 2 * k) in msg
 
@@ -418,7 +404,7 @@ class TestPrivatize:
                             ConeSpec([rsoc(3)]))
         assert IndividualChance(eta=0.1).row_levels(0).shape == (0,)
         pp = privatize(prog, calibrate_laplace(0.1, 1.0, k=1), SelectQuery([0]),
-                       IndividualChance(eta=0.1), seed=0, epigraph_vars=1)
+                       IndividualChance(eta=0.1), epigraph_vars=1)
         assert pp.program.cones == ConeSpec([rsoc(3)])
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
@@ -432,26 +418,31 @@ class TestPrivatize:
             IndividualChance(eta_bar=0.7).row_levels(1)
 
 
+def _release(rule, query, noise, seed):
+    """One release of the query: its value at xbar plus one raw draw."""
+    return release_rows(query.value(rule.xbar), noise, seed, 1)[0]
+
+
 class TestReleaseQuery:
     def test_increment_is_raw_draw_any_dataset(self):
         noise = calibrate_laplace(0.5, 1.0, k=1)
         draw = sample_noise(noise, 12, 1)[0]
         for xbar in ([1.0], [42.0], [-3.5]):
             rule = DecisionRule(np.array(xbar), np.ones((1, 1)))
-            rel = release_query(rule, WeightedSumQuery([1.0]), noise, seed=12)
+            rel = _release(rule, WeightedSumQuery([1.0]), noise, 12)
             assert np.array_equal(rel, np.array([np.sum(xbar)]) + draw[0])
 
     def test_identity_release(self):
         noise = NoiseSpec("gaussian", 2, 0.3)
         rule = DecisionRule(np.array([1.0, 2.0]), np.eye(2))
-        rel = release_query(rule, SelectQuery(range(2)), noise, seed=3)
+        rel = _release(rule, SelectQuery(range(2)), noise, 3)
         assert np.array_equal(rel, rule.xbar + sample_noise(noise, 3, 1)[0])
 
     def test_weighted_release(self):
         noise = NoiseSpec("laplace", 1, 0.2)
         w = np.array([2.0, -1.0])
         rule = DecisionRule(np.array([3.0, 1.0]), np.array([[0.5], [0.5]]))
-        rel = release_query(rule, WeightedSumQuery(w), noise, seed=4)
+        rel = _release(rule, WeightedSumQuery(w), noise, 4)
         assert np.array_equal(rel, np.array([5.0]) + sample_noise(noise, 4, 1)[0][0])
 
     def test_fixed_recourse_release(self):
@@ -459,7 +450,7 @@ class TestReleaseQuery:
         # X is never read, so NaN there does not reach the release
         noise = NoiseSpec("gaussian", 2, 0.1)
         rule = DecisionRule(np.array([1.0, 5.0, 3.0]), np.full((3, 2), np.nan))
-        rel = release_query(rule, SelectQuery([2, 0]), noise, seed=5)
+        rel = _release(rule, SelectQuery([2, 0]), noise, 5)
         assert np.array_equal(rel, np.array([3.0, 1.0]) + sample_noise(noise, 5, 1)[0])
 
     def test_same_seed_same_increment_across_datasets(self):
@@ -467,8 +458,8 @@ class TestReleaseQuery:
         r1 = DecisionRule(np.array([1.0]), np.ones((1, 1)))
         r2 = DecisionRule(np.array([7.0]), np.ones((1, 1)))
         q = WeightedSumQuery([1.0])
-        inc1 = release_query(r1, q, noise, 9) - q.value(r1.xbar)
-        inc2 = release_query(r2, q, noise, 9) - q.value(r2.xbar)
+        inc1 = _release(r1, q, noise, 9) - q.value(r1.xbar)
+        inc2 = _release(r2, q, noise, 9) - q.value(r2.xbar)
         assert np.allclose(inc1, inc2, rtol=0, atol=1e-12)
 
 
@@ -500,7 +491,7 @@ class TestEpigraphVariables:
         noise = calibrate_laplace(0.1, 1.0, k=1)
         for chance in (VertexChance(eta=0.1), IndividualChance(eta_bar=0.1)):
             # the sum query leaves X free, so the block really ignores X zeta
-            pp = privatize(base, noise, WeightedSumQuery(np.ones(2)), chance, seed=3,
+            pp = privatize(base, noise, WeightedSumQuery(np.ones(2)), chance,
                            epigraph_vars=1)
             prog = pp.program
             t = prog.variable_names.index("t[0]")
@@ -523,10 +514,10 @@ class TestEpigraphVariables:
         base = _epigraph_program(c_t=3.0)
         noise = calibrate_laplace(0.1, 1.0, k=2)
         S = 5
-        pp = privatize(base, noise, SelectQuery(range(2)), VertexChance(eta=0.1),
-                       seed=4, epigraph_vars=1, objective_samples=S)
-        prog = pp.program
         draws = sample_noise(noise, 4, S, stream=OBJ_STREAM)
+        pp = privatize(base, noise, SelectQuery(range(2)), VertexChance(eta=0.1),
+                       epigraph_vars=1, objective_points=draws)
+        prog = pp.program
         xbar = pp.space.xbar_idx
         n_chance = 2**2  # one NonNeg block per vertex
         for s in range(S):
@@ -541,10 +532,17 @@ class TestEpigraphVariables:
                                        rtol=0, atol=1e-15)
         assert prog.n == 2 + S
 
+    def test_objective_points_must_have_the_noise_dimension(self):
+        noise = calibrate_laplace(0.1, 1.0, k=2)
+        for points in (np.zeros((3, 1)), np.zeros((0, 2)), np.zeros(2)):
+            with pytest.raises(ValueError, match="objective_points"):
+                privatize(_epigraph_program(), noise, SelectQuery(range(2)),
+                          VertexChance(eta=0.1), epigraph_vars=1, objective_points=points)
+
     def test_individual_chance_accepts_cone_objective_block(self):
         noise = calibrate_laplace(0.1, 1.0, k=2)
         pp = privatize(_epigraph_program(), noise, SelectQuery(range(2)),
-                       IndividualChance(eta_bar=0.1), seed=0, epigraph_vars=1)
+                       IndividualChance(eta_bar=0.1), epigraph_vars=1)
         sol = solve(pp.program)
         assert sol.status == Status.OPTIMAL
         assert [blk.kind for blk in pp.program.cones.blocks][-1] == ConeKind.RSOC
@@ -671,8 +669,8 @@ def _ref_query_constraint(query, n):
             np.array([query.weights]), np.ones(1))
 
 
-def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
-                   objective_samples=0):
+def _ref_privatize(program, noise, query, chance, epigraph_vars=0,
+                   objective_points=None):
     n = program.n - epigraph_vars
     k, pin_mask, pin_values, E_query, r_query = _ref_query_constraint(query, n)
     eq_A, eq_b, chance_blocks, objective_blocks = [], [], [], []
@@ -690,10 +688,9 @@ def _ref_privatize(program, noise, query, chance, seed, epigraph_vars=0,
     space = _RefSpace(builder, n, k, pin_mask, pin_values)
     for i in range(n):
         builder.obj[space.xbar_idx[i]] += float(program.c[i])
-    obj_points = (sample_noise(noise, seed, objective_samples, stream=OBJ_STREAM)
-                  if objective_samples else [None])
+    obj_points = [None] if objective_points is None else objective_points
     epi_copies = [
-        [builder.add_var(f"t[{e}]" + (f"[{s}]" if objective_samples else ""),
+        [builder.add_var(f"t[{e}]" + ("" if objective_points is None else f"[{s}]"),
                          obj=float(program.c[n + e]) / len(obj_points))
          for e in range(epigraph_vars)]
         for s in range(len(obj_points))]
@@ -825,9 +822,11 @@ class TestExpansionMatchesDictRows:
         query_kind, chance_kind, k_pinned, equality, epi, obj_samples = case
         program, noise, query, chance = _random_case(seed, query_kind, chance_kind,
                                                      k_pinned, equality, epi)
-        kw = dict(epigraph_vars=epi, objective_samples=obj_samples)
-        got = privatize(program, noise, query, chance, seed, **kw).program
-        ref = _ref_privatize(program, noise, query, chance, seed, **kw)
+        points = (sample_noise(noise, seed, obj_samples, stream=OBJ_STREAM)
+                  if obj_samples else None)
+        kw = dict(epigraph_vars=epi, objective_points=points)
+        got = privatize(program, noise, query, chance, **kw).program
+        ref = _ref_privatize(program, noise, query, chance, **kw)
         assert np.array_equal(as_dense(got.A), ref.A)
         assert np.array_equal(got.b, ref.b)
         assert np.array_equal(got.c, ref.c)
@@ -836,7 +835,7 @@ class TestExpansionMatchesDictRows:
 
     def test_rule_columns(self):
         program, noise, query, chance = _random_case(0, "pinned", "vertex", 3)
-        pp = privatize(program, noise, query, chance, 0)
+        pp = privatize(program, noise, query, chance)
         names = pp.program.variable_names
         assert [names[i] for i in pp.space.xbar_idx] == [
             f"xbar[{i}]" for i in range(pp.space.n)]

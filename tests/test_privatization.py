@@ -10,21 +10,23 @@ import numpy as np
 import pytest
 
 from conftest import opf_noise
+from dpconic import dp
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
-from dpconic.ldr import DecisionRule, IndividualChance, Privatization
+from dpconic.ldr import (DecisionRule, IndividualChance, Privatization, SelectQuery,
+                         VertexChance, privatize)
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 
 
 def _svm():
     train, _, _ = svm.synthetic_gaussian_classes(m=20, seed=2)
     return svm.privatize_svm(train, calibrate_laplace(2.0, 1.0, k=3),
-                             IndividualChance(eta_bar=0.05), seed=4)
+                             IndividualChance(eta_bar=0.05))
 
 
 def _regression():
     model = regression.synthetic_cubic_data(n=100, seed=0)
     return regression.privatize_regression(
-        model, calibrate_gaussian(1.0, 1.0, 0.01, k=2), eta=0.05, seed=3)
+        model, calibrate_gaussian(1.0, 1.0, 0.01, k=2), eta=0.05)
 
 
 def _ellipsoid():
@@ -35,12 +37,12 @@ def _ellipsoid():
 
 def _opf():
     net = opf.bundled_network("triangle3")
-    return opf.privatize_opf(net, opf_noise(net, 1.0), 0.01, seed=2)
+    return opf.privatize_opf(net, opf_noise(net, 1.0), 0.01)
 
 
 def _simple_lp():
     return simple_lp.privatize_simple_lp(simple_lp.SimpleLpStudy(),
-                                         calibrate_laplace(0.05, 1.0, k=1), 0.05, seed=13)
+                                         calibrate_laplace(0.05, 1.0, k=1), 0.05)
 
 
 # study -> (its privatization, the value its release takes from the query
@@ -52,6 +54,24 @@ STUDIES = {
     "opf": (_opf, lambda v: v[0]),
     "simple-lp": (_simple_lp, lambda v: v),
 }
+
+
+def test_privatize_draws_nothing(monkeypatch):
+    # the rule program is fixed by the noise law: with every Philox stream
+    # shut, each study still privatizes, and the ellipsoid too once its
+    # objective points are drawn by the caller
+    noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
+    points = sample_noise(noise, 1, 8, ellipsoid.OBJ_STREAM)
+
+    def shut(seed, stream=0):
+        raise AssertionError(f"drew from ({seed}, {stream})")
+    monkeypatch.setattr(dp, "rng_stream", shut)
+    for name in ("opf", "simple-lp", "svm", "regression"):
+        assert isinstance(STUDIES[name][0](), Privatization)
+    pp = privatize(ellipsoid._rule_program(ellipsoid.regular_polygon(4, radius=1.5)),
+                   noise, SelectQuery(range(ellipsoid.RULE_DIM)), VertexChance(0.1),
+                   epigraph_vars=1, objective_points=points)
+    assert pp.program.variable_names[-8:] == tuple(f"t[0][{s}]" for s in range(8))
 
 
 def _bytes(value) -> bytes:

@@ -177,7 +177,7 @@ class TestAugmentWithCvar:
     def _frozen_value(self, q, samples, seed_draws, xbar0=None):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
         sol0 = solve(pp.program)
         rule0 = pp.extract_rule(sol0)
         xb = float(rule0.xbar[0]) if xbar0 is None else xbar0
@@ -208,14 +208,14 @@ class TestAugmentWithCvar:
     def test_loss_dimension_checked(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
         with pytest.raises(ValueError):
             augment_with_cvar(pp, CVaRSpec(q=0.5, samples=3, loss=(1.0, 2.0)), seed=0)
 
     def test_query_rows_untouched(self):
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05), seed=1)
+        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
         aug, _ = augment_with_cvar(pp, CVaRSpec(q=0.5, samples=7, loss=(1.0,)), seed=2)
         sol = solve(aug, SolverSettings(tol=1e-9))
         assert sol.status == Status.OPTIMAL
@@ -281,7 +281,7 @@ def _privatized(query_kind, seed):
         # the SVM's structure: the first k rows of X pinned to I, the rest free
         query, k = SelectQuery(range(2)), 2
     noise = calibrate_laplace(0.2, 1.0, k=k)
-    return privatize(prog, noise, query, IndividualChance(eta=0.1), seed=seed)
+    return privatize(prog, noise, query, IndividualChance(eta=0.1))
 
 
 class TestAugmentMatchesLoop:

@@ -890,7 +890,7 @@ def _pattern_corpus():
     maps to (program, settings, solution, rule.xbar)."""
     data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
     pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
-                           IndividualChance(eta_bar=0.05), seed=1)
+                           IndividualChance(eta_bar=0.05))
     out = {"svm": (pv.program, svm.PRIVATIZED_SETTINGS, pv.solution, pv.rule.xbar)}
     noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
     pe = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
@@ -900,7 +900,7 @@ def _pattern_corpus():
     wq = np.zeros(net.n_nodes)
     wq[::2] = 1.0
     pp = privatize(opf.build_opf(net), calibrate_laplace(1.0, 1.0, k=1),
-                   WeightedSumQuery(wq), VertexChance(eta=0.01), seed=0)
+                   WeightedSumQuery(wq), VertexChance(eta=0.01))
     settings = SolverSettings(tol=1e-7)
     for q in (0.05, 0.1, 0.2):
         aug, _ = augment_with_cvar(pp, CVaRSpec(q=1.0 - q, samples=300, loss=tuple(net.c)),
@@ -1052,7 +1052,7 @@ class TestCsrPrograms:
         ell = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                             eta=0.1, seed=1)
         lp = privatize(build_simple_lp(1.0, 1.0, 2.0), calibrate_laplace(0.1, 1.0, k=1),
-                       WeightedSumQuery([1.0]), VertexChance(eta=0.1), seed=2)
+                       WeightedSumQuery([1.0]), VertexChance(eta=0.1))
         # the sparse factor and the dense one
         return {"ellipsoid": (ell.program, ellipsoid.DEFAULT_SETTINGS),
                 "simple-lp": (lp.program, None)}
