@@ -169,7 +169,7 @@ class SensitivityReport:
     alpha: float
     gamma: float
     beta: float
-    samples: int
+    samples: int     # the pairs solved; the failed pairs were drawn too
     delta_p: float
     failures: tuple[int, ...] = ()
 
@@ -187,16 +187,17 @@ class SensitivityReport:
         )
 
 
-def _solved_pairs(adjacency: AdjacencyModel, samples: int, seed: int):
-    """Yield (s, outcome) in sample order.  The outcome is, for each dataset
-    of pair s that a serial walk would reach, (dataset, its Solution or the
-    exception building its program raised), or the exception sample_pair
-    raised.  Programs go to the solver in chunks whose stack_bytes sum to
-    at most KKT_BATCH_BYTES (a single larger pair goes alone).  Drawing
-    stops at an exception from sample_pair, which no walk gets past."""
+def _solved_pairs(adjacency: AdjacencyModel, pairs: range, seed: int):
+    """Yield (s, outcome) for s in pairs, in order.  The outcome is, for
+    each dataset of pair s that a serial walk would reach, (dataset, its
+    Solution or the exception building its program raised), or the
+    exception sample_pair raised.  Programs go to the solver in chunks
+    whose stack_bytes sum to at most KKT_BATCH_BYTES (a single larger pair
+    goes alone).  Drawing stops at an exception from sample_pair, which no
+    walk gets past."""
     chunk: list = []
     used = 0
-    for s in range(samples):
+    for s in pairs:
         try:
             d_a, d_b = adjacency.sample_pair(rng_stream(seed, s))
         except Exception as exc:     # raised again in sample order
@@ -247,16 +248,18 @@ def estimate_sensitivity(
 ) -> SensitivityReport:
     """Monte Carlo lower bound on the worst-case query sensitivity.
 
-    Draws `samples` adjacent pairs, solves both programs of each pair and
-    takes the max p-norm gap of the released queries.  The programs are
-    built in sample order and solved together by solver.solve_batch; the
-    results are then taken in sample order, so every outcome below is the
-    one a serial walk of build, solve and read per dataset gives.  Pairs
-    whose build, solve or read fails (a RuntimeError or ValueError: solver
-    statuses, numerical breakdown, infeasible privatizations, LinAlgError)
-    are dropped and reported, but only up to max_failure_fraction of the
-    total; beyond that a SolveFailure propagates.  Any other exception is a
-    bug and propagates at its sample.
+    Takes the max p-norm gap of the released queries over `samples` solved
+    adjacent pairs.  The programs are built in sample order and solved
+    together by solver.solve_batch; the results are then taken in sample
+    order, so every outcome below is the one a serial walk of build, solve
+    and read per dataset gives.  Pairs whose build, solve or read fails (a
+    RuntimeError or ValueError: solver statuses, numerical breakdown,
+    infeasible privatizations, LinAlgError) are dropped, reported and
+    replaced by the pairs at the next stream indices, so that `samples`
+    pairs solve, as the (gamma, beta) requirement counts them; but only up
+    to max_failure_fraction of `samples` failures, beyond which a
+    SolveFailure propagates.  Any other exception is a bug and propagates at
+    its sample.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -268,18 +271,22 @@ def estimate_sensitivity(
     worst = 0.0
     failures: list[int] = []
     allowed = max(1, int(max_failure_fraction * samples))
-    for s, outcome in _solved_pairs(adjacency, samples, seed):
-        if isinstance(outcome, BaseException):
-            raise outcome
-        try:
-            q_a, q_b = (adjacency.released(d, _unwrap(x)) for d, x in outcome)
-        except (RuntimeError, ValueError) as exc:
-            failures.append(s)
-            if len(failures) > allowed:
-                raise SolveFailure(s, str(exc)) from exc
-            continue
-        gap = np.linalg.norm(q_a - q_b, ord=p)
-        worst = max(worst, float(gap))
+    drawn = 0
+    while drawn - len(failures) < samples:
+        pairs = range(drawn, drawn + samples - (drawn - len(failures)))
+        drawn = pairs.stop
+        for s, outcome in _solved_pairs(adjacency, pairs, seed):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            try:
+                q_a, q_b = (adjacency.released(d, _unwrap(x)) for d, x in outcome)
+            except (RuntimeError, ValueError) as exc:
+                failures.append(s)
+                if len(failures) > allowed:
+                    raise SolveFailure(s, str(exc)) from exc
+                continue
+            gap = np.linalg.norm(q_a - q_b, ord=p)
+            worst = max(worst, float(gap))
     return SensitivityReport(
         p=p, alpha=adjacency.alpha, gamma=gamma, beta=beta,
         samples=samples, delta_p=worst, failures=tuple(failures),

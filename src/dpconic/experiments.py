@@ -419,7 +419,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         ],
         "calibrations": [
             {"alpha": config.alphas[j], "p": rep.p, "delta_p": rep.delta_p,
-             "samples": rep.samples,
+             "samples": rep.samples, "drawn": rep.samples + len(rep.failures),
              "seed": derive_seed(config.seed, Purpose.CALIBRATION, j),
              "failures": list(rep.failures)}
             for j, rep in sorted(reports.items())

@@ -3,17 +3,19 @@
 Homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, over Zero / NonNeg / SecondOrder cones
 (RotatedSecondOrder rows are rotated to SecondOrder internally).  Zero-cone
-rows are carried as equality constraints.  Each iteration LU-factors the
-unsquared (n+p+m) scaled KKT system (see _factor_kkt) with static
-quasi-definite regularization, and one step of iterative refinement on the
-full Newton system absorbs the regularization.  The factor is LAPACK's dense
-getrf, or SuperLU's sparse one for a large KKT matrix with few structural
-nonzeros (_SparseKKT; the privatized SVM and ellipsoid and the
-CVaR-augmented OPF).  A program's A may be dense or CSR.  A stack factored
-densely holds its cone rows G densely; a stack factored sparsely holds G in
-pattern form (_PatternG: CSR values for the NonNeg rows, a dense sub-block
-over the touched columns for each SOC block) and never builds it densely,
-so every step of its iteration costs what its nonzeros cost.
+rows are carried as equality constraints.  Each iteration factors the
+scaled KKT system (see _factor_kkt) with static quasi-definite
+regularization, and one step of iterative refinement on the full Newton
+system absorbs the regularization.  A dense LP with more cone rows than
+variables solves the reduced (n+p) normal equations by one stacked gesv;
+any other program LU-factors the unsquared (n+p+m) system by LAPACK's
+getrf, or by SuperLU for a large KKT matrix with few structural nonzeros
+(_SparseKKT; the privatized SVM and ellipsoid and the CVaR-augmented OPF).
+A program's A may be dense or CSR.  A stack factored densely holds its cone
+rows G densely; a stack factored sparsely holds G in pattern form
+(_PatternG: CSR values for the NonNeg rows, a dense sub-block over the
+touched columns for each SOC block) and never builds it densely, so every
+step of its iteration costs what its nonzeros cost.
 
 solve_batch runs one iteration over a stack of programs of one shape (the
 same n and cone blocks; A, b and c differ).  Every array carries a leading
@@ -23,9 +25,10 @@ stack at its own exit.  solve is the one-program case.  Results do not
 depend on how programs are batched:
 
 * every reduction is, per program, the BLAS or LAPACK call a one-program
-  stack makes: a row dot or gemv through stacked ``np.matmul``, a norm as
-  the square root of that dot (what ``np.linalg.norm`` computes), and
-  LAPACK getrf/getrs (or SuperLU's factor and solve) once per program;
+  stack makes: a row dot, gemv or gemm through stacked ``np.matmul``, a
+  norm as the square root of that dot (what ``np.linalg.norm`` computes),
+  LAPACK getrf/getrs (or SuperLU's factor and solve, or the stacked gesv
+  of ``np.linalg.solve``) once per program;
 * a program that may be factored sparsely is stacked only with programs of
   its nonzero pattern, so its sparse structure is the one it has alone;
 * every other operation is the same elementwise IEEE operation in the same
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import LinAlgError, solve as gesv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .conic import (
@@ -243,11 +247,15 @@ class _Layout:
         else:
             self.Aeq, self.G = pattern
             self.kkt = _SparseKKT(self)
+        # _factor_kkt's reduced form, and its matrices' constant part once built
+        self.reduced = self.kkt is None and not self.q_dims and self.m_cone > self.n
+        self.template = None
 
     def take(self, keep):
         """Keep the programs whose stack rows are in keep (an index array)."""
         self.Aeq, self.beq = self.Aeq[keep], self.beq[keep]
         self.G, self.h = self.G[keep], self.h[keep]
+        self.template = None
 
     def Gx(self, x):
         """G_i @ x_i for each program i."""
@@ -859,7 +867,7 @@ class _SparseKKT:
 
 
 def _factor_kkt(lay: _Layout, W: _Scaling):
-    """LU factorizations of the scaled 3x3 KKT systems in unsquared form.
+    """Factorizations of the scaled 3x3 KKT systems in unsquared form.
 
     With Gs = W^{-1} G and the scaled unknown zs = W uz, the system
 
@@ -870,23 +878,29 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
     solve(bx, by, bz) -> (ux, uy, zs = W uz), one row per program.
 
     Static quasi-definite regularization (+reg / -reg on the diagonal); the
-    outer iterative refinement absorbs the perturbation.  The layout picks
-    the factor once (lay.kkt, see _PatternG.of):
+    outer iterative refinement absorbs the perturbation.  The layout's shape,
+    not a setting, picks the form (lay.kkt, see _PatternG.of; lay.reduced):
 
     * dense: K holds one matrix per program, each in Fortran order, so that
       LAPACK getrf factors it in place; getrs solves with it.  These are the
       calls, and the bytes, of scipy's lu_factor/lu_solve without their
       wrappers.
+    * reduced, for a dense LP layout with more cone rows than variables:
+      eliminating zs = (Gs ux - W^{-1}bz) / (1 + reg) from K
+      leaves [reg I + Gs'Gs / (1 + reg), Aeq'; Aeq, -reg I] (ux, uy) =
+      (bx + Gs' W^{-1}bz / (1 + reg), by), solved for the whole stack by one
+      stacked gesv (numpy's linalg.solve) per solve.  A program whose
+      Gs'Gs overflows takes the dense form for this factor instead.
     * sparse: SuperLU (scipy's splu, COLAMD ordering and partial pivoting)
       factors the same K, whose CSC values are gathered from Aeq and the
       stored values of Gs (pattern form, see _PatternG); no dense K or G is
       made.
 
-    An exactly singular factor (getrf's info > 0, splu's RuntimeError) or a
-    non-finite solve raises NumericalBreakdown for its programs at the
-    first solve.
+    An exactly singular factor (getrf's info > 0, gesv's LinAlgError,
+    splu's RuntimeError) or a non-finite solve raises NumericalBreakdown for
+    its programs at the first solve.
     """
-    n, p, mc = lay.n, lay.p, lay.m_cone
+    n, p = lay.n, lay.p
     Gs = W.apply_matrix(lay.G, inverse=True)
     # Gs is the only part of K that changes, so checking it stands in
     # for a finiteness scan of all of K
@@ -894,40 +908,90 @@ def _factor_kkt(lay: _Layout, W: _Scaling):
     bad = ~np.isfinite(vals.reshape(len(vals), -1)).all(axis=1)
     if bad.any():
         raise NumericalBreakdown("non-finite scaled KKT block", bad)
-    if lay.kkt is None:
-        N = n + p + mc
-        K = np.zeros((len(Gs), N, N)).transpose(0, 2, 1)
-        K[:, :n, n : n + p] = lay.Aeq.transpose(0, 2, 1)
-        K[:, n : n + p, :n] = lay.Aeq
-        K[:, :n, n + p :] = Gs.transpose(0, 2, 1)
-        K[:, n + p :, :n] = Gs
-        idx = np.arange(N)
-        K[:, idx[:n], idx[:n]] = _REGULARIZATION
-        K[:, idx[n : n + p], idx[n : n + p]] = -_REGULARIZATION
-        K[:, idx[n + p :], idx[n + p :]] = -1.0 - _REGULARIZATION
-        factors = [dgetrf(Ki, overwrite_a=True)[:2] for Ki in K]
-        getrs = dgetrs
-
-        def backsolve(rhs, u):
-            for i, (lu, piv) in enumerate(factors):
-                u[i] = getrs(lu, piv, rhs[i])[0]
-    else:
+    if lay.kkt is not None:
         lus = lay.kkt.factor(lay.Aeq, Gs)
 
         def backsolve(rhs, u):
             for i, lu in enumerate(lus):
                 u[i] = np.nan if lu is None else lu.solve(rhs[i])
+        parts = [backsolve]
+    else:
+        full, parts = np.arange(len(Gs)), []
+        if lay.reduced:
+            normal, full = _normal_backsolve(lay, Gs)
+            parts.append(normal)
+        if full.size:
+            some = full.size < len(Gs)
+            factors = [dgetrf(Ki, overwrite_a=True)[:2] for Ki in _kkt_matrices(
+                lay.Aeq[full] if some else lay.Aeq, Gs[full] if some else Gs)]
+            getrs = dgetrs
+
+            def backsolve(rhs, u):
+                for i, (lu, piv) in zip(full.tolist(), factors):
+                    u[i] = getrs(lu, piv, rhs[i])[0]
+            parts.append(backsolve)
 
     def solve(bx, by, bz):
         rhs = np.concatenate([bx, by, W.apply(bz, inverse=True)], axis=1)
         u = np.empty(rhs.shape)
-        backsolve(rhs, u)
+        for backsolve in parts:
+            backsolve(rhs, u)
         bad = ~np.isfinite(u).all(axis=1)
         if bad.any():
             raise NumericalBreakdown("singular KKT system", bad)
         return u[:, :n], u[:, n : n + p], u[:, n + p :]
 
     return solve
+
+
+def _kkt_matrices(Aeq, Gs):
+    """The regularized K of each program, each matrix in Fortran order."""
+    nb, p, n = Aeq.shape
+    N = n + p + Gs.shape[1]
+    K = np.zeros((nb, N, N)).transpose(0, 2, 1)
+    K[:, :n, n : n + p] = Aeq.transpose(0, 2, 1)
+    K[:, n : n + p, :n] = Aeq
+    K[:, :n, n + p :] = Gs.transpose(0, 2, 1)
+    K[:, n + p :, :n] = Gs
+    idx = np.arange(N)
+    K[:, idx[:n], idx[:n]] = _REGULARIZATION
+    K[:, idx[n : n + p], idx[n : n + p]] = -_REGULARIZATION
+    K[:, idx[n + p :], idx[n + p :]] = -1.0 - _REGULARIZATION
+    return K
+
+
+def _normal_backsolve(lay, Gs):
+    """(backsolve(rhs, u), full): the reduced form's solve, which writes its
+    programs' rows of u, and the rows whose Gs'Gs overflows (see _factor_kkt)."""
+    if lay.template is None:    # K without Gs, after the equilibration has scaled Aeq
+        lay.template = _kkt_matrices(lay.Aeq, Gs[:, :0])
+    M, n, p, reg1 = lay.template.copy(), lay.n, lay.p, 1.0 + _REGULARIZATION
+    with np.errstate(over="ignore", invalid="ignore"):
+        M[:, :n, :n] += np.matmul(Gs.transpose(0, 2, 1), Gs) / reg1
+    ok = np.isfinite(M[:, :n, :n].reshape(len(M), -1)).all(axis=1)
+    rows = np.flatnonzero(ok)
+    M, Gs = M[rows], Gs[rows]
+    GsT = Gs.transpose(0, 2, 1)
+
+    def backsolve(rhs, u):
+        r = rhs[rows]
+        rz = r[:, n + p :]
+        v = _gesv_rows(M, np.concatenate([r[:, :n] + _mv(GsT, rz) / reg1, r[:, n : n + p]],
+                                          axis=1))
+        u[rows] = np.concatenate([v, (_mv(Gs, v[:, :n]) - rz) / reg1], axis=1)
+
+    return backsolve, np.flatnonzero(~ok)
+
+
+def _gesv_rows(M, r):
+    """M_i^{-1} r_i for each program i by one stacked gesv; NaN for the
+    programs whose M is exactly singular, found one program at a time."""
+    try:
+        return gesv(M, r[:, :, None])[:, :, 0]
+    except LinAlgError:
+        if len(M) == 1:
+            return np.full(r.shape, np.nan)
+        return np.concatenate([_gesv_rows(M[i : i + 1], r[i : i + 1]) for i in range(len(M))])
 
 
 class _Rows:

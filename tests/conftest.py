@@ -1,8 +1,64 @@
 import numpy as np
+import pytest
 
+from dpconic import solver
 from dpconic.apps.opf import opf_sensitivity_bound
-from dpconic.conic import ConeKind, ConeSpec, ConicProgram, nonneg, rsoc, soc, zero
+from dpconic.conic import (ConeKind, ConeSpec, ConicProgram, Status, nonneg, rsoc, soc,
+                           zero)
 from dpconic.dp import calibrate_laplace
+
+# every Optimal the solver returns in a test passes the independent
+# kkt_report with each component within AUDIT_BOUND times its tol
+AUDIT_BOUND = 10.0
+_audit_findings: list[str] = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kkt_audit():
+    """Wrap solver._solve_stack, which every solve and solve_batch goes
+    through, so that each Optimal it returns is checked by kkt_report.
+
+    The wrapper is installed once for the session, before any other fixture,
+    and removed after the last test.  A test that monkeypatches _solve_stack
+    saves the wrapper as the original and restores it when it ends, so its
+    own replacement, if it calls that original, is audited too; one that
+    does not call it is not.  Findings are charged to the test whose setup
+    or call made them (pytest_runtest_call below)."""
+    orig = solver._solve_stack
+
+    def audited(programs, settings):
+        sols = orig(programs, settings)
+        for program, sol in zip(programs, sols):
+            if sol.status != Status.OPTIMAL:
+                continue
+            report = solver.kkt_report(program, sol)
+            worst = max(report, key=report.get)
+            if report[worst] > AUDIT_BOUND * settings.tol:
+                _audit_findings.append(
+                    f"Optimal with kkt_report {worst} {report[worst]:.3g} > "
+                    f"{AUDIT_BOUND:g} x tol {settings.tol:g} (n {program.n}, "
+                    f"m {program.m}, {sol.iterations} iterations)")
+        return sols
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_solve_stack", audited)
+        yield
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    _audit_findings.clear()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    result = yield
+    if _audit_findings:
+        found = list(_audit_findings)
+        _audit_findings.clear()
+        raise AssertionError("kkt_report audit: " + "; ".join(found[:5])
+                             + (f" (and {len(found) - 5} more)" if len(found) > 5 else ""))
+    return result
 
 
 def opf_noise(net, alpha, epsilon=1.0):

@@ -53,12 +53,16 @@ class TestSensitivity:
         assert doc["S"] == 99
         assert 0 < doc["delta_p"] <= 0.5 + 1e-9
 
-    def test_inf_alpha_accepted(self, tmp_path):
+    def test_inf_alpha_accepted(self, tmp_path, capsys):
+        # inf parses and reaches the estimate.  A pair whose shift is -inf
+        # builds an invalid program: pair 0 fails, and so does pair 3, drawn
+        # to replace it, which spends the failure budget of 3 samples
         out = tmp_path / "rep.json"
         rc = main(["sensitivity", "--app", "simple-lp", "--alpha", "inf",
                    "--gamma", "0.5", "--beta", "0.5", "--samples", "3",
                    "--out", str(out)])
-        assert rc == 0
+        assert rc == 3 and not out.exists()
+        assert "sample 3: invalid program: b has non-finite entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_every_registered_app(self, tmp_path, app):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,18 @@ class TestEstimateSensitivity:
         assert rep.failures == (3, 7)
         assert rep.delta_p == 0.5
 
+    def test_failed_pairs_are_replaced(self):
+        # pairs 3 and 7 fail, so pairs 99 and 100 are drawn in their place
+        read = []
+        adj = self._failing_adjacency(RuntimeError("solve returned MaxIter"))
+        orig = adj.read
+        adj = dataclasses.replace(adj, read=lambda d, sol: read.append(d) or orig(d, sol))
+        rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1,
+                                   seed=0, max_failure_fraction=0.05)
+        assert (rep.samples, rep.failures) == (99, (3, 7))
+        assert {d for d in read if d % 1 == 0} == set(map(float, range(101)))
+        assert max(read) == 100.5
+
     def test_too_many_failures_raise_solve_failure(self):
         adj = self._failing_adjacency(RuntimeError("solve returned MaxIter"))
         with pytest.raises(SolveFailure):
@@ -246,7 +259,9 @@ class TestEstimateSensitivity:
         each dataset in turn: the reference for the batched estimate."""
         worst, failures = 0.0, []
         allowed = max(1, int(max_failure_fraction * samples))
-        for s in range(samples):
+        s = -1
+        while s + 1 - len(failures) < samples:     # a failed pair is replaced
+            s += 1
             d_a, d_b = adjacency.sample_pair(rng_stream(seed, s))
             try:
                 q_a, q_b = (adjacency.released(d, solve(adjacency.program(d),

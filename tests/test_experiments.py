@@ -79,8 +79,9 @@ def test_one_estimate_per_alpha(tmp_path, estimates, app, alphas):
     assert [c["alpha"] for c in cal] == list(alphas)
     assert [c["seed"] for c in cal] == seeds
     for c in cal:
-        assert set(c) == {"alpha", "p", "delta_p", "samples", "seed", "failures"}
+        assert set(c) == {"alpha", "p", "delta_p", "samples", "drawn", "seed", "failures"}
         assert c["failures"] == [c["seed"] % 5]
+        assert c["drawn"] == c["samples"] + 1
 
 
 @pytest.mark.parametrize("app,alphas", CASES)

@@ -459,6 +459,9 @@ class TestNumericalBreakdown:
         assert sol.status == Status.OPTIMAL and sol.iterations == 7
 
     def test_nan_kkt_solve_returns_max_iter(self, monkeypatch):
+        # the regression base has an RSOC block, so it is factored as the full K
+        program = _NAMED_PROGRAMS["regression-base"]()
+        assert not solver._Layout([program]).reduced
         orig, calls = solver.dgetrs, []
 
         def poisoned(lu, piv, rhs, **kw):
@@ -466,7 +469,16 @@ class TestNumericalBreakdown:
             out, info = orig(lu, piv, rhs, **kw)
             return (np.full_like(out, np.nan) if len(calls) == 10 else out), info
         monkeypatch.setattr(solver, "dgetrs", poisoned)
-        sol = solve(_NAMED_PROGRAMS["opf-cvar6"]())
+        sol = solve(program)
+        assert len(calls) == 10
+        assert sol.status == Status.MAX_ITER
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+
+    def test_nan_reduced_solve_returns_max_iter(self, monkeypatch):
+        program = _NAMED_PROGRAMS["opf-cvar6"]()
+        assert solver._Layout([program]).reduced
+        calls = _poison(monkeypatch, "gesv", 10)
+        sol = solve(program)
         assert len(calls) == 10
         assert sol.status == Status.MAX_ITER
         assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
@@ -520,6 +532,8 @@ class TestNumericalBreakdown:
 
 _NAMED_PROGRAMS = {
     "opf-cvar6": lambda: opf.build_opf(opf.bundled_network("cvar6")),
+    "regression-base": lambda: regression.build_monotone_regression(
+        regression.synthetic_cubic_data(n=100)),
     "pentagon-ellipsoid": lambda: ellipsoid.build_ellipsoid(ellipsoid.regular_polygon(5, 2.0)),
 }
 
@@ -601,7 +615,10 @@ class TestHighsDifferential:
         rng = np.random.default_rng(31)
         for _ in range(index):
             _random_lp(rng, kind)
-        assert self._check(_random_lp(rng, kind)) == status
+        program = _random_lp(rng, kind)
+        # n 6 and 12 or more NonNeg rows: the reduced KKT form
+        assert solver._Layout([program]).reduced
+        assert self._check(program) == status
 
     @pytest.mark.parametrize("kind,status", [("feasible", 0), ("infeasible", 2),
                                              ("unbounded", 3)])
@@ -645,18 +662,34 @@ def _adjacent_programs(adjacency, samples, seed):
 
 
 def _poison(monkeypatch, name, call):
-    """Make the call-th call of solver.<name> (dgetrf or dgetrs) return NaN
-    in place of its first output; returns the list of calls made."""
+    """Make the call-th call of solver.<name> (dgetrf, dgetrs or the stacked
+    gesv) return NaN in place of its (first) output; returns the list of
+    calls made."""
     orig, calls = getattr(solver, name), []
 
     def poisoned(*args, **kw):
         calls.append(1)
         out = orig(*args, **kw)
         if len(calls) == call:
+            if name == "gesv":
+                return np.full_like(out, np.nan)
             out = (np.full_like(out[0], np.nan),) + tuple(out[1:])
         return out
     monkeypatch.setattr(solver, name, poisoned)
     return calls
+
+
+def _record_full_k(monkeypatch):
+    """Record, for each factor of the full K, the number of programs it
+    factors; returns the list of those numbers."""
+    orig, full = solver._kkt_matrices, []
+
+    def recording(Aeq, Gs):
+        if Gs.shape[1]:     # not the reduced form's constant part
+            full.append(len(Aeq))
+        return orig(Aeq, Gs)
+    monkeypatch.setattr(solver, "_kkt_matrices", recording)
+    return full
 
 
 class TestSolveBatch:
@@ -722,8 +755,10 @@ class TestSolveBatch:
         assert [_solution_bytes(a) for a in whole] == [_solution_bytes(b) for b in parts]
 
     def test_nan_factor_ends_only_its_program(self, monkeypatch):
-        programs = _adjacent_programs(
-            opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0), 3, seed=6)
+        # regression programs have an RSOC block: each is factored as the full K
+        adj = regression.circle_law_adjacency(regression.synthetic_cubic_data(n=100))
+        programs = _adjacent_programs(adj, 3, seed=6)
+        assert not solver._Layout(programs).reduced
         clean = solve_batch(programs)
         # the first factor of every program is the starting point's; the
         # second of program 2 is its iteration-0 factor
@@ -735,6 +770,77 @@ class TestSolveBatch:
         for i in (0, 1, 3, 4, 5):
             assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
         _poison(monkeypatch, "dgetrf", 2)
+        assert _solution_bytes(solve(programs[2])) == _solution_bytes(batch[2])
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0])
+    def test_bad_reduced_factor_ends_only_its_program(self, monkeypatch, fill):
+        # one program's reduced matrix turns NaN, or exactly singular (so the
+        # stacked gesv raises LinAlgError), for all the solves of its factor
+        programs = _adjacent_programs(
+            opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0), 3, seed=6)
+        assert solver._Layout(programs).reduced
+        clean = solve_batch(programs)
+        orig, calls = solver.gesv, []
+
+        def poison(row):
+            def poisoned(M, r):
+                calls.append(1)
+                # the starting point's factor makes two solves; the third
+                # solve is the first of iteration 0's factor
+                if len(calls) == 3:
+                    M[row] = fill
+                return orig(M, r)
+            monkeypatch.setattr(solver, "gesv", poisoned)
+            calls.clear()
+
+        poison(2)
+        batch = solve_batch(programs)
+        assert batch[2].status == Status.MAX_ITER and batch[2].iterations == 0
+        assert np.isfinite(batch[2].x).all() and np.isfinite(batch[2].y).all()
+        for i in (0, 1, 3, 4, 5):
+            assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
+        poison(0)
+        assert _solution_bytes(solve(programs[2])) == _solution_bytes(batch[2])
+
+    def test_zero_demand_opf_in_a_reduced_stack(self):
+        # the zero-demand OPF's Gs'Gs overflows in its last iterations, long
+        # after the others have left the stack, so those factors take the full K
+        net = opf.bundled_network("cvar6")
+        zero = opf.build_opf(net.with_demand(np.zeros(net.n_nodes)))
+        programs = _adjacent_programs(opf.demand_adjacency(net, 1.0), 2, seed=8)
+        programs.insert(2, zero)
+        assert solver._Layout(programs).reduced
+        with pytest.MonkeyPatch.context() as m:
+            full = _record_full_k(m)
+            batch = self._check(programs)
+        assert full and min(full) == 1
+        assert batch[2].status == Status.OPTIMAL
+        assert all(sol.status == Status.OPTIMAL for sol in batch)
+
+    def test_overflow_takes_only_its_program_to_the_full_k(self, monkeypatch):
+        # one program's reduced matrices read inf, as if its Gs'Gs always
+        # overflowed: each of its factors alone takes the full K
+        programs = _adjacent_programs(
+            opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0), 3, seed=6)
+        clean = solve_batch(programs)
+        orig = solver._kkt_matrices
+
+        def poison(row):
+            def poisoned(Aeq, Gs):
+                K = orig(Aeq, Gs)
+                if not Gs.shape[1]:     # the reduced form's constant part
+                    K[row, 0, 0] = np.inf
+                return K
+            monkeypatch.setattr(solver, "_kkt_matrices", poisoned)
+
+        poison(2)
+        full = _record_full_k(monkeypatch)
+        batch = solve_batch(programs)
+        assert set(full) == {1} and len(full) == batch[2].iterations + 1
+        for i in (0, 1, 3, 4, 5):
+            assert _solution_bytes(batch[i]) == _solution_bytes(clean[i])
+        assert batch[2].status == Status.OPTIMAL
+        poison(0)
         assert _solution_bytes(solve(programs[2])) == _solution_bytes(batch[2])
 
     @pytest.mark.parametrize("poisoned_update", [1, 2, 4])
@@ -882,6 +988,52 @@ class TestSparseFactor:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestReducedForm:
+    """Which layouts _factor_kkt solves in the reduced (n + p) form: dense
+    LPs with more cone rows than variables, read from the shape alone."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Count the dgetrf and the gesv calls from now on: (dgetrf, gesv)."""
+        return [_poison(monkeypatch, name, 0) for name in ("dgetrf", "gesv")]
+
+    @pytest.mark.parametrize("program", [
+        lambda: build_simple_lp(1.0, 1.0, 2.0),
+        lambda: opf.build_opf(opf.bundled_network("cvar6")),
+        lambda: _random_lp(np.random.default_rng(3), "feasible")])
+    def test_thin_lps_route(self, monkeypatch, program):
+        program = program()
+        assert solver._Layout([program]).reduced
+        getrf, gesv = self._calls(monkeypatch)
+        assert solve(program).status == Status.OPTIMAL
+        assert len(getrf) == 0 and len(gesv) > 0
+
+    @pytest.mark.parametrize("program", [
+        # n >= m_cone: 6 variables, 2 equalities and 4 NonNeg rows
+        lambda: _random_lp(np.random.default_rng(3), "feasible", m=4),
+        lambda: _NAMED_PROGRAMS["regression-base"](),
+        lambda: _NAMED_PROGRAMS["pentagon-ellipsoid"](),
+        lambda: random_feasible_program(np.random.default_rng(11))])
+    def test_others_keep_the_full_k(self, monkeypatch, program):
+        program = program()
+        lay = solver._Layout([program])
+        assert lay.kkt is None and not lay.reduced
+        getrf, gesv = self._calls(monkeypatch)
+        solve(program)
+        assert len(getrf) > 0 and len(gesv) == 0
+
+    def test_a_stack_with_an_soc_block_keeps_the_full_k(self):
+        lp = _random_lp(np.random.default_rng(3), "feasible", n=3, m=9, p=1)
+        with_soc = ConicProgram(lp.A, lp.b, lp.c, ConeSpec([zero(1), nonneg(6), soc(3)]))
+        assert solver._Layout([lp]).reduced
+        assert not solver._Layout([with_soc, with_soc]).reduced
+
+    def test_sparse_layouts_do_not_route(self):
+        program = _sparse_lp(np.random.default_rng(41), "feasible")
+        lay = solver._Layout([program])
+        assert lay.m_cone > lay.n and lay.kkt is not None and not lay.reduced
 
 
 def _pattern_corpus():
