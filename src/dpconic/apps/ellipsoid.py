@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     require_optimal, rsoc, soc)
+                     read_only_copy, require_optimal, rsoc, soc)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import Privatization, SelectQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
@@ -43,8 +43,8 @@ class EllipsoidInstance:
     b: np.ndarray  # (m,)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_2d(np.asarray(self.a, dtype=float)))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
+        object.__setattr__(self, "a", read_only_copy(self.a, ndmin=2))
+        object.__setattr__(self, "b", read_only_copy(np.ravel(self.b)))
         if self.a.shape[1] != 2:
             raise ValueError("only planar (n=2) instances are supported")
         if self.a.shape[0] != self.b.shape[0]:
@@ -55,7 +55,7 @@ class EllipsoidInstance:
         return self.a.shape[0]
 
     def with_b(self, b) -> "EllipsoidInstance":
-        return EllipsoidInstance(self.a, np.asarray(b, dtype=float))
+        return EllipsoidInstance(self.a, b)
 
 
 def unit_square() -> EllipsoidInstance:

@@ -13,8 +13,8 @@ from importlib import resources
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg, require_optimal,
-                     zero)
+from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg, read_only_copy,
+                     require_optimal, zero)
 from ..dp import (AdjacencyModel, NoiseSpec, Purpose, calibrate_laplace, derive_seed,
                   sample_noise)
 from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
@@ -35,7 +35,7 @@ class PowerNetwork:
 
     def __post_init__(self):
         for f in ("c", "d", "xmin", "xmax", "fmax", "F"):
-            object.__setattr__(self, f, np.asarray(getattr(self, f), dtype=float))
+            object.__setattr__(self, f, read_only_copy(getattr(self, f)))
         if np.any(self.xmin > self.xmax):
             raise ValueError("xmin must be <= xmax elementwise")
         if self.xmax.sum() < self.d.sum():
@@ -52,7 +52,7 @@ class PowerNetwork:
         return self.F.shape[0]
 
     def with_demand(self, d: np.ndarray) -> "PowerNetwork":
-        return replace(self, d=np.asarray(d, dtype=float))
+        return replace(self, d=d)
 
     @staticmethod
     def from_json(text: str) -> "PowerNetwork":

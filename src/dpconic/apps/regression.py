@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
-                     quadratic_epigraph, require_optimal)
+                     quadratic_epigraph, read_only_copy, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
@@ -88,10 +88,8 @@ class RegressionModel:
     ridge: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).ravel())
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
-        object.__setattr__(self, "mono_points",
-                           np.asarray(self.mono_points, dtype=float).ravel())
+        for f in ("x", "y", "mono_points"):
+            object.__setattr__(self, f, read_only_copy(np.ravel(getattr(self, f))))
         if self.x.shape != self.y.shape:
             raise ValueError("x and y lengths differ")
         if self.x.size == 0:
@@ -134,8 +132,7 @@ class RegressionModel:
         return float(r @ r + self.ridge * (w @ w))
 
     def with_data(self, x, y) -> "RegressionModel":
-        return replace(self, x=np.asarray(x, dtype=float),
-                       y=np.asarray(y, dtype=float))
+        return replace(self, x=x, y=y)
 
 
 def synthetic_cubic_data(n: int = 100, seed: int = 0, noise_var: float = 15.0,

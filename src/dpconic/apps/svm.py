@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
-                     quadratic_epigraph, require_optimal)
+                     quadratic_epigraph, read_only_copy, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
@@ -40,10 +40,8 @@ class LabeledPoints:
     regularizer: float
 
     def __post_init__(self):
-        object.__setattr__(self, "features",
-                           np.atleast_2d(np.asarray(self.features, dtype=float)))
-        object.__setattr__(self, "labels",
-                           np.asarray(self.labels, dtype=float).ravel())
+        object.__setattr__(self, "features", read_only_copy(self.features, ndmin=2))
+        object.__setattr__(self, "labels", read_only_copy(np.ravel(self.labels)))
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on m")
         if self.features.shape[0] < 2:

@@ -211,6 +211,14 @@ def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     return program.b - program.A @ x
 
 
+def read_only_copy(a, ndmin: int = 0) -> np.ndarray:
+    """A float copy of a that nothing can write to, as a dataset keeps its
+    arrays: a later write to the caller's a leaves the copy as it was."""
+    a = np.array(a, dtype=float, ndmin=ndmin)
+    a.setflags(write=False)
+    return a
+
+
 def as_dense(A) -> np.ndarray:
     """A program's A as an array: A itself when dense, a new array when CSR."""
     return A.toarray() if sp.issparse(A) else A

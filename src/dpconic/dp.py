@@ -145,6 +145,11 @@ class AdjacencyModel:
     value(s) and raises on a status it cannot use.  alpha is the value the
     model was built at, inf for a model that reads none (a fixed universe
     whose datasets are all adjacent).
+
+    Datasets are immutable and program is a function of the dataset, so one
+    dataset object always means one program: estimate_sensitivity builds and
+    solves a dataset that sample_pair returns again (the same object) only
+    once, such as the base of a star-shaped model whose pairs all hold it.
     """
 
     sample_pair: Callable[[np.random.Generator], tuple[Any, Any]]
@@ -187,48 +192,72 @@ class SensitivityReport:
         )
 
 
+class _Entry:
+    """One dataset of a sensitivity estimate: its program, or the exception
+    building it raised, until that program is solved; then its Solution."""
+
+    __slots__ = ("dataset", "outcome")
+
+    def __init__(self, dataset, outcome):
+        self.dataset, self.outcome = dataset, outcome
+
+
 def _solved_pairs(adjacency: AdjacencyModel, pairs: range, seed: int):
     """Yield (s, outcome) for s in pairs, in order.  The outcome is, for
     each dataset of pair s that a serial walk would reach, (dataset, its
     Solution or the exception building its program raised), or the
-    exception sample_pair raised.  Programs go to the solver in chunks
-    whose stack_bytes sum to at most KKT_BATCH_BYTES (a single larger pair
-    goes alone).  Drawing stops at an exception from sample_pair, which no
-    walk gets past."""
+    exception sample_pair raised.
+
+    A dataset that sample_pair returns again (the same object, by `is`) in
+    its pair or the next one shares its first draw's entry, so it is built
+    and solved once, as the AdjacencyModel contract allows: a star-shaped
+    model, whose pairs all hold one base dataset, solves that base once.
+    Only those two pairs' entries are kept outside the open chunk.  Newly
+    built programs go to the solver in chunks whose stack_bytes sum to at
+    most KKT_BATCH_BYTES (a single larger pair goes alone).  Drawing stops
+    at an exception from sample_pair, which no walk gets past."""
     chunk: list = []
     used = 0
+    previous: list[_Entry] = []
     for s in pairs:
         try:
             d_a, d_b = adjacency.sample_pair(rng_stream(seed, s))
         except Exception as exc:     # raised again in sample order
             chunk.append((s, exc))
             break
-        built = []
+        entries: list[_Entry] = []
+        size = 0
         for dataset in (d_a, d_b):
-            try:
-                program = adjacency.program(dataset)
-            except Exception as exc:     # raised again in sample order
-                built.append((dataset, exc))
+            entry = next((e for e in entries + previous if e.dataset is dataset), None)
+            if entry is None:
+                try:
+                    entry = _Entry(dataset, adjacency.program(dataset))
+                except Exception as exc:     # raised again in sample order
+                    entry = _Entry(dataset, exc)
+                else:
+                    size += stack_bytes(entry.outcome)
+            entries.append(entry)
+            if isinstance(entry.outcome, BaseException):
                 break
-            built.append((dataset, program))
-        size = sum(stack_bytes(x) for _, x in built if isinstance(x, ConicProgram))
         if chunk and used + size > KKT_BATCH_BYTES:
             yield from _solve_chunk(chunk, adjacency.settings)
             chunk, used = [], 0
-        chunk.append((s, built))
+        chunk.append((s, entries))
         used += size
+        previous = entries
     yield from _solve_chunk(chunk, adjacency.settings)
 
 
 def _solve_chunk(chunk, settings):
-    programs = [x for _, built in chunk if isinstance(built, list)
-                for _, x in built if isinstance(x, ConicProgram)]
-    solutions = iter(solve_batch(programs, settings))
-    for s, built in chunk:
-        if isinstance(built, list):
-            built = [(d, next(solutions) if isinstance(x, ConicProgram) else x)
-                     for d, x in built]
-        yield s, built
+    unsolved = {id(e): e for _, entries in chunk if isinstance(entries, list)
+                for e in entries if isinstance(e.outcome, ConicProgram)}
+    programs = [e.outcome for e in unsolved.values()]
+    for entry, solution in zip(unsolved.values(), solve_batch(programs, settings)):
+        entry.outcome = solution
+    for s, entries in chunk:
+        if isinstance(entries, list):
+            entries = [(e.dataset, e.outcome) for e in entries]
+        yield s, entries
 
 
 def _unwrap(outcome):
@@ -252,13 +281,16 @@ def estimate_sensitivity(
     adjacent pairs.  The programs are built in sample order and solved
     together by solver.solve_batch; the results are then taken in sample
     order, so every outcome below is the one a serial walk of build, solve
-    and read per dataset gives.  Pairs whose build, solve or read fails (a
-    RuntimeError or ValueError: solver statuses, numerical breakdown,
-    infeasible privatizations, LinAlgError) are dropped, reported and
-    replaced by the pairs at the next stream indices, so that `samples`
-    pairs solve, as the (gamma, beta) requirement counts them; but only up
-    to max_failure_fraction of `samples` failures, beyond which a
-    SolveFailure propagates.  Any other exception is a bug and propagates at
+    and read per dataset gives.  A dataset drawn again (the same object, in
+    its pair or the next) is built and solved once and read again; that
+    leaves every outcome as it was, since program is a function of the
+    dataset and solve_batch gives each program the bytes of its solo solve.
+    Pairs whose build, solve or read fails (a RuntimeError or ValueError:
+    solver statuses, numerical breakdown, infeasible privatizations,
+    LinAlgError) are dropped, reported and replaced by the pairs at the next
+    stream indices, so that `samples` pairs solve, as the (gamma, beta)
+    requirement counts them; but only up to max_failure_fraction of
+    `samples` failures, beyond which a SolveFailure propagates.  Any other exception is a bug and propagates at
     its sample.
     """
     if p not in (1, 2):

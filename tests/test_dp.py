@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -18,7 +19,7 @@ from dpconic.dp import (
     sensitivity_sample_size,
 )
 from dpconic import dp, solver
-from dpconic.apps import simple_lp
+from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 from dpconic.conic import ConeSpec, ConicProgram, Status, build_simple_lp, nonneg
 from dpconic.ldr import ConflictingConstraints
 from dpconic.solver import NumericalBreakdown, solve, stack_bytes
@@ -220,17 +221,22 @@ class TestEstimateSensitivity:
         with pytest.raises(ValueError):
             estimate_sensitivity(adj, p=1, samples=10, gamma=0.1, beta=0.1, seed=0)
 
+    BASE = -1.0
+
     @staticmethod
     def _scripted_adjacency(script):
-        """Pair s is the datasets (s, s + 0.5).  script maps a dataset to what
-        goes wrong with it: ("build", exc) and ("read", exc) raise exc from
-        building its program or from reading its solution, "infeasible"
-        builds a primal infeasible LP, "invalid" a program with a NaN."""
+        """Pair s is the datasets (s, s + 0.5), or, if script names BASE, the
+        star-shaped (BASE, s + 0.5) with one BASE object in every pair.
+        script maps a dataset to what goes wrong with it: ("build", exc) and
+        ("read", exc) raise exc from building its program or from reading its
+        solution, "infeasible" builds a primal infeasible LP, "invalid" a
+        program with a NaN, (None,) nothing."""
         counter = iter(range(10**6))
+        base = TestEstimateSensitivity.BASE
 
         def sample_pair(rng):
             s = next(counter)
-            return float(s), s + 0.5
+            return base if base in script else float(s), s + 0.5
 
         def program(d):
             what = script.get(d, (None,))
@@ -292,6 +298,11 @@ class TestEstimateSensitivity:
         "build-bug": ({2.5: ("build", ZeroDivisionError("bug"))}, 0.05),
         "sample-failures-over-budget": ({1.0: ("infeasible",), 2.5: ("infeasible",)},
                                         0.01),
+        "star-within-budget": ({BASE: (None,), 3.5: ("build", RuntimeError("no program")),
+                                7.5: ("read", ValueError("bad read")),
+                                11.5: ("infeasible",)}, 0.05),
+        "star-base-build-fails": ({BASE: ("build", RuntimeError("no program"))}, 0.05),
+        "star-base-read-fails": ({BASE: ("read", ValueError("bad read"))}, 0.05),
     }
 
     @pytest.mark.parametrize("name", sorted(SCRIPTS))
@@ -310,6 +321,8 @@ class TestEstimateSensitivity:
         assert got == outcome(self._serial_walk)
         if name == "budget-spent-then-bug":
             assert got == (SolveFailure, "sample 7: bad read", 7)
+        if name.startswith("star-base"):     # every pair fails; the budget is 4
+            assert got[0] is SolveFailure and got[2] == 4
 
     def test_solves_in_batches_within_the_working_set(self, monkeypatch):
         adj = lower_bound_adjacency(SimpleLpStudy(), alpha=0.5)
@@ -329,7 +342,82 @@ class TestEstimateSensitivity:
         monkeypatch.setattr(dp, "KKT_BATCH_BYTES", budget)
         rep = estimate_sensitivity(adj, p=1, samples=99, gamma=0.1, beta=0.1, seed=2)
         assert rep == ref
-        assert len(calls) == 20 and max(calls) <= budget
+        # 100 distinct programs (the shared base once), 10 per chunk
+        assert len(calls) == 10 and max(calls) <= budget
+
+    @pytest.mark.parametrize("adjacency", [
+        lambda: opf.demand_adjacency(opf.bundled_network("cvar6"), 1.0),
+        lambda: lower_bound_adjacency(SimpleLpStudy(), alpha=0.5),
+    ], ids=["opf-cvar6", "simple-lp"])
+    def test_star_base_is_solved_once(self, adjacency, monkeypatch):
+        # every pair's first dataset is one base object: built and solved once
+        adj = adjacency()
+        built, solved, real = [], [], dp.solve_batch
+
+        def counting(programs, settings=None):
+            solved.append(len(programs))
+            return real(programs, settings)
+        monkeypatch.setattr(dp, "solve_batch", counting)
+        counted = dataclasses.replace(
+            adj, program=lambda d: built.append(d) or adj.program(d))
+        rep = estimate_sensitivity(counted, p=1, samples=99, gamma=0.1, beta=0.1,
+                                   seed=4)
+        assert (len(built), sum(solved)) == (100, 100)
+        fresh = dataclasses.replace(adj, sample_pair=lambda rng: tuple(
+            copy.copy(d) for d in adj.sample_pair(rng)))
+        ref = estimate_sensitivity(fresh, p=1, samples=99, gamma=0.1, beta=0.1,
+                                   seed=4)
+        assert rep == ref and rep.delta_p > 0
+        assert sum(solved) == 100 + 198     # the copies are built and solved anew
+
+
+class TestDatasetsAreReadOnly:
+    """An app's datasets keep read-only copies of their arrays, so that one
+    dataset object always means one program, as estimate_sensitivity's
+    sharing of repeated datasets needs."""
+
+    @staticmethod
+    def _case(name):
+        """(dataset, {field: the caller's array it was built from})."""
+        if name == "opf":
+            d = opf.bundled_network("cvar6").d + 1.0
+            return opf.bundled_network("cvar6").with_demand(d), {"d": d}
+        if name == "regression":
+            model = regression.synthetic_cubic_data(n=20)
+            x, y = model.x + 0.1, model.y * 1.1
+            return model.with_data(x, y), {"x": x, "y": y}
+        if name == "svm":
+            features, labels = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0])
+            return (svm.LabeledPoints(features, labels, 1.0),
+                    {"features": features, "labels": labels})
+        b = np.full(4, 2.0)
+        return ellipsoid.unit_square().with_b(b), {"b": b}
+
+    @pytest.mark.parametrize("name", ["opf", "regression", "svm", "ellipsoid"])
+    def test_arrays_are_read_only_copies(self, name):
+        dataset, given = self._case(name)
+        kept = {f: a.copy() for f, a in given.items()}
+        arrays = [getattr(dataset, f.name) for f in dataclasses.fields(dataset)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) >= len(given)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        for f, a in given.items():
+            assert np.array_equal(a, kept[f])
+            a += 1.0                 # the caller's array stays writable
+            assert np.array_equal(getattr(dataset, f), kept[f])
+
+    def test_regression_fit_follows_its_own_data(self):
+        # the cached thin QR stays the QR of the model's y after a caller's write
+        model = regression.synthetic_cubic_data(n=20)
+        y = model.y * 1.1
+        shifted = model.with_data(model.x, y)
+        qty, R, rho = shifted.thin_qr
+        y += 5.0
+        w = np.array([1.0, 2.0])
+        fit = np.sum((qty - R @ w) ** 2) + rho**2 + shifted.ridge * (w @ w)
+        assert shifted.loss(w) == pytest.approx(fit, rel=1e-9)
 
 
 class TestBaselineStrategies:
