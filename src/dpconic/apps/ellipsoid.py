@@ -205,15 +205,13 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyMo
         f = rng.uniform(-gamma_frac, gamma_frac, size=inst.m)
         return inst.with_b(inst.b * (1.0 + f))
 
-    def sample_pair(rng):
-        return jitter(rng), jitter(rng)
-
     def read(ins, sol):
         z, Y, _ = _read_ellipsoid(ins, sol)
         return rule_vector(z, Y)
 
-    return AdjacencyModel(sample_pair=sample_pair, program=build_ellipsoid, read=read,
-                          alpha=gamma_frac, settings=DEFAULT_SETTINGS)
+    return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
+                          program=build_ellipsoid, read=read, alpha=gamma_frac,
+                          settings=DEFAULT_SETTINGS)
 
 
 def _rule_program(inst: EllipsoidInstance) -> ConicProgram:

@@ -23,15 +23,12 @@ class Study:
     Privatization; it raises NotOptimal when that program has no optimum.
     ``score(rows, pv)`` maps (S, k) released rows to per-row losses and
     violations; ``pv`` is the Privatization the rows came from, None for
-    output and input rows.  ``input_rows(alpha, noise, seed, count)``
-    draws the input strategy's rows from the point's seed; it is None where
-    the app has no input perturbation.
+    output and input rows (NaN where a perturbed dataset has no value).
     """
 
     nominal: np.ndarray
     privatize: Callable[[NoiseSpec, int], Privatization]
     score: Callable[[np.ndarray, Privatization | None], tuple[np.ndarray, np.ndarray]]
-    input_rows: Callable[[float, NoiseSpec, int, int], np.ndarray] | None = None
 
 
 def evaluate_rule_metrics(

@@ -8,17 +8,16 @@ entry; the released query is the dispatch cost c'x.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, Status, nonneg, read_only_copy,
-                     require_optimal, zero)
-from ..dp import (AdjacencyModel, NoiseSpec, Purpose, calibrate_laplace, derive_seed,
-                  sample_noise)
+from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, read_only_copy,
+                     replace_unchecked, require_optimal, zero)
+from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
-from ..solver import solve, solve_batch
+from ..solver import solve
 from .metrics import Study, evaluate_rule_metrics
 
 
@@ -38,10 +37,13 @@ class PowerNetwork:
             object.__setattr__(self, f, read_only_copy(getattr(self, f)))
         if np.any(self.xmin > self.xmax):
             raise ValueError("xmin must be <= xmax elementwise")
-        if self.xmax.sum() < self.d.sum():
-            raise ValueError("total capacity below total demand")
+        self._check_demand()
         if not np.all(np.isfinite(self.F)):
             raise ValueError("PTDF matrix has non-finite rows")
+
+    def _check_demand(self):
+        if self.xmax.sum() < self.d.sum():
+            raise ValueError("total capacity below total demand")
 
     @property
     def n_nodes(self) -> int:
@@ -52,7 +54,10 @@ class PowerNetwork:
         return self.F.shape[0]
 
     def with_demand(self, d: np.ndarray) -> "PowerNetwork":
-        return replace(self, d=d)
+        """This network at demand d, checked only for what demand can break."""
+        new = replace_unchecked(self, d=read_only_copy(d))
+        new._check_demand()
+        return new
 
     @staticmethod
     def from_json(text: str) -> "PowerNetwork":
@@ -136,7 +141,8 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
 
     The shift is drawn uniformly in [-alpha, alpha] (direction and radius
     inside the ball, no rejection).  Nested in alpha for a fixed stream.
-    The released value is the cost c'x.  Raises ValueError unless alpha > 0.
+    The released value is the cost c'x, the private vector the demand d
+    (l1 distance at most alpha).  Raises ValueError unless alpha > 0.
     """
     if not alpha > 0:
         raise ValueError(f"opf alpha must be positive, got {alpha}")
@@ -153,7 +159,7 @@ def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
         return cost.value(require_optimal(sol, "OPF solve").x)
 
     return AdjacencyModel(sample_pair=sample_pair, program=build_opf, read=read,
-                          alpha=alpha)
+                          alpha=alpha, private=net.d, with_private=net.with_demand)
 
 
 def privatize_opf(
@@ -179,30 +185,11 @@ def released_cost_feasible(value, cost_lo: float, cost_hi: float, tol: float = 1
     return (cost_lo - tol <= value) & (value <= cost_hi + tol)
 
 
-def input_perturbation_costs(
-    net: PowerNetwork,
-    alpha: float,
-    epsilon: float,
-    samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Input-perturbation study: solve OPF on d + Lap(alpha/eps)^N per draw.
-
-    Returns the costs, NaN where the perturbed program is not Optimal (an
-    infeasible release).  Sample s perturbs by row s of one draw at seed;
-    the perturbed programs are solved together (solve_batch).
-    """
-    spec = calibrate_laplace(alpha, epsilon, k=net.n_nodes)
-    programs = [build_opf(net.with_demand(net.d + row))
-                for row in sample_noise(spec, seed, samples)]
-    return np.array([sol.objective if sol.status == Status.OPTIMAL else np.nan
-                     for sol in solve_batch(programs)])
-
-
 def experiment_study(cfg, net: PowerNetwork) -> Study:
-    """The experiment study (cfg: epsilon, eta); raises NotOptimal when the
-    base OPF or its cost range has no optimum.  An output or input cost
-    scores its gap to the base cost (over the finite rows) and is violated
+    """The experiment study (cfg: eta); raises NotOptimal when the base OPF
+    or its cost range has no optimum.  An output or input cost scores its
+    gap to the base cost (over the finite rows; an input row is NaN where
+    its perturbed OPF has no optimum) and is violated
     unless some feasible dispatch attains it; a program row is scored by
     the dispatch its rule assigns to that cost."""
     program = build_opf(net)
@@ -221,6 +208,4 @@ def experiment_study(cfg, net: PowerNetwork) -> Study:
     return Study(
         nominal=np.array([base.objective]),
         privatize=lambda noise, seed: privatize_opf(net, noise, cfg.eta),
-        score=score,
-        input_rows=lambda alpha, noise, seed, count: input_perturbation_costs(
-            net, alpha, cfg.epsilon, count, derive_seed(seed, Purpose.INPUT))[:, None])
+        score=score)

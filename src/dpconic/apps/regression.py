@@ -13,14 +13,15 @@ both epigraphs at wbar and only the monotonicity rows are tightened.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
-                     quadratic_epigraph, read_only_copy, require_optimal)
+                     quadratic_epigraph, read_only_copy, replace_unchecked,
+                     require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
@@ -90,10 +91,7 @@ class RegressionModel:
     def __post_init__(self):
         for f in ("x", "y", "mono_points"):
             object.__setattr__(self, f, read_only_copy(np.ravel(getattr(self, f))))
-        if self.x.shape != self.y.shape:
-            raise ValueError("x and y lengths differ")
-        if self.x.size == 0:
-            raise ValueError("a regression needs at least one data point")
+        self._check_data()
         C, C_fd = self.C, self._finite_difference_rows()
         if np.abs(C - C_fd).max() > 1e-6:
             raise ValueError("analytic derivative rows disagree with finite differences")
@@ -131,8 +129,18 @@ class RegressionModel:
         r = self.y - self.design @ w
         return float(r @ r + self.ridge * (w @ w))
 
+    def _check_data(self):
+        if self.x.shape != self.y.shape:
+            raise ValueError("x and y lengths differ")
+        if self.x.size == 0:
+            raise ValueError("a regression needs at least one data point")
+
     def with_data(self, x, y) -> "RegressionModel":
-        return replace(self, x=x, y=y)
+        """This model on data (x, y), checked only for what data can break."""
+        new = replace_unchecked(self, x=read_only_copy(np.ravel(x)),
+                                y=read_only_copy(np.ravel(y)))
+        new._check_data()
+        return new
 
 
 def synthetic_cubic_data(n: int = 100, seed: int = 0, noise_var: float = 15.0,
@@ -250,12 +258,9 @@ def circle_law_adjacency(
         return model.with_data(model.x + x_scale * r * np.cos(t),
                                model.y + y_scale * r * np.sin(t))
 
-    def sample_pair(rng):
-        return jitter(rng), jitter(rng)
-
-    return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
-                          read=_read_weights, alpha=math.inf,
-                          settings=DEFAULT_SETTINGS)
+    return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
+                          program=build_monotone_regression, read=_read_weights,
+                          alpha=math.inf, settings=DEFAULT_SETTINGS)
 
 
 def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel:
@@ -269,11 +274,9 @@ def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel
         f = rng.uniform(-frac, frac, size=model.y.shape[0])
         return model.with_data(model.x, model.y * (1.0 + f))
 
-    def sample_pair(rng):
-        return jitter(rng), jitter(rng)
-
-    return AdjacencyModel(sample_pair=sample_pair, program=build_monotone_regression,
-                          read=_read_weights, alpha=frac, settings=DEFAULT_SETTINGS)
+    return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
+                          program=build_monotone_regression, read=_read_weights,
+                          alpha=frac, settings=DEFAULT_SETTINGS)
 
 
 def privatize_regression(

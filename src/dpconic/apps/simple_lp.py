@@ -1,9 +1,9 @@
 """The one-variable box LP used as the running illustration of the strategies.
 
 min c*x over [lower, upper] with the lower bound private: the optimum sits
-at x* = lower (for c > 0), so output and input perturbation coincide and
-land outside the box half of the time, while the rule counterpart backs the
-nominal solution away from the bound by the width of the noise box.
+at x* = lower (for c > 0), so output and input perturbation both release
+lower plus noise, outside the box half of the time, while the rule
+counterpart backs the nominal away from the bound by the noise box's width.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..conic import ConicProgram, build_simple_lp, require_optimal
-from ..dp import AdjacencyModel, NoiseSpec, Purpose, derive_seed
-from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize, release_rows
+from ..dp import AdjacencyModel, NoiseSpec
+from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve
 from .metrics import Study
 
@@ -34,7 +34,8 @@ class SimpleLpStudy:
 
 
 def lower_bound_adjacency(study: SimpleLpStudy, alpha: float) -> AdjacencyModel:
-    """Pairs (lower, lower + u), u uniform in [-alpha, alpha], alpha > 0; identity query."""
+    """Pairs (lower, lower + u), u uniform in [-alpha, alpha], alpha > 0;
+    identity query; private vector (lower,)."""
     if not alpha > 0:
         raise ValueError(f"simple-lp alpha must be positive, got {alpha}")
 
@@ -46,8 +47,10 @@ def lower_bound_adjacency(study: SimpleLpStudy, alpha: float) -> AdjacencyModel:
     def read(st, sol):
         return require_optimal(sol, "simple LP").x
 
-    return AdjacencyModel(sample_pair=sample_pair, program=SimpleLpStudy.program,
-                          read=read, alpha=alpha)
+    return AdjacencyModel(
+        sample_pair=sample_pair, program=SimpleLpStudy.program, read=read, alpha=alpha,
+        private=np.array([study.lower]),
+        with_private=lambda v: SimpleLpStudy(study.c, float(v[0]), study.upper))
 
 
 def privatize_simple_lp(
@@ -61,19 +64,16 @@ def privatize_simple_lp(
 
 
 def experiment_study(cfg, lp: SimpleLpStudy) -> Study:
-    """The experiment study (cfg: eta): a released x scores c x - c x* and
-    is violated outside [lower, upper].  x* = lower, so an input row is an
-    output row: both are drawn around lower."""
+    """The experiment study (cfg: eta): a released x scores c x - c x*
+    (over the finite rows; an input row is NaN where its perturbed lower
+    bound reaches upper) and is violated outside [lower, upper]."""
     base = solve(lp.program())
-    nominal = np.array([lp.lower])
 
     def score(rows, pv):
         xs = rows[:, 0]
-        return lp.c * xs - lp.c * base.x[0], ~lp.in_box(xs)
+        return lp.c * xs[np.isfinite(xs)] - lp.c * base.x[0], ~lp.in_box(xs)
 
     return Study(
-        nominal=nominal,
+        nominal=np.array([lp.lower]),
         privatize=lambda noise, seed: privatize_simple_lp(lp, noise, cfg.eta),
-        score=score,
-        input_rows=lambda alpha, noise, seed, count: release_rows(
-            nominal, noise, derive_seed(seed, Purpose.EVAL), count))
+        score=score)

@@ -170,15 +170,13 @@ def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> Adjacency
         shift = np.column_stack([r * np.sin(t), r * np.cos(t)])
         return LabeledPoints(data.features + shift, data.labels, data.regularizer)
 
-    def sample_pair(rng):
-        return jitter(rng), jitter(rng)
-
     def read(ds, sol):
         w, b = _read_svm(ds, sol)
         return np.concatenate([w, [b]])
 
-    return AdjacencyModel(sample_pair=sample_pair, program=build_svm, read=read,
-                          alpha=math.inf, settings=DEFAULT_SETTINGS)
+    return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
+                          program=build_svm, read=read, alpha=math.inf,
+                          settings=DEFAULT_SETTINGS)
 
 
 def privatize_svm(

@@ -14,11 +14,7 @@ import sys
 import numpy as np
 
 from .conic import Status, program_from_json, program_to_json
-from .dp import (
-    NoiseSpec,
-    estimate_sensitivity,
-    sensitivity_sample_size,
-)
+from .dp import NoiseSpec, estimate_sensitivity, sensitivity_sample_size
 from .experiments import APPS, ExperimentConfig, run_experiment
 from .ldr import IndividualChance, SelectQuery, VertexChance, WeightedSumQuery, privatize
 from .solver import SolverSettings, solve
@@ -68,9 +64,7 @@ def _cmd_solve(args) -> int:
     settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
     sol = solve(program, settings)
     _write(json.dumps(_solution_doc(sol), indent=1), args.out)
-    if sol.status not in (Status.OPTIMAL,):
-        return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_OK if sol.status == Status.OPTIMAL else EXIT_SOLVER
 
 
 def _cmd_sensitivity(args) -> int:
@@ -78,15 +72,13 @@ def _cmd_sensitivity(args) -> int:
     try:
         # the svm and regression data are drawn on seed 0; --seed seeds the pairs
         adjacency = app.adjacency(app.data(args.dataset, 0), args.alpha)
-        samples = args.samples or sensitivity_sample_size(args.gamma, args.beta)
+        samples = (sensitivity_sample_size(args.gamma, args.beta) if args.samples is None
+                   else args.samples)
         report = estimate_sensitivity(adjacency, args.p or app.p, samples,
                                       args.gamma, args.beta, args.seed)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_SOLVER
     _write(report.to_json(), args.out)
     return EXIT_OK
 

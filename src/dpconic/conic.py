@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -217,6 +217,14 @@ def read_only_copy(a, ndmin: int = 0) -> np.ndarray:
     a = np.array(a, dtype=float, ndmin=ndmin)
     a.setflags(write=False)
     return a
+
+
+def replace_unchecked(dataset, **changes):
+    """dataclasses.replace without __post_init__ and cached properties: the
+    caller checks what the changed fields can break."""
+    new = object.__new__(type(dataset))
+    vars(new).update({f.name: getattr(dataset, f.name) for f in fields(dataset)}, **changes)
+    return new
 
 
 def as_dense(A) -> np.ndarray:

@@ -46,7 +46,7 @@ class Purpose(IntEnum):
     SWEEP = 2          # the CVaR risk sweep
     PRIVATIZE = 3      # a point's Study.privatize (read by the ellipsoid's objective)
     EVAL = 4           # a point's Monte Carlo draws
-    INPUT = 5          # a point's perturbed inputs
+    INPUT = 5          # a point's input noise, added to the private vector
     CVAR = 6           # the sweep's CVaR samples
 
 
@@ -146,6 +146,10 @@ class AdjacencyModel:
     model was built at, inf for a model that reads none (a fixed universe
     whose datasets are all adjacent).
 
+    private is the base dataset's private vector, which input noise moves,
+    and with_private(v) that dataset rebuilt around v; both are set only
+    where alpha bounds the mechanism-norm distance of adjacent ones.
+
     Datasets are immutable and program is a function of the dataset, so one
     dataset object always means one program: estimate_sensitivity builds and
     solves a dataset that sample_pair returns again (the same object) only
@@ -157,6 +161,8 @@ class AdjacencyModel:
     read: Callable[[Any, Solution], np.ndarray]
     alpha: float
     settings: SolverSettings | None = None
+    private: np.ndarray | None = None
+    with_private: Callable[[np.ndarray], Any] | None = None
 
     def released(self, dataset, solution: Solution) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.read(dataset, solution), dtype=float))

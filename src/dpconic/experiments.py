@@ -39,11 +39,11 @@ import numpy as np
 from . import __version__
 from .conic import NotOptimal, Status, require_optimal
 from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_gaussian,
-                 calibrate_laplace, derive_seed, estimate_sensitivity)
+                 calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, VertexChance, WeightedSumQuery, privatize,
                   release_rows)
 from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
-from .solver import SolverSettings, solve
+from .solver import SolverSettings, solve, solve_batch
 from .apps import ellipsoid as app_ellipsoid
 from .apps import opf as app_opf
 from .apps import regression as app_regression
@@ -81,8 +81,9 @@ class ExperimentConfig:
             raise ValueError(f"need strategies from {STRATEGIES}, got {self.strategies}")
         if not self.alphas:
             raise ValueError("alphas must not be empty")
-        if self.epsilon <= 0 or not 0 < self.eta < 1 or not 0 <= self.delta < 1:
-            raise ValueError("need epsilon > 0, eta in (0, 1) and delta in [0, 1)")
+        if (not 0 < self.epsilon < math.inf or not 0 < self.eta < 1
+                or not 0 <= self.delta < 1):
+            raise ValueError("need epsilon in (0, inf), eta in (0, 1) and delta in [0, 1)")
         if app.p == 1 and self.delta != 0:
             raise ValueError(f"app {self.app!r} calibrates Laplace noise, which has "
                              f"no delta; got delta {self.delta}")
@@ -191,43 +192,62 @@ def _regression_data(dataset, seed) -> _Regression:
     raise ValueError(f"regression reads dataset 'cubic' or 'wind', got {dataset!r}")
 
 
-def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity) -> PointResult:
-    """One point: calibrate, draw the strategy's released rows from the
-    point's seed and score them through the run's study.  ``study()``
-    returns the run's Study, built on the first call, and ``sensitivity()``
-    the Delta_p every point at this alpha shares.
+def _input_rows(adjacency: AdjacencyModel, noise, seed, count, width) -> np.ndarray:
+    """Row s: the released value of the dataset rebuilt around its private
+    vector plus row s of one draw at seed, all solved by one solve_batch;
+    NaN where that raises a ValueError or RuntimeError (say, NotOptimal)."""
+    rows, built = np.full((count, width), np.nan), []
+    for s, zeta in enumerate(sample_noise(noise, seed, count)):
+        try:
+            dataset = adjacency.with_private(adjacency.private + zeta)
+            built.append((s, dataset, adjacency.program(dataset)))
+        except (ValueError, RuntimeError):
+            pass
+    solutions = solve_batch([program for *_, program in built], adjacency.settings)
+    for (s, dataset, _), sol in zip(built, solutions):
+        try:
+            rows[s] = adjacency.released(dataset, sol)
+        except (ValueError, RuntimeError):
+            pass
+    return rows
 
-    Every strategy gets the one noise: Laplace(Delta_1 / epsilon) for p = 1,
-    the Gaussian mechanism at the config's delta for p = 2, k = len(nominal).
-    Output rows are the study's nominal plus raw draws from
+
+def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity,
+               adjacency) -> PointResult:
+    """One point: calibrate, draw the strategy's released rows from the
+    point's seed and score them through the run's study (``study()``, built
+    on the first call).  One calibration gives the noise, Laplace(Delta_1 /
+    epsilon) for p = 1 or the Gaussian mechanism at the config's delta for
+    p = 2: at ``sensitivity()`` over the nominal, or for an input point at
+    alpha over the private vector of ``adjacency`` ("unsupported" where it
+    names none).  Output rows are the nominal plus raw draws from
     ``derive_seed(seed, EVAL)``, program rows the privatization's releases
-    from the same key (the study's privatize gets ``derive_seed(seed,
-    PRIVATIZE)``, which only the ellipsoid reads), and input rows the
-    study's own.  An "ok" point reads the mean and 0.95-CVaR
-    of the losses and the share of violated rows; its manifest entry
-    records how many losses it scored (``draws``) and, for output and
-    program points, the noise (``[family, scale]``).
+    from the same key (its privatize gets ``derive_seed(seed, PRIVATIZE)``),
+    input rows ``_input_rows`` at ``derive_seed(seed, INPUT)``.  An "ok"
+    point reads the mean and 0.95-CVaR of the losses and the share of
+    violated rows, and records the losses it scored (``draws``) and its
+    noise (``[family, scale]``).
     """
     st = study()
-    if strategy == "input" and st.input_rows is None:
+    if strategy == "input" and adjacency.private is None:
         return PointResult(strategy, alpha, None, None, None, "unsupported")
-    delta_p, k = sensitivity(), len(st.nominal)
+    delta_p, k = ((adjacency.alpha, len(adjacency.private)) if strategy == "input"
+                  else (sensitivity(), len(st.nominal)))
     noise = (calibrate_laplace(delta_p, cfg.epsilon, k) if app.p == 1
              else calibrate_gaussian(delta_p, cfg.epsilon, cfg.delta, k))
     count, pv = cfg.mc_samples, None
     if strategy == "output":
         rows = release_rows(st.nominal, noise, derive_seed(seed, Purpose.EVAL), count)
     elif strategy == "input":
-        rows = st.input_rows(alpha, noise, seed, count)
+        rows = _input_rows(adjacency, noise, derive_seed(seed, Purpose.INPUT), count,
+                           len(st.nominal))
     else:
         pv = st.privatize(noise, derive_seed(seed, Purpose.PRIVATIZE))
         rows = pv.releases(derive_seed(seed, Purpose.EVAL), count)
     losses, violated = st.score(rows, pv)
-    extra = {"draws": len(losses)}
-    if app.estimate:
+    extra = {"draws": len(losses), "noise": [noise.family, noise.scale]}
+    if app.estimate and strategy != "input":
         extra["sensitivity"] = delta_p
-    if strategy != "input":
-        extra["noise"] = [noise.family, noise.scale]
     return PointResult(strategy, alpha, float(np.mean(losses)), cvar_empirical(losses, 0.95),
                        float(np.mean(violated)), "ok", extra)
 
@@ -243,11 +263,11 @@ class App:
     ``delta`` the Gaussian delta a p = 2 config that gives none runs at.
     ``data(dataset, seed)`` builds the study's data, and is the only reader
     of a config's dataset.  ``adjacency(data, alpha)`` builds the adjacency
-    model the sensitivity is estimated on.  An app has exactly one source
-    of its sensitivity: ``estimate``, the experiment's (samples, gamma,
-    beta) of a Monte Carlo estimate, or ``bound(data, alpha)``, an analytic
-    Delta_p.  ``study(cfg, data)`` builds the Study the points of one run
-    share, once per run.
+    model the sensitivity is estimated on and input points perturb.  An
+    app has exactly one source of its sensitivity: ``estimate``, the
+    experiment's (samples, gamma, beta) of a Monte Carlo estimate, or
+    ``bound(data, alpha)``, an analytic Delta_p.  ``study(cfg, data)``
+    builds the Study the points of one run share, once per run.
     """
 
     p: int
@@ -336,12 +356,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     thread.  Point ``i`` of that order has seed
     ``derive_seed(config.seed, POINT, i)``, which it splits between its
     privatization (``PRIVATIZE``), its Monte Carlo draws (``EVAL``) and
-    its perturbed inputs (``INPUT``).  For svm, regression and
+    its input noise (``INPUT``).  For svm, regression and
     ellipsoid, every strategy at ``alphas[j]`` shares one sensitivity
     estimate with seed ``derive_seed(config.seed, CALIBRATION, j)``: it
     depends only on ``config.seed`` and the alpha's position, never on the
     strategy list.  The estimate runs when the first point at that alpha
-    needs it, so an "input" point (unsupported there) never pays for one,
+    needs it, so an "input" point, which never reads it, never pays for one,
     and it is recorded once under ``calibrations`` in the manifest.  An opf
     config's CVaR sweep has seed ``derive_seed(config.seed, SWEEP)``.
     """
@@ -349,6 +369,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     app = APPS[config.app]
     data = app.data(config.dataset, config.seed)
+    adjacencies = [app.adjacency(data, alpha) for alpha in config.alphas]
     reports: dict[int, SensitivityReport] = {}
     built: list = []
 
@@ -363,18 +384,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
             raise built[0]
         return built[0]
 
-    def shared_sensitivity(j):
-        def get():
-            if app.bound:
-                return app.bound(data, config.alphas[j])
-            if j not in reports:
-                samples, gamma, beta = app.estimate
-                adjacency = app.adjacency(data, config.alphas[j])
-                reports[j] = estimate_sensitivity(
-                    adjacency, app.p, samples, gamma, beta,
-                    seed=derive_seed(config.seed, Purpose.CALIBRATION, j))
-            return reports[j].delta_p
-        return get
+    def sensitivity(j):
+        if app.bound:
+            return app.bound(data, config.alphas[j])
+        if j not in reports:
+            samples, gamma, beta = app.estimate
+            reports[j] = estimate_sensitivity(
+                adjacencies[j], app.p, samples, gamma, beta,
+                seed=derive_seed(config.seed, Purpose.CALIBRATION, j))
+        return reports[j].delta_p
 
     points = [(s, j) for s in config.strategies for j in range(len(config.alphas))]
     results = []
@@ -383,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         try:
             res = _run_point(app, config, strategy, alpha,
                              derive_seed(config.seed, Purpose.POINT, idx),
-                             study, shared_sensitivity(j))
+                             study, lambda: sensitivity(j), adjacencies[j])
         except (NotOptimal, ConflictingConstraints) as exc:
             res = PointResult(strategy, alpha, None, None, None, f"infeasible:{exc}")
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal

@@ -42,18 +42,22 @@ class CVaRSpec:
         return np.asarray(self.loss, dtype=float)
 
 
-def var_empirical(losses: np.ndarray, q: float) -> float:
-    """Empirical (1-q)-tail value-at-risk: the optimal gamma of the CVaR program."""
+def _tail(losses: np.ndarray, q: float) -> tuple[np.ndarray, float, int]:
+    """(losses sorted worst first, w = (1-q) S, j = ceil w): the worst (1-q)
+    share is the first j - 1 losses and the share w - (j - 1) of loss j."""
     losses = np.asarray(losses, dtype=float).ravel()
     if losses.size == 0:
         raise ValueError("losses must be nonempty")
     if not 0 < q < 1:
         raise ValueError("q must be in (0, 1)")
-    S = losses.size
-    w = (1.0 - q) * S
-    j = int(np.ceil(w - 1e-12))
-    ordered = np.sort(losses)[::-1]
-    return float(ordered[min(j, S) - 1])
+    w = (1.0 - q) * losses.size
+    return np.sort(losses)[::-1], w, int(np.ceil(w - 1e-12))
+
+
+def var_empirical(losses: np.ndarray, q: float) -> float:
+    """Empirical (1-q)-tail value-at-risk: the optimal gamma of the CVaR program."""
+    ordered, _, j = _tail(losses, q)
+    return float(ordered[min(j, ordered.size) - 1])
 
 
 def cvar_empirical(losses: np.ndarray, q: float) -> float:
@@ -61,18 +65,9 @@ def cvar_empirical(losses: np.ndarray, q: float) -> float:
 
     Equals the optimum of min_gamma gamma + 1/((1-q)S) sum [loss-gamma]^+.
     """
-    losses = np.asarray(losses, dtype=float).ravel()
-    if losses.size == 0:
-        raise ValueError("losses must be nonempty")
-    if not 0 < q < 1:
-        raise ValueError("q must be in (0, 1)")
-    S = losses.size
-    w = (1.0 - q) * S
-    ordered = np.sort(losses)[::-1]
-    j = int(np.ceil(w - 1e-12))
-    full = ordered[: j - 1].sum()
-    partial = (w - (j - 1)) * ordered[min(j, S) - 1]
-    return float((full + partial) / w)
+    ordered, w, j = _tail(losses, q)
+    partial = (w - (j - 1)) * ordered[min(j, ordered.size) - 1]
+    return float((ordered[: j - 1].sum() + partial) / w)
 
 
 def augment_with_cvar(

@@ -41,7 +41,7 @@ from dpconic.apps import regression as app_regression
 from dpconic.apps import simple_lp as app_simple
 from dpconic.apps import svm as app_svm
 from dpconic.apps.metrics import evaluate_rule_metrics
-from dpconic.experiments import ExperimentConfig
+from dpconic.experiments import ExperimentConfig, _input_rows
 
 
 def report(num: int, ok: bool, detail: str):
@@ -276,7 +276,8 @@ def test_09_opf_desk_scale():
         out_draws = base.objective + sample_noise(
             calibrate_laplace(d1, 1.0, k=1), 55, n_draws, stream=7).ravel()
         rate_out = float(1.0 - app_opf.released_cost_feasible(out_draws, lo, hi).mean())
-        costs = app_opf.input_perturbation_costs(net, 3.0, 1.0, n_draws, seed=66)
+        costs = _input_rows(app_opf.demand_adjacency(net, 3.0),
+                            calibrate_laplace(3.0, 1.0, k=net.n_nodes), 66, n_draws, 1)[:, 0]
         rate_in = float(1.0 - app_opf.released_cost_feasible(costs, lo, hi).mean())
         if not (0.40 <= rate_out <= 0.60 and 0.40 <= rate_in <= 0.60):
             ok = False

@@ -4,8 +4,8 @@ import pytest
 from conftest import opf_noise
 from dpconic import solver
 from dpconic.conic import ConeKind, NotOptimal, Status
-from dpconic.dp import estimate_sensitivity, sample_noise
-from dpconic.experiments import cvar_q_sweep
+from dpconic.dp import calibrate_laplace, estimate_sensitivity, sample_noise
+from dpconic.experiments import _input_rows, cvar_q_sweep
 from dpconic.ldr import ConflictingConstraints
 from dpconic.solver import kkt_report, solve
 from dpconic.apps.metrics import evaluate_rule_metrics
@@ -14,7 +14,6 @@ from dpconic.apps.opf import (
     build_opf,
     bundled_network,
     demand_adjacency,
-    input_perturbation_costs,
     opf_cost_range,
     opf_sensitivity_bound,
     privatize_opf,
@@ -204,6 +203,7 @@ class TestScalarStrategies:
     def test_input_perturbation_half_infeasible(self):
         net = bundled_network("triangle3")
         lo, hi = opf_cost_range(net)
-        costs = input_perturbation_costs(net, alpha=3.0, epsilon=1.0, samples=400, seed=3)
+        noise = calibrate_laplace(3.0, 1.0, k=net.n_nodes)
+        costs = _input_rows(demand_adjacency(net, 3.0), noise, 3, 400, 1)[:, 0]
         rate = 1.0 - released_cost_feasible(costs, lo, hi).mean()
         assert 0.35 <= rate <= 0.65

@@ -86,6 +86,15 @@ class TestSensitivity:
         assert rc == 2
         assert "(0, 1)" in capsys.readouterr().err
 
+    def test_zero_samples_rejected(self, tmp_path, capsys):
+        # 0 is a sample count, not "unset": it reaches the sample-size check
+        out = tmp_path / "rep.json"
+        rc = main(["sensitivity", "--app", "simple-lp", "--alpha", "0.5",
+                   "--gamma", "0.1", "--beta", "0.1", "--samples", "0",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "samples=0 below" in capsys.readouterr().err
+
     def test_bad_gamma_rejected(self):
         rc = main(["sensitivity", "--app", "simple-lp", "--alpha", "1",
                    "--gamma", "2.0", "--beta", "0.1"])

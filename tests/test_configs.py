@@ -138,11 +138,13 @@ def test_cvar6_sweep_rows(run):
     {"app": "svm", "delta": 0.5},
     {"app": "svm", "alphas": [1.0, 2.0]},
     {"app": "regression", "dataset": "cubic", "alphas": [1.0, 2.0]},
+    {"app": "simple-lp", "epsilon": float("nan")},
+    {"app": "simple-lp", "epsilon": float("inf")},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
         "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
         "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta",
         "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app",
-        "svm-second-alpha", "cubic-second-alpha"])
+        "svm-second-alpha", "cubic-second-alpha", "nan-epsilon", "inf-epsilon"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))

@@ -408,6 +408,41 @@ class TestDatasetsAreReadOnly:
             a += 1.0                 # the caller's array stays writable
             assert np.array_equal(getattr(dataset, f), kept[f])
 
+    def test_copies_equal_a_fresh_construction(self):
+        # with_demand and with_data skip the checks the new data cannot
+        # fail, and build nothing else differently
+        net = opf.bundled_network("cvar6")
+        d = net.d + 1.0
+        model = regression.synthetic_cubic_data(n=20)
+        model.design                 # a cached property the copy must not share
+        x, y = model.x + 0.1, model.y * 1.1
+        pairs = [(net.with_demand(d),
+                  opf.PowerNetwork(net.name, net.c, d, net.xmin, net.xmax, net.fmax,
+                                   net.F, net.lines)),
+                 (model.with_data(x, y),
+                  regression.RegressionModel(x, y, model.basis, model.mono_points,
+                                             model.ridge))]
+        for copied, fresh in pairs:
+            for f in dataclasses.fields(fresh):
+                a, b = getattr(copied, f.name), getattr(fresh, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes() and not a.flags.writeable
+                else:
+                    assert a == b
+        copied, fresh = pairs[1]
+        assert copied.design.tobytes() == fresh.design.tobytes()
+
+    def test_copies_keep_the_checks_their_data_can_fail(self):
+        net = opf.bundled_network("cvar6")
+        with pytest.raises(ValueError, match="total capacity below total demand"):
+            net.with_demand(net.d + net.xmax.sum())
+        model = regression.synthetic_cubic_data(n=20)
+        with pytest.raises(ValueError, match="lengths differ"):
+            model.with_data(model.x, model.y[:-1])
+        with pytest.raises(ValueError, match="at least one data point"):
+            model.with_data([], [])
+
     def test_regression_fit_follows_its_own_data(self):
         # the cached thin QR stays the QR of the model's y after a caller's write
         model = regression.synthetic_cubic_data(n=20)

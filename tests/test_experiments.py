@@ -7,6 +7,7 @@ enough for every privatized program to stay feasible and depends on the seed,
 so points that estimated on their own would disagree.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import pytest
 
 from dpconic import experiments, solver
 from dpconic.apps.metrics import Study
+from dpconic.conic import Status
 from dpconic.dp import (NoiseSpec, Purpose, SensitivityReport, calibrate_gaussian,
-                        derive_seed)
+                        calibrate_laplace, derive_seed, sample_noise)
 from dpconic.experiments import APPS, ExperimentConfig, run_experiment
 
 
@@ -251,7 +253,7 @@ def test_opf_base_is_solved_once_per_run(tmp_path, monkeypatch):
         return real(programs, settings)
 
     monkeypatch.setattr(solver, "solve_batch", counting)
-    monkeypatch.setattr(experiments.app_opf, "solve_batch", counting)
+    monkeypatch.setattr(experiments, "solve_batch", counting)
     cfg = _config(tmp_path, "opf", dataset="cvar6", strategies=("output",),
                   cvar_q_grid=(0.1,), mc_samples=20, seed=1)
     out = run_experiment(cfg)
@@ -278,7 +280,7 @@ def test_infeasible_opf_base_reads_infeasible(tmp_path, monkeypatch):
         return real(programs, settings)
 
     monkeypatch.setattr(solver, "solve_batch", counting)
-    monkeypatch.setattr(experiments.app_opf, "solve_batch", counting)
+    monkeypatch.setattr(experiments, "solve_batch", counting)
     out = run_experiment(cfg)
     assert [r.status for r in out["results"]] == [
         "infeasible:base OPF returned PrimalInfeasible"] * 3
@@ -297,7 +299,7 @@ def _run_output_point(app, cfg, delta_p, k):
 
     study = Study(nominal=np.zeros(k), privatize=None, score=score)
     res = experiments._run_point(APPS[app], cfg, "output", 1.0, 0, lambda: study,
-                                 lambda: delta_p)
+                                 lambda: delta_p, None)
     assert res.status == "ok" and widths == [k]
     return res.extra["noise"]
 
@@ -376,3 +378,72 @@ def test_study_privatize_takes_the_noise_it_is_handed(app):
 def test_every_app_has_one_sensitivity_source():
     for app in APPS.values():
         assert (app.estimate is None) != (app.bound is None)
+
+
+def _run_input_point(app, cfg, alpha, seed):
+    """(result, rows, losses, violated) of an input point of app on its
+    default data, scored by its real study."""
+    data = APPS[app].data(None, 0)
+    real = APPS[app].study(cfg, data)
+    seen = []
+
+    def score(rows, pv):
+        seen.append((rows, *real.score(rows, pv)))
+        return seen[-1][1:]
+
+    def no_sensitivity():
+        raise AssertionError("an input point read the sensitivity")
+
+    study = dataclasses.replace(real, score=score)
+    res = experiments._run_point(APPS[app], cfg, "input", alpha, seed, lambda: study,
+                                 no_sensitivity, APPS[app].adjacency(data, alpha))
+    (seen,) = seen
+    return (res, *seen)
+
+
+def test_opf_input_rows_are_the_solo_solves_of_the_perturbed_networks():
+    # at alpha 100 a few perturbed networks have no feasible dispatch, so
+    # both kinds of row are checked
+    cfg = ExperimentConfig(app="opf", strategies=("input",), alphas=(100.0,),
+                           mc_samples=40)
+    res, rows, _, _ = _run_input_point("opf", cfg, 100.0, 11)
+    assert res.status == "ok" and rows.shape == (40, 1)
+    net = APPS["opf"].data(None, 0)
+    noise = calibrate_laplace(100.0, 1.0, k=net.n_nodes)
+    want = []
+    for zeta in sample_noise(noise, derive_seed(11, Purpose.INPUT), 40):
+        sol = solver.solve(experiments.app_opf.build_opf(net.with_demand(net.d + zeta)))
+        want.append(sol.objective if sol.status == Status.OPTIMAL else np.nan)
+    assert rows[:, 0].tobytes() == np.array(want).tobytes()
+    assert 0 < np.isnan(want).sum() < 40
+
+
+def test_input_points_calibrate_at_alpha_and_read_no_sensitivity(tmp_path, monkeypatch):
+    def boom(data, alpha):
+        raise AssertionError("an input point read the sensitivity bound")
+
+    monkeypatch.setitem(APPS, "opf", dataclasses.replace(APPS["opf"], bound=boom))
+    cfg = _config(tmp_path, "opf", strategies=("input",), alphas=(1.0, 3.0),
+                  epsilon=2.0)
+    out = run_experiment(cfg)
+    assert [r.status for r in out["results"]] == ["ok"] * 2
+    assert [pt["noise"] for pt in _manifest(cfg)["points"]] == [
+        ["laplace", 0.5], ["laplace", 1.5]]
+
+
+def test_simple_lp_input_row_past_upper_reads_nan_and_violated():
+    # Laplace(1) input noise moves lower = 1 to upper = 2 or past it on
+    # about 18 % of the rows; that perturbed LP has no box to solve over
+    cfg = ExperimentConfig(app="simple-lp", strategies=("input",), alphas=(1.0,),
+                           mc_samples=200)
+    res, rows, losses, violated = _run_input_point("simple-lp", cfg, 1.0, 5)
+    lp = APPS["simple-lp"].data(None, 0)
+    lowers = lp.lower + sample_noise(NoiseSpec("laplace", 1, 1.0),
+                                     derive_seed(5, Purpose.INPUT), 200)[:, 0]
+    past = lowers >= lp.upper
+    assert 0 < past.sum() < 200
+    assert np.isnan(rows[past, 0]).all() and violated[past].all()
+    assert np.allclose(rows[~past, 0], lowers[~past], atol=1e-6)
+    assert len(losses) == res.extra["draws"] == (~past).sum()
+    assert res.status == "ok" and np.isfinite(res.loss_mean)
+    assert res.extra["noise"] == ["laplace", 1.0]
