@@ -45,7 +45,8 @@ from .ldr import (
     reduce_quadratic_objective,
     safety_factor,
 )
-from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
+from .risk import (CVaRSpec, augment_with_cvar, augment_with_cvar_k1, cvar_empirical,
+                   var_empirical)
 from .solver import NumericalBreakdown, SolverSettings, kkt_report, solve, solve_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,7 +42,7 @@ from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_gaussian,
                  calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, VertexChance, WeightedSumQuery, privatize,
                   release_rows)
-from .risk import CVaRSpec, augment_with_cvar, cvar_empirical, var_empirical
+from .risk import CVaRSpec, augment_with_cvar_k1, cvar_empirical, var_empirical
 from .solver import SolverSettings, solve, solve_batch
 from .apps import ellipsoid as app_ellipsoid
 from .apps import opf as app_opf
@@ -99,11 +99,17 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         # the app's data rejects a dataset it does not read, and its
-        # adjacency an alpha it cannot read; an adjacency that reads no
-        # alpha (alpha inf) would estimate one sensitivity per alpha alike
+        # adjacency an alpha it cannot read; an analytic bound and an input
+        # point calibrate the noise at alpha, so there it must be finite; an
+        # adjacency that reads no alpha (alpha inf) would estimate one
+        # sensitivity per alpha alike
         data = app.data(self.dataset, self.seed)
         for alpha in self.alphas:
-            if app.adjacency(data, alpha).alpha == math.inf and len(self.alphas) > 1:
+            adjacency = app.adjacency(data, alpha)
+            if alpha == math.inf and (app.bound or adjacency.private is not None):
+                raise ValueError(f"app {self.app!r} calibrates its noise at alpha, "
+                                 f"which must be finite; got {self.alphas}")
+            if adjacency.alpha == math.inf and len(self.alphas) > 1:
                 raise ValueError(f"app {self.app!r} ignores alpha here; give one "
                                  f"alpha, got {self.alphas}")
 
@@ -224,7 +230,8 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity,
     ``derive_seed(seed, EVAL)``, program rows the privatization's releases
     from the same key (its privatize gets ``derive_seed(seed, PRIVATIZE)``),
     input rows ``_input_rows`` at ``derive_seed(seed, INPUT)``.  An "ok"
-    point reads the mean and 0.95-CVaR of the losses and the share of
+    point reads the mean and 0.95-CVaR of the losses (none where the score
+    keeps no row, say every input row without an optimum) and the share of
     violated rows, and records the losses it scored (``draws``) and its
     noise (``[family, scale]``).
     """
@@ -248,8 +255,9 @@ def _run_point(app, cfg, strategy, alpha, seed, study, sensitivity,
     extra = {"draws": len(losses), "noise": [noise.family, noise.scale]}
     if app.estimate and strategy != "input":
         extra["sensitivity"] = delta_p
-    return PointResult(strategy, alpha, float(np.mean(losses)), cvar_empirical(losses, 0.95),
-                       float(np.mean(violated)), "ok", extra)
+    mean, tail = ((float(np.mean(losses)), cvar_empirical(losses, 0.95)) if len(losses)
+                  else (None, None))
+    return PointResult(strategy, alpha, mean, tail, float(np.mean(violated)), "ok", extra)
 
 
 # --- the app registry ---------------------------------------------------------
@@ -320,7 +328,11 @@ def cvar_q_sweep(
     optimizes the mean of the worst q share of losses over 300 samples;
     rows report the mean, the 0.95-level CVaR and the VaR of those samples.
     The samples draw from derive_seed(seed, CVAR); every q shares them and
-    the one rule program, which draws nothing.
+    the one rule program, which draws nothing.  The noise has one
+    coordinate, so each q's program is augment_with_cvar_k1's (the rule
+    program plus one variable and two rows, with augment_with_cvar's
+    optimum over those samples), and one solve_batch at tol 1e-7 solves
+    the whole grid.
     base_cost, when given, is the caller's optimal cost of build_opf(net),
     which then is not solved again; otherwise NotOptimal is raised unless
     that solve is Optimal.  Returns rows (q, mean, cvar, var).
@@ -333,11 +345,12 @@ def cvar_q_sweep(
     noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(program, noise, WeightedSumQuery(wq), VertexChance(eta=eta))
     cvar_seed = derive_seed(seed, Purpose.CVAR)
+    built = [augment_with_cvar_k1(pp, CVaRSpec(q=1.0 - q_tail, samples=300,
+                                               loss=tuple(net.c)), seed=cvar_seed)
+             for q_tail in q_grid]
+    solutions = solve_batch([aug for aug, _ in built], SolverSettings(tol=1e-7))
     rows = []
-    for q_tail in q_grid:
-        spec = CVaRSpec(q=1.0 - q_tail, samples=300, loss=tuple(net.c))
-        aug, layout = augment_with_cvar(pp, spec, seed=cvar_seed)
-        sol = solve(aug, SolverSettings(tol=1e-7))
+    for q_tail, (_, layout), sol in zip(q_grid, built, solutions):
         if sol.status != Status.OPTIMAL:
             rows.append((q_tail, math.nan, math.nan, math.nan))
             continue

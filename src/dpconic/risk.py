@@ -5,8 +5,11 @@ tail is controlled by minimizing the empirical conditional value-at-risk
 
     min_gamma  gamma + 1/((1-q) S) sum_s [loss_s - gamma]^+,
 
-either after the fact (cvar_empirical) or inside the transformed program by
-appending the epigraph variables (gamma, z_1..z_S).
+either after the fact (cvar_empirical) or inside the transformed program.
+`augment_with_cvar` appends the epigraph variables (gamma, z_1..z_S) for
+any noise dimension k.  With k = 1 the loss is affine in one scalar draw,
+and `augment_with_cvar_k1` gives the same optimum over the same draws from
+one variable and two rows.
 """
 
 from __future__ import annotations
@@ -118,3 +121,57 @@ def augment_with_cvar(
     augmented = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names)
     layout = {"gamma": gamma_idx, "z": z_idx, "zetas": zetas}
     return augmented, layout
+
+
+def augment_with_cvar_k1(
+    privatized: PrivatizedProgram,
+    spec: CVaRSpec,
+    seed: int,
+) -> tuple[ConicProgram, dict]:
+    """augment_with_cvar's optimum for one noise coordinate, from two rows.
+
+    With k = 1 the rule's loss is a + g zeta, with a = l'xbar and g = l'X.
+    By the translation invariance and positive homogeneity of the sample
+    CVaR, its value at level q over the draws zeta_s is a + max(kp g, -km g),
+    with kp = cvar_empirical(zeta, q) and km = cvar_empirical(-zeta, q)
+    (kp + km >= 0, so the max is kp g for g >= 0 and -km g below).  That is
+    the value of augment_with_cvar's S-row epigraph at every rule, the
+    fractional (1-q) S weight included.  So one new variable t with
+    t >= kp g and t >= -km g (two NonNeg rows) and the objective a + t give
+    its optimum over the same draws (CVAR_STREAM at seed).  The query
+    constraints on X are untouched.
+
+    Returns the augmented program, whose A is CSR and whose last column is
+    t, and a layout dict with the drawn samples.  Raises ValueError unless
+    the noise has one coordinate; augment_with_cvar takes any k.
+    """
+    base = privatized.program
+    space = privatized.space
+    loss = spec.loss_vector
+    if space.k != 1:
+        raise ValueError(f"augment_with_cvar_k1 needs one noise coordinate, got "
+                         f"k = {space.k}; augment_with_cvar takes any k")
+    if loss.shape[0] != space.n:
+        raise ValueError("loss functional must match the rule dimension")
+    zetas = sample_noise(privatized.noise, seed, spec.samples, CVAR_STREAM)
+    kp, km = cvar_empirical(zetas, spec.q), cvar_empirical(-zetas, spec.q)
+
+    n0 = base.n
+    # at the points 0, kp and -km, h_i - G_i v = -(a + zeta_i g) with h_0 = 0:
+    # so G_0 v = a, and the slack h_i - (G_i - G_0) v + t is t - zeta_i g
+    G, h = space.expand(loss[None], np.zeros(1), np.array([[0.0], [kp], [-km]]))
+    A = sp.bmat([
+        [base.A, None],
+        [sp.csr_array(G[1:] - G[0], shape=(2, n0)), np.full((2, 1), -1.0)],
+    ], format="csr")
+    b = np.concatenate([base.b, h[1:]])
+    blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
+    blocks.append((ConeKind.NONNEG.value, 2))
+
+    c = np.zeros(n0 + 1)
+    c[: space.ncols] = G[0]
+    c[n0] = 1.0
+
+    names = tuple(base.variable_names or ()) or tuple(f"v[{i}]" for i in range(n0))
+    augmented = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names + ("t",))
+    return augmented, {"zetas": zetas}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dpconic import dp
 from dpconic.apps.opf import bundled_network
 from dpconic.cli import main
 from dpconic.dp import Purpose, derive_seed
-from dpconic.experiments import cvar_q_sweep
+from dpconic.experiments import ExperimentConfig, cvar_q_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,13 +141,25 @@ def test_cvar6_sweep_rows(run):
     {"app": "regression", "dataset": "cubic", "alphas": [1.0, 2.0]},
     {"app": "simple-lp", "epsilon": float("nan")},
     {"app": "simple-lp", "epsilon": float("inf")},
+    {"app": "opf", "alphas": [float("inf")]},
+    {"app": "simple-lp", "alphas": [float("inf")]},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
         "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
         "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta",
         "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app",
-        "svm-second-alpha", "cubic-second-alpha", "nan-epsilon", "inf-epsilon"])
+        "svm-second-alpha", "cubic-second-alpha", "nan-epsilon", "inf-epsilon",
+        "inf-opf-alpha", "inf-simple-lp-alpha"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))
     assert main(["experiment", "--config", str(path)]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("app", ["opf", "simple-lp"])
+def test_infinite_alpha_rejected_where_noise_is_calibrated_at_alpha(app):
+    # the analytic bound and the input noise would be infinite
+    with pytest.raises(ValueError, match="calibrates its noise at alpha, which must be finite"):
+        ExperimentConfig(app=app, alphas=(math.inf,))
+    # an adjacency that reads no alpha still takes it
+    assert ExperimentConfig(app="svm", alphas=(math.inf,)).alphas == (math.inf,)

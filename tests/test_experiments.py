@@ -211,6 +211,31 @@ def test_cvar_sweep_reads_the_config_eta(tmp_path):
                                     seed=seed) != want
 
 
+def test_cvar_sweep_solves_its_grid_in_one_batch(monkeypatch):
+    # one noise coordinate: every q is the rule program plus one variable and
+    # two rows, a thin dense LP on the reduced KKT path
+    calls, real = [], experiments.solve_batch
+
+    def recording(programs, settings=None):
+        calls.append((list(programs), settings))
+        return real(programs, settings)
+
+    def no_solve(program, settings=None):
+        raise AssertionError("the sweep solved a program alone")
+
+    monkeypatch.setattr(experiments, "solve_batch", recording)
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    net = experiments.app_opf.bundled_network("cvar6")
+    rows = experiments.cvar_q_sweep(net, (0, 2, 4), 1.0, 1.0, (0.05, 0.1, 0.2),
+                                    base_cost=9400.0)
+    (programs, settings), = calls
+    assert settings.tol == 1e-7 and len(programs) == len(rows) == 3
+    for program in programs:
+        assert (program.n, program.m) == (13, 61)
+        layout = solver._Layout([program])
+        assert layout.kkt is None and layout.reduced
+
+
 def test_non_optimal_study_solve_reads_infeasible(tmp_path):
     # the privatized simple LP at alpha 0.5 has no feasible rule: the noise
     # box is wider than the unit box; the row says so, not "error:"
@@ -447,3 +472,15 @@ def test_simple_lp_input_row_past_upper_reads_nan_and_violated():
     assert len(losses) == res.extra["draws"] == (~past).sum()
     assert res.status == "ok" and np.isfinite(res.loss_mean)
     assert res.extra["noise"] == ["laplace", 1.0]
+
+
+def test_point_whose_score_keeps_no_row_reads_violation_rate_1(tmp_path):
+    # at alpha 1e5 no perturbed network has a feasible dispatch: the score
+    # drops every input row, so the point has no loss to average
+    cfg = _config(tmp_path, "opf", strategies=("input",), alphas=(1e5,))
+    res, = run_experiment(cfg)["results"]
+    assert res.status == "ok" and res.infeasibility == 1.0
+    assert res.loss_mean is None and res.loss_cvar is None
+    assert res.extra["draws"] == 0
+    row = (tmp_path / "run" / "results.csv").read_text().splitlines()[1]
+    assert row.split(",")[5:] == ["", "", "1", "ok"]

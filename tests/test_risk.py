@@ -19,6 +19,7 @@ from dpconic.ldr import (
 from dpconic.risk import (
     CVaRSpec,
     augment_with_cvar,
+    augment_with_cvar_k1,
     cvar_empirical,
     var_empirical,
 )
@@ -300,3 +301,70 @@ class TestAugmentMatchesLoop:
         assert got.cones == ref.cones
         assert got.variable_names == ref.variable_names
         assert list(layout["z"]) == list(range(pp.program.n + 1, got.n))
+
+
+def _opf_k1(name, query):
+    """The network's OPF privatized at alpha 25 for a k = 1 query, and its
+    cost functional: the weighted sum over every other node (free X) or
+    the output of node 0 (X[0] pinned at 1)."""
+    net = opf.bundled_network(name)
+    query = (WeightedSumQuery((np.arange(net.n_nodes) % 2 == 0) * 1.0) if query == "sum"
+             else SelectQuery((0,)))
+    pp = privatize(opf.build_opf(net), calibrate_laplace(25.0, 1.0, k=1), query,
+                   VertexChance(eta=0.01))
+    return pp, tuple(net.c)
+
+
+class TestAugmentWithCvarK1:
+    """The k = 1 form against augment_with_cvar and the sort-based CVaR."""
+
+    @pytest.mark.parametrize("q, samples", [
+        (0.01, 300), (0.3, 300), (0.8, 300), (0.99, 300),
+        (0.3, 37)])   # (1 - q) S = 25.9: the tail weight is fractional
+    @pytest.mark.parametrize("name, query", [("cvar6", "sum"), ("triangle3", "select")])
+    def test_optimum_equals_the_sampled_epigraph(self, name, query, q, samples):
+        pp, loss = _opf_k1(name, query)
+        spec = CVaRSpec(q=q, samples=samples, loss=loss)
+        sampled, drawn = augment_with_cvar(pp, spec, seed=5)
+        two_row, layout = augment_with_cvar_k1(pp, spec, seed=5)
+        assert (two_row.n, two_row.m) == (pp.program.n + 1, pp.program.m + 2)
+        assert np.array_equal(layout["zetas"], drawn["zetas"])
+        settings = SolverSettings(tol=1e-9)
+        want, got = solve(sampled, settings), solve(two_row, settings)
+        assert want.status == got.status == Status.OPTIMAL
+        assert abs(got.objective - want.objective) <= 1e-8 * (1.0 + abs(want.objective))
+
+    @pytest.mark.parametrize("g", [1.5, -0.7, 0.0])
+    @pytest.mark.parametrize("query", ["sum", "select"])
+    def test_frozen_rule_matches_sort_oracle(self, query, g):
+        # the two new rows and the objective at a rule fixed by Zero rows:
+        # min over t of a + t, t >= kp g, t >= -km g
+        pp, loss = _opf_k1("triangle3", query)
+        loss = np.asarray(loss)
+        space = pp.space
+        v = np.random.default_rng(2).normal(size=pp.program.n)
+        # move the free entries of X along the loss so that l'X = g
+        free = space.X_idx[space.free]
+        lf = loss[space.free[0]]
+        v[free] += (g - loss @ space.extract(v).X[:, 0]) * lf / (lf @ lf)
+        rule = space.extract(v)
+        assert loss @ rule.X[:, 0] == pytest.approx(g, abs=1e-12)
+        spec = CVaRSpec(q=0.8, samples=41, loss=tuple(loss))
+        aug, layout = augment_with_cvar_k1(pp, spec, seed=9)
+        m0, n0 = pp.program.m, pp.program.n
+        frozen = ConicProgram(
+            np.vstack([as_dense(aug.A)[m0:], np.eye(n0, n0 + 1)]),
+            np.concatenate([aug.b[m0:], v]), aug.c,
+            ConeSpec([(ConeKind.NONNEG.value, 2), (ConeKind.ZERO.value, n0)]))
+        sol = solve(frozen, SolverSettings(tol=1e-11))
+        assert sol.status == Status.OPTIMAL
+        sort_value = cvar_empirical(rule.evaluate_many(layout["zetas"]) @ loss, 0.8)
+        assert abs(sol.objective - sort_value) <= 1e-9
+
+    def test_more_than_one_noise_coordinate_rejected(self):
+        pp = _privatized("identity", 0)
+        assert pp.space.k == 4
+        spec = CVaRSpec(q=0.5, samples=3, loss=(1.0,) * pp.space.n)
+        with pytest.raises(ValueError, match=r"one noise coordinate, got k = 4; "
+                                             r"augment_with_cvar takes any k"):
+            augment_with_cvar_k1(pp, spec, seed=0)

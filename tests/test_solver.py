@@ -19,9 +19,9 @@ from dpconic.conic import (
     soc,
     zero,
 )
-from dpconic import experiments, solver
+from dpconic import solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
-from dpconic.dp import calibrate_gaussian, calibrate_laplace, rng_stream
+from dpconic.dp import Purpose, calibrate_gaussian, calibrate_laplace, derive_seed, rng_stream
 from dpconic.ldr import (IndividualChance, VertexChance, WeightedSumQuery,
                          privatize)
 from dpconic.risk import CVaRSpec, augment_with_cvar
@@ -923,21 +923,26 @@ class TestSolveBatch:
             ConicProgram(np.eye(2), np.ones(2), np.ones(2), ConeSpec([nonneg(3)]))
 
 
-def _sparse_corpus():
-    """The study programs that take the sparse factor: cvar_q_sweep's three
-    CVaR-augmented OPF programs (as experiment-mix runs it on cvar6) and the
-    privatized ellipsoid, each with its settings."""
-    captured, real = [], experiments.solve
-
-    def recording(program, settings=None):
-        captured.append((program, settings))
-        return real(program, settings)
+def _cvar6_epigraphs(seed):
+    """augment_with_cvar's 300-draw epigraph, drawn at seed, of the cvar6
+    OPF's rule for the sum over every other node (alpha 1, eta 0.01) at
+    q 0.05, 0.1 and 0.2: the privatization and the programs by q."""
     net = opf.bundled_network("cvar6")
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiments, "solve", recording)
-        experiments.cvar_q_sweep(net, tuple(range(0, net.n_nodes, 2)), 1.0, 1.0,
-                                 (0.05, 0.1, 0.2), seed=0)
-    out = {f"cvar-{q}": case for q, case in zip((0.05, 0.1, 0.2), captured[1:])}
+    wq = np.zeros(net.n_nodes)
+    wq[::2] = 1.0
+    pp = privatize(opf.build_opf(net), calibrate_laplace(1.0, 1.0, k=1),
+                   WeightedSumQuery(wq), VertexChance(eta=0.01))
+    return pp, {q: augment_with_cvar(pp, CVaRSpec(q=1.0 - q, samples=300, loss=tuple(net.c)),
+                                     seed=seed)[0]
+                for q in (0.05, 0.1, 0.2)}
+
+
+def _sparse_corpus():
+    """The study programs that take the sparse factor: the any-k CVaR epigraph
+    drawn at derive_seed(0, CVAR) under tol 1e-7 and the privatized
+    ellipsoid, each with its settings."""
+    _, programs = _cvar6_epigraphs(derive_seed(0, Purpose.CVAR))
+    out = {f"cvar-{q}": (aug, SolverSettings(tol=1e-7)) for q, aug in programs.items()}
     noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
     pv = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                        eta=0.1, seed=1)
@@ -1038,7 +1043,7 @@ class TestReducedForm:
 
 def _pattern_corpus():
     """The study programs on the sparse path: the study SVM, the privatized
-    ellipsoid and cvar_q_sweep's CVaR-augmented cvar6 OPF at three q.  Each
+    ellipsoid and the any-k CVaR epigraph of the cvar6 OPF at three q.  Each
     maps to (program, settings, solution, rule.xbar)."""
     data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
     pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
@@ -1048,15 +1053,9 @@ def _pattern_corpus():
     pe = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
                                        eta=0.1, seed=1)
     out["ellipsoid"] = (pe.program, ellipsoid.DEFAULT_SETTINGS, pe.solution, pe.rule.xbar)
-    net = opf.bundled_network("cvar6")
-    wq = np.zeros(net.n_nodes)
-    wq[::2] = 1.0
-    pp = privatize(opf.build_opf(net), calibrate_laplace(1.0, 1.0, k=1),
-                   WeightedSumQuery(wq), VertexChance(eta=0.01))
+    pp, programs = _cvar6_epigraphs(1)
     settings = SolverSettings(tol=1e-7)
-    for q in (0.05, 0.1, 0.2):
-        aug, _ = augment_with_cvar(pp, CVaRSpec(q=1.0 - q, samples=300, loss=tuple(net.c)),
-                                   seed=1)
+    for q, aug in programs.items():
         sol = solve(aug, settings)
         out[f"cvar-{q}"] = (aug, settings, sol, pp.extract_rule(sol.x[: pp.program.n]).xbar)
     return out
