@@ -11,8 +11,9 @@ transformer, applications) speaks this data model.
 
 A is a dense array or a scipy.sparse CSR matrix.  The base builders emit
 dense A: their programs are tiny, and thousands of them are built per
-sensitivity estimate.  The transformed programs of `ldr.privatize` and
-`risk.augment_with_cvar` emit CSR, since most of their entries are zero.
+sensitivity estimate.  The transformed programs of `ldr.privatize`, and
+their CVaR form from `risk.augment_with_cvar`, emit CSR, since most of their
+entries are zero.
 """
 
 from __future__ import annotations

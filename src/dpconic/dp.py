@@ -47,7 +47,6 @@ class Purpose(IntEnum):
     PRIVATIZE = 3      # a point's Study.privatize (read by the ellipsoid's objective)
     EVAL = 4           # a point's Monte Carlo draws
     INPUT = 5          # a point's input noise, added to the private vector
-    CVAR = 6           # the sweep's CVaR samples
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -88,6 +87,21 @@ class NoiseSpec:
         if self.family == "laplace":
             return self.scale * -float(np.log(tail))
         return self.scale * -float(ndtri(tail / 2.0))
+
+    def cvar(self, q: float) -> float:
+        """kappa, the mean of the worst tau = 1 - q share of one coordinate:
+        b (1 - ln(2 tau)) for Laplace(b) at tau <= 1/2 and b q (1 - ln(2 q)) / tau
+        above, sigma phi(Phi^-1(q)) / tau for Gaussian(sigma), all read off the
+        tail tau as half_width is."""
+        if not 0 < q < 1:
+            raise ValueError("q must be in (0, 1)")
+        tau = 1.0 - q
+        if self.family == "laplace":
+            if tau <= 0.5:
+                return self.scale * (1.0 - math.log(2.0 * tau))
+            return self.scale * q * (1.0 - math.log(2.0 * q)) / tau
+        z = float(ndtri(tau))
+        return self.scale * math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * tau)
 
 
 def sample_noise(spec: NoiseSpec, seed: int, count: int, stream: int = 0) -> np.ndarray:

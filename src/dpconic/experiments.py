@@ -42,7 +42,7 @@ from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_gaussian,
                  calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, VertexChance, WeightedSumQuery, privatize,
                   release_rows)
-from .risk import CVaRSpec, augment_with_cvar_k1, cvar_empirical, var_empirical
+from .risk import augment_with_cvar, cvar_empirical, var_empirical
 from .solver import SolverSettings, solve, solve_batch
 from .apps import ellipsoid as app_ellipsoid
 from .apps import opf as app_opf
@@ -320,19 +320,18 @@ def cvar_q_sweep(
     q_grid,
     eta: float = 0.01,
     seed: int = 0,
+    samples: int = ExperimentConfig.mc_samples,
     base_cost: float | None = None,
 ):
     """Risk sweep of the private subset-generation query on one network.
 
-    q_grid entries are tail fractions (the risk dial): each point
-    optimizes the mean of the worst q share of losses over 300 samples;
-    rows report the mean, the 0.95-level CVaR and the VaR of those samples.
-    The samples draw from derive_seed(seed, CVAR); every q shares them and
-    the one rule program, which draws nothing.  The noise has one
-    coordinate, so each q's program is augment_with_cvar_k1's (the rule
-    program plus one variable and two rows, with augment_with_cvar's
-    optimum over those samples), and one solve_batch at tol 1e-7 solves
-    the whole grid.
+    q_grid entries are tail fractions (the risk dial): each point's program
+    minimizes the CVaR of the rule's loss over its worst q share under the
+    noise law (augment_with_cvar: the rule program plus one variable and
+    two rows), and one solve_batch at tol 1e-7 solves the whole grid.  The
+    rule program draws nothing.  Every q's rule is then scored out of
+    sample on one shared draw of `samples` noise rows at seed; rows report
+    the mean, the 0.95-level CVaR and the VaR of those losses.
     base_cost, when given, is the caller's optimal cost of build_opf(net),
     which then is not solved again; otherwise NotOptimal is raised unless
     that solve is Optimal.  Returns rows (q, mean, cvar, var).
@@ -344,18 +343,16 @@ def cvar_q_sweep(
     wq[list(subset)] = 1.0
     noise = calibrate_laplace(alpha, epsilon, k=1)
     pp = privatize(program, noise, WeightedSumQuery(wq), VertexChance(eta=eta))
-    cvar_seed = derive_seed(seed, Purpose.CVAR)
-    built = [augment_with_cvar_k1(pp, CVaRSpec(q=1.0 - q_tail, samples=300,
-                                               loss=tuple(net.c)), seed=cvar_seed)
-             for q_tail in q_grid]
-    solutions = solve_batch([aug for aug, _ in built], SolverSettings(tol=1e-7))
+    programs = [augment_with_cvar(pp, 1.0 - q_tail, net.c)[0] for q_tail in q_grid]
+    solutions = solve_batch(programs, SolverSettings(tol=1e-7))
+    zetas = sample_noise(noise, seed, samples)
     rows = []
-    for q_tail, (_, layout), sol in zip(q_grid, built, solutions):
+    for q_tail, sol in zip(q_grid, solutions):
         if sol.status != Status.OPTIMAL:
             rows.append((q_tail, math.nan, math.nan, math.nan))
             continue
         rule = pp.extract_rule(sol.x[: pp.program.n])
-        losses = rule.evaluate_many(layout["zetas"]) @ net.c - base_cost
+        losses = rule.evaluate_many(zetas) @ net.c - base_cost
         rows.append((q_tail, float(losses.mean()),
                      cvar_empirical(losses, 0.95),
                      var_empirical(losses, 0.95)))
@@ -435,6 +432,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         sweep_rows = cvar_q_sweep(data, subset, config.alphas[0], config.epsilon,
                                   config.cvar_q_grid, eta=config.eta,
                                   seed=derive_seed(config.seed, Purpose.SWEEP),
+                                  samples=config.mc_samples,
                                   base_cost=float(study().nominal[0]))
         _write_csv(out / "cvar.csv", ["q", "mean", "cvar05", "var"],
                    ([_fmt(v) for v in row] for row in sweep_rows))

@@ -21,7 +21,7 @@ OPF, SVM, regression, ellipsoid and simple-LP studies all go through it.
 
 `privatize` draws nothing: its program is a function of the noise law, and
 randomness enters only when a query is released.  Each of these rows, and
-the CVaR rows of `risk.augment_with_cvar`, is the affine map
+the two CVaR rows of `risk.augment_with_cvar`, is the affine map
 b - A(xbar + X zeta) at some noise point: the vertex copies at the box
 vertices, the objective copies at the given points, the safety-factor rows
 from its value at zeta = 0 and its zeta coefficients.  One array expansion,

@@ -1,48 +1,25 @@
-"""Empirical VaR/CVaR and CVaR co-optimization.
+"""Empirical VaR/CVaR and the exact CVaR term of a transformed program.
 
 The loss of a rule against the deterministic optimum is itself random; its
-tail is controlled by minimizing the empirical conditional value-at-risk
+tail is measured by the conditional value-at-risk, the mean of its worst
+(1-q) share.  `cvar_empirical` reads it off drawn losses after the fact,
+as the optimum of
 
-    min_gamma  gamma + 1/((1-q) S) sum_s [loss_s - gamma]^+,
+    min_gamma  gamma + 1/((1-q) S) sum_s [loss_s - gamma]^+.
 
-either after the fact (cvar_empirical) or inside the transformed program.
-`augment_with_cvar` appends the epigraph variables (gamma, z_1..z_S) for
-any noise dimension k.  With k = 1 the loss is affine in one scalar draw,
-and `augment_with_cvar_k1` gives the same optimum over the same draws from
-one variable and two rows.
+Inside a transformed program no draws are needed: with one noise
+coordinate the rule's loss is a + g zeta, whose CVaR under the noise's own
+law is a + |g| NoiseSpec.cvar(q) (Rockafellar & Uryasev, J. Risk 2000), and
+`augment_with_cvar` appends that term from one variable and two rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .conic import ConeKind, ConeSpec, ConicProgram
-from .dp import sample_noise
 from .ldr import PrivatizedProgram
-
-CVAR_STREAM = 1  # the stream of augment_with_cvar's samples
-
-
-@dataclass(frozen=True)
-class CVaRSpec:
-    """Tail-averaging parameters: optimize the mean of the worst (1-q) share."""
-
-    q: float
-    samples: int
-    loss: tuple[float, ...]  # linear loss functional over the rule variables
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise ValueError("q must be in (0, 1)")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-
-    @property
-    def loss_vector(self) -> np.ndarray:
-        return np.asarray(self.loss, dtype=float)
 
 
 def _tail(losses: np.ndarray, q: float) -> tuple[np.ndarray, float, int]:
@@ -75,91 +52,38 @@ def cvar_empirical(losses: np.ndarray, q: float) -> float:
 
 def augment_with_cvar(
     privatized: PrivatizedProgram,
-    spec: CVaRSpec,
-    seed: int,
+    q: float,
+    loss,
 ) -> tuple[ConicProgram, dict]:
-    """Append the CVaR epigraph of the rule's loss to a transformed program.
+    """Replace a transformed program's objective by the CVaR at level q of
+    the rule's loss l'(xbar + X zeta) under the noise law.
 
-    New variables gamma (free) and z_1..z_S >= 0 with
-    z_s >= l'(xbar + X zeta_s) - gamma, the zeta_s drawn from CVAR_STREAM
-    at seed; the objective becomes gamma + 1/((1-q)S) sum z_s.  The query
+    With one noise coordinate the loss is a + g zeta, with a = l'xbar and
+    g = l'X.  The law is symmetric, so the CVaR is a + kappa |g| with
+    kappa = privatized.noise.cvar(q), the mean of the worst (1-q) share of
+    one coordinate.  One new variable t with t >= kappa g and t >= -kappa g
+    (two NonNeg rows) and the objective a + t give it.  The query
     constraints on X are untouched, which is what keeps the privacy
     guarantee intact.
 
     Returns the augmented program, whose A is CSR, and a layout dict with
-    the new variable indices and the drawn samples.
+    the index of t, its last column.  Raises ValueError unless the noise has
+    one coordinate: a Laplace noise of more has no closed form.
     """
     base = privatized.program
     space = privatized.space
-    loss = spec.loss_vector
-    if loss.shape[0] != space.n:
-        raise ValueError("loss functional must match the rule dimension")
-    zetas = sample_noise(privatized.noise, seed, spec.samples, CVAR_STREAM)
-    S = spec.samples
-
-    n0 = base.n
-    gamma_idx = n0
-    z_idx = np.arange(n0 + 1, n0 + 1 + S)
-    # rows z_s >= 0, then the slacks z_s + gamma - l'(xbar + X zeta_s) >= 0
-    G, h = space.expand(loss[None], np.zeros(1), zetas)
-    minus_z = -sp.eye_array(S, format="csr")
-    A = sp.bmat([
-        [base.A, None, None],
-        [None, sp.csr_array((S, 1)), minus_z],
-        [sp.csr_array(G, shape=(S, n0)), np.full((S, 1), -1.0), minus_z],
-    ], format="csr")
-    b = np.concatenate([base.b, np.zeros(S), h])
-    blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
-    blocks += [(ConeKind.NONNEG.value, S)] * 2
-
-    c = np.zeros(n0 + 1 + S)
-    c[gamma_idx] = 1.0
-    c[z_idx] = 1.0 / ((1.0 - spec.q) * S)
-
-    names = tuple(base.variable_names or ()) or tuple(f"v[{i}]" for i in range(n0))
-    names = names + ("gamma",) + tuple(f"z[{s}]" for s in range(S))
-    augmented = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names)
-    layout = {"gamma": gamma_idx, "z": z_idx, "zetas": zetas}
-    return augmented, layout
-
-
-def augment_with_cvar_k1(
-    privatized: PrivatizedProgram,
-    spec: CVaRSpec,
-    seed: int,
-) -> tuple[ConicProgram, dict]:
-    """augment_with_cvar's optimum for one noise coordinate, from two rows.
-
-    With k = 1 the rule's loss is a + g zeta, with a = l'xbar and g = l'X.
-    By the translation invariance and positive homogeneity of the sample
-    CVaR, its value at level q over the draws zeta_s is a + max(kp g, -km g),
-    with kp = cvar_empirical(zeta, q) and km = cvar_empirical(-zeta, q)
-    (kp + km >= 0, so the max is kp g for g >= 0 and -km g below).  That is
-    the value of augment_with_cvar's S-row epigraph at every rule, the
-    fractional (1-q) S weight included.  So one new variable t with
-    t >= kp g and t >= -km g (two NonNeg rows) and the objective a + t give
-    its optimum over the same draws (CVAR_STREAM at seed).  The query
-    constraints on X are untouched.
-
-    Returns the augmented program, whose A is CSR and whose last column is
-    t, and a layout dict with the drawn samples.  Raises ValueError unless
-    the noise has one coordinate; augment_with_cvar takes any k.
-    """
-    base = privatized.program
-    space = privatized.space
-    loss = spec.loss_vector
+    loss = np.asarray(loss, dtype=float)
     if space.k != 1:
-        raise ValueError(f"augment_with_cvar_k1 needs one noise coordinate, got "
-                         f"k = {space.k}; augment_with_cvar takes any k")
-    if loss.shape[0] != space.n:
+        raise ValueError(f"augment_with_cvar needs one noise coordinate, got "
+                         f"k = {space.k}")
+    if loss.shape != (space.n,):
         raise ValueError("loss functional must match the rule dimension")
-    zetas = sample_noise(privatized.noise, seed, spec.samples, CVAR_STREAM)
-    kp, km = cvar_empirical(zetas, spec.q), cvar_empirical(-zetas, spec.q)
+    kappa = privatized.noise.cvar(q)
 
     n0 = base.n
-    # at the points 0, kp and -km, h_i - G_i v = -(a + zeta_i g) with h_0 = 0:
+    # at the points 0 and +-kappa, h_i - G_i v = -(a + zeta_i g) with h_0 = 0:
     # so G_0 v = a, and the slack h_i - (G_i - G_0) v + t is t - zeta_i g
-    G, h = space.expand(loss[None], np.zeros(1), np.array([[0.0], [kp], [-km]]))
+    G, h = space.expand(loss[None], np.zeros(1), np.array([[0.0], [kappa], [-kappa]]))
     A = sp.bmat([
         [base.A, None],
         [sp.csr_array(G[1:] - G[0], shape=(2, n0)), np.full((2, 1), -1.0)],
@@ -174,4 +98,4 @@ def augment_with_cvar_k1(
 
     names = tuple(base.variable_names or ()) or tuple(f"v[{i}]" for i in range(n0))
     augmented = ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names + ("t",))
-    return augmented, {"zetas": zetas}
+    return augmented, {"t": n0}

@@ -10,7 +10,7 @@ system absorbs the regularization.  A dense LP with more cone rows than
 variables solves the reduced (n+p) normal equations by one stacked gesv;
 any other program LU-factors the unsquared (n+p+m) system by LAPACK's
 getrf, or by SuperLU for a large KKT matrix with few structural nonzeros
-(_SparseKKT; the privatized SVM and ellipsoid and the CVaR-augmented OPF).
+(_SparseKKT; the privatized SVM and ellipsoid).
 A program's A may be dense or CSR.  A stack factored densely holds its cone
 rows G densely; a stack factored sparsely holds G in pattern form
 (_PatternG: CSR values for the NonNeg rows, a dense sub-block over the
@@ -87,10 +87,11 @@ KKT_BATCH_BYTES = 4 << 20
 # N >= _SPARSE_MIN_ORDER and at most _SPARSE_MAX_DENSITY N^2 structural
 # nonzeros, and densely (getrf) otherwise.  Measured per factor plus five
 # solves on a 2-core Xeon, dense / sparse: the privatized ellipsoid (N 1318,
-# density 0.009) 33.5 / 2.0 ms; the CVaR-augmented cvar6 OPF at 600, 300,
-# 200 and 100 samples (N 1881, 981, 681, 381; density 0.006 to 0.029)
-# 104 / 6.5, 22.8 / 6.1, 9.3 / 6.4 and 2.6 / 2.7 ms; the SVM base (N 308,
-# 0.014) 1.3 / 1.0 ms; the privatized SVM (N 1208, 0.0069) 33.7 / 3.1 ms.
+# density 0.009) 33.5 / 2.0 ms; a sample-CVaR epigraph of the cvar6 OPF
+# (a test program) at 600, 300, 200 and 100 draws (N 1881, 981, 681, 381;
+# density 0.006 to 0.029) 104 / 6.5, 22.8 / 6.1, 9.3 / 6.4 and 2.6 / 2.7
+# ms; the SVM base (N 308, 0.014) 1.3 / 1.0 ms; the privatized SVM
+# (N 1208, 0.0069) 33.7 / 3.1 ms.
 # Below N = 500 a factor costs a few ms either way.  Unstructured sparse
 # programs fill in under SuperLU's COLAMD ordering and go slower: random
 # NonNeg LPs with N 1000 and density 0.009 took 28.5 / 115 ms.

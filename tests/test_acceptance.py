@@ -33,7 +33,7 @@ from dpconic.ldr import (
     privatize,
     release_rows,
 )
-from dpconic.risk import CVaRSpec, augment_with_cvar, cvar_empirical
+from dpconic.risk import augment_with_cvar
 from dpconic.solver import SolverSettings, kkt_report, solve
 from dpconic.apps import ellipsoid as app_ellipsoid
 from dpconic.apps import opf as app_opf
@@ -207,13 +207,13 @@ def test_07_safety_factor_calibration():
 
 
 def test_08_cvar_equivalence_and_sweep():
-    # (a) frozen rule: epigraph program value equals the sort-based CVaR
+    # (a) frozen rule: the exact CVaR term equals a + kappa |g| under the
+    # noise law, kappa = NoiseSpec.cvar(q)
     prog = build_simple_lp(1.0, 1.0, 2.0)
     noise = calibrate_laplace(0.05, 1.0, k=1)
     pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
     rule0 = pp.extract_rule(solve(pp.program))
-    spec = CVaRSpec(q=0.8, samples=40, loss=(1.0,))
-    aug, layout = augment_with_cvar(pp, spec, seed=9)
+    aug, _ = augment_with_cvar(pp, 0.8, (1.0,))
     extra = np.zeros((2, aug.n))
     extra[0, pp.space.xbar_idx[0]] = 1.0
     extra[1, pp.space.X_idx[0, 0]] = 1.0
@@ -225,12 +225,12 @@ def test_08_cvar_equivalence_and_sweep():
                  + [(ConeKind.ZERO.value, 2)]),
     )
     lp_val = solve(frozen, SolverSettings(tol=1e-11)).objective
-    sort_val = cvar_empirical(rule0.xbar[0] + rule0.X[0, 0] * layout["zetas"][:, 0],
-                              0.8)
-    eq_gap = abs(lp_val - sort_val)
+    exact_val = rule0.xbar[0] + noise.cvar(0.8) * abs(rule0.X[0, 0])
+    eq_gap = abs(lp_val - exact_val)
 
-    # (b) q sweep on the 6-node study network: risk column nonincreasing,
-    # mean nondecreasing, and the two columns meet at small tails
+    # (b) q sweep on the 6-node study network, scored out of sample: risk
+    # column nonincreasing, mean nondecreasing, and the two columns meet at
+    # small tails
     from dpconic.experiments import cvar_q_sweep
 
     net = app_opf.load_network("cvar6")

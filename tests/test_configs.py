@@ -113,9 +113,10 @@ def test_cvar6_sweep_rows(run):
     cfg = json.loads((CONFIGS / "cvar6-sweep.json").read_text())
     with open(run("cvar6-sweep").out / "cvar.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    # the run scores the sweep on its --mc-samples 20 draws
     rows_want = cvar_q_sweep(bundled_network("cvar6"), (0, 2, 4), 25, 1,
                              cfg["cvar_q_grid"],
-                             seed=derive_seed(cfg["seed"], Purpose.SWEEP))
+                             seed=derive_seed(cfg["seed"], Purpose.SWEEP), samples=20)
     assert rows[0] == ["q", "mean", "cvar05", "var"]
     assert rows[1:] == [[f"{v:.10g}" for v in row] for row in rows_want]
 

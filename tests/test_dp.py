@@ -22,6 +22,7 @@ from dpconic import dp, solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
 from dpconic.conic import ConeSpec, ConicProgram, Status, build_simple_lp, nonneg
 from dpconic.ldr import ConflictingConstraints
+from dpconic.risk import cvar_empirical, var_empirical
 from dpconic.solver import NumericalBreakdown, solve, stack_bytes
 from dpconic.apps.simple_lp import SimpleLpStudy, lower_bound_adjacency
 
@@ -78,6 +79,26 @@ class TestNoiseSpec:
         assert t == pytest.approx(closed[family], rel=1e-14)
         inside = float(np.mean(np.abs(sample_noise(spec, 5, 10**6)) <= t))
         assert abs(inside - 0.95) < 3 * math.sqrt(0.95 * 0.05 / 10**6)
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_cvar_matches_the_draws(self, family):
+        # kappa against the sort-based CVaR of 10^6 draws, within 5 standard
+        # errors: the CVaR's influence function is (zeta - VaR)^+ / tau
+        spec = NoiseSpec(family, 1, 25.0)
+        draws = sample_noise(spec, 6, 10**6).ravel()
+        for tau in (0.99, 0.7, 0.5, 0.3, 0.05, 0.01):
+            q = 1.0 - tau
+            excess = np.maximum(draws - var_empirical(draws, q), 0.0)
+            se = excess.std() / (tau * math.sqrt(draws.size))
+            assert abs(spec.cvar(q) - cvar_empirical(draws, q)) < 5 * se, tau
+
+    def test_laplace_cvar_branches_meet_at_half(self):
+        spec = NoiseSpec("laplace", 1, 25.0)
+        assert spec.cvar(0.5) == 25.0
+        for q in (0.5 - 1e-9, 0.5 + 1e-9):
+            assert spec.cvar(q) == pytest.approx(25.0, rel=1e-8)
+        with pytest.raises(ValueError):
+            spec.cvar(1.0)
 
 
 class TestCalibration:

@@ -204,11 +204,11 @@ def test_cvar_sweep_reads_the_config_eta(tmp_path):
     net = experiments.app_opf.bundled_network("triangle3")
     seed = derive_seed(cfg.seed, Purpose.SWEEP)
     want = experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    eta=0.05, seed=seed)
+                                    eta=0.05, seed=seed, samples=cfg.mc_samples)
     assert out["sweep"] == want
     # the sweep's default eta gives other rows, so the test tells them apart
     assert experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    seed=seed) != want
+                                    seed=seed, samples=cfg.mc_samples) != want
 
 
 def test_cvar_sweep_solves_its_grid_in_one_batch(monkeypatch):
@@ -234,6 +234,37 @@ def test_cvar_sweep_solves_its_grid_in_one_batch(monkeypatch):
         assert (program.n, program.m) == (13, 61)
         layout = solver._Layout([program])
         assert layout.kkt is None and layout.reduced
+
+
+def test_cvar_sweep_dial_steps_on_cvar6_at_alpha_50(monkeypatch):
+    # the risk dial moves: a tail of 0.5 or more keeps a rule with
+    # g = c'X near 1.94, a tail of 0.3 or less the rule with g = 0; out of
+    # sample the mean rises and the 0.95-CVaR falls across that step
+    seen, real_privatize, real_batch = {}, experiments.privatize, experiments.solve_batch
+
+    def privatize(*args, **kwargs):
+        seen["pp"] = real_privatize(*args, **kwargs)
+        return seen["pp"]
+
+    def solve_batch(programs, settings=None):
+        seen["solutions"] = real_batch(programs, settings)
+        return seen["solutions"]
+
+    monkeypatch.setattr(experiments, "privatize", privatize)
+    monkeypatch.setattr(experiments, "solve_batch", solve_batch)
+    net = experiments.app_opf.bundled_network("cvar6")
+    grid = (0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01)
+    rows = experiments.cvar_q_sweep(net, (0, 2, 4), 50.0, 1.0, grid, seed=3)
+    pp = seen["pp"]
+    g = [float(net.c @ pp.extract_rule(sol.x[: pp.program.n]).X[:, 0])
+         for sol in seen["solutions"]]
+    assert g[:4] == pytest.approx([1.94] * 4, abs=0.01)
+    assert g[4:] == pytest.approx([0.0] * 3, abs=1e-4)
+    means, cvars = [r[1] for r in rows], [r[2] for r in rows]
+    assert means[:4] == pytest.approx([1655.5] * 4, abs=0.1)
+    assert cvars[:4] == pytest.approx([1963.8] * 4, abs=0.1)
+    assert means[4:] == pytest.approx([1765.4] * 3, abs=0.1)
+    assert cvars[4:] == pytest.approx(means[4:], abs=1e-3)
 
 
 def test_non_optimal_study_solve_reads_infeasible(tmp_path):

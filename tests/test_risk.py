@@ -16,13 +16,7 @@ from dpconic.ldr import (
     WeightedSumQuery,
     privatize,
 )
-from dpconic.risk import (
-    CVaRSpec,
-    augment_with_cvar,
-    augment_with_cvar_k1,
-    cvar_empirical,
-    var_empirical,
-)
+from dpconic.risk import augment_with_cvar, cvar_empirical, var_empirical
 from dpconic.solver import SolverSettings, solve
 from dpconic.apps.metrics import evaluate_rule_metrics
 
@@ -175,132 +169,49 @@ class TestFeasibleColumn:
 
 
 class TestAugmentWithCvar:
-    def _frozen_value(self, q, samples, seed_draws, xbar0=None):
+    """The exact CVaR term at a rule frozen by Zero rows.  The oracle is the
+    CVaR of a + g zeta under the noise law, a + kappa |g|, whose kappa
+    (NoiseSpec.cvar) test_dp checks against the sorted draws."""
+
+    @staticmethod
+    def _simple_lp():
         prog = build_simple_lp(1.0, 1.0, 2.0)
         noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
-        sol0 = solve(pp.program)
-        rule0 = pp.extract_rule(sol0)
-        xb = float(rule0.xbar[0]) if xbar0 is None else xbar0
-        X0 = float(rule0.X[0, 0])
-        spec = CVaRSpec(q=q, samples=samples, loss=(1.0,))
-        aug, layout = augment_with_cvar(pp, spec, seed=seed_draws)
+        return privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
+
+    def test_frozen_rule_matches_sort_oracle(self):
+        pp = self._simple_lp()
+        rule0 = pp.extract_rule(solve(pp.program))
+        xb, X0 = float(rule0.xbar[0]), float(rule0.X[0, 0])
+        aug, layout = augment_with_cvar(pp, 0.8, (1.0,))
+        assert layout == {"t": pp.program.n} == {"t": aug.n - 1}
         extra = np.zeros((2, aug.n))
         extra[0, pp.space.xbar_idx[0]] = 1.0
         extra[1, pp.space.X_idx[0, 0]] = 1.0
-        A2 = np.vstack([as_dense(aug.A), extra])
-        b2 = np.concatenate([aug.b, [xb, X0]])
         blocks = [(blk.kind.value, blk.dim) for blk in aug.cones.blocks]
         blocks.append((ConeKind.ZERO.value, 2))
-        frozen = ConicProgram(A2, b2, aug.c, ConeSpec(blocks))
-        sol = solve(frozen, SolverSettings(tol=1e-11))
-        vals = xb + X0 * layout["zetas"][:, 0]
-        return sol.objective, cvar_empirical(vals, q)
-
-    def test_frozen_rule_matches_sort_oracle(self):
-        lp_value, sort_value = self._frozen_value(q=0.8, samples=40, seed_draws=9)
-        assert abs(lp_value - sort_value) < 1e-9
-
-    def test_single_sample_any_q(self):
-        for q in (0.2, 0.9):
-            lp_value, sort_value = self._frozen_value(q=q, samples=1, seed_draws=5)
-            assert abs(lp_value - sort_value) < 1e-8
+        frozen = ConicProgram(np.vstack([as_dense(aug.A), extra]),
+                              np.concatenate([aug.b, [xb, X0]]), aug.c, ConeSpec(blocks))
+        lp_value = solve(frozen, SolverSettings(tol=1e-11)).objective
+        assert abs(lp_value - (xb + pp.noise.cvar(0.8) * abs(X0))) < 1e-9
 
     def test_loss_dimension_checked(self):
-        prog = build_simple_lp(1.0, 1.0, 2.0)
-        noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
-        with pytest.raises(ValueError):
-            augment_with_cvar(pp, CVaRSpec(q=0.5, samples=3, loss=(1.0, 2.0)), seed=0)
+        with pytest.raises(ValueError, match="rule dimension"):
+            augment_with_cvar(self._simple_lp(), 0.5, (1.0, 2.0))
 
     def test_query_rows_untouched(self):
-        prog = build_simple_lp(1.0, 1.0, 2.0)
-        noise = calibrate_laplace(0.05, 1.0, k=1)
-        pp = privatize(prog, noise, WeightedSumQuery([1.0]), VertexChance(eta=0.05))
-        aug, _ = augment_with_cvar(pp, CVaRSpec(q=0.5, samples=7, loss=(1.0,)), seed=2)
+        pp = self._simple_lp()
+        aug, _ = augment_with_cvar(pp, 0.5, (1.0,))
         sol = solve(aug, SolverSettings(tol=1e-9))
         assert sol.status == Status.OPTIMAL
         rule = pp.extract_rule(sol.x[: pp.program.n])
         assert abs(rule.X[0, 0] - 1.0) < 1e-9  # sum-query constraint still holds
 
-
-class TestCvarSpecValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            CVaRSpec(q=0.0, samples=5, loss=(1.0,))
-        with pytest.raises(ValueError):
-            CVaRSpec(q=0.5, samples=0, loss=(1.0,))
-
-
-def _ref_augment(privatized, spec, seed, stream=1):
-    """The loop over samples, rule coordinates and noise coordinates that
-    built the CVaR rows before they came from RuleSpace.expand."""
-    base, space, loss = privatized.program, privatized.space, spec.loss_vector
-    zetas = sample_noise(privatized.noise, seed, spec.samples, stream)
-    S, n0 = spec.samples, base.n
-    z_idx = np.arange(n0 + 1, n0 + 1 + S)
-    A_pos = np.zeros((S, n0 + 1 + S))
-    A_pos[np.arange(S), z_idx] = -1.0
-    A_epi, b_epi = np.zeros((S, n0 + 1 + S)), np.zeros(S)
-    for s in range(S):
-        A_epi[s, z_idx[s]] = -1.0
-        A_epi[s, n0] = -1.0
-        for i in range(space.n):
-            if loss[i] == 0.0:
-                continue
-            A_epi[s, space.xbar_idx[i]] += loss[i]
-            for j in range(space.k):
-                contrib = loss[i] * zetas[s, j]
-                if space.X_idx[i, j] < 0:  # pinned
-                    b_epi[s] += contrib * space.pin_values[i, j]
-                else:
-                    A_epi[s, space.X_idx[i, j]] += contrib
-    A = np.vstack([np.hstack([as_dense(base.A), np.zeros((base.m, 1 + S))]), A_pos, A_epi])
-    b = np.concatenate([base.b, np.zeros(S), -b_epi])
-    c = np.zeros(n0 + 1 + S)
-    c[n0] = 1.0
-    c[z_idx] = 1.0 / ((1.0 - spec.q) * S)
-    blocks = [(blk.kind.value, blk.dim) for blk in base.cones.blocks]
-    blocks += [(ConeKind.NONNEG.value, S)] * 2
-    names = base.variable_names + ("gamma",) + tuple(f"z[{s}]" for s in range(S))
-    return ConicProgram(A, b, c, ConeSpec(blocks), variable_names=names)
-
-
-def _privatized(query_kind, seed):
-    """A random box-like program, privatized under the named query."""
-    rng = np.random.default_rng(seed)
-    n = 4
-    A = rng.normal(size=(6, n))
-    A[rng.random(A.shape) < 0.3] = 0.0
-    prog = ConicProgram(A, rng.uniform(1.0, 3.0, 6), rng.normal(size=n),
-                        ConeSpec([("NonNeg", 6)]))
-    if query_kind == "weighted":
-        query, k = WeightedSumQuery(rng.uniform(0.5, 2.0, n)), 1
-    elif query_kind == "identity":
-        query, k = SelectQuery(range(n)), n
-    else:
-        # the SVM's structure: the first k rows of X pinned to I, the rest free
-        query, k = SelectQuery(range(2)), 2
-    noise = calibrate_laplace(0.2, 1.0, k=k)
-    return privatize(prog, noise, query, IndividualChance(eta=0.1))
-
-
-class TestAugmentMatchesLoop:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("query_kind", ["weighted", "identity", "identity-rows"])
-    def test_same_program(self, query_kind, seed):
-        pp = _privatized(query_kind, seed)
-        loss = np.random.default_rng(seed + 10).normal(size=pp.space.n)
-        loss[1] = 0.0
-        spec = CVaRSpec(q=0.8, samples=13, loss=tuple(loss))
-        got, layout = augment_with_cvar(pp, spec, seed=seed)
-        ref = _ref_augment(pp, spec, seed)
-        assert np.array_equal(as_dense(got.A), ref.A)
-        assert np.array_equal(got.b, ref.b)
-        assert np.array_equal(got.c, ref.c)
-        assert got.cones == ref.cones
-        assert got.variable_names == ref.variable_names
-        assert list(layout["z"]) == list(range(pp.program.n + 1, got.n))
+    def test_q_bounds(self):
+        pp = self._simple_lp()
+        for q in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+                augment_with_cvar(pp, q, (1.0,))
 
 
 def _opf_k1(name, query):
@@ -312,35 +223,18 @@ def _opf_k1(name, query):
              else SelectQuery((0,)))
     pp = privatize(opf.build_opf(net), calibrate_laplace(25.0, 1.0, k=1), query,
                    VertexChance(eta=0.01))
-    return pp, tuple(net.c)
+    return pp, np.asarray(net.c)
 
 
 class TestAugmentWithCvarK1:
-    """The k = 1 form against augment_with_cvar and the sort-based CVaR."""
-
-    @pytest.mark.parametrize("q, samples", [
-        (0.01, 300), (0.3, 300), (0.8, 300), (0.99, 300),
-        (0.3, 37)])   # (1 - q) S = 25.9: the tail weight is fractional
-    @pytest.mark.parametrize("name, query", [("cvar6", "sum"), ("triangle3", "select")])
-    def test_optimum_equals_the_sampled_epigraph(self, name, query, q, samples):
-        pp, loss = _opf_k1(name, query)
-        spec = CVaRSpec(q=q, samples=samples, loss=loss)
-        sampled, drawn = augment_with_cvar(pp, spec, seed=5)
-        two_row, layout = augment_with_cvar_k1(pp, spec, seed=5)
-        assert (two_row.n, two_row.m) == (pp.program.n + 1, pp.program.m + 2)
-        assert np.array_equal(layout["zetas"], drawn["zetas"])
-        settings = SolverSettings(tol=1e-9)
-        want, got = solve(sampled, settings), solve(two_row, settings)
-        assert want.status == got.status == Status.OPTIMAL
-        assert abs(got.objective - want.objective) <= 1e-8 * (1.0 + abs(want.objective))
+    """The exact term on OPF rules of one noise coordinate, the only k it takes."""
 
     @pytest.mark.parametrize("g", [1.5, -0.7, 0.0])
     @pytest.mark.parametrize("query", ["sum", "select"])
     def test_frozen_rule_matches_sort_oracle(self, query, g):
         # the two new rows and the objective at a rule fixed by Zero rows:
-        # min over t of a + t, t >= kp g, t >= -km g
+        # min over t of a + t, t >= kappa g, t >= -kappa g
         pp, loss = _opf_k1("triangle3", query)
-        loss = np.asarray(loss)
         space = pp.space
         v = np.random.default_rng(2).normal(size=pp.program.n)
         # move the free entries of X along the loss so that l'X = g
@@ -349,22 +243,26 @@ class TestAugmentWithCvarK1:
         v[free] += (g - loss @ space.extract(v).X[:, 0]) * lf / (lf @ lf)
         rule = space.extract(v)
         assert loss @ rule.X[:, 0] == pytest.approx(g, abs=1e-12)
-        spec = CVaRSpec(q=0.8, samples=41, loss=tuple(loss))
-        aug, layout = augment_with_cvar_k1(pp, spec, seed=9)
+        aug, _ = augment_with_cvar(pp, 0.8, loss)
         m0, n0 = pp.program.m, pp.program.n
+        assert (aug.n, aug.m) == (n0 + 1, m0 + 2)
         frozen = ConicProgram(
             np.vstack([as_dense(aug.A)[m0:], np.eye(n0, n0 + 1)]),
             np.concatenate([aug.b[m0:], v]), aug.c,
             ConeSpec([(ConeKind.NONNEG.value, 2), (ConeKind.ZERO.value, n0)]))
         sol = solve(frozen, SolverSettings(tol=1e-11))
         assert sol.status == Status.OPTIMAL
-        sort_value = cvar_empirical(rule.evaluate_many(layout["zetas"]) @ loss, 0.8)
-        assert abs(sol.objective - sort_value) <= 1e-9
+        exact = loss @ rule.xbar + pp.noise.cvar(0.8) * abs(loss @ rule.X[:, 0])
+        assert abs(sol.objective - exact) <= 1e-9
 
     def test_more_than_one_noise_coordinate_rejected(self):
-        pp = _privatized("identity", 0)
+        # an identity query over four variables: k = 4
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(6, 4))
+        prog = ConicProgram(A, rng.uniform(1.0, 3.0, 6), rng.normal(size=4),
+                            ConeSpec([("NonNeg", 6)]))
+        pp = privatize(prog, calibrate_laplace(0.2, 1.0, k=4), SelectQuery(range(4)),
+                       IndividualChance(eta=0.1))
         assert pp.space.k == 4
-        spec = CVaRSpec(q=0.5, samples=3, loss=(1.0,) * pp.space.n)
-        with pytest.raises(ValueError, match=r"one noise coordinate, got k = 4; "
-                                             r"augment_with_cvar takes any k"):
-            augment_with_cvar_k1(pp, spec, seed=0)
+        with pytest.raises(ValueError, match=r"one noise coordinate, got k = 4"):
+            augment_with_cvar(pp, 0.5, (1.0,) * pp.space.n)

@@ -21,10 +21,10 @@ from dpconic.conic import (
 )
 from dpconic import solver
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
-from dpconic.dp import Purpose, calibrate_gaussian, calibrate_laplace, derive_seed, rng_stream
+from dpconic.dp import (calibrate_gaussian, calibrate_laplace, derive_seed, rng_stream,
+                        sample_noise)
 from dpconic.ldr import (IndividualChance, VertexChance, WeightedSumQuery,
                          privatize)
-from dpconic.risk import CVaRSpec, augment_with_cvar
 from dpconic.solver import SolverSettings, kkt_report, solve, solve_batch
 
 from conftest import random_feasible_program
@@ -87,6 +87,28 @@ class TestBasics:
             sol = solve(p)
             assert sol.status == Status.OPTIMAL
             assert cone_membership(slack(p, sol.x), p.cones, 10 * 1e-8)
+
+    def test_frozen_single_sample_cvar_lp(self):
+        # the one-draw sample-CVaR epigraph (gamma, z) of the privatized
+        # simple LP at q 0.9, its rule (xbar, X) frozen by the last two rows:
+        # the optimum is the one loss xbar + X zeta.  At tol 1e-11 the solver
+        # ends in MaxIter after 14 iterations at a kkt_report gap of 5.2e-10
+        a = -0.1497866136776995
+        zeta = 0.02857932414132275
+        xbar = 1.1497866137686243
+        A = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [1.0, a, 0.0, 0.0], [-1.0, -a, 0.0, 0.0],
+                      [1.0, -a, 0.0, 0.0], [-1.0, a, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, -1.0],
+                      [1.0, zeta, -1.0, -1.0],
+                      [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        b = np.array([1.0, 2.0, -1.0, 2.0, -1.0, 0.0, 0.0, xbar, 1.0])
+        c = np.array([0.0, 0.0, 1.0, 1.0 / ((1.0 - 0.9) * 1)])
+        prog = ConicProgram(A, b, c, ConeSpec([zero(1), nonneg(2), nonneg(2), nonneg(1),
+                                               nonneg(1), zero(2)]))
+        assert (prog.n, prog.m) == (4, 9)
+        sol = solve(prog, SolverSettings(tol=1e-11))
+        assert abs(sol.objective - (xbar + zeta)) < 1e-8
 
 
 class TestKktReport:
@@ -924,24 +946,44 @@ class TestSolveBatch:
 
 
 def _cvar6_epigraphs(seed):
-    """augment_with_cvar's 300-draw epigraph, drawn at seed, of the cvar6
-    OPF's rule for the sum over every other node (alpha 1, eta 0.01) at
-    q 0.05, 0.1 and 0.2: the privatization and the programs by q."""
+    """The 300-draw sample-CVaR epigraph of the cvar6 OPF's rule for the sum
+    over every other node (alpha 1, eta 0.01) at q 0.05, 0.1 and 0.2, the
+    draws from stream 1 of seed: the privatization and the programs by q.
+    Each appends gamma (free) and z_1..z_S >= 0 with z_s >= l'(xbar + X
+    zeta_s) - gamma, and minimizes gamma + 1/(q S) sum z_s, an LP whose KKT
+    matrix is large and sparse."""
     net = opf.bundled_network("cvar6")
     wq = np.zeros(net.n_nodes)
     wq[::2] = 1.0
     pp = privatize(opf.build_opf(net), calibrate_laplace(1.0, 1.0, k=1),
                    WeightedSumQuery(wq), VertexChance(eta=0.01))
-    return pp, {q: augment_with_cvar(pp, CVaRSpec(q=1.0 - q, samples=300, loss=tuple(net.c)),
-                                     seed=seed)[0]
-                for q in (0.05, 0.1, 0.2)}
+    base, S = pp.program, 300
+    G, h = pp.space.expand(np.asarray(net.c)[None], np.zeros(1),
+                           sample_noise(pp.noise, seed, S, 1))
+    minus_z = -sp.eye_array(S, format="csr")
+    A = sp.bmat([
+        [base.A, None, None],
+        [None, sp.csr_array((S, 1)), minus_z],
+        [sp.csr_array(G, shape=(S, base.n)), np.full((S, 1), -1.0), minus_z],
+    ], format="csr")
+    b = np.concatenate([base.b, np.zeros(S), h])
+    cones = ConeSpec([(blk.kind.value, blk.dim) for blk in base.cones.blocks]
+                     + [(ConeKind.NONNEG.value, S)] * 2)
+    programs = {}
+    for q in (0.05, 0.1, 0.2):
+        level = 1.0 - q  # the weight is 1/((1 - level) S), rounded as it was built
+        c = np.zeros(base.n + 1 + S)
+        c[base.n] = 1.0
+        c[base.n + 1:] = 1.0 / ((1.0 - level) * S)
+        programs[q] = ConicProgram(A, b, c, cones)
+    return pp, programs
 
 
 def _sparse_corpus():
-    """The study programs that take the sparse factor: the any-k CVaR epigraph
-    drawn at derive_seed(0, CVAR) under tol 1e-7 and the privatized
+    """The study programs that take the sparse factor: the 300-draw CVaR
+    epigraph at seed derive_seed(0, 6) under tol 1e-7 and the privatized
     ellipsoid, each with its settings."""
-    _, programs = _cvar6_epigraphs(derive_seed(0, Purpose.CVAR))
+    _, programs = _cvar6_epigraphs(derive_seed(0, 6))
     out = {f"cvar-{q}": (aug, SolverSettings(tol=1e-7)) for q, aug in programs.items()}
     noise = calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM)
     pv = ellipsoid.privatize_ellipsoid(ellipsoid.regular_polygon(5, 2.0), noise,
@@ -1043,7 +1085,7 @@ class TestReducedForm:
 
 def _pattern_corpus():
     """The study programs on the sparse path: the study SVM, the privatized
-    ellipsoid and the any-k CVaR epigraph of the cvar6 OPF at three q.  Each
+    ellipsoid and the 300-draw CVaR epigraph of the cvar6 OPF at three q.  Each
     maps to (program, settings, solution, rule.xbar)."""
     data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
     pv = svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
