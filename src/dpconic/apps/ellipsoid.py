@@ -1,11 +1,17 @@
 """Maximum-volume inscribed ellipsoid of a planar polytope, privately.
 
-The ellipse {Y u + z : |u| <= 1} sits inside {x : a_i'x <= b_i} iff
-|Y'a_i| <= b_i - a_i'z per row; for symmetric PSD Y the objective
-det(Y)^(1/2) has the rotated-SOC hypograph t^2 <= Y11 Y22 - Y12^2.  The
-private release perturbs (z, Y) entrywise with a fixed identity recourse,
-so released Y may be asymmetric: containment is always checked with the
-exact support-function test and definiteness on the symmetric part.
+One program serves the study: build_ellipsoid, over the rule coordinates
+(z1, z2, Y11, Y21, Y12, Y22) of a general 2x2 Y, then t.  The ellipse
+{Y u + z : |u| <= 1} sits inside {x : a_i'x <= b_i} iff
+|Y'a_i| <= b_i - a_i'z per row, for any Y.  The PSD row and the det
+hypograph t^2 <= det(Ys) act on the symmetric part Ys.  Since
+det(Ys) <= |det Y| for 2x2 Y, and the symmetric factor P of Y = PU
+passes the same containment rows, the optimum is symmetric: the base solve
+is the maximum-volume ellipse.  The private release perturbs the six rule
+coordinates with a fixed identity recourse (the same program under
+privatize), so released Y may be asymmetric: containment is always checked
+with the exact support-function test and definiteness on the symmetric
+part.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import (ConeKind, ConicProgram, ConeSpec, Solution, Status, nonneg,
-                     read_only_copy, require_optimal, rsoc, soc)
+from ..conic import (ConicProgram, ConeSpec, Status, nonneg, read_only_copy,
+                     require_optimal, rsoc, soc)
 from ..dp import AdjacencyModel, NoiseSpec, sample_noise
 from ..ldr import Privatization, SelectQuery, VertexChance, privatize
 from ..solver import SolverSettings, solve
@@ -26,9 +32,10 @@ DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=150)
 
 _SQRT2 = math.sqrt(2.0)
 
-# rule coordinate order: (z1, z2, Y11, Y21, Y12, Y22); the fixed recourse is
-# the identity on these six coordinates, i.e. z += zeta[0:2], Y's first
-# column += zeta[2:4] and second column += zeta[4:6].
+# rule coordinate order: (z1, z2, Y11, Y21, Y12, Y22), the first columns of
+# build_ellipsoid; the fixed recourse is the identity on these six
+# coordinates, i.e. z += zeta[0:2], Y's first column += zeta[2:4] and second
+# column += zeta[4:6].
 RULE_DIM = 6
 
 # an angular gap this close to pi counts as pi (see check_bounded)
@@ -119,54 +126,49 @@ def check_bounded(inst: EllipsoidInstance) -> None:
 
 
 def build_ellipsoid(inst: EllipsoidInstance) -> ConicProgram:
-    """max t s.t. t^2 <= det(Y), |Y a_i| <= b_i - a_i'z, Y symmetric 2x2.
+    """max t over the rule coordinates (z1, z2, Y11, Y21, Y12, Y22), then t;
+    raises ValueError unless the polyhedron is bounded and nonempty
+    (check_bounded).
 
-    Variables (t, z1, z2, Y11, Y22, Y12); the det hypograph is the
-    rotated-SOC row (Y11, Y22, sqrt2 t, sqrt2 Y12).
+    Y may be asymmetric: containment is the exact |Y'a_i| <= b_i - a_i'z,
+    while the PSD row (Ys11, Ys22, sqrt2 Ys12) and the det hypograph
+    (Ys11, Ys22, sqrt2 t, sqrt2 Ys12) act on its symmetric part Ys.  t, the
+    last column, is privatize_ellipsoid's epigraph column.
     """
     check_bounded(inst)
-    nv = 6
-    t_i, z_i, y11, y22, y12 = 0, (1, 2), 3, 4, 5
-    rows_A, rows_b, blocks = [], [], []
+    m = inst.m
+    A = np.zeros((3 * m + 7, RULE_DIM + 1))
+    b = np.zeros(3 * m + 7)
+    # containment SOC rows: (b_i - a'z, Y'a)
+    A[0 : 3 * m : 3, 0:2] = inst.a
+    b[0 : 3 * m : 3] = inst.b
+    A[1 : 3 * m : 3, 2:4] = -inst.a
+    A[2 : 3 * m : 3, 4:6] = -inst.a
+    psd, det = 3 * m, 3 * m + 3
+    for r in (psd, det):
+        A[r, 2] = -1.0
+        A[r + 1, 5] = -1.0
+    A[psd + 2, 3:5] = -0.5 * _SQRT2
+    A[det + 2, 6] = -_SQRT2
+    A[det + 3, 3:5] = -0.5 * _SQRT2
+    c = np.zeros(RULE_DIM + 1)
+    c[-1] = -1.0
+    names = ("z[0]", "z[1]", "Y[0][0]", "Y[1][0]", "Y[0][1]", "Y[1][1]", "t")
+    return ConicProgram(A, b, c, ConeSpec([soc(3)] * m + [rsoc(3), rsoc(4)]),
+                        variable_names=names)
 
-    A1 = np.zeros((4, nv))
-    A1[0, y11] = -1.0
-    A1[1, y22] = -1.0
-    A1[2, t_i] = -_SQRT2
-    A1[3, y12] = -_SQRT2
-    rows_A.append(A1)
-    rows_b.append(np.zeros(4))
-    blocks.append((ConeKind.RSOC.value, 4))
 
-    for i in range(inst.m):
-        a1, a2 = inst.a[i]
-        Ai = np.zeros((3, nv))
-        Ai[0, z_i[0]], Ai[0, z_i[1]] = a1, a2
-        # (Y a)_1 = Y11 a1 + Y12 a2 ; (Y a)_2 = Y12 a1 + Y22 a2
-        Ai[1, y11], Ai[1, y12] = -a1, -a2
-        Ai[2, y12], Ai[2, y22] = -a1, -a2
-        rows_A.append(Ai)
-        rows_b.append(np.array([inst.b[i], 0.0, 0.0]))
-        blocks.append((ConeKind.SOC.value, 3))
-
-    c = np.zeros(nv)
-    c[t_i] = -1.0
-    names = ("t", "z[0]", "z[1]", "Y[0][0]", "Y[1][1]", "Y[0][1]")
-    return ConicProgram(np.vstack(rows_A), np.concatenate(rows_b), c,
-                        ConeSpec(blocks), variable_names=names)
+def release_query(inst: EllipsoidInstance) -> SelectQuery:
+    """The released (z, Y): the RULE_DIM rule coordinates, the first columns
+    of build_ellipsoid."""
+    return SelectQuery(range(RULE_DIM))
 
 
 def solve_ellipsoid(inst: EllipsoidInstance):
-    """Returns (z, Y, t, solution) for the deterministic instance."""
-    sol = solve(build_ellipsoid(inst), DEFAULT_SETTINGS)
-    return (*_read_ellipsoid(inst, sol), sol)
-
-
-def _read_ellipsoid(inst: EllipsoidInstance, sol: Solution):
-    """(z, Y, t) of a deterministic solution; raises unless it is Optimal."""
-    t, z1, z2, y11, y22, y12 = require_optimal(sol, "ellipsoid solve").x
-    Y = np.array([[y11, y12], [y12, y22]])
-    return np.array([z1, z2]), Y, float(t)
+    """Returns (z, Y, t, solution) for the deterministic instance; raises
+    unless the solve is Optimal."""
+    sol = require_optimal(solve(build_ellipsoid(inst), DEFAULT_SETTINGS), "ellipsoid solve")
+    return (*unpack_rule_vector(release_query(inst).value(sol.x)), float(sol.x[RULE_DIM]), sol)
 
 
 def rule_vector(z: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -196,8 +198,8 @@ def ellipsoid_volume(Y: np.ndarray) -> float:
 def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyModel:
     """Universe where each b_i ranges over [b_i(1-gamma), b_i(1+gamma)];
     all such instances are adjacent, and the model's alpha is gamma_frac.
-    Query: the (z, Y) rule vector of the deterministic optimum.  gamma_frac
-    must lie in (0, 1)."""
+    It reads release_query, the (z, Y) rule vector of the deterministic
+    optimum.  gamma_frac must lie in (0, 1)."""
     if not 0 < gamma_frac < 1:
         raise ValueError(f"b-range fraction must lie in (0, 1), got {gamma_frac}")
 
@@ -205,40 +207,14 @@ def b_range_adjacency(inst: EllipsoidInstance, gamma_frac: float) -> AdjacencyMo
         f = rng.uniform(-gamma_frac, gamma_frac, size=inst.m)
         return inst.with_b(inst.b * (1.0 + f))
 
+    query = release_query(inst)
+
     def read(ins, sol):
-        z, Y, _ = _read_ellipsoid(ins, sol)
-        return rule_vector(z, Y)
+        return query.value(require_optimal(sol, "ellipsoid solve").x)
 
     return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
                           program=build_ellipsoid, read=read, alpha=gamma_frac,
                           settings=DEFAULT_SETTINGS)
-
-
-def _rule_program(inst: EllipsoidInstance) -> ConicProgram:
-    """max t over the rule coordinates (z1, z2, Y11, Y21, Y12, Y22) plus t.
-
-    Y may be asymmetric: containment is the exact |Y'a_i| <= b_i - a_i'z,
-    while the PSD row (Ys11, Ys22, sqrt2 Ys12) and the det hypograph
-    (Ys11, Ys22, sqrt2 t, sqrt2 Ys12) act on its symmetric part Ys.
-    """
-    m = inst.m
-    A = np.zeros((3 * m + 7, RULE_DIM + 1))
-    b = np.zeros(3 * m + 7)
-    # containment SOC rows: (b_i - a'z, Y'a)
-    A[0 : 3 * m : 3, 0:2] = inst.a
-    b[0 : 3 * m : 3] = inst.b
-    A[1 : 3 * m : 3, 2:4] = -inst.a
-    A[2 : 3 * m : 3, 4:6] = -inst.a
-    psd, det = 3 * m, 3 * m + 3
-    for r in (psd, det):
-        A[r, 2] = -1.0
-        A[r + 1, 5] = -1.0
-    A[psd + 2, 3:5] = -0.5 * _SQRT2
-    A[det + 2, 6] = -_SQRT2
-    A[det + 3, 3:5] = -0.5 * _SQRT2
-    c = np.zeros(RULE_DIM + 1)
-    c[-1] = -1.0
-    return ConicProgram(A, b, c, ConeSpec([soc(3)] * m + [rsoc(3), rsoc(4)]))
 
 
 def privatize_ellipsoid(
@@ -257,8 +233,7 @@ def privatize_ellipsoid(
     draws from OBJ_STREAM at seed, the one draw of any privatization.
     Releases (z, Y).
     """
-    check_bounded(inst)
-    pp = privatize(_rule_program(inst), noise, SelectQuery(range(RULE_DIM)),
+    pp = privatize(build_ellipsoid(inst), noise, release_query(inst),
                    VertexChance(eta), epigraph_vars=1,
                    objective_points=sample_noise(noise, seed, obj_samples, OBJ_STREAM))
     return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)
@@ -268,7 +243,7 @@ def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
     """The experiment study (cfg: eta): a released (z, Y) scores its volume
     deficit against the non-private ellipse, and is violated when its
     ellipse leaves the polygon."""
-    z_det, Y_det, _, _ = solve_ellipsoid(inst)
+    _, Y_det, _, det_sol = solve_ellipsoid(inst)
     vol_det = ellipsoid_volume(Y_det)
 
     def score(rows, pv):
@@ -278,7 +253,7 @@ def experiment_study(cfg, inst: EllipsoidInstance) -> Study:
         return np.array(deficits), np.array(outside)
 
     return Study(
-        nominal=rule_vector(z_det, Y_det),
+        nominal=release_query(inst).value(det_sol.x),
         privatize=lambda noise, seed: privatize_ellipsoid(
             inst, noise, eta=cfg.eta, seed=seed),
         score=score)

@@ -136,17 +136,22 @@ def opf_cost_range(net: PowerNetwork, base: Solution | None = None):
     return lo.objective, -hi.objective
 
 
+def release_query(net: PowerNetwork) -> WeightedSumQuery:
+    """The released dispatch cost c'x."""
+    return WeightedSumQuery(net.c)
+
+
 def demand_adjacency(net: PowerNetwork, alpha: float) -> AdjacencyModel:
     """Adjacent pairs differing in one demand entry by at most alpha.
 
     The shift is drawn uniformly in [-alpha, alpha] (direction and radius
     inside the ball, no rejection).  Nested in alpha for a fixed stream.
-    The released value is the cost c'x, the private vector the demand d
+    It reads release_query, the cost c'x; the private vector is the demand d
     (l1 distance at most alpha).  Raises ValueError unless alpha > 0.
     """
     if not alpha > 0:
         raise ValueError(f"opf alpha must be positive, got {alpha}")
-    cost = WeightedSumQuery(net.c)
+    cost = release_query(net)
 
     def sample_pair(rng):
         node = int(rng.integers(net.n_nodes))
@@ -175,7 +180,7 @@ def privatize_opf(
     (VertexChance).  Raises NotOptimal when the program cannot absorb it;
     the experiment harness records that as a row.  The release is the cost.
     """
-    pp = privatize(build_opf(net), noise, WeightedSumQuery(net.c), VertexChance(eta=eta))
+    pp = privatize(build_opf(net), noise, release_query(net), VertexChance(eta=eta))
     return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
 
 
@@ -206,6 +211,6 @@ def experiment_study(cfg, net: PowerNetwork) -> Study:
                 ~released_cost_feasible(costs, lo, hi))
 
     return Study(
-        nominal=np.array([base.objective]),
+        nominal=release_query(net).value(base.x),
         privatize=lambda noise, seed: privatize_opf(net, noise, cfg.eta),
         score=score)

@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
-                     quadratic_epigraph, read_only_copy, replace_unchecked,
-                     require_optimal)
+from ..conic import (ConicProgram, ConeSpec, nonneg, quadratic_epigraph, read_only_copy,
+                     replace_unchecked, require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
@@ -186,7 +185,9 @@ def build_wind_curve_dataset(speeds, power, noise_sigma: float = 0.1,
 def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     """Conic form of min |y - Phi w|^2 + ridge |w|^2 s.t. C w >= 0.
 
-    Variables (u, v, w).  The fit is one rotated-SOC block
+    Variables (w, u, v): the released weights first, as release_query
+    selects them, and the epigraph variables u and v last, as
+    privatize_regression's epigraph columns.  The fit is one rotated-SOC block
     (u, H', s [Q'y - R w; rho]) over the thin QR Phi = QR, with
     rho = |y - QQ'y|: its squared norm is s^2 |y - Phi w|^2, so u weighted
     2 H' / s^2 is the fit, and the block has mb + 3 rows for any n >= mb.
@@ -195,8 +196,8 @@ def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     """
     Phi, C = model.design, model.C
     n, mb = Phi.shape
-    nv = 2 + mb
-    u_i, v_i, w_i = 0, 1, np.arange(2, nv)
+    nv = mb + 2
+    w_i, u_i, v_i = np.arange(mb), mb, mb + 1
     qty, R, rho = model.thin_qr
     # H = max(|y|, 1) on the ridge: w = 0 costs |y|^2, so v* <= H/2.  The
     # ridge's own bound |y|/sqrt(ridge) is not used: at ridge 1e-8 it gives
@@ -223,7 +224,7 @@ def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     A2, b2, ridge = quadratic_epigraph(nv, v_i, w_i, -np.eye(mb), np.zeros(mb), H)
     A3 = np.zeros((C.shape[0], nv)); A3[:, w_i] = -C
     c = np.zeros(nv); c[u_i] = 2.0 * Hf / (s * s); c[v_i] = 2.0 * H * model.ridge
-    names = ("u", "v") + tuple(f"w[{j}]" for j in range(mb))
+    names = tuple(f"w[{j}]" for j in range(mb)) + ("u", "v")
     return ConicProgram(
         np.vstack([A1, A2, A3]),
         np.concatenate([b1, b2, np.zeros(C.shape[0])]),
@@ -233,14 +234,25 @@ def build_monotone_regression(model: RegressionModel) -> ConicProgram:
     )
 
 
-def _read_weights(model: RegressionModel, sol: Solution) -> np.ndarray:
-    """The basis weights w of a solution; raises unless it is Optimal."""
-    return require_optimal(sol, "regression solve").x[2:]
+def release_query(model: RegressionModel) -> SelectQuery:
+    """The released weights w: the first mb columns of
+    build_monotone_regression."""
+    return SelectQuery(range(model.basis.dim))
+
+
+def _weights_read(model: RegressionModel):
+    """The adjacency read of the model's datasets: release_query at an
+    Optimal solution."""
+    query = release_query(model)
+    return lambda ds, sol: query.value(require_optimal(sol, "regression solve").x)
 
 
 def solve_regression(model: RegressionModel):
-    sol = solve(build_monotone_regression(model), DEFAULT_SETTINGS)
-    return _read_weights(model, sol), sol
+    """Returns (w, solution) of the deterministic fit; raises unless the
+    solve is Optimal."""
+    sol = require_optimal(solve(build_monotone_regression(model), DEFAULT_SETTINGS),
+                          "regression solve")
+    return release_query(model).value(sol.x), sol
 
 
 def circle_law_adjacency(
@@ -259,7 +271,7 @@ def circle_law_adjacency(
                                model.y + y_scale * r * np.sin(t))
 
     return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
-                          program=build_monotone_regression, read=_read_weights,
+                          program=build_monotone_regression, read=_weights_read(model),
                           alpha=math.inf, settings=DEFAULT_SETTINGS)
 
 
@@ -275,7 +287,7 @@ def value_range_adjacency(model: RegressionModel, frac: float) -> AdjacencyModel
         return model.with_data(model.x, model.y * (1.0 + f))
 
     return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
-                          program=build_monotone_regression, read=_read_weights,
+                          program=build_monotone_regression, read=_weights_read(model),
                           alpha=frac, settings=DEFAULT_SETTINGS)
 
 
@@ -294,12 +306,8 @@ def privatize_regression(
     """
     if noise.family != "gaussian":
         raise ValueError("regression release is calibrated for Gaussian noise")
-    mb = model.basis.dim
-    chance = IndividualChance(eta=eta)
-    # columns (w, u, v): the fit and ridge epigraph variables go last
-    program = permute_columns(build_monotone_regression(model),
-                              np.r_[2 : 2 + mb, 0, 1])
-    pp = privatize(program, noise, SelectQuery(range(mb)), chance, epigraph_vars=2)
+    pp = privatize(build_monotone_regression(model), noise, release_query(model),
+                   IndividualChance(eta=eta), epigraph_vars=2)
     return pp.solve(DEFAULT_SETTINGS, "privatized regression")
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..conic import (ConicProgram, ConeSpec, Solution, nonneg, permute_columns,
-                     quadratic_epigraph, read_only_copy, require_optimal)
+from ..conic import (ConicProgram, ConeSpec, nonneg, quadratic_epigraph, read_only_copy,
+                     require_optimal)
 from ..dp import AdjacencyModel, NoiseSpec
 from ..ldr import IndividualChance, Privatization, SelectQuery, privatize
 from ..solver import SolverSettings, solve
@@ -97,12 +97,15 @@ def synthetic_gaussian_classes(
 def build_svm(data: LabeledPoints) -> ConicProgram:
     """Conic form of min lambda |w|^2 + (1/m) 1'z s.t. hinge rows.
 
-    Variables (t, w, b, z); |w|^2 <= 2 H t via a rotated-SOC block (t, H, w)
-    with t weighted 2 H lambda, margin and slack rows in NonNeg blocks.
+    Variables (w, b, z, t): the released (w, b) first, as release_query
+    selects them, and t, the epigraph variable of |w|^2, last, as
+    privatize_svm's epigraph column.  |w|^2 <= 2 H t via a rotated-SOC block
+    (t, H, w) with t weighted 2 H lambda, margin and slack rows in NonNeg
+    blocks.
     """
     m, n = data.m, data.n
-    nv = 1 + n + 1 + m
-    t_i, w_i, b_i, z_i = 0, np.arange(1, 1 + n), 1 + n, np.arange(2 + n, nv)
+    nv = n + 1 + m + 1
+    w_i, b_i, z_i, t_i = np.arange(n), n, np.arange(n + 1, n + 1 + m), nv - 1
     # H = 1/sqrt(lambda): the point (w, b, z) = (0, 0, 1) costs 1, so
     # lambda |w*|^2 <= 1 and t* = |w*|^2 / (2H) <= H/2.  Measured working
     # range: the base SVM converged for every H >= 5 and the privatized SVM
@@ -129,23 +132,26 @@ def build_svm(data: LabeledPoints) -> ConicProgram:
     c = np.zeros(nv)
     c[t_i] = 2.0 * H * data.regularizer
     c[z_i] = 1.0 / m
-    names = ("t",) + tuple(f"w[{j}]" for j in range(n)) + ("b",) + tuple(
-        f"z[{i}]" for i in range(m))
+    names = tuple(f"w[{j}]" for j in range(n)) + ("b",) + tuple(
+        f"z[{i}]" for i in range(m)) + ("t",)
     return ConicProgram(A_all, b_all, c, cones, variable_names=names)
 
 
-def _read_svm(data: LabeledPoints, sol: Solution):
-    """(w, b) of a deterministic SVM solution; raises unless it is Optimal."""
-    x = require_optimal(sol, "SVM solve").x
-    n = data.n
-    return x[1 : 1 + n], float(x[1 + n])
+def release_query(data: LabeledPoints) -> SelectQuery:
+    """The released (w, b): the first n + 1 columns of build_svm."""
+    return SelectQuery(range(data.n + 1))
+
+
+def _hyperplane(v: np.ndarray):
+    """(w, b) of a released vector."""
+    return v[:-1], float(v[-1])
 
 
 def solve_svm(data: LabeledPoints):
-    """Returns (w, b, solution) of the deterministic SVM."""
-    sol = solve(build_svm(data), DEFAULT_SETTINGS)
-    w, b = _read_svm(data, sol)
-    return w, b, sol
+    """Returns (w, b, solution) of the deterministic SVM; raises unless the
+    solve is Optimal."""
+    sol = require_optimal(solve(build_svm(data), DEFAULT_SETTINGS), "SVM solve")
+    return (*_hyperplane(release_query(data).value(sol.x)), sol)
 
 
 def classify(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
@@ -161,7 +167,8 @@ def accuracy(w, b, X, y) -> float:
 def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> AdjacencyModel:
     """Whole-dataset universe: every point jitters inside a circle of the
     given radius (r sin t, r cos t with r ~ U(0, radius)); any two such
-    datasets are adjacent (alpha = inf).  The query is the (w, b) identity.
+    datasets are adjacent (alpha = inf).  It reads release_query, the
+    (w, b) of the optimum.
     """
 
     def jitter(rng):
@@ -170,9 +177,10 @@ def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> Adjacency
         shift = np.column_stack([r * np.sin(t), r * np.cos(t)])
         return LabeledPoints(data.features + shift, data.labels, data.regularizer)
 
+    query = release_query(data)
+
     def read(ds, sol):
-        w, b = _read_svm(ds, sol)
-        return np.concatenate([w, [b]])
+        return query.value(require_optimal(sol, "SVM solve").x)
 
     return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
                           program=build_svm, read=read, alpha=math.inf,
@@ -195,12 +203,8 @@ def privatize_svm(
     `seed` is read by nothing, since the rule program draws nothing; it is
     accepted because the benchmark's privatize-large workload still passes it.
     """
-    m, n = data.m, data.n
-    # columns (w, b, z, t): t, the epigraph variable of |w|^2, goes last
-    program = permute_columns(build_svm(data), np.r_[1 : 2 + n + m, 0])
-    pp = privatize(program, noise, SelectQuery(range(n + 1)), chance, epigraph_vars=1)
-    return pp.solve(PRIVATIZED_SETTINGS, "privatized SVM",
-                    unpack=lambda v: (v[:n], float(v[n])))
+    pp = privatize(build_svm(data), noise, release_query(data), chance, epigraph_vars=1)
+    return pp.solve(PRIVATIZED_SETTINGS, "privatized SVM", unpack=_hyperplane)
 
 
 def experiment_study(cfg, data) -> Study:
@@ -211,17 +215,16 @@ def experiment_study(cfg, data) -> Study:
     train, tx, ty = data
     w, b, det_sol = solve_svm(train)
     acc0 = accuracy(w, b, tx, ty)
-    k = train.n + 1
-    x_det = det_sol.x[1:]   # (w, b, z), the epigraph t dropped
+    slack = np.s_[train.n + 1 : train.n + 1 + train.m]   # z, in x* and in xbar
     chance = IndividualChance(eta_bar=cfg.eta)
 
     def score(rows, pv):
-        z = (x_det if pv is None else pv.rule.xbar)[k:]
+        z = (det_sol.x if pv is None else pv.rule.xbar)[slack]
         drops = np.array([acc0 - accuracy(r[:-1], r[-1], tx, ty) for r in rows])
         margins = train.labels * (rows[:, :-1] @ train.features.T - rows[:, -1:])
         return drops, (margins - 1 + z < -1e-9).any(axis=1)
 
     return Study(
-        nominal=x_det[:k],
+        nominal=release_query(train).value(det_sol.x),
         privatize=lambda noise, seed: privatize_svm(train, noise, chance),
         score=score)

@@ -61,7 +61,11 @@ def _cmd_solve(args) -> int:
     program = _read_program(args.infile)
     if program is None:
         return EXIT_VALIDATION
-    settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
+    try:
+        settings = SolverSettings(tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     sol = solve(program, settings)
     _write(json.dumps(_solution_doc(sol), indent=1), args.out)
     return EXIT_OK if sol.status == Status.OPTIMAL else EXIT_SOLVER

@@ -233,14 +233,6 @@ def as_dense(A) -> np.ndarray:
     return A.toarray() if sp.issparse(A) else A
 
 
-def permute_columns(program: ConicProgram, order) -> ConicProgram:
-    """The same program over reordered variables: column j is old column order[j]."""
-    order = np.asarray(order, dtype=int)
-    names = program.variable_names
-    return ConicProgram(program.A[:, order], program.b, program.c[order], program.cones,
-                        variable_names=tuple(names[i] for i in order) if names else None)
-
-
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """x @ y for each row pair of X and Y, with the BLAS dot a 1-D ``x @ y``
     makes."""

@@ -284,9 +284,10 @@ class _PatternG:
     _Scaling, in ascending dimension), shaped (nblk, dim, kmax) over the
     columns each block touches and padded with zero entries, whose column
     reads 0.  erow and ecol give each stored entry's cone row and column,
-    real marks the entries that are not padding.  The pattern is the union
-    over the stack of the programs' nonzeros (an SOC block's union over its
-    rows), which is the sparse K's pattern of Gs = W^{-1} G.
+    real marks the entries that are not padding.  The pattern is the
+    nonzero pattern the stack's programs share (solve_batch stacks a
+    program of this size only with programs of its pattern), an SOC block's
+    union over its rows, which is the sparse K's pattern of Gs = W^{-1} G.
 
     Every operation runs on the stored values: row and column maxima for the
     equilibration, the scaled G, W^{-1} G (_Scaling.apply_matrix), G x and
@@ -300,15 +301,8 @@ class _PatternG:
         else None."""
         n, m, nb = lay.n, programs[0].m, len(programs)
         N = n + m
-        ents = [_entries(p.A) for p in programs]
-        keys = [r * n + c for r, c, _ in ents]
-        union = keys[0]
-        if any(not np.array_equal(k, union) for k in keys[1:]):
-            union = np.unique(np.concatenate(keys))
-        values = np.zeros((nb, union.size))
-        for i, (k, (_, _, v)) in enumerate(zip(keys, ents)):
-            values[i, np.searchsorted(union, k)] = v
-        rows, cols = np.divmod(union, n)
+        rows, cols, _ = _entries(programs[0].A)
+        values = np.stack([_entries(p.A)[2] for p in programs])
 
         # where each entry goes: an equality row, a NonNeg row or an SOC block
         eq_pos = np.full(m, -1)
@@ -818,12 +812,12 @@ class _SparseKKT:
     Gs'.  A NonNeg row of Gs = W^{-1} G has the nonzeros of its row of G; W^{-1}
     mixes the rows of an SOC block, so each of the block's rows holds the
     columns that any row of the block touches: the real entries of the
-    layout's _PatternG.  The pattern is the union over the stack.  indices
-    and indptr hold it in CSC order, and perm takes the values [diagonal |
-    Aeq | Gs's stored values] into that order: each entry of Aeq or Gs fills
-    two places of K.  Built once per layout, before any factor; take keeps
-    it, since a subset of the stack fits the union.  _PatternG.of decides
-    whether a layout is factored this way.
+    layout's _PatternG, which the stack shares.  indices and indptr hold it
+    in CSC order, and perm takes the values [diagonal | Aeq | Gs's stored
+    values] into that order: each entry of Aeq or Gs fills two places of K.
+    Built once per layout, before any factor; take keeps it, since a subset
+    of the stack shares the pattern.  _PatternG.of decides whether a layout
+    is factored this way.
     """
 
     def __init__(self, lay: _Layout):
@@ -1083,9 +1077,9 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 
     A program whose KKT matrix is large enough to be factored sparsely
     (n + m >= _SPARSE_MIN_ORDER) is stacked only with programs of the same
-    nonzero pattern of A, so the sparse structure, the union over its stack,
-    is its own, as when it is solved alone.  A CSR program's stored pattern
-    is its nonzero pattern (ConicProgram keeps it canonical).
+    nonzero pattern of A, so the sparse structure is its own, as when it is
+    solved alone.  A CSR program's stored pattern is its nonzero pattern
+    (ConicProgram keeps it canonical).
     """
     programs = list(programs)
     settings = settings or SolverSettings()

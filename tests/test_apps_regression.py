@@ -104,14 +104,15 @@ class TestThinQrFit:
     def test_block_prices_the_fit(self, model):
         # at the tightest u for the block, u's objective term is |y - Phi w|^2
         program = build_monotone_regression(model)
-        k = program.cones.blocks[0].dim
+        k, mb = program.cones.blocks[0].dim, model.basis.dim
         rng = np.random.default_rng(5)
         for _ in range(20):
-            x = np.concatenate([[0.0, 0.0], rng.normal(0.0, 3.0, model.basis.dim)])
+            # columns (w, u, v)
+            x = np.concatenate([rng.normal(0.0, 3.0, mb), [0.0, 0.0]])
             rows = (program.b - program.A @ x)[:k]
             u = rows[2:] @ rows[2:] / (2.0 * rows[1])
-            r = model.y - model.design @ x[2:]
-            assert program.c[0] * u == pytest.approx(r @ r, rel=1e-10)
+            r = model.y - model.design @ x[:mb]
+            assert program.c[mb] * u == pytest.approx(r @ r, rel=1e-10)
 
     @pytest.mark.parametrize("n", [30, 60, 100])
     def test_block_dims_do_not_grow_with_n(self, n):

@@ -177,7 +177,7 @@ class TestStudyPrivatization:
         def scaled(data, H):
             p = real(data)
             b, c = p.b.copy(), p.c.copy()
-            b[1], c[0] = H, 2.0 * H * data.regularizer
+            b[1], c[-1] = H, 2.0 * H * data.regularizer
             return ConicProgram(p.A, b, c, p.cones, variable_names=p.variable_names)
 
         for H in (50.0, 5e2, 5e3, 5e4):

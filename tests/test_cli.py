@@ -32,6 +32,18 @@ class TestSolve:
         rc = main(["solve", "--in", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "tol must be in (0, 1)"),
+        ("--tol", "1.5", "tol must be in (0, 1)"),
+        ("--max-iter", "0", "max_iter must be >= 1"),
+    ])
+    def test_bad_settings_are_validation_errors(self, prog_file, tmp_path, capsys,
+                                                flag, value, message):
+        out = tmp_path / "sol.json"
+        rc = main(["solve", "--in", str(prog_file), "--out", str(out), flag, value])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_program_exit_code(self, tmp_path):
         from dpconic.conic import ConeSpec, ConicProgram, nonneg
 

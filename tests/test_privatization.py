@@ -1,9 +1,13 @@
 """The one release path: every study's Privatization releases its nominal
 query plus the raw sample_noise draws, bit for bit, one release or many;
-and every vertex-method study's program point keeps its chance level."""
+every vertex-method study's program point keeps its chance level; each app
+reads its base optimum and its privatization through one query; and the
+privatized programs keep their bytes."""
 
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,9 +16,13 @@ import pytest
 from conftest import opf_noise
 from dpconic import dp
 from dpconic.dp import calibrate_gaussian, calibrate_laplace, sample_noise
+from dpconic.experiments import APPS, ExperimentConfig
 from dpconic.ldr import (DecisionRule, IndividualChance, Privatization, SelectQuery,
                          VertexChance, privatize)
+from dpconic.solver import solve
 from dpconic.apps import ellipsoid, opf, regression, simple_lp, svm
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _svm():
@@ -68,7 +76,7 @@ def test_privatize_draws_nothing(monkeypatch):
     monkeypatch.setattr(dp, "rng_stream", shut)
     for name in ("opf", "simple-lp", "svm", "regression"):
         assert isinstance(STUDIES[name][0](), Privatization)
-    pp = privatize(ellipsoid._rule_program(ellipsoid.regular_polygon(4, radius=1.5)),
+    pp = privatize(ellipsoid.build_ellipsoid(ellipsoid.regular_polygon(4, radius=1.5)),
                    noise, SelectQuery(range(ellipsoid.RULE_DIM)), VertexChance(0.1),
                    epigraph_vars=1, objective_points=points)
     assert pp.program.variable_names[-8:] == tuple(f"t[0][{s}]" for s in range(8))
@@ -152,3 +160,74 @@ def test_program_point_violates_at_most_eta(name):
     draws = 20_000
     _, violated = study.score(pv.releases(11, draws), pv)
     assert violated.mean() <= eta + 3 * math.sqrt(eta * (1 - eta) / draws)
+
+
+# config -> (its app module, the dataset its adjacency pairs perturb, of the
+# app's data)
+ONE_QUERY = {
+    "svm": (svm, lambda data: data[0]),
+    "regression-cubic": (regression, lambda data: data.model),
+    "ellipsoid": (ellipsoid, lambda data: data),
+    "opf-triangle3": (opf, lambda data: data),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_QUERY))
+def test_one_query_per_app(name):
+    # the study's nominal is the adjacency's read of the base optimum, to the
+    # byte, and the program point releases the query the adjacency reads
+    module, base_of = ONE_QUERY[name]
+    cfg = ExperimentConfig.from_json((CONFIGS / f"{name}.json").read_text())
+    app = APPS[cfg.app]
+    data = app.data(cfg.dataset, cfg.seed)
+    base, adjacency = base_of(data), app.adjacency(data, cfg.alphas[0])
+    study, query = app.study(cfg, data), module.release_query(base)
+    sol = solve(adjacency.program(base), adjacency.settings)
+    released = adjacency.released(base, sol)
+    assert study.nominal.dtype == released.dtype == query.value(sol.x).dtype
+    assert study.nominal.tobytes() == released.tobytes() == query.value(sol.x).tobytes()
+    k = query.k
+    noise = (calibrate_laplace(0.01, 1.0, k) if app.p == 1
+             else calibrate_gaussian(0.01, 1.0, 0.1, k))
+    assert study.privatize(noise, 1).query == query
+
+
+def _digest(program) -> str:
+    """sha256 of a CSR program's (A.data, A.indices, A.indptr, b, c, cone
+    blocks)."""
+    h = hashlib.sha256()
+    A = program.A
+    for part in (A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64),
+                 program.b, program.c):
+        h.update(np.ascontiguousarray(part).tobytes())
+    h.update(repr([(blk.kind.value, blk.dim) for blk in program.cones.blocks]).encode())
+    return h.hexdigest()
+
+
+def _privatize_large_svm():
+    data, _, _ = svm.synthetic_gaussian_classes(m=100, seed=7)
+    return svm.privatize_svm(data, calibrate_laplace(29.931647924673214, 1.0, k=data.n + 1),
+                             IndividualChance(eta_bar=0.05))
+
+
+# privatized program -> (its privatization, the digest of its program, recorded
+# when svm and regression permuted their base columns and the ellipsoid had a
+# second program for its privatization)
+PROGRAM_DIGESTS = {
+    "svm": (_privatize_large_svm,
+            "28944222215f4b82558adc70b9926e0af6d7bf290404250e58430c99a0589292"),
+    "regression": (lambda: regression.privatize_regression(
+        regression.synthetic_cubic_data(n=100, seed=0),
+        calibrate_gaussian(1.0, 1.0, 0.01, k=2), eta=0.05),
+        "b64d8c0e5c0a909a19bc581906b0388d648d1cd7edc04bcdb1144f4443d649f1"),
+    "ellipsoid": (lambda: ellipsoid.privatize_ellipsoid(
+        ellipsoid.regular_polygon(5, 2.0),
+        calibrate_gaussian(0.05, 1.0, 0.1, k=ellipsoid.RULE_DIM), eta=0.1, seed=1),
+        "9674be3088f4c4cfa5a7c7b1e9110553b7e55e51b126a19a0fc546aba149c5c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_DIGESTS))
+def test_privatized_program_keeps_its_bytes(name):
+    make, digest = PROGRAM_DIGESTS[name]
+    assert _digest(make().program) == digest

@@ -10,6 +10,7 @@ from dpconic.conic import (
     ConeSpec,
     ConicProgram,
     Status,
+    as_dense,
     build_simple_lp,
     cone_membership,
     nonneg,
@@ -1145,20 +1146,24 @@ class TestPatternForm:
         assert max(sizes) < mn
 
     def test_holds_the_dense_layout(self, monkeypatch):
-        # a stack of CSR and dense programs with different patterns, an
-        # empty NonNeg row and rotated blocks: the pattern form holds their
-        # union, and the equilibration and the scaled G equal the dense ones
+        # a stack of CSR and dense programs of one pattern with different
+        # values, an empty NonNeg row and rotated blocks, as solve_batch
+        # stacks them: the pattern form holds their values, and the
+        # equilibration and the scaled G equal the dense ones
         rng = np.random.default_rng(0)
         cones = ConeSpec([zero(2), nonneg(4), rsoc(4), soc(3), nonneg(2), soc(3), rsoc(5)])
+        shape = (cones.dim, 7)
+        pattern = rng.random(shape) < 0.3
+        pattern[3] = False
 
         def program(as_csr):
-            shape = (cones.dim, 7)
-            A = np.where(rng.random(shape) < 0.3, rng.normal(size=shape), 0.0)
-            A[3] = 0.0
+            A = np.where(pattern, rng.normal(size=shape), 0.0)
             return ConicProgram(sp.csr_array(A) if as_csr else A,
                                 rng.normal(size=cones.dim), rng.normal(size=7), cones)
         programs = [program(True), program(False), program(True)]
-        assert len({(p.A != 0).sum() for p in programs}) == 3
+        dense = [as_dense(p.A) for p in programs]
+        assert all(np.array_equal(A != 0, pattern) for A in dense)
+        assert not np.array_equal(dense[0], dense[2])
         monkeypatch.setattr(solver, "_SPARSE_MAX_DENSITY", 1.0)
         monkeypatch.setattr(solver, "_SPARSE_MIN_ORDER", 0)
         lay = solver._Layout(programs)
