@@ -42,6 +42,7 @@ RULE_DIM = 6
 _GAP_TOL = 1e-12
 
 OBJ_STREAM = 0x0B5E  # the stream of privatize_ellipsoid's objective points
+OBJ_SAMPLES = 32     # how many objective points it draws
 
 
 @dataclass(frozen=True)
@@ -222,20 +223,19 @@ def privatize_ellipsoid(
     noise: NoiseSpec,
     eta: float,
     seed: int = 0,
-    obj_samples: int = 32,
 ) -> Privatization:
     """Chance-constrained ellipse rule with the fixed identity recourse.
 
     Containment rows and the PSD row of the symmetric part are enforced on
     all 2^6 vertices of the noise box of mass 1 - eta; the objective
     maximizes a sample average of per-draw det hypograph variables (the
-    expectation of det^(1/2) has no closed conic form) over obj_samples
+    expectation of det^(1/2) has no closed conic form) over OBJ_SAMPLES
     draws from OBJ_STREAM at seed, the one draw of any privatization.
     Releases (z, Y).
     """
     pp = privatize(build_ellipsoid(inst), noise, release_query(inst),
                    VertexChance(eta), epigraph_vars=1,
-                   objective_points=sample_noise(noise, seed, obj_samples, OBJ_STREAM))
+                   objective_points=sample_noise(noise, seed, OBJ_SAMPLES, OBJ_STREAM))
     return pp.solve(DEFAULT_SETTINGS, "privatized ellipsoid", unpack=unpack_rule_vector)
 
 

@@ -12,6 +12,8 @@ from ..conic import ConicProgram, Solution, as_dense, cone_membership_rows
 from ..dp import NoiseSpec
 from ..ldr import DecisionRule, Privatization
 
+MEMBERSHIP_TOL = 1e-6  # the cone-membership tolerance of evaluate_rule_metrics
+
 
 @dataclass(frozen=True)
 class Study:
@@ -36,16 +38,15 @@ def evaluate_rule_metrics(
     program: ConicProgram,
     base: Solution,
     zetas: np.ndarray,
-    membership_tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(losses, feasible) of the rule at the noise points ``zetas`` (one per
     row) on the base program.
 
     A loss is c'(xbar + X zeta) - c'x*, with c the base objective; a point
     is feasible when its realized solution stays in the base feasible
-    region (cone membership of the slack at membership_tol).
+    region (cone membership of the slack at MEMBERSHIP_TOL).
     """
     xs = rule.evaluate_many(zetas)
     losses = xs @ program.c - float(program.c @ base.x)
     return losses, cone_membership_rows(program.b - xs @ as_dense(program.A).T,
-                                        program.cones, membership_tol)
+                                        program.cones, MEMBERSHIP_TOL)

@@ -20,6 +20,8 @@ from ..ldr import Privatization, VertexChance, WeightedSumQuery, privatize
 from ..solver import solve
 from .metrics import Study, evaluate_rule_metrics
 
+COST_TOL = 1e-7  # released_cost_feasible's slack around the cost range
+
 
 @dataclass(frozen=True)
 class PowerNetwork:
@@ -123,14 +125,14 @@ def opf_sensitivity_bound(c: np.ndarray, alpha: float) -> float:
     return float(np.max(c) * alpha)
 
 
-def opf_cost_range(net: PowerNetwork, base: Solution | None = None):
+def opf_cost_range(net: PowerNetwork, base: Solution):
     """(min, max) dispatch cost over the feasible set; brackets query feasibility.
 
-    base, when given, is the caller's solve of build_opf(net), and only the
-    max is solved here.  Raises NotOptimal unless both solves are Optimal.
+    base is the caller's solve of build_opf(net), and only the max is solved
+    here.  Raises NotOptimal unless base and that solve are Optimal.
     """
     prog = build_opf(net)
-    lo = require_optimal(solve(prog) if base is None else base, "base OPF")
+    lo = require_optimal(base, "base OPF")
     flipped = ConicProgram(prog.A, prog.b, -prog.c, prog.cones)
     hi = require_optimal(solve(flipped), "max-cost OPF")
     return lo.objective, -hi.objective
@@ -184,10 +186,11 @@ def privatize_opf(
     return pp.solve(None, "chance-constrained OPF", unpack=lambda v: float(v[0]))
 
 
-def released_cost_feasible(value, cost_lo: float, cost_hi: float, tol: float = 1e-7):
-    """Whether some feasible dispatch attains each released cost (elementwise
-    on an array; a NaN cost is infeasible)."""
-    return (cost_lo - tol <= value) & (value <= cost_hi + tol)
+def released_cost_feasible(value, cost_lo: float, cost_hi: float):
+    """Whether some feasible dispatch attains each released cost, within
+    COST_TOL of [cost_lo, cost_hi] (elementwise on an array; a NaN cost is
+    infeasible)."""
+    return (cost_lo - COST_TOL <= value) & (value <= cost_hi + COST_TOL)
 
 
 def experiment_study(cfg, net: PowerNetwork) -> Study:

@@ -28,26 +28,25 @@ from .metrics import Study
 
 # epigraph formulations with small ridge weights converge to ~1e-6 here
 DEFAULT_SETTINGS = SolverSettings(tol=1e-6, max_iter=100)
+CIRCLE_X, CIRCLE_Y = 0.35, 8.0  # circle_law_adjacency's semi-axes
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     """Feature map phi: R -> R^dim with its analytic derivative.
 
-    rows, when set, maps a 1-D array of points to their stacked phi rows at
-    once, with the bytes that stacking phi per point gives.
+    rows maps a 1-D array of points to their stacked phi rows at once, with
+    the bytes that stacking phi per point gives.
     """
 
     dim: int
     phi: Callable[[float], np.ndarray]
     dphi: Callable[[float], np.ndarray]
+    rows: Callable[[np.ndarray], np.ndarray]
     name: str = "basis"
-    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def design(self, xs: np.ndarray) -> np.ndarray:
-        if self.rows is not None:
-            return self.rows(np.ravel(np.asarray(xs, dtype=float)))
-        return np.vstack([self.phi(float(v)) for v in np.ravel(xs)])
+        return self.rows(np.ravel(np.asarray(xs, dtype=float)))
 
     def derivative_rows(self, us: np.ndarray) -> np.ndarray:
         return np.vstack([self.dphi(float(v)) for v in np.ravel(us)])
@@ -255,20 +254,17 @@ def solve_regression(model: RegressionModel):
     return release_query(model).value(sol.x), sol
 
 
-def circle_law_adjacency(
-    model: RegressionModel,
-    x_scale: float = 0.35,
-    y_scale: float = 8.0,
-) -> AdjacencyModel:
-    """Whole-dataset universe: point i moves to (0.35 r cos t + x_i,
-    8 r sin t + y_i) with r ~ U(0,1); all such datasets are adjacent."""
+def circle_law_adjacency(model: RegressionModel) -> AdjacencyModel:
+    """Whole-dataset universe: point i moves to (CIRCLE_X r cos t + x_i,
+    CIRCLE_Y r sin t + y_i) with r ~ U(0,1); all such datasets are
+    adjacent."""
 
     def jitter(rng):
         n = model.x.shape[0]
         r = rng.uniform(0.0, 1.0, size=n)
         t = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return model.with_data(model.x + x_scale * r * np.cos(t),
-                               model.y + y_scale * r * np.sin(t))
+        return model.with_data(model.x + CIRCLE_X * r * np.cos(t),
+                               model.y + CIRCLE_Y * r * np.sin(t))
 
     return AdjacencyModel(sample_pair=lambda rng: (jitter(rng), jitter(rng)),
                           program=build_monotone_regression, read=_weights_read(model),

@@ -31,6 +31,7 @@ DEFAULT_SETTINGS = SolverSettings(tol=1e-7, max_iter=200)
 # 50 to 5e4, at 1e-8 at most 1e-6; either tol takes 14 iterations there
 # (privatize seeds 1-12)
 PRIVATIZED_SETTINGS = SolverSettings(tol=1e-8, max_iter=200)
+CIRCLE_RADIUS = 0.05  # circle_law_adjacency's radius
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,15 @@ def accuracy(w, b, X, y) -> float:
     return float(np.mean(classify(w, b, X) == np.asarray(y, dtype=float)))
 
 
-def circle_law_adjacency(data: LabeledPoints, radius: float = 0.05) -> AdjacencyModel:
-    """Whole-dataset universe: every point jitters inside a circle of the
-    given radius (r sin t, r cos t with r ~ U(0, radius)); any two such
-    datasets are adjacent (alpha = inf).  It reads release_query, the
+def circle_law_adjacency(data: LabeledPoints) -> AdjacencyModel:
+    """Whole-dataset universe: every point jitters inside a circle of radius
+    CIRCLE_RADIUS (r sin t, r cos t with r ~ U(0, CIRCLE_RADIUS)); any two
+    such datasets are adjacent (alpha = inf).  It reads release_query, the
     (w, b) of the optimum.
     """
 
     def jitter(rng):
-        r = rng.uniform(0.0, radius, size=data.m)
+        r = rng.uniform(0.0, CIRCLE_RADIUS, size=data.m)
         t = rng.uniform(0.0, 2.0 * math.pi, size=data.m)
         shift = np.column_stack([r * np.sin(t), r * np.cos(t)])
         return LabeledPoints(data.features + shift, data.labels, data.regularizer)

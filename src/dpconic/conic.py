@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -210,6 +211,11 @@ def slack(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != program.n:
         raise ValueError(f"x has length {x.shape[0]}, expected {program.n}")
     return program.b - program.A @ x
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer; not a bool, which would run as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def read_only_copy(a, ndmin: int = 0) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .conic import ConicProgram, Solution
+from .conic import ConicProgram, Solution, is_integer
 from .solver import KKT_BATCH_BYTES, SolverSettings, solve_batch, stack_bytes
 
 
@@ -71,10 +71,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in ("laplace", "gaussian"):
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.k < 1:
-            raise ValueError("noise dimension must be >= 1")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not is_integer(self.k) or self.k < 1:
+            raise ValueError(f"noise dimension must be an integer >= 1, got {self.k!r}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     @property
     def coordinate_variance(self) -> float:
@@ -310,8 +310,8 @@ def estimate_sensitivity(
     LinAlgError) are dropped, reported and replaced by the pairs at the next
     stream indices, so that `samples` pairs solve, as the (gamma, beta)
     requirement counts them; but only up to max_failure_fraction of
-    `samples` failures, beyond which a SolveFailure propagates.  Any other exception is a bug and propagates at
-    its sample.
+    `samples` failures, beyond which a SolveFailure propagates.  Any other
+    exception is a bug and propagates at its sample.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")

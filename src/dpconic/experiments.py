@@ -29,7 +29,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -37,13 +36,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .conic import NotOptimal, Status, require_optimal
+from .conic import NotOptimal, Status, is_integer
 from .dp import (AdjacencyModel, Purpose, SensitivityReport, calibrate_gaussian,
                  calibrate_laplace, derive_seed, estimate_sensitivity, sample_noise)
 from .ldr import (ConflictingConstraints, VertexChance, WeightedSumQuery, privatize,
                   release_rows)
 from .risk import augment_with_cvar, cvar_empirical, var_empirical
-from .solver import SolverSettings, solve, solve_batch
+from .solver import SolverSettings, solve_batch
 from .apps import ellipsoid as app_ellipsoid
 from .apps import opf as app_opf
 from .apps import regression as app_regression
@@ -81,6 +80,12 @@ class ExperimentConfig:
             raise ValueError(f"need strategies from {STRATEGIES}, got {self.strategies}")
         if not self.alphas:
             raise ValueError("alphas must not be empty")
+        # True would run as 1, and a NaN alpha that the adjacency does not
+        # read would reach the outputs
+        reals = (self.epsilon, self.delta, self.eta, *self.alphas)
+        if any(isinstance(v, bool) for v in reals) or any(map(math.isnan, self.alphas)):
+            raise ValueError("epsilon, delta, eta and alphas must be numbers, not bools, "
+                             f"and alphas not NaN; got {reals}")
         if (not 0 < self.epsilon < math.inf or not 0 < self.eta < 1
                 or not 0 <= self.delta < 1):
             raise ValueError("need epsilon in (0, inf), eta in (0, 1) and delta in [0, 1)")
@@ -93,10 +98,9 @@ class ExperimentConfig:
             raise ValueError("only an opf config runs a cvar_q_grid")
         if not all(0 < q < 1 for q in self.cvar_q_grid):
             raise ValueError(f"cvar_q_grid needs entries in (0, 1): {self.cvar_q_grid}")
-        # a bool is an Integral, yet True would run as seed 1
         for name, low in (("seed", 0), ("mc_samples", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         # the app's data rejects a dataset it does not read, and its
         # adjacency an alpha it cannot read; an analytic bound and an input
@@ -318,10 +322,10 @@ def cvar_q_sweep(
     alpha: float,
     epsilon: float,
     q_grid,
+    base_cost: float,
     eta: float = 0.01,
     seed: int = 0,
     samples: int = ExperimentConfig.mc_samples,
-    base_cost: float | None = None,
 ):
     """Risk sweep of the private subset-generation query on one network.
 
@@ -332,13 +336,10 @@ def cvar_q_sweep(
     rule program draws nothing.  Every q's rule is then scored out of
     sample on one shared draw of `samples` noise rows at seed; rows report
     the mean, the 0.95-level CVaR and the VaR of those losses.
-    base_cost, when given, is the caller's optimal cost of build_opf(net),
-    which then is not solved again; otherwise NotOptimal is raised unless
-    that solve is Optimal.  Returns rows (q, mean, cvar, var).
+    base_cost is the caller's optimal cost of build_opf(net), the zero of
+    every loss.  Returns rows (q, mean, cvar, var).
     """
     program = app_opf.build_opf(net)
-    if base_cost is None:
-        base_cost = require_optimal(solve(program), "base OPF").objective
     wq = np.zeros(net.n_nodes)
     wq[list(subset)] = 1.0
     noise = calibrate_laplace(alpha, epsilon, k=1)

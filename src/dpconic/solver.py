@@ -3,14 +3,15 @@
 Homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, over Zero / NonNeg / SecondOrder cones
 (RotatedSecondOrder rows are rotated to SecondOrder internally).  Zero-cone
-rows are carried as equality constraints.  Each iteration factors the
-scaled KKT system (see _factor_kkt) with static quasi-definite
-regularization, and one step of iterative refinement on the full Newton
-system absorbs the regularization.  A dense LP with more cone rows than
-variables solves the reduced (n+p) normal equations by one stacked gesv;
-any other program LU-factors the unsquared (n+p+m) system by LAPACK's
-getrf, or by SuperLU for a large KKT matrix with few structural nonzeros
-(_SparseKKT; the privatized SVM and ellipsoid).
+rows are carried as equality constraints; a program of Zero rows only runs
+the same iteration, so its infeasibility certificates are the embedding's
+too.  Each iteration factors the scaled KKT system (see _factor_kkt) with
+static quasi-definite regularization, and one step of iterative refinement
+on the full Newton system absorbs the regularization.  A dense LP with more
+cone rows than variables solves the reduced (n+p) normal equations by one
+stacked gesv; any other program LU-factors the unsquared (n+p+m) system by
+LAPACK's getrf, or by SuperLU for a large KKT matrix with few structural
+nonzeros (_SparseKKT; the privatized SVM and ellipsoid).
 A program's A may be dense or CSR.  A stack factored densely holds its cone
 rows G densely; a stack factored sparsely holds G in pattern form
 (_PatternG: CSR values for the NonNeg rows, a dense sub-block over the
@@ -66,6 +67,7 @@ from .conic import (
     Status,
     _row_dots as _dot,
     as_dense,
+    is_integer,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,6 +77,7 @@ _PLUS_MINUS = np.array([[-1.0], [1.0]])
 _REGULARIZATION = 1e-9    # static KKT diagonal perturbation
 _REFINEMENT = 1           # iterative refinement steps per Newton solve
 _INFEASIBILITY_THRESHOLD = 1e-8
+_RUIZ_ROUNDS = 8          # at most this many equilibration rounds
 # accept the best iterate once progress has stalled for _STALL_ITERS
 # iterations within _STALL_GRACE times tol
 _STALL_GRACE = 10.0
@@ -123,6 +126,8 @@ class SolverSettings:
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise ValueError("tol must be in (0, 1)")
+        if not is_integer(self.max_iter):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -439,10 +444,10 @@ class _Equilibration:
     scale individually.  Factors are powers of two.  A round that leaves
     every row and column factor of a program at exactly 1 leaves its r and s
     unchanged, so every later round repeats it: the loop stops once that
-    holds for every program.
+    holds for every program, or after _RUIZ_ROUNDS rounds.
     """
 
-    def __init__(self, lay: _Layout, c: np.ndarray, rounds: int = 8):
+    def __init__(self, lay: _Layout, c: np.ndarray):
         p = lay.p
         # contiguous row groups: each eq row, each l row, each q block
         sizes = np.concatenate([np.ones(p + lay.l, dtype=int),
@@ -473,7 +478,7 @@ class _Equilibration:
                                   G.col_max(np.abs(G.scaled(r[:, p:], s))))
         r = np.ones((len(c), p + lay.m_cone))
         s = np.ones(c.shape)
-        for _ in range(rounds):
+        for _ in range(_RUIZ_ROUNDS):
             gmx = row_max(r, s)
             nz = gmx > 0
             f = np.ones(gmx.shape)
@@ -1104,9 +1109,6 @@ def solve_batch(programs, settings: SolverSettings | None = None) -> list[Soluti
 def _solve_stack(programs, settings):
     """The embedding's iteration over programs of one shape."""
     lay = _Layout(programs)
-    if lay.m_cone == 0:
-        return [_solve_equality_only(program, lay, lay.Aeq[i], lay.beq[i], settings)
-                for i, program in enumerate(programs)]
     c = np.stack([program.c for program in programs])
     eq_scale = _Equilibration(lay, c)
     st = _Rows()
@@ -1360,39 +1362,21 @@ def _predictor_corrector(lay, W, st, iters):
     return step, dx, dy, dzt, dtau, ds, dkap
 
 
-def _solve_equality_only(program, lay, A, b, settings):
-    # no cone rows: minimize c'x subject to A x = b, the equality rows
-    c = program.c
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
-    if np.linalg.norm(A @ x - b) > settings.tol * (1 + np.linalg.norm(b)):
-        return _finish(program, lay, np.full(lay.n, np.nan), np.zeros(lay.p),
-                       np.zeros(0), Status.PRIMAL_INFEASIBLE, 0.0, 0.0, np.nan, 0)
-    y = np.linalg.lstsq(A.T, -c, rcond=None)[0]
-    if np.linalg.norm(A.T @ y + c) > settings.tol * (1 + np.linalg.norm(c)):
-        return _finish(program, lay, x, np.full(lay.p, np.nan), np.zeros(0),
-                       Status.DUAL_INFEASIBLE, 0.0, 0.0, np.nan, 0)
-    return _finish(program, lay, x, y, np.zeros(0), Status.OPTIMAL, 0.0, 0.0, 0.0, 0)
-
-
-def _finish(program, lay, x, y_eq, z, status, pres, dres, gap, iters,
-            eq_scale=None, row=0):
-    if eq_scale is not None:
-        x, y_eq, z = eq_scale.unscale(row, np.asarray(x, dtype=float),
-                                      np.asarray(y_eq, dtype=float),
-                                      np.asarray(z, dtype=float))
+def _finish(program, lay, x, y_eq, z, status, pres, dres, gap, iters, eq_scale, row):
+    # unscale returns new arrays, so z is rotated back in place
+    x, y_eq, z = eq_scale.unscale(row, x, y_eq, z)
     y_full = np.zeros(program.m)
     if lay.p:
         y_full[lay.eq_rows] = y_eq
-    z_back = np.array(z, copy=True)
     for sl, is_rsoc in zip(lay.q_slices, lay.q_rsoc):
         if is_rsoc:
-            z_back[sl] = _rotate(z_back[sl])
-    if z_back.size:
-        y_full[lay.cone_rows] = z_back
+            z[sl] = _rotate(z[sl])
+    if z.size:
+        y_full[lay.cone_rows] = z
     ok = status in (Status.OPTIMAL, Status.MAX_ITER)
     obj = float(program.c @ x) if ok else float("nan")
     return Solution(
-        x=np.asarray(x, dtype=float),
+        x=x,
         y=y_full,
         status=status,
         objective=obj,

@@ -235,7 +235,8 @@ def test_08_cvar_equivalence_and_sweep():
 
     net = app_opf.load_network("cvar6")
     rows = cvar_q_sweep(net, subset=(0, 2, 4), alpha=25.0, epsilon=1.0,
-                        q_grid=(0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01), seed=3)
+                        q_grid=(0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01), seed=3,
+                        base_cost=solve(app_opf.build_opf(net)).objective)
     means = [r[1] for r in rows]
     cvars = [r[2] for r in rows]
     tol = 1e-3 * max(abs(v) for v in cvars)
@@ -256,7 +257,7 @@ def test_09_opf_desk_scale():
         net = app_opf.bundled_network(name)
         prog = app_opf.build_opf(net)
         base = solve(prog)
-        lo, hi = app_opf.opf_cost_range(net)
+        lo, hi = app_opf.opf_cost_range(net, base)
         losses = []
         for alpha in (1.0, 3.0, 10.0):
             pv = app_opf.privatize_opf(net, opf_noise(net, alpha), 0.01)

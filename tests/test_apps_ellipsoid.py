@@ -125,7 +125,7 @@ class TestPrivatized:
         from dpconic.dp import NoiseSpec
 
         noise = NoiseSpec("gaussian", 6, 1e-9)
-        pv = privatize_ellipsoid(inst, noise, eta=0.10, seed=1, obj_samples=8)
+        pv = privatize_ellipsoid(inst, noise, eta=0.10, seed=1)
         z_det, Y_det, _, _ = solve_ellipsoid(inst)
         z, Y = pv.nominal
         assert np.abs(z - z_det).max() < 1e-3

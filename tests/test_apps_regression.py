@@ -32,7 +32,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def linear_basis():
     return BasisSpec(dim=1, phi=lambda x: np.array([x]),
-                     dphi=lambda x: np.array([1.0]), name="linear")
+                     dphi=lambda x: np.array([1.0]), rows=lambda xs: xs[:, None],
+                     name="linear")
 
 
 class TestModel:
@@ -51,7 +52,8 @@ class TestModel:
 
     def test_bad_derivative_rejected(self):
         bad = BasisSpec(dim=1, phi=lambda x: np.array([x * x]),
-                        dphi=lambda x: np.array([1.0]))  # wrong away from x=0.5
+                        dphi=lambda x: np.array([1.0]),  # wrong away from x=0.5
+                        rows=lambda xs: (xs * xs)[:, None])
         with pytest.raises(ValueError):
             RegressionModel(np.array([0.0, 1.0]), np.array([0.0, 1.0]), bad,
                             np.array([2.0]), 0.01)

@@ -131,7 +131,7 @@ class TestPrivatizeSvm:
 class TestAdjacency:
     def test_jitter_stays_in_circles(self):
         train, _, _ = synthetic_gaussian_classes(m=30, seed=5)
-        adj = circle_law_adjacency(train, radius=0.05)
+        adj = circle_law_adjacency(train)
         rng = np.random.default_rng(0)
         d1, d2 = adj.sample_pair(rng)
         for d in (d1, d2):

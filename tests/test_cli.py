@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestPrivatize:
             main(["privatize", "--in", str(prog_file), "--scale", "0.05",
                   "--beta", "0.01"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0"])
+    def test_scale_must_be_positive_and_finite(self, prog_file, tmp_path, capsys, scale):
+        # the noise is rejected before any program is built from it
+        out = tmp_path / "priv.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["privatize", "--in", str(prog_file), "--scale", scale,
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "error: scale must be positive and finite" in capsys.readouterr().err
 
 
 class TestProgramInput:

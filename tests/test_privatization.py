@@ -40,7 +40,7 @@ def _regression():
 def _ellipsoid():
     return ellipsoid.privatize_ellipsoid(
         ellipsoid.regular_polygon(4, radius=1.5),
-        calibrate_gaussian(0.05, 1.0, 0.1, k=6), eta=0.10, seed=1, obj_samples=8)
+        calibrate_gaussian(0.05, 1.0, 0.1, k=6), eta=0.10, seed=1)
 
 
 def _opf():

@@ -18,7 +18,7 @@ from dpconic.ldr import (
 )
 from dpconic.risk import augment_with_cvar, cvar_empirical, var_empirical
 from dpconic.solver import SolverSettings, solve
-from dpconic.apps.metrics import evaluate_rule_metrics
+from dpconic.apps.metrics import MEMBERSHIP_TOL, evaluate_rule_metrics
 
 
 def cvar_bruteforce(losses, q, grid=20001):
@@ -158,12 +158,12 @@ class TestFeasibleColumn:
         eq = np.concatenate([np.full(blk.dim, blk.kind == ConeKind.ZERO)
                              for blk in prog.cones.blocks])
         basis = null_space(prog.A[eq]) if eq.any() else np.eye(prog.n)
-        rule = DecisionRule(base.x, 3e-4 * basis @ rng.normal(size=(basis.shape[1], 3)))
+        rule = DecisionRule(base.x, 3e-7 * basis @ rng.normal(size=(basis.shape[1], 3)))
         noise = NoiseSpec("gaussian", 3, 1.0)
         zetas = sample_noise(noise, 5, 2000)
-        _, feasible = evaluate_rule_metrics(rule, prog, base, zetas, membership_tol=1e-3)
+        _, feasible = evaluate_rule_metrics(rule, prog, base, zetas)
         xs = rule.evaluate_many(zetas)
-        expected = membership_loop(prog, xs, 1e-3)
+        expected = membership_loop(prog, xs, MEMBERSHIP_TOL)
         assert 0 < expected.sum() < expected.size
         assert np.array_equal(feasible, expected)
 

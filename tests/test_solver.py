@@ -177,6 +177,12 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, 10.0])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # a bool would run as 1 iteration; 2.5 got as far as the iteration
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverSettings(max_iter=max_iter)
+
     def test_invalid_program_rejected(self):
         # an invalid program never reaches solve: its construction raises
         with pytest.raises(ValueError, match="^invalid program: b length 3 != m=2$"):
@@ -569,11 +575,40 @@ def _highs(program):
     for blk, start in program.cones.offsets():
         assert blk.kind in (ConeKind.ZERO, ConeKind.NONNEG)
         eq[start:start + blk.dim] = blk.kind == ConeKind.ZERO
-    A, b = program.A, program.b
-    res = linprog(program.c, A_ub=A[~eq], b_ub=b[~eq],
+    A, b, ub = program.A, program.b, ~eq
+    res = linprog(program.c, A_ub=A[ub] if ub.any() else None, b_ub=b[ub] if ub.any() else None,
                   A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
                   bounds=(None, None), method="highs")
     return res.status, res.fun
+
+
+def _zero_only_lp(rng, kind):
+    """min c'x s.t. A x = b, with no cone row but Zero ones, that is
+    feasible (c in A's row space), infeasible (a row repeated with another
+    right-hand side) or unbounded (a generic c); n from 2 to 8."""
+    n = int(rng.integers(2, 9))
+    A = rng.normal(size=(int(rng.integers(1, n)), n))
+    b = A @ rng.normal(size=n)
+    if kind == "infeasible":
+        w = rng.normal(size=A.shape[0])
+        A, b = np.vstack([A, w @ A]), np.append(b, w @ b + 1.0)
+    c = rng.normal(size=n) if kind == "unbounded" else A.T @ rng.normal(size=A.shape[0])
+    return ConicProgram(A, b, c, ConeSpec([zero(A.shape[0])]))
+
+
+def _assert_ray(program, sol):
+    """sol is a certificate of the Zero-only LP: A'y = 0 with b'y < 0 for
+    PrimalInfeasible, A x = 0 with c'x < 0 for DualInfeasible, each to 1e-6
+    of the ray's norm."""
+    if sol.status == Status.PRIMAL_INFEASIBLE:
+        y = sol.y
+        assert np.linalg.norm(program.A.T @ y) <= 1e-6 * np.linalg.norm(y)
+        assert program.b @ y < 0
+    else:
+        assert sol.status == Status.DUAL_INFEASIBLE
+        x = sol.x
+        assert np.linalg.norm(program.A @ x) <= 1e-6 * np.linalg.norm(x)
+        assert program.c @ x < 0
 
 
 def _random_lp(rng, kind, n=6, m=12, p=2, band=None):
@@ -660,6 +695,31 @@ class TestHighsDifferential:
 
     def test_simple_lp(self):
         assert self._check(build_simple_lp(1.0, 1.0, 2.0)) == 0
+
+    @pytest.mark.parametrize("kind,status", [("feasible", 0), ("infeasible", 2),
+                                             ("unbounded", 3)])
+    @pytest.mark.parametrize("index", range(5))
+    def test_zero_only_lps(self, kind, status, index):
+        # Zero-only programs run the embedding's iteration like any other,
+        # so an infeasible or unbounded one returns its certificate
+        rng = np.random.default_rng(53)
+        for _ in range(index):
+            _zero_only_lp(rng, kind)
+        program = _zero_only_lp(rng, kind)
+        assert solver._Layout([program]).m_cone == 0
+        assert self._check(program) == status
+        if status:
+            _assert_ray(program, solve(program))
+
+    def test_zero_only_unbounded_ray(self):
+        # min x1 s.t. x1 + x2 = 2: the direction (-1, 1) keeps the row and
+        # lowers the cost without bound
+        program = ConicProgram(np.array([[1.0, 1.0]]), np.array([2.0]),
+                               np.array([1.0, 0.0]), ConeSpec([zero(1)]))
+        sol = solve(program)
+        assert sol.status == Status.DUAL_INFEASIBLE
+        _assert_ray(program, sol)
+        assert sol.x[0] < 0 < sol.x[1]
 
 
 def _solution_bytes(sol):
